@@ -53,9 +53,6 @@ echo "==> xlint cache smoke (cold vs warm: coverage, byte-identity, >=5x)"
 XLINT_SMOKE_JSON=target/ci-artifacts/xlint-cache-stats.json \
   cargo run --offline --release -p exegpt-bench --bin xlint-smoke
 
-echo "==> serve smoke (SLO-accounting invariants over ~2k events)"
-cargo run --offline --release -p exegpt-serve --bin serve-smoke
-
 echo "==> replan smoke (incremental replans: byte-identity, no fallback, >=10x)"
 # Replays the golden drift/fault/recovery replans and exits non-zero if any
 # falls back to the full search, picks a different plan than the full
@@ -64,30 +61,21 @@ echo "==> replan smoke (incremental replans: byte-identity, no fallback, >=10x)"
 REPLAN_SMOKE_JSON=target/ci-artifacts/replan-smoke.json \
   cargo run --offline --release -p exegpt-bench --bin replan-smoke
 
-echo "==> faults smoke (seeded failure scenario, deterministic digest)"
-# The bin replays a seeded GPU failure + straggler + recovery scenario
-# twice and exits non-zero unless the runs are byte-identical, nothing is
-# lost, and recovery restores the original plan. The event log is archived
-# for diffing a failed gate.
-FAULTS_SMOKE_LOG=target/ci-artifacts/faults-smoke.jsonl \
-  cargo run --offline --release -p exegpt-serve --bin faults-smoke
-
-echo "==> fleet smoke (100k requests, 3+1 heterogeneous replicas, replica loss)"
-# Plays a 100k-request multi-tenant trace through a heterogeneous fleet
-# (two A40 replicas, one A100, an A40 standby) with a mid-run replica loss
-# and a scripted scale-up, once per routing arm. Exits non-zero unless
-# nothing is lost, the SLO-aware arm strictly beats round-robin on
-# interactive violations, and an identical replay is byte-identical
-# (FNV-1a digest over the fleet log plus every replica session log). The
-# per-arm summary is archived for trending.
-FLEET_SMOKE_JSON=target/ci-artifacts/fleet-smoke.json \
-  cargo run --offline --release -p exegpt-fleet --bin fleet-smoke
-
-echo "==> scenario smoke (every shipped config vs its committed golden digest)"
-# Runs every scenarios/*.toml through the declarative scenario layer and
-# exits non-zero if any run's FNV-1a event-log digest drifts from
-# scenarios/GOLDENS.toml, a config has no golden, or a golden has no
-# config. Intentional behavior changes regenerate the goldens with
+echo "==> scenario smoke (every shipped config: run invariants + committed golden digest)"
+# Runs every scenarios/*.toml through the declarative scenario layer (the
+# serve, fault and fleet studies included: fleet-100k.toml is the
+# 100k-request fleet gate) and exits non-zero if any run breaks a run
+# invariant, its FNV-1a event-log digest drifts from scenarios/GOLDENS.toml,
+# a config has no golden, or a golden has no config. The invariants
+# (exegpt_scenario::broken_invariants):
+#   serve  - completed + lost == total, nothing lost, SLO accounting
+#            consistent, every completion SLO-checked, mean TTFT <= mean e2e;
+#   fleet  - every request dispatched and completed, nothing lost or
+#            rejected, per-tenant completions sum to the total, every
+#            tenant's SLO accounting consistent;
+#   replay - exactly num_queries completions.
+# Byte-determinism is the digest itself: a nondeterministic run cannot
+# match its golden. Intentional behavior changes regenerate the goldens with
 # `cargo run --release --bin scenario-smoke -- scenarios --write-goldens`.
 cargo run --offline --release -p exegpt-scenario --bin scenario-smoke -- scenarios
 

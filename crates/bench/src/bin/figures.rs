@@ -6,17 +6,18 @@
 //! cargo run -p exegpt-bench --release --bin figures -- <experiment> [--json DIR] [--queries N]
 //! ```
 //!
-//! where `<experiment>` is one of `fig6 fig7 fig8 fig9 fig10 fig11 tab4
-//! tab5 tab6 tab7 timelines all`. With `--json DIR`, machine-readable
-//! results are written alongside the printed tables (used to populate
-//! `EXPERIMENTS.md`).
+//! where `<experiment>` is one of `fig6 fig7 fig8 fig9 fig10 fig11 serve
+//! faults fleet tab4 tab5 tab6 tab7 timelines all`. With `--json DIR`,
+//! machine-readable results are written alongside the printed tables (used
+//! to populate `EXPERIMENTS.md`). `serve`, `faults` and `fleet` run the
+//! shipped scenario files as they are, so `--queries` does not apply to
+//! them.
 
 use std::path::PathBuf;
 
 use exegpt::Policy;
 use exegpt_bench::{
-    fig10, fig11, fig6, fig7, fig8, fig9, fleet, serve_faults, serve_shift, tab4, tab5, tab6, tab7,
-    timelines,
+    fig10, fig11, fig6, fig7, fig8, fig9, serving, tab4, tab5, tab6, tab7, timelines,
 };
 
 struct Args {
@@ -131,25 +132,19 @@ fn main() {
         save_json(&args.json_dir, "fig11", &rows);
     }
     if wants("serve") {
-        // Below ~2000 requests the serving run is transient-dominated and
-        // the arms don't separate; floor the stream length accordingly.
-        let rows = serve_shift::generate(q.max(serve_shift::MIN_STEADY_REQUESTS));
-        println!("{}", serve_shift::render(&rows));
-        save_json(&args.json_dir, "serve", &rows);
+        let study = serving::serve();
+        println!("{}", study.render());
+        save_json(&args.json_dir, "serve", &study);
     }
     if wants("faults") {
-        // The straggler window has to span enough phases for the arms to
-        // separate; floor the stream length accordingly.
-        let rows = serve_faults::generate(q.max(serve_faults::MIN_STEADY_REQUESTS));
-        println!("{}", serve_faults::render(&rows));
-        save_json(&args.json_dir, "faults", &rows);
+        let study = serving::faults();
+        println!("{}", study.render());
+        save_json(&args.json_dir, "faults", &study);
     }
     if wants("fleet") {
-        // The overloaded-A40 queues need room to grow before the policies
-        // separate on violations; floor the stream length accordingly.
-        let rows = fleet::generate(q.max(fleet::MIN_STEADY_REQUESTS));
-        println!("{}", fleet::render(&rows));
-        save_json(&args.json_dir, "fleet", &rows);
+        let study = serving::fleet();
+        println!("{}", study.render());
+        save_json(&args.json_dir, "fleet", &study);
     }
     if wants("tab4") {
         let rows = tab4::generate();

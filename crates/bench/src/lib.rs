@@ -13,6 +13,10 @@
 //!   (e.g. one scheduling run), so `bench_output.txt` carries both the
 //!   regenerated rows and the real wall-clock cost of scheduling (§7.7).
 //!
+//! The serving studies (`serve`, `faults`, `fleet`) have no module of their
+//! own: [`serving`] runs the shipped `scenarios/*.toml` files through
+//! `exegpt-scenario`, the one construction of a serve, fault or fleet run.
+//!
 //! Absolute numbers come from the simulated cluster substrate and are not
 //! expected to match the paper's testbed; the *shape* — who wins, by what
 //! factor, where the crossovers fall — is the reproduction target (see
@@ -27,10 +31,8 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod fleet;
 pub mod scenarios;
-pub mod serve_faults;
-pub mod serve_shift;
+pub mod serving;
 pub mod support;
 pub mod tab4;
 pub mod tab5;

@@ -18,6 +18,8 @@
 //!   distributions from datasets.
 //! * [`convert`] — checked numeric conversions required (by xlint rule N1,
 //!   DESIGN.md §6) throughout the cost-model and scheduler arithmetic.
+//! * [`fnv1a`] / [`FnvHasher`] — the one FNV-1a implementation behind run
+//!   digests, cluster fingerprints and evaluation-cache keys.
 //!
 //! # Example
 //!
@@ -38,10 +40,12 @@ mod completion;
 pub mod convert;
 mod error;
 pub mod fit;
+mod fnv;
 mod length;
 mod math;
 pub mod stats;
 
 pub use completion::CompletionDist;
 pub use error::DistError;
+pub use fnv::{fnv1a, FnvBuildHasher, FnvHasher};
 pub use length::LengthDist;

@@ -5,17 +5,19 @@
 //! ```
 //!
 //! Runs every `*.toml` under the scenarios directory (default
-//! `scenarios/`, next to the workspace root) in file-name order and
-//! compares each run's FNV-1a event-log digest against the committed
-//! goldens in `GOLDENS.toml`. Any drift — a scenario whose digest moved, a
-//! new config with no golden, a golden whose config vanished — fails the
-//! gate. `--write-goldens` regenerates the golden file instead (for
-//! intentional behavior changes; the diff then documents the move).
+//! `scenarios/`, next to the workspace root) in file-name order, holds each
+//! finished run to [`broken_invariants`] (request conservation, consistent
+//! SLO accounting), and compares each run's FNV-1a event-log digest against
+//! the committed goldens in `GOLDENS.toml`. Any broken invariant or drift —
+//! a scenario whose digest moved, a new config with no golden, a golden
+//! whose config vanished — fails the gate. `--write-goldens` regenerates
+//! the golden file instead (for intentional behavior changes; the diff then
+//! documents the move), unless a run broke an invariant.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use exegpt_scenario::{format_digest, run, toml, Scenario};
+use exegpt_scenario::{broken_invariants, format_digest, run, toml, Scenario};
 use serde::Value;
 
 /// Loads `GOLDENS.toml` as (file name, digest hex) pairs, in file order.
@@ -83,6 +85,7 @@ fn main() -> ExitCode {
     }
 
     let mut fresh: Vec<(String, String)> = Vec::new();
+    let mut failed = false;
     for path in &files {
         let name = path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
         let scenario = match Scenario::load(path) {
@@ -100,11 +103,15 @@ fn main() -> ExitCode {
             }
         };
         print!("{}", outcome.summary);
+        for why in broken_invariants(&scenario, &outcome.report) {
+            eprintln!("scenario-smoke: {name}: {why}");
+            failed = true;
+        }
         fresh.push((name, format_digest(outcome.digest)));
     }
 
     let goldens_path = dir.join("GOLDENS.toml");
-    if write {
+    if write && !failed {
         if let Err(e) = std::fs::write(&goldens_path, render_goldens(&fresh)) {
             eprintln!("scenario-smoke: writing {}: {e}", goldens_path.display());
             return ExitCode::FAILURE;
@@ -122,7 +129,6 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut failed = false;
     for (name, digest) in &fresh {
         match committed.iter().find(|(n, _)| n == name) {
             Some((_, want)) if want == digest => {}

@@ -4,11 +4,13 @@
 //! A scenario file (TOML or JSON) describes a complete run — model,
 //! cluster, workload distributions, scheduler constraints, arrival
 //! process, SLO classes, fault schedule, seed — and lowers onto the
-//! existing engine/serve/fleet/runner stack with the *same* operations the
-//! hand-written bench and smoke binaries perform, so a transcribed setup
-//! reproduces its event log byte for byte.
+//! existing engine/serve/fleet/runner stack. Lowering is the one way the
+//! repo builds a serve, fault or fleet run: the `figures` harness and the
+//! CI goldens run the shipped files, and the wall-clock benchmark lowers
+//! its own scenario templates, so every number they report comes from the
+//! same construction.
 //!
-//! The pipeline is three total functions, each with structured errors:
+//! The pipeline is total, with structured errors at every stage:
 //!
 //! ```text
 //! text --parse--> Value --decode+validate--> Scenario --lower--> engines
@@ -22,7 +24,9 @@
 //!   positive rates, non-empty GPU pools, resolvable cross-references,
 //!   non-overlapping fault windows;
 //! * **lower**/[`run`] build the real objects and execute deterministically
-//!   ([`Outcome::digest`] is FNV-1a over the run's event log).
+//!   ([`Outcome::digest`] is FNV-1a over the run's event log);
+//! * **check** ([`broken_invariants`]) holds a finished run to request
+//!   conservation and consistent SLO accounting.
 //!
 //! Serialization is canonical and lossless: `decode(encode(s)) == s`
 //! exactly, including boundary floats — the identity the property suite
@@ -36,12 +40,14 @@ pub mod arbitrary;
 pub mod decode;
 mod digest;
 mod error;
+mod invariants;
 mod lower;
 pub mod schema;
 pub mod toml;
 
 pub use digest::{fnv1a, format_digest};
 pub use error::ScenarioError;
+pub use invariants::broken_invariants;
 pub use lower::{
     lower, lower_cluster, lower_model, lower_scheduler, lower_workload, run, FleetLowered, Lowered,
     Outcome, ReplayLowered, Report, ServeLowered,

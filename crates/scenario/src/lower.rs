@@ -2,12 +2,12 @@
 //! engines, schedules, arrival traces, fault schedules, serve/fleet
 //! options — and [`run`] executes them deterministically.
 //!
-//! The lowering mirrors the hand-written constructions in the bench and
-//! smoke binaries *operation for operation* (same float expressions, same
-//! seeds, same call order), so a scenario file that transcribes one of
-//! those setups reproduces its event log byte for byte. Profiles are
-//! shared through a process-wide cache keyed on (model, cluster), exactly
-//! like the bench scenarios module.
+//! Lowering is the only construction of a serve, fault or fleet run in the
+//! repo. Its float expressions, seeds and call order are pinned: the
+//! golden tests rebuild two shipped files by hand from the engine-stack
+//! APIs and require byte-identical event logs, and `scenarios/GOLDENS.toml`
+//! locks every shipped file's digest. Profiles are shared through a
+//! process-wide cache keyed on (model, cluster).
 
 use std::sync::{Arc, OnceLock};
 
@@ -50,7 +50,7 @@ fn run_err(what: &'static str, why: impl std::fmt::Display) -> ScenarioError {
 }
 
 /// The process-wide profile cache: every scenario sharing a (model,
-/// cluster) pair reuses one profiling pass, like the bench harness.
+/// cluster) pair reuses one profiling pass.
 fn cache() -> &'static ProfileCache {
     static CACHE: OnceLock<ProfileCache> = OnceLock::new();
     CACHE.get_or_init(ProfileCache::new)
@@ -314,9 +314,8 @@ fn resolve_serve_rate(
     match rate {
         RateSpec::Qps { qps } => Ok(*qps),
         RateSpec::CapacityFrac { frac, of } => match (of.as_str(), shifted) {
-            // Same expression as the bench serve-shift arm: evaluate the
-            // *stale* plan under the shifted traffic, fall back to the plan
-            // estimate.
+            // Evaluate the *stale* plan under the shifted traffic, falling
+            // back to the plan estimate.
             ("shifted", Some(shifted)) => Ok(engine
                 .simulator()
                 .with_workload(shifted.clone())
@@ -368,7 +367,7 @@ fn lower_serve(scenario: &Scenario, cfg: &ServeConfig) -> Result<ServeLowered, S
             let shifted = scale_output(&base, Some(*scale_mean), *scale_std)?;
             let qps = resolve_serve_rate(rate, &engine, &schedule, Some(&shifted))?;
             // Truncate like `total / 4` does for frac = 0.25: exact for the
-            // fractions the bench uses, monotone for the rest.
+            // fractions the shipped files use, monotone for the rest.
             #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
             let shift_after = (shift_after_frac * cfg.total as f64) as usize;
             poisson_with_shift(&base, &shifted, qps, shift_after, cfg.total, scenario.seed)
@@ -465,8 +464,8 @@ fn lower_fleet(scenario: &Scenario, cfg: &FleetConfig) -> Result<FleetLowered, S
         pools.push((pool.name.clone(), engine, schedule));
     }
 
-    // Classes: same (fast + slow) / 2 midpoint the fleet smoke run derives,
-    // generalized to min/max over all pools.
+    // Classes: the (fast + slow) / 2 midpoint of the pools' plan latencies,
+    // taken as min/max over all pools.
     let latencies = || pools.iter().map(|(_, _, s)| s.estimate.latency.as_secs());
     let classes = cfg
         .classes
@@ -543,8 +542,8 @@ fn lower_fleet(scenario: &Scenario, cfg: &FleetConfig) -> Result<FleetLowered, S
         })
         .collect::<Result<Vec<_>, ScenarioError>>()?;
 
-    // Fleet replicas run non-adaptive, like the smoke run: the router, not
-    // the replica, owns global placement decisions.
+    // Fleet replicas run non-adaptive: the router, not the replica, owns
+    // global placement decisions.
     let opts = ServeOptions { adaptive: false, ..ServeOptions::default() };
     let specs = cfg
         .replicas
@@ -677,7 +676,7 @@ impl ReplayLowered {
 }
 
 /// The fleet log: fabric events plus every replica session log, the same
-/// concatenation the fleet smoke digest covers.
+/// concatenation the golden digests cover.
 fn fleet_log(report: &FleetReport) -> String {
     let mut all = report.events.to_jsonl();
     for r in &report.replicas {

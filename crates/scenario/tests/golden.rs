@@ -1,6 +1,8 @@
-//! Golden replay tests: the shipped scenario configs reproduce the
-//! hand-written bench/smoke constructions byte for byte, and the committed
-//! digest index stays in lockstep with the scenario files.
+//! Golden replay tests. Two shipped configs are rebuilt by hand from the
+//! engine-stack APIs — the independent reference lowering is checked
+//! against — and must match byte for byte; the shipped fault and fleet
+//! studies keep the behaviour they exist to show; and the committed digest
+//! index stays in lockstep with the scenario files.
 
 use std::path::{Path, PathBuf};
 
@@ -14,7 +16,7 @@ use exegpt_fleet::{
 };
 use exegpt_model::ModelConfig;
 use exegpt_profiler::{ProfileCache, ProfileOptions};
-use exegpt_scenario::{run, toml, Report, Scenario};
+use exegpt_scenario::{lower, run, toml, Lowered, Report, Scenario};
 use exegpt_serve::{poisson_with_shift, DriftOptions, ServeLoop, ServeOptions, SloTargets};
 use exegpt_sim::Workload;
 use exegpt_units::Secs;
@@ -45,14 +47,13 @@ fn engine_for(model: &ModelConfig, cluster: &ClusterSpec, workload: Workload) ->
         .expect("engine builds")
 }
 
-/// `scenarios/serve-shift.toml` is a transcription of the bench
-/// serve_shift adaptive arm; its event log must match the hand-written
-/// construction byte for byte.
+/// `scenarios/serve-shift.toml` built by hand (the §7.6 adaptive arm):
+/// lowering must reproduce this reference's event log byte for byte.
 #[test]
 fn serve_shift_config_matches_code_construction() {
     let outcome = run(&load("serve-shift.toml")).expect("serve-shift runs");
 
-    // The construction from bench serve_shift.rs, adaptive arm, verbatim.
+    // The reference construction, written against the serve APIs directly.
     let total = 2000;
     let model = ModelConfig::opt_13b();
     let cluster = ClusterSpec::a40_cluster().subcluster(4).expect("4xA40 exists");
@@ -96,14 +97,14 @@ fn serve_shift_config_matches_code_construction() {
     assert_eq!(from_config.final_schedule, report.final_schedule);
 }
 
-/// `scenarios/fleet-loss.toml` is a transcription of the fleet smoke
-/// topology (two pools, standby scale-up, replica loss + recovery); its
-/// fabric-plus-replica log must match the hand-written construction.
+/// `scenarios/fleet-loss.toml` built by hand (two pools, standby scale-up,
+/// replica loss + recovery): lowering must reproduce this reference's
+/// fabric-plus-replica log byte for byte.
 #[test]
 fn fleet_loss_config_matches_code_construction() {
     let outcome = run(&load("fleet-loss.toml")).expect("fleet-loss runs");
 
-    // The construction from fleet-smoke, with the shipped file's totals.
+    // The reference construction, written against the fleet APIs directly.
     let total = 6000;
     let model = ModelConfig::opt_13b();
     let workload = Task::Translation.workload().expect("task statistics are valid");
@@ -197,6 +198,43 @@ fn fleet_log(report: &FleetReport) -> String {
         }
     }
     all
+}
+
+/// `scenarios/serve-faults.toml` exercises the whole fault path: all four
+/// events fire, the failure and the straggler are each confirmed once,
+/// failover, eviction and recovery all replan, and recovery reinstalls the
+/// initial plan verbatim.
+#[test]
+fn serve_faults_detects_replans_and_recovers_exactly() {
+    let Lowered::Serve(lowered) = lower(&load("serve-faults.toml")).expect("serve-faults lowers")
+    else {
+        panic!("serve-faults must be a serve scenario");
+    };
+    let initial = lowered.schedule.config.describe();
+    let r = lowered.run().expect("serve-faults runs");
+    assert_eq!(r.faults_injected, 4, "every scheduled fault fires");
+    assert_eq!(r.faults_detected, 1, "the failure is detected exactly once");
+    assert_eq!(r.stragglers_detected, 1, "the straggler is confirmed exactly once");
+    assert!(r.replans >= 3, "failover, eviction and recovery all replan ({})", r.replans);
+    assert_eq!(r.final_schedule, initial, "recovery restores the initial plan");
+}
+
+/// On the same stream and replica loss, SLO-aware dispatch
+/// (`fleet-loss.toml`) strictly beats round-robin (`fleet-rr.toml`) on
+/// interactive violations, and the loss strands work that gets rerouted.
+#[test]
+fn fleet_slo_aware_beats_round_robin_and_reroutes() {
+    let fleet = |name: &str| match run(&load(name)).expect("fleet scenario runs").report {
+        Report::Fleet(r) => r,
+        _ => panic!("{name} must be a fleet scenario"),
+    };
+    let interactive = |r: &FleetReport| -> usize {
+        r.tenants.iter().filter(|t| t.class == "interactive").map(|t| t.slo.violations).sum()
+    };
+    let (slo, rr) = (fleet("fleet-loss.toml"), fleet("fleet-rr.toml"));
+    let (v_slo, v_rr) = (interactive(&slo), interactive(&rr));
+    assert!(v_slo < v_rr, "slo-aware must strictly beat round-robin ({v_slo} vs {v_rr})");
+    assert!(slo.rerouted > 0, "the replica loss must strand work to reroute");
 }
 
 /// `GOLDENS.toml` names exactly the shipped scenario files, each with a

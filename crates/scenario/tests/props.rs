@@ -5,9 +5,10 @@
 //!   floats included.
 //! * Lowering: every runnable scenario lowers to plans that pass the full
 //!   runtime [`PlanInvariants`] check.
-//! * Conservation: executing a runnable scenario loses no request — serve
-//!   and fleet runs complete exactly `total`, replays exactly
-//!   `num_queries`.
+//! * Conservation: executing a runnable scenario passes every run
+//!   invariant — serve and fleet runs complete exactly `total` with
+//!   consistent SLO accounting, replays exactly `num_queries` — and the
+//!   check fires on a corrupted report.
 //! * Recovery: a failure plus a straggler that both heal during the
 //!   backlog drain restore the original plan verbatim, with zero lost
 //!   requests.
@@ -15,7 +16,7 @@
 use exegpt::PlanInvariants;
 use exegpt_scenario::{
     arbitrary::{arbitrary_fault_recovery, arbitrary_runnable, arbitrary_scenario},
-    lower, run, Report, Scenario,
+    broken_invariants, lower, run, Mode, ReplayConfig, Report, Scenario,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -74,25 +75,38 @@ proptest! {
         }
     }
 
-    /// Executing a runnable scenario conserves requests: nothing lost,
-    /// everything offered is completed.
+    /// Executing a runnable scenario conserves requests and keeps its SLO
+    /// accounting consistent: every run invariant holds.
     #[test]
     fn runs_conserve_requests(seed in 0u64..1u64 << 32) {
         let scenario = arbitrary_runnable(&mut StdRng::seed_from_u64(seed));
         let outcome = run(&scenario);
         prop_assert!(outcome.is_ok(), "run failed: {:?}", outcome.err());
-        match &outcome.unwrap().report {
-            Report::Serve(r) => {
-                prop_assert_eq!(r.requests_lost, 0, "serve run lost requests");
-            }
-            Report::Fleet(r) => {
-                prop_assert_eq!(r.lost, 0, "fleet run lost requests");
-                prop_assert_eq!(r.rejected, 0, "fleet run rejected requests");
-                prop_assert_eq!(r.completed, r.dispatched, "fleet run dropped requests");
-            }
-            Report::Replay(_) => {}
-        }
+        let broken = broken_invariants(&scenario, &outcome.unwrap().report);
+        prop_assert!(broken.is_empty(), "broken run invariants: {broken:?}");
     }
+}
+
+/// The invariant check is not vacuous: corrupting a finished report's
+/// accounting, or pairing it with the wrong scenario, is reported.
+#[test]
+fn broken_reports_fail_the_run_invariants() {
+    let scenario = arbitrary_fault_recovery(&mut StdRng::seed_from_u64(3));
+    let mut report = run(&scenario).expect("recovery scenario runs").report;
+    assert_eq!(broken_invariants(&scenario, &report), Vec::<String>::new());
+
+    let Report::Serve(r) = &mut report else {
+        panic!("recovery scenario must be a serve run");
+    };
+    r.requests_lost += 1;
+    r.slo.checked += 1;
+    let broken = broken_invariants(&scenario, &report);
+    assert_eq!(broken.len(), 3, "conservation, loss and SLO checks fire: {broken:?}");
+    assert!(broken[1].contains("1 requests lost"), "{broken:?}");
+
+    let replay = ReplayConfig { num_queries: 1, scale_mean: None, scale_std: None };
+    let replay = Scenario { mode: Mode::Replay(replay), ..scenario };
+    assert_eq!(broken_invariants(&replay, &report).len(), 1, "mode mismatch is reported");
 }
 
 proptest! {

@@ -105,7 +105,8 @@ impl SloOutcome {
         }
     }
 
-    /// Internal-consistency invariants; the CI smoke run asserts these.
+    /// Internal-consistency invariants; the scenario layer's run-invariant
+    /// check holds every shipped and generated run to these.
     pub fn is_consistent(&self) -> bool {
         self.violations <= self.checked
             && self.ttft_violations <= self.violations

@@ -36,12 +36,12 @@
 
 // xlint::allow(D1, sharded FNV cache is keyed lookup only; iteration order never observed)
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
 use exegpt_dist::convert::narrow_usize;
-use exegpt_dist::{CompletionDist, LengthDist};
+use exegpt_dist::{CompletionDist, FnvBuildHasher, LengthDist};
 use exegpt_profiler::Grid1D;
 
 use crate::config::{ScheduleConfig, TpConfig, WaaConfig};
@@ -54,40 +54,13 @@ use crate::waa::WaaPlan;
 /// contending, small enough to stay cheap to allocate per workload.
 const SHARDS: usize = 8;
 
-/// FNV-1a. Cache keys are small config structs on the hot path of every
-/// simulator evaluation, where SipHash's per-call overhead is measurable;
-/// the keys are program-generated, so hash-flooding resistance buys nothing.
-#[derive(Clone, Copy, Default)]
-struct FnvBuildHasher;
-
-struct FnvHasher(u64);
-
-impl BuildHasher for FnvBuildHasher {
-    type Hasher = FnvHasher;
-
-    fn build_hasher(&self) -> FnvHasher {
-        FnvHasher(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-}
-
-/// A hash map split into independently locked shards.
+/// A hash map split into independently locked shards. Keys hash with
+/// FNV-1a: they are small, program-generated config structs on the hot path
+/// of every simulator evaluation, where SipHash's per-call overhead is
+/// measurable and its flooding resistance buys nothing.
 struct ShardedMap<K, V> {
     // xlint::allow(D1, sharded FNV cache is keyed lookup only; iteration order never observed)
     shards: Vec<RwLock<HashMap<K, V, FnvBuildHasher>>>,
-    hasher: FnvBuildHasher,
 }
 
 impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
@@ -95,13 +68,12 @@ impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
         Self {
             // xlint::allow(D1, sharded FNV cache is keyed lookup only; iteration order never observed)
             shards: (0..SHARDS).map(|_| RwLock::new(HashMap::default())).collect(),
-            hasher: FnvBuildHasher,
         }
     }
 
     // xlint::allow(D1, sharded FNV cache is keyed lookup only; iteration order never observed)
     fn shard(&self, key: &K) -> &RwLock<HashMap<K, V, FnvBuildHasher>> {
-        let idx = narrow_usize(self.hasher.hash_one(key)) % SHARDS;
+        let idx = narrow_usize(FnvBuildHasher::default().hash_one(key)) % SHARDS;
         &self.shards[idx]
     }
 
