@@ -8,8 +8,7 @@
 //! substrate, and the Criterion timings below are genuine wall-clock
 //! measurements of the same algorithm the paper runs.
 
-// The bench crate is exempt from xlint D2; mirror that for clippy.
-#![allow(clippy::disallowed_methods)]
+#![allow(clippy::disallowed_methods, reason = "benches measure wall-clock time")]
 
 use criterion::{criterion_group, Criterion};
 use exegpt::{RraConfig, SchedulerOptions, TpConfig};

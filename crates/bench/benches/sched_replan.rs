@@ -12,8 +12,7 @@
 //! reported time is the minimum over the runs: scheduler noise only ever
 //! inflates a run, and the work per run is deterministic.
 
-// The bench crate is exempt from xlint D2; mirror that for clippy.
-#![allow(clippy::disallowed_methods)]
+#![allow(clippy::disallowed_methods, reason = "benches measure wall-clock time")]
 
 use std::time::{Duration, Instant};
 

@@ -18,8 +18,7 @@
 //! default `target/ci-artifacts/replan-smoke.json`) for trending. Exits
 //! non-zero on any violated property.
 
-// The bench crate is exempt from xlint D2; mirror that for clippy.
-#![allow(clippy::disallowed_methods)]
+#![allow(clippy::disallowed_methods, reason = "benches measure wall-clock time")]
 
 use std::time::{Duration, Instant};
 

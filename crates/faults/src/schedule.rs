@@ -91,7 +91,7 @@ impl FaultKind {
 /// One timed fault event on the virtual clock.
 ///
 /// `t` is *virtual* seconds — fault times come from the simulated clock the
-/// consumer replays against, never from the wall clock (xlint rule D2), so
+/// consumer replays against, never from the wall clock (see clippy.toml), so
 /// a scenario replays byte-identically.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultEvent {

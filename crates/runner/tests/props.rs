@@ -2,8 +2,10 @@
 //! double-accounting, capacity always respected, under arbitrary
 //! admit/grow/release interleavings and all three disciplines.
 
-// Test-only bookkeeping; xlint skips tests and clippy should too.
-#![allow(clippy::disallowed_types)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "test-only live-id set: membership checks and an order-independent final release"
+)]
 
 use exegpt_runner::{KvTracker, ReservePolicy};
 use proptest::prelude::*;

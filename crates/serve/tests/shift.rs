@@ -163,7 +163,7 @@ fn adaptive_loop_beats_static_plan_under_shift() {
 #[test]
 fn static_plan_event_log_is_byte_identical_across_runs() {
     // The static path leans on the runner's KV tracker bookkeeping
-    // (ordered maps only, xlint rule D1); two runs must not differ by a
+    // (ordered maps only, see clippy.toml); two runs must not differ by a
     // single byte.
     let setup = setup();
     let a = serve(&setup, false);

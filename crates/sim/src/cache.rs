@@ -31,10 +31,11 @@
 //! function of the evaluated multiset only, independent of thread
 //! interleaving.
 
-// Matches the xlint::allow(D1) pragmas below (see clippy.toml).
-#![allow(clippy::disallowed_types)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "sharded FNV cache is keyed lookup only; iteration order never observed"
+)]
 
-// xlint::allow(D1, sharded FNV cache is keyed lookup only; iteration order never observed)
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -59,19 +60,14 @@ const SHARDS: usize = 8;
 /// of every simulator evaluation, where SipHash's per-call overhead is
 /// measurable and its flooding resistance buys nothing.
 struct ShardedMap<K, V> {
-    // xlint::allow(D1, sharded FNV cache is keyed lookup only; iteration order never observed)
     shards: Vec<RwLock<HashMap<K, V, FnvBuildHasher>>>,
 }
 
 impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
     fn new() -> Self {
-        Self {
-            // xlint::allow(D1, sharded FNV cache is keyed lookup only; iteration order never observed)
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::default())).collect(),
-        }
+        Self { shards: (0..SHARDS).map(|_| RwLock::new(HashMap::default())).collect() }
     }
 
-    // xlint::allow(D1, sharded FNV cache is keyed lookup only; iteration order never observed)
     fn shard(&self, key: &K) -> &RwLock<HashMap<K, V, FnvBuildHasher>> {
         let idx = narrow_usize(FnvBuildHasher::default().hash_one(key)) % SHARDS;
         &self.shards[idx]

@@ -1,6 +1,6 @@
 //! Statement-level control-flow graphs over `fn` bodies.
 //!
-//! The flow rules (D4/U3/P3) need more than a token scan: they must know
+//! The flow rules (D4/U3) need more than a token scan: they must know
 //! which statements can *follow* which. This module lowers a fn body's
 //! token range into basic blocks of statements connected by successor
 //! edges. It is deliberately conservative, not a full Rust parser:

@@ -42,7 +42,7 @@ pub struct Tok {
 pub struct Pragma {
     /// 1-based line the pragma comment sits on.
     pub line: usize,
-    /// The rule id it suppresses (as written, e.g. `D1`).
+    /// The rule id it suppresses (as written, e.g. `P1`).
     pub rule: String,
     /// The mandatory human reason; empty when the author omitted it
     /// (reported as a malformed pragma).
@@ -465,11 +465,11 @@ mod tests {
 
     #[test]
     fn pragmas_are_collected() {
-        let src = "let x = 1; // xlint::allow(D1, bounded cache, never iterated)\n";
+        let src = "let x = 1; // xlint::allow(P1, preset constant, covered by tests)\n";
         let lexed = lex(src);
         assert_eq!(lexed.pragmas.len(), 1);
-        assert_eq!(lexed.pragmas[0].rule, "D1");
-        assert_eq!(lexed.pragmas[0].reason, "bounded cache, never iterated");
+        assert_eq!(lexed.pragmas[0].rule, "P1");
+        assert_eq!(lexed.pragmas[0].reason, "preset constant, covered by tests");
         assert_eq!(lexed.pragmas[0].line, 1);
     }
 

@@ -15,8 +15,6 @@
 //!
 //! | id | rule |
 //! |----|------|
-//! | D1 | no `HashMap`/`HashSet` (nondeterministic iteration order) |
-//! | D2 | no `Instant::now`/`SystemTime`/`thread_rng`/`from_entropy` outside `bench` |
 //! | N1 | no bare `as` numeric casts in the cost-model/scheduler crates |
 //! | F1 | no float `==`/`!=` |
 //! | P1 | no `unwrap`/`expect`/`panic!` in non-test library code |
@@ -27,40 +25,36 @@
 //! | D3 | no concurrency primitives outside the audited pool modules |
 //! | D4 | no clock/entropy/env-derived value may flow into events/metrics/plans |
 //! | U3 | no unit-stripped float may re-enter a different unit's constructor |
-//! | P3 | no bound `Result` may go unconsumed on every path |
 //! | X0 | malformed, unknown or stale `xlint::allow` pragma |
 //! | X1 | a crate's pragma count exceeds its committed suppression budget |
 //!
-//! D4/U3/P3 are *flow rules*: each `fn` body is lowered to a statement
-//! CFG ([`cfg`](mod@crate::cfg)) and a forward taint fixpoint ([`taint`]) tracks
-//! nondeterminism and unit-stripping through locals. Because that is no
-//! longer lexer-cheap, workspace passes persist per-file results in an
-//! incremental cache ([`cache`]) under `target/xlint-cache/`.
+//! Hash collections and wall-clock reads are clippy's job
+//! (`disallowed-types`/`disallowed-methods` in `clippy.toml`), and a bound
+//! `Result` that is never read is rustc's `unused_variables`; both run
+//! under `-D warnings` in CI and cover test code too.
 //!
-//! Reports render as text, `--json`, or `--sarif` (SARIF 2.1.0 for CI
-//! dashboards; suppressed findings carry `inSource` suppressions).
+//! D4/U3 are *flow rules*: each `fn` body is lowered to a statement CFG
+//! ([`cfg`](mod@crate::cfg)) and a forward taint fixpoint ([`taint`]) tracks
+//! nondeterminism and unit-stripping through locals.
 //!
 //! # Example
 //!
 //! ```
 //! use exegpt_xlint::{lint_source, FileContext, Rule};
 //!
-//! let report = lint_source("demo.rs", "let m = HashMap::new();", FileContext::default());
-//! assert_eq!(report.findings[0].rule, Rule::D1);
+//! let report = lint_source("demo.rs", "let v = x.unwrap();", FileContext::default());
+//! assert_eq!(report.findings[0].rule, Rule::P1);
 //! ```
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod baseline;
-pub mod cache;
 pub mod cfg;
 mod dataflow;
-pub mod fix;
 mod lexer;
 pub mod parser;
 mod rules;
-mod sarif;
 pub mod taint;
 pub mod workspace;
 
@@ -121,8 +115,6 @@ pub struct Report {
     pub suppressed: Vec<Suppressed>,
     /// Number of files scanned.
     pub files_scanned: usize,
-    /// Incremental-cache counters, when the pass went through the cache.
-    pub cache: Option<cache::CacheStats>,
 }
 
 impl Report {
@@ -168,55 +160,6 @@ impl Report {
         );
         out
     }
-
-    /// Machine-readable report: a single JSON object with `findings`,
-    /// `suppressed` and `files_scanned`.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n  \"findings\": [");
-        for (i, f) in self.findings.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\n    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"message\": {}, \
-                 \"suggestion\": {}}}",
-                if i == 0 { "" } else { "," },
-                json_str(&f.file),
-                f.line,
-                json_str(f.rule.id()),
-                json_str(&f.message),
-                json_str(&f.suggestion),
-            );
-        }
-        let _ = write!(out, "\n  ],\n  \"suppressed\": [");
-        for (i, s) in self.suppressed.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\n    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"reason\": {}}}",
-                if i == 0 { "" } else { "," },
-                json_str(&s.finding.file),
-                s.finding.line,
-                json_str(s.finding.rule.id()),
-                json_str(&s.reason),
-            );
-        }
-        let _ = write!(out, "\n  ],\n  \"files_scanned\": {},", self.files_scanned);
-        if let Some(stats) = &self.cache {
-            let _ = write!(
-                out,
-                "\n  \"cache\": {{\"hits\": {}, \"misses\": {}}},",
-                stats.hits, stats.misses
-            );
-        }
-        let _ = write!(out, "\n  \"clean\": {}\n}}\n", self.is_clean());
-        out
-    }
-
-    /// SARIF 2.1.0 report for CI dashboards: findings map to
-    /// `error`-level results, pragma-suppressed findings to `note`-level
-    /// results carrying an `inSource` suppression with the pragma's
-    /// reason. Byte-stable for a given report (no timestamps, no GUIDs).
-    pub fn render_sarif(&self) -> String {
-        sarif::render_sarif(self)
-    }
 }
 
 /// Finds the workspace root: the nearest ancestor of `start` whose
@@ -239,21 +182,7 @@ pub fn find_workspace_root(start: &Path) -> Result<PathBuf, XlintError> {
 /// root package's `src/`). `third_party/`, `tests/`, `benches/` and
 /// `examples/` are out of scope: vendored shims and test code do not feed
 /// the deterministic pipeline.
-///
-/// Equivalent to [`lint_workspace_cached`] with the cache disabled.
 pub fn lint_workspace(root: &Path) -> Result<Report, XlintError> {
-    lint_workspace_cached(root, false)
-}
-
-/// [`lint_workspace`] with an optional incremental cache: when
-/// `use_cache` is set, per-file results are replayed from
-/// `target/xlint-cache/` on a key hit and stored on a miss, and
-/// [`Report::cache`] carries the hit/miss counters. Cached and uncached
-/// passes produce byte-identical findings — the cache key folds the
-/// rule-set version, the workspace fingerprint, and the file content, so
-/// any change invalidates the entry. The manifest (L1) pass always runs
-/// live: it is lexer-cheap and spans files.
-pub fn lint_workspace_cached(root: &Path, use_cache: bool) -> Result<Report, XlintError> {
     let mut files: Vec<PathBuf> = Vec::new();
     collect_rs(&root.join("src"), &mut files)?;
     let crates_dir = root.join("crates");
@@ -264,42 +193,14 @@ pub fn lint_workspace_cached(root: &Path, use_cache: bool) -> Result<Report, Xli
             collect_rs(&c.join("src"), &mut files)?;
         }
     }
-    let dir = cache::cache_dir(root);
-    let mut stats = cache::CacheStats::default();
     let mut report = Report::default();
-    for path in files {
-        let src = std::fs::read_to_string(&path)
-            .map_err(|source| XlintError::Io { path: path.clone(), source })?;
-        let rel = path.strip_prefix(root).unwrap_or(&path);
-        let label = rel.to_string_lossy().replace('\\', "/");
-        let key = cache::file_key(&label, &src);
-        let (findings, suppressed) = match use_cache.then(|| cache::load(&dir, &label, key)) {
-            Some(Some(hit)) => {
-                stats.hits += 1;
-                hit
-            }
-            miss => {
-                if miss.is_some() {
-                    stats.misses += 1;
-                }
-                let file_report = lint_source(&label, &src, context_for(&label));
-                if use_cache {
-                    cache::store(&dir, &label, key, &file_report.findings, &file_report.suppressed);
-                }
-                (file_report.findings, file_report.suppressed)
-            }
-        };
-        report.findings.extend(findings);
-        report.suppressed.extend(suppressed);
-        report.files_scanned += 1;
+    for path in &files {
+        lint_file_into(&mut report, path, path.strip_prefix(root).unwrap_or(path))?;
     }
     // The manifest pass: every `crates/*/Cargo.toml` dependency edge is
     // checked against the declared layering DAG (rule L1).
     report.findings.extend(workspace::lint_manifests(root)?);
     report.findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    if use_cache {
-        report.cache = Some(stats);
-    }
     Ok(report)
 }
 
@@ -308,15 +209,22 @@ pub fn lint_workspace_cached(root: &Path, use_cache: bool) -> Result<Report, Xli
 pub fn lint_files(paths: &[PathBuf]) -> Result<Report, XlintError> {
     let mut report = Report::default();
     for path in paths {
-        let src = std::fs::read_to_string(path)
-            .map_err(|source| XlintError::Io { path: path.clone(), source })?;
-        let label = path.to_string_lossy().replace('\\', "/");
-        let file_report = lint_source(&label, &src, context_for(&label));
-        report.findings.extend(file_report.findings);
-        report.suppressed.extend(file_report.suppressed);
-        report.files_scanned += 1;
+        lint_file_into(&mut report, path, path)?;
     }
     Ok(report)
+}
+
+/// Lints the file at `path`, reporting it as `label` (with `/`
+/// separators), and appends the results to `report`.
+fn lint_file_into(report: &mut Report, path: &Path, label: &Path) -> Result<(), XlintError> {
+    let src = std::fs::read_to_string(path)
+        .map_err(|source| XlintError::Io { path: path.to_path_buf(), source })?;
+    let label = label.to_string_lossy().replace('\\', "/");
+    let file_report = lint_source(&label, &src, context_for(&label));
+    report.findings.extend(file_report.findings);
+    report.suppressed.extend(file_report.suppressed);
+    report.files_scanned += 1;
+    Ok(())
 }
 
 /// Derives the rule scoping for a workspace-relative file path.
@@ -325,7 +233,6 @@ pub fn context_for(label: &str) -> FileContext {
         label.strip_prefix("crates/").and_then(|rest| rest.split('/').next()).unwrap_or("");
     let bin = label.contains("/bin/") || label.ends_with("main.rs");
     FileContext {
-        allow_wall_clock: crate_name == "bench",
         // Bin targets format results for humans; their numbers never feed
         // the search, so N1 (like P1) is scoped to library code.
         numeric_core: N1_CRATES.contains(&crate_name) && !bin,
@@ -370,27 +277,6 @@ fn read_dir_sorted(dir: &Path) -> Result<Vec<PathBuf>, XlintError> {
     Ok(entries)
 }
 
-/// Minimal JSON string escaping.
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -405,7 +291,6 @@ mod tests {
         assert!(context_for("crates/sim/src/estimate.rs").units_core);
         assert!(!context_for("crates/core/src/scheduler.rs").units_core);
         assert!(!context_for("crates/sim/src/bin/tool.rs").units_core);
-        assert!(context_for("crates/bench/src/bin/figures.rs").allow_wall_clock);
         assert!(context_for("crates/core/src/bin/exegpt-cli.rs").allow_panics);
         assert!(context_for("crates/bench/src/fig7.rs").allow_panics);
         assert!(!context_for("crates/serve/src/server.rs").allow_panics);
@@ -420,44 +305,20 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_specials() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-    }
-
-    #[test]
     fn render_text_has_summary_line() {
         let report = Report {
             findings: vec![Finding {
                 file: "x.rs".into(),
                 line: 3,
-                rule: Rule::D1,
+                rule: Rule::P1,
                 message: "m".into(),
                 suggestion: "s".into(),
             }],
             suppressed: vec![],
             files_scanned: 1,
-            cache: None,
         };
         let text = report.render_text();
-        assert!(text.contains("x.rs:3: D1"));
-        assert!(text.contains("1 finding (D1: 1), 0 suppressed by pragma, 1 files scanned"));
-    }
-
-    #[test]
-    fn render_json_is_parseable_shape() {
-        let report = Report::default();
-        let json = report.render_json();
-        assert!(json.contains("\"findings\": []") || json.contains("\"findings\": ["));
-        assert!(json.contains("\"clean\": true"));
-        assert!(!json.contains("\"cache\""), "no cache object on uncached passes");
-    }
-
-    #[test]
-    fn render_json_carries_cache_stats_when_present() {
-        let report =
-            Report { cache: Some(cache::CacheStats { hits: 9, misses: 2 }), ..Report::default() };
-        let json = report.render_json();
-        assert!(json.contains("\"cache\": {\"hits\": 9, \"misses\": 2}"));
-        assert!(json.contains("\"clean\": true"));
+        assert!(text.contains("x.rs:3: P1"));
+        assert!(text.contains("1 finding (P1: 1), 0 suppressed by pragma, 1 files scanned"));
     }
 }

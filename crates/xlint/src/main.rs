@@ -1,37 +1,25 @@
 //! The `xlint` command-line entry point.
 //!
 //! ```text
-//! xlint --workspace [--json | --sarif] [--baseline PATH] [--no-cache]
-//!                                                          lint every first-party crate
-//! xlint --workspace --write-baseline PATH                  regenerate the suppression budget
-//! xlint --workspace --fix [--apply]                        plan (or write) mechanical fixes
-//! xlint [--json | --sarif] FILE...                         lint explicit files
+//! xlint --workspace [--baseline PATH]       lint every first-party crate
+//! xlint --workspace --write-baseline PATH   regenerate the suppression budget
+//! xlint FILE...                             lint explicit files
 //! ```
 //!
-//! Workspace passes go through the incremental cache under
-//! `target/xlint-cache/` unless `--no-cache` is given; `--json`/`--sarif`
-//! then report the hit/miss counters. `--baseline` enforces the
-//! suppression-budget ratchet (rule X1): per-crate pragma counts may not
-//! exceed the committed budget in `xlint-baseline.toml`. `--fix` prints
-//! unified diffs for the mechanically fixable findings (stale pragmas,
-//! `let _ =` discards inside `Result` fns) and exits 1 while any are
-//! pending; `--fix --apply` writes them. Exit status: 0 clean, 1
-//! findings (or pending fixes), 2 usage or I/O error.
+//! `--baseline` enforces the suppression-budget ratchet (rule X1):
+//! per-crate pragma counts may not exceed the committed budget in
+//! `xlint-baseline.toml`. Exit status: 0 clean, 1 findings, 2 usage or
+//! I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use exegpt_xlint::{baseline, find_workspace_root, fix, lint_files, lint_workspace_cached, Report};
+use exegpt_xlint::{baseline, find_workspace_root, lint_files, lint_workspace};
 
 /// Parsed command line.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 struct Args {
-    json: bool,
-    sarif: bool,
     workspace: bool,
-    no_cache: bool,
-    fix: bool,
-    apply: bool,
     baseline: Option<PathBuf>,
     write_baseline: Option<PathBuf>,
     paths: Vec<PathBuf>,
@@ -39,27 +27,11 @@ struct Args {
 }
 
 fn parse_args<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
-    let mut args = Args {
-        json: false,
-        sarif: false,
-        workspace: false,
-        no_cache: false,
-        fix: false,
-        apply: false,
-        baseline: None,
-        write_baseline: None,
-        paths: Vec::new(),
-        help: false,
-    };
+    let mut args = Args::default();
     let mut argv = argv.into_iter();
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--json" => args.json = true,
-            "--sarif" => args.sarif = true,
             "--workspace" => args.workspace = true,
-            "--no-cache" => args.no_cache = true,
-            "--fix" => args.fix = true,
-            "--apply" => args.apply = true,
             "--baseline" => match argv.next() {
                 Some(path) => args.baseline = Some(PathBuf::from(path)),
                 None => return Err("--baseline requires a path".to_string()),
@@ -76,9 +48,6 @@ fn parse_args<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
     if args.help {
         return Ok(args);
     }
-    if args.json && args.sarif {
-        return Err("--json and --sarif are mutually exclusive".to_string());
-    }
     if !args.workspace && (args.baseline.is_some() || args.write_baseline.is_some()) {
         if args.paths.is_empty() {
             // A baseline only makes sense against the whole workspace; imply it.
@@ -89,22 +58,6 @@ fn parse_args<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
     }
     if args.baseline.is_some() && args.write_baseline.is_some() {
         return Err("--baseline and --write-baseline are mutually exclusive".to_string());
-    }
-    if args.apply && !args.fix {
-        return Err("--apply requires --fix".to_string());
-    }
-    if args.fix && !args.workspace {
-        return Err("--fix requires --workspace".to_string());
-    }
-    if args.fix
-        && (args.json || args.sarif || args.baseline.is_some() || args.write_baseline.is_some())
-    {
-        return Err(
-            "--fix is incompatible with --json/--sarif/--baseline/--write-baseline".to_string()
-        );
-    }
-    if args.no_cache && !args.workspace {
-        return Err("--no-cache requires --workspace (file mode never caches)".to_string());
     }
     if !args.workspace && args.paths.is_empty() {
         return Err("pass --workspace or at least one file".to_string());
@@ -125,16 +78,14 @@ fn main() -> ExitCode {
     };
     if args.help {
         eprintln!(
-            "usage: xlint --workspace [--json | --sarif] [--baseline PATH] [--no-cache] \
+            "usage: xlint --workspace [--baseline PATH] \
              | xlint --workspace --write-baseline PATH \
-             | xlint --workspace --fix [--apply] \
-             | xlint [--json | --sarif] FILE..."
+             | xlint FILE..."
         );
         return ExitCode::SUCCESS;
     }
 
-    let mut workspace_root: Option<PathBuf> = None;
-    let report: Result<Report, _> = if args.workspace {
+    let report = if args.workspace {
         let cwd = match std::env::current_dir() {
             Ok(d) => d,
             Err(e) => {
@@ -142,11 +93,7 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        find_workspace_root(&cwd).and_then(|root| {
-            let r = lint_workspace_cached(&root, !args.no_cache);
-            workspace_root = Some(root);
-            r
-        })
+        find_workspace_root(&cwd).and_then(|root| lint_workspace(&root))
     } else {
         lint_files(&args.paths)
     };
@@ -158,39 +105,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    if args.fix {
-        // parse_args guarantees --fix implies --workspace, so the root is set.
-        let Some(root) = workspace_root else {
-            eprintln!("xlint: --fix requires --workspace");
-            return ExitCode::from(2);
-        };
-        let plans = fix::plan(&root, &report);
-        if plans.is_empty() {
-            eprintln!("xlint: no mechanically fixable findings");
-            return ExitCode::SUCCESS;
-        }
-        if args.apply {
-            return match fix::apply(&plans) {
-                Ok(n) => {
-                    eprintln!("xlint: fixed {n} file(s) — re-run xlint to confirm");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("xlint: {e}");
-                    ExitCode::from(2)
-                }
-            };
-        }
-        for plan in &plans {
-            print!("{}", fix::render_diff(plan));
-        }
-        eprintln!(
-            "xlint: {} file(s) have pending fixes — re-run with --fix --apply to write them",
-            plans.len()
-        );
-        return ExitCode::FAILURE;
-    }
 
     let counts = baseline::suppression_counts(&report);
 
@@ -229,18 +143,12 @@ fn main() -> ExitCode {
         ratchet_hints = baseline::ratchet_candidates(&counts, &base);
     }
 
-    if args.json {
-        print!("{}", report.render_json());
-    } else if args.sarif {
-        print!("{}", report.render_sarif());
-    } else {
-        print!("{}", report.render_text());
-        for (unit, live, budget) in &ratchet_hints {
-            eprintln!(
-                "xlint: note: `{unit}` uses {live} of {budget} budgeted suppressions — \
-                 ratchet the baseline down with --write-baseline"
-            );
-        }
+    print!("{}", report.render_text());
+    for (unit, live, budget) in &ratchet_hints {
+        eprintln!(
+            "xlint: note: `{unit}` uses {live} of {budget} budgeted suppressions — \
+             ratchet the baseline down with --write-baseline"
+        );
     }
     if report.is_clean() {
         ExitCode::SUCCESS
@@ -259,8 +167,8 @@ mod tests {
 
     #[test]
     fn workspace_mode_parses() {
-        let a = parse_args(argv(&["--workspace", "--json"])).expect("valid");
-        assert!(a.workspace && a.json && a.paths.is_empty());
+        let a = parse_args(argv(&["--workspace"])).expect("valid");
+        assert!(a.workspace && a.paths.is_empty());
     }
 
     #[test]
@@ -274,7 +182,6 @@ mod tests {
     #[test]
     fn empty_invocation_is_a_usage_error() {
         assert!(parse_args(argv(&[])).is_err());
-        assert!(parse_args(argv(&["--json"])).is_err());
     }
 
     #[test]
@@ -284,32 +191,22 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_rejected() {
-        assert!(parse_args(argv(&["--frobnicate"])).is_err());
+        // Anything outside the four flags is a usage error (exit 2), so a
+        // script passing an old report or fix flag fails instead of
+        // silently getting the text gate.
+        for flag in ["--frobnicate", "--json", "--sarif", "--fix", "--apply", "--no-cache"] {
+            let err = parse_args(argv(&["--workspace", flag])).expect_err(flag);
+            assert_eq!(err, format!("unknown flag `{flag}`"));
+        }
     }
 
     #[test]
-    fn sarif_and_baseline_flags_parse() {
-        let a = parse_args(argv(&["--workspace", "--sarif", "--baseline", "xlint-baseline.toml"]))
-            .expect("valid");
-        assert!(a.sarif);
+    fn baseline_flags_parse() {
+        let a =
+            parse_args(argv(&["--workspace", "--baseline", "xlint-baseline.toml"])).expect("valid");
         assert_eq!(a.baseline, Some(PathBuf::from("xlint-baseline.toml")));
         let w = parse_args(argv(&["--workspace", "--write-baseline", "b.toml"])).expect("valid");
         assert_eq!(w.write_baseline, Some(PathBuf::from("b.toml")));
-    }
-
-    #[test]
-    fn fix_and_cache_flags_parse_and_validate() {
-        let a =
-            parse_args(argv(&["--workspace", "--fix", "--apply", "--no-cache"])).expect("valid");
-        assert!(a.fix && a.apply && a.no_cache);
-        assert!(parse_args(argv(&["--workspace", "--apply"])).is_err(), "--apply needs --fix");
-        assert!(parse_args(argv(&["--fix", "f.rs"])).is_err(), "--fix needs --workspace");
-        assert!(parse_args(argv(&["--no-cache", "f.rs"])).is_err(), "--no-cache needs workspace");
-        assert!(
-            parse_args(argv(&["--workspace", "--fix", "--json"])).is_err(),
-            "--fix is a mutation mode, not a report format"
-        );
-        assert!(parse_args(argv(&["--workspace", "--fix", "--baseline", "b.toml"])).is_err());
     }
 
     #[test]
@@ -331,6 +228,5 @@ mod tests {
             .is_err(),
             "mutually exclusive"
         );
-        assert!(parse_args(argv(&["--workspace", "--json", "--sarif"])).is_err());
     }
 }

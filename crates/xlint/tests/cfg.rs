@@ -201,7 +201,7 @@ proptest! {
         let src: String = picks.iter().map(|&i| VOCAB[i]).collect::<Vec<_>>().join(" ");
         // dump_source exercises body_range + build + render on whatever
         // parses as a fn; the lint pipeline then runs the full dataflow
-        // fixpoint (D4/U3/P3) over the same soup.
+        // fixpoint (D4/U3) over the same soup.
         let _ = dump_source(&src);
         let _ = lint_source("soup.rs", &src, FileContext::default());
         let strict = FileContext {

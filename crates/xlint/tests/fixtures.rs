@@ -28,35 +28,6 @@ fn rule_lines(report: &FileReport, rule: Rule) -> Vec<usize> {
     lines
 }
 
-#[test]
-fn d1_fixture_flags_every_hash_collection() {
-    let report = lint_fixture_as("d1.rs", "crates/serve/src/fixture.rs");
-    assert!(report.findings.iter().all(|f| f.rule == Rule::D1), "{:?}", report.findings);
-    assert_eq!(rule_lines(&report, Rule::D1), vec![1, 2, 4, 5, 6]);
-}
-
-#[test]
-fn d2_fixture_flags_clock_and_entropy() {
-    let report = lint_fixture_as("d2.rs", "crates/runner/src/fixture.rs");
-    let d2 = rule_lines(&report, Rule::D2);
-    assert_eq!(d2, vec![4, 9, 14], "{:?}", report.findings);
-    // The bench crate is allowed to time things.
-    let waived = lint_fixture_as("d2.rs", "crates/bench/src/fixture.rs");
-    assert_eq!(rule_lines(&waived, Rule::D2), Vec::<usize>::new());
-}
-
-#[test]
-fn d2_fixture_keeps_fault_timestamps_on_the_virtual_clock() {
-    // Fault activation, detection deadlines and retry backoff must all be
-    // computed on the virtual clock — wall-clock or entropy anywhere in
-    // the fault layer would break byte-identical replay.
-    let report = lint_fixture_as("d2_faults.rs", "crates/faults/src/fixture.rs");
-    assert_eq!(rule_lines(&report, Rule::D2), vec![9, 14, 19], "{:?}", report.findings);
-    // The waiver for bench does not extend to the fault layer.
-    let waived = lint_fixture_as("d2_faults.rs", "crates/bench/src/fixture.rs");
-    assert_eq!(rule_lines(&waived, Rule::D2), Vec::<usize>::new());
-}
-
 /// Self-test over the real sources of one crate (recursive, so `bin/`
 /// subdirectories are covered): the full rule set, including the
 /// syntax-aware L1/P2/D3 families, must come back clean. Returns the
@@ -103,25 +74,25 @@ fn faults_crate_passes_the_full_rule_set() {
 #[test]
 fn fleet_crate_passes_the_full_rule_set() {
     // The fleet fabric merges N replica clocks into one deterministic
-    // virtual clock, so the determinism rules (no hash iteration order, no
-    // wall clock, no float equality) are load-bearing for it: one
-    // violation anywhere and byte-identical replay is gone.
+    // virtual clock, so the determinism rules (no float equality, no
+    // nondeterministic value reaching an event log) are load-bearing for
+    // it: one violation anywhere and byte-identical replay is gone.
     let checked = assert_crate_passes_full_rule_set("fleet");
     assert!(checked >= 7, "scanned only {checked} fleet sources");
 }
 
 #[test]
 fn workload_crate_passes_the_full_rule_set() {
-    // Workload generation is seeded; any entropy or hash-order dependence
-    // here changes every downstream trace.
+    // Workload generation is seeded; any nondeterministic input here
+    // changes every downstream trace.
     let checked = assert_crate_passes_full_rule_set("workload");
     assert!(checked >= 2, "scanned only {checked} workload sources");
 }
 
 #[test]
 fn bench_crate_passes_the_full_rule_set() {
-    // Bench is the one crate allowed wall clocks and panics, but the rest
-    // of the rule set (hash order, float equality, layering) still holds.
+    // Bench is the one crate allowed panics, but the rest of the rule set
+    // (float equality, layering, clock values reaching sinks) still holds.
     let checked = assert_crate_passes_full_rule_set("bench");
     assert!(checked >= 2, "scanned only {checked} bench sources");
 }
@@ -153,9 +124,9 @@ fn baselines_crate_passes_the_full_rule_set() {
 #[test]
 fn scenario_crate_passes_the_full_rule_set() {
     // The scenario layer's whole contract is determinism from config: no
-    // wall clock in the loader (D2), no panics in lib code (P1), and
-    // byte-identical lowering. Its only RNG is the seeded StdRng behind
-    // the arbitrary generators.
+    // panics in lib code (P1), no nondeterministic value reaching a plan
+    // (D4), and byte-identical lowering. Its only RNG is the seeded StdRng
+    // behind the arbitrary generators.
     let checked = assert_crate_passes_full_rule_set("scenario");
     assert!(checked >= 8, "scanned only {checked} scenario sources");
 }
@@ -227,24 +198,26 @@ fn u2_fixture_flags_suffix_conflicts_everywhere() {
 fn pragmas_suppress_and_stale_pragmas_are_flagged() {
     let report = lint_fixture_as("pragmas.rs", "crates/serve/src/fixture.rs");
     assert_eq!(report.suppressed.len(), 2, "{:?}", report.suppressed);
-    assert!(report.suppressed.iter().all(|s| s.finding.rule == Rule::D1));
+    assert!(report.suppressed.iter().all(|s| s.finding.rule == Rule::P1));
     assert!(report.suppressed.iter().all(|s| !s.reason.is_empty()));
-    // No raw D1 survives; the unknown, stale, and reasonless pragmas each
+    // No raw P1 survives; the unknown, stale, and reasonless pragmas each
     // surface as X0.
-    assert_eq!(rule_lines(&report, Rule::D1), Vec::<usize>::new());
+    assert_eq!(rule_lines(&report, Rule::P1), Vec::<usize>::new());
     assert_eq!(rule_lines(&report, Rule::X0), vec![6, 9, 12], "{:?}", report.findings);
 }
 
 #[test]
 fn lint_files_reports_fixture_violations_like_the_cli() {
-    let paths: Vec<PathBuf> =
-        ["d1.rs", "d2.rs", "f1.rs", "p1.rs"].iter().map(|n| fixture_path(n)).collect();
+    let paths: Vec<PathBuf> = ["f1.rs", "n1.rs", "p1.rs"].iter().map(|n| fixture_path(n)).collect();
     let report = lint_files(&paths).expect("fixtures lint");
     assert!(!report.is_clean(), "fixtures must make the CLI exit non-zero");
-    assert_eq!(report.files_scanned, 4);
-    for rule in [Rule::D1, Rule::D2, Rule::F1, Rule::P1] {
+    assert_eq!(report.files_scanned, 3);
+    for rule in [Rule::F1, Rule::P1] {
         assert!(report.count(rule) > 0, "expected at least one {} finding", rule.id());
     }
+    // File mode derives scoping from the path like a workspace pass does:
+    // a path outside `crates/` names no numeric-core crate, so N1 is off.
+    assert_eq!(report.count(Rule::N1), 0, "{:?}", report.findings);
 }
 
 #[test]
@@ -295,18 +268,15 @@ fn p2_fixture_resolves_use_aliases() {
 
 #[test]
 fn d4_fixture_flags_nondeterministic_flows_into_sinks() {
-    // In library code D2 flags the *sources* (lines 2 and 8) and D4 flags
-    // the *flows*: laundering through `convert::` clears unit strips but
-    // never nondeterminism, so the event push, the plan call, the metrics
-    // write and the env-derived reschedule all fire.
+    // D4 flags the *flows*: laundering through `convert::` clears unit
+    // strips but never nondeterminism, so the event push, the plan call,
+    // the metrics write and the env-derived reschedule all fire.
     let report = lint_fixture_as("d4.rs", "crates/serve/src/fixture.rs");
-    assert_eq!(rule_lines(&report, Rule::D2), vec![2, 8], "{:?}", report.findings);
     assert_eq!(rule_lines(&report, Rule::D4), vec![4, 5, 9, 13], "{:?}", report.findings);
-    // The bench waiver scopes D2's sources, not D4's sinks: bench may
-    // *time* things, but a wall-clock value still must not reach an event
-    // log or a plan. Env reads become explicit inputs there (bin-like).
+    // Bench may *time* things, but a wall-clock value still must not reach
+    // an event log or a plan. Env reads become explicit inputs there
+    // (bin-like).
     let bench = lint_fixture_as("d4.rs", "crates/bench/src/fixture.rs");
-    assert_eq!(rule_lines(&bench, Rule::D2), Vec::<usize>::new());
     assert_eq!(rule_lines(&bench, Rule::D4), vec![4, 5, 9], "{:?}", bench.findings);
 }
 
@@ -318,20 +288,6 @@ fn u3_fixture_flags_cross_unit_reentry_only() {
     // and the `convert::`-laundered path stay clean.
     assert_eq!(rule_lines(&report, Rule::U3), vec![3, 11], "{:?}", report.findings);
     assert!(report.findings.iter().all(|f| f.rule == Rule::U3), "{:?}", report.findings);
-}
-
-#[test]
-fn p3_fixture_flags_definitely_dropped_results() {
-    let report = lint_fixture_as("p3.rs", "crates/runner/src/fixture.rs");
-    // `st` in `drops_everywhere` is never mentioned again → definite loss.
-    // `done` is consumed, and the `st` in `branches_consume` is consumed
-    // on *some* path — P3 under-approximates, so neither fires.
-    assert_eq!(rule_lines(&report, Rule::P3), vec![5], "{:?}", report.findings);
-    assert_eq!(report.suppressed.len(), 1, "the pragma'd warm-up drop is suppressed");
-    assert_eq!(report.suppressed[0].finding.rule, Rule::P3);
-    // Bin targets may fire-and-forget (P3 is scoped like P1/P2).
-    let bin = lint_fixture_as("p3.rs", "crates/runner/src/bin/tool.rs");
-    assert_eq!(rule_lines(&bin, Rule::P3), Vec::<usize>::new());
 }
 
 #[test]
@@ -384,19 +340,6 @@ fn committed_baseline_covers_the_live_workspace_suppressions() {
         slack.is_empty(),
         "baseline is over-provisioned, ratchet it down with --write-baseline: {slack:?}"
     );
-}
-
-#[test]
-fn sarif_rendering_of_fixture_findings_is_wellformed() {
-    let file_report = lint_fixture_as("d3.rs", "crates/serve/src/fixture.rs");
-    let mut report = exegpt_xlint::Report::default();
-    report.findings.extend(file_report.findings);
-    report.suppressed.extend(file_report.suppressed);
-    report.files_scanned = 1;
-    let sarif = report.render_sarif();
-    assert!(sarif.contains("\"ruleId\": \"D3\""));
-    assert!(sarif.contains("\"kind\": \"inSource\""));
-    assert!(sarif.contains("\"executionSuccessful\": false"));
 }
 
 #[test]
