@@ -6,19 +6,46 @@
 //! cargo run -p exegpt-bench --release --bin figures -- <experiment> [--json DIR] [--queries N]
 //! ```
 //!
-//! where `<experiment>` is one of `fig6 fig7 fig8 fig9 fig10 fig11 serve
-//! faults fleet tab4 tab5 tab6 tab7 timelines all`. With `--json DIR`,
-//! machine-readable results are written alongside the printed tables (used
-//! to populate `EXPERIMENTS.md`). `serve`, `faults` and `fleet` run the
-//! shipped scenario files as they are, so `--queries` does not apply to
-//! them.
+//! where `<experiment>` is an id from `KNOWN` or `all` (a usage error lists
+//! them). With `--json DIR`, machine-readable results are written alongside
+//! the printed tables (used to populate `EXPERIMENTS.md`); failing to write
+//! them exits with status 1. `serve`, `faults` and `fleet` run the shipped
+//! scenario files as they are, so `--queries` does not apply to them.
 
 use std::path::PathBuf;
 
 use exegpt::Policy;
 use exegpt_bench::{
-    fig10, fig11, fig6, fig7, fig8, fig9, serving, tab4, tab5, tab6, tab7, timelines,
+    ablations, fig10, fig11, fig6, fig7, fig8, fig9, schedcost, serving, tab4, tab5, tab6, tab7,
+    timelines,
 };
+
+/// An experiment id and what prints (and saves) it.
+type Experiment = (&'static str, fn(&Args, &str));
+
+/// Every experiment, in the order `all` runs them.
+const KNOWN: [Experiment; 16] = [
+    ("fig6", |a, id| emit(a, id, fig6::generate(a.queries), |r| fig6::render(r))),
+    ("fig7", |a, id| emit(a, id, fig7::generate(a.queries), |r| fig7::render(r))),
+    ("fig8", |a, id| emit(a, id, fig8::generate(a.queries), |r| fig8::render(r))),
+    ("fig9", |a, id| emit(a, id, fig9::generate(), |r| fig9::render(r))),
+    ("fig10", |a, id| emit(a, id, fig10::generate(a.queries), |r| fig10::render(r))),
+    ("fig11", |a, id| {
+        let mut rows = fig11::generate(vec![Policy::WaaCompute, Policy::WaaMemory], a.queries);
+        rows.extend(fig11::generate(vec![Policy::Rra], a.queries));
+        emit(a, id, rows, |r| fig11::render(r));
+    }),
+    ("serve", |a, id| emit(a, id, serving::serve(), |s| s.render())),
+    ("faults", |a, id| emit(a, id, serving::faults(), |s| s.render())),
+    ("fleet", |a, id| emit(a, id, serving::fleet(), |s| s.render())),
+    ("tab4", |a, id| emit(a, id, tab4::generate(), |r| tab4::render(r))),
+    ("tab5", |a, id| emit(a, id, tab5::generate(), |r| tab5::render(r))),
+    ("tab6", |a, id| emit(a, id, tab6::generate(), |r| tab6::render(r))),
+    ("tab7", |a, id| emit(a, id, tab7::generate(a.queries), |r| tab7::render(r))),
+    ("timelines", |_, _| println!("{}", timelines::generate())),
+    ("ablations", |a, id| emit(a, id, ablations::generate(), |r| ablations::render(r))),
+    ("schedcost", |a, id| emit(a, id, schedcost::generate(), |r| schedcost::render(r))),
+];
 
 struct Args {
     experiments: Vec<String>,
@@ -47,126 +74,51 @@ fn parse_args() -> Args {
             other => experiments.push(other.to_string()),
         }
     }
-    const KNOWN: [&str; 15] = [
-        "fig6",
-        "fig7",
-        "fig8",
-        "fig9",
-        "fig10",
-        "fig11",
-        "serve",
-        "faults",
-        "fleet",
-        "tab4",
-        "tab5",
-        "tab6",
-        "tab7",
-        "timelines",
-        "all",
-    ];
     if experiments.is_empty() {
-        die("expected an experiment id (fig6 fig7 fig8 fig9 fig10 fig11 serve faults fleet tab4 tab5 tab6 tab7 timelines all)");
+        die("expected an experiment id");
     }
-    if let Some(bad) = experiments.iter().find(|e| !KNOWN.contains(&e.as_str())) {
-        die(&format!("unknown experiment `{bad}` (known: {})", KNOWN.join(" ")));
+    if let Some(bad) =
+        experiments.iter().find(|e| *e != "all" && !KNOWN.iter().any(|(id, _)| id == e))
+    {
+        die(&format!("unknown experiment `{bad}`"));
     }
     Args { experiments, json_dir, queries }
 }
 
+/// Reports a usage error, with the known experiment ids, and exits 2.
 fn die(msg: &str) -> ! {
-    eprintln!("figures: {msg}");
+    let ids: Vec<&str> = KNOWN.iter().map(|(id, _)| *id).collect();
+    eprintln!("figures: {msg} (known: {} all)", ids.join(" "));
     std::process::exit(2)
 }
 
-fn save_json<T: serde::Serialize>(dir: &Option<PathBuf>, name: &str, value: &T) {
-    let Some(dir) = dir else { return };
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("figures: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("figures: cannot write {}: {e}", path.display());
-            }
-        }
-        Err(e) => eprintln!("figures: cannot serialize {name}: {e}"),
+/// Prints an experiment's results as `render` shows them and, with
+/// `--json DIR`, writes them to `DIR/<id>.json`; exits 1 if they cannot be
+/// written.
+fn emit<T: serde::Serialize>(args: &Args, id: &str, value: T, render: impl Fn(&T) -> String) {
+    println!("{}", render(&value));
+    let Some(dir) = &args.json_dir else { return };
+    let path = dir.join(format!("{id}.json"));
+    let written = std::fs::create_dir_all(dir)
+        .map_err(|e| format!("cannot create {}: {e}", dir.display()))
+        .and_then(|()| {
+            serde_json::to_string_pretty(&value).map_err(|e| format!("cannot serialize {id}: {e}"))
+        })
+        .and_then(|json| {
+            std::fs::write(&path, json).map_err(|e| format!("cannot write {}: {e}", path.display()))
+        });
+    if let Err(msg) = written {
+        eprintln!("figures: {msg}");
+        std::process::exit(1);
     }
 }
 
 fn main() {
     let args = parse_args();
-    let wants = |name: &str| args.experiments.iter().any(|e| e == name || e == "all");
-    let q = args.queries;
-
-    if wants("fig6") {
-        let rows = fig6::run_full(q);
-        println!("{}", fig6::render(&rows));
-        save_json(&args.json_dir, "fig6", &rows);
-    }
-    if wants("fig7") {
-        let rows = fig7::generate(q);
-        println!("{}", fig7::render(&rows));
-        save_json(&args.json_dir, "fig7", &rows);
-    }
-    if wants("fig8") {
-        let rows = fig8::run_full(q);
-        println!("{}", fig8::render(&rows));
-        save_json(&args.json_dir, "fig8", &rows);
-    }
-    if wants("fig9") {
-        let rows = fig9::generate();
-        println!("{}", fig9::render(&rows));
-        save_json(&args.json_dir, "fig9", &rows);
-    }
-    if wants("fig10") {
-        let rows = fig10::generate(q);
-        println!("{}", fig10::render(&rows));
-        save_json(&args.json_dir, "fig10", &rows);
-    }
-    if wants("fig11") {
-        let mut rows = fig11::generate(vec![Policy::WaaCompute, Policy::WaaMemory], q);
-        rows.extend(fig11::generate(vec![Policy::Rra], q));
-        println!("{}", fig11::render(&rows));
-        save_json(&args.json_dir, "fig11", &rows);
-    }
-    if wants("serve") {
-        let study = serving::serve();
-        println!("{}", study.render());
-        save_json(&args.json_dir, "serve", &study);
-    }
-    if wants("faults") {
-        let study = serving::faults();
-        println!("{}", study.render());
-        save_json(&args.json_dir, "faults", &study);
-    }
-    if wants("fleet") {
-        let study = serving::fleet();
-        println!("{}", study.render());
-        save_json(&args.json_dir, "fleet", &study);
-    }
-    if wants("tab4") {
-        let rows = tab4::generate();
-        println!("{}", tab4::render(&rows));
-        save_json(&args.json_dir, "tab4", &rows);
-    }
-    if wants("tab5") {
-        let rows = tab5::generate();
-        println!("{}", tab5::render(&rows));
-        save_json(&args.json_dir, "tab5", &rows);
-    }
-    if wants("tab6") {
-        let rows = tab6::generate();
-        println!("{}", tab6::render(&rows));
-        save_json(&args.json_dir, "tab6", &rows);
-    }
-    if wants("tab7") {
-        let rows = tab7::generate(q);
-        println!("{}", tab7::render(&rows));
-        save_json(&args.json_dir, "tab7", &rows);
-    }
-    if wants("timelines") {
-        println!("{}", timelines::generate());
+    let wants = |id: &str| args.experiments.iter().any(|e| e == id || e == "all");
+    for (id, run) in KNOWN {
+        if wants(id) {
+            run(&args, id);
+        }
     }
 }

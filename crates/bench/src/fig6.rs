@@ -5,7 +5,7 @@ use exegpt::Policy;
 use exegpt_workload::Task;
 use serde::{Deserialize, Serialize};
 
-use crate::scenarios::{small_mid_systems, System};
+use crate::scenarios::small_mid_systems;
 use crate::support::{bounds_for, measured_exegpt, measured_ft, speedup};
 use crate::table;
 
@@ -33,11 +33,10 @@ pub fn tasks() -> [Task; 3] {
     [Task::Summarization, Task::Translation, Task::ConversationalQa1]
 }
 
-/// Regenerates Figure 6 over the given deployments (pass
-/// [`small_mid_systems`] for the full figure).
-pub fn generate(systems: &[System], num_queries: usize) -> Vec<Row> {
+/// Regenerates Figure 6 over its deployments.
+pub fn generate(num_queries: usize) -> Vec<Row> {
     let mut rows = Vec::new();
-    for system in systems {
+    for system in &small_mid_systems() {
         for task in tasks() {
             let workload = task.workload().expect("task statistics are valid");
             let bounds = bounds_for(system, &workload);
@@ -86,9 +85,4 @@ pub fn render(rows: &[Row]) -> String {
         "Figure 6: ExeGPT vs FT throughput (queries/s), small-to-mid LLMs\n{}",
         table::render(&["system", "task", "L_B(s)", "FT", "RRA", "WAA", "speedup"], &body)
     )
-}
-
-/// Convenience: the full paper figure.
-pub fn run_full(num_queries: usize) -> Vec<Row> {
-    generate(&small_mid_systems(), num_queries)
 }

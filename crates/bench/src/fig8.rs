@@ -5,7 +5,7 @@ use exegpt::Policy;
 use exegpt_workload::Task;
 use serde::{Deserialize, Serialize};
 
-use crate::scenarios::{large_systems, System};
+use crate::scenarios::large_systems;
 use crate::support::{bounds_for, measured_exegpt, measured_ft, speedup};
 use crate::table;
 
@@ -31,11 +31,10 @@ pub fn tasks() -> [Task; 3] {
     [Task::CodeGeneration, Task::ConversationalQa1, Task::ConversationalQa2]
 }
 
-/// Regenerates Figure 8 over the given deployments (pass
-/// [`large_systems`] for the full figure).
-pub fn generate(systems: &[System], num_queries: usize) -> Vec<Row> {
+/// Regenerates Figure 8 over its deployments.
+pub fn generate(num_queries: usize) -> Vec<Row> {
     let mut rows = Vec::new();
-    for system in systems {
+    for system in &large_systems() {
         for task in tasks() {
             let workload = task.workload().expect("task statistics are valid");
             let bounds = bounds_for(system, &workload);
@@ -75,9 +74,4 @@ pub fn render(rows: &[Row]) -> String {
         "Figure 8: ExeGPT (RRA) vs FT throughput (queries/s), large LLMs\n{}",
         table::render(&["system", "task", "L_B(s)", "FT", "RRA", "speedup"], &body)
     )
-}
-
-/// Convenience: the full paper figure.
-pub fn run_full(num_queries: usize) -> Vec<Row> {
-    generate(&large_systems(), num_queries)
 }

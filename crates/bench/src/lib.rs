@@ -1,21 +1,20 @@
-//! Benchmark harness regenerating every table and figure of the ExeGPT
-//! evaluation (paper §7).
+//! Regenerates every table and figure of the ExeGPT evaluation (paper §7),
+//! plus the ablation and scheduling-cost studies.
 //!
-//! Each `figures::figN`/`tabN` module computes the corresponding result set
-//! and renders it as the rows/series the paper reports. Two front ends
-//! drive them:
-//!
-//! * `cargo run -p exegpt-bench --release --bin figures -- <fig6|fig7|…|all>`
-//!   regenerates an experiment in full and prints it (optionally writing
-//!   JSON next to the text for `EXPERIMENTS.md`).
-//! * `cargo bench` — each Criterion bench first prints its experiment at a
-//!   reduced query count, then times the experiment's computational kernel
-//!   (e.g. one scheduling run), so `bench_output.txt` carries both the
-//!   regenerated rows and the real wall-clock cost of scheduling (§7.7).
+//! Each module computes one result set and renders it as the rows/series
+//! the paper reports (`generate` then `render`). The `figures` binary is
+//! the front end:
+//! `cargo run -p exegpt-bench --release --bin figures -- <fig6|fig7|…|all>`
+//! regenerates an experiment in full and prints it, optionally writing JSON
+//! next to the text for `EXPERIMENTS.md`.
 //!
 //! The serving studies (`serve`, `faults`, `fleet`) have no module of their
 //! own: [`serving`] runs the shipped `scenarios/*.toml` files through
 //! `exegpt-scenario`, the one construction of a serve, fault or fleet run.
+//!
+//! Everything here is deterministic and reads no clock. Wall-clock cost
+//! (schedules, replans and simulated requests per second) is measured
+//! outside the workspace, by `benchmark/`.
 //!
 //! Absolute numbers come from the simulated cluster substrate and are not
 //! expected to match the paper's testbed; the *shape* — who wins, by what
@@ -25,6 +24,7 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod ablations;
 pub mod fig10;
 pub mod fig11;
 pub mod fig6;
@@ -32,6 +32,7 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod scenarios;
+pub mod schedcost;
 pub mod serving;
 pub mod support;
 pub mod tab4;

@@ -4,8 +4,8 @@
 //! black-box optimization techniques such as Bayesian optimization", before
 //! motivating the monotonic branch-and-bound. This module provides the
 //! black-box side of that comparison: a budgeted random search over the same
-//! integer box, used by the `sched_cost` bench to quantify what exploiting
-//! monotonicity buys.
+//! integer box, used by the `schedcost` study of `exegpt-bench` to quantify
+//! what exploiting monotonicity buys.
 
 use exegpt_units::Secs;
 use rand::rngs::StdRng;

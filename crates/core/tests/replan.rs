@@ -2,12 +2,14 @@
 //! replan scenario (workload drift, device failure, recovery) the chosen
 //! plan is byte-identical to the full search's, the plan invariants hold on
 //! it, and the verified fallback engages whenever the neighborhood cannot
-//! certify optimality.
+//! certify optimality. What it saves is gated here in evaluation counts,
+//! which are deterministic; its wall-clock cost is measured by the
+//! `serve-adapt` and `sched-paper` workloads of `benchmark/`.
 
 use std::sync::OnceLock;
 
 use exegpt::{
-    Engine, PlanInvariants, Policy, Replan, ReplanDelta, ScheduleConfig, SchedulerOptions,
+    Engine, PlanInvariants, Policy, Replan, ReplanDelta, Schedule, ScheduleConfig, SchedulerOptions,
 };
 use exegpt_cluster::ClusterSpec;
 use exegpt_dist::LengthDist;
@@ -47,12 +49,31 @@ fn task_s_drifted() -> Workload {
 /// The replanned plan must match the full search byte-for-byte in what is
 /// served (`config` and `estimate`; the `evals`/`cache_hits` counters
 /// legitimately differ between the two paths), and must satisfy the runtime
-/// plan invariants on the engine that will serve it.
-fn assert_replays_full_search(engine: &Engine, replan: &Replan, opts: &SchedulerOptions) {
-    let cold = engine.schedule_with(opts).expect("full search feasible");
-    assert_eq!(replan.schedule.config, cold.config, "replan chose a different plan");
-    assert_eq!(replan.schedule.estimate, cold.estimate, "replan estimate diverged");
+/// plan invariants on the engine that will serve it. Returns the full
+/// search's schedule.
+fn assert_replays_full_search(
+    engine: &Engine,
+    replan: &Replan,
+    opts: &SchedulerOptions,
+) -> Schedule {
+    let full = engine.schedule_with(opts).expect("full search feasible");
+    assert_eq!(replan.schedule.config, full.config, "replan chose a different plan");
+    assert_eq!(replan.schedule.estimate, full.estimate, "replan estimate diverged");
     PlanInvariants::check(engine.simulator(), &replan.schedule).expect("plan invariants hold");
+    full
+}
+
+/// The replan evaluated at most `1/fraction` of what the full search did.
+/// `evals` counts every estimate lookup, hit or miss, so it does not depend
+/// on what the shared cache already holds.
+fn assert_evals_within(scenario: &str, replan: &Replan, full: &Schedule, fraction: usize) {
+    assert!(
+        replan.schedule.evals * fraction <= full.evals,
+        "{scenario}: replan evaluated {} configurations, more than 1/{fraction} of the full \
+         search's {}",
+        replan.schedule.evals,
+        full.evals
+    );
 }
 
 #[test]
@@ -66,7 +87,10 @@ fn drift_replans_match_the_full_search() {
             .expect("replan feasible");
         assert!(!replan.fell_back, "bound {bound}: drift replan fell back to the full search");
         assert!(replan.neighborhood_tasks > 0);
-        assert_replays_full_search(&engine, &replan, &opts);
+        let full = assert_replays_full_search(&engine, &replan, &opts);
+        if bound == Secs::new(30.0) {
+            assert_evals_within("drift", &replan, &full, 3);
+        }
     }
 }
 
@@ -82,7 +106,8 @@ fn fault_and_recovery_replans_match_the_full_search() {
     let delta = ReplanDelta { gpu_delta: -(lost as isize), workload_changed: false };
     let after_fault = degraded.replan_from(&incumbent, delta, &opts).expect("replan feasible");
     assert!(!after_fault.fell_back, "fault replan fell back to the full search");
-    assert_replays_full_search(&degraded, &after_fault, &opts);
+    let full = assert_replays_full_search(&degraded, &after_fault, &opts);
+    assert_evals_within("fault", &after_fault, &full, 3);
 
     // The device comes back: replan from the degraded plan onto the
     // original topology.
@@ -95,6 +120,19 @@ fn fault_and_recovery_replans_match_the_full_search() {
     // Recovery lands back on the original plan.
     assert_eq!(after_recovery.schedule.config, incumbent.config);
     assert_eq!(after_recovery.schedule.estimate, incumbent.estimate);
+    assert_evals_within("recovery", &after_recovery, &incumbent, 4);
+
+    // Replanning the recovery again finds every point it probes cached.
+    let again =
+        recovered.replan_from(&after_fault.schedule, delta, &opts).expect("replan feasible");
+    assert!(!again.fell_back, "repeated recovery replan fell back to the full search");
+    assert_eq!(again.schedule.config, incumbent.config);
+    assert!(
+        again.schedule.cache_hits >= again.schedule.evals,
+        "repeated recovery replan missed the warm cache ({} hits for {} evals)",
+        again.schedule.cache_hits,
+        again.schedule.evals
+    );
 }
 
 #[test]
