@@ -47,4 +47,12 @@ echo "==> scenario smoke (every shipped config: run invariants + committed golde
 # `cargo run --release --bin scenario-smoke -- scenarios --write-goldens`.
 cargo run --offline --release -p exegpt-scenario --bin scenario-smoke -- scenarios
 
+echo "==> benchmark tests (every workload at tiny size, with its output checks)"
+# benchmark/ is a workspace of its own (it reads the wall clock and owns a
+# global allocator), so the workspace test stage above does not reach it.
+# Its smoke test runs all four workloads at tiny size, one untraced and one
+# traced round each, and fails if an output check breaks (request
+# conservation, the output digest repeating across rounds, plan invariants).
+cargo test --offline --manifest-path benchmark/Cargo.toml
+
 echo "CI OK"

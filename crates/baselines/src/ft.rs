@@ -189,7 +189,7 @@ impl FasterTransformer {
             let mut batch_reqs: Vec<Request> = Vec::with_capacity(batch);
             while batch_reqs.len() < batch {
                 let Some(req) = pending.last().copied() else { break };
-                if !kv.try_admit(req.id, req.input_len, s_dist_max) {
+                if kv.try_admit(req.id, req.input_len, s_dist_max).is_none() {
                     break;
                 }
                 pending.pop();

@@ -9,7 +9,7 @@
 //! ongoing query's token cadence. That jitter is precisely why the paper
 //! finds iteration-level scheduling hard to bound (§2).
 
-use exegpt_runner::{KvTracker, ReservePolicy, RunError, RunOptions, RunReport};
+use exegpt_runner::{KvSlot, KvTracker, ReservePolicy, RunError, RunOptions, RunReport};
 use exegpt_sim::{SimError, Simulator};
 use exegpt_units::Secs;
 use exegpt_workload::{Request, RequestStream};
@@ -226,6 +226,7 @@ impl Orca {
             progress: usize,
             t_admitted: f64,
             fresh: bool,
+            kv_slot: KvSlot,
         }
         let mut running: Vec<Slot> = Vec::new();
         let mut t = 0.0f64;
@@ -241,13 +242,14 @@ impl Orca {
             let mut admitted_tokens = 0usize;
             while running.len() < batch && admitted < self.settings.max_admissions_per_iter {
                 let Some(req) = pending.last().copied() else { break };
-                if !kv.try_admit(req.id, req.input_len, w.output().max_len()) {
+                let Some(kv_slot) = kv.try_admit(req.id, req.input_len, w.output().max_len())
+                else {
                     break;
-                }
+                };
                 pending.pop();
                 admitted += 1;
                 admitted_tokens += req.input_len;
-                running.push(Slot { req, progress: 0, t_admitted: t, fresh: true });
+                running.push(Slot { req, progress: 0, t_admitted: t, fresh: true, kv_slot });
             }
             if running.is_empty() {
                 if pending.is_empty() {
@@ -293,7 +295,7 @@ impl Orca {
                 }
                 running[i].progress += 1;
                 tokens += 1;
-                kv.grow_or_clamp(running[i].req.id, 1);
+                kv.grow_slot_or_clamp(running[i].kv_slot, 1);
                 if running[i].progress >= running[i].req.output_len {
                     let done = running.swap_remove(i);
                     kv.release(done.req.id);

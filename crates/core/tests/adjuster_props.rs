@@ -1,5 +1,7 @@
 //! Property-based invariants of the §5.2 dynamic workload adjuster.
 
+use std::cell::Cell;
+
 use exegpt::DynamicAdjuster;
 use proptest::prelude::*;
 
@@ -29,6 +31,43 @@ proptest! {
         }
         for &i in &chosen {
             prop_assert!(i < lens.len());
+        }
+    }
+
+    /// Selection through the length accessor equals selection over the
+    /// slice, and reads only the queue prefix up to the lookahead window
+    /// past the last chosen index.
+    #[test]
+    fn accessor_selection_matches_slice_and_reads_a_prefix(
+        lens in prop::collection::vec(1usize..512, 0..400),
+        b_e in 1usize..32,
+        mean in 8.0f64..400.0,
+        thr in 0.0f64..0.5,
+        cur in 0usize..256,
+        sched in 0usize..256,
+    ) {
+        let adj = DynamicAdjuster::new(b_e, mean, thr);
+        let by_slice = adj.select_batch(&lens, cur, sched);
+        let furthest = Cell::new(None::<usize>);
+        let mut by_index = vec![usize::MAX; 3]; // stale contents are cleared
+        adj.select_batch_by(
+            lens.len(),
+            |i| {
+                furthest.set(furthest.get().max(Some(i)));
+                lens[i]
+            },
+            cur,
+            sched,
+            &mut by_index,
+        );
+        prop_assert_eq!(&by_index, &by_slice);
+        match (by_index.last(), furthest.get()) {
+            (Some(&last), Some(read)) => prop_assert!(
+                read <= last + DynamicAdjuster::LOOKAHEAD + 1,
+                "read index {} past chosen {} + lookahead", read, last
+            ),
+            (None, read) => prop_assert_eq!(read, None, "an empty queue is never read"),
+            (Some(_), None) => prop_assert!(false, "chose without reading"),
         }
     }
 

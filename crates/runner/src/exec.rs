@@ -220,11 +220,13 @@ impl PhaseExecutor {
                 Ok(EncodeTiming { total, bottleneck, tokens: input_lens.len() as f64 * mean_in })
             }
             Variant::Waa { plan, .. } => {
+                // Every encoder stage runs the whole batch untensored, so
+                // the per-layer time is the same for all of them.
+                let t_layer = profile
+                    .encode_layer_time(input_lens.len() as f64, mean_in, 1)
+                    .map_err(SimError::from)?;
                 let mut bottleneck = Secs::ZERO;
-                for (i, _) in plan.enc_layout.stages().iter().enumerate() {
-                    let t_layer = profile
-                        .encode_layer_time(input_lens.len() as f64, mean_in, 1)
-                        .map_err(SimError::from)?;
+                for i in 0..plan.enc_layout.num_stages() {
                     let handoff = profile.handoff_time(
                         input_lens.len() as f64 * mean_in,
                         plan.enc_layout.boundary_intra_node(i),

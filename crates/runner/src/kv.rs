@@ -41,8 +41,9 @@ pub enum ReservePolicy {
 /// use exegpt_runner::{KvTracker, ReservePolicy};
 ///
 /// let mut kv = KvTracker::new(1000.0, 1_000_000, ReservePolicy::Incremental);
-/// assert!(kv.try_admit(1, 100, 0));
+/// let slot = kv.try_admit(1, 100, 0).expect("fits");
 /// assert!(kv.grow(1, 1));
+/// assert!(kv.grow_slot(slot, 1), "the handle reaches the same entry");
 /// kv.release(1);
 /// assert_eq!(kv.used_bytes(), 0);
 /// assert!(kv.peak_bytes() > 0);
@@ -57,7 +58,7 @@ pub struct KvTracker {
     /// per-iteration bulk growth ([`grow_all`](Self::grow_all)) is one
     /// contiguous scan.
     entries: Slab<KvEntry>,
-    /// Query id → arena slot, for the per-request (admit/release) paths.
+    /// Query id → arena slot, for the id-keyed (release, grow) paths.
     index: BTreeMap<u64, usize>,
     used_bytes: u64,
     peak_bytes: u64,
@@ -70,6 +71,16 @@ pub struct KvTracker {
 struct KvEntry {
     id: u64,
     held: usize,
+}
+
+/// Handle to a resident query's entry, returned at admission: growth
+/// through it indexes the arena directly instead of looking the id up.
+/// Once its query is released the handle reaches nothing, like an unknown
+/// id, even after another query reuses the slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KvSlot {
+    slot: usize,
+    id: u64,
 }
 
 impl KvTracker {
@@ -96,11 +107,12 @@ impl KvTracker {
     /// Stores an entry for `id` holding `held` tokens. A re-admission of a
     /// resident id replaces its entry (matching the previous map-backed
     /// behaviour, which never reclaimed the overwritten reservation).
-    fn store(&mut self, id: u64, held: usize) {
+    fn store(&mut self, id: u64, held: usize) -> KvSlot {
         let slot = self.entries.insert(KvEntry { id, held });
         if let Some(old) = self.index.insert(id, slot) {
             self.entries.remove(old);
         }
+        KvSlot { slot, id }
     }
 
     /// Bytes reserved for a query holding `held` tokens.
@@ -110,20 +122,21 @@ impl KvTracker {
 
     /// Tries to admit query `id` holding `input_tokens`; `max_output`
     /// matters only for [`ReservePolicy::UpFront`], which reserves it all
-    /// immediately. Returns `false` (admitting nothing) on overflow.
-    pub fn try_admit(&mut self, id: u64, input_tokens: usize, max_output: usize) -> bool {
+    /// immediately. Returns the entry's handle, or `None` (admitting
+    /// nothing) on overflow.
+    pub fn try_admit(&mut self, id: u64, input_tokens: usize, max_output: usize) -> Option<KvSlot> {
         let held = match self.policy {
             ReservePolicy::UpFront => input_tokens + max_output,
             _ => input_tokens,
         };
         let add = self.entry_bytes(held);
         if self.used_bytes + add > self.capacity_bytes {
-            return false;
+            return None;
         }
-        self.store(id, held);
+        let slot = self.store(id, held);
         self.used_bytes += add;
         self.peak_bytes = self.peak_bytes.max(self.used_bytes);
-        true
+        Some(slot)
     }
 
     /// Admits query `id` holding `tokens` tokens *without* a capacity
@@ -133,26 +146,35 @@ impl KvTracker {
     /// capacity (visible in [`used_bytes`](Self::used_bytes) /
     /// [`peak_bytes`](Self::peak_bytes)); subsequent admissions still go
     /// through [`try_admit`](Self::try_admit) and see the over-commit.
-    pub fn admit_unchecked(&mut self, id: u64, tokens: usize) {
+    /// Returns the entry's handle.
+    pub fn admit_unchecked(&mut self, id: u64, tokens: usize) -> KvSlot {
         let add = self.entry_bytes(tokens);
-        self.store(id, tokens);
+        let slot = self.store(id, tokens);
         self.used_bytes += add;
         self.peak_bytes = self.peak_bytes.max(self.used_bytes);
+        slot
     }
 
     /// Grows query `id` by `tokens` newly generated tokens. Under
     /// [`ReservePolicy::UpFront`] this is a no-op (space was pre-reserved).
-    /// Returns `false` on overflow (the growth is not applied).
-    ///
-    /// This runs once per pooled query per decoding iteration — the hottest
-    /// tracker path — so it updates the entry in place rather than paying a
-    /// second tree traversal for a re-insert.
+    /// Returns `false` on overflow or for an unknown id (the growth is not
+    /// applied). The id lookup aside, this is [`grow_slot`](Self::grow_slot).
     pub fn grow(&mut self, id: u64, tokens: usize) -> bool {
+        // An unknown id gets a handle to no slot, which reaches nothing.
+        let slot = self.index.get(&id).copied().unwrap_or(usize::MAX);
+        self.grow_slot(KvSlot { slot, id }, tokens)
+    }
+
+    /// [`grow`](Self::grow) through the handle [`try_admit`](Self::try_admit)
+    /// returned. This runs once per pooled query per decoding iteration —
+    /// the hottest tracker path — so it indexes the arena directly and
+    /// updates the entry in place.
+    pub fn grow_slot(&mut self, slot: KvSlot, tokens: usize) -> bool {
         if matches!(self.policy, ReservePolicy::UpFront) {
             return true;
         }
         let (bpt, policy) = (self.bytes_per_token, self.policy);
-        let Some(entry) = self.index.get(&id).copied().and_then(|s| self.entries.get_mut(s)) else {
+        let Some(entry) = self.entries.get_mut(slot.slot).filter(|e| e.id == slot.id) else {
             return false;
         };
         let before = reserved_bytes(bpt, policy, entry.held);
@@ -179,8 +201,16 @@ impl KvTracker {
         }
     }
 
+    /// [`grow_or_clamp`](Self::grow_or_clamp) through an admission handle.
+    pub fn grow_slot_or_clamp(&mut self, slot: KvSlot, tokens: usize) {
+        if !self.grow_slot(slot, tokens) {
+            self.clamped_tokens += tokens as u64;
+        }
+    }
+
     /// Tokens whose growth was clamped at capacity (or targeted a retired
-    /// id) via [`grow_or_clamp`](Self::grow_or_clamp). Diagnostic only —
+    /// id) via [`grow_or_clamp`](Self::grow_or_clamp) or
+    /// [`grow_slot_or_clamp`](Self::grow_slot_or_clamp). Diagnostic only —
     /// never serialized into event logs.
     pub fn clamped_tokens(&self) -> u64 {
         self.clamped_tokens
@@ -283,8 +313,8 @@ mod tests {
     #[test]
     fn upfront_reserves_max_output() {
         let mut ft = KvTracker::new(10.0, 10_000, ReservePolicy::UpFront);
-        assert!(ft.try_admit(1, 100, 400)); // 5000 bytes
-        assert!(!ft.try_admit(2, 100, 500)); // would be 6000 more
+        assert!(ft.try_admit(1, 100, 400).is_some()); // 5000 bytes
+        assert!(ft.try_admit(2, 100, 500).is_none()); // would be 6000 more
         assert!(ft.grow(1, 50), "growth is free under up-front");
         assert_eq!(ft.used_bytes(), 5000);
     }
@@ -292,7 +322,7 @@ mod tests {
     #[test]
     fn incremental_grows_per_token() {
         let mut kv = KvTracker::new(10.0, 2_000, ReservePolicy::Incremental);
-        assert!(kv.try_admit(1, 100, 999));
+        assert!(kv.try_admit(1, 100, 999).is_some());
         assert_eq!(kv.used_bytes(), 1000);
         assert!(kv.grow(1, 100));
         assert_eq!(kv.used_bytes(), 2000);
@@ -303,18 +333,18 @@ mod tests {
     #[test]
     fn release_compacts_and_keeps_peak() {
         let mut kv = KvTracker::new(1.0, 1000, ReservePolicy::Incremental);
-        assert!(kv.try_admit(1, 600, 0));
+        assert!(kv.try_admit(1, 600, 0).is_some());
         kv.release(1);
         assert_eq!(kv.used_bytes(), 0);
         assert_eq!(kv.peak_bytes(), 600);
-        assert!(kv.try_admit(2, 900, 0), "space was reclaimed");
+        assert!(kv.try_admit(2, 900, 0).is_some(), "space was reclaimed");
         kv.release(42); // unknown id is fine
     }
 
     #[test]
     fn paged_rounds_to_pages() {
         let mut kv = KvTracker::new(1.0, 1000, ReservePolicy::Paged { page_tokens: 16 });
-        assert!(kv.try_admit(1, 17, 0)); // 2 pages = 32
+        assert!(kv.try_admit(1, 17, 0).is_some()); // 2 pages = 32
         assert_eq!(kv.used_bytes(), 32);
         assert!(kv.grow(1, 10)); // 27 tokens still 2 pages
         assert_eq!(kv.used_bytes(), 32);
@@ -331,10 +361,10 @@ mod tests {
         let mut up_count = 0;
         let mut pg_count = 0;
         for id in 0..10_000 {
-            if up.try_admit(id, 100, 500) {
+            if up.try_admit(id, 100, 500).is_some() {
                 up_count += 1;
             }
-            if pg.try_admit(id, 100, 500) && pg.grow(id, 20) {
+            if pg.try_admit(id, 100, 500).is_some() && pg.grow(id, 20) {
                 pg_count += 1;
             }
         }
@@ -348,9 +378,9 @@ mod tests {
         let mut kv = KvTracker::new(1.0, 100, ReservePolicy::Incremental);
         kv.admit_unchecked(1, 150); // migration: beyond capacity
         assert_eq!(kv.used_bytes(), 150);
-        assert!(!kv.try_admit(2, 1, 0), "over-commit blocks new admissions");
+        assert!(kv.try_admit(2, 1, 0).is_none(), "over-commit blocks new admissions");
         kv.release(1);
-        assert!(kv.try_admit(2, 50, 0), "normal accounting resumes");
+        assert!(kv.try_admit(2, 50, 0).is_some(), "normal accounting resumes");
     }
 
     #[test]
@@ -358,8 +388,8 @@ mod tests {
         let mut bulk = KvTracker::new(10.0, 100_000, ReservePolicy::Incremental);
         let mut each = bulk.clone();
         for id in 0..5 {
-            assert!(bulk.try_admit(id, 100, 0));
-            assert!(each.try_admit(id, 100, 0));
+            assert!(bulk.try_admit(id, 100, 0).is_some());
+            assert!(each.try_admit(id, 100, 0).is_some());
         }
         assert_eq!(bulk.grow_all(1), 5);
         for id in 0..5 {
@@ -375,8 +405,8 @@ mod tests {
         // Two 45-token queries against 100 bytes at 1 byte/token: the first
         // grows to 46, the second would need 101 total and is skipped.
         let mut kv = KvTracker::new(1.0, 92, ReservePolicy::Incremental);
-        assert!(kv.try_admit(1, 45, 0));
-        assert!(kv.try_admit(2, 45, 0));
+        assert!(kv.try_admit(1, 45, 0).is_some());
+        assert!(kv.try_admit(2, 45, 0).is_some());
         assert_eq!(kv.grow_all(1), 2);
         assert_eq!(kv.used_bytes(), 92);
         assert_eq!(kv.grow_all(1), 0, "both entries now skip");
@@ -386,7 +416,7 @@ mod tests {
     #[test]
     fn grow_all_is_free_under_upfront() {
         let mut kv = KvTracker::new(1.0, 1000, ReservePolicy::UpFront);
-        assert!(kv.try_admit(1, 10, 20));
+        assert!(kv.try_admit(1, 10, 20).is_some());
         assert_eq!(kv.grow_all(5), 1);
         assert_eq!(kv.used_bytes(), 30);
     }
@@ -394,9 +424,9 @@ mod tests {
     #[test]
     fn release_batch_releases_each_id() {
         let mut kv = KvTracker::new(1.0, 1000, ReservePolicy::Incremental);
-        assert!(kv.try_admit(1, 100, 0));
-        assert!(kv.try_admit(2, 200, 0));
-        assert!(kv.try_admit(3, 300, 0));
+        assert!(kv.try_admit(1, 100, 0).is_some());
+        assert!(kv.try_admit(2, 200, 0).is_some());
+        assert!(kv.try_admit(3, 300, 0).is_some());
         kv.release_batch(&[1, 3, 42]); // unknown ids are fine
         assert_eq!(kv.used_bytes(), 200);
         assert_eq!(kv.resident(), 1);
@@ -407,7 +437,7 @@ mod tests {
         let mut kv = KvTracker::new(1.0, 10_000, ReservePolicy::Incremental);
         for round in 0..100u64 {
             for i in 0..8 {
-                assert!(kv.try_admit(round * 8 + i, 10, 0));
+                assert!(kv.try_admit(round * 8 + i, 10, 0).is_some());
             }
             for i in 0..8 {
                 kv.release(round * 8 + i);
@@ -426,12 +456,54 @@ mod tests {
     #[test]
     fn grow_or_clamp_counts_clamped_tokens_without_applying_them() {
         let mut kv = KvTracker::new(1.0, 100, ReservePolicy::Incremental);
-        assert!(kv.try_admit(1, 99, 0));
+        assert!(kv.try_admit(1, 99, 0).is_some());
         kv.grow_or_clamp(1, 1); // fits: 100/100
         assert_eq!((kv.used_bytes(), kv.clamped_tokens()), (100, 0));
         kv.grow_or_clamp(1, 1); // clamped at capacity
         kv.grow_or_clamp(42, 3); // retired/unknown id also clamps
         assert_eq!((kv.used_bytes(), kv.clamped_tokens()), (100, 4));
+    }
+
+    #[test]
+    fn slot_growth_matches_id_growth_up_to_capacity() {
+        for policy in [
+            ReservePolicy::Incremental,
+            ReservePolicy::Paged { page_tokens: 16 },
+            ReservePolicy::UpFront,
+        ] {
+            let mut by_id = KvTracker::new(1.0, 400, policy);
+            let mut by_slot = by_id.clone();
+            let mut slots = Vec::new();
+            for id in 0..3 {
+                assert!(by_id.try_admit(id, 100, 20).is_some());
+                slots.push(by_slot.try_admit(id, 100, 20).expect("fits"));
+            }
+            // Enough rounds to saturate the cache and clamp every entry.
+            for _ in 0..60 {
+                for (id, &slot) in slots.iter().enumerate() {
+                    by_id.grow_or_clamp(id as u64, 1);
+                    by_slot.grow_slot_or_clamp(slot, 1);
+                }
+                assert_eq!(by_id, by_slot, "{policy:?}");
+            }
+            if policy == ReservePolicy::Incremental {
+                assert_eq!(by_slot.used_bytes(), 400);
+                assert_eq!(by_slot.clamped_tokens(), 3 * 60 - 100);
+            }
+        }
+    }
+
+    #[test]
+    fn released_slot_reaches_nothing_even_when_reused() {
+        let mut kv = KvTracker::new(1.0, 1000, ReservePolicy::Incremental);
+        let old = kv.try_admit(1, 10, 0).expect("fits");
+        kv.release(1);
+        let new = kv.try_admit(2, 10, 0).expect("fits");
+        assert!(!kv.grow_slot(old, 1), "query 1 is gone although its slot is reused");
+        kv.grow_slot_or_clamp(old, 1);
+        assert_eq!((kv.used_bytes(), kv.clamped_tokens()), (10, 1));
+        assert!(kv.grow_slot(new, 1));
+        assert_eq!(kv.used_bytes(), 11);
     }
 
     #[test]

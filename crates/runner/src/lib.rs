@@ -48,6 +48,8 @@
 mod error;
 mod exec;
 mod kv;
+mod queue;
+mod replay;
 mod report;
 mod rra_run;
 mod runner;
@@ -57,7 +59,8 @@ mod waa_run;
 
 pub use error::RunError;
 pub use exec::{DecodeTiming, EncodeTiming, PhaseExecutor};
-pub use kv::{KvTracker, ReservePolicy};
+pub use kv::{KvSlot, KvTracker, ReservePolicy};
+pub use queue::AdmissionQueue;
 pub use report::RunReport;
 pub use runner::{RunOptions, Runner};
 pub use slab::Slab;

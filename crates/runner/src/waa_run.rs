@@ -6,171 +6,60 @@
 //! at each round boundary.
 
 use exegpt_sim::{ScheduleConfig, Simulator, WaaConfig};
-use exegpt_units::Secs;
-use exegpt_workload::{PoissonStream, Request, RequestStream, TimedRequest};
 
 use crate::error::RunError;
-use crate::exec::PhaseExecutor;
+use crate::replay::{Admission, Replay};
 use crate::report::RunReport;
-use crate::runner::{windowed_throughput, RunOptions};
-use crate::trace::{SpanKind, Trace};
-
-struct Active {
-    req: Request,
-    progress: usize,
-    t_encoded: f64,
-    arrival: f64,
-}
+use crate::runner::RunOptions;
+use crate::trace::SpanKind;
 
 pub(crate) fn run(
     sim: &Simulator,
     cfg: &WaaConfig,
     opts: &RunOptions,
 ) -> Result<RunReport, RunError> {
-    let exec = PhaseExecutor::new(sim, &ScheduleConfig::Waa(*cfg))?;
-    let scheduled_b_d = exec.scheduled_decode_batch();
-    let w = sim.workload();
-    let mut kv = exec.kv_tracker();
-
-    let adjuster = exec.adjuster(opts.adjust_threshold);
-
-    let stream_workload = opts.request_workload.as_ref().unwrap_or(w);
-    // FIFO queue (front = oldest), sorted by arrival time.
-    let mut pending: Vec<TimedRequest> = match opts.arrival_rate {
-        Some(rate) => {
-            PoissonStream::new(stream_workload, rate, opts.seed).take(opts.num_queries).collect()
-        }
-        None => RequestStream::new(stream_workload, opts.seed)
-            .take(opts.num_queries)
-            .map(|request| TimedRequest { request, arrival: 0.0 })
-            .collect(),
-    };
-
-    let mut pool: Vec<Active> = Vec::new();
-    let mut t = 0.0f64;
-    let mut latencies = Vec::with_capacity(opts.num_queries);
-    let mut sojourns = Vec::new();
-    let mut completion_times = Vec::with_capacity(opts.num_queries);
-    let mut enc_stage_times = Vec::new();
-    let mut dec_stage_times = Vec::new();
-    let mut tokens: u64 = 0;
-    let mut trace = opts.record_trace.then(Trace::new);
-
-    while latencies.len() < opts.num_queries {
+    let mut r = Replay::new(sim, &ScheduleConfig::Waa(*cfg), opts)?;
+    while r.unfinished() {
         // ---- Encoder side of this round ---------------------------------
-        // Only queries that have arrived are admissible (prefix: the queue
-        // is arrival-sorted).
-        let arrived = pending.partition_point(|r| r.arrival <= t);
-        let lens: Vec<usize> = pending[..arrived].iter().map(|r| r.request.input_len).collect();
-        let selected = adjuster.select_batch(&lens, pool.len(), scheduled_b_d);
-        let mut admitted: Vec<TimedRequest> = Vec::with_capacity(selected.len());
-        let mut taken = vec![false; pending.len()];
-        for &idx in &selected {
-            let req = pending[idx];
-            if !kv.try_admit(req.request.id, req.request.input_len, 0) {
-                break;
-            }
-            taken[idx] = true;
-            admitted.push(req);
+        match r.admit_arrived()? {
+            Admission::Run => {}
+            Admission::Idle => continue,
+            Admission::Drained => break,
         }
-        if !admitted.is_empty() {
-            let mut keep = Vec::with_capacity(pending.len() - admitted.len());
-            for (i, req) in pending.into_iter().enumerate() {
-                if !taken[i] {
-                    keep.push(req);
-                }
-            }
-            pending = keep;
-        }
-        if admitted.is_empty() && pool.is_empty() {
-            if pending.is_empty() {
-                break;
-            }
-            if arrived == 0 {
-                t = pending[0].arrival;
-                continue;
-            }
-            return Err(RunError::Stalled {
-                why: format!(
-                    "query {} ({} input tokens) cannot fit in the kv cache",
-                    pending[0].request.id, pending[0].request.input_len
-                ),
-            });
-        }
-
-        let (p_enc, enc_tokens) = if admitted.is_empty() {
+        let (p_enc, enc_tokens) = if r.admitted.is_empty() {
             (0.0, 0.0)
         } else {
-            let lens: Vec<usize> = admitted.iter().map(|r| r.request.input_len).collect();
-            let enc = exec.encode_timing(&lens)?;
-            enc_stage_times.push(enc.bottleneck.as_secs());
+            let enc = r.encode_admitted()?;
+            r.enc_stage_times.push(enc.bottleneck.as_secs());
             (enc.bottleneck.as_secs(), enc.tokens)
         };
 
         // ---- Decoder side of this round ----------------------------------
-        let p_dec = if pool.is_empty() {
+        let pool = r.pool_len();
+        let p_dec = if pool == 0 {
             0.0
         } else {
-            let active = pool.len() as f64;
-            let ctx: f64 =
-                pool.iter().map(|a| (a.req.input_len + a.progress) as f64).sum::<f64>() / active;
-            let b_m = exec.decode_parallelism(pool.len());
-            let dec = exec.decode_timing(b_m, pool.len(), ctx, false)?;
-            dec_stage_times.push(dec.bottleneck.as_secs());
+            let b_m = r.exec.decode_parallelism(pool);
+            let dec = r.exec.decode_timing(b_m, pool, r.mean_context(), false)?;
+            r.dec_stage_times.push(dec.bottleneck.as_secs());
             dec.total.as_secs()
         };
 
         // ---- Round boundary: handover + advance ---------------------------
-        let t_kv = exec.handover_time(enc_tokens).as_secs();
+        let t_kv = r.exec.handover_time(enc_tokens).as_secs();
         let round = p_enc.max(p_dec).max(t_kv);
-        let t_start = t;
-        t += round;
-        if let Some(tr) = trace.as_mut() {
-            tr.record("encoders", SpanKind::Encode, t_start, t_start + p_enc, admitted.len());
-            tr.record("decoders", SpanKind::Decode, t_start, t_start + p_dec, pool.len());
-            tr.record("handover", SpanKind::KvTransfer, t_start, t_start + t_kv, admitted.len());
+        let t_start = r.t;
+        r.t += round;
+        let admitted = r.admitted.len();
+        if let Some(tr) = r.trace.as_mut() {
+            tr.record("encoders", SpanKind::Encode, t_start, t_start + p_enc, admitted);
+            tr.record("decoders", SpanKind::Decode, t_start, t_start + p_dec, pool);
+            tr.record("handover", SpanKind::KvTransfer, t_start, t_start + t_kv, admitted);
         }
-        if !pool.is_empty() {
-            tokens += pool.len() as u64;
-            let mut i = 0;
-            while i < pool.len() {
-                pool[i].progress += 1;
-                kv.grow_or_clamp(pool[i].req.id, 1);
-                if pool[i].progress >= pool[i].req.output_len {
-                    let done = pool.swap_remove(i);
-                    kv.release(done.req.id);
-                    latencies.push(t - done.t_encoded);
-                    if opts.arrival_rate.is_some() {
-                        sojourns.push(t - done.arrival);
-                    }
-                    completion_times.push(t);
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        for tr in admitted {
-            pool.push(Active {
-                req: tr.request,
-                progress: 0,
-                t_encoded: t_start,
-                arrival: tr.arrival,
-            });
-        }
+        // The encoder group's fresh admissions are resident but not pooled
+        // yet, so growth goes per query, through each admission handle.
+        r.advance(true);
+        r.pool_admitted(t_start);
     }
-
-    let (throughput, makespan) = windowed_throughput(&completion_times, opts.warmup_frac);
-    Ok(RunReport {
-        completed: latencies.len(),
-        tokens_generated: tokens,
-        makespan: Secs::new(makespan),
-        throughput,
-        latencies,
-        encoder_stage_times: enc_stage_times,
-        decoder_stage_times: dec_stage_times,
-        peak_kv_bytes: kv.peak_bytes(),
-        param_bytes: exec.param_bytes(),
-        trace,
-        sojourn_times: sojourns,
-    })
+    Ok(r.finish())
 }

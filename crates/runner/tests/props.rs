@@ -55,7 +55,7 @@ proptest! {
         for op in ops {
             match op {
                 Op::Admit { id, input, max_out } => {
-                    if !live.contains(&id) && kv.try_admit(id, input, max_out) {
+                    if !live.contains(&id) && kv.try_admit(id, input, max_out).is_some() {
                         live.insert(id);
                     }
                 }
@@ -89,8 +89,8 @@ proptest! {
         let mut incr = KvTracker::new(1.0, u64::MAX >> 1, ReservePolicy::Incremental);
         for (i, &(input, growth)) in admissions.iter().enumerate() {
             let id = i as u64;
-            prop_assert!(paged.try_admit(id, input, 0));
-            prop_assert!(incr.try_admit(id, input, 0));
+            prop_assert!(paged.try_admit(id, input, 0).is_some());
+            prop_assert!(incr.try_admit(id, input, 0).is_some());
             prop_assert!(paged.grow(id, growth));
             prop_assert!(incr.grow(id, growth));
         }

@@ -18,7 +18,7 @@ use exegpt::{
 };
 use exegpt_cluster::{ClusterSpec, LoadSource};
 use exegpt_dist::stats::Summary;
-use exegpt_runner::{KvTracker, PhaseExecutor, RunError};
+use exegpt_runner::{AdmissionQueue, EncodeTiming, KvSlot, KvTracker, PhaseExecutor, RunError};
 use exegpt_sim::Workload;
 use exegpt_units::Secs;
 use exegpt_workload::{Request, TimedRequest};
@@ -167,6 +167,8 @@ struct InFlight {
     arrival: f64,
     t_encoded: f64,
     t_first: Option<f64>,
+    /// The query's entry in the installed plan's KV tracker.
+    slot: KvSlot,
 }
 
 /// A query that finished during the current phase.
@@ -218,15 +220,11 @@ impl Ord for Retry {
 /// up in the simulated-requests-per-wall-second numbers.
 #[derive(Default)]
 struct Scratch {
-    /// Input lengths of the pending queue (admission) or admitted batch
-    /// (encode timing).
+    /// Input lengths of the admitted batch (encode timing).
     lens: Vec<usize>,
-    /// Indices selected by the dynamic adjuster.
-    selected: Vec<usize>,
-    /// Which pending indices were admitted this round.
-    taken: Vec<bool>,
-    /// Requests admitted this round (drained into the pool).
-    admitted: Vec<TimedRequest>,
+    /// Requests admitted this round with their KV handles (drained into
+    /// the pool).
+    admitted: Vec<(TimedRequest, KvSlot)>,
     /// Completions harvested this round.
     done: Vec<Done>,
     /// Ids released in one batch on aborts/extractions.
@@ -382,7 +380,7 @@ impl ServeLoop {
             scratch: Scratch::default(),
             stream: stream.map(|v| v.into_iter().peekable()),
             inbox: VecDeque::new(),
-            pending: Vec::new(),
+            pending: AdmissionQueue::new(),
             pool: Vec::new(),
             t: 0.0,
             metrics: Metrics::new(),
@@ -517,7 +515,7 @@ pub struct ReplicaSession {
     /// Externally injected arrivals (fleet mode; always empty in stream
     /// mode).
     inbox: VecDeque<TimedRequest>,
-    pending: Vec<TimedRequest>,
+    pending: AdmissionQueue,
     pool: Vec<InFlight>,
     t: f64,
     metrics: Metrics,
@@ -600,8 +598,7 @@ impl ReplicaSession {
     /// pool (KV entries released in one batch; generation restarts on the
     /// target replica), retries in eligibility order, then the inbox.
     pub fn extract_queued(&mut self) -> Vec<TimedRequest> {
-        let mut out: Vec<TimedRequest> = Vec::new();
-        out.append(&mut self.pending);
+        let mut out = self.pending.take_all();
         self.scratch.ids.clear();
         self.scratch.ids.extend(self.pool.iter().map(|a| a.req.id));
         for a in self.pool.drain(..) {
@@ -689,11 +686,11 @@ impl ReplicaSession {
             self.t += cost;
             self.peak_kv = self.peak_kv.max(self.kv.peak_bytes());
             let mut new_kv = new_exec.kv_tracker();
-            for a in &self.pool {
+            for a in &mut self.pool {
                 // In-flight KV entries move to the new plan's tracker
                 // unconditionally: evicting live queries would violate
                 // their SLO by construction.
-                new_kv.admit_unchecked(a.req.id, a.req.input_len + a.progress);
+                a.slot = new_kv.admit_unchecked(a.req.id, a.req.input_len + a.progress);
             }
             self.events.push(Event::PlanSwap { t: self.t, cost, migrated: self.pool.len() });
             self.metrics.inc("plan_swaps");
@@ -742,33 +739,15 @@ impl ReplicaSession {
         }
 
         // ---- Dynamic admission (§5.2) -----------------------------------
-        self.scratch.lens.clear();
-        self.scratch.lens.extend(self.pending.iter().map(|r| r.request.input_len));
-        self.adjuster.select_batch_into(
-            &self.scratch.lens,
+        self.pending.admit(
+            self.pending.len(),
+            &self.adjuster,
             self.pool.len(),
             self.scheduled_b_d,
-            &mut self.scratch.selected,
+            &mut self.kv,
+            &mut self.scratch.admitted,
         );
-        self.scratch.admitted.clear();
-        self.scratch.taken.clear();
-        self.scratch.taken.resize(self.pending.len(), false);
-        for &idx in &self.scratch.selected {
-            let r = self.pending[idx];
-            if !self.kv.try_admit(r.request.id, r.request.input_len, 0) {
-                break; // cache full: stop admitting this phase
-            }
-            self.scratch.taken[idx] = true;
-            self.scratch.admitted.push(r);
-        }
         if !self.scratch.admitted.is_empty() {
-            let taken = &self.scratch.taken;
-            let mut i = 0;
-            self.pending.retain(|_| {
-                let keep = !taken[i];
-                i += 1;
-                keep
-            });
             self.metrics.add("admitted", self.scratch.admitted.len() as u64);
         }
 
@@ -830,13 +809,7 @@ impl ReplicaSession {
                     }
                 }
             }
-            return Err(RunError::Stalled {
-                why: format!(
-                    "query {} ({} input tokens) cannot fit in the kv cache",
-                    self.pending[0].request.id, self.pending[0].request.input_len
-                ),
-            }
-            .into());
+            return Err(self.pending.stalled().into());
         }
 
         // ---- Execute one phase (RRA) or round (WAA) ---------------------
@@ -853,9 +826,7 @@ impl ReplicaSession {
             let (p_enc, enc_tokens) = if self.scratch.admitted.is_empty() {
                 (0.0, 0.0)
             } else {
-                self.scratch.lens.clear();
-                self.scratch.lens.extend(self.scratch.admitted.iter().map(|r| r.request.input_len));
-                let enc = self.exec.encode_timing(&self.scratch.lens)?;
+                let enc = self.encode_admitted()?;
                 (enc.bottleneck.as_secs(), enc.tokens)
             };
             let p_dec = if self.pool.is_empty() {
@@ -880,7 +851,7 @@ impl ReplicaSession {
             if !self.pool.is_empty() {
                 self.tokens += self.pool.len() as u64;
                 // The encoder group's fresh admissions are resident but not
-                // pooled, so growth must stay per-id here.
+                // pooled, so growth goes per query, through each handle.
                 advance(&mut self.pool, &mut self.kv, self.t, &mut self.scratch.done, true);
             }
             self.metrics.inc("rounds");
@@ -890,20 +861,19 @@ impl ReplicaSession {
                 admitted: n_admitted,
                 pool: pool_during,
             });
-            for r in self.scratch.admitted.drain(..) {
+            for (r, slot) in self.scratch.admitted.drain(..) {
                 self.pool.push(InFlight {
                     req: r.request,
                     progress: 0,
                     arrival: r.arrival,
                     t_encoded: t_start,
                     t_first: None,
+                    slot,
                 });
             }
         } else {
             if !self.scratch.admitted.is_empty() {
-                self.scratch.lens.clear();
-                self.scratch.lens.extend(self.scratch.admitted.iter().map(|r| r.request.input_len));
-                let enc = self.exec.encode_timing(&self.scratch.lens)?;
+                let enc = self.encode_admitted()?;
                 let t_start = self.t;
                 let dt = enc.total.as_secs();
                 self.t += dt * factors.dilation;
@@ -916,13 +886,14 @@ impl ReplicaSession {
                     admitted: self.scratch.admitted.len(),
                     queue_depth: self.pending.len(),
                 });
-                for r in self.scratch.admitted.drain(..) {
+                for (r, slot) in self.scratch.admitted.drain(..) {
                     self.pool.push(InFlight {
                         req: r.request,
                         progress: 0,
                         arrival: r.arrival,
                         t_encoded: t_start,
                         t_first: None,
+                        slot,
                     });
                 }
             }
@@ -1036,6 +1007,13 @@ impl ReplicaSession {
             self.pending_swap = self.reschedule().map(|cfg| PendingSwap { cfg, engine: None });
         }
         Ok(StepOutcome::Progressed)
+    }
+
+    /// Times the encoding of this step's (non-empty) admitted batch.
+    fn encode_admitted(&mut self) -> Result<EncodeTiming, RunError> {
+        self.scratch.lens.clear();
+        self.scratch.lens.extend(self.scratch.admitted.iter().map(|(r, _)| r.request.input_len));
+        self.exec.encode_timing(&self.scratch.lens)
     }
 
     /// Consumes the session into its final report.
@@ -1296,9 +1274,10 @@ fn mean_context(pool: &[InFlight]) -> f64 {
 
 /// Advances every pooled query by one token at time `t`, recording first
 /// tokens and harvesting completions (with KV compaction). `grow_ids`
-/// selects per-id KV growth (WAA rounds, where the encoder group's fresh
-/// admissions are resident but not pooled); RRA decode passes `false` after
-/// a bulk [`KvTracker::grow_all`].
+/// selects per-query KV growth through each admission handle (WAA rounds,
+/// where the encoder group's fresh admissions are resident but not
+/// pooled); RRA decode passes `false` after a bulk
+/// [`KvTracker::grow_all`].
 fn advance(
     pool: &mut Vec<InFlight>,
     kv: &mut KvTracker,
@@ -1310,7 +1289,7 @@ fn advance(
     while i < pool.len() {
         pool[i].progress += 1;
         if grow_ids {
-            kv.grow_or_clamp(pool[i].req.id, 1);
+            kv.grow_slot_or_clamp(pool[i].slot, 1);
         }
         if pool[i].t_first.is_none() {
             pool[i].t_first = Some(t);
