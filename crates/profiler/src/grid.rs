@@ -58,15 +58,46 @@ impl Grid1D {
     /// Extrapolated results are clamped to be non-negative, since all
     /// profiled quantities are times.
     pub fn eval(&self, x: f64) -> f64 {
-        let n = self.xs.len();
-        if n == 1 {
+        self.interpolate(self.segment(x), x)
+    }
+
+    /// [`eval`](Self::eval) for a sequence of nearby queries: finds the
+    /// segment by walking from the one the previous query left in `cursor`
+    /// instead of binary-searching the whole axis. The result is bit for
+    /// bit the same as `eval(x)` whatever the query order; the walk is
+    /// short when successive queries move little, as the simulator's
+    /// shrinking decode micro-batches do. Start a new sequence with
+    /// `usize::MAX` (walks down from the top segment) or `0`.
+    pub fn eval_from(&self, x: f64, cursor: &mut usize) -> f64 {
+        let last = self.xs.len().saturating_sub(2);
+        let mut i = (*cursor).min(last);
+        #[allow(clippy::neg_cmp_op_on_partial_ord)] // a NaN query walks to 0, as in `segment`
+        while i > 0 && !(self.xs[i] <= x) {
+            i -= 1;
+        }
+        while i < last && self.xs[i + 1] <= x {
+            i += 1;
+        }
+        debug_assert_eq!(i, self.segment(x), "cursor walk disagrees with the binary search");
+        *cursor = i;
+        self.interpolate(i, x)
+    }
+
+    /// Segment index of `x`: the last `i` with `xs[i] <= x`, clamped to
+    /// `[0, n-2]` (`0` for a single-knot grid).
+    fn segment(&self, x: f64) -> usize {
+        match self.xs.partition_point(|&v| v <= x) {
+            0 => 0,
+            p => (p - 1).min(self.xs.len().saturating_sub(2)),
+        }
+    }
+
+    /// The interpolation body shared by [`eval`](Self::eval) and
+    /// [`eval_from`](Self::eval_from), on segment `i`.
+    fn interpolate(&self, i: usize, x: f64) -> f64 {
+        if self.xs.len() == 1 {
             return self.ys[0];
         }
-        // Segment index: the last i with xs[i] <= x, clamped to [0, n-2].
-        let i = match self.xs.partition_point(|&v| v <= x) {
-            0 => 0,
-            p => (p - 1).min(n - 2),
-        };
         let (x0, x1) = (self.xs[i], self.xs[i + 1]);
         let (y0, y1) = (self.ys[i], self.ys[i + 1]);
         let t = (x - x0) / (x1 - x0);

@@ -68,8 +68,12 @@ impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
         Self { shards: (0..SHARDS).map(|_| RwLock::new(HashMap::default())).collect() }
     }
 
+    /// The shard comes from the middle bits of the key's hash: the map
+    /// inside indexes its buckets by the low bits, and FNV's low bits only
+    /// mix the low bits of each integer field, so a low-bit shard index
+    /// would leave every key of a shard sharing its bucket-index bits.
     fn shard(&self, key: &K) -> &RwLock<HashMap<K, V, FnvBuildHasher>> {
-        let idx = narrow_usize(FnvBuildHasher::default().hash_one(key)) % SHARDS;
+        let idx = narrow_usize(FnvBuildHasher::default().hash_one(key) >> 32) % SHARDS;
         &self.shards[idx]
     }
 

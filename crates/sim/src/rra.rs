@@ -7,8 +7,11 @@
 //! Early termination shrinks the active pool within a phase according to
 //! the completion distribution `P_D(U)`; the next encoding phase refills it.
 
+use std::sync::Arc;
+
 use exegpt_dist::convert::{ceil_usize, lossless_f64, trunc_u64, trunc_usize, widen_u64};
 use exegpt_model::{MemoryFootprint, ModelKind};
+use exegpt_profiler::Grid1D;
 use exegpt_units::Secs;
 
 use crate::cache::{DecStageKey, RraPlanKey};
@@ -17,6 +20,29 @@ use crate::error::SimError;
 use crate::estimate::{Breakdown, Estimate, MemoryReport};
 use crate::layout::PipelineLayout;
 use crate::simulator::Simulator;
+
+/// Upper bound on decode stage classes: stages run at TP degree 1 or the
+/// configured degree, and hand off over an intra- or inter-node link.
+const MAX_CLASSES: usize = 4;
+
+/// Stages sharing a TP degree and boundary link, with the largest layer
+/// allocation among them (the only one that can be the class bottleneck).
+#[derive(Debug, Clone, Copy, Default)]
+struct StageClass {
+    tp: usize,
+    intra: bool,
+    alloc: usize,
+}
+
+/// A stage class with its collapsed bottleneck grid, the grid's sampled
+/// range and the decode loop's segment cursor into it.
+struct ClassGrid {
+    class: StageClass,
+    grid: Arc<Grid1D>,
+    lo: f64,
+    hi: f64,
+    cursor: usize,
+}
 
 pub(crate) fn evaluate(sim: &Simulator, cfg: &RraConfig) -> Result<Estimate, SimError> {
     if cfg.b_e == 0 {
@@ -63,15 +89,15 @@ pub(crate) fn evaluate(sim: &Simulator, cfg: &RraConfig) -> Result<Estimate, Sim
     // B_E is split into one micro-batch per stage to fill the pipeline.
     let m_e = stages.min(cfg.b_e).max(1);
     let enc_micro = lossless_f64(cfg.b_e) / lossless_f64(m_e);
-    let mut enc_stage_times = Vec::with_capacity(stages);
+    let (mut enc_sum, mut enc_bottleneck) = (Secs::ZERO, Secs::ZERO);
     for (i, stage) in layout.stages().iter().enumerate() {
         let t_layer = profile.encode_layer_time(enc_micro, s_e, stage.tp)?;
         let handoff = profile.handoff_time(enc_micro * s_e, layout.boundary_intra_node(i));
-        enc_stage_times.push(t_layer * lossless_f64(enc_alloc[i]) + handoff);
+        let t = t_layer * lossless_f64(enc_alloc[i]) + handoff;
+        enc_sum += t;
+        enc_bottleneck = enc_bottleneck.max(t);
     }
-    let enc_bottleneck = max_secs(&enc_stage_times);
-    let t_enc: Secs =
-        enc_stage_times.iter().sum::<Secs>() + enc_bottleneck * (lossless_f64(m_e) - 1.0);
+    let t_enc: Secs = enc_sum + enc_bottleneck * (lossless_f64(m_e) - 1.0);
 
     // --- Decoding phase: N_D iterations over the shrinking pool ----------
     // The pool circulates as one micro-batch per stage; iteration `u` runs
@@ -84,14 +110,25 @@ pub(crate) fn evaluate(sim: &Simulator, cfg: &RraConfig) -> Result<Estimate, Sim
     // Stages with the same TP degree and boundary link share their layer
     // time and handoff at any micro-batch size, so within such a class only
     // the largest layer allocation can be the bottleneck. Collapsing the
-    // per-iteration stage scan to one entry per class (typically 1–2 instead
-    // of one per GPU) removes most profile lookups from the hot loop.
-    let mut classes: Vec<(usize, bool, usize)> = Vec::with_capacity(2);
+    // per-iteration stage scan to one entry per class (at most 4: stages run
+    // at TP degree 1 or the configured degree, across an intra- or
+    // inter-node link) removes most profile lookups from the hot loop.
+    let mut classes = [StageClass::default(); MAX_CLASSES];
+    let mut n_classes = 0;
     for (i, stage) in layout.stages().iter().enumerate() {
         let intra = layout.boundary_intra_node(i);
-        match classes.iter_mut().find(|(tp, link, _)| *tp == stage.tp && *link == intra) {
-            Some(class) => class.2 = class.2.max(dec_alloc[i]),
-            None => classes.push((stage.tp, intra, dec_alloc[i])),
+        match classes[..n_classes].iter_mut().find(|c| c.tp == stage.tp && c.intra == intra) {
+            Some(class) => class.alloc = class.alloc.max(dec_alloc[i]),
+            None if n_classes < MAX_CLASSES => {
+                classes[n_classes] = StageClass { tp: stage.tp, intra, alloc: dec_alloc[i] };
+                n_classes += 1;
+            }
+            None => {
+                return Err(SimError::InvalidConfig {
+                    what: "tp",
+                    why: format!("more than {MAX_CLASSES} decode stage classes"),
+                })
+            }
         }
     }
     // Each class's bottleneck term `alloc · t_layer(µ) + handoff(µ)` is
@@ -99,15 +136,18 @@ pub(crate) fn evaluate(sim: &Simulator, cfg: &RraConfig) -> Result<Estimate, Sim
     // cached grid: a single lookup per class per iteration. Outside the
     // grid's sampled range the per-component zero clamps diverge from the
     // collapsed sum, so those (rare, tiny-batch) points fall back to the
-    // direct lookups.
-    let mut class_grids = Vec::with_capacity(classes.len());
-    for &(tp, intra, alloc) in &classes {
+    // direct lookups. The micro-batch never grows along the phase (survival
+    // only falls), so each class keeps a cursor into its grid and finds the
+    // next segment by walking down from the last one.
+    let mut grids: [Option<ClassGrid>; MAX_CLASSES] = Default::default();
+    for (slot, &class) in grids.iter_mut().zip(&classes[..n_classes]) {
+        let StageClass { tp, intra, alloc } = class;
         let grid = sim.cache().dec_stage_grid(DecStageKey { tp, intra, alloc }, || {
             Ok(profile.decode_stage_grid(ctx, s_e, tp, lossless_f64(alloc), intra)?)
         })?;
         let lo = grid.xs().first().copied().unwrap_or(0.0);
         let hi = grid.xs().last().copied().unwrap_or(lo);
-        class_grids.push((grid, lo, hi));
+        *slot = Some(ClassGrid { class, grid, lo, hi, cursor: usize::MAX });
     }
     let survival = &info.survival;
     let mut t_dec = Secs::ZERO;
@@ -122,10 +162,11 @@ pub(crate) fn evaluate(sim: &Simulator, cfg: &RraConfig) -> Result<Estimate, Sim
         let active = (lossless_f64(b_d) * s).max(1.0);
         let micro = active / lossless_f64(m_d);
         let mut worst = Secs::ZERO;
-        for ((grid, lo, hi), &(tp, intra, alloc)) in class_grids.iter().zip(&classes) {
-            let t = if micro >= *lo && micro <= *hi {
-                Secs::new(grid.eval(micro))
+        for g in grids.iter_mut().flatten() {
+            let t = if micro >= g.lo && micro <= g.hi {
+                Secs::new(g.grid.eval_from(micro, &mut g.cursor))
             } else {
+                let StageClass { tp, intra, alloc } = g.class;
                 profile.decode_layer_time(micro, ctx, s_e, tp)? * lossless_f64(alloc)
                     + profile.handoff_time(micro, intra)
             };
@@ -263,8 +304,4 @@ fn check_memory(report: &MemoryReport) -> Result<(), SimError> {
         });
     }
     Ok(())
-}
-
-fn max_secs(xs: &[Secs]) -> Secs {
-    xs.iter().copied().fold(Secs::ZERO, |acc, t| acc.max(t))
 }

@@ -145,14 +145,14 @@ pub(crate) fn evaluate(sim: &Simulator, cfg: &WaaConfig) -> Result<Estimate, Sim
 
     // --- Encoding pipeline (single-GPU stages) ---------------------------
     let t_layer = profile.encode_layer_time(lossless_f64(cfg.b_e), s_e, 1)?;
-    let mut enc_stage_times = Vec::with_capacity(enc_layout.num_stages());
-    for (i, _) in enc_layout.stages().iter().enumerate() {
+    let (mut enc_latency, mut p_enc) = (Secs::ZERO, Secs::ZERO);
+    for (i, &alloc) in enc_alloc.iter().enumerate() {
         let handoff =
             profile.handoff_time(lossless_f64(cfg.b_e) * s_e, enc_layout.boundary_intra_node(i));
-        enc_stage_times.push(t_layer * lossless_f64(enc_alloc[i]) + handoff);
+        let t = t_layer * lossless_f64(alloc) + handoff;
+        enc_latency += t;
+        p_enc = p_enc.max(t);
     }
-    let p_enc = enc_stage_times.iter().copied().fold(Secs::ZERO, |acc, t| acc.max(t));
-    let enc_latency: Secs = enc_stage_times.iter().sum();
 
     // --- Decoding pipeline (partial TP allowed) --------------------------
     let micro = lossless_f64(b_d) / lossless_f64(cfg.b_m);
