@@ -1411,6 +1411,26 @@ mod tests {
                          Secs::new(raw)\n}",
         );
         assert!(anon.findings.is_empty(), "an unnamed dimension cannot witness a mismatch");
+        for src in [
+            // Propagation through a second local.
+            "fn p(t: Secs) -> Bytes {\n    let a = t.as_secs();\n    let b = a * 2.0;\n    \
+             Bytes::new(b)\n}",
+            // A strip inside an `if` initializer.
+            "fn i(t: Secs, c: bool) -> Bytes {\n    \
+             let raw = if c { t.as_millis() } else { 0.0 };\n    Bytes::new(raw)\n}",
+            // A strip directly in the constructor's arguments.
+            "fn d(t: Secs) -> Bytes {\n    Bytes::new(t.as_secs())\n}",
+            // A `_toks` suffix names the dimension for `as_f64`.
+            "fn k(prompt_toks: Tokens) -> Secs {\n    let raw = prompt_toks.as_f64();\n    \
+             Secs::from_millis(raw)\n}",
+        ] {
+            assert_eq!(rules(&lint(src)), vec![Rule::U3], "{src}");
+        }
+        let redim = lint(
+            "fn r(t: Secs) -> Bytes {\n    let a = t.as_secs();\n    let b = Secs::new(a);\n    \
+             Bytes::new(b)\n}",
+        );
+        assert!(redim.findings.is_empty(), "a constructor re-dimensions: {:?}", redim.findings);
     }
 
     #[test]
