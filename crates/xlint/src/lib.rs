@@ -23,19 +23,16 @@
 //! | L1 | no upward/undeclared cross-crate imports (declared layering DAG) |
 //! | P2 | no discarded `Result`/`#[must_use]` value from a locally-defined fn |
 //! | D3 | no concurrency primitives outside the audited pool modules |
-//! | D4 | no clock/entropy/env-derived value may flow into events/metrics/plans |
 //! | U3 | no unit-stripped float may re-enter a different unit's constructor |
 //! | X0 | malformed, unknown or stale `xlint::allow` pragma |
 //! | X1 | a crate's pragma count exceeds its committed suppression budget |
 //!
-//! Hash collections and wall-clock reads are clippy's job
+//! Hash collections, wall-clock and environment reads are clippy's job
 //! (`disallowed-types`/`disallowed-methods` in `clippy.toml`), and a bound
 //! `Result` that is never read is rustc's `unused_variables`; both run
-//! under `-D warnings` in CI and cover test code too.
-//!
-//! D4/U3 are *flow rules*: each `fn` body is lowered to a statement CFG
-//! ([`cfg`](mod@crate::cfg)) and a forward taint fixpoint ([`taint`]) tracks
-//! nondeterminism and unit-stripping through locals.
+//! under `-D warnings` in CI and cover test code too. Every rule is a
+//! token pass; U3 follows unit strips through `let` bindings in one
+//! forward pass per `fn`.
 //!
 //! # Example
 //!
@@ -50,12 +47,9 @@
 #![forbid(unsafe_code)]
 
 pub mod baseline;
-pub mod cfg;
-mod dataflow;
 mod lexer;
 pub mod parser;
 mod rules;
-pub mod taint;
 pub mod workspace;
 
 use std::fmt::Write as _;

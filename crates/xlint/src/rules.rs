@@ -23,24 +23,16 @@
 //!   `Mutex` / `RwLock` only inside the audited pool modules
 //!   (`core/scheduler.rs`, `sim/cache.rs`), and `Ordering::Relaxed` only
 //!   on counter-named atomics anywhere.
-//!
-//! Two rules run on the intraprocedural dataflow layer
-//! ([`crate::cfg`] + worklist fixpoint, DESIGN.md §6.3) instead of the
-//! raw token stream:
-//!
-//! * **D4** — determinism taint: a value *derived from* a wall-clock /
-//!   entropy / env read must not reach event-log emission, a metrics
-//!   write, or a plan API, in any crate (bench included).
 //! * **U3** — unit re-entry: a float stripped out of a unit newtype
 //!   (`.as_secs()`, `.as_f64()`) must not re-enter a *different* unit's
 //!   constructor; `exegpt_dist::convert` helpers and the unit's own
-//!   constructors are the sanctioned re-dimensioning points.
+//!   constructors are the sanctioned re-dimensioning points. One forward
+//!   pass per `fn` follows strips through `let` bindings (DESIGN.md §6.3).
 
-use crate::cfg::{self, Stmt, StmtKind};
-use crate::dataflow::{self, FlowConfig};
+use std::collections::BTreeMap;
+
 use crate::lexer::{self, Lexed, Tok, TokKind};
 use crate::parser::{self, ItemKind};
-use crate::taint::{self, TaintSet};
 use crate::workspace;
 
 /// A lint rule identifier.
@@ -62,8 +54,6 @@ pub enum Rule {
     P2,
     /// Concurrency primitive outside the audited pool modules.
     D3,
-    /// Nondeterministic value flows into an event/metrics/plan sink.
-    D4,
     /// Unit-stripped float re-enters a different unit's constructor.
     U3,
     /// Malformed or unused allow pragma.
@@ -74,7 +64,7 @@ pub enum Rule {
 
 impl Rule {
     /// All reportable rules, in severity/display order.
-    pub const ALL: [Rule; 12] = [
+    pub const ALL: [Rule; 11] = [
         Rule::N1,
         Rule::F1,
         Rule::P1,
@@ -83,7 +73,6 @@ impl Rule {
         Rule::L1,
         Rule::P2,
         Rule::D3,
-        Rule::D4,
         Rule::U3,
         Rule::X0,
         Rule::X1,
@@ -100,7 +89,6 @@ impl Rule {
             Rule::L1 => "L1",
             Rule::P2 => "P2",
             Rule::D3 => "D3",
-            Rule::D4 => "D4",
             Rule::U3 => "U3",
             Rule::X0 => "X0",
             Rule::X1 => "X1",
@@ -272,7 +260,7 @@ pub fn lint_source(file: &str, src: &str, ctx: FileContext) -> FileReport {
         p2_scan(file, toks, &in_test, &LocalFns::collect(toks, &items), &mut raw);
     }
     d3_scan(file, toks, &in_test, ctx, &mut raw);
-    flow_scan(file, toks, &in_test, ctx, &items, &mut raw);
+    u3_scan(file, toks, &in_test, &items, &mut raw);
 
     apply_pragmas(file, raw, &lexed)
 }
@@ -613,217 +601,6 @@ fn d3(file: &str, line: usize, message: &str) -> Finding {
     }
 }
 
-/// The plan-entry APIs D4 guards: any argument reaching one of these
-/// decides a schedule and must be deterministic.
-const PLAN_APIS: [&str; 5] =
-    ["schedule", "reschedule", "reschedule_from", "reschedule_incremental", "replan_from"];
-
-/// Metrics-registry write methods (guarded only on a receiver chain
-/// that names `metrics`, so arithmetic `.add` stays out of scope).
-const METRIC_WRITES: [&str; 4] = ["inc", "add", "gauge", "observe"];
-
-/// D4/U3: the flow rules. Each parsed `fn` body is lowered to a CFG,
-/// the taint fixpoint is run, and every statement is checked against the
-/// sink tables with the state holding *at that statement*.
-fn flow_scan(
-    file: &str,
-    toks: &[Tok],
-    in_test: &[bool],
-    ctx: FileContext,
-    items: &[parser::Item],
-    raw: &mut Vec<Finding>,
-) {
-    let fc = FlowConfig { env_source: !ctx.allow_panics };
-    let mut seen: Vec<(usize, Rule)> = Vec::new();
-    for it in items {
-        let ItemKind::Fn(_) = it.kind else { continue };
-        if in_test.get(it.start).copied().unwrap_or(false) {
-            continue;
-        }
-        let Some((lo, hi)) = cfg::body_range(toks, it.start, it.end) else { continue };
-        let g = cfg::build(toks, lo, hi);
-        let states = dataflow::analyze(&g, toks, fc);
-        for (bi, block) in g.blocks.iter().enumerate() {
-            let mut state = states.get(bi).cloned().unwrap_or_default();
-            for stmt in &block.stmts {
-                check_sinks(file, toks, stmt, &state, fc, &mut seen, raw);
-                dataflow::transfer(stmt, toks, &mut state, fc);
-            }
-        }
-    }
-}
-
-/// Checks one statement against the D4 and U3 sink tables under `state`.
-fn check_sinks(
-    file: &str,
-    toks: &[Tok],
-    stmt: &Stmt,
-    state: &dataflow::State,
-    fc: FlowConfig,
-    seen: &mut Vec<(usize, Rule)>,
-    raw: &mut Vec<Finding>,
-) {
-    let hi = stmt.hi.min(toks.len().saturating_sub(1));
-    for j in stmt.lo..=hi {
-        let t = &toks[j];
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let called =
-            matches!(toks.get(j + 1), Some(n) if n.kind == TokKind::Punct && n.text == "(");
-        // D4 sink: plan APIs (free fns and methods alike).
-        if called && PLAN_APIS.contains(&t.text.as_str()) {
-            if let Some((alo, ahi)) = call_args(toks, j + 1, hi) {
-                let nd =
-                    dataflow::expr_taint(toks, alo, ahi, state, fc).intersect(TaintSet::NONDET);
-                if !nd.is_empty() {
-                    push_d4(file, t.line, &nd, &format!("plan API `{}(...)`", t.text), seen, raw);
-                }
-            }
-        }
-        // D4 sink: metrics writes / event-log pushes (receiver-gated).
-        if called && prev_is_dot(toks, j) {
-            let chain = receiver_chain(toks, j - 1);
-            let metrics = METRIC_WRITES.contains(&t.text.as_str())
-                && chain.iter().any(|n| n.contains("metrics"));
-            let log_push =
-                t.text == "push" && chain.iter().any(|n| n.contains("log") || n.contains("events"));
-            if metrics || log_push {
-                if let Some((alo, ahi)) = call_args(toks, j + 1, hi) {
-                    let nd =
-                        dataflow::expr_taint(toks, alo, ahi, state, fc).intersect(TaintSet::NONDET);
-                    if !nd.is_empty() {
-                        let sink = if metrics {
-                            format!("metrics write `.{}(...)`", t.text)
-                        } else {
-                            format!("event-log `.push(...)` on `{}`", chain.first().unwrap_or(&""))
-                        };
-                        push_d4(file, t.line, &nd, &sink, seen, raw);
-                    }
-                }
-            }
-        }
-        // D4 sink: event construction. Skipped on Cond statements, whose
-        // spans cover match *patterns* (`Event::Done { .. } =>`).
-        if matches!(t.text.as_str(), "Event" | "FleetEvent")
-            && !matches!(stmt.kind, StmtKind::Cond { .. })
-        {
-            let (vlo, vhi) = match &stmt.kind {
-                StmtKind::Let { init_lo, init_hi, .. } if init_lo <= init_hi => {
-                    (*init_lo, *init_hi)
-                }
-                _ => (stmt.lo, hi),
-            };
-            let nd = dataflow::expr_taint(toks, vlo, vhi, state, fc).intersect(TaintSet::NONDET);
-            if !nd.is_empty() {
-                push_d4(file, t.line, &nd, &format!("`{}` construction", t.text), seen, raw);
-            }
-        }
-        // U3 sink: a unit constructor fed a *different* unit's strip.
-        if let Some(unit) = taint::unit_for_type(&t.text) {
-            if matches!(toks.get(j + 1), Some(c) if c.kind == TokKind::Punct && c.text == "::")
-                && matches!(toks.get(j + 2), Some(m) if m.kind == TokKind::Ident
-                    && taint::is_unit_ctor_method(&m.text))
-                && matches!(toks.get(j + 3), Some(o) if o.kind == TokKind::Punct && o.text == "(")
-            {
-                if let Some((alo, ahi)) = call_args(toks, j + 3, hi) {
-                    let foreign = dataflow::expr_taint(toks, alo, ahi, state, fc)
-                        .intersect(TaintSet::STRIP_NAMED)
-                        .minus(unit.strip_mark());
-                    if !foreign.is_empty() && !seen.contains(&(t.line, Rule::U3)) {
-                        seen.push((t.line, Rule::U3));
-                        raw.push(Finding {
-                            file: file.to_string(),
-                            line: t.line,
-                            rule: Rule::U3,
-                            message: format!(
-                                "`{}::{}` re-entered with a {} value",
-                                t.text,
-                                toks[j + 2].text,
-                                foreign.describe(),
-                            ),
-                            suggestion: "convert through `exegpt_dist::convert` or the source \
-                                         unit's own accessor chain — a raw float must not \
-                                         change dimension silently"
-                                .to_string(),
-                        });
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn push_d4(
-    file: &str,
-    line: usize,
-    marks: &TaintSet,
-    sink: &str,
-    seen: &mut Vec<(usize, Rule)>,
-    raw: &mut Vec<Finding>,
-) {
-    if seen.contains(&(line, Rule::D4)) {
-        return;
-    }
-    seen.push((line, Rule::D4));
-    raw.push(Finding {
-        file: file.to_string(),
-        line,
-        rule: Rule::D4,
-        message: format!("{}-tainted value flows into {sink}", marks.describe()),
-        suggestion: "plans, metrics and event logs must be deterministic: derive the value \
-                     from virtual time, a seeded RNG, or explicit config (DESIGN.md §6.3); \
-                     an audited flow needs `// xlint::allow(D4, reason)`"
-            .to_string(),
-    });
-}
-
-/// The interior token range of the call whose `(` is at `open`, capped
-/// at `hi`. `None` for an empty or unterminated argument list.
-fn call_args(toks: &[Tok], open: usize, hi: usize) -> Option<(usize, usize)> {
-    let mut depth = 0usize;
-    let mut k = open;
-    while k <= hi {
-        let t = toks.get(k)?;
-        if t.kind == TokKind::Punct {
-            match t.text.as_str() {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => {
-                    depth = depth.saturating_sub(1);
-                    if depth == 0 {
-                        return (k > open + 1).then_some((open + 1, k - 1));
-                    }
-                }
-                _ => {}
-            }
-        }
-        k += 1;
-    }
-    None
-}
-
-/// The identifiers of a method call's receiver chain, innermost-first:
-/// for `self.metrics.inc(..)` with `dot` at the `.` before `inc`, yields
-/// `["metrics", "self"]`. Stops at anything but a plain ident path.
-fn receiver_chain(toks: &[Tok], dot: usize) -> Vec<&str> {
-    let mut names = Vec::new();
-    let mut j = dot;
-    while let Some(prev) = j.checked_sub(1) {
-        let t = &toks[prev];
-        if t.kind != TokKind::Ident {
-            break;
-        }
-        names.push(t.text.as_str());
-        match prev.checked_sub(1).map(|k| &toks[k]) {
-            Some(p) if p.kind == TokKind::Punct && (p.text == "." || p.text == "::") => {
-                j = prev - 1;
-            }
-            _ => break,
-        }
-    }
-    names
-}
-
 /// U1: `pub fn` signatures in unit-carrying crates must not take or
 /// return raw `f64`/`f32` — dimensioned quantities go through the
 /// `exegpt_units` newtypes. Restricted visibility (`pub(crate)` etc.) is
@@ -936,11 +713,41 @@ fn param_name_before(toks: &[Tok], ty: usize) -> Option<&str> {
     None
 }
 
+/// Whether `name` is `suffix` or ends in `_suffix`.
+fn has_suffix(name: &str, suffix: &str) -> bool {
+    name == suffix || name.strip_suffix(suffix).is_some_and(|stem| stem.ends_with('_'))
+}
+
 /// The unit vocabulary U2 checks binding/callee names against.
 fn unit_suffix(name: &str) -> Option<&'static str> {
-    ["bytes", "secs", "flops"]
-        .into_iter()
-        .find(|s| name == *s || (name.ends_with(s) && name[..name.len() - s.len()].ends_with('_')))
+    ["bytes", "secs", "flops"].into_iter().find(|s| has_suffix(name, s))
+}
+
+/// For `let [mut] name [: T] = …` at `i`, the binding's token index and
+/// the `=` that starts the initializer. `None` anywhere else, including
+/// destructuring patterns and declarations without an initializer.
+fn let_binding(toks: &[Tok], i: usize) -> Option<(usize, usize)> {
+    if !is_ident(toks, i, "let") {
+        return None;
+    }
+    let bind = if is_ident(toks, i + 1, "mut") { i + 2 } else { i + 1 };
+    if toks.get(bind)?.kind != TokKind::Ident
+        || !(is_punct(toks, bind + 1, "=") || is_punct(toks, bind + 1, ":"))
+    {
+        return None;
+    }
+    let mut depth = 0usize;
+    for (j, t) in toks.iter().enumerate().skip(bind + 1) {
+        match t.text.as_str() {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" if depth == 0 => return None,
+            ")" | "]" | "}" => depth -= 1,
+            "=" if depth == 0 && t.kind == TokKind::Punct => return Some((bind, j)),
+            ";" if depth == 0 => return None,
+            _ => {}
+        }
+    }
+    None
 }
 
 /// U2: a `let` binding whose name carries a unit suffix must not be
@@ -948,92 +755,195 @@ fn unit_suffix(name: &str) -> Option<&'static str> {
 /// the first call of the initializer is inspected — deeper expressions
 /// are beyond a token-level lint.
 fn u2_scan(file: &str, toks: &[Tok], in_test: &[bool], raw: &mut Vec<Finding>) {
-    let mut i = 0;
-    while i < toks.len() {
-        if in_test.get(i).copied().unwrap_or(false)
-            || !(toks[i].kind == TokKind::Ident && toks[i].text == "let")
-        {
-            i += 1;
+    for i in 0..toks.len() {
+        if in_test.get(i).copied().unwrap_or(false) {
             continue;
         }
-        let mut j = i + 1;
-        if matches!(toks.get(j), Some(t) if t.kind == TokKind::Ident && t.text == "mut") {
-            j += 1;
-        }
-        let Some(bind) = toks.get(j) else { break };
-        if bind.kind != TokKind::Ident {
-            i = j + 1;
-            continue;
-        }
-        let Some(bind_suffix) = unit_suffix(&bind.text) else {
-            i = j + 1;
+        let Some((bind, eq)) = let_binding(toks, i) else { continue };
+        let Some(bind_suffix) = unit_suffix(&toks[bind].text) else { continue };
+        let Some(call) = (eq + 1..stmt_end(toks, eq + 1))
+            .find(|&j| toks[j].kind == TokKind::Ident && is_punct(toks, j + 1, "("))
+        else {
             continue;
         };
-        let (bind_line, bind_name) = (bind.line, bind.text.clone());
-        // Find the `=` that starts the initializer (depth 0, before `;`).
-        j += 1;
-        let mut depth = 0usize;
-        let mut eq = None;
-        while let Some(t) = toks.get(j) {
-            match t.text.as_str() {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => {
-                    if depth == 0 {
-                        break;
-                    }
-                    depth -= 1;
-                }
-                "=" if depth == 0 && t.kind == TokKind::Punct => {
-                    eq = Some(j);
-                    break;
-                }
-                ";" if depth == 0 => break,
-                _ => {}
-            }
-            j += 1;
+        let Some(call_suffix) = unit_suffix(&toks[call].text) else { continue };
+        if call_suffix != bind_suffix {
+            raw.push(Finding {
+                file: file.to_string(),
+                line: toks[bind].line,
+                rule: Rule::U2,
+                message: format!(
+                    "`{}` (unit `{bind_suffix}`) initialized from `{}(...)` (unit `{call_suffix}`)",
+                    toks[bind].text, toks[call].text
+                ),
+                suggestion: "rename the binding to match the quantity, or convert \
+                             explicitly through the `exegpt_units` accessors"
+                    .to_string(),
+            });
         }
-        let Some(eq) = eq else {
-            i = j;
-            continue;
-        };
-        // The first called name in the initializer decides.
-        j = eq + 1;
-        depth = 0;
-        while let Some(t) = toks.get(j) {
-            if t.kind == TokKind::Punct && t.text == ";" && depth == 0 {
-                break;
-            }
-            if t.kind == TokKind::Ident
-                && matches!(toks.get(j + 1), Some(n) if n.kind == TokKind::Punct && n.text == "(")
-            {
-                if let Some(call_suffix) = unit_suffix(&t.text) {
-                    if call_suffix != bind_suffix {
-                        raw.push(Finding {
-                            file: file.to_string(),
-                            line: bind_line,
-                            rule: Rule::U2,
-                            message: format!(
-                                "`{bind_name}` (unit `{bind_suffix}`) initialized from \
-                                 `{}(...)` (unit `{call_suffix}`)",
-                                t.text
-                            ),
-                            suggestion: "rename the binding to match the quantity, or convert \
-                                         explicitly through the `exegpt_units` accessors"
-                                .to_string(),
-                        });
-                    }
-                }
-                break;
-            }
-            match t.text.as_str() {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth = depth.saturating_sub(1),
-                _ => {}
-            }
-            j += 1;
-        }
-        i = j;
     }
+}
+
+/// The unit newtypes U3 tracks and the name suffix of a raw float of the
+/// same dimension. A strip set is a bitset: bit `k` is `UNITS[k]`.
+const UNITS: [(&str, &str); 4] =
+    [("Secs", "secs"), ("Bytes", "bytes"), ("Tokens", "tokens"), ("Flops", "flops")];
+
+/// The unit constructors: calling one re-dimensions its argument.
+const UNIT_CTORS: [&str; 4] = ["new", "from_secs", "from_millis", "from_micros"];
+
+/// The checked `exegpt_dist::convert` helpers, the other sanctioned
+/// re-dimensioning point.
+const CONVERT_HELPERS: [&str; 8] = [
+    "lossless_f64",
+    "widen_u64",
+    "narrow_usize",
+    "trunc_usize",
+    "trunc_u64",
+    "round_usize",
+    "ceil_usize",
+    "ceil_u64",
+];
+
+/// The strip bit of `Unit` if a `Unit::ctor(` call starts at `i`.
+fn unit_ctor_at(toks: &[Tok], i: usize) -> Option<u8> {
+    let name = &toks.get(i)?.text;
+    let k = UNITS.iter().position(|(ty, _)| ty == name)?;
+    (is_punct(toks, i + 1, "::")
+        && toks.get(i + 2).is_some_and(|m| UNIT_CTORS.contains(&m.text.as_str()))
+        && is_punct(toks, i + 3, "("))
+    .then_some(1 << k)
+}
+
+/// The strip bit of the unit an identifier's `_secs`/`_bytes`/`_tokens`/
+/// `_toks`/`_flops` suffix names (0 for none).
+fn suffix_bit(name: &str) -> u8 {
+    let name = if has_suffix(name, "toks") { "tokens" } else { name };
+    UNITS.iter().position(|(_, suffix)| has_suffix(name, suffix)).map_or(0, |k| 1 << k)
+}
+
+/// U3: one forward pass over each non-test `fn`, in source order. A
+/// `let name = init;` maps `name` to the strips in `init` once the
+/// statement ends; a `Unit::ctor(args)` call fires when `args` carry a
+/// strip of a different unit. At most one finding per line.
+fn u3_scan(
+    file: &str,
+    toks: &[Tok],
+    in_test: &[bool],
+    items: &[parser::Item],
+    raw: &mut Vec<Finding>,
+) {
+    let mut last_line = 0;
+    for it in items {
+        if !matches!(it.kind, ItemKind::Fn(_)) || in_test.get(it.start).copied().unwrap_or(false) {
+            continue;
+        }
+        let mut bound: BTreeMap<&str, u8> = BTreeMap::new();
+        // `let`s whose initializer is still being scanned, innermost last:
+        // (index of the closing `;`, name, strips).
+        let mut pending: Vec<(usize, &str, u8)> = Vec::new();
+        for j in it.start..=it.end.min(toks.len().saturating_sub(1)) {
+            if let Some((bind, eq)) = let_binding(toks, j) {
+                let end = stmt_end(toks, eq + 1);
+                pending.push((end, &toks[bind].text, strips(toks, eq + 1, end - 1, &bound)));
+            }
+            if let Some(own) = unit_ctor_at(toks, j) {
+                let close = matching_close(toks, j + 3).unwrap_or(j + 3);
+                let foreign = strips(toks, j + 4, close - 1, &bound) & !own;
+                if foreign != 0 && toks[j].line != last_line {
+                    last_line = toks[j].line;
+                    let marks: Vec<String> = (0..UNITS.len())
+                        .filter(|k| foreign & (1 << k) != 0)
+                        .map(|k| format!("{}-stripped", UNITS[k].1))
+                        .collect();
+                    raw.push(Finding {
+                        file: file.to_string(),
+                        line: toks[j].line,
+                        rule: Rule::U3,
+                        message: format!(
+                            "`{}::{}` re-entered with a {} value",
+                            toks[j].text,
+                            toks[j + 2].text,
+                            marks.join("+"),
+                        ),
+                        suggestion: "convert through `exegpt_dist::convert` or the source unit's \
+                                     own accessor chain — a raw float must not change dimension \
+                                     silently"
+                            .to_string(),
+                    });
+                }
+            }
+            while let Some(&(_, name, s)) = pending.last().filter(|p| p.0 <= j) {
+                bound.insert(name, s);
+                pending.pop();
+            }
+        }
+    }
+}
+
+/// The unit strips `toks[lo..=hi]` carries: `.as_secs()`/`.as_millis()`/
+/// `.as_micros()`, `.as_f64()` on a unit-suffixed receiver, and the strips
+/// of the `bound` names it mentions. 0 if the whole range is one call of
+/// a `convert` helper or a unit constructor.
+fn strips(toks: &[Tok], lo: usize, hi: usize, bound: &BTreeMap<&str, u8>) -> u8 {
+    let hi = hi.min(toks.len().saturating_sub(1));
+    if lo > hi || redimensions(toks, lo, hi) {
+        return 0;
+    }
+    let mut s = 0;
+    for j in lo..=hi {
+        let t = &toks[j];
+        if t.kind != TokKind::Ident {
+            continue;
+        }
+        let dotted = prev_is_dot(toks, j);
+        let in_path = dotted || (j > 0 && is_punct(toks, j - 1, "::"));
+        if dotted && is_punct(toks, j + 1, "(") {
+            s |= match t.text.as_str() {
+                "as_secs" | "as_millis" | "as_micros" => 1, // bit 0: Secs
+                "as_f64" => j.checked_sub(2).map_or(0, |r| suffix_bit(&toks[r].text)),
+                _ => 0,
+            };
+        } else if !in_path {
+            s |= bound.get(t.text.as_str()).copied().unwrap_or(0);
+        }
+    }
+    s
+}
+
+/// Whether `toks[lo..=hi]` is exactly one `path::name(…)` call of a
+/// `convert` helper or a unit constructor.
+fn redimensions(toks: &[Tok], lo: usize, hi: usize) -> bool {
+    let mut j = lo;
+    while toks.get(j).is_some_and(|t| t.kind == TokKind::Ident) && is_punct(toks, j + 1, "::") {
+        j += 2;
+    }
+    let ctor = j >= lo + 2 && unit_ctor_at(toks, j - 2).is_some();
+    let helper = toks.get(j).is_some_and(|t| CONVERT_HELPERS.contains(&t.text.as_str()))
+        && is_punct(toks, j + 1, "(");
+    (ctor || helper) && matching_close(toks, j + 1) == Some(hi)
+}
+
+/// Index of the bracket that closes the one at `open` (all bracket kinds
+/// nest alike).
+fn matching_close(toks: &[Tok], open: usize) -> Option<usize> {
+    let mut depth = 0usize;
+    for (k, t) in toks.iter().enumerate().skip(open) {
+        if t.kind != TokKind::Punct {
+            continue;
+        }
+        match t.text.as_str() {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" => {
+                depth = depth.saturating_sub(1);
+                if depth == 0 {
+                    return Some(k);
+                }
+            }
+            _ => {}
+        }
+    }
+    None
 }
 
 /// Splits raw findings into reported vs pragma-suppressed, and reports
@@ -1072,7 +982,7 @@ fn apply_pragmas(file: &str, raw: Vec<Finding>, lexed: &Lexed) -> FileReport {
                 line: p.line,
                 rule: Rule::X0,
                 message: format!("`xlint::allow({})` names an unknown rule", p.rule),
-                suggestion: "use one of N1, F1, P1, U1, U2, L1, P2, D3, D4, U3".to_string(),
+                suggestion: "use one of N1, F1, P1, U1, U2, L1, P2, D3, U3".to_string(),
             });
         } else if !used {
             report.findings.push(Finding {
@@ -1093,7 +1003,15 @@ fn next_is_bang(toks: &[Tok], i: usize) -> bool {
 }
 
 fn prev_is_dot(toks: &[Tok], i: usize) -> bool {
-    i > 0 && toks[i - 1].kind == TokKind::Punct && toks[i - 1].text == "."
+    i > 0 && is_punct(toks, i - 1, ".")
+}
+
+fn is_punct(toks: &[Tok], i: usize, s: &str) -> bool {
+    matches!(toks.get(i), Some(t) if t.kind == TokKind::Punct && t.text == s)
+}
+
+fn is_ident(toks: &[Tok], i: usize, s: &str) -> bool {
+    matches!(toks.get(i), Some(t) if t.kind == TokKind::Ident && t.text == s)
 }
 
 #[cfg(test)]
@@ -1219,9 +1137,9 @@ mod tests {
         assert_eq!(rules(&r), vec![Rule::X0, Rule::P1], "reasonless pragma suppresses nothing");
         let stale = lint("// xlint::allow(F1, stale)\nlet x = 1;");
         assert_eq!(rules(&stale), vec![Rule::X0]);
-        // Hash collections and clock reads are clippy's job and unread
-        // results rustc's, so a pragma still naming D1/D2/P3 fails loudly.
-        for id in ["Z9", "D1", "D2", "P3"] {
+        // Hash collections, clock and env reads are clippy's job and unread
+        // results rustc's, so a pragma still naming D1/D2/D4/P3 fails loudly.
+        for id in ["Z9", "D1", "D2", "D4", "P3"] {
             let unknown = lint(&format!("// xlint::allow({id}, reason)\nlet x = 1;"));
             assert_eq!(rules(&unknown), vec![Rule::X0], "{id}");
             assert!(unknown.findings[0].message.contains("unknown rule"), "{id}");
@@ -1337,55 +1255,6 @@ mod tests {
     }
 
     #[test]
-    fn d4_catches_laundered_clock_flows_into_sinks() {
-        // D4 fires on each sink the clock-tainted value reaches — even
-        // through intermediate bindings.
-        let src = "fn f(s: &mut Sched, log: &mut Vec<E>) {\n\
-                   let t0 = Instant::now();\n\
-                   let stamp = t0;\n\
-                   s.reschedule(stamp);\n\
-                   log.push(stamp);\n}";
-        let r = lint(src);
-        let d4: Vec<usize> =
-            r.findings.iter().filter(|f| f.rule == Rule::D4).map(|f| f.line).collect();
-        assert_eq!(d4, vec![4, 5], "{:?}", r.findings);
-    }
-
-    #[test]
-    fn d4_sinks_stay_guarded_in_bench() {
-        // Bench may read the clock, but a wall-clock value still must not
-        // reach a metrics write.
-        let ctx = FileContext { allow_panics: true, ..FileContext::default() };
-        let src = "fn f(m: &Metrics) {\n    let dt = Instant::now();\n    \
-                   self.metrics.observe(dt);\n}";
-        let r = lint_source("crates/bench/src/x.rs", src, ctx);
-        assert_eq!(rules(&r), vec![Rule::D4]);
-    }
-
-    #[test]
-    fn d4_untainted_sinks_and_match_patterns_are_clean() {
-        let src = "fn f(s: &mut Sched, log: &mut Vec<E>, cfg: u64) {\n\
-                   s.reschedule(cfg);\n\
-                   log.push(Event::Done { at: cfg });\n\
-                   match e { Event::Done { at } => use_it(at), _ => {} }\n}";
-        let r = lint(src);
-        assert!(r.findings.is_empty(), "{:?}", r.findings);
-    }
-
-    #[test]
-    fn d4_env_reads_flow_in_lib_but_not_bin_contexts() {
-        let src = "fn f(s: &mut Sched) {\n    let v = env::var(\"LIMIT\");\n    \
-                   s.schedule(v);\n}";
-        assert_eq!(rules(&lint(src)), vec![Rule::D4], "lib: env is hidden nondeterminism");
-        let bin = lint_source(
-            "src/bin/cli.rs",
-            src,
-            FileContext { allow_panics: true, ..FileContext::default() },
-        );
-        assert!(bin.findings.is_empty(), "bin: env is an explicit invocation input");
-    }
-
-    #[test]
     fn u3_flags_cross_unit_reentry_but_not_round_trips() {
         let src = "fn f(t: Secs) -> Bytes {\n    let raw = t.as_secs();\n    Bytes::new(raw)\n}";
         let r = lint(src);
@@ -1420,6 +1289,9 @@ mod tests {
              let raw = if c { t.as_millis() } else { 0.0 };\n    Bytes::new(raw)\n}",
             // A strip directly in the constructor's arguments.
             "fn d(t: Secs) -> Bytes {\n    Bytes::new(t.as_secs())\n}",
+            // A shadowing `let` binds only after its initializer is checked.
+            "fn s(t: Secs) -> Bytes {\n    let raw = t.as_secs();\n    \
+             let raw = Bytes::new(raw);\n    raw\n}",
             // A `_toks` suffix names the dimension for `as_f64`.
             "fn k(prompt_toks: Tokens) -> Secs {\n    let raw = prompt_toks.as_f64();\n    \
              Secs::from_millis(raw)\n}",

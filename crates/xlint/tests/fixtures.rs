@@ -75,8 +75,8 @@ fn faults_crate_passes_the_full_rule_set() {
 fn fleet_crate_passes_the_full_rule_set() {
     // The fleet fabric merges N replica clocks into one deterministic
     // virtual clock, so the determinism rules (no float equality, no
-    // nondeterministic value reaching an event log) are load-bearing for
-    // it: one violation anywhere and byte-identical replay is gone.
+    // concurrency outside the audited pools) are load-bearing for it: one
+    // violation anywhere and byte-identical replay is gone.
     let checked = assert_crate_passes_full_rule_set("fleet");
     assert!(checked >= 7, "scanned only {checked} fleet sources");
 }
@@ -92,7 +92,7 @@ fn workload_crate_passes_the_full_rule_set() {
 #[test]
 fn bench_crate_passes_the_full_rule_set() {
     // Bench is the one crate allowed panics, but the rest of the rule set
-    // (float equality, layering, clock values reaching sinks) still holds.
+    // (float equality, layering, concurrency, units) still holds.
     let checked = assert_crate_passes_full_rule_set("bench");
     assert!(checked >= 2, "scanned only {checked} bench sources");
 }
@@ -124,9 +124,9 @@ fn baselines_crate_passes_the_full_rule_set() {
 #[test]
 fn scenario_crate_passes_the_full_rule_set() {
     // The scenario layer's whole contract is determinism from config: no
-    // panics in lib code (P1), no nondeterministic value reaching a plan
-    // (D4), and byte-identical lowering. Its only RNG is the seeded StdRng
-    // behind the arbitrary generators.
+    // panics in lib code (P1), no unaudited concurrency (D3), and
+    // byte-identical lowering; clippy keeps clock and env reads out. Its
+    // only RNG is the seeded StdRng behind the arbitrary generators.
     let checked = assert_crate_passes_full_rule_set("scenario");
     assert!(checked >= 8, "scanned only {checked} scenario sources");
 }
@@ -264,20 +264,6 @@ fn p2_fixture_resolves_use_aliases() {
     // alias still resolves to the local fallible fn.
     let report = lint_fixture_as("p2_alias.rs", "crates/runner/src/fixture.rs");
     assert_eq!(rule_lines(&report, Rule::P2), vec![8], "{:?}", report.findings);
-}
-
-#[test]
-fn d4_fixture_flags_nondeterministic_flows_into_sinks() {
-    // D4 flags the *flows*: laundering through `convert::` clears unit
-    // strips but never nondeterminism, so the event push, the plan call,
-    // the metrics write and the env-derived reschedule all fire.
-    let report = lint_fixture_as("d4.rs", "crates/serve/src/fixture.rs");
-    assert_eq!(rule_lines(&report, Rule::D4), vec![4, 5, 9, 13], "{:?}", report.findings);
-    // Bench may *time* things, but a wall-clock value still must not reach
-    // an event log or a plan. Env reads become explicit inputs there
-    // (bin-like).
-    let bench = lint_fixture_as("d4.rs", "crates/bench/src/fixture.rs");
-    assert_eq!(rule_lines(&bench, Rule::D4), vec![4, 5, 9], "{:?}", bench.findings);
 }
 
 #[test]

@@ -150,9 +150,10 @@ fn malformed_sources_parse_without_panicking() {
     }
 }
 
-// The vocabulary deliberately mixes item keywords, brackets, attributes
-// and junk so random joins form deeply broken pseudo-Rust.
-const VOCAB: [&str; 24] = [
+// The vocabulary deliberately mixes item keywords, brackets, attributes,
+// control flow, unit strips and junk so random joins form deeply broken
+// pseudo-Rust that still reaches U3's `let` and constructor matching.
+const VOCAB: [&str; 35] = [
     "fn",
     "mod",
     "impl",
@@ -177,6 +178,17 @@ const VOCAB: [&str; 24] = [
     "ident",
     "\"str { fn\"",
     "let _ = f();",
+    "let x =",
+    "x.as_secs()",
+    "Bytes::new(x)",
+    "if",
+    "else",
+    "match",
+    "loop",
+    "'outer:",
+    "=>",
+    "?",
+    "return",
 ];
 
 proptest! {
@@ -191,7 +203,7 @@ proptest! {
             prop_assert!(it.end_line >= it.line || it.end_line == 0);
             prop_assert!(it.end >= it.start);
         }
-        // The full rule pipeline (lexer regions, parser-backed P2, L1, D3)
+        // The full rule pipeline (lexer regions, parser-backed P2, L1, D3, U3)
         // must also survive the same soup under every scoping.
         let strict = FileContext {
             numeric_core: true,
