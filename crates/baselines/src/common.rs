@@ -1,7 +1,6 @@
 //! Shared machinery for the baseline systems.
 
-use exegpt_sim::{PipelineLayout, SimError, Simulator, TpConfig};
-use exegpt_units::Secs;
+use exegpt_sim::{PipelineLayout, RraPlan, SimError, Simulator, TpConfig};
 
 /// The paper's baseline parallel configuration: maximize tensor parallelism
 /// within a node, pipeline across nodes (§7.1). Returns `(tp, pp)`.
@@ -16,17 +15,11 @@ pub(crate) fn paper_parallelism(sim: &Simulator) -> (usize, usize) {
     (tp, n / tp)
 }
 
-/// A uniform PP×TP pipeline (the baselines' only layout), with separate
-/// per-stage layer allocations for the encoding and decoding passes
-/// (identical for decoder-only models; encoder/decoder slices for T5-style
-/// models, as FasterTransformer partitions them).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct GridPlan {
-    pub layout: PipelineLayout,
-    pub enc_alloc: Vec<usize>,
-    pub dec_alloc: Vec<usize>,
-    pub tp: usize,
-}
+/// A uniform PP×TP pipeline (the baselines' only layout). Like an RRA plan,
+/// every stage holds a slice of both passes: one shared allocation for
+/// decoder-only models, encoder and decoder slices for T5-style models (as
+/// FasterTransformer partitions them).
+pub(crate) type GridPlan = RraPlan;
 
 pub(crate) fn build_grid(sim: &Simulator, tp: usize) -> Result<GridPlan, SimError> {
     let n = sim.cluster().total_gpus();
@@ -40,91 +33,26 @@ pub(crate) fn build_grid(sim: &Simulator, tp: usize) -> Result<GridPlan, SimErro
     // Uniform grid: every stage is a TP group, so relative speeds are equal
     // and the speedup value only needs to be positive.
     let layout = PipelineLayout::build(n, cfg, 1.0, sim.cluster().gpus_per_node())?;
-    let (enc_alloc, dec_alloc) = if sim.enc_layers_total() == sim.model().num_layers() {
-        // Decoder-only: one physical allocation serves both passes.
-        let alloc = layout.allocate_layers(sim.model().num_layers())?;
-        (alloc.clone(), alloc)
-    } else {
-        (
-            layout.allocate_layers(sim.enc_layers_total())?,
-            layout.allocate_layers(sim.dec_layers_total())?,
-        )
-    };
-    Ok(GridPlan { layout, enc_alloc, dec_alloc, tp })
+    GridPlan::allocate(sim, layout)
 }
 
-impl GridPlan {
-    /// Number of pipeline stages.
-    pub(crate) fn stages(&self) -> usize {
-        self.layout.num_stages()
-    }
-
-    /// Bottleneck-stage time of one *decoding* iteration at the given
-    /// micro-batch size and mean context.
-    pub(crate) fn decode_stage_time(
-        &self,
-        sim: &Simulator,
-        micro: f64,
-        ctx: f64,
-    ) -> Result<Secs, SimError> {
-        let profile = sim.profile();
-        let s_e = sim.workload().input().mean();
-        let mut worst = Secs::ZERO;
-        for (i, stage) in self.layout.stages().iter().enumerate() {
-            let t = profile.decode_layer_time(micro, ctx, s_e, stage.tp)?;
-            let handoff = profile.handoff_time(micro, self.layout.boundary_intra_node(i));
-            worst = worst.max(self.dec_alloc[i] as f64 * t + handoff);
-        }
-        Ok(worst)
-    }
-
-    /// Bottleneck-stage time of *encoding* a micro-batch of the given size
-    /// and mean input length.
-    pub(crate) fn encode_stage_time(
-        &self,
-        sim: &Simulator,
-        micro: f64,
-        mean_in: f64,
-    ) -> Result<Secs, SimError> {
-        let profile = sim.profile();
-        let mut worst = Secs::ZERO;
-        for (i, stage) in self.layout.stages().iter().enumerate() {
-            let t = profile.encode_layer_time(micro, mean_in, stage.tp)?;
-            let handoff = profile.handoff_time(micro * mean_in, self.layout.boundary_intra_node(i));
-            worst = worst.max(self.enc_alloc[i] as f64 * t + handoff);
-        }
-        Ok(worst)
-    }
-
-    /// Per-GPU parameter bytes on the bottleneck stage.
-    pub(crate) fn param_bytes_per_gpu(&self, sim: &Simulator) -> u64 {
-        let dec_only = sim.enc_layers_total() == sim.model().num_layers();
-        self.enc_alloc
-            .iter()
-            .zip(&self.dec_alloc)
-            .zip(self.layout.stages())
-            .map(|((&e, &d), s)| {
-                let bytes = if dec_only {
-                    d as u64 * sim.dec_layer_bytes()
-                } else {
-                    e as u64 * sim.enc_layer_bytes() + d as u64 * sim.dec_layer_bytes()
-                };
-                bytes / s.tp as u64
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// KV bytes per cached token on the bottleneck GPU.
-    pub(crate) fn kv_bytes_per_token(&self, sim: &Simulator) -> f64 {
-        let worst = self
-            .dec_alloc
-            .iter()
-            .zip(self.layout.stages())
-            .map(|(&l, s)| l as f64 / s.tp as f64)
-            .fold(0.0f64, f64::max);
-        sim.model().kv_bytes_per_token_per_layer() as f64 * worst
-    }
+/// Per-GPU parameter bytes on the bottleneck stage of `plan`.
+pub(crate) fn param_bytes_per_gpu(sim: &Simulator, plan: &GridPlan) -> u64 {
+    let dec_only = sim.enc_layers_total() == sim.model().num_layers();
+    plan.enc_alloc
+        .iter()
+        .zip(&plan.dec_alloc)
+        .zip(plan.layout.stages())
+        .map(|((&e, &d), s)| {
+            let bytes = if dec_only {
+                d as u64 * sim.dec_layer_bytes()
+            } else {
+                e as u64 * sim.enc_layer_bytes() + d as u64 * sim.dec_layer_bytes()
+            };
+            bytes / s.tp as u64
+        })
+        .max()
+        .unwrap_or(0)
 }
 
 /// Batch sizes the paper sweeps: multiples of four from the minimum up
@@ -181,7 +109,7 @@ mod tests {
     fn grid_covers_all_layers() {
         let s = sim(16);
         let g = build_grid(&s, 8).expect("valid");
-        assert_eq!(g.stages(), 2);
+        assert_eq!(g.layout.num_stages(), 2);
         assert_eq!(g.dec_alloc.iter().sum::<usize>(), 40);
         assert_eq!(g.enc_alloc, g.dec_alloc, "decoder-only shares one allocation");
         assert!(build_grid(&s, 3).is_err());

@@ -8,11 +8,13 @@
 //! the maximum output length.
 
 use exegpt_runner::{KvTracker, ReservePolicy, RunError, RunOptions, RunReport};
-use exegpt_sim::{Breakdown, Estimate, MemoryReport, SimError, Simulator};
+use exegpt_sim::{Breakdown, Estimate, MemoryReport, Pass, SimError, Simulator};
 use exegpt_units::Secs;
 use exegpt_workload::{Request, RequestStream};
 
-use crate::common::{batch_sweep, build_grid, paper_parallelism, windowed, GridPlan};
+use crate::common::{
+    batch_sweep, build_grid, paper_parallelism, param_bytes_per_gpu, windowed, GridPlan,
+};
 
 /// NVIDIA FasterTransformer executing with static batches.
 #[derive(Debug, Clone)]
@@ -52,7 +54,7 @@ impl FasterTransformer {
 
     /// The tensor-parallel degree in use.
     pub fn tensor_parallelism(&self) -> usize {
-        self.plan.tp
+        self.plan.layout.stages()[0].tp
     }
 
     /// Closed-form estimate for a given static batch size.
@@ -72,11 +74,13 @@ impl FasterTransformer {
         let w = self.sim.workload();
         let mean_in = w.input().mean();
         let s_max = w.output().max_len();
-        let stages = self.plan.stages();
+        let (profile, plan) = (self.sim.profile(), &self.plan);
+        let stages = plan.layout.num_stages();
 
         // Memory: up-front reservation for input + max output.
-        let kv_per_token = self.plan.kv_bytes_per_token(&self.sim);
-        let params = self.plan.param_bytes_per_gpu(&self.sim);
+        let kv_per_token =
+            plan.layout.kv_bytes_per_token(&plan.dec_alloc, self.sim.model()).as_f64();
+        let params = param_bytes_per_gpu(&self.sim, plan);
         let kv_needed = (batch as f64 * (mean_in + s_max as f64) * kv_per_token) as u64;
         let capacity = self.sim.usable_capacity();
         if params + kv_needed > capacity {
@@ -89,20 +93,22 @@ impl FasterTransformer {
 
         // Prefill with encode micro-batching (m_e = 2 per stage).
         let m_e = (2 * stages).min(batch).max(1);
-        let enc_stage =
-            self.plan.encode_stage_time(&self.sim, batch as f64 / m_e as f64, mean_in)?;
+        let enc = Pass::Encode { batch: batch as f64 / m_e as f64, seq: mean_in };
+        let enc_stage = plan.layout.stage_times(profile, &plan.enc_alloc, enc)?.bottleneck;
         let t_prefill = enc_stage * (stages + m_e - 1) as f64;
 
         // Decode s_max iterations at constant batch; context grows.
         let m_d = stages.min(batch).max(1);
         let micro = batch as f64 / m_d as f64;
+        let dec = |ctx| Pass::Decode { batch: micro, ctx, input_len: mean_in };
         let mut t_decode = Secs::ZERO;
         for u in 1..=s_max {
-            let ctx = mean_in + u as f64;
-            t_decode += m_d as f64 * self.plan.decode_stage_time(&self.sim, micro, ctx)?;
+            let dec_stage =
+                plan.layout.stage_times(profile, &plan.dec_alloc, dec(mean_in + u as f64))?;
+            t_decode += m_d as f64 * dec_stage.bottleneck;
         }
-        t_decode +=
-            (stages as f64 - 1.0) * self.plan.decode_stage_time(&self.sim, micro, mean_in)?;
+        let fill = plan.layout.stage_times(profile, &plan.dec_alloc, dec(mean_in))?;
+        t_decode += (stages as f64 - 1.0) * fill.bottleneck;
 
         let t_batch = t_prefill + t_decode;
         let footprint = exegpt_model::MemoryFootprint {
@@ -162,12 +168,13 @@ impl FasterTransformer {
     pub fn run(&self, batch: usize, opts: &RunOptions) -> Result<RunReport, RunError> {
         self.estimate(batch)?; // feasibility gate
         let w = self.sim.workload();
-        let mean_in_dist = w.input().mean();
-        let stages = self.plan.stages();
+        let (profile, plan) = (self.sim.profile(), &self.plan);
+        let stages = plan.layout.num_stages();
         let s_dist_max = w.output().max_len();
 
-        let kv_per_token = self.plan.kv_bytes_per_token(&self.sim);
-        let params = self.plan.param_bytes_per_gpu(&self.sim);
+        let kv_per_token =
+            plan.layout.kv_bytes_per_token(&plan.dec_alloc, self.sim.model()).as_f64();
+        let params = param_bytes_per_gpu(&self.sim, plan);
         let capacity = self.sim.usable_capacity().saturating_sub(params);
         let mut kv = KvTracker::new(kv_per_token, capacity, ReservePolicy::UpFront);
 
@@ -208,10 +215,8 @@ impl FasterTransformer {
 
             // Prefill.
             let m_e = (2 * stages).min(b).max(1);
-            let enc_stage = self
-                .plan
-                .encode_stage_time(&self.sim, b as f64 / m_e as f64, mean_in)
-                .map_err(RunError::from)?;
+            let enc = Pass::Encode { batch: b as f64 / m_e as f64, seq: mean_in };
+            let enc_stage = plan.layout.stage_times(profile, &plan.enc_alloc, enc)?.bottleneck;
             enc_stage_times.push(enc_stage.as_secs());
             t += (enc_stage * (stages + m_e - 1) as f64).as_secs();
 
@@ -221,8 +226,8 @@ impl FasterTransformer {
             let micro = b as f64 / m_d as f64;
             for u in 1..=s_batch {
                 let ctx = mean_in + u as f64;
-                let worst =
-                    self.plan.decode_stage_time(&self.sim, micro, ctx).map_err(RunError::from)?;
+                let dec = Pass::Decode { batch: micro, ctx, input_len: w.input().mean() };
+                let worst = plan.layout.stage_times(profile, &plan.dec_alloc, dec)?.bottleneck;
                 dec_stage_times.push(worst.as_secs());
                 t += (worst * m_d as f64).as_secs();
             }
@@ -233,7 +238,6 @@ impl FasterTransformer {
                 latencies.push(t - t_start);
                 completions.push(t);
             }
-            let _ = mean_in_dist;
         }
 
         let (throughput, makespan) = windowed(&completions, opts.warmup_frac);

@@ -10,11 +10,13 @@
 //! finds iteration-level scheduling hard to bound (§2).
 
 use exegpt_runner::{KvSlot, KvTracker, ReservePolicy, RunError, RunOptions, RunReport};
-use exegpt_sim::{SimError, Simulator};
+use exegpt_sim::{Pass, SimError, Simulator};
 use exegpt_units::Secs;
 use exegpt_workload::{Request, RequestStream};
 
-use crate::common::{batch_sweep, build_grid, paper_parallelism, windowed, GridPlan};
+use crate::common::{
+    batch_sweep, build_grid, paper_parallelism, param_bytes_per_gpu, windowed, GridPlan,
+};
 
 /// Tunables distinguishing the iteration-level systems.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -110,11 +112,13 @@ impl Orca {
         let mean_in = w.input().mean();
         let mean_out = w.output().mean().max(1.0);
         let ctx = w.mean_decode_context().as_f64();
-        let stages = self.plan.stages();
+        let (profile, plan) = (self.sim.profile(), &self.plan);
+        let stages = plan.layout.num_stages();
 
         // Memory feasibility with the configured KV policy.
-        let kv_per_token = self.plan.kv_bytes_per_token(&self.sim);
-        let params = self.plan.param_bytes_per_gpu(&self.sim);
+        let kv_per_token =
+            plan.layout.kv_bytes_per_token(&plan.dec_alloc, self.sim.model()).as_f64();
+        let params = param_bytes_per_gpu(&self.sim, plan);
         let per_query_tokens = match self.settings.kv_policy {
             ReservePolicy::UpFront => mean_in + w.output().max_len() as f64,
             ReservePolicy::Incremental => self.sim.kv_ctx_tokens().as_f64(),
@@ -138,10 +142,11 @@ impl Orca {
         let admissions =
             (batch as f64 / mean_out).min(self.settings.max_admissions_per_iter as f64);
         let m_d = stages.min(batch).max(1);
-        let micro = batch as f64 / m_d as f64;
-        let dec_stage = self.plan.decode_stage_time(&self.sim, micro, ctx)?;
+        let dec = Pass::Decode { batch: batch as f64 / m_d as f64, ctx, input_len: mean_in };
+        let dec_stage = plan.layout.stage_times(profile, &plan.dec_alloc, dec)?.bottleneck;
         let enc_stage = if admissions > 0.0 {
-            self.plan.encode_stage_time(&self.sim, admissions, mean_in)?
+            let enc = Pass::Encode { batch: admissions, seq: mean_in };
+            plan.layout.stage_times(profile, &plan.enc_alloc, enc)?.bottleneck
         } else {
             Secs::ZERO
         };
@@ -209,10 +214,12 @@ impl Orca {
     pub fn run(&self, batch: usize, opts: &RunOptions) -> Result<RunReport, RunError> {
         self.estimate(batch)?;
         let w = self.sim.workload();
-        let stages = self.plan.stages();
+        let (profile, plan) = (self.sim.profile(), &self.plan);
+        let stages = plan.layout.num_stages();
 
-        let kv_per_token = self.plan.kv_bytes_per_token(&self.sim);
-        let params = self.plan.param_bytes_per_gpu(&self.sim);
+        let kv_per_token =
+            plan.layout.kv_bytes_per_token(&plan.dec_alloc, self.sim.model()).as_f64();
+        let params = param_bytes_per_gpu(&self.sim, plan);
         let capacity = self.sim.usable_capacity().saturating_sub(params);
         let mut kv = KvTracker::new(kv_per_token, capacity, self.settings.kv_policy);
 
@@ -267,18 +274,16 @@ impl Orca {
                     / active as f64;
             let m_d = stages.min(active).max(1);
             let micro = active as f64 / m_d as f64;
-            let dec_stage =
-                self.plan.decode_stage_time(&self.sim, micro, ctx).map_err(RunError::from)?;
+            let dec = Pass::Decode { batch: micro, ctx, input_len: w.input().mean() };
+            let dec_stage = plan.layout.stage_times(profile, &plan.dec_alloc, dec)?.bottleneck;
             dec_stage_times.push(dec_stage.as_secs());
             let host =
                 self.settings.base_overhead_s + self.settings.per_seq_overhead_s * active as f64;
             let mut t_iter = (dec_stage * m_d as f64).as_secs() + host;
             if admitted > 0 {
                 let mean_in = admitted_tokens as f64 / admitted as f64;
-                let enc_stage = self
-                    .plan
-                    .encode_stage_time(&self.sim, admitted as f64, mean_in)
-                    .map_err(RunError::from)?;
+                let enc = Pass::Encode { batch: admitted as f64, seq: mean_in };
+                let enc_stage = plan.layout.stage_times(profile, &plan.enc_alloc, enc)?.bottleneck;
                 enc_stage_times.push(enc_stage.as_secs());
                 t_iter += enc_stage.as_secs();
             }

@@ -12,17 +12,15 @@
 //! [`Runner`]: crate::Runner
 
 use exegpt::DynamicAdjuster;
+use exegpt_sim::waa::KV_TRANSFER_EXPOSED;
 use exegpt_sim::{
-    Estimate, RraConfig, RraPlan, ScheduleConfig, SimError, Simulator, WaaConfig, WaaPlan,
+    Estimate, Pass, PipelineLayout, RraConfig, RraPlan, ScheduleConfig, Simulator, WaaConfig,
+    WaaPlan,
 };
 use exegpt_units::{Bytes, Secs};
 
 use crate::error::RunError;
 use crate::kv::{KvTracker, ReservePolicy};
-
-/// Exposed fraction of the WAA KV handover (matches the simulator's overlap
-/// assumption).
-pub(crate) const KV_TRANSFER_EXPOSED: f64 = 0.3;
 
 /// Timing of one encoding phase.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,8 +45,18 @@ pub struct DecodeTiming {
 
 #[derive(Debug, Clone)]
 enum Variant {
-    Rra { cfg: RraConfig, plan: RraPlan, stages: usize, scheduled_b_d: usize },
-    Waa { cfg: WaaConfig, plan: WaaPlan, stages_d: usize },
+    Rra { cfg: RraConfig, plan: RraPlan, scheduled_b_d: usize },
+    Waa { cfg: WaaConfig, plan: WaaPlan },
+}
+
+impl Variant {
+    /// The decoding pipeline and its per-stage layers.
+    fn decode_pass(&self) -> (&PipelineLayout, &[usize]) {
+        match self {
+            Variant::Rra { plan, .. } => (&plan.layout, &plan.dec_alloc),
+            Variant::Waa { plan, .. } => (&plan.dec_layout, &plan.dec_alloc),
+        }
+    }
 }
 
 /// The phase/KV machinery of one schedule on one simulated deployment.
@@ -79,34 +87,17 @@ impl PhaseExecutor {
                 let estimate = sim.evaluate_rra(cfg)?;
                 let scheduled_b_d = estimate.breakdown.decode_batch;
                 let plan = sim.rra_plan(cfg, scheduled_b_d)?;
-                let stages = plan.layout.num_stages();
-                (Variant::Rra { cfg: *cfg, plan, stages, scheduled_b_d }, estimate)
+                (Variant::Rra { cfg: *cfg, plan, scheduled_b_d }, estimate)
             }
             ScheduleConfig::Waa(cfg) => {
                 let estimate = sim.evaluate_waa(cfg)?;
                 let plan = sim.waa_plan(cfg)?;
-                let stages_d = plan.dec_layout.num_stages();
-                (Variant::Waa { cfg: *cfg, plan, stages_d }, estimate)
+                (Variant::Waa { cfg: *cfg, plan }, estimate)
             }
         };
 
-        // KV accounting on the bottleneck decode GPU (most decode layers
-        // per TP rank).
-        let worst_layers = match &variant {
-            Variant::Rra { plan, .. } => plan
-                .dec_alloc
-                .iter()
-                .zip(plan.layout.stages())
-                .map(|(&l, s)| l as f64 / s.tp as f64)
-                .fold(0.0f64, f64::max),
-            Variant::Waa { plan, .. } => plan
-                .dec_alloc
-                .iter()
-                .zip(plan.dec_layout.stages())
-                .map(|(&l, s)| l as f64 / s.tp as f64)
-                .fold(0.0f64, f64::max),
-        };
-        let bytes_per_token = sim.model().kv_bytes_per_token_per_layer() as f64 * worst_layers;
+        let (layout, dec_alloc) = variant.decode_pass();
+        let bytes_per_token = layout.kv_bytes_per_token(dec_alloc, sim.model()).as_f64();
         let kv_capacity = sim
             .usable_capacity()
             .saturating_sub(estimate.memory.decoder_gpu.param_bytes)
@@ -160,7 +151,7 @@ impl PhaseExecutor {
     /// `pool_len` queries.
     pub fn decode_parallelism(&self, pool_len: usize) -> usize {
         match &self.variant {
-            Variant::Rra { stages, .. } => (*stages).min(pool_len).max(1),
+            Variant::Rra { plan, .. } => plan.layout.num_stages().min(pool_len).max(1),
             Variant::Waa { cfg, .. } => cfg.b_m.min(pool_len).max(1),
         }
     }
@@ -194,52 +185,25 @@ impl PhaseExecutor {
     /// profiled range.
     pub fn encode_timing(&self, input_lens: &[usize]) -> Result<EncodeTiming, RunError> {
         debug_assert!(!input_lens.is_empty(), "encode phases admit at least one query");
-        let profile = self.sim.profile();
-        let mean_in: f64 =
-            input_lens.iter().map(|&l| l as f64).sum::<f64>() / input_lens.len() as f64;
-        match &self.variant {
-            Variant::Rra { plan, stages, .. } => {
-                let m_e = (*stages).min(input_lens.len()).max(1);
-                let micro = input_lens.len() as f64 / m_e as f64;
-                // Single in-order pass (no per-phase buffer): the sum folds
-                // left over the stages exactly as the buffered version did,
-                // so the timings are bit-identical.
-                let mut bottleneck = Secs::ZERO;
-                let mut fill = Secs::ZERO;
-                for (i, stage) in plan.layout.stages().iter().enumerate() {
-                    let t_layer = profile
-                        .encode_layer_time(micro, mean_in, stage.tp)
-                        .map_err(SimError::from)?;
-                    let handoff =
-                        profile.handoff_time(micro * mean_in, plan.layout.boundary_intra_node(i));
-                    let t = plan.enc_alloc[i] as f64 * t_layer + handoff;
-                    fill += t;
-                    bottleneck = bottleneck.max(t);
-                }
-                let total = fill + bottleneck * (m_e as f64 - 1.0);
-                Ok(EncodeTiming { total, bottleneck, tokens: input_lens.len() as f64 * mean_in })
+        let n = input_lens.len();
+        let mean_in: f64 = input_lens.iter().map(|&l| l as f64).sum::<f64>() / n as f64;
+        // RRA splits the phase into one micro-batch per stage; the WAA
+        // encoder pipeline takes the whole batch at once.
+        let (layout, alloc, m_e) = match &self.variant {
+            Variant::Rra { plan, .. } => {
+                (&plan.layout, &plan.enc_alloc, plan.layout.num_stages().min(n).max(1))
             }
-            Variant::Waa { plan, .. } => {
-                // Every encoder stage runs the whole batch untensored, so
-                // the per-layer time is the same for all of them.
-                let t_layer = profile
-                    .encode_layer_time(input_lens.len() as f64, mean_in, 1)
-                    .map_err(SimError::from)?;
-                let mut bottleneck = Secs::ZERO;
-                for i in 0..plan.enc_layout.num_stages() {
-                    let handoff = profile.handoff_time(
-                        input_lens.len() as f64 * mean_in,
-                        plan.enc_layout.boundary_intra_node(i),
-                    );
-                    bottleneck = bottleneck.max(plan.enc_alloc[i] as f64 * t_layer + handoff);
-                }
-                Ok(EncodeTiming {
-                    total: bottleneck,
-                    bottleneck,
-                    tokens: input_lens.len() as f64 * mean_in,
-                })
-            }
-        }
+            Variant::Waa { plan, .. } => (&plan.enc_layout, &plan.enc_alloc, 1),
+        };
+        let pass = Pass::Encode { batch: n as f64 / m_e as f64, seq: mean_in };
+        let stages = layout.stage_times(self.sim.profile(), alloc, pass)?;
+        let total = match self.variant {
+            // Pipeline fill and drain.
+            Variant::Rra { .. } => stages.sum + stages.bottleneck * (m_e as f64 - 1.0),
+            // One encoder pipeline period.
+            Variant::Waa { .. } => stages.bottleneck,
+        };
+        Ok(EncodeTiming { total, bottleneck: stages.bottleneck, tokens: n as f64 * mean_in })
     }
 
     /// Times one decoding iteration: `parallelism` from
@@ -259,42 +223,25 @@ impl PhaseExecutor {
         mean_ctx: f64,
         pipeline_fill: bool,
     ) -> Result<DecodeTiming, RunError> {
-        let profile = self.sim.profile();
-        let mean_input = self.sim.workload().input().mean();
-        match &self.variant {
-            Variant::Rra { plan, stages, .. } => {
-                let micro = active as f64 / parallelism as f64;
-                let mut worst = Secs::ZERO;
-                for (i, stage) in plan.layout.stages().iter().enumerate() {
-                    let t_layer = profile
-                        .decode_layer_time(micro, mean_ctx, mean_input, stage.tp)
-                        .map_err(SimError::from)?;
-                    let handoff = profile.handoff_time(micro, plan.layout.boundary_intra_node(i));
-                    worst = worst.max(plan.dec_alloc[i] as f64 * t_layer + handoff);
-                }
-                let mut total = parallelism as f64 * worst;
-                if pipeline_fill {
-                    total += (*stages as f64 - 1.0) * worst;
-                }
-                Ok(DecodeTiming { total, bottleneck: worst })
+        let (layout, alloc) = self.variant.decode_pass();
+        let pass = Pass::Decode {
+            batch: active as f64 / parallelism as f64,
+            ctx: mean_ctx,
+            input_len: self.sim.workload().input().mean(),
+        };
+        let worst = layout.stage_times(self.sim.profile(), alloc, pass)?.bottleneck;
+        let stages = layout.num_stages();
+        let total = match self.variant {
+            // Micro-batches circulate; the phase's first iteration also
+            // fills the pipeline.
+            Variant::Rra { .. } if pipeline_fill => {
+                parallelism as f64 * worst + (stages as f64 - 1.0) * worst
             }
-            Variant::Waa { plan, stages_d, .. } => {
-                let micro = active as f64 / parallelism as f64;
-                let mut worst = Secs::ZERO;
-                for (i, stage) in plan.dec_layout.stages().iter().enumerate() {
-                    let t_layer = profile
-                        .decode_layer_time(micro, mean_ctx, mean_input, stage.tp)
-                        .map_err(SimError::from)?;
-                    let handoff =
-                        profile.handoff_time(micro, plan.dec_layout.boundary_intra_node(i));
-                    worst = worst.max(plan.dec_alloc[i] as f64 * t_layer + handoff);
-                }
-                Ok(DecodeTiming {
-                    total: parallelism.max(*stages_d) as f64 * worst,
-                    bottleneck: worst,
-                })
-            }
-        }
+            Variant::Rra { .. } => parallelism as f64 * worst,
+            // Ring occupancy or traversal, whichever is longer.
+            Variant::Waa { .. } => parallelism.max(stages) as f64 * worst,
+        };
+        Ok(DecodeTiming { total, bottleneck: worst })
     }
 
     /// Exposed KV-handover time of a WAA round moving `enc_tokens` input

@@ -1,6 +1,10 @@
-//! Pipeline layout: mapping GPUs to stages under partial tensor parallelism.
+//! Pipeline layout: mapping GPUs to stages under partial tensor parallelism,
+//! and the one per-stage cost kernel every timing model shares.
 
 use exegpt_dist::convert::{lossless_f64, trunc_usize};
+use exegpt_model::ModelConfig;
+use exegpt_profiler::{LayerProfile, ProfileError};
+use exegpt_units::{Bytes, Secs};
 use serde::{Deserialize, Serialize};
 
 use crate::config::TpConfig;
@@ -17,6 +21,65 @@ pub struct Stage {
     pub gpus: usize,
     /// Relative processing speed of the stage (single GPU = 1.0).
     pub speed: f64,
+}
+
+/// One pass through the pipeline at one operating point: which profiled
+/// layer time a stage's layers cost, and how many tokens a stage hands to
+/// the next.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Pass {
+    /// Encoding; a stage hands off `batch · seq` tokens.
+    Encode {
+        /// Queries per micro-batch.
+        batch: f64,
+        /// Mean input length.
+        seq: f64,
+    },
+    /// One decoding iteration; a stage hands off `batch` tokens.
+    Decode {
+        /// Queries per micro-batch.
+        batch: f64,
+        /// Mean total context.
+        ctx: f64,
+        /// Mean cached input length (cross-attention).
+        input_len: f64,
+    },
+}
+
+impl Pass {
+    /// One layer's time at TP degree `tp`.
+    pub(crate) fn layer_time(self, p: &LayerProfile, tp: usize) -> Result<Secs, ProfileError> {
+        match self {
+            Pass::Encode { batch, seq } => p.encode_layer_time(batch, seq, tp),
+            Pass::Decode { batch, ctx, input_len } => {
+                p.decode_layer_time(batch, ctx, input_len, tp)
+            }
+        }
+    }
+
+    /// The per-stage term: `layers · t_layer + handoff(tokens, link)`.
+    pub(crate) fn stage_cost(
+        self,
+        p: &LayerProfile,
+        t_layer: Secs,
+        layers: usize,
+        intra: bool,
+    ) -> Secs {
+        let tokens = match self {
+            Pass::Encode { batch, seq } => batch * seq,
+            Pass::Decode { batch, .. } => batch,
+        };
+        t_layer * lossless_f64(layers) + p.handoff_time(tokens, intra)
+    }
+}
+
+/// Sum and maximum of one pass's per-stage times.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct StageTimes {
+    /// Stage times added in pipeline order (one micro-batch's traversal).
+    pub sum: Secs,
+    /// The bottleneck stage time.
+    pub bottleneck: Secs,
 }
 
 /// The pipeline structure induced by a GPU count and a partial-TP setting
@@ -157,11 +220,63 @@ impl PipelineLayout {
         }
         Ok(counts)
     }
+
+    /// The per-stage cost kernel: `alloc[i] · t_layer(tp_i) + handoff(i)`
+    /// for every stage `i` of one `pass`, summed and maximised. This is the
+    /// only place a stage's cost is written out; simulator, runner and
+    /// baselines differ only in how they aggregate it.
+    ///
+    /// Stages are fused-TP first, then singles, so the layer time is looked
+    /// up once per distinct TP degree. The lookups are pure, so the result
+    /// is bit-identical to a per-stage scan.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Profile`] if a stage's TP degree was not
+    /// profiled or the operating point is out of range.
+    pub fn stage_times(
+        &self,
+        profile: &LayerProfile,
+        alloc: &[usize],
+        pass: Pass,
+    ) -> Result<StageTimes, SimError> {
+        debug_assert_eq!(alloc.len(), self.stages.len(), "one allocation per stage");
+        let mut times = StageTimes::default();
+        let mut layer: Option<(usize, Secs)> = None;
+        for (i, (stage, &layers)) in self.stages.iter().zip(alloc).enumerate() {
+            let t_layer = match layer {
+                Some((tp, t)) if tp == stage.tp => t,
+                _ => {
+                    let t = pass.layer_time(profile, stage.tp)?;
+                    layer = Some((stage.tp, t));
+                    t
+                }
+            };
+            let t = pass.stage_cost(profile, t_layer, layers, self.boundary_intra_node(i));
+            times.sum += t;
+            times.bottleneck = times.bottleneck.max(t);
+        }
+        Ok(times)
+    }
+
+    /// KV-cache bytes of one cached token on the bottleneck decode GPU:
+    /// the most decoder layers one TP rank of `model` holds under
+    /// `dec_alloc`.
+    pub fn kv_bytes_per_token(&self, dec_alloc: &[usize], model: &ModelConfig) -> Bytes {
+        let worst = dec_alloc
+            .iter()
+            .zip(&self.stages)
+            .map(|(&l, s)| lossless_f64(l) / lossless_f64(s.tp))
+            .fold(0.0f64, f64::max);
+        Bytes::new(lossless_f64(model.kv_bytes_per_token_per_layer()) * worst)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exegpt_cluster::ClusterSpec;
+    use exegpt_profiler::{ProfileOptions, Profiler};
 
     #[test]
     fn no_tp_is_one_stage_per_gpu() {
@@ -229,5 +344,78 @@ mod tests {
         let alloc = l.allocate_layers(42).expect("fits");
         assert_eq!(alloc.iter().sum::<usize>(), 42);
         assert!(alloc.iter().all(|&c| c == 10 || c == 11));
+    }
+
+    /// The reference: every stage looks its layer time up and pays its
+    /// handoff, in pipeline order.
+    fn naive_scan(
+        profile: &LayerProfile,
+        layout: &PipelineLayout,
+        alloc: &[usize],
+        pass: Pass,
+    ) -> (u64, u64) {
+        let (mut sum, mut worst) = (Secs::ZERO, Secs::ZERO);
+        for (i, stage) in layout.stages().iter().enumerate() {
+            let (t_layer, tokens) = match pass {
+                Pass::Encode { batch, seq } => (
+                    profile.encode_layer_time(batch, seq, stage.tp).expect("profiled"),
+                    batch * seq,
+                ),
+                Pass::Decode { batch, ctx, input_len } => (
+                    profile.decode_layer_time(batch, ctx, input_len, stage.tp).expect("profiled"),
+                    batch,
+                ),
+            };
+            let handoff = profile.handoff_time(tokens, layout.boundary_intra_node(i));
+            let t = alloc[i] as f64 * t_layer + handoff;
+            sum += t;
+            worst = worst.max(t);
+        }
+        (sum.as_secs().to_bits(), worst.as_secs().to_bits())
+    }
+
+    #[test]
+    fn stage_kernel_matches_a_naive_scan_bit_for_bit() {
+        let model = exegpt_model::ModelConfig::opt_13b();
+        let cluster = ClusterSpec::a40_cluster().subcluster(16).expect("fits");
+        let profile = Profiler::new(model, cluster).run(&ProfileOptions::default()).expect("ok");
+        // (TP setting, GPUs per node): partial TP whose fused and single
+        // stages cross node boundaries, full pipelines, a fused-only one.
+        let layouts = [
+            (TpConfig::none(), 8),
+            (TpConfig::none(), 3),
+            (TpConfig { degree: 2, gpus: 6 }, 8),
+            (TpConfig { degree: 2, gpus: 6 }, 4),
+            (TpConfig { degree: 4, gpus: 12 }, 6),
+            (TpConfig { degree: 8, gpus: 8 }, 8),
+            (TpConfig { degree: 4, gpus: 16 }, 8),
+        ];
+        let mut crossings = 0;
+        for (tp, per_node) in layouts {
+            let layout = PipelineLayout::build(16, tp, 1.7, per_node).expect("valid");
+            crossings +=
+                (0..layout.num_stages()).filter(|&i| !layout.boundary_intra_node(i)).count();
+            for layers in [40, 53] {
+                let alloc = layout.allocate_layers(layers).expect("fits");
+                for batch in [1.0, 2.5, 16.0, 61.0] {
+                    let passes = [
+                        Pass::Encode { batch, seq: 37.0 },
+                        Pass::Encode { batch, seq: 256.5 },
+                        Pass::Decode { batch, ctx: 50.0, input_len: 128.0 },
+                        Pass::Decode { batch, ctx: 300.5, input_len: 17.0 },
+                    ];
+                    for pass in passes {
+                        let got = layout.stage_times(&profile, &alloc, pass).expect("profiled");
+                        let got = (got.sum.as_secs().to_bits(), got.bottleneck.as_secs().to_bits());
+                        assert_eq!(
+                            got,
+                            naive_scan(&profile, &layout, &alloc, pass),
+                            "{tp:?} {pass:?}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(crossings >= 5, "layouts must hand off across nodes ({crossings})");
     }
 }

@@ -64,7 +64,7 @@ pub use cache::EvalCacheStats;
 pub use config::{RraConfig, ScheduleConfig, TpConfig, WaaConfig, WaaVariant, Workload};
 pub use error::SimError;
 pub use estimate::{Breakdown, Estimate, MemoryReport};
-pub use layout::PipelineLayout;
+pub use layout::{Pass, PipelineLayout, StageTimes};
 pub use rra::RraPlan;
 pub use simulator::Simulator;
 pub use waa::WaaPlan;

@@ -18,7 +18,7 @@ use crate::cache::{DecStageKey, RraPlanKey};
 use crate::config::RraConfig;
 use crate::error::SimError;
 use crate::estimate::{Breakdown, Estimate, MemoryReport};
-use crate::layout::PipelineLayout;
+use crate::layout::{Pass, PipelineLayout};
 use crate::simulator::Simulator;
 
 /// Upper bound on decode stage classes: stages run at TP degree 1 or the
@@ -89,15 +89,9 @@ pub(crate) fn evaluate(sim: &Simulator, cfg: &RraConfig) -> Result<Estimate, Sim
     // B_E is split into one micro-batch per stage to fill the pipeline.
     let m_e = stages.min(cfg.b_e).max(1);
     let enc_micro = lossless_f64(cfg.b_e) / lossless_f64(m_e);
-    let (mut enc_sum, mut enc_bottleneck) = (Secs::ZERO, Secs::ZERO);
-    for (i, stage) in layout.stages().iter().enumerate() {
-        let t_layer = profile.encode_layer_time(enc_micro, s_e, stage.tp)?;
-        let handoff = profile.handoff_time(enc_micro * s_e, layout.boundary_intra_node(i));
-        let t = t_layer * lossless_f64(enc_alloc[i]) + handoff;
-        enc_sum += t;
-        enc_bottleneck = enc_bottleneck.max(t);
-    }
-    let t_enc: Secs = enc_sum + enc_bottleneck * (lossless_f64(m_e) - 1.0);
+    let enc =
+        layout.stage_times(profile, enc_alloc, Pass::Encode { batch: enc_micro, seq: s_e })?;
+    let t_enc: Secs = enc.sum + enc.bottleneck * (lossless_f64(m_e) - 1.0);
 
     // --- Decoding phase: N_D iterations over the shrinking pool ----------
     // The pool circulates as one micro-batch per stage; iteration `u` runs
@@ -136,9 +130,9 @@ pub(crate) fn evaluate(sim: &Simulator, cfg: &RraConfig) -> Result<Estimate, Sim
     // cached grid: a single lookup per class per iteration. Outside the
     // grid's sampled range the per-component zero clamps diverge from the
     // collapsed sum, so those (rare, tiny-batch) points fall back to the
-    // direct lookups. The micro-batch never grows along the phase (survival
-    // only falls), so each class keeps a cursor into its grid and finds the
-    // next segment by walking down from the last one.
+    // stage-cost kernel's per-stage term. The micro-batch never grows along
+    // the phase (survival only falls), so each class keeps a cursor into its
+    // grid and finds the next segment by walking down from the last one.
     let mut grids: [Option<ClassGrid>; MAX_CLASSES] = Default::default();
     for (slot, &class) in grids.iter_mut().zip(&classes[..n_classes]) {
         let StageClass { tp, intra, alloc } = class;
@@ -167,8 +161,8 @@ pub(crate) fn evaluate(sim: &Simulator, cfg: &RraConfig) -> Result<Estimate, Sim
                 Secs::new(g.grid.eval_from(micro, &mut g.cursor))
             } else {
                 let StageClass { tp, intra, alloc } = g.class;
-                profile.decode_layer_time(micro, ctx, s_e, tp)? * lossless_f64(alloc)
-                    + profile.handoff_time(micro, intra)
+                let pass = Pass::Decode { batch: micro, ctx, input_len: s_e };
+                pass.stage_cost(profile, pass.layer_time(profile, tp)?, alloc, intra)
             };
             worst = worst.max(t);
         }
@@ -215,10 +209,33 @@ pub struct RraPlan {
     pub dec_alloc: Vec<usize>,
 }
 
+impl RraPlan {
+    /// Allocates both passes over `layout` by model kind: for
+    /// encoder–decoder models each stage gets a share of the encoders *and*
+    /// of the decoders (paper Figure 3, RRA); decoder-only models use one
+    /// shared allocation for both passes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidConfig`] if a pass has fewer layers than
+    /// the layout has stages.
+    pub fn allocate(sim: &Simulator, layout: PipelineLayout) -> Result<Self, SimError> {
+        let (enc_alloc, dec_alloc) = match sim.model().kind() {
+            ModelKind::EncoderDecoder => (
+                layout.allocate_layers(sim.enc_layers_total())?,
+                layout.allocate_layers(sim.dec_layers_total())?,
+            ),
+            ModelKind::DecoderOnly => {
+                let alloc = layout.allocate_layers(sim.model().num_layers())?;
+                (alloc.clone(), alloc)
+            }
+        };
+        Ok(Self { layout, enc_alloc, dec_alloc })
+    }
+}
+
 /// Builds the pipeline plan for an RRA configuration with a known decode
-/// pool size. For encoder–decoder models each stage gets a share of the
-/// encoders *and* of the decoders (paper Figure 3, RRA); decoder-only
-/// models use one shared allocation for both passes.
+/// pool size.
 pub(crate) fn plan(sim: &Simulator, cfg: &RraConfig, b_d: usize) -> Result<RraPlan, SimError> {
     let n = sim.cluster().total_gpus();
     let stages_f = if cfg.tp.is_none() {
@@ -234,17 +251,7 @@ pub(crate) fn plan(sim: &Simulator, cfg: &RraConfig, b_d: usize) -> Result<RraPl
         lossless_f64(b_d) / stages_f.max(1.0),
     )?;
     let layout = PipelineLayout::build(n, cfg.tp, speedup, sim.cluster().gpus_per_node())?;
-    let (enc_alloc, dec_alloc) = match sim.model().kind() {
-        ModelKind::EncoderDecoder => (
-            layout.allocate_layers(sim.enc_layers_total())?,
-            layout.allocate_layers(sim.dec_layers_total())?,
-        ),
-        ModelKind::DecoderOnly => {
-            let alloc = layout.allocate_layers(sim.model().num_layers())?;
-            (alloc.clone(), alloc)
-        }
-    };
-    Ok(RraPlan { layout, enc_alloc, dec_alloc })
+    RraPlan::allocate(sim, layout)
 }
 
 fn memory_report(

@@ -11,17 +11,16 @@ use exegpt_dist::convert::{
     ceil_usize, lossless_f64, round_usize, trunc_u64, trunc_usize, widen_u64,
 };
 use exegpt_model::{MemoryFootprint, ModelKind};
-use exegpt_units::Secs;
 
 use crate::config::{WaaConfig, WaaVariant};
 use crate::error::SimError;
 use crate::estimate::{Breakdown, Estimate, MemoryReport};
-use crate::layout::PipelineLayout;
+use crate::layout::{Pass, PipelineLayout, StageTimes};
 use crate::simulator::Simulator;
 
 /// Fraction of the KV handover that cannot be hidden behind compute
 /// (the paper overlaps the staged copies with computation, §3).
-const KV_TRANSFER_EXPOSED: f64 = 0.3;
+pub const KV_TRANSFER_EXPOSED: f64 = 0.3;
 
 /// Latency margin for the runtime's dynamic workload adjustment buffers
 /// (paper §5.2, §6 "including buffer time for dynamic adjustments").
@@ -144,25 +143,15 @@ pub(crate) fn evaluate(sim: &Simulator, cfg: &WaaConfig) -> Result<Estimate, Sim
     let ctx = w.mean_decode_context().as_f64();
 
     // --- Encoding pipeline (single-GPU stages) ---------------------------
-    let t_layer = profile.encode_layer_time(lossless_f64(cfg.b_e), s_e, 1)?;
-    let (mut enc_latency, mut p_enc) = (Secs::ZERO, Secs::ZERO);
-    for (i, &alloc) in enc_alloc.iter().enumerate() {
-        let handoff =
-            profile.handoff_time(lossless_f64(cfg.b_e) * s_e, enc_layout.boundary_intra_node(i));
-        let t = t_layer * lossless_f64(alloc) + handoff;
-        enc_latency += t;
-        p_enc = p_enc.max(t);
-    }
+    let enc = Pass::Encode { batch: lossless_f64(cfg.b_e), seq: s_e };
+    let StageTimes { sum: enc_latency, bottleneck: p_enc } =
+        enc_layout.stage_times(profile, enc_alloc, enc)?;
 
     // --- Decoding pipeline (partial TP allowed) --------------------------
     let micro = lossless_f64(b_d) / lossless_f64(cfg.b_m);
     let stages_d = dec_layout.num_stages();
-    let mut t_dstage = Secs::ZERO;
-    for (i, stage) in dec_layout.stages().iter().enumerate() {
-        let t_layer = profile.decode_layer_time(micro, ctx, s_e, stage.tp)?;
-        let handoff = profile.handoff_time(micro, dec_layout.boundary_intra_node(i));
-        t_dstage = t_dstage.max(t_layer * lossless_f64(dec_alloc[i]) + handoff);
-    }
+    let dec = Pass::Decode { batch: micro, ctx, input_len: s_e };
+    let t_dstage = dec_layout.stage_times(profile, dec_alloc, dec)?.bottleneck;
     // Micro-batches circulate the stage ring: the period of one decoding
     // iteration of the full pool is bounded by stage occupancy (m per
     // stage) or ring traversal (stages_d), whichever is longer.
