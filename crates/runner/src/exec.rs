@@ -196,14 +196,14 @@ impl PhaseExecutor {
             Variant::Waa { plan, .. } => (&plan.enc_layout, &plan.enc_alloc, 1),
         };
         let pass = Pass::Encode { batch: n as f64 / m_e as f64, seq: mean_in };
-        let stages = layout.stage_times(self.sim.profile(), alloc, pass)?;
+        let times = layout.stage_times(self.sim.profile(), alloc, pass)?;
         let total = match self.variant {
             // Pipeline fill and drain.
-            Variant::Rra { .. } => stages.sum + stages.bottleneck * (m_e as f64 - 1.0),
+            Variant::Rra { .. } => times.sum + times.bottleneck * (m_e as f64 - 1.0),
             // One encoder pipeline period.
-            Variant::Waa { .. } => stages.bottleneck,
+            Variant::Waa { .. } => times.bottleneck,
         };
-        Ok(EncodeTiming { total, bottleneck: stages.bottleneck, tokens: n as f64 * mean_in })
+        Ok(EncodeTiming { total, bottleneck: times.bottleneck, tokens: n as f64 * mean_in })
     }
 
     /// Times one decoding iteration: `parallelism` from
