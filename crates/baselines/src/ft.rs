@@ -250,6 +250,8 @@ impl FasterTransformer {
             encoder_stage_times: enc_stage_times,
             decoder_stage_times: dec_stage_times,
             peak_kv_bytes: peak_kv.max(kv.peak_bytes()),
+            // Up-front reservation never grows an entry, so nothing clamps.
+            kv_clamped_tokens: 0,
             param_bytes: params,
             trace: None,
             sojourn_times: vec![],

@@ -322,6 +322,7 @@ impl Orca {
             encoder_stage_times: enc_stage_times,
             decoder_stage_times: dec_stage_times,
             peak_kv_bytes: kv.peak_bytes(),
+            kv_clamped_tokens: kv.clamped_tokens(),
             param_bytes: params,
             trace: None,
             sojourn_times: vec![],

@@ -13,11 +13,11 @@
 //!   own clock has work to do.
 //!
 //! Every replica runs the *unchanged* single-replica loop body
-//! ([`exegpt_serve::ReplicaStep`]); the fabric only decides when each
-//! replica's clock advances and which arrivals it sees. Ties resolve by
-//! the fixed kind order then replica id then sequence number, so a run is
-//! byte-deterministic: rerunning the same trace yields identical replica
-//! event logs and an identical fleet log.
+//! ([`exegpt_serve::ReplicaSession::step`]); the fabric only decides when
+//! each replica's clock advances and which arrivals it sees. Ties resolve
+//! by the fixed kind order then replica id then sequence number, so a run
+//! is byte-deterministic: rerunning the same trace yields identical
+//! replica event logs and an identical fleet log.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};

@@ -4,8 +4,8 @@
 //! One [`exegpt_serve::ServeLoop`] serves one deployment. This crate
 //! scales that out: a [`Fleet`] owns N replicas — heterogeneous
 //! engine+schedule pairs (e.g. an A100 pool next to two A40 pools), each
-//! running the *unchanged* single-replica loop body behind the
-//! [`exegpt_serve::ReplicaStep`] interface — and merges them onto one
+//! running the *unchanged* single-replica loop body as an
+//! [`exegpt_serve::ReplicaSession`] — and merges them onto one
 //! deterministic virtual clock with a global event heap. On top of the
 //! fabric sit the fleet-level concerns:
 //!

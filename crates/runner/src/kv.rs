@@ -54,16 +54,22 @@ pub struct KvTracker {
     capacity_bytes: u64,
     policy: ReservePolicy,
     /// Per-query entries in a slot-reusing arena: admissions recycle the
-    /// slots of retired queries instead of allocating tree nodes, and the
-    /// per-iteration bulk growth ([`grow_all`](Self::grow_all)) is one
-    /// contiguous scan.
+    /// slots of retired queries instead of allocating tree nodes.
     entries: Slab<KvEntry>,
     /// Query id → arena slot, for the id-keyed (release, grow) paths.
     index: BTreeMap<u64, usize>,
     used_bytes: u64,
     peak_bytes: u64,
-    /// Tokens clamped at capacity by [`grow_or_clamp`](Self::grow_or_clamp).
+    /// Tokens clamped at capacity by
+    /// [`grow_slot_or_clamp`](Self::grow_slot_or_clamp).
     clamped_tokens: u64,
+    /// Bytes one more token adds to an entry, when that is the same for
+    /// every entry: the incremental policy at integral bytes per token.
+    /// Only then can a decode pool grow in closed form.
+    token_bytes: Option<u64>,
+    /// Tokens granted so far to every pooled entry at once by
+    /// [`grow_pooled`](Self::grow_pooled).
+    epoch: u64,
 }
 
 /// One resident query's reservation.
@@ -71,13 +77,24 @@ pub struct KvTracker {
 struct KvEntry {
     id: u64,
     held: usize,
+    /// `Some(e)` once the entry joined a decode pool at epoch `e`: it also
+    /// holds every token granted since, `epoch - e` of them.
+    pooled_at: Option<u64>,
+}
+
+impl KvEntry {
+    /// Tokens held, with the pooled growth granted since `pooled_at`.
+    fn held_at(&self, epoch: u64) -> usize {
+        self.held + self.pooled_at.map_or(0, |e| (epoch - e) as usize)
+    }
 }
 
 /// Handle to a resident query's entry, returned at admission: growth
 /// through it indexes the arena directly instead of looking the id up.
 /// Once its query is released the handle reaches nothing, like an unknown
-/// id, even after another query reuses the slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// id, even after another query reuses the slot. Handles order by arena
+/// index, the order in which an arena sweep visits their entries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct KvSlot {
     slot: usize,
     id: u64,
@@ -92,6 +109,8 @@ impl KvTracker {
     /// Panics if `bytes_per_token` is not positive.
     pub fn new(bytes_per_token: f64, capacity_bytes: u64, policy: ReservePolicy) -> Self {
         assert!(bytes_per_token > 0.0, "bytes per token must be positive");
+        let whole = bytes_per_token as u64;
+        let integral = (whole as f64).to_bits() == bytes_per_token.to_bits();
         Self {
             bytes_per_token,
             capacity_bytes,
@@ -101,6 +120,8 @@ impl KvTracker {
             used_bytes: 0,
             peak_bytes: 0,
             clamped_tokens: 0,
+            token_bytes: (policy == ReservePolicy::Incremental && integral).then_some(whole),
+            epoch: 0,
         }
     }
 
@@ -108,7 +129,7 @@ impl KvTracker {
     /// resident id replaces its entry (matching the previous map-backed
     /// behaviour, which never reclaimed the overwritten reservation).
     fn store(&mut self, id: u64, held: usize) -> KvSlot {
-        let slot = self.entries.insert(KvEntry { id, held });
+        let slot = self.entries.insert(KvEntry { id, held, pooled_at: None });
         if let Some(old) = self.index.insert(id, slot) {
             self.entries.remove(old);
         }
@@ -173,10 +194,13 @@ impl KvTracker {
         if matches!(self.policy, ReservePolicy::UpFront) {
             return true;
         }
-        let (bpt, policy) = (self.bytes_per_token, self.policy);
+        let (bpt, policy, epoch) = (self.bytes_per_token, self.policy, self.epoch);
         let Some(entry) = self.entries.get_mut(slot.slot).filter(|e| e.id == slot.id) else {
             return false;
         };
+        // Fold the pooled growth in before growing the entry alone.
+        entry.held = entry.held_at(epoch);
+        entry.pooled_at = entry.pooled_at.map(|_| epoch);
         let before = reserved_bytes(bpt, policy, entry.held);
         let after = reserved_bytes(bpt, policy, entry.held + tokens);
         let add = after - before;
@@ -189,19 +213,13 @@ impl KvTracker {
         true
     }
 
-    /// [`grow`](Self::grow) for call sites that deliberately treat a failed
-    /// growth as clamp-at-capacity: the entry keeps its current reservation
-    /// and the clamp is counted in [`clamped_tokens`](Self::clamped_tokens)
-    /// instead of being silently dropped. This is modeled behaviour — the
-    /// decode loops keep generating while the KV reservation saturates, the
-    /// same skip semantics as [`grow_all`](Self::grow_all) — not an error.
-    pub fn grow_or_clamp(&mut self, id: u64, tokens: usize) {
-        if !self.grow(id, tokens) {
-            self.clamped_tokens += tokens as u64;
-        }
-    }
-
-    /// [`grow_or_clamp`](Self::grow_or_clamp) through an admission handle.
+    /// [`grow_slot`](Self::grow_slot) for call sites that deliberately
+    /// treat a failed growth as clamp-at-capacity: the entry keeps its
+    /// current reservation and the clamp is counted in
+    /// [`clamped_tokens`](Self::clamped_tokens) instead of being silently
+    /// dropped. This is modeled behaviour — the decode loops keep
+    /// generating while the KV reservation saturates — not an error. Every
+    /// growth that can fail goes through here, so every clamp is counted.
     pub fn grow_slot_or_clamp(&mut self, slot: KvSlot, tokens: usize) {
         if !self.grow_slot(slot, tokens) {
             self.clamped_tokens += tokens as u64;
@@ -209,46 +227,45 @@ impl KvTracker {
     }
 
     /// Tokens whose growth was clamped at capacity (or targeted a retired
-    /// id) via [`grow_or_clamp`](Self::grow_or_clamp) or
-    /// [`grow_slot_or_clamp`](Self::grow_slot_or_clamp). Diagnostic only —
-    /// never serialized into event logs.
+    /// query) via [`grow_slot_or_clamp`](Self::grow_slot_or_clamp).
+    /// Diagnostic only — never serialized into event logs.
     pub fn clamped_tokens(&self) -> u64 {
         self.clamped_tokens
     }
 
-    /// Grows *every* resident query by `tokens` newly generated tokens in
-    /// one arena scan — the batched form of calling
-    /// [`grow`](Self::grow) per pooled query each decoding iteration, for
-    /// runs where the pool and the resident set coincide (RRA decode
-    /// phases; under WAA the encoder group holds entries that must not
-    /// grow, so the per-id path applies there).
-    ///
-    /// Entries whose growth would overflow capacity are skipped — the same
-    /// not-applied semantics as a failed [`grow`](Self::grow) — and the
-    /// scan visits entries in arena-slot order, so the outcome is
-    /// deterministic. Under [`ReservePolicy::UpFront`] this is a no-op.
-    /// Returns the number of entries grown.
-    pub fn grow_all(&mut self, tokens: usize) -> usize {
-        if matches!(self.policy, ReservePolicy::UpFront) {
-            return self.index.len();
+    /// Marks the entry behind `slot` as a decode-pool member, so
+    /// [`grow_pooled`](Self::grow_pooled) grows it from now on.
+    pub(crate) fn enroll(&mut self, slot: KvSlot) {
+        let epoch = self.epoch;
+        if let Some(entry) = self.entries.get_mut(slot.slot).filter(|e| e.id == slot.id) {
+            entry.pooled_at = Some(epoch);
         }
-        let (bpt, policy, cap) = (self.bytes_per_token, self.policy, self.capacity_bytes);
-        let mut used = self.used_bytes;
-        let mut grown = 0usize;
-        for (_, e) in self.entries.iter_mut() {
-            let before = reserved_bytes(bpt, policy, e.held);
-            let after = reserved_bytes(bpt, policy, e.held + tokens);
-            let add = after - before;
-            if used + add > cap {
-                continue;
-            }
-            e.held += tokens;
-            used += add;
-            grown += 1;
+    }
+
+    /// Grows each of the `members` enrolled entries by one token in O(1),
+    /// when every one of them provably fits: the policy prices a token the
+    /// same for every entry and `used + members · token_bytes ≤ capacity`.
+    /// Then each growth succeeds in any order, exactly as it would one
+    /// entry at a time. The peak is left to the caller (see
+    /// [`note_peak`](Self::note_peak)): where the maximum falls depends on
+    /// how releases interleave with the growth. Returns the bytes per
+    /// token, or `None` — applying nothing — when the caller must grow
+    /// entry by entry.
+    pub(crate) fn grow_pooled(&mut self, members: usize) -> Option<u64> {
+        let b = self.token_bytes?;
+        let add = b.checked_mul(members as u64)?;
+        if self.used_bytes.checked_add(add)? > self.capacity_bytes {
+            return None;
         }
-        self.used_bytes = used;
-        self.peak_bytes = self.peak_bytes.max(self.used_bytes);
-        grown
+        self.epoch += 1;
+        self.used_bytes += add;
+        Some(b)
+    }
+
+    /// Raises the high-water mark to `bytes`, a state the reservations
+    /// passed through.
+    pub(crate) fn note_peak(&mut self, bytes: u64) {
+        self.peak_bytes = self.peak_bytes.max(bytes);
     }
 
     /// Releases all entries of query `id` (early-termination compaction).
@@ -256,18 +273,9 @@ impl KvTracker {
     pub fn release(&mut self, id: u64) {
         if let Some(slot) = self.index.remove(&id) {
             if let Some(entry) = self.entries.remove(slot) {
-                let bytes = self.entry_bytes(entry.held);
+                let bytes = self.entry_bytes(entry.held_at(self.epoch));
                 self.used_bytes = self.used_bytes.saturating_sub(bytes);
             }
-        }
-    }
-
-    /// Releases a batch of queries — [`release`](Self::release) for each
-    /// id, as one call for the abort/extraction paths that retire a whole
-    /// pool at once.
-    pub fn release_batch(&mut self, ids: &[u64]) {
-        for &id in ids {
-            self.release(id);
         }
     }
 
@@ -384,55 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn grow_all_matches_per_id_growth() {
-        let mut bulk = KvTracker::new(10.0, 100_000, ReservePolicy::Incremental);
-        let mut each = bulk.clone();
-        for id in 0..5 {
-            assert!(bulk.try_admit(id, 100, 0).is_some());
-            assert!(each.try_admit(id, 100, 0).is_some());
-        }
-        assert_eq!(bulk.grow_all(1), 5);
-        for id in 0..5 {
-            assert!(each.grow(id, 1));
-        }
-        assert_eq!(bulk.used_bytes(), each.used_bytes());
-        assert_eq!(bulk.peak_bytes(), each.peak_bytes());
-        assert_eq!(bulk.resident(), each.resident());
-    }
-
-    #[test]
-    fn grow_all_skips_entries_at_capacity() {
-        // Two 45-token queries against 100 bytes at 1 byte/token: the first
-        // grows to 46, the second would need 101 total and is skipped.
-        let mut kv = KvTracker::new(1.0, 92, ReservePolicy::Incremental);
-        assert!(kv.try_admit(1, 45, 0).is_some());
-        assert!(kv.try_admit(2, 45, 0).is_some());
-        assert_eq!(kv.grow_all(1), 2);
-        assert_eq!(kv.used_bytes(), 92);
-        assert_eq!(kv.grow_all(1), 0, "both entries now skip");
-        assert_eq!(kv.used_bytes(), 92, "skipped growth is not applied");
-    }
-
-    #[test]
-    fn grow_all_is_free_under_upfront() {
-        let mut kv = KvTracker::new(1.0, 1000, ReservePolicy::UpFront);
-        assert!(kv.try_admit(1, 10, 20).is_some());
-        assert_eq!(kv.grow_all(5), 1);
-        assert_eq!(kv.used_bytes(), 30);
-    }
-
-    #[test]
-    fn release_batch_releases_each_id() {
-        let mut kv = KvTracker::new(1.0, 1000, ReservePolicy::Incremental);
-        assert!(kv.try_admit(1, 100, 0).is_some());
-        assert!(kv.try_admit(2, 200, 0).is_some());
-        assert!(kv.try_admit(3, 300, 0).is_some());
-        kv.release_batch(&[1, 3, 42]); // unknown ids are fine
-        assert_eq!(kv.used_bytes(), 200);
-        assert_eq!(kv.resident(), 1);
-    }
-
-    #[test]
     fn slots_are_recycled_across_admissions() {
         let mut kv = KvTracker::new(1.0, 10_000, ReservePolicy::Incremental);
         for round in 0..100u64 {
@@ -454,14 +413,15 @@ mod tests {
     }
 
     #[test]
-    fn grow_or_clamp_counts_clamped_tokens_without_applying_them() {
+    fn grow_slot_or_clamp_counts_clamped_tokens_without_applying_them() {
         let mut kv = KvTracker::new(1.0, 100, ReservePolicy::Incremental);
-        assert!(kv.try_admit(1, 99, 0).is_some());
-        kv.grow_or_clamp(1, 1); // fits: 100/100
+        let slot = kv.try_admit(1, 99, 0).expect("fits");
+        kv.grow_slot_or_clamp(slot, 1); // fits: 100/100
         assert_eq!((kv.used_bytes(), kv.clamped_tokens()), (100, 0));
-        kv.grow_or_clamp(1, 1); // clamped at capacity
-        kv.grow_or_clamp(42, 3); // retired/unknown id also clamps
-        assert_eq!((kv.used_bytes(), kv.clamped_tokens()), (100, 4));
+        kv.grow_slot_or_clamp(slot, 1); // clamped at capacity
+        kv.release(1);
+        kv.grow_slot_or_clamp(slot, 3); // a retired query also clamps
+        assert_eq!((kv.used_bytes(), kv.clamped_tokens()), (0, 4));
     }
 
     #[test]
@@ -478,19 +438,40 @@ mod tests {
                 assert!(by_id.try_admit(id, 100, 20).is_some());
                 slots.push(by_slot.try_admit(id, 100, 20).expect("fits"));
             }
-            // Enough rounds to saturate the cache and clamp every entry.
+            // Enough rounds to saturate the cache and fail every growth.
+            let mut failed = 0;
             for _ in 0..60 {
                 for (id, &slot) in slots.iter().enumerate() {
-                    by_id.grow_or_clamp(id as u64, 1);
-                    by_slot.grow_slot_or_clamp(slot, 1);
+                    let grown = by_id.grow(id as u64, 1);
+                    assert_eq!(grown, by_slot.grow_slot(slot, 1), "{policy:?}");
+                    failed += usize::from(!grown);
                 }
                 assert_eq!(by_id, by_slot, "{policy:?}");
             }
             if policy == ReservePolicy::Incremental {
                 assert_eq!(by_slot.used_bytes(), 400);
-                assert_eq!(by_slot.clamped_tokens(), 3 * 60 - 100);
+                assert_eq!(failed, 3 * 60 - 100);
             }
         }
+    }
+
+    #[test]
+    fn pooled_growth_is_closed_form_until_capacity() {
+        let mut kv = KvTracker::new(2.0, 100, ReservePolicy::Incremental);
+        let a = kv.try_admit(1, 10, 0).expect("fits");
+        let b = kv.try_admit(2, 20, 0).expect("fits");
+        kv.enroll(a);
+        kv.enroll(b);
+        assert_eq!(kv.grow_pooled(2), Some(2));
+        assert_eq!(kv.used_bytes(), 64);
+        kv.grow_slot_or_clamp(a, 1); // folds the pooled token in first
+        assert_eq!(kv.used_bytes(), 66);
+        kv.release(2);
+        assert_eq!(kv.used_bytes(), 24, "the released entry held 21 tokens");
+        assert_eq!(kv.grow_pooled(39), None, "24 + 39·2 would exceed 100");
+        assert_eq!(kv.used_bytes(), 24, "a refused step applies nothing");
+        let odd = KvTracker::new(1.5, 100, ReservePolicy::Incremental);
+        assert_eq!(odd.token_bytes, None, "fractional bytes per token round per entry");
     }
 
     #[test]

@@ -48,6 +48,7 @@
 mod error;
 mod exec;
 mod kv;
+mod pool;
 mod queue;
 mod replay;
 mod report;
@@ -60,8 +61,8 @@ mod waa_run;
 pub use error::RunError;
 pub use exec::{DecodeTiming, EncodeTiming, PhaseExecutor};
 pub use kv::{KvSlot, KvTracker, ReservePolicy};
+pub use pool::{DecodePool, Finished, GrowthOrder};
 pub use queue::AdmissionQueue;
 pub use report::RunReport;
 pub use runner::{RunOptions, Runner};
-pub use slab::Slab;
 pub use trace::{Span, SpanKind, Trace};

@@ -1,33 +1,25 @@
 //! State and bookkeeping shared by the RRA and WAA replays: the admission
-//! queue, the decode pool with its running context sum, the KV tracker and
-//! the measurements that become the [`RunReport`].
+//! queue, the [`DecodePool`], the KV tracker and the measurements that
+//! become the [`RunReport`].
 //!
-//! Per phase and per iteration this costs in proportion to the work done:
-//! admission to the admitted batch (see [`AdmissionQueue`]), the pool's
-//! mean context O(1), and per-query KV growth one arena index through the
-//! admission handle.
+//! Per phase and per iteration this costs in proportion to the events, not
+//! to the generated tokens: admission to the admitted batch (see
+//! [`AdmissionQueue`]), and a decoding iteration O(1) plus O(k log k) for
+//! its `k` finishing queries, KV growth included (see [`DecodePool`]).
 
 use exegpt::DynamicAdjuster;
 use exegpt_sim::{ScheduleConfig, Simulator};
 use exegpt_units::Secs;
-use exegpt_workload::{PoissonStream, Request, RequestStream, TimedRequest};
+use exegpt_workload::{PoissonStream, RequestStream, TimedRequest};
 
 use crate::error::RunError;
 use crate::exec::{EncodeTiming, PhaseExecutor};
 use crate::kv::{KvSlot, KvTracker};
+use crate::pool::{DecodePool, GrowthOrder};
 use crate::queue::AdmissionQueue;
 use crate::report::RunReport;
 use crate::runner::{windowed_throughput, RunOptions};
 use crate::trace::Trace;
-
-/// A query in the decode pool.
-struct Active {
-    req: Request,
-    progress: usize,
-    t_encoded: f64,
-    arrival: f64,
-    slot: KvSlot,
-}
 
 /// What an admission left the replay to do.
 pub(crate) enum Admission {
@@ -51,11 +43,7 @@ pub(crate) struct Replay<'a> {
     pub(crate) admitted: Vec<(TimedRequest, KvSlot)>,
     /// Input lengths of `admitted`, for the encode timing.
     lens: Vec<usize>,
-    pool: Vec<Active>,
-    /// Σ (input + generated tokens) over `pool`. Every term and partial sum
-    /// is an integer below 2^53, so the f64 left fold this replaces was
-    /// exact and `ctx_sum as f64` equals it bit for bit.
-    ctx_sum: usize,
+    pub(crate) pool: DecodePool,
     /// The virtual clock.
     pub(crate) t: f64,
     latencies: Vec<f64>,
@@ -63,7 +51,6 @@ pub(crate) struct Replay<'a> {
     completion_times: Vec<f64>,
     pub(crate) enc_stage_times: Vec<f64>,
     pub(crate) dec_stage_times: Vec<f64>,
-    tokens: u64,
     pub(crate) trace: Option<Trace>,
 }
 
@@ -97,15 +84,13 @@ impl<'a> Replay<'a> {
             queue,
             admitted: Vec::new(),
             lens: Vec::new(),
-            pool: Vec::new(),
-            ctx_sum: 0,
+            pool: DecodePool::new(),
             t: 0.0,
             latencies: Vec::with_capacity(opts.num_queries),
             sojourns: Vec::new(),
             completion_times: Vec::with_capacity(opts.num_queries),
             enc_stage_times: Vec::new(),
             dec_stage_times: Vec::new(),
-            tokens: 0,
             trace: opts.record_trace.then(Trace::new),
         })
     }
@@ -156,61 +141,21 @@ impl<'a> Replay<'a> {
     /// Moves the admitted batch, encoded from `t_encoded`, into the pool.
     pub(crate) fn pool_admitted(&mut self, t_encoded: f64) {
         for (tr, slot) in self.admitted.drain(..) {
-            self.ctx_sum += tr.request.input_len;
-            self.pool.push(Active {
-                req: tr.request,
-                progress: 0,
-                t_encoded,
-                arrival: tr.arrival,
-                slot,
-            });
+            self.pool.push(&mut self.kv, tr, slot, t_encoded);
         }
     }
 
-    /// Queries in the decode pool.
-    pub(crate) fn pool_len(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// Mean context length (input + generated so far) over the non-empty
-    /// pool.
-    pub(crate) fn mean_context(&self) -> f64 {
-        debug_assert_eq!(
-            self.ctx_sum as f64,
-            self.pool.iter().map(|a| (a.req.input_len + a.progress) as f64).sum::<f64>(),
-            "running context sum drifted from the pool"
-        );
-        self.ctx_sum as f64 / self.pool.len() as f64
-    }
-
     /// One decoding iteration ending at the current clock: every pooled
-    /// query generates a token, and finished queries release their KV
-    /// entries and are recorded. `grow_each` grows each query's entry
-    /// through its handle (clamping at capacity); without it the caller
-    /// has grown the whole resident set already.
-    pub(crate) fn advance(&mut self, grow_each: bool) {
+    /// query generates a token and grows its KV entry in `order`, and
+    /// finished queries release their entries and are recorded.
+    pub(crate) fn advance(&mut self, order: GrowthOrder) {
         let t = self.t;
-        self.tokens += self.pool.len() as u64;
-        self.ctx_sum += self.pool.len();
-        let mut i = 0;
-        while i < self.pool.len() {
-            let a = &mut self.pool[i];
-            a.progress += 1;
-            if grow_each {
-                self.kv.grow_slot_or_clamp(a.slot, 1);
+        for done in self.pool.advance(&mut self.kv, order, t) {
+            self.latencies.push(t - done.t_encoded);
+            if self.opts.arrival_rate.is_some() {
+                self.sojourns.push(t - done.arrival);
             }
-            if a.progress >= a.req.output_len {
-                let done = self.pool.swap_remove(i);
-                self.ctx_sum -= done.req.input_len + done.progress;
-                self.kv.release(done.req.id);
-                self.latencies.push(t - done.t_encoded);
-                if self.opts.arrival_rate.is_some() {
-                    self.sojourns.push(t - done.arrival);
-                }
-                self.completion_times.push(t);
-            } else {
-                i += 1;
-            }
+            self.completion_times.push(t);
         }
     }
 
@@ -220,13 +165,14 @@ impl<'a> Replay<'a> {
             windowed_throughput(&self.completion_times, self.opts.warmup_frac);
         RunReport {
             completed: self.latencies.len(),
-            tokens_generated: self.tokens,
+            tokens_generated: self.pool.tokens(),
             makespan: Secs::new(makespan),
             throughput,
             latencies: self.latencies,
             encoder_stage_times: self.enc_stage_times,
             decoder_stage_times: self.dec_stage_times,
             peak_kv_bytes: self.kv.peak_bytes(),
+            kv_clamped_tokens: self.kv.clamped_tokens(),
             param_bytes: self.exec.param_bytes(),
             trace: self.trace,
             sojourn_times: self.sojourns,

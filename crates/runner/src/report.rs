@@ -30,6 +30,10 @@ pub struct RunReport {
     pub decoder_stage_times: Vec<f64>,
     /// Peak KV-cache bytes observed on the bottleneck GPU.
     pub peak_kv_bytes: u64,
+    /// Tokens generated while the KV cache was full, whose growth was
+    /// clamped (see [`KvTracker::grow_slot_or_clamp`](crate::KvTracker)).
+    /// Nonzero only when the traffic outgrows what the plan was sized for.
+    pub kv_clamped_tokens: u64,
     /// Parameter bytes resident on the bottleneck GPU.
     pub param_bytes: u64,
     /// Execution trace, when requested via
@@ -109,6 +113,7 @@ mod tests {
             encoder_stage_times: vec![1.0, 1.2, 0.8],
             decoder_stage_times: vec![0.1; 10],
             peak_kv_bytes: 100,
+            kv_clamped_tokens: 0,
             param_bytes: 200,
             trace: None,
             sojourn_times: vec![2.0, 3.0, 10.0],
@@ -148,6 +153,7 @@ mod tests {
             encoder_stage_times: vec![],
             decoder_stage_times: vec![],
             peak_kv_bytes: 0,
+            kv_clamped_tokens: 0,
             param_bytes: 0,
             trace: None,
             sojourn_times: vec![],

@@ -3,6 +3,7 @@
 use exegpt_sim::{RraConfig, ScheduleConfig, Simulator};
 
 use crate::error::RunError;
+use crate::pool::GrowthOrder;
 use crate::replay::{Admission, Replay};
 use crate::report::RunReport;
 use crate::runner::RunOptions;
@@ -34,22 +35,19 @@ pub(crate) fn run(
         }
 
         // ---- Decoding phase: N_D iterations with early termination ------
-        let m_d = r.exec.decode_parallelism(r.pool_len());
+        let m_d = r.exec.decode_parallelism(r.pool.len());
         let dec_phase_start = r.t;
-        let dec_phase_batch = r.pool_len();
+        let dec_phase_batch = r.pool.len();
         for u in 0..cfg.n_d {
-            if r.pool_len() == 0 {
+            if r.pool.is_empty() {
                 break;
             }
-            let dec = r.exec.decode_timing(m_d, r.pool_len(), r.mean_context(), u == 0)?;
+            let dec = r.exec.decode_timing(m_d, r.pool.len(), r.pool.mean_context(), u == 0)?;
             r.dec_stage_times.push(dec.bottleneck.as_secs());
             r.t += dec.total.as_secs();
             // Advance and early-terminate (with cache compaction). During
-            // an RRA decode iteration the resident set is exactly the pool,
-            // so KV growth is one bulk arena scan instead of a tree lookup
-            // per query.
-            r.kv.grow_all(1);
-            r.advance(false);
+            // an RRA decode iteration the resident set is exactly the pool.
+            r.advance(GrowthOrder::Arena);
         }
         let t = r.t;
         if let Some(tr) = r.trace.as_mut() {

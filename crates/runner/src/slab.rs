@@ -4,35 +4,15 @@
 //! run; keying per-request state by id in a tree map pays an allocation
 //! per admission and a pointer chase per touch. [`Slab`] instead hands out
 //! dense slot indices from a free list: admission reuses a retired
-//! request's slot (no allocation once the high-water mark is reached),
-//! lookups are direct indexing, and whole-arena sweeps are one contiguous
-//! scan in slot order.
-//!
-//! Determinism: for a fixed sequence of `insert`/`remove` calls the
-//! assigned slots — and therefore the iteration order — are fully
-//! reproducible (the free list is LIFO), which is what lets the serving
-//! loop's bulk KV accounting stay byte-deterministic.
-//!
-//! # Example
-//!
-//! ```
-//! use exegpt_runner::Slab;
-//!
-//! let mut slab: Slab<&str> = Slab::new();
-//! let a = slab.insert("alpha");
-//! let b = slab.insert("beta");
-//! assert_eq!(slab.get(a), Some(&"alpha"));
-//! assert_eq!(slab.remove(a), Some("alpha"));
-//! let c = slab.insert("gamma"); // reuses alpha's slot
-//! assert_eq!(c, a);
-//! assert_eq!(slab.len(), 2);
-//! assert_eq!(slab.get(b), Some(&"beta"));
-//! ```
+//! request's slot (no allocation once the high-water mark is reached) and
+//! lookups are direct indexing. For a fixed sequence of `insert`/`remove`
+//! calls the assigned slots are fully reproducible (the free list is LIFO),
+//! which keeps arena-order KV growth byte-deterministic.
 
-/// A slot-reusing arena: `insert` returns a stable index, `remove` recycles
-/// it, and iteration visits occupied slots in index order.
+/// A slot-reusing arena: `insert` returns a stable index and `remove`
+/// recycles it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Slab<T> {
+pub(crate) struct Slab<T> {
     slots: Vec<Option<T>>,
     free: Vec<usize>,
 }
@@ -45,18 +25,13 @@ impl<T> Default for Slab<T> {
 
 impl<T> Slab<T> {
     /// An empty arena.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self { slots: Vec::new(), free: Vec::new() }
-    }
-
-    /// An empty arena with room for `cap` entries before reallocating.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self { slots: Vec::with_capacity(cap), free: Vec::new() }
     }
 
     /// Stores `value`, returning its slot. Freed slots are reused
     /// (most-recently-freed first) before the arena grows.
-    pub fn insert(&mut self, value: T) -> usize {
+    pub(crate) fn insert(&mut self, value: T) -> usize {
         match self.free.pop() {
             Some(slot) => {
                 self.slots[slot] = Some(value);
@@ -71,50 +46,31 @@ impl<T> Slab<T> {
 
     /// Removes and returns the value at `slot` (`None` if vacant or out of
     /// range).
-    pub fn remove(&mut self, slot: usize) -> Option<T> {
+    pub(crate) fn remove(&mut self, slot: usize) -> Option<T> {
         let value = self.slots.get_mut(slot)?.take()?;
         self.free.push(slot);
         Some(value)
     }
 
     /// The value at `slot`, if occupied.
-    pub fn get(&self, slot: usize) -> Option<&T> {
+    pub(crate) fn get(&self, slot: usize) -> Option<&T> {
         self.slots.get(slot)?.as_ref()
     }
 
     /// Mutable access to the value at `slot`, if occupied.
-    pub fn get_mut(&mut self, slot: usize) -> Option<&mut T> {
+    pub(crate) fn get_mut(&mut self, slot: usize) -> Option<&mut T> {
         self.slots.get_mut(slot)?.as_mut()
-    }
-
-    /// Number of occupied slots.
-    pub fn len(&self) -> usize {
-        self.slots.len() - self.free.len()
-    }
-
-    /// Whether no slot is occupied.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Slots allocated so far (occupied + free), the arena's high-water
     /// mark.
-    pub fn capacity(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
         self.slots.len()
     }
 
-    /// Occupied `(slot, value)` pairs in slot order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &T)> {
-        self.slots.iter().enumerate().filter_map(|(i, s)| s.as_ref().map(|v| (i, v)))
-    }
-
-    /// Occupied `(slot, value)` pairs in slot order, mutably.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (usize, &mut T)> {
-        self.slots.iter_mut().enumerate().filter_map(|(i, s)| s.as_mut().map(|v| (i, v)))
-    }
-
     /// Empties the arena, keeping its allocation.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.slots.clear();
         self.free.clear();
     }
@@ -137,7 +93,6 @@ mod tests {
         assert_eq!(s.insert(4), a);
         assert_eq!(s.insert(5), b);
         assert_eq!(s.capacity(), 3, "no growth past the high-water mark");
-        assert_eq!(s.len(), 3);
     }
 
     #[test]
@@ -147,22 +102,7 @@ mod tests {
         assert_eq!(s.remove(a), Some(9));
         assert_eq!(s.remove(a), None, "double remove");
         assert_eq!(s.remove(99), None, "out of range");
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn iteration_is_in_slot_order() {
-        let mut s: Slab<&str> = Slab::new();
-        let a = s.insert("a");
-        let _b = s.insert("b");
-        let _c = s.insert("c");
-        s.remove(a);
-        let seen: Vec<_> = s.iter().collect();
-        assert_eq!(seen, vec![(1, &"b"), (2, &"c")]);
-        for (_, v) in s.iter_mut() {
-            *v = "x";
-        }
-        assert!(s.iter().all(|(_, v)| *v == "x"));
+        assert_eq!(s.get(a), None);
     }
 
     #[test]
@@ -170,7 +110,7 @@ mod tests {
         let mut s: Slab<u8> = Slab::new();
         s.insert(1);
         s.clear();
-        assert!(s.is_empty());
+        assert_eq!(s.capacity(), 0);
         assert_eq!(s.insert(2), 0);
     }
 }

@@ -8,6 +8,7 @@
 use exegpt_sim::{ScheduleConfig, Simulator, WaaConfig};
 
 use crate::error::RunError;
+use crate::pool::GrowthOrder;
 use crate::replay::{Admission, Replay};
 use crate::report::RunReport;
 use crate::runner::RunOptions;
@@ -35,12 +36,12 @@ pub(crate) fn run(
         };
 
         // ---- Decoder side of this round ----------------------------------
-        let pool = r.pool_len();
+        let pool = r.pool.len();
         let p_dec = if pool == 0 {
             0.0
         } else {
             let b_m = r.exec.decode_parallelism(pool);
-            let dec = r.exec.decode_timing(b_m, pool, r.mean_context(), false)?;
+            let dec = r.exec.decode_timing(b_m, pool, r.pool.mean_context(), false)?;
             r.dec_stage_times.push(dec.bottleneck.as_secs());
             dec.total.as_secs()
         };
@@ -57,8 +58,8 @@ pub(crate) fn run(
             tr.record("handover", SpanKind::KvTransfer, t_start, t_start + t_kv, admitted);
         }
         // The encoder group's fresh admissions are resident but not pooled
-        // yet, so growth goes per query, through each admission handle.
-        r.advance(true);
+        // yet: only the pool grows, in its scan order.
+        r.advance(GrowthOrder::Pool);
         r.pool_admitted(t_start);
     }
     Ok(r.finish())

@@ -9,7 +9,9 @@
 //! into one FNV-1a digest pinned below: the counts, the makespan and
 //! throughput, `latencies` and `sojourn_times` in completion order, both
 //! stage-time vectors, the trace spans and the peak KV bytes. A refactor
-//! of the replay loops must leave the digest unchanged.
+//! of the replay loops must leave the digest unchanged. The clamped-token
+//! count stays out of the digest; the stale plans assert it is nonzero, so
+//! the exact per-entry KV path runs.
 
 use std::hash::Hasher;
 use std::sync::Arc;
@@ -162,7 +164,10 @@ fn replay_reports_match_pinned_digest() {
             request_workload: Some(stale.clone()),
             ..RunOptions::default()
         };
-        d.report(runner.run(&cfg, &opts));
+        let report = runner.run(&cfg, &opts).expect("stale plan runs");
+        // Kept out of the digest: the parent code did not count every clamp.
+        assert!(report.kv_clamped_tokens > 0, "{cfg:?} must clamp KV growth");
+        d.report(Ok(report));
     }
     let digest = d.h.finish();
     assert_eq!((digest, d.ok), (DIGEST, OK), "digest {digest:#018x}, ok {}", d.ok);

@@ -70,8 +70,6 @@ pub use error::ServeError;
 pub use events::{Event, EventLog};
 pub use faults::{FaultDriver, FaultFactors, FaultOptions, StragglerDetector, StragglerOptions};
 pub use metrics::{Metrics, MetricsSnapshot};
-pub use server::{
-    Completion, ReplicaSession, ReplicaStep, ServeLoop, ServeOptions, ServeReport, StepOutcome,
-};
+pub use server::{Completion, ReplicaSession, ServeLoop, ServeOptions, ServeReport, StepOutcome};
 pub use slo::{SloCheck, SloOutcome, SloTargets};
 pub use traffic::poisson_with_shift;

@@ -6,9 +6,9 @@
 //! phase/round, completion accounting). [`ServeLoop::run`] drives a session
 //! to completion over its own arrival stream — the classic single-replica
 //! mode — while [`ServeLoop::into_replica`] yields the same session in
-//! *fleet* mode ([`ReplicaStep`]): arrivals are injected by an external
-//! router, the session never jumps its own clock past a parked point, and
-//! a fleet event loop interleaves many sessions on one virtual clock.
+//! *fleet* mode: arrivals are injected by an external router, the session
+//! never jumps its own clock past a parked point, and a fleet event loop
+//! interleaves many sessions on one virtual clock.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -18,10 +18,13 @@ use exegpt::{
 };
 use exegpt_cluster::{ClusterSpec, LoadSource};
 use exegpt_dist::stats::Summary;
-use exegpt_runner::{AdmissionQueue, EncodeTiming, KvSlot, KvTracker, PhaseExecutor, RunError};
+use exegpt_runner::{
+    AdmissionQueue, DecodePool, EncodeTiming, Finished, GrowthOrder, KvSlot, KvTracker,
+    PhaseExecutor, RunError,
+};
 use exegpt_sim::Workload;
 use exegpt_units::Secs;
-use exegpt_workload::{Request, TimedRequest};
+use exegpt_workload::TimedRequest;
 use serde::Serialize;
 
 use crate::drift::{DriftDetector, DriftOptions};
@@ -160,28 +163,6 @@ pub struct ServeReport {
     pub events: EventLog,
 }
 
-/// A query in flight through the pipeline.
-struct InFlight {
-    req: Request,
-    progress: usize,
-    arrival: f64,
-    t_encoded: f64,
-    t_first: Option<f64>,
-    /// The query's entry in the installed plan's KV tracker.
-    slot: KvSlot,
-}
-
-/// A query that finished during the current phase.
-struct Done {
-    id: u64,
-    out_len: usize,
-    ttft: f64,
-    e2e: f64,
-    per_token: Option<f64>,
-    queue_wait: f64,
-    t: f64,
-}
-
 /// An aborted request waiting out its retry backoff.
 ///
 /// Ordered as a *min*-heap key on `(eligible_at, id)` (reversed, since
@@ -225,10 +206,8 @@ struct Scratch {
     /// Requests admitted this round with their KV handles (drained into
     /// the pool).
     admitted: Vec<(TimedRequest, KvSlot)>,
-    /// Completions harvested this round.
-    done: Vec<Done>,
-    /// Ids released in one batch on aborts/extractions.
-    ids: Vec<u64>,
+    /// Queries finished this round, with their completion times.
+    done: Vec<(Finished, f64)>,
 }
 
 /// The online serving engine.
@@ -381,7 +360,7 @@ impl ServeLoop {
             stream: stream.map(|v| v.into_iter().peekable()),
             inbox: VecDeque::new(),
             pending: AdmissionQueue::new(),
-            pool: Vec::new(),
+            pool: DecodePool::new(),
             t: 0.0,
             metrics: Metrics::new(),
             events: EventLog::new(),
@@ -391,7 +370,6 @@ impl ServeLoop {
             kv,
             scheduled_b_d,
             pending_swap: None,
-            tokens: 0,
             swap_cost_total: 0.0,
             peak_kv: 0,
             last_completion: 0.0,
@@ -446,55 +424,27 @@ pub struct Completion {
     pub queue_wait: f64,
 }
 
-/// The per-step interface a fleet event loop drives a replica through.
-///
-/// [`ReplicaSession`] implements this; the single-replica
-/// [`ServeLoop::run`] drives the same `step` internally, so fleet-of-one
-/// execution reproduces the single-replica event log byte-for-byte.
-pub trait ReplicaStep {
-    /// The session's current virtual time.
-    fn now(&self) -> f64;
-    /// Advances the session's clock to `t`, logging the idle gap exactly as
-    /// the single-replica loop would. A no-op when `t` is not ahead of
-    /// [`now`](Self::now).
-    fn wake_to(&mut self, t: f64);
-    /// Runs one loop iteration (phase boundary) at the current time.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Run`] if execution stalls or a batch falls
-    /// outside the profiled range (same failure modes as
-    /// [`ServeLoop::run`]).
-    fn step(&mut self) -> Result<StepOutcome, ServeError>;
-    /// Queues an externally routed arrival; it is ingested at the first
-    /// step whose time has reached `req.arrival`.
-    fn inject(&mut self, req: TimedRequest);
-    /// Requests queued or in flight (pending + pool + retries + inbox).
-    fn outstanding(&self) -> usize;
-    /// Unreserved KV-cache bytes on the bottleneck GPU — the router signal
-    /// for KV-aware dispatch.
-    fn kv_headroom_bytes(&self) -> u64;
-    /// The installed plan's estimated per-request latency (seconds) — the
-    /// router signal for SLO-aware dispatch.
-    fn plan_latency(&self) -> f64;
-    /// Drains completions recorded since the last call.
-    fn take_completions(&mut self) -> Vec<Completion>;
-    /// Drains every queued and in-flight request (for rerouting when the
-    /// replica is lost): pending queue, pool (KV released; generation
-    /// restarts elsewhere), retry queue, then inbox. Original arrival
-    /// stamps are kept so rerouted latencies honestly include the loss.
-    fn extract_queued(&mut self) -> Vec<TimedRequest>;
-    /// Consumes the session into its final [`ServeReport`].
-    fn finish(self) -> ServeReport
-    where
-        Self: Sized;
+impl Completion {
+    /// The accounting of a query that generated its last token at `t`.
+    fn new(f: &Finished, t: f64) -> Self {
+        let outputs = f.req.output_len;
+        Self {
+            id: f.req.id,
+            t,
+            ttft: f.t_first - f.arrival,
+            per_token: (outputs > 1).then(|| (t - f.t_first) / (outputs - 1) as f64),
+            e2e: t - f.arrival,
+            queue_wait: f.t_encoded - f.arrival,
+        }
+    }
 }
 
 /// Run state of one serving replica, stepped one phase boundary at a time.
 ///
 /// Created by [`ServeLoop::run`] (stream mode, driven internally) or
 /// [`ServeLoop::into_replica`] (fleet mode, driven by an external event
-/// loop through the [`ReplicaStep`] interface).
+/// loop). Both drive the same [`step`](Self::step), so fleet-of-one
+/// execution reproduces the single-replica event log byte-for-byte.
 pub struct ReplicaSession {
     engine: Engine,
     exec: PhaseExecutor,
@@ -516,7 +466,7 @@ pub struct ReplicaSession {
     /// mode).
     inbox: VecDeque<TimedRequest>,
     pending: AdmissionQueue,
-    pool: Vec<InFlight>,
+    pool: DecodePool,
     t: f64,
     metrics: Metrics,
     events: EventLog,
@@ -526,7 +476,6 @@ pub struct ReplicaSession {
     kv: KvTracker,
     scheduled_b_d: usize,
     pending_swap: Option<PendingSwap>,
-    tokens: u64,
     swap_cost_total: f64,
     peak_kv: u64,
     last_completion: f64,
@@ -568,7 +517,8 @@ impl ReplicaSession {
         self.t = self.t.max(t);
     }
 
-    /// Queues an externally routed arrival (fleet mode).
+    /// Queues an externally routed arrival (fleet mode); it is ingested at
+    /// the first step whose time has reached `req.arrival`.
     pub fn inject(&mut self, req: TimedRequest) {
         self.inbox.push_back(req);
     }
@@ -578,12 +528,14 @@ impl ReplicaSession {
         self.pending.len() + self.pool.len() + self.retry.len() + self.inbox.len()
     }
 
-    /// Unreserved KV-cache bytes on the bottleneck GPU.
+    /// Unreserved KV-cache bytes on the bottleneck GPU, the router signal
+    /// for KV-aware dispatch.
     pub fn kv_headroom_bytes(&self) -> u64 {
         self.kv.capacity_bytes().saturating_sub(self.kv.used_bytes())
     }
 
-    /// The installed plan's estimated per-request latency in seconds.
+    /// The installed plan's estimated per-request latency in seconds, the
+    /// router signal for SLO-aware dispatch.
     pub fn plan_latency(&self) -> f64 {
         self.exec.estimate().latency.as_secs()
     }
@@ -595,18 +547,12 @@ impl ReplicaSession {
     }
 
     /// Drains every queued and in-flight request for rerouting: pending,
-    /// pool (KV entries released in one batch; generation restarts on the
-    /// target replica), retries in eligibility order, then the inbox.
+    /// pool (KV entries released; generation restarts on the target
+    /// replica), retries in eligibility order, then the inbox. Original
+    /// arrival stamps are kept, so rerouted latencies include the loss.
     pub fn extract_queued(&mut self) -> Vec<TimedRequest> {
         let mut out = self.pending.take_all();
-        self.scratch.ids.clear();
-        self.scratch.ids.extend(self.pool.iter().map(|a| a.req.id));
-        for a in self.pool.drain(..) {
-            out.push(TimedRequest { request: a.req, arrival: a.arrival });
-        }
-        let ids = std::mem::take(&mut self.scratch.ids);
-        self.kv.release_batch(&ids);
-        self.scratch.ids = ids;
+        self.pool.clear(&mut self.kv, |r| out.push(r));
         while let Some(r) = self.retry.pop() {
             out.push(r.req);
         }
@@ -686,12 +632,10 @@ impl ReplicaSession {
             self.t += cost;
             self.peak_kv = self.peak_kv.max(self.kv.peak_bytes());
             let mut new_kv = new_exec.kv_tracker();
-            for a in &mut self.pool {
-                // In-flight KV entries move to the new plan's tracker
-                // unconditionally: evicting live queries would violate
-                // their SLO by construction.
-                a.slot = new_kv.admit_unchecked(a.req.id, a.req.input_len + a.progress);
-            }
+            // In-flight KV entries move to the new plan's tracker
+            // unconditionally: evicting live queries would violate their
+            // SLO by construction.
+            self.pool.migrate(&mut new_kv);
             self.events.push(Event::PlanSwap { t: self.t, cost, migrated: self.pool.len() });
             self.metrics.inc("plan_swaps");
             self.swap_cost_total += cost;
@@ -709,33 +653,12 @@ impl ReplicaSession {
         }
 
         // ---- Ingest arrivals up to the current virtual time -------------
-        if let Some(upcoming) = self.stream.as_mut() {
-            while let Some(r) = upcoming.peek() {
-                if r.arrival > self.t {
-                    break;
-                }
-                self.events.push(Event::Arrival {
-                    t: r.arrival,
-                    id: r.request.id,
-                    input_len: r.request.input_len,
-                    output_len: r.request.output_len,
-                });
-                self.metrics.inc("arrivals");
-                self.pending.push(*r);
-                upcoming.next();
-            }
+        let t = self.t;
+        while let Some(r) = self.stream.as_mut().and_then(|s| s.next_if(|r| r.arrival <= t)) {
+            self.arrive(r);
         }
-        while self.inbox.front().is_some_and(|r| r.arrival <= self.t) {
-            if let Some(r) = self.inbox.pop_front() {
-                self.events.push(Event::Arrival {
-                    t: r.arrival,
-                    id: r.request.id,
-                    input_len: r.request.input_len,
-                    output_len: r.request.output_len,
-                });
-                self.metrics.inc("arrivals");
-                self.pending.push(r);
-            }
+        while let Some(r) = self.inbox.pop_front_if(|r| r.arrival <= t) {
+            self.arrive(r);
         }
 
         // ---- Dynamic admission (§5.2) -----------------------------------
@@ -753,61 +676,44 @@ impl ReplicaSession {
 
         if self.scratch.admitted.is_empty() && self.pool.is_empty() {
             if self.pending.is_empty() {
+                // Self-owned work: the next arrival of the stream or, in
+                // fleet mode, a future-dated injection; and the next retry.
+                let next_arrival = match self.stream.as_mut() {
+                    Some(upcoming) => upcoming.peek().map(|r| r.arrival),
+                    None => self.inbox.iter().map(|r| r.arrival).reduce(f64::min),
+                };
                 let next_retry = self.retry.peek().map(|r| r.eligible_at);
-                match self.stream.as_mut() {
-                    Some(upcoming) => {
-                        let next_arrival = upcoming.peek().map(|r| r.arrival);
-                        if next_arrival.is_none() && next_retry.is_none() {
-                            // Stream and retry queue drained, nothing in
-                            // flight: the run is complete.
-                            return Ok(StepOutcome::Done);
-                        }
-                        // Wake at whichever comes first: an arrival, a
-                        // retry becoming eligible, or the fault world
-                        // changing (an event firing or a failure detection
-                        // maturing — otherwise a mid-idle failure would go
-                        // unnoticed until the next arrival and the first
-                        // phase after it would run on the dead topology).
-                        let next_fault = self
-                            .driver
-                            .as_ref()
-                            .and_then(|d| d.next_wake())
-                            .filter(|&w| w > self.t);
-                        let mut wake = f64::INFINITY;
-                        for c in [next_arrival, next_retry, next_fault].into_iter().flatten() {
-                            wake = wake.min(c);
-                        }
-                        self.events.push(Event::Idle { from: self.t, until: wake });
-                        self.t = wake;
-                        return Ok(StepOutcome::Progressed);
-                    }
-                    None => {
-                        // Fleet mode: park instead of jumping — the fleet
-                        // clock owns inter-replica ordering. A future-dated
-                        // injection also counts as self-owned work. With no
-                        // queued work at all the session is quiescent and
-                        // — mirroring the single-replica termination rule —
-                        // does not ask to be woken for fault events alone;
-                        // the fault world catches up at the next injection.
-                        let next_inbox =
-                            self.inbox.iter().map(|r| r.arrival).fold(f64::INFINITY, f64::min);
-                        let next_inbox =
-                            if next_inbox.is_finite() { Some(next_inbox) } else { None };
-                        if next_retry.is_none() && next_inbox.is_none() {
-                            return Ok(StepOutcome::Parked { until: None });
-                        }
-                        let next_fault = self
-                            .driver
-                            .as_ref()
-                            .and_then(|d| d.next_wake())
-                            .filter(|&w| w > self.t);
-                        let mut wake = f64::INFINITY;
-                        for c in [next_retry, next_inbox, next_fault].into_iter().flatten() {
-                            wake = wake.min(c);
-                        }
-                        return Ok(StepOutcome::Parked { until: Some(wake) });
-                    }
+                if next_arrival.is_none() && next_retry.is_none() {
+                    // Nothing queued and nothing in flight: a stream run is
+                    // complete. A fleet replica is quiescent and — mirroring
+                    // that termination rule — does not ask to be woken for
+                    // fault events alone; the fault world catches up at the
+                    // next injection.
+                    return Ok(match self.stream {
+                        Some(_) => StepOutcome::Done,
+                        None => StepOutcome::Parked { until: None },
+                    });
                 }
+                // Wake at whichever comes first: an arrival, a retry
+                // becoming eligible, or the fault world changing (an event
+                // firing or a failure detection maturing — otherwise a
+                // mid-idle failure would go unnoticed until the next
+                // arrival and the first phase after it would run on the
+                // dead topology).
+                let next_fault =
+                    self.driver.as_ref().and_then(|d| d.next_wake()).filter(|&w| w > self.t);
+                let wake = [next_arrival, next_retry, next_fault]
+                    .into_iter()
+                    .flatten()
+                    .fold(f64::INFINITY, f64::min);
+                if self.stream.is_none() {
+                    // Fleet mode: park instead of jumping — the fleet clock
+                    // owns inter-replica ordering.
+                    return Ok(StepOutcome::Parked { until: Some(wake) });
+                }
+                self.events.push(Event::Idle { from: self.t, until: wake });
+                self.t = wake;
+                return Ok(StepOutcome::Progressed);
             }
             return Err(self.pending.stalled().into());
         }
@@ -833,7 +739,7 @@ impl ReplicaSession {
                 0.0
             } else {
                 let b_m = self.exec.decode_parallelism(self.pool.len());
-                let ctx = mean_context(&self.pool);
+                let ctx = self.pool.mean_context();
                 self.exec.decode_timing(b_m, self.pool.len(), ctx, false)?.total.as_secs()
             };
             let t_kv_base = self.exec.handover_time(enc_tokens).as_secs();
@@ -849,10 +755,9 @@ impl ReplicaSession {
             let pool_during = self.pool.len();
             self.t += round;
             if !self.pool.is_empty() {
-                self.tokens += self.pool.len() as u64;
                 // The encoder group's fresh admissions are resident but not
-                // pooled, so growth goes per query, through each handle.
-                advance(&mut self.pool, &mut self.kv, self.t, &mut self.scratch.done, true);
+                // pooled: only the pool grows, in its scan order.
+                self.advance_pool(GrowthOrder::Pool);
             }
             self.metrics.inc("rounds");
             self.events.push(Event::Round {
@@ -862,14 +767,7 @@ impl ReplicaSession {
                 pool: pool_during,
             });
             for (r, slot) in self.scratch.admitted.drain(..) {
-                self.pool.push(InFlight {
-                    req: r.request,
-                    progress: 0,
-                    arrival: r.arrival,
-                    t_encoded: t_start,
-                    t_first: None,
-                    slot,
-                });
+                self.pool.push(&mut self.kv, r, slot, t_start);
             }
         } else {
             if !self.scratch.admitted.is_empty() {
@@ -887,14 +785,7 @@ impl ReplicaSession {
                     queue_depth: self.pending.len(),
                 });
                 for (r, slot) in self.scratch.admitted.drain(..) {
-                    self.pool.push(InFlight {
-                        req: r.request,
-                        progress: 0,
-                        arrival: r.arrival,
-                        t_encoded: t_start,
-                        t_first: None,
-                        slot,
-                    });
+                    self.pool.push(&mut self.kv, r, slot, t_start);
                 }
             }
             let m_d = self.exec.decode_parallelism(self.pool.len());
@@ -904,18 +795,15 @@ impl ReplicaSession {
                 if self.pool.is_empty() {
                     break;
                 }
-                let ctx = mean_context(&self.pool);
+                let ctx = self.pool.mean_context();
                 let dec = self.exec.decode_timing(m_d, self.pool.len(), ctx, u == 0)?;
                 let dt = dec.total.as_secs();
                 self.t += dt * factors.dilation;
                 phase_base += dt;
                 phase_actual += dt * factors.dilation;
-                self.tokens += self.pool.len() as u64;
                 iters += 1;
-                // RRA decode: the resident set is exactly the pool, so KV
-                // growth is one bulk arena scan.
-                self.kv.grow_all(1);
-                advance(&mut self.pool, &mut self.kv, self.t, &mut self.scratch.done, false);
+                // RRA decode: the resident set is exactly the pool.
+                self.advance_pool(GrowthOrder::Arena);
             }
             self.metrics.add("decode_iters", iters as u64);
             self.events.push(Event::Decode {
@@ -955,7 +843,8 @@ impl ReplicaSession {
         // ---- Account completions: SLO, metrics, drift -------------------
         let scheduled_mean = self.exec.simulator().workload().output().mean();
         let mut drift_declared = false;
-        for d in &self.scratch.done {
+        for &(f, t) in &self.scratch.done {
+            let d = Completion::new(&f, t);
             self.metrics.inc("completions");
             self.metrics.observe("ttft", d.ttft);
             self.metrics.observe("e2e", d.e2e);
@@ -978,16 +867,9 @@ impl ReplicaSession {
             });
             self.last_completion = d.t;
             if self.collect_completions {
-                self.outbox.push(Completion {
-                    id: d.id,
-                    t: d.t,
-                    ttft: d.ttft,
-                    per_token: d.per_token,
-                    e2e: d.e2e,
-                    queue_wait: d.queue_wait,
-                });
+                self.outbox.push(d);
             }
-            if let Some(c) = self.detector.observe(d.out_len, scheduled_mean) {
+            if let Some(c) = self.detector.observe(f.req.output_len, scheduled_mean) {
                 self.metrics.inc("drift_checks");
                 self.events.push(Event::DriftCheck {
                     t: d.t,
@@ -1009,6 +891,26 @@ impl ReplicaSession {
         Ok(StepOutcome::Progressed)
     }
 
+    /// One decoding iteration of the pool ending at the current time; its
+    /// completions join this step's.
+    fn advance_pool(&mut self, order: GrowthOrder) {
+        let t = self.t;
+        let finished = self.pool.advance(&mut self.kv, order, t);
+        self.scratch.done.extend(finished.iter().map(|&f| (f, t)));
+    }
+
+    /// Logs an arrival and queues it for admission.
+    fn arrive(&mut self, r: TimedRequest) {
+        self.events.push(Event::Arrival {
+            t: r.arrival,
+            id: r.request.id,
+            input_len: r.request.input_len,
+            output_len: r.request.output_len,
+        });
+        self.metrics.inc("arrivals");
+        self.pending.push(r);
+    }
+
     /// Times the encoding of this step's (non-empty) admitted batch.
     fn encode_admitted(&mut self) -> Result<EncodeTiming, RunError> {
         self.scratch.lens.clear();
@@ -1026,7 +928,7 @@ impl ReplicaSession {
         self.metrics.gauge("kv_peak_bytes", self.peak_kv as f64);
         ServeReport {
             completed,
-            tokens_generated: self.tokens,
+            tokens_generated: self.pool.tokens(),
             makespan,
             throughput,
             ttft: self.metrics.summary("ttft"),
@@ -1181,48 +1083,6 @@ impl ReplicaSession {
     }
 }
 
-impl ReplicaStep for ReplicaSession {
-    fn now(&self) -> f64 {
-        ReplicaSession::now(self)
-    }
-
-    fn wake_to(&mut self, t: f64) {
-        ReplicaSession::wake_to(self, t)
-    }
-
-    fn step(&mut self) -> Result<StepOutcome, ServeError> {
-        ReplicaSession::step(self)
-    }
-
-    fn inject(&mut self, req: TimedRequest) {
-        ReplicaSession::inject(self, req)
-    }
-
-    fn outstanding(&self) -> usize {
-        ReplicaSession::outstanding(self)
-    }
-
-    fn kv_headroom_bytes(&self) -> u64 {
-        ReplicaSession::kv_headroom_bytes(self)
-    }
-
-    fn plan_latency(&self) -> f64 {
-        ReplicaSession::plan_latency(self)
-    }
-
-    fn take_completions(&mut self) -> Vec<Completion> {
-        ReplicaSession::take_completions(self)
-    }
-
-    fn extract_queued(&mut self) -> Vec<TimedRequest> {
-        ReplicaSession::extract_queued(self)
-    }
-
-    fn finish(self) -> ServeReport {
-        ReplicaSession::finish(self)
-    }
-}
-
 /// Records whether an incremental replan held or fell back. Counters only:
 /// the event log must stay byte-identical to the full-search path, and the
 /// chosen plan already is.
@@ -1236,7 +1096,7 @@ fn track_replan(replan: Replan, metrics: &mut Metrics) -> Schedule {
 /// dropped once its retry budget is exhausted.
 #[allow(clippy::too_many_arguments)]
 fn abort_pool(
-    pool: &mut Vec<InFlight>,
+    pool: &mut DecodePool,
     kv: &mut KvTracker,
     retry: &mut BinaryHeap<Retry>,
     attempts: &mut BTreeMap<u64, usize>,
@@ -1245,77 +1105,23 @@ fn abort_pool(
     metrics: &mut Metrics,
     events: &mut EventLog,
 ) {
-    for a in pool.drain(..) {
-        kv.release(a.req.id);
-        let n = attempts.entry(a.req.id).or_insert(0);
+    pool.clear(kv, |req| {
+        let id = req.request.id;
+        let n = attempts.entry(id).or_insert(0);
         *n += 1;
         let attempt = *n;
         if attempt > fo.max_retries {
             metrics.inc("requests_lost");
-            events.push(Event::RequestLost { t, id: a.req.id, attempts: attempt });
+            events.push(Event::RequestLost { t, id, attempts: attempt });
         } else {
             metrics.inc("retries");
             let eligible_at = t + fo.backoff_base * 2.0f64.powi(attempt as i32 - 1);
-            events.push(Event::RequestRetry { t, id: a.req.id, attempt, eligible_at });
+            events.push(Event::RequestRetry { t, id, attempt, eligible_at });
             // Original arrival is kept: TTFT/E2E latency of a retried
             // request honestly includes the failure it survived.
-            retry.push(Retry {
-                eligible_at,
-                req: TimedRequest { request: a.req, arrival: a.arrival },
-            });
+            retry.push(Retry { eligible_at, req });
         }
-    }
-}
-
-/// Mean context length (input + generated so far) over the pool.
-fn mean_context(pool: &[InFlight]) -> f64 {
-    pool.iter().map(|a| (a.req.input_len + a.progress) as f64).sum::<f64>() / pool.len() as f64
-}
-
-/// Advances every pooled query by one token at time `t`, recording first
-/// tokens and harvesting completions (with KV compaction). `grow_ids`
-/// selects per-query KV growth through each admission handle (WAA rounds,
-/// where the encoder group's fresh admissions are resident but not
-/// pooled); RRA decode passes `false` after a bulk
-/// [`KvTracker::grow_all`].
-fn advance(
-    pool: &mut Vec<InFlight>,
-    kv: &mut KvTracker,
-    t: f64,
-    done: &mut Vec<Done>,
-    grow_ids: bool,
-) {
-    let mut i = 0;
-    while i < pool.len() {
-        pool[i].progress += 1;
-        if grow_ids {
-            kv.grow_slot_or_clamp(pool[i].slot, 1);
-        }
-        if pool[i].t_first.is_none() {
-            pool[i].t_first = Some(t);
-        }
-        if pool[i].progress >= pool[i].req.output_len {
-            let a = pool.swap_remove(i);
-            kv.release(a.req.id);
-            let t_first = a.t_first.unwrap_or(t);
-            let per_token = if a.req.output_len > 1 {
-                Some((t - t_first) / (a.req.output_len - 1) as f64)
-            } else {
-                None
-            };
-            done.push(Done {
-                id: a.req.id,
-                out_len: a.req.output_len,
-                ttft: t_first - a.arrival,
-                e2e: t - a.arrival,
-                per_token,
-                queue_wait: a.t_encoded - a.arrival,
-                t,
-            });
-        } else {
-            i += 1;
-        }
-    }
+    });
 }
 
 /// Virtual cost of swapping from `old` to `new`.
