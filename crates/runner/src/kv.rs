@@ -100,6 +100,13 @@ pub struct KvSlot {
     id: u64,
 }
 
+impl KvSlot {
+    /// The entry's arena index, unique among resident queries.
+    pub(crate) fn index(self) -> usize {
+        self.slot
+    }
+}
+
 impl KvTracker {
     /// Creates a tracker with `bytes_per_token` per cached token on the
     /// bottleneck GPU and `capacity_bytes` available for KV entries.

@@ -18,7 +18,6 @@ use std::collections::{BinaryHeap, VecDeque};
 use exegpt_workload::{Request, TimedRequest};
 
 use crate::kv::{KvSlot, KvTracker};
-use crate::slab::Slab;
 
 /// Where each member's KV growth falls within a decoding iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,7 +45,8 @@ pub struct Finished {
     pub t_first: f64,
 }
 
-/// A query in the pool.
+/// A query in the pool, keyed by its KV arena index (`slot.index()`),
+/// which is unique among resident queries.
 #[derive(Debug, Clone, Copy)]
 struct Member {
     /// What it reports when it finishes (`t_first` set by its first token).
@@ -54,8 +54,6 @@ struct Member {
     slot: KvSlot,
     /// The iteration generating its last token.
     finish: u64,
-    /// Its entry in `pos` and in the heap.
-    key: usize,
 }
 
 /// Tokens a query generates: at least one, as the replaced scan finished a
@@ -78,17 +76,15 @@ pub struct DecodePool {
     /// Members in the replaced scan's order.
     members: Vec<Member>,
     /// Member key → position in `members`.
-    pos: Slab<usize>,
+    pos: Vec<usize>,
     /// (finishing iteration, key) of every member.
     heap: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Keys of members that have not generated a token yet.
-    fresh: Vec<usize>,
-    /// Positions of this iteration's finishers, ascending.
+    /// Members from this position on have not generated a token yet: they
+    /// joined since the last iteration, and joining only appends.
+    fresh: usize,
+    /// Positions of this iteration's finishers, ascending (and of every
+    /// member, in arena order, for arena-order growth).
     due: VecDeque<usize>,
-    /// Arena-order growth scratch.
-    slots: Vec<KvSlot>,
-    /// This iteration's finishers in completion order.
-    done: Vec<Finished>,
     /// Iterations run.
     iter: u64,
     /// Σ (input + generated tokens) over the members.
@@ -98,9 +94,15 @@ pub struct DecodePool {
 }
 
 impl DecodePool {
-    /// An empty pool.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty pool with room for `members` queries before reallocating.
+    pub fn with_capacity(members: usize) -> Self {
+        Self {
+            members: Vec::with_capacity(members),
+            pos: Vec::with_capacity(members),
+            heap: BinaryHeap::with_capacity(members),
+            due: VecDeque::with_capacity(members),
+            ..Self::default()
+        }
     }
 
     /// Queries in the pool.
@@ -111,11 +113,6 @@ impl DecodePool {
     /// Whether the pool is empty.
     pub fn is_empty(&self) -> bool {
         self.members.is_empty()
-    }
-
-    /// Σ (input + generated tokens) over the pool.
-    pub fn context_sum(&self) -> usize {
-        self.ctx_sum
     }
 
     /// Mean context length (input + generated so far) over the non-empty
@@ -135,27 +132,49 @@ impl DecodePool {
     /// next [`advance`](Self::advance).
     pub fn push(&mut self, kv: &mut KvTracker, tr: TimedRequest, slot: KvSlot, t_encoded: f64) {
         kv.enroll(slot);
-        let key = self.pos.insert(self.members.len());
         let finish = self.iter + output(&tr.request) as u64;
-        self.heap.push(Reverse((finish, key)));
-        self.fresh.push(key);
+        self.index(slot, finish, self.members.len());
         self.ctx_sum += tr.request.input_len;
         let query = Finished { req: tr.request, arrival: tr.arrival, t_encoded, t_first: f64::NAN };
-        self.members.push(Member { query, slot, finish, key });
+        self.members.push(Member { query, slot, finish });
+    }
+
+    /// Keys the member at position `p`, holding `slot`, by its KV arena
+    /// index.
+    fn index(&mut self, slot: KvSlot, finish: u64, p: usize) {
+        let key = slot.index();
+        if self.pos.len() <= key {
+            self.pos.resize(key + 1, 0);
+        }
+        self.pos[key] = p;
+        self.heap.push(Reverse((finish, key)));
     }
 
     /// One decoding iteration ending at `t`: every member generates a
     /// token and grows its KV entry in `order`; finished members release
-    /// their entries and are returned in completion order.
-    pub fn advance(&mut self, kv: &mut KvTracker, order: GrowthOrder, t: f64) -> &[Finished] {
-        self.done.clear();
+    /// their entries and go to `done` in completion order.
+    pub fn advance(
+        &mut self,
+        kv: &mut KvTracker,
+        order: GrowthOrder,
+        t: f64,
+        mut done: impl FnMut(Finished),
+    ) {
         self.iter += 1;
         let n = self.members.len();
         self.tokens += n as u64;
         self.ctx_sum += n;
-        for key in self.fresh.drain(..) {
-            if let Some(&p) = self.pos.get(key) {
-                self.members[p].query.t_first = t;
+        for m in &mut self.members[self.fresh..] {
+            m.query.t_first = t;
+        }
+        let grown = kv.grow_pooled(n);
+        if grown.is_none() && order == GrowthOrder::Arena {
+            self.due.clear();
+            self.due.extend(0..n);
+            let members = &self.members;
+            self.due.make_contiguous().sort_unstable_by_key(|&p| members[p].slot);
+            for &p in &self.due {
+                kv.grow_slot_or_clamp(self.members[p].slot, 1);
             }
         }
         self.due.clear();
@@ -165,32 +184,22 @@ impl DecodePool {
                 break;
             }
             self.heap.pop();
-            if let Some(&p) = self.pos.get(key) {
-                self.due.push_back(p);
-            }
+            self.due.push_back(self.pos[key]);
         }
         self.due.make_contiguous().sort_unstable();
-        match (kv.grow_pooled(n), order) {
+        match (grown, order) {
             (Some(_), GrowthOrder::Arena) => {
                 kv.note_peak(kv.used_bytes());
-                self.harvest(kv, None);
+                self.harvest(kv, None, &mut done);
             }
             (Some(b), GrowthOrder::Pool) => {
-                self.harvest(kv, Some(b));
+                self.harvest(kv, Some(b), &mut done);
                 kv.note_peak(kv.used_bytes());
             }
-            (None, GrowthOrder::Arena) => {
-                self.slots.clear();
-                self.slots.extend(self.members.iter().map(|m| m.slot));
-                self.slots.sort_unstable();
-                for &slot in &self.slots {
-                    kv.grow_slot_or_clamp(slot, 1);
-                }
-                self.harvest(kv, None);
-            }
-            (None, GrowthOrder::Pool) => self.scan(kv),
+            (None, GrowthOrder::Arena) => self.harvest(kv, None, &mut done),
+            (None, GrowthOrder::Pool) => self.scan(kv, &mut done),
         }
-        &self.done
+        self.fresh = self.members.len();
     }
 
     /// Retires this iteration's finishers in the scan's order. With
@@ -198,7 +207,12 @@ impl DecodePool {
     /// peak also notes the state right after each finisher's growth: the
     /// scan's state after its `v + 1` visits, `n - 1 - v` growths below the
     /// all-grown state minus the releases so far.
-    fn harvest(&mut self, kv: &mut KvTracker, token_bytes: Option<u64>) {
+    fn harvest(
+        &mut self,
+        kv: &mut KvTracker,
+        token_bytes: Option<u64>,
+        done: &mut impl FnMut(Finished),
+    ) {
         let n = self.members.len();
         let mut removed = 0;
         while let Some(i) = self.due.pop_front() {
@@ -215,7 +229,7 @@ impl DecodePool {
                 let visit = i + removed;
                 kv.note_peak(kv.used_bytes() - (n - 1 - visit) as u64 * b);
             }
-            self.retire(kv, i);
+            done(self.retire(kv, i));
             removed += 1;
         }
     }
@@ -223,40 +237,41 @@ impl DecodePool {
     /// The replaced per-token scan itself, growing each member as it is
     /// visited; for [`GrowthOrder::Pool`] when the closed form does not
     /// apply.
-    fn scan(&mut self, kv: &mut KvTracker) {
+    fn scan(&mut self, kv: &mut KvTracker, done: &mut impl FnMut(Finished)) {
         let mut i = 0;
         while i < self.members.len() {
             kv.grow_slot_or_clamp(self.members[i].slot, 1);
             if self.members[i].finish == self.iter {
-                self.retire(kv, i);
+                done(self.retire(kv, i));
             } else {
                 i += 1;
             }
         }
     }
 
-    /// Removes the member at position `i` as `Vec::swap_remove` would,
-    /// releases its KV entry and records it as finished.
-    fn retire(&mut self, kv: &mut KvTracker, i: usize) {
+    /// Removes the member at position `i` as `Vec::swap_remove` would and
+    /// releases its KV entry.
+    fn retire(&mut self, kv: &mut KvTracker, i: usize) -> Finished {
         let m = self.members.swap_remove(i);
         if let Some(moved) = self.members.get(i) {
-            if let Some(p) = self.pos.get_mut(moved.key) {
-                *p = i;
-            }
+            self.pos[moved.slot.index()] = i;
         }
-        self.pos.remove(m.key);
         self.ctx_sum -= m.context(self.iter);
         kv.release(m.query.req.id);
-        self.done.push(m.query);
+        m.query
     }
 
     /// Re-admits every member, in pool order, into the fresh tracker `kv`
     /// holding its input plus generated tokens, without a capacity check:
     /// a plan swap migrates live queries rather than evicting them.
     pub fn migrate(&mut self, kv: &mut KvTracker) {
-        for m in &mut self.members {
-            m.slot = kv.admit_unchecked(m.query.req.id, m.context(self.iter));
-            kv.enroll(m.slot);
+        self.heap.clear();
+        for p in 0..self.members.len() {
+            let m = self.members[p];
+            let slot = kv.admit_unchecked(m.query.req.id, m.context(self.iter));
+            kv.enroll(slot);
+            self.members[p].slot = slot;
+            self.index(slot, m.finish, p);
         }
     }
 
@@ -267,9 +282,8 @@ impl DecodePool {
             kv.release(m.query.req.id);
             each(TimedRequest { request: m.query.req, arrival: m.query.arrival });
         }
-        self.pos.clear();
         self.heap.clear();
-        self.fresh.clear();
+        self.fresh = 0;
         self.ctx_sum = 0;
     }
 }

@@ -75,16 +75,18 @@ impl<'a> Replay<'a> {
                 .map(|request| TimedRequest { request, arrival: 0.0 })
                 .collect(),
         };
+        let scheduled_b_d = exec.scheduled_decode_batch();
         Ok(Self {
             adjuster: exec.adjuster(opts.adjust_threshold),
-            scheduled_b_d: exec.scheduled_decode_batch(),
+            scheduled_b_d,
             kv: exec.kv_tracker(),
             exec,
             opts,
             queue,
             admitted: Vec::new(),
             lens: Vec::new(),
-            pool: DecodePool::new(),
+            // The plan sizes the pool at its decode batch.
+            pool: DecodePool::with_capacity(scheduled_b_d),
             t: 0.0,
             latencies: Vec::with_capacity(opts.num_queries),
             sojourns: Vec::new(),
@@ -150,19 +152,20 @@ impl<'a> Replay<'a> {
     /// finished queries release their entries and are recorded.
     pub(crate) fn advance(&mut self, order: GrowthOrder) {
         let t = self.t;
-        for done in self.pool.advance(&mut self.kv, order, t) {
+        let open_loop = self.opts.arrival_rate.is_some();
+        self.pool.advance(&mut self.kv, order, t, |done| {
             self.latencies.push(t - done.t_encoded);
-            if self.opts.arrival_rate.is_some() {
+            if open_loop {
                 self.sojourns.push(t - done.arrival);
             }
             self.completion_times.push(t);
-        }
+        });
     }
 
     /// The run's report.
-    pub(crate) fn finish(self) -> RunReport {
+    pub(crate) fn finish(mut self) -> RunReport {
         let (throughput, makespan) =
-            windowed_throughput(&self.completion_times, self.opts.warmup_frac);
+            windowed_throughput(&mut self.completion_times, self.opts.warmup_frac);
         RunReport {
             completed: self.latencies.len(),
             tokens_generated: self.pool.tokens(),

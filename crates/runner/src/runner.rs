@@ -132,12 +132,11 @@ impl Runner {
 }
 
 /// Computes the throughput window: completions after warm-up, over the time
-/// between the warm-up completion and the last completion.
-pub(crate) fn windowed_throughput(completion_times: &[f64], warmup_frac: f64) -> (f64, f64) {
-    if completion_times.is_empty() {
+/// between the warm-up completion and the last completion. Sorts `times`.
+pub(crate) fn windowed_throughput(times: &mut [f64], warmup_frac: f64) -> (f64, f64) {
+    if times.is_empty() {
         return (0.0, 0.0);
     }
-    let mut times = completion_times.to_vec();
     times.sort_by(f64::total_cmp);
     let warm = ((times.len() as f64 * warmup_frac) as usize).min(times.len() - 1);
     let t0 = if warm == 0 { 0.0 } else { times[warm - 1] };
@@ -157,10 +156,10 @@ mod tests {
 
     #[test]
     fn windowed_throughput_handles_edges() {
-        assert_eq!(windowed_throughput(&[], 0.1), (0.0, 0.0));
+        assert_eq!(windowed_throughput(&mut [], 0.1), (0.0, 0.0));
         // Ten completions one second apart, 10% warm-up: 9 over 9 seconds.
-        let times: Vec<f64> = (1..=10).map(|i| i as f64).collect();
-        let (thr, end) = windowed_throughput(&times, 0.1);
+        let mut times: Vec<f64> = (1..=10).map(|i| i as f64).collect();
+        let (thr, end) = windowed_throughput(&mut times, 0.1);
         assert!((thr - 1.0).abs() < 1e-9);
         assert_eq!(end, 10.0);
     }

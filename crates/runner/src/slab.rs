@@ -17,12 +17,6 @@ pub(crate) struct Slab<T> {
     free: Vec<usize>,
 }
 
-impl<T> Default for Slab<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<T> Slab<T> {
     /// An empty arena.
     pub(crate) fn new() -> Self {
@@ -52,11 +46,6 @@ impl<T> Slab<T> {
         Some(value)
     }
 
-    /// The value at `slot`, if occupied.
-    pub(crate) fn get(&self, slot: usize) -> Option<&T> {
-        self.slots.get(slot)?.as_ref()
-    }
-
     /// Mutable access to the value at `slot`, if occupied.
     pub(crate) fn get_mut(&mut self, slot: usize) -> Option<&mut T> {
         self.slots.get_mut(slot)?.as_mut()
@@ -67,12 +56,6 @@ impl<T> Slab<T> {
     #[cfg(test)]
     pub(crate) fn capacity(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Empties the arena, keeping its allocation.
-    pub(crate) fn clear(&mut self) {
-        self.slots.clear();
-        self.free.clear();
     }
 }
 
@@ -102,15 +85,6 @@ mod tests {
         assert_eq!(s.remove(a), Some(9));
         assert_eq!(s.remove(a), None, "double remove");
         assert_eq!(s.remove(99), None, "out of range");
-        assert_eq!(s.get(a), None);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut s: Slab<u8> = Slab::new();
-        s.insert(1);
-        s.clear();
-        assert_eq!(s.capacity(), 0);
-        assert_eq!(s.insert(2), 0);
+        assert_eq!(s.get_mut(a), None);
     }
 }

@@ -360,7 +360,7 @@ impl ServeLoop {
             stream: stream.map(|v| v.into_iter().peekable()),
             inbox: VecDeque::new(),
             pending: AdmissionQueue::new(),
-            pool: DecodePool::new(),
+            pool: DecodePool::default(),
             t: 0.0,
             metrics: Metrics::new(),
             events: EventLog::new(),
@@ -895,8 +895,7 @@ impl ReplicaSession {
     /// completions join this step's.
     fn advance_pool(&mut self, order: GrowthOrder) {
         let t = self.t;
-        let finished = self.pool.advance(&mut self.kv, order, t);
-        self.scratch.done.extend(finished.iter().map(|&f| (f, t)));
+        self.pool.advance(&mut self.kv, order, t, |f| self.scratch.done.push((f, t)));
     }
 
     /// Logs an arrival and queues it for admission.
