@@ -22,8 +22,8 @@ use crate::kv::{KvSlot, KvTracker};
 /// Where each member's KV growth falls within a decoding iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GrowthOrder {
-    /// Every resident entry grows first, in KV-arena order, then finished
-    /// queries release theirs. For RRA decode iterations, where the
+    /// Every member grows first, in KV-arena order, then finished members
+    /// release their entries. For RRA decode iterations, where the
     /// resident set is exactly the pool.
     Arena,
     /// Each member grows as the pool scan visits it, and a finished member
