@@ -194,9 +194,8 @@ impl KvTracker {
     }
 
     /// [`grow`](Self::grow) through the handle [`try_admit`](Self::try_admit)
-    /// returned. This runs once per pooled query per decoding iteration —
-    /// the hottest tracker path — so it indexes the arena directly and
-    /// updates the entry in place.
+    /// returned: it indexes the arena directly and updates the entry in
+    /// place.
     pub fn grow_slot(&mut self, slot: KvSlot, tokens: usize) -> bool {
         if matches!(self.policy, ReservePolicy::UpFront) {
             return true;
