@@ -1188,57 +1188,68 @@ impl FaultsConfig {
         if self.straggler_consecutive == Some(0) {
             return Err(validate_err(&join(path, "straggler_consecutive"), "must be at least 1"));
         }
-        validate_fault_events(&self.events, &join(path, "events"))
+        let events_path = join(path, "events");
+        for (i, e) in self.events.iter().enumerate() {
+            e.validate(&crate::decode::join_index(&events_path, i))?;
+        }
+        walk_windows(
+            &events_path,
+            self.events.iter().map(|e| {
+                let op = match e.kind {
+                    FaultKindConfig::GpuFail { gpu } | FaultKindConfig::GpuSlowdown { gpu, .. } => {
+                        Some((gpu, true))
+                    }
+                    FaultKindConfig::GpuRecover { gpu } => Some((gpu, false)),
+                    FaultKindConfig::LinkDegrade { .. } => None,
+                };
+                (&e.at, op)
+            }),
+            |gpu| {
+                format!(
+                    "overlapping fault windows on gpu {gpu}: \
+                     previous fault has no gpu_recover before this one"
+                )
+            },
+            |gpu| format!("gpu_recover for gpu {gpu} with no open fault window"),
+        )
     }
 }
 
-/// Rejects malformed event sequences: each event's own values, and
-/// *overlapping fault windows* — a `fail`/`slowdown` opened on a device
-/// that already has one open (no `recover` in between), or a `recover`
-/// with nothing to recover. Events must be listed in time order so the
-/// window walk is well-defined.
-fn validate_fault_events(events: &[FaultEventConfig], path: &str) -> Result<(), ScenarioError> {
-    let mut open: Vec<usize> = Vec::new(); // devices with an open fault window
+/// The fault-window walk shared by serve events (keyed by GPU index) and
+/// fleet faults (keyed by replica name). Events must be listed in time
+/// order, since that is the order they run in; a window opens only on a key
+/// with none open, and a close needs an open window. `events` yields each
+/// event's time and what it does: `Some((key, true))` opens a window on
+/// `key`, `Some((key, false))` closes it, `None` touches no window.
+fn walk_windows<'a, K: PartialEq + Copy>(
+    path: &str,
+    events: impl Iterator<Item = (&'a TimeSpec, Option<(K, bool)>)>,
+    overlap: impl Fn(K) -> String,
+    orphan: impl Fn(K) -> String,
+) -> Result<(), ScenarioError> {
+    let mut open: Vec<K> = Vec::new();
     let mut last: Option<&TimeSpec> = None;
-    for (i, e) in events.iter().enumerate() {
+    for (i, (at, op)) in events.enumerate() {
         let p = crate::decode::join_index(path, i);
-        e.validate(&p)?;
-        if let (Some(TimeSpec::Secs(a)), TimeSpec::Secs(b)) = (last, &e.at) {
-            if b < a {
-                return Err(validate_err(&p, "events must be listed in time order"));
-            }
+        let out_of_order = match (last, at) {
+            (Some(TimeSpec::Secs(a)), TimeSpec::Secs(b))
+            | (Some(TimeSpec::HorizonFrac(a)), TimeSpec::HorizonFrac(b)) => b < a,
+            _ => false,
+        };
+        if out_of_order {
+            return Err(validate_err(&p, "events must be listed in time order"));
         }
-        if let (Some(TimeSpec::HorizonFrac(a)), TimeSpec::HorizonFrac(b)) = (last, &e.at) {
-            if b < a {
-                return Err(validate_err(&p, "events must be listed in time order"));
-            }
-        }
-        last = Some(&e.at);
-        match &e.kind {
-            FaultKindConfig::GpuFail { gpu } | FaultKindConfig::GpuSlowdown { gpu, .. } => {
-                if open.contains(gpu) {
-                    return Err(validate_err(
-                        &p,
-                        format!(
-                            "overlapping fault windows on gpu {gpu}: \
-                             previous fault has no gpu_recover before this one"
-                        ),
-                    ));
-                }
-                open.push(*gpu);
-            }
-            FaultKindConfig::GpuRecover { gpu } => match open.iter().position(|g| g == gpu) {
+        last = Some(at);
+        match op {
+            Some((key, true)) if open.contains(&key) => return Err(validate_err(&p, overlap(key))),
+            Some((key, true)) => open.push(key),
+            Some((key, false)) => match open.iter().position(|k| *k == key) {
                 Some(at) => {
                     open.remove(at);
                 }
-                None => {
-                    return Err(validate_err(
-                        &p,
-                        format!("gpu_recover for gpu {gpu} with no open fault window"),
-                    ))
-                }
+                None => return Err(validate_err(&p, orphan(key))),
             },
-            FaultKindConfig::LinkDegrade { .. } => {}
+            None => {}
         }
     }
     Ok(())
@@ -1377,7 +1388,7 @@ pub struct FleetConfig {
     pub classes: Vec<ClassConfig>,
     /// The tenants.
     pub tenants: Vec<TenantConfig>,
-    /// Fleet-level replica faults.
+    /// Fleet-level replica faults, in time order.
     pub faults: Vec<FleetFaultConfig>,
     /// Scripted autoscaling actions.
     pub scale: Vec<ScaleConfig>,
@@ -1531,7 +1542,6 @@ impl FleetConfig {
             }
         }
         let faults_path = join(path, "faults");
-        let mut open: Vec<&str> = Vec::new();
         for (i, f) in self.faults.iter().enumerate() {
             let p = crate::decode::join_index(&faults_path, i);
             f.at.validate(&p)?;
@@ -1541,42 +1551,24 @@ impl FleetConfig {
                     format!("unknown replica `{}`", f.replica),
                 ));
             }
-            match f.action.as_str() {
-                "fail" => {
-                    if open.contains(&f.replica.as_str()) {
-                        return Err(validate_err(
-                            &p,
-                            format!(
-                                "overlapping fault windows on replica `{}`: \
-                                 previous fail has no recover before this one",
-                                f.replica
-                            ),
-                        ));
-                    }
-                    open.push(&f.replica);
-                }
-                "recover" => match open.iter().position(|r| *r == f.replica) {
-                    Some(at) => {
-                        open.remove(at);
-                    }
-                    None => {
-                        return Err(validate_err(
-                            &p,
-                            format!(
-                                "recover for replica `{}` with no open fault window",
-                                f.replica
-                            ),
-                        ))
-                    }
-                },
-                other => {
-                    return Err(validate_err(
-                        &join(&p, "action"),
-                        format!("must be `fail` or `recover`, got `{other}`"),
-                    ))
-                }
+            if f.action != "fail" && f.action != "recover" {
+                return Err(validate_err(
+                    &join(&p, "action"),
+                    format!("must be `fail` or `recover`, got `{}`", f.action),
+                ));
             }
         }
+        walk_windows(
+            &faults_path,
+            self.faults.iter().map(|f| (&f.at, Some((f.replica.as_str(), f.action == "fail")))),
+            |r| {
+                format!(
+                    "overlapping fault windows on replica `{r}`: \
+                     previous fail has no recover before this one"
+                )
+            },
+            |r| format!("recover for replica `{r}` with no open fault window"),
+        )?;
         let scale_path = join(path, "scale");
         for (i, s) in self.scale.iter().enumerate() {
             let p = crate::decode::join_index(&scale_path, i);

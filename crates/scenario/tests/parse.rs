@@ -139,6 +139,82 @@ fn fault_recover_without_open_window_is_rejected() {
     assert_eq!(err.key_path(), Some("serve.faults.events[0]"));
 }
 
+const MINIMAL_FLEET: &str = r#"
+name = "minimal-fleet"
+
+[model]
+preset = "opt-13b"
+
+[workload]
+kind = "task"
+task = "translation"
+
+[scheduler]
+latency_bound_secs = inf
+
+[fleet]
+total = 1500
+policy = "slo_aware"
+
+[[fleet.pools]]
+name = "a40"
+cluster = { preset = "a40", gpus = 4 }
+
+[[fleet.replicas]]
+name = "a40-0"
+pool = "a40"
+
+[[fleet.replicas]]
+name = "a40-1"
+pool = "a40"
+
+[[fleet.classes]]
+name = "batch"
+weight = 1.0
+
+[[fleet.tenants]]
+tenant = 0
+class = "batch"
+arrivals = { kind = "poisson", rate = { kind = "qps", qps = 5.0 } }
+"#;
+
+/// `MINIMAL_FLEET` with one `[[fleet.faults]]` entry per `(t_frac, action)`,
+/// all on replica `a40-1`.
+fn fleet_with_faults(faults: &[(f64, &str)]) -> String {
+    let mut text = MINIMAL_FLEET.to_string();
+    for (t, action) in faults {
+        text.push_str(&format!(
+            "\n[[fleet.faults]]\nt_frac = {t:?}\naction = \"{action}\"\nreplica = \"a40-1\"\n"
+        ));
+    }
+    text
+}
+
+#[test]
+fn overlapping_fleet_fault_windows_name_the_second_fail() {
+    let err = error_of(&fleet_with_faults(&[(0.3, "fail"), (0.6, "fail"), (0.9, "recover")]));
+    assert_eq!(err.key_path(), Some("fleet.faults[1]"));
+    assert!(err.to_string().contains("overlapping fault windows"), "{err}");
+}
+
+#[test]
+fn fleet_faults_out_of_time_order_are_rejected() {
+    // The same three events as above, listed out of time order: they run
+    // sorted, so they overlap just the same.
+    let err = error_of(&fleet_with_faults(&[(0.6, "fail"), (0.9, "recover"), (0.3, "fail")]));
+    assert_eq!(err.key_path(), Some("fleet.faults[2]"));
+    assert!(err.to_string().contains("time order"), "{err}");
+}
+
+#[test]
+fn time_ordered_fleet_fault_windows_pass() {
+    let text =
+        fleet_with_faults(&[(0.2, "fail"), (0.4, "recover"), (0.6, "fail"), (0.9, "recover")]);
+    let s = parsed(&text);
+    let exegpt_scenario::Mode::Fleet(fleet) = &s.mode else { panic!("fleet mode") };
+    assert_eq!(fleet.faults.len(), 4);
+}
+
 #[test]
 fn toml_syntax_errors_carry_the_line() {
     let err = error_of("name = \"x\"\nmodel = [unterminated");
