@@ -2,33 +2,35 @@
 //!
 //! The vendored serde derive ignores unknown fields and reports errors
 //! without location, which is the opposite of what a config front-end
-//! needs. Scenario types therefore decode by hand through [`Obj`]: every
-//! getter records the dotted key path it descended through, unknown keys
-//! are rejected by [`Obj::finish`], and every error names the offending
-//! path (`serve.arrivals.rate.qps`) so a misspelled key in a 60-line TOML
-//! file is a one-line diagnosis.
+//! needs. Scenario types therefore decode through [`Obj`]: every field
+//! read records the dotted key path it descended through, unknown keys are
+//! rejected by [`Obj::finish`], and every error names the offending path
+//! (`serve.arrivals.rate.qps`) so a misspelled key in a 60-line TOML file
+//! is a one-line diagnosis. What each field decodes to is the field's
+//! [`Node`] type (see [`crate::table`]).
 
 use serde::Value;
 
 use crate::error::ScenarioError;
+use crate::table::Node;
 
 /// Builds a [`ScenarioError::Parse`] at `path`.
-pub fn parse_err(path: &str, why: impl Into<String>) -> ScenarioError {
+pub(crate) fn parse_err(path: &str, why: impl Into<String>) -> ScenarioError {
     ScenarioError::Parse { path: path.to_string(), why: why.into() }
 }
 
 /// Builds a [`ScenarioError::Validate`] at `path`.
-pub fn validate_err(path: &str, why: impl Into<String>) -> ScenarioError {
+pub(crate) fn validate_err(path: &str, why: impl Into<String>) -> ScenarioError {
     ScenarioError::Validate { path: path.to_string(), why: why.into() }
 }
 
 /// The standard "expected X, found Y" parse error.
-pub fn expected(path: &str, what: &str, found: &Value) -> ScenarioError {
+pub(crate) fn expected(path: &str, what: &str, found: &Value) -> ScenarioError {
     parse_err(path, format!("expected {what}, found {}", found.type_name()))
 }
 
 /// Joins a parent path and a key into `parent.key` (or `key` at the root).
-pub fn join(parent: &str, key: &str) -> String {
+pub(crate) fn join(parent: &str, key: &str) -> String {
     if parent.is_empty() {
         key.to_string()
     } else {
@@ -37,13 +39,13 @@ pub fn join(parent: &str, key: &str) -> String {
 }
 
 /// Joins a parent path and an index into `parent[i]`.
-pub fn join_index(parent: &str, index: usize) -> String {
+pub(crate) fn join_index(parent: &str, index: usize) -> String {
     format!("{parent}[{index}]")
 }
 
 /// A view over one object in the tree that tracks which keys the schema
 /// claimed, so [`finish`](Obj::finish) can reject the rest by name.
-pub struct Obj<'v> {
+pub(crate) struct Obj<'v> {
     path: String,
     fields: &'v [(String, Value)],
     claimed: Vec<bool>,
@@ -51,11 +53,7 @@ pub struct Obj<'v> {
 
 impl<'v> Obj<'v> {
     /// Wraps `v`, which must be an object, rooted at `path`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a parse error at `path` if `v` is not an object.
-    pub fn new(v: &'v Value, path: &str) -> Result<Self, ScenarioError> {
+    pub(crate) fn new(v: &'v Value, path: &str) -> Result<Self, ScenarioError> {
         match v {
             Value::Object(fields) => {
                 Ok(Obj { path: path.to_string(), fields, claimed: vec![false; fields.len()] })
@@ -65,203 +63,35 @@ impl<'v> Obj<'v> {
     }
 
     /// The dotted path of this object.
-    pub fn path(&self) -> &str {
+    pub(crate) fn path(&self) -> &str {
         &self.path
     }
 
-    /// The dotted path of the field `key` under this object.
-    pub fn child_path(&self, key: &str) -> String {
-        join(&self.path, key)
-    }
-
-    fn claim(&mut self, key: &str) -> Option<&'v Value> {
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            if k == key {
-                self.claimed[i] = true;
-                // `Null` marks an explicitly-absent optional (JSON input);
-                // treat it the same as a missing key.
-                if matches!(v, Value::Null) {
-                    return None;
-                }
-                return Some(v);
-            }
-        }
-        None
-    }
-
-    /// The raw value of required field `key`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a parse error naming `key` when the field is missing.
-    pub fn req(&mut self, key: &str) -> Result<&'v Value, ScenarioError> {
-        let path = self.child_path(key);
-        self.claim(key).ok_or_else(|| parse_err(&path, "missing required key"))
-    }
-
-    /// The raw value of optional field `key`.
-    pub fn opt(&mut self, key: &str) -> Option<&'v Value> {
-        self.claim(key)
-    }
-
-    /// Required string field.
-    ///
-    /// # Errors
-    ///
-    /// Returns a parse error when missing or not a string.
-    pub fn req_str(&mut self, key: &str) -> Result<String, ScenarioError> {
-        let path = self.child_path(key);
-        as_str(self.req(key)?, &path)
-    }
-
-    /// Optional string field.
-    ///
-    /// # Errors
-    ///
-    /// Returns a parse error when present but not a string.
-    pub fn opt_str(&mut self, key: &str) -> Result<Option<String>, ScenarioError> {
-        let path = self.child_path(key);
-        self.opt(key).map(|v| as_str(v, &path)).transpose()
-    }
-
-    /// Required float field (integers widen).
-    ///
-    /// # Errors
-    ///
-    /// Returns a parse error when missing or not a number.
-    pub fn req_f64(&mut self, key: &str) -> Result<f64, ScenarioError> {
-        let path = self.child_path(key);
-        as_f64(self.req(key)?, &path)
-    }
-
-    /// Optional float field (integers widen).
-    ///
-    /// # Errors
-    ///
-    /// Returns a parse error when present but not a number.
-    pub fn opt_f64(&mut self, key: &str) -> Result<Option<f64>, ScenarioError> {
-        let path = self.child_path(key);
-        self.opt(key).map(|v| as_f64(v, &path)).transpose()
-    }
-
-    /// Required non-negative integer field.
-    ///
-    /// # Errors
-    ///
-    /// Returns a parse error when missing, not an integer, or negative.
-    pub fn req_u64(&mut self, key: &str) -> Result<u64, ScenarioError> {
-        let path = self.child_path(key);
-        as_u64(self.req(key)?, &path)
-    }
-
-    /// Optional non-negative integer field.
-    ///
-    /// # Errors
-    ///
-    /// Returns a parse error when present but not a non-negative integer.
-    pub fn opt_u64(&mut self, key: &str) -> Result<Option<u64>, ScenarioError> {
-        let path = self.child_path(key);
-        self.opt(key).map(|v| as_u64(v, &path)).transpose()
-    }
-
-    /// Required `usize` field.
-    ///
-    /// # Errors
-    ///
-    /// Returns a parse error when missing or out of range.
-    pub fn req_usize(&mut self, key: &str) -> Result<usize, ScenarioError> {
-        let path = self.child_path(key);
-        let n = self.req_u64(key)?;
-        usize::try_from(n).map_err(|_| parse_err(&path, format!("{n} is out of range")))
-    }
-
-    /// Optional `usize` field.
-    ///
-    /// # Errors
-    ///
-    /// Returns a parse error when present but not a `usize`.
-    pub fn opt_usize(&mut self, key: &str) -> Result<Option<usize>, ScenarioError> {
-        let path = self.child_path(key);
-        match self.opt_u64(key)? {
-            Some(n) => usize::try_from(n)
-                .map(Some)
-                .map_err(|_| parse_err(&path, format!("{n} is out of range"))),
-            None => Ok(None),
-        }
-    }
-
-    /// Required `u32` field.
-    ///
-    /// # Errors
-    ///
-    /// Returns a parse error when missing or out of range.
-    pub fn req_u32(&mut self, key: &str) -> Result<u32, ScenarioError> {
-        let path = self.child_path(key);
-        let n = self.req_u64(key)?;
-        u32::try_from(n).map_err(|_| parse_err(&path, format!("{n} is out of range")))
-    }
-
-    /// Required bool field.
-    ///
-    /// # Errors
-    ///
-    /// Returns a parse error when missing or not a bool.
-    pub fn req_bool(&mut self, key: &str) -> Result<bool, ScenarioError> {
-        let path = self.child_path(key);
-        as_bool(self.req(key)?, &path)
-    }
-
-    /// Optional bool field.
-    ///
-    /// # Errors
-    ///
-    /// Returns a parse error when present but not a bool.
-    pub fn opt_bool(&mut self, key: &str) -> Result<Option<bool>, ScenarioError> {
-        let path = self.child_path(key);
-        self.opt(key).map(|v| as_bool(v, &path)).transpose()
-    }
-
-    /// Required array field, as `(element, element_path)` pairs.
-    ///
-    /// # Errors
-    ///
-    /// Returns a parse error when missing or not an array.
-    pub fn req_array(&mut self, key: &str) -> Result<Vec<(&'v Value, String)>, ScenarioError> {
-        let path = self.child_path(key);
-        as_array(self.req(key)?, &path)
-    }
-
-    /// Optional array field, as `(element, element_path)` pairs.
-    ///
-    /// # Errors
-    ///
-    /// Returns a parse error when present but not an array.
-    pub fn opt_array(
+    /// Decodes field `key` as a `T`; when the key is absent (JSON `null`
+    /// counts as absent), `absent` gets the field's path instead.
+    pub(crate) fn get<T: Node>(
         &mut self,
         key: &str,
-    ) -> Result<Option<Vec<(&'v Value, String)>>, ScenarioError> {
-        let path = self.child_path(key);
-        self.opt(key).map(|v| as_array(v, &path)).transpose()
+        absent: impl FnOnce(&str) -> Result<T, ScenarioError>,
+    ) -> Result<T, ScenarioError> {
+        let path = join(&self.path, key);
+        let found = self.fields.iter().position(|(k, _)| k == key);
+        match found {
+            Some(i) => {
+                self.claimed[i] = true;
+                match &self.fields[i].1 {
+                    Value::Null => absent(&path),
+                    v => T::decode(v, &path),
+                }
+            }
+            None => absent(&path),
+        }
     }
 
-    /// The enum discriminant: required string field `kind`, checked
-    /// against `allowed`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a parse error at `<path>.kind` when missing or not one of
-    /// `allowed` (the message lists the valid tags).
-    pub fn tag(&mut self, allowed: &[&str]) -> Result<String, ScenarioError> {
-        let path = self.child_path("kind");
-        let tag = self.req_str("kind")?;
-        if allowed.contains(&tag.as_str()) {
-            Ok(tag)
-        } else {
-            Err(parse_err(
-                &path,
-                format!("unknown kind `{tag}`; expected one of {}", allowed.join(", ")),
-            ))
-        }
+    /// Decodes field `key` as a `T` ([`Node::take`]: an absent key is
+    /// [`Node::missing`]).
+    pub(crate) fn field<T: Node>(&mut self, key: &str) -> Result<T, ScenarioError> {
+        T::take(self, key)
     }
 
     /// Rejects any key the schema did not claim.
@@ -269,73 +99,18 @@ impl<'v> Obj<'v> {
     /// # Errors
     ///
     /// Returns a parse error naming the first unknown key's full path.
-    pub fn finish(self) -> Result<(), ScenarioError> {
-        for (i, (k, _)) in self.fields.iter().enumerate() {
-            if !self.claimed[i] {
-                let path = join(&self.path, k);
-                return Err(parse_err(&path, "unknown key"));
-            }
+    pub(crate) fn finish(self) -> Result<(), ScenarioError> {
+        match self.claimed.iter().position(|c| !c) {
+            Some(i) => Err(parse_err(&join(&self.path, &self.fields[i].0), "unknown key")),
+            None => Ok(()),
         }
-        Ok(())
-    }
-}
-
-fn as_str(v: &Value, path: &str) -> Result<String, ScenarioError> {
-    match v {
-        Value::Str(s) => Ok(s.clone()),
-        other => Err(expected(path, "a string", other)),
-    }
-}
-
-fn as_bool(v: &Value, path: &str) -> Result<bool, ScenarioError> {
-    match v {
-        Value::Bool(b) => Ok(*b),
-        other => Err(expected(path, "a boolean", other)),
-    }
-}
-
-/// Numbers widen to `f64`; JSON `null` decodes to NaN so non-finite floats
-/// round-trip (validation then rejects NaN where it is meaningless).
-fn as_f64(v: &Value, path: &str) -> Result<f64, ScenarioError> {
-    match v {
-        Value::F64(x) => Ok(*x),
-        Value::U64(n) => Ok(*n as f64),
-        Value::I64(n) => Ok(*n as f64),
-        // JSON has no literal for non-finite floats; they travel as the
-        // TOML spellings instead.
-        Value::Str(s) if s == "inf" || s == "+inf" => Ok(f64::INFINITY),
-        Value::Str(s) if s == "-inf" => Ok(f64::NEG_INFINITY),
-        Value::Str(s) if s == "nan" => Ok(f64::NAN),
-        other => Err(expected(path, "a number", other)),
-    }
-}
-
-fn as_u64(v: &Value, path: &str) -> Result<u64, ScenarioError> {
-    match v {
-        Value::U64(n) => Ok(*n),
-        Value::I64(n) => u64::try_from(*n)
-            .map_err(|_| parse_err(path, format!("expected a non-negative integer, found {n}"))),
-        other => Err(expected(path, "an integer", other)),
-    }
-}
-
-/// Decodes an array value into `(element, element_path)` pairs.
-///
-/// # Errors
-///
-/// Returns a parse error at `path` when `v` is not an array.
-pub fn as_array<'v>(v: &'v Value, path: &str) -> Result<Vec<(&'v Value, String)>, ScenarioError> {
-    match v {
-        Value::Array(items) => {
-            Ok(items.iter().enumerate().map(|(i, item)| (item, join_index(path, i))).collect())
-        }
-        other => Err(expected(path, "an array", other)),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::RateSpec;
 
     fn tree() -> Value {
         Value::Object(vec![
@@ -351,13 +126,11 @@ mod tests {
     fn getters_and_finish_accept_a_fully_claimed_object() {
         let v = tree();
         let mut o = Obj::new(&v, "root").expect("object");
-        assert_eq!(o.req_str("name").expect("name"), "x");
-        assert_eq!(o.req_u64("seed").expect("seed"), 7);
-        assert!((o.req_f64("rate").expect("rate") - 1.5).abs() < 1e-12);
-        assert!(o.req_bool("on").expect("on"));
-        let items = o.req_array("items").expect("items");
-        assert_eq!(items.len(), 2);
-        assert_eq!(items[1].1, "root.items[1]");
+        assert_eq!(o.field::<String>("name").expect("name"), "x");
+        assert_eq!(o.field::<u64>("seed").expect("seed"), 7);
+        assert!((o.field::<f64>("rate").expect("rate") - 1.5).abs() < 1e-12);
+        assert!(o.field::<bool>("on").expect("on"));
+        assert_eq!(o.field::<Vec<usize>>("items").expect("items"), vec![1, 2]);
         o.finish().expect("all keys claimed");
     }
 
@@ -365,7 +138,7 @@ mod tests {
     fn unknown_keys_are_named_with_their_full_path() {
         let v = tree();
         let mut o = Obj::new(&v, "serve").expect("object");
-        let _ = o.req_str("name");
+        let _ = o.field::<String>("name");
         let err = o.finish().expect_err("unclaimed keys");
         assert_eq!(err.key_path(), Some("serve.seed"));
     }
@@ -374,25 +147,26 @@ mod tests {
     fn missing_and_mistyped_keys_are_named() {
         let v = tree();
         let mut o = Obj::new(&v, "").expect("object");
-        let missing = o.req_f64("qps").expect_err("missing");
+        let missing = o.field::<f64>("qps").expect_err("missing");
         assert_eq!(missing.key_path(), Some("qps"));
-        let mistyped = o.req_u64("name").expect_err("mistyped");
+        let mistyped = o.field::<u64>("name").expect_err("mistyped");
         assert_eq!(mistyped.key_path(), Some("name"));
+        let items = o.field::<Vec<String>>("items").expect_err("mistyped element");
+        assert_eq!(items.key_path(), Some("items[0]"));
         let negative = Obj::new(&Value::Object(vec![("n".to_string(), Value::I64(-2))]), "w")
-            .and_then(|mut o| o.req_u64("n"))
+            .and_then(|mut o| o.field::<u64>("n"))
             .expect_err("negative");
         assert_eq!(negative.key_path(), Some("w.n"));
     }
 
     #[test]
     fn tag_lists_the_allowed_kinds() {
-        let v = Value::Object(vec![("kind".to_string(), Value::Str("pois".to_string()))]);
-        let mut o = Obj::new(&v, "serve.arrivals").expect("object");
-        let err = o.tag(&["poisson", "bursty"]).expect_err("unknown tag");
-        assert_eq!(err.key_path(), Some("serve.arrivals.kind"));
+        let v = Value::Object(vec![("kind".to_string(), Value::Str("qp".to_string()))]);
+        let err = RateSpec::decode(&v, "serve.arrivals.rate").expect_err("unknown tag");
+        assert_eq!(err.key_path(), Some("serve.arrivals.rate.kind"));
         match err {
             ScenarioError::Parse { why, .. } => {
-                assert!(why.contains("poisson, bursty"), "{why}");
+                assert!(why.contains("qps, capacity_frac, pool_capacity_frac"), "{why}");
             }
             other => panic!("expected parse error, got {other:?}"),
         }

@@ -21,13 +21,16 @@
 //!   rejects malformed text with a line number, and schema mismatches with
 //!   the offending *key path* (`serve.arrivals.rate.qps`) — never a panic;
 //! * **validate** ([`Scenario::validate`]) enforces the semantic rules:
-//!   positive rates, non-empty GPU pools, resolvable cross-references,
-//!   non-overlapping fault windows;
+//!   the field checks each schema row declares (positive rates, non-empty
+//!   GPU pools) and the checks that span fields (resolvable
+//!   cross-references, time-ordered, non-overlapping fault windows);
 //! * **lower**/[`run`] build the real objects and execute deterministically
 //!   ([`Outcome::digest`] is FNV-1a over the run's event log);
 //! * **check** ([`broken_invariants`]) holds a finished run to request
 //!   conservation and consistent SLO accounting.
 //!
+//! Every schema type is written once, as a field table from which its
+//! struct or enum, decode, encode and field checks are generated.
 //! Serialization is canonical and lossless: `decode(encode(s)) == s`
 //! exactly, including boundary floats — the identity the property suite
 //! pins. Shipped configs live in `scenarios/` at the workspace root with
@@ -37,12 +40,13 @@
 #![forbid(unsafe_code)]
 
 pub mod arbitrary;
-pub mod decode;
+mod decode;
 mod digest;
 mod error;
 mod invariants;
 mod lower;
 pub mod schema;
+mod table;
 pub mod toml;
 
 pub use digest::{fnv1a, format_digest};

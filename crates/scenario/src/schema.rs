@@ -3,11 +3,13 @@
 //! A [`Scenario`] is a complete, self-contained description of a run:
 //! model, cluster (or per-pool clusters for a fleet), workload
 //! distributions, scheduler constraints, arrival process, SLO targets,
-//! fault schedule, and the seed. The tree decodes from TOML or JSON
-//! through the path-tracked [`crate::decode`] helpers — every error names
-//! the offending key — and [`Scenario::validate`] enforces the semantic
-//! rules (positive rates, non-empty GPU pools, non-overlapping fault
-//! windows, resolvable cross-references) before lowering is attempted.
+//! fault schedule, and the seed. Every type below the root is one field
+//! table (see the crate-private `table` module), which generates the
+//! type, its path-tracked decode from TOML or JSON (every error names the
+//! offending key), its canonical encode and its field checks. Checks that
+//! span fields — the fleet's cross-references, fault-window walks,
+//! per-mode rate restrictions — are the tables' hand-written `check`
+//! hooks. [`Scenario::validate`] runs all of them before lowering.
 //!
 //! Serialization ([`Serialize::to_value`]) is canonical: every concrete
 //! field is emitted, optional fields only when present, so
@@ -16,8 +18,12 @@
 
 use serde::{Serialize, Value};
 
-use crate::decode::{join, parse_err, validate_err, Obj};
+use crate::decode::{join, join_index, parse_err, validate_err, Obj};
 use crate::error::ScenarioError;
+use crate::table::{
+    at_least_1, declares, finite, known, non_empty, non_neg, one_of, pos, pos_or_inf, table,
+    tagged, within, Body, Check, Fields, Node,
+};
 
 /// Known model presets, in `ModelConfig` constructor order.
 pub const MODEL_PRESETS: &[&str] =
@@ -41,33 +47,6 @@ pub const POLICIES: &[&str] = &["rra", "waa_compute", "waa_memory"];
 /// Known fleet dispatch policies.
 pub const DISPATCH_POLICIES: &[&str] =
     &["round_robin", "least_outstanding", "kv_headroom", "slo_aware"];
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-fn push_opt(fields: &mut Vec<(&str, Value)>, key: &'static str, v: Option<Value>) {
-    if let Some(v) = v {
-        fields.push((key, v));
-    }
-}
-
-fn require_finite(x: f64, path: &str, what: &str) -> Result<(), ScenarioError> {
-    if x.is_finite() {
-        Ok(())
-    } else {
-        Err(validate_err(path, format!("{what} must be finite, got {x}")))
-    }
-}
-
-fn require_pos(x: f64, path: &str, what: &str) -> Result<(), ScenarioError> {
-    require_finite(x, path, what)?;
-    if x > 0.0 {
-        Ok(())
-    } else {
-        Err(validate_err(path, format!("{what} must be positive, got {x}")))
-    }
-}
 
 // --- scenario root -------------------------------------------------------
 
@@ -105,20 +84,19 @@ pub enum Mode {
 
 impl Serialize for Scenario {
     fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("name", Value::Str(self.name.clone())),
-            ("seed", Value::U64(self.seed)),
-            ("model", self.model.to_value()),
-        ];
-        push_opt(&mut fields, "cluster", self.cluster.as_ref().map(Serialize::to_value));
-        fields.push(("workload", self.workload.to_value()));
-        fields.push(("scheduler", self.scheduler.to_value()));
+        let mut out = Fields::new();
+        self.name.put("name", &mut out);
+        self.seed.put("seed", &mut out);
+        self.model.put("model", &mut out);
+        self.cluster.put("cluster", &mut out);
+        self.workload.put("workload", &mut out);
+        self.scheduler.put("scheduler", &mut out);
         match &self.mode {
-            Mode::Serve(c) => fields.push(("serve", c.to_value())),
-            Mode::Fleet(c) => fields.push(("fleet", c.to_value())),
-            Mode::Replay(c) => fields.push(("replay", c.to_value())),
+            Mode::Serve(c) => c.put("serve", &mut out),
+            Mode::Fleet(c) => c.put("fleet", &mut out),
+            Mode::Replay(c) => c.put("replay", &mut out),
         }
-        obj(fields)
+        Value::Object(out)
     }
 }
 
@@ -130,15 +108,15 @@ impl Scenario {
     /// Returns a parse error naming the offending key path.
     pub fn decode(v: &Value) -> Result<Self, ScenarioError> {
         let mut o = Obj::new(v, "")?;
-        let name = o.req_str("name")?;
-        let seed = o.opt_u64("seed")?.unwrap_or(0);
-        let model = ModelSpec::decode(o.req("model")?, &o.child_path("model"))?;
-        let cluster = o.opt("cluster").map(|v| ClusterConfig::decode(v, "cluster")).transpose()?;
-        let workload = WorkloadConfig::decode(o.req("workload")?, &o.child_path("workload"))?;
-        let scheduler = SchedulerConfig::decode(o.req("scheduler")?, &o.child_path("scheduler"))?;
-        let serve = o.opt("serve").map(|v| ServeConfig::decode(v, "serve")).transpose()?;
-        let fleet = o.opt("fleet").map(|v| FleetConfig::decode(v, "fleet")).transpose()?;
-        let replay = o.opt("replay").map(|v| ReplayConfig::decode(v, "replay")).transpose()?;
+        let name = o.field("name")?;
+        let seed = o.get("seed", |_| Ok(0))?;
+        let model = o.field("model")?;
+        let cluster = o.field("cluster")?;
+        let workload = o.field("workload")?;
+        let scheduler = o.field("scheduler")?;
+        let serve = o.field("serve")?;
+        let fleet = o.field("fleet")?;
+        let replay = o.field("replay")?;
         o.finish()?;
         let mode = match (serve, fleet, replay) {
             (Some(c), None, None) => Mode::Serve(c),
@@ -158,545 +136,197 @@ impl Scenario {
     ///
     /// Returns a validation error naming the offending key path.
     pub fn validate(&self) -> Result<(), ScenarioError> {
-        if self.name.is_empty() {
-            return Err(validate_err("name", "must not be empty"));
-        }
+        non_empty(&self.name, "name")?;
         self.model.validate("model")?;
-        if let Some(c) = &self.cluster {
-            c.validate("cluster")?;
-        }
+        self.cluster.validate("cluster")?;
         self.workload.validate("workload")?;
         self.scheduler.validate("scheduler")?;
-        match &self.mode {
-            Mode::Serve(c) => {
-                if self.cluster.is_none() {
-                    return Err(validate_err("cluster", "serve mode requires a cluster"));
-                }
-                c.validate("serve")
+        match (&self.mode, &self.cluster) {
+            (Mode::Serve(_), None) => Err(validate_err("cluster", "serve mode requires a cluster")),
+            (Mode::Replay(_), None) => {
+                Err(validate_err("cluster", "replay mode requires a cluster"))
             }
-            Mode::Fleet(c) => {
-                if self.cluster.is_some() {
-                    return Err(validate_err(
-                        "cluster",
-                        "fleet mode declares clusters per pool; remove the top-level cluster",
-                    ));
-                }
-                c.validate("fleet")
-            }
-            Mode::Replay(c) => {
-                if self.cluster.is_none() {
-                    return Err(validate_err("cluster", "replay mode requires a cluster"));
-                }
-                c.validate("replay")
-            }
+            (Mode::Fleet(_), Some(_)) => Err(validate_err(
+                "cluster",
+                "fleet mode declares clusters per pool; remove the top-level cluster",
+            )),
+            (Mode::Serve(c), _) => c.validate("serve"),
+            (Mode::Fleet(c), _) => c.validate("fleet"),
+            (Mode::Replay(c), _) => c.validate("replay"),
         }
     }
 }
 
 // --- model / cluster -----------------------------------------------------
 
-/// The model to deploy.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ModelSpec {
-    /// One of [`MODEL_PRESETS`].
-    pub preset: String,
-}
-
-impl Serialize for ModelSpec {
-    fn to_value(&self) -> Value {
-        obj(vec![("preset", Value::Str(self.preset.clone()))])
+table! {
+    /// The model to deploy.
+    pub struct ModelSpec {
+        /// One of [`MODEL_PRESETS`].
+        preset: String => known("model preset", MODEL_PRESETS),
     }
 }
 
-impl ModelSpec {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let preset = o.req_str("preset")?;
-        o.finish()?;
-        Ok(ModelSpec { preset })
-    }
-
-    fn validate(&self, path: &str) -> Result<(), ScenarioError> {
-        if MODEL_PRESETS.contains(&self.preset.as_str()) {
-            Ok(())
-        } else {
-            Err(validate_err(
-                &join(path, "preset"),
-                format!(
-                    "unknown model preset `{}`; expected one of {}",
-                    self.preset,
-                    MODEL_PRESETS.join(", ")
-                ),
-            ))
-        }
-    }
-}
-
-/// A GPU pool: a preset cluster, optionally narrowed to its first `gpus`
-/// devices.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterConfig {
-    /// One of [`CLUSTER_PRESETS`] (`a40` = 6×8 A40, `a100` = 2×8 A100).
-    pub preset: String,
-    /// Take the first `gpus` devices (omit for the full cluster).
-    pub gpus: Option<usize>,
-}
-
-impl Serialize for ClusterConfig {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![("preset", Value::Str(self.preset.clone()))];
-        push_opt(&mut fields, "gpus", self.gpus.map(|n| Value::U64(n as u64)));
-        obj(fields)
-    }
-}
-
-impl ClusterConfig {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let preset = o.req_str("preset")?;
-        let gpus = o.opt_usize("gpus")?;
-        o.finish()?;
-        Ok(ClusterConfig { preset, gpus })
-    }
-
-    fn validate(&self, path: &str) -> Result<(), ScenarioError> {
-        if !CLUSTER_PRESETS.contains(&self.preset.as_str()) {
-            return Err(validate_err(
-                &join(path, "preset"),
-                format!(
-                    "unknown cluster preset `{}`; expected one of {}",
-                    self.preset,
-                    CLUSTER_PRESETS.join(", ")
-                ),
-            ));
-        }
-        if self.gpus == Some(0) {
-            return Err(validate_err(&join(path, "gpus"), "empty GPU pool: need at least 1"));
-        }
-        Ok(())
+table! {
+    /// A GPU pool: a preset cluster, optionally narrowed to its first `gpus`
+    /// devices.
+    pub struct ClusterConfig {
+        /// One of [`CLUSTER_PRESETS`] (`a40` = 6×8 A40, `a100` = 2×8 A100).
+        preset: String => known("cluster preset", CLUSTER_PRESETS),
+        /// Take the first `gpus` devices (omit for the full cluster).
+        gpus: Option<usize> => |n: &usize, path: &str| match n {
+            0 => Err(validate_err(path, "empty GPU pool: need at least 1")),
+            _ => Ok(()),
+        },
     }
 }
 
 // --- workload ------------------------------------------------------------
 
-/// Input/output length distributions: a named paper task (optionally
-/// rescaled) or fully custom distributions.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WorkloadConfig {
-    /// A Table 3 task, with optional output-mean/std rescaling (drift
-    /// studies).
-    Task {
-        /// One of [`TASKS`].
-        task: String,
-        /// Scale the output mean by this factor.
-        scale_mean: Option<f64>,
-        /// Scale the output std by this factor.
-        scale_std: Option<f64>,
-    },
-    /// Explicit distributions for both sides.
-    Custom {
-        /// Input (prompt) length distribution.
-        input: LengthDistConfig,
-        /// Output (generation) length distribution.
-        output: LengthDistConfig,
-    },
-}
-
-impl Serialize for WorkloadConfig {
-    fn to_value(&self) -> Value {
-        match self {
-            WorkloadConfig::Task { task, scale_mean, scale_std } => {
-                let mut fields = vec![
-                    ("kind", Value::Str("task".to_string())),
-                    ("task", Value::Str(task.clone())),
-                ];
-                push_opt(&mut fields, "scale_mean", scale_mean.map(Value::F64));
-                push_opt(&mut fields, "scale_std", scale_std.map(Value::F64));
-                obj(fields)
-            }
-            WorkloadConfig::Custom { input, output } => obj(vec![
-                ("kind", Value::Str("custom".to_string())),
-                ("input", input.to_value()),
-                ("output", output.to_value()),
-            ]),
-        }
+tagged! {
+    /// Input/output length distributions: a named paper task (optionally
+    /// rescaled) or fully custom distributions.
+    pub enum WorkloadConfig {
+        /// A Table 3 task, with optional output-mean/std rescaling (drift
+        /// studies).
+        Task = "task" {
+            /// One of [`TASKS`].
+            task: String => known("task", TASKS),
+            /// Scale the output mean by this factor.
+            scale_mean: Option<f64> => pos("scale factor"),
+            /// Scale the output std by this factor.
+            scale_std: Option<f64> => pos("scale factor"),
+        },
+        /// Explicit distributions for both sides.
+        Custom = "custom" {
+            /// Input (prompt) length distribution.
+            input: LengthDistConfig,
+            /// Output (generation) length distribution.
+            output: LengthDistConfig,
+        },
     }
 }
 
-impl WorkloadConfig {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let out = match o.tag(&["task", "custom"])?.as_str() {
-            "task" => WorkloadConfig::Task {
-                task: o.req_str("task")?,
-                scale_mean: o.opt_f64("scale_mean")?,
-                scale_std: o.opt_f64("scale_std")?,
-            },
-            _ => WorkloadConfig::Custom {
-                input: LengthDistConfig::decode(o.req("input")?, &o.child_path("input"))?,
-                output: LengthDistConfig::decode(o.req("output")?, &o.child_path("output"))?,
-            },
-        };
-        o.finish()?;
-        Ok(out)
+tagged! {
+    /// A token-length distribution, mirroring `exegpt_dist::LengthDist`
+    /// constructors.
+    pub enum LengthDistConfig {
+        /// Normal truncated to `[1, max_len]`.
+        TruncatedNormal = "truncated_normal" {
+            /// Mean length (tokens).
+            mean: f64 => pos("mean length"),
+            /// Standard deviation (tokens).
+            std: f64 => pos("standard deviation"),
+            /// Hard length cap.
+            max_len: usize => at_least_1,
+        },
+        /// Skew-normal truncated to `[1, max_len]`.
+        SkewNormal = "skew_normal" {
+            /// Location-scale mean (tokens).
+            mean: f64 => pos("mean length"),
+            /// Scale (tokens).
+            std: f64 => pos("standard deviation"),
+            /// Skewness parameter.
+            skewness: f64 => finite("skewness"),
+            /// Hard length cap.
+            max_len: usize => at_least_1,
+        },
+        /// Log-normal truncated to `[1, max_len]`.
+        LogNormal = "log_normal" {
+            /// Mean length (tokens).
+            mean: f64 => pos("mean length"),
+            /// Standard deviation (tokens).
+            std: f64 => pos("standard deviation"),
+            /// Hard length cap.
+            max_len: usize => at_least_1,
+        },
+        /// Every request has exactly `len` tokens.
+        PointMass = "point_mass" {
+            /// The fixed length.
+            len: usize => at_least_1,
+            /// Hard length cap (support upper bound).
+            max_len: usize => at_least_1,
+        },
     }
-
-    fn validate(&self, path: &str) -> Result<(), ScenarioError> {
-        match self {
-            WorkloadConfig::Task { task, scale_mean, scale_std } => {
-                if !TASKS.contains(&task.as_str()) {
-                    return Err(validate_err(
-                        &join(path, "task"),
-                        format!("unknown task `{task}`; expected one of {}", TASKS.join(", ")),
-                    ));
-                }
-                if let Some(k) = scale_mean {
-                    require_pos(*k, &join(path, "scale_mean"), "scale factor")?;
-                }
-                if let Some(k) = scale_std {
-                    require_pos(*k, &join(path, "scale_std"), "scale factor")?;
-                }
-                Ok(())
-            }
-            WorkloadConfig::Custom { input, output } => {
-                input.validate(&join(path, "input"))?;
-                output.validate(&join(path, "output"))
-            }
-        }
-    }
-}
-
-/// A token-length distribution, mirroring `exegpt_dist::LengthDist`
-/// constructors.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LengthDistConfig {
-    /// Normal truncated to `[1, max_len]`.
-    TruncatedNormal {
-        /// Mean length (tokens).
-        mean: f64,
-        /// Standard deviation (tokens).
-        std: f64,
-        /// Hard length cap.
-        max_len: usize,
-    },
-    /// Skew-normal truncated to `[1, max_len]`.
-    SkewNormal {
-        /// Location-scale mean (tokens).
-        mean: f64,
-        /// Scale (tokens).
-        std: f64,
-        /// Skewness parameter.
-        skewness: f64,
-        /// Hard length cap.
-        max_len: usize,
-    },
-    /// Log-normal truncated to `[1, max_len]`.
-    LogNormal {
-        /// Mean length (tokens).
-        mean: f64,
-        /// Standard deviation (tokens).
-        std: f64,
-        /// Hard length cap.
-        max_len: usize,
-    },
-    /// Every request has exactly `len` tokens.
-    PointMass {
-        /// The fixed length.
-        len: usize,
-        /// Hard length cap (support upper bound).
-        max_len: usize,
-    },
-}
-
-impl Serialize for LengthDistConfig {
-    fn to_value(&self) -> Value {
-        match self {
-            LengthDistConfig::TruncatedNormal { mean, std, max_len } => obj(vec![
-                ("kind", Value::Str("truncated_normal".to_string())),
-                ("mean", Value::F64(*mean)),
-                ("std", Value::F64(*std)),
-                ("max_len", Value::U64(*max_len as u64)),
-            ]),
-            LengthDistConfig::SkewNormal { mean, std, skewness, max_len } => obj(vec![
-                ("kind", Value::Str("skew_normal".to_string())),
-                ("mean", Value::F64(*mean)),
-                ("std", Value::F64(*std)),
-                ("skewness", Value::F64(*skewness)),
-                ("max_len", Value::U64(*max_len as u64)),
-            ]),
-            LengthDistConfig::LogNormal { mean, std, max_len } => obj(vec![
-                ("kind", Value::Str("log_normal".to_string())),
-                ("mean", Value::F64(*mean)),
-                ("std", Value::F64(*std)),
-                ("max_len", Value::U64(*max_len as u64)),
-            ]),
-            LengthDistConfig::PointMass { len, max_len } => obj(vec![
-                ("kind", Value::Str("point_mass".to_string())),
-                ("len", Value::U64(*len as u64)),
-                ("max_len", Value::U64(*max_len as u64)),
-            ]),
-        }
-    }
-}
-
-impl LengthDistConfig {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let out =
-            match o.tag(&["truncated_normal", "skew_normal", "log_normal", "point_mass"])?.as_str()
-            {
-                "truncated_normal" => LengthDistConfig::TruncatedNormal {
-                    mean: o.req_f64("mean")?,
-                    std: o.req_f64("std")?,
-                    max_len: o.req_usize("max_len")?,
-                },
-                "skew_normal" => LengthDistConfig::SkewNormal {
-                    mean: o.req_f64("mean")?,
-                    std: o.req_f64("std")?,
-                    skewness: o.req_f64("skewness")?,
-                    max_len: o.req_usize("max_len")?,
-                },
-                "log_normal" => LengthDistConfig::LogNormal {
-                    mean: o.req_f64("mean")?,
-                    std: o.req_f64("std")?,
-                    max_len: o.req_usize("max_len")?,
-                },
-                _ => LengthDistConfig::PointMass {
-                    len: o.req_usize("len")?,
-                    max_len: o.req_usize("max_len")?,
-                },
-            };
-        o.finish()?;
-        Ok(out)
-    }
-
-    fn validate(&self, path: &str) -> Result<(), ScenarioError> {
-        let check_cap = |max_len: usize| {
-            if max_len == 0 {
-                Err(validate_err(&join(path, "max_len"), "must be at least 1"))
-            } else {
-                Ok(())
-            }
-        };
-        match self {
-            LengthDistConfig::TruncatedNormal { mean, std, max_len }
-            | LengthDistConfig::LogNormal { mean, std, max_len } => {
-                require_pos(*mean, &join(path, "mean"), "mean length")?;
-                require_pos(*std, &join(path, "std"), "standard deviation")?;
-                check_cap(*max_len)
-            }
-            LengthDistConfig::SkewNormal { mean, std, skewness, max_len } => {
-                require_pos(*mean, &join(path, "mean"), "mean length")?;
-                require_pos(*std, &join(path, "std"), "standard deviation")?;
-                require_finite(*skewness, &join(path, "skewness"), "skewness")?;
-                check_cap(*max_len)
-            }
-            LengthDistConfig::PointMass { len, max_len } => {
-                check_cap(*max_len)?;
-                if *len == 0 {
-                    return Err(validate_err(&join(path, "len"), "must be at least 1"));
-                }
-                if len > max_len {
-                    return Err(validate_err(
-                        &join(path, "len"),
-                        format!("exceeds max_len ({len} > {max_len})"),
-                    ));
-                }
-                Ok(())
-            }
-        }
-    }
+    check = |d: &LengthDistConfig, path: &str| match d {
+        LengthDistConfig::PointMass { len, max_len } if len > max_len => Err(validate_err(
+            &join(path, "len"),
+            format!("exceeds max_len ({len} > {max_len})"),
+        )),
+        _ => Ok(()),
+    };
 }
 
 // --- scheduler -----------------------------------------------------------
 
-/// Scheduler constraints and search tolerances.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SchedulerConfig {
-    /// Latency bound in seconds (`inf` = unconstrained).
-    pub latency_bound_secs: f64,
-    /// Latency tolerance ε_L as a fraction of the bound (default 0.05).
-    pub eps_latency_frac: Option<f64>,
-    /// Throughput tolerance ε_T (default 0.02).
-    pub eps_throughput_frac: Option<f64>,
-    /// Policies to search, a subset of [`POLICIES`] (default all).
-    pub policies: Option<Vec<String>>,
-}
-
-impl Serialize for SchedulerConfig {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![("latency_bound_secs", Value::F64(self.latency_bound_secs))];
-        push_opt(&mut fields, "eps_latency_frac", self.eps_latency_frac.map(Value::F64));
-        push_opt(&mut fields, "eps_throughput_frac", self.eps_throughput_frac.map(Value::F64));
-        push_opt(
-            &mut fields,
-            "policies",
-            self.policies
-                .as_ref()
-                .map(|p| Value::Array(p.iter().map(|s| Value::Str(s.clone())).collect())),
-        );
-        obj(fields)
+table! {
+    /// Scheduler constraints and search tolerances.
+    pub struct SchedulerConfig {
+        /// Latency bound in seconds (`inf` = unconstrained).
+        latency_bound_secs: f64 => pos_or_inf,
+        /// Latency tolerance ε_L as a fraction of the bound (default 0.05).
+        eps_latency_frac: Option<f64> => tolerance(),
+        /// Throughput tolerance ε_T (default 0.02).
+        eps_throughput_frac: Option<f64> => tolerance(),
+        /// Policies to search, a subset of [`POLICIES`] (default all).
+        policies: Option<Vec<String>> => policy_list,
     }
 }
 
-impl SchedulerConfig {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let latency_bound_secs = o.req_f64("latency_bound_secs")?;
-        let eps_latency_frac = o.opt_f64("eps_latency_frac")?;
-        let eps_throughput_frac = o.opt_f64("eps_throughput_frac")?;
-        let policies = match o.opt_array("policies")? {
-            Some(items) => {
-                let mut names = Vec::new();
-                for (item, item_path) in items {
-                    match item {
-                        Value::Str(s) => names.push(s.clone()),
-                        other => {
-                            return Err(crate::decode::expected(&item_path, "a string", other))
-                        }
-                    }
-                }
-                Some(names)
-            }
-            None => None,
-        };
-        o.finish()?;
-        Ok(SchedulerConfig { latency_bound_secs, eps_latency_frac, eps_throughput_frac, policies })
-    }
+fn tolerance() -> impl Fn(&f64, &str) -> Check {
+    within("tolerance", "in [0, 1)", |x| (0.0..1.0).contains(&x))
+}
 
-    fn validate(&self, path: &str) -> Result<(), ScenarioError> {
-        let bound_path = join(path, "latency_bound_secs");
-        if self.latency_bound_secs.is_nan() || self.latency_bound_secs <= 0.0 {
-            return Err(validate_err(
-                &bound_path,
-                format!("must be positive (inf allowed), got {}", self.latency_bound_secs),
-            ));
-        }
-        for (key, frac) in [
-            ("eps_latency_frac", self.eps_latency_frac),
-            ("eps_throughput_frac", self.eps_throughput_frac),
-        ] {
-            if let Some(x) = frac {
-                let p = join(path, key);
-                require_finite(x, &p, "tolerance")?;
-                if !(0.0..1.0).contains(&x) {
-                    return Err(validate_err(&p, format!("must be in [0, 1), got {x}")));
-                }
-            }
-        }
-        if let Some(policies) = &self.policies {
-            let p = join(path, "policies");
-            if policies.is_empty() {
-                return Err(validate_err(&p, "must name at least one policy"));
-            }
-            for (i, name) in policies.iter().enumerate() {
-                if !POLICIES.contains(&name.as_str()) {
-                    return Err(validate_err(
-                        &crate::decode::join_index(&p, i),
-                        format!("unknown policy `{name}`; expected one of {}", POLICIES.join(", ")),
-                    ));
-                }
-                if policies[..i].contains(name) {
-                    return Err(validate_err(
-                        &crate::decode::join_index(&p, i),
-                        format!("policy `{name}` listed twice"),
-                    ));
-                }
-            }
-        }
-        Ok(())
+/// A non-empty list of known policies, none named twice.
+fn policy_list(policies: &[String], path: &str) -> Check {
+    if policies.is_empty() {
+        return Err(validate_err(path, "must name at least one policy"));
     }
+    for (i, name) in policies.iter().enumerate() {
+        let p = join_index(path, i);
+        known("policy", POLICIES)(name, &p)?;
+        if policies[..i].contains(name) {
+            return Err(validate_err(&p, format!("policy `{name}` listed twice")));
+        }
+    }
+    Ok(())
 }
 
 // --- shared specs --------------------------------------------------------
 
-/// An offered-load specification.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RateSpec {
-    /// An absolute rate in queries per second.
-    Qps {
-        /// Queries per second.
-        qps: f64,
-    },
-    /// A fraction of the scheduled plan's estimated throughput (serve
-    /// mode). `of = "shifted"` evaluates the plan under the post-shift
-    /// workload (only meaningful with `poisson_with_shift` arrivals).
-    CapacityFrac {
-        /// Fraction of the plan's capacity (0, 1].
-        frac: f64,
-        /// `base` or `shifted`.
-        of: String,
-    },
-    /// A fraction of a pool's plan throughput (fleet mode). `pool` is
-    /// `fastest`, `slowest`, or a pool name.
-    PoolCapacityFrac {
-        /// Fraction of the pool's capacity.
-        frac: f64,
-        /// `fastest`, `slowest`, or a declared pool name.
-        pool: String,
-    },
-}
-
-impl Serialize for RateSpec {
-    fn to_value(&self) -> Value {
-        match self {
-            RateSpec::Qps { qps } => {
-                obj(vec![("kind", Value::Str("qps".to_string())), ("qps", Value::F64(*qps))])
-            }
-            RateSpec::CapacityFrac { frac, of } => obj(vec![
-                ("kind", Value::Str("capacity_frac".to_string())),
-                ("frac", Value::F64(*frac)),
-                ("of", Value::Str(of.clone())),
-            ]),
-            RateSpec::PoolCapacityFrac { frac, pool } => obj(vec![
-                ("kind", Value::Str("pool_capacity_frac".to_string())),
-                ("frac", Value::F64(*frac)),
-                ("pool", Value::Str(pool.clone())),
-            ]),
-        }
-    }
-}
-
-impl RateSpec {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let out = match o.tag(&["qps", "capacity_frac", "pool_capacity_frac"])?.as_str() {
-            "qps" => RateSpec::Qps { qps: o.req_f64("qps")? },
-            "capacity_frac" => RateSpec::CapacityFrac {
-                frac: o.req_f64("frac")?,
-                of: o.opt_str("of")?.unwrap_or_else(|| "base".to_string()),
-            },
-            _ => RateSpec::PoolCapacityFrac { frac: o.req_f64("frac")?, pool: o.req_str("pool")? },
-        };
-        o.finish()?;
-        Ok(out)
-    }
-
-    /// Mode-independent value checks; mode-specific variant restrictions
-    /// live with the mode validators.
-    fn validate(&self, path: &str) -> Result<(), ScenarioError> {
-        match self {
-            RateSpec::Qps { qps } => require_pos(*qps, &join(path, "qps"), "arrival rate"),
-            RateSpec::CapacityFrac { frac, of } => {
-                require_pos(*frac, &join(path, "frac"), "capacity fraction")?;
-                if of != "base" && of != "shifted" {
-                    return Err(validate_err(
-                        &join(path, "of"),
-                        format!("must be `base` or `shifted`, got `{of}`"),
-                    ));
-                }
-                Ok(())
-            }
-            RateSpec::PoolCapacityFrac { frac, .. } => {
-                require_pos(*frac, &join(path, "frac"), "capacity fraction")
-            }
-        }
+tagged! {
+    /// An offered-load specification. Which kinds a mode accepts is checked
+    /// with the mode's arrivals.
+    pub enum RateSpec {
+        /// An absolute rate in queries per second.
+        Qps = "qps" {
+            /// Queries per second.
+            qps: f64 => pos("arrival rate"),
+        },
+        /// A fraction of the scheduled plan's estimated throughput (serve
+        /// mode). `of = "shifted"` evaluates the plan under the post-shift
+        /// workload (only meaningful with `poisson_with_shift` arrivals).
+        CapacityFrac = "capacity_frac" {
+            /// Fraction of the plan's capacity (0, 1].
+            frac: f64 => pos("capacity fraction"),
+            /// `base` or `shifted`.
+            of: String = "base" => one_of(&["base", "shifted"]),
+        },
+        /// A fraction of a pool's plan throughput (fleet mode). `pool` is
+        /// `fastest`, `slowest`, or a pool name.
+        PoolCapacityFrac = "pool_capacity_frac" {
+            /// Fraction of the pool's capacity.
+            frac: f64 => pos("capacity fraction"),
+            /// `fastest`, `slowest`, or a declared pool name.
+            pool: String,
+        },
     }
 }
 
 /// A point on the run's virtual clock: absolute seconds, or a fraction of
 /// the trace horizon (last arrival time; fractions above 1 land in the
-/// backlog drain after the last arrival).
+/// backlog drain after the last arrival). Written flat, as exactly one of
+/// `t_secs` or `t_frac` in the event's own table.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TimeSpec {
     /// Absolute virtual seconds.
@@ -705,21 +335,11 @@ pub enum TimeSpec {
     HorizonFrac(f64),
 }
 
-impl TimeSpec {
-    /// Emits the flattened `t_secs` / `t_frac` field.
-    fn emit(&self, fields: &mut Vec<(&str, Value)>) {
-        match self {
-            TimeSpec::Secs(s) => fields.push(("t_secs", Value::F64(*s))),
-            TimeSpec::HorizonFrac(f) => fields.push(("t_frac", Value::F64(*f))),
-        }
-    }
+impl Body for TimeSpec {
+    const FLAT: bool = true;
 
-    /// Decodes from the flattened fields of `o` (exactly one of `t_secs`,
-    /// `t_frac`).
-    fn decode(o: &mut Obj<'_>) -> Result<Self, ScenarioError> {
-        let secs = o.opt_f64("t_secs")?;
-        let frac = o.opt_f64("t_frac")?;
-        match (secs, frac) {
+    fn read(o: &mut Obj<'_>) -> Result<Self, ScenarioError> {
+        match (o.field("t_secs")?, o.field("t_frac")?) {
             (Some(s), None) => Ok(TimeSpec::Secs(s)),
             (None, Some(f)) => Ok(TimeSpec::HorizonFrac(f)),
             (None, None) => Err(parse_err(o.path(), "one of `t_secs` or `t_frac` is required")),
@@ -729,490 +349,187 @@ impl TimeSpec {
         }
     }
 
-    fn validate(&self, path: &str) -> Result<(), ScenarioError> {
+    fn write(&self, out: &mut Fields) {
         match self {
-            TimeSpec::Secs(s) => {
-                let p = join(path, "t_secs");
-                require_finite(*s, &p, "time")?;
-                if *s < 0.0 {
-                    return Err(validate_err(&p, format!("must be >= 0, got {s}")));
-                }
-                Ok(())
-            }
-            TimeSpec::HorizonFrac(f) => {
-                let p = join(path, "t_frac");
-                require_finite(*f, &p, "horizon fraction")?;
-                if *f < 0.0 {
-                    return Err(validate_err(&p, format!("must be >= 0, got {f}")));
-                }
-                Ok(())
-            }
+            TimeSpec::Secs(s) => s.put("t_secs", out),
+            TimeSpec::HorizonFrac(f) => f.put("t_frac", out),
+        }
+    }
+
+    fn check(&self, path: &str) -> Check {
+        match self {
+            TimeSpec::Secs(s) => non_neg("time")(s, &join(path, "t_secs")),
+            TimeSpec::HorizonFrac(f) => non_neg("horizon fraction")(f, &join(path, "t_frac")),
         }
     }
 }
+
+crate::table::body_node!(TimeSpec);
 
 // --- serve mode ----------------------------------------------------------
 
-/// A single-replica online serving run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeConfig {
-    /// Requests in the arrival stream.
-    pub total: usize,
-    /// Live drift-triggered rescheduling on (`false` = static plan).
-    pub adaptive: bool,
-    /// §5.2 dynamic-adjustment threshold (default 0.15).
-    pub adjust_threshold: Option<f64>,
-    /// Warm-started incremental replanning (default true).
-    pub incremental_replan: Option<bool>,
-    /// The arrival process.
-    pub arrivals: ArrivalsConfig,
-    /// Per-request latency targets.
-    pub slo: SloConfig,
-    /// Drift-detector tuning (defaults when omitted).
-    pub drift: Option<DriftConfig>,
-    /// Fault injection (off when omitted).
-    pub faults: Option<FaultsConfig>,
-}
-
-impl Serialize for ServeConfig {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("total", Value::U64(self.total as u64)),
-            ("adaptive", Value::Bool(self.adaptive)),
-        ];
-        push_opt(&mut fields, "adjust_threshold", self.adjust_threshold.map(Value::F64));
-        push_opt(&mut fields, "incremental_replan", self.incremental_replan.map(Value::Bool));
-        fields.push(("arrivals", self.arrivals.to_value()));
-        fields.push(("slo", self.slo.to_value()));
-        push_opt(&mut fields, "drift", self.drift.as_ref().map(Serialize::to_value));
-        push_opt(&mut fields, "faults", self.faults.as_ref().map(Serialize::to_value));
-        obj(fields)
+table! {
+    /// A single-replica online serving run.
+    pub struct ServeConfig {
+        /// Requests in the arrival stream.
+        total: usize => at_least_1,
+        /// Live drift-triggered rescheduling on (`false` = static plan).
+        adaptive: bool = true,
+        /// §5.2 dynamic-adjustment threshold (default 0.15).
+        adjust_threshold: Option<f64> => pos("threshold"),
+        /// Warm-started incremental replanning (default true).
+        incremental_replan: Option<bool>,
+        /// The arrival process.
+        arrivals: ArrivalsConfig,
+        /// Per-request latency targets.
+        slo: SloConfig,
+        /// Drift-detector tuning (defaults when omitted).
+        drift: Option<DriftConfig>,
+        /// Fault injection (off when omitted).
+        faults: Option<FaultsConfig>,
     }
 }
 
-impl ServeConfig {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let total = o.req_usize("total")?;
-        let adaptive = o.opt_bool("adaptive")?.unwrap_or(true);
-        let adjust_threshold = o.opt_f64("adjust_threshold")?;
-        let incremental_replan = o.opt_bool("incremental_replan")?;
-        let arrivals = ArrivalsConfig::decode(o.req("arrivals")?, &o.child_path("arrivals"))?;
-        let slo = SloConfig::decode(o.req("slo")?, &o.child_path("slo"))?;
-        let drift =
-            o.opt("drift").map(|v| DriftConfig::decode(v, &join(path, "drift"))).transpose()?;
-        let faults =
-            o.opt("faults").map(|v| FaultsConfig::decode(v, &join(path, "faults"))).transpose()?;
-        o.finish()?;
-        Ok(ServeConfig {
-            total,
-            adaptive,
-            adjust_threshold,
-            incremental_replan,
-            arrivals,
-            slo,
-            drift,
-            faults,
-        })
+tagged! {
+    /// The serve-mode arrival process. Its rates are `qps` or
+    /// `capacity_frac`; `of = "shifted"` needs `poisson_with_shift`.
+    pub enum ArrivalsConfig {
+        /// Stationary Poisson arrivals.
+        Poisson = "poisson" {
+            /// Offered load.
+            rate: RateSpec,
+        },
+        /// Two-phase Markov-modulated Poisson arrivals.
+        Bursty = "bursty" {
+            /// Offered load in the burst phase.
+            rate_burst: RateSpec,
+            /// Offered load in the lull phase.
+            rate_lull: RateSpec,
+            /// Mean burst dwell (virtual seconds).
+            dwell_burst_secs: f64 => pos("dwell"),
+            /// Mean lull dwell (virtual seconds).
+            dwell_lull_secs: f64 => pos("dwell"),
+        },
+        /// Poisson arrivals whose output distribution shifts mid-stream (the
+        /// Figure 11 drift scenario).
+        PoissonWithShift = "poisson_with_shift" {
+            /// Offered load (held across the shift).
+            rate: RateSpec,
+            /// Fraction of the stream served before the shift.
+            shift_after_frac: f64 => within("shift point", "in [0, 1]", |x| (0.0..=1.0).contains(&x)),
+            /// Output-mean scale factor after the shift.
+            scale_mean: f64 => pos("scale factor"),
+            /// Output-std scale factor after the shift.
+            scale_std: Option<f64> => pos("scale factor"),
+        },
     }
-
-    fn validate(&self, path: &str) -> Result<(), ScenarioError> {
-        if self.total == 0 {
-            return Err(validate_err(&join(path, "total"), "must be at least 1"));
-        }
-        if let Some(x) = self.adjust_threshold {
-            require_pos(x, &join(path, "adjust_threshold"), "threshold")?;
-        }
-        self.arrivals.validate(&join(path, "arrivals"))?;
-        self.slo.validate(&join(path, "slo"))?;
-        if let Some(d) = &self.drift {
-            d.validate(&join(path, "drift"))?;
-        }
-        if let Some(f) = &self.faults {
-            f.validate(&join(path, "faults"))?;
-        }
-        Ok(())
-    }
+    check = serve_rates;
 }
 
-/// The serve-mode arrival process.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ArrivalsConfig {
-    /// Stationary Poisson arrivals.
-    Poisson {
-        /// Offered load.
-        rate: RateSpec,
-    },
-    /// Two-phase Markov-modulated Poisson arrivals.
-    Bursty {
-        /// Offered load in the burst phase.
-        rate_burst: RateSpec,
-        /// Offered load in the lull phase.
-        rate_lull: RateSpec,
-        /// Mean burst dwell (virtual seconds).
-        dwell_burst_secs: f64,
-        /// Mean lull dwell (virtual seconds).
-        dwell_lull_secs: f64,
-    },
-    /// Poisson arrivals whose output distribution shifts mid-stream (the
-    /// Figure 11 drift scenario).
-    PoissonWithShift {
-        /// Offered load (held across the shift).
-        rate: RateSpec,
-        /// Fraction of the stream served before the shift.
-        shift_after_frac: f64,
-        /// Output-mean scale factor after the shift.
-        scale_mean: f64,
-        /// Output-std scale factor after the shift.
-        scale_std: Option<f64>,
-    },
-}
-
-impl Serialize for ArrivalsConfig {
-    fn to_value(&self) -> Value {
-        match self {
-            ArrivalsConfig::Poisson { rate } => {
-                obj(vec![("kind", Value::Str("poisson".to_string())), ("rate", rate.to_value())])
-            }
-            ArrivalsConfig::Bursty { rate_burst, rate_lull, dwell_burst_secs, dwell_lull_secs } => {
-                obj(vec![
-                    ("kind", Value::Str("bursty".to_string())),
-                    ("rate_burst", rate_burst.to_value()),
-                    ("rate_lull", rate_lull.to_value()),
-                    ("dwell_burst_secs", Value::F64(*dwell_burst_secs)),
-                    ("dwell_lull_secs", Value::F64(*dwell_lull_secs)),
-                ])
-            }
-            ArrivalsConfig::PoissonWithShift { rate, shift_after_frac, scale_mean, scale_std } => {
-                let mut fields = vec![
-                    ("kind", Value::Str("poisson_with_shift".to_string())),
-                    ("rate", rate.to_value()),
-                    ("shift_after_frac", Value::F64(*shift_after_frac)),
-                    ("scale_mean", Value::F64(*scale_mean)),
-                ];
-                push_opt(&mut fields, "scale_std", scale_std.map(Value::F64));
-                obj(fields)
-            }
+fn serve_rates(a: &ArrivalsConfig, path: &str) -> Check {
+    let (rates, shifts) = match a {
+        ArrivalsConfig::Poisson { rate } => (vec![("rate", rate)], false),
+        ArrivalsConfig::Bursty { rate_burst, rate_lull, .. } => {
+            (vec![("rate_burst", rate_burst), ("rate_lull", rate_lull)], false)
         }
-    }
-}
-
-impl ArrivalsConfig {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let out = match o.tag(&["poisson", "bursty", "poisson_with_shift"])?.as_str() {
-            "poisson" => ArrivalsConfig::Poisson {
-                rate: RateSpec::decode(o.req("rate")?, &o.child_path("rate"))?,
-            },
-            "bursty" => ArrivalsConfig::Bursty {
-                rate_burst: RateSpec::decode(o.req("rate_burst")?, &o.child_path("rate_burst"))?,
-                rate_lull: RateSpec::decode(o.req("rate_lull")?, &o.child_path("rate_lull"))?,
-                dwell_burst_secs: o.req_f64("dwell_burst_secs")?,
-                dwell_lull_secs: o.req_f64("dwell_lull_secs")?,
-            },
-            _ => ArrivalsConfig::PoissonWithShift {
-                rate: RateSpec::decode(o.req("rate")?, &o.child_path("rate"))?,
-                shift_after_frac: o.req_f64("shift_after_frac")?,
-                scale_mean: o.req_f64("scale_mean")?,
-                scale_std: o.opt_f64("scale_std")?,
-            },
-        };
-        o.finish()?;
-        Ok(out)
-    }
-
-    fn validate(&self, path: &str) -> Result<(), ScenarioError> {
-        let no_pool = |rate: &RateSpec, rate_path: &str| -> Result<(), ScenarioError> {
-            if matches!(rate, RateSpec::PoolCapacityFrac { .. }) {
+        ArrivalsConfig::PoissonWithShift { rate, .. } => (vec![("rate", rate)], true),
+    };
+    for (key, rate) in rates {
+        let p = join(path, key);
+        match rate {
+            RateSpec::PoolCapacityFrac { .. } => {
                 return Err(validate_err(
-                    &join(rate_path, "kind"),
+                    &join(&p, "kind"),
                     "pool_capacity_frac rates are fleet-only; use qps or capacity_frac",
-                ));
+                ))
             }
-            Ok(())
-        };
-        let no_shifted = |rate: &RateSpec, rate_path: &str| -> Result<(), ScenarioError> {
-            if matches!(rate, RateSpec::CapacityFrac { of, .. } if of == "shifted") {
+            RateSpec::CapacityFrac { of, .. } if of == "shifted" && !shifts => {
                 return Err(validate_err(
-                    &join(rate_path, "of"),
+                    &join(&p, "of"),
                     "`shifted` needs poisson_with_shift arrivals (nothing shifts here)",
-                ));
+                ))
             }
-            Ok(())
-        };
-        match self {
-            ArrivalsConfig::Poisson { rate } => {
-                let p = join(path, "rate");
-                rate.validate(&p)?;
-                no_pool(rate, &p)?;
-                no_shifted(rate, &p)
-            }
-            ArrivalsConfig::Bursty { rate_burst, rate_lull, dwell_burst_secs, dwell_lull_secs } => {
-                for (key, rate) in [("rate_burst", rate_burst), ("rate_lull", rate_lull)] {
-                    let p = join(path, key);
-                    rate.validate(&p)?;
-                    no_pool(rate, &p)?;
-                    no_shifted(rate, &p)?;
-                }
-                require_pos(*dwell_burst_secs, &join(path, "dwell_burst_secs"), "dwell")?;
-                require_pos(*dwell_lull_secs, &join(path, "dwell_lull_secs"), "dwell")
-            }
-            ArrivalsConfig::PoissonWithShift { rate, shift_after_frac, scale_mean, scale_std } => {
-                let p = join(path, "rate");
-                rate.validate(&p)?;
-                no_pool(rate, &p)?;
-                let sp = join(path, "shift_after_frac");
-                require_finite(*shift_after_frac, &sp, "shift point")?;
-                if !(0.0..=1.0).contains(shift_after_frac) {
-                    return Err(validate_err(
-                        &sp,
-                        format!("must be in [0, 1], got {shift_after_frac}"),
-                    ));
-                }
-                require_pos(*scale_mean, &join(path, "scale_mean"), "scale factor")?;
-                if let Some(k) = scale_std {
-                    require_pos(*k, &join(path, "scale_std"), "scale factor")?;
-                }
-                Ok(())
-            }
+            _ => {}
         }
     }
+    Ok(())
 }
 
-/// Per-request latency targets (omitted = unconstrained).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SloConfig {
-    /// Max time to first token (seconds).
-    pub ttft_secs: Option<f64>,
-    /// Max per-generated-token latency (seconds).
-    pub per_token_secs: Option<f64>,
-    /// Max end-to-end latency (seconds).
-    pub e2e_secs: Option<f64>,
-}
-
-impl Serialize for SloConfig {
-    fn to_value(&self) -> Value {
-        let mut fields = Vec::new();
-        push_opt(&mut fields, "ttft_secs", self.ttft_secs.map(Value::F64));
-        push_opt(&mut fields, "per_token_secs", self.per_token_secs.map(Value::F64));
-        push_opt(&mut fields, "e2e_secs", self.e2e_secs.map(Value::F64));
-        obj(fields)
+table! {
+    /// Per-request latency targets (omitted = unconstrained).
+    pub struct SloConfig {
+        /// Max time to first token (seconds).
+        ttft_secs: Option<f64> => pos("SLO target"),
+        /// Max per-generated-token latency (seconds).
+        per_token_secs: Option<f64> => pos("SLO target"),
+        /// Max end-to-end latency (seconds).
+        e2e_secs: Option<f64> => pos("SLO target"),
     }
 }
 
-impl SloConfig {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let out = SloConfig {
-            ttft_secs: o.opt_f64("ttft_secs")?,
-            per_token_secs: o.opt_f64("per_token_secs")?,
-            e2e_secs: o.opt_f64("e2e_secs")?,
-        };
-        o.finish()?;
-        Ok(out)
+table! {
+    /// Drift-detector tuning (mirrors `exegpt_serve::DriftOptions`).
+    pub struct DriftConfig {
+        /// Sliding-window capacity in completed requests.
+        window: usize => at_least_1,
+        /// Minimum window occupancy before checks fire.
+        min_samples: usize => at_least_1,
+        /// Completions between checks.
+        check_every: usize => at_least_1,
+        /// Relative mean shift that counts as a hit.
+        rel_threshold: f64 => pos("threshold"),
+        /// Consecutive hits to declare drift.
+        consecutive: usize => at_least_1,
     }
-
-    fn validate(&self, path: &str) -> Result<(), ScenarioError> {
-        for (key, v) in [
-            ("ttft_secs", self.ttft_secs),
-            ("per_token_secs", self.per_token_secs),
-            ("e2e_secs", self.e2e_secs),
-        ] {
-            if let Some(x) = v {
-                require_pos(x, &join(path, key), "SLO target")?;
-            }
-        }
+    check = |d: &DriftConfig, path: &str| if d.min_samples > d.window {
+        Err(validate_err(
+            &join(path, "min_samples"),
+            format!("exceeds window ({} > {})", d.min_samples, d.window),
+        ))
+    } else {
         Ok(())
-    }
+    };
 }
 
-/// Drift-detector tuning (mirrors `exegpt_serve::DriftOptions`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DriftConfig {
-    /// Sliding-window capacity in completed requests.
-    pub window: usize,
-    /// Minimum window occupancy before checks fire.
-    pub min_samples: usize,
-    /// Completions between checks.
-    pub check_every: usize,
-    /// Relative mean shift that counts as a hit.
-    pub rel_threshold: f64,
-    /// Consecutive hits to declare drift.
-    pub consecutive: usize,
-}
-
-impl Serialize for DriftConfig {
-    fn to_value(&self) -> Value {
-        obj(vec![
-            ("window", Value::U64(self.window as u64)),
-            ("min_samples", Value::U64(self.min_samples as u64)),
-            ("check_every", Value::U64(self.check_every as u64)),
-            ("rel_threshold", Value::F64(self.rel_threshold)),
-            ("consecutive", Value::U64(self.consecutive as u64)),
-        ])
+table! {
+    /// Fault injection: tuning plus a schedule of device events.
+    pub struct FaultsConfig {
+        /// Heartbeat timeout before a failure is detected (default 0.5).
+        detection_delay_secs: Option<f64> => non_neg("delay"),
+        /// Straggler slowdown at or above which eviction beats tolerance
+        /// (default 2.0).
+        evict_slowdown: Option<f64> => within("slowdown", ">= 1", |x| x >= 1.0),
+        /// Retry budget per request (default 5).
+        max_retries: Option<usize>,
+        /// Exponential retry backoff base (default 0.25).
+        backoff_base_secs: Option<f64> => non_neg("backoff"),
+        /// Observed/expected ratio counting as a straggler hit (default 1.25).
+        straggler_rel_threshold: Option<f64> => within("threshold", "> 1", |x| x > 1.0),
+        /// Consecutive hits to confirm a straggler (default 3).
+        straggler_consecutive: Option<usize> => at_least_1,
+        /// The device events, in activation-time order.
+        events: Vec<FaultEventConfig>,
     }
-}
-
-impl DriftConfig {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let out = DriftConfig {
-            window: o.req_usize("window")?,
-            min_samples: o.req_usize("min_samples")?,
-            check_every: o.req_usize("check_every")?,
-            rel_threshold: o.req_f64("rel_threshold")?,
-            consecutive: o.req_usize("consecutive")?,
-        };
-        o.finish()?;
-        Ok(out)
-    }
-
-    fn validate(&self, path: &str) -> Result<(), ScenarioError> {
-        for (key, n) in [
-            ("window", self.window),
-            ("min_samples", self.min_samples),
-            ("check_every", self.check_every),
-            ("consecutive", self.consecutive),
-        ] {
-            if n == 0 {
-                return Err(validate_err(&join(path, key), "must be at least 1"));
-            }
-        }
-        if self.min_samples > self.window {
-            return Err(validate_err(
-                &join(path, "min_samples"),
-                format!("exceeds window ({} > {})", self.min_samples, self.window),
-            ));
-        }
-        require_pos(self.rel_threshold, &join(path, "rel_threshold"), "threshold")
-    }
-}
-
-/// Fault injection: tuning plus a schedule of device events.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultsConfig {
-    /// Heartbeat timeout before a failure is detected (default 0.5).
-    pub detection_delay_secs: Option<f64>,
-    /// Straggler slowdown at or above which eviction beats tolerance
-    /// (default 2.0).
-    pub evict_slowdown: Option<f64>,
-    /// Retry budget per request (default 5).
-    pub max_retries: Option<usize>,
-    /// Exponential retry backoff base (default 0.25).
-    pub backoff_base_secs: Option<f64>,
-    /// Observed/expected ratio counting as a straggler hit (default 1.25).
-    pub straggler_rel_threshold: Option<f64>,
-    /// Consecutive hits to confirm a straggler (default 3).
-    pub straggler_consecutive: Option<usize>,
-    /// The device events, in activation-time order.
-    pub events: Vec<FaultEventConfig>,
-}
-
-impl Serialize for FaultsConfig {
-    fn to_value(&self) -> Value {
-        let mut fields = Vec::new();
-        push_opt(&mut fields, "detection_delay_secs", self.detection_delay_secs.map(Value::F64));
-        push_opt(&mut fields, "evict_slowdown", self.evict_slowdown.map(Value::F64));
-        push_opt(&mut fields, "max_retries", self.max_retries.map(|n| Value::U64(n as u64)));
-        push_opt(&mut fields, "backoff_base_secs", self.backoff_base_secs.map(Value::F64));
-        push_opt(
-            &mut fields,
-            "straggler_rel_threshold",
-            self.straggler_rel_threshold.map(Value::F64),
-        );
-        push_opt(
-            &mut fields,
-            "straggler_consecutive",
-            self.straggler_consecutive.map(|n| Value::U64(n as u64)),
-        );
-        fields
-            .push(("events", Value::Array(self.events.iter().map(Serialize::to_value).collect())));
-        obj(fields)
-    }
-}
-
-impl FaultsConfig {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let detection_delay_secs = o.opt_f64("detection_delay_secs")?;
-        let evict_slowdown = o.opt_f64("evict_slowdown")?;
-        let max_retries = o.opt_usize("max_retries")?;
-        let backoff_base_secs = o.opt_f64("backoff_base_secs")?;
-        let straggler_rel_threshold = o.opt_f64("straggler_rel_threshold")?;
-        let straggler_consecutive = o.opt_usize("straggler_consecutive")?;
-        let mut events = Vec::new();
-        for (item, item_path) in o.req_array("events")? {
-            events.push(FaultEventConfig::decode(item, &item_path)?);
-        }
-        o.finish()?;
-        Ok(FaultsConfig {
-            detection_delay_secs,
-            evict_slowdown,
-            max_retries,
-            backoff_base_secs,
-            straggler_rel_threshold,
-            straggler_consecutive,
-            events,
-        })
-    }
-
-    fn validate(&self, path: &str) -> Result<(), ScenarioError> {
-        if let Some(x) = self.detection_delay_secs {
-            let p = join(path, "detection_delay_secs");
-            require_finite(x, &p, "delay")?;
-            if x < 0.0 {
-                return Err(validate_err(&p, format!("must be >= 0, got {x}")));
-            }
-        }
-        if let Some(x) = self.evict_slowdown {
-            let p = join(path, "evict_slowdown");
-            require_finite(x, &p, "slowdown")?;
-            if x < 1.0 {
-                return Err(validate_err(&p, format!("must be >= 1, got {x}")));
-            }
-        }
-        if let Some(x) = self.backoff_base_secs {
-            let p = join(path, "backoff_base_secs");
-            require_finite(x, &p, "backoff")?;
-            if x < 0.0 {
-                return Err(validate_err(&p, format!("must be >= 0, got {x}")));
-            }
-        }
-        if let Some(x) = self.straggler_rel_threshold {
-            let p = join(path, "straggler_rel_threshold");
-            require_finite(x, &p, "threshold")?;
-            if x <= 1.0 {
-                return Err(validate_err(&p, format!("must be > 1, got {x}")));
-            }
-        }
-        if self.straggler_consecutive == Some(0) {
-            return Err(validate_err(&join(path, "straggler_consecutive"), "must be at least 1"));
-        }
-        let events_path = join(path, "events");
-        for (i, e) in self.events.iter().enumerate() {
-            e.validate(&crate::decode::join_index(&events_path, i))?;
-        }
-        walk_windows(
-            &events_path,
-            self.events.iter().map(|e| {
-                let op = match e.kind {
-                    FaultKindConfig::GpuFail { gpu } | FaultKindConfig::GpuSlowdown { gpu, .. } => {
-                        Some((gpu, true))
-                    }
-                    FaultKindConfig::GpuRecover { gpu } => Some((gpu, false)),
-                    FaultKindConfig::LinkDegrade { .. } => None,
-                };
-                (&e.at, op)
-            }),
-            |gpu| {
-                format!(
-                    "overlapping fault windows on gpu {gpu}: \
-                     previous fault has no gpu_recover before this one"
-                )
-            },
-            |gpu| format!("gpu_recover for gpu {gpu} with no open fault window"),
-        )
-    }
+    check = |f: &FaultsConfig, path: &str| walk_windows(
+        &join(path, "events"),
+        f.events.iter().map(|e| {
+            let op = match e.kind {
+                FaultKindConfig::GpuFail { gpu } | FaultKindConfig::GpuSlowdown { gpu, .. } => {
+                    Some((gpu, true))
+                }
+                FaultKindConfig::GpuRecover { gpu } => Some((gpu, false)),
+                FaultKindConfig::LinkDegrade { .. } => None,
+            };
+            (&e.at, op)
+        }),
+        |gpu| {
+            format!(
+                "overlapping fault windows on gpu {gpu}: \
+                 previous fault has no gpu_recover before this one"
+            )
+        },
+        |gpu| format!("gpu_recover for gpu {gpu} with no open fault window"),
+    );
 }
 
 /// The fault-window walk shared by serve events (keyed by GPU index) and
@@ -1226,11 +543,11 @@ fn walk_windows<'a, K: PartialEq + Copy>(
     events: impl Iterator<Item = (&'a TimeSpec, Option<(K, bool)>)>,
     overlap: impl Fn(K) -> String,
     orphan: impl Fn(K) -> String,
-) -> Result<(), ScenarioError> {
+) -> Check {
     let mut open: Vec<K> = Vec::new();
     let mut last: Option<&TimeSpec> = None;
     for (i, (at, op)) in events.enumerate() {
-        let p = crate::decode::join_index(path, i);
+        let p = join_index(path, i);
         let out_of_order = match (last, at) {
             (Some(TimeSpec::Secs(a)), TimeSpec::Secs(b))
             | (Some(TimeSpec::HorizonFrac(a)), TimeSpec::HorizonFrac(b)) => b < a,
@@ -1255,752 +572,300 @@ fn walk_windows<'a, K: PartialEq + Copy>(
     Ok(())
 }
 
-/// One scheduled device event.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultEventConfig {
-    /// When the fault activates.
-    pub at: TimeSpec,
-    /// What happens.
-    pub kind: FaultKindConfig,
-}
-
-/// The device-event alternatives (mirrors `exegpt_faults::FaultKind`).
-#[derive(Debug, Clone, PartialEq)]
-pub enum FaultKindConfig {
-    /// The device dies until recovered.
-    GpuFail {
-        /// Dense device index.
-        gpu: usize,
-    },
-    /// The device runs `factor`× slower.
-    GpuSlowdown {
-        /// Dense device index.
-        gpu: usize,
-        /// Slowdown factor (≥ 1).
-        factor: f64,
-    },
-    /// Cluster-wide link degradation.
-    LinkDegrade {
-        /// Bandwidth scale in (0, 1].
-        bw_factor: f64,
-        /// Added per-transfer latency (seconds, ≥ 0).
-        latency_add_secs: f64,
-    },
-    /// The device heals.
-    GpuRecover {
-        /// Dense device index.
-        gpu: usize,
-    },
-}
-
-impl Serialize for FaultEventConfig {
-    fn to_value(&self) -> Value {
-        let mut fields = Vec::new();
-        self.at.emit(&mut fields);
-        match &self.kind {
-            FaultKindConfig::GpuFail { gpu } => {
-                fields.push(("kind", Value::Str("gpu_fail".to_string())));
-                fields.push(("gpu", Value::U64(*gpu as u64)));
-            }
-            FaultKindConfig::GpuSlowdown { gpu, factor } => {
-                fields.push(("kind", Value::Str("gpu_slowdown".to_string())));
-                fields.push(("gpu", Value::U64(*gpu as u64)));
-                fields.push(("factor", Value::F64(*factor)));
-            }
-            FaultKindConfig::LinkDegrade { bw_factor, latency_add_secs } => {
-                fields.push(("kind", Value::Str("link_degrade".to_string())));
-                fields.push(("bw_factor", Value::F64(*bw_factor)));
-                fields.push(("latency_add_secs", Value::F64(*latency_add_secs)));
-            }
-            FaultKindConfig::GpuRecover { gpu } => {
-                fields.push(("kind", Value::Str("gpu_recover".to_string())));
-                fields.push(("gpu", Value::U64(*gpu as u64)));
-            }
-        }
-        obj(fields)
+table! {
+    /// One scheduled device event.
+    pub struct FaultEventConfig {
+        /// When the fault activates.
+        at: TimeSpec,
+        /// What happens.
+        kind: FaultKindConfig,
     }
 }
 
-impl FaultEventConfig {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let at = TimeSpec::decode(&mut o)?;
-        let kind =
-            match o.tag(&["gpu_fail", "gpu_slowdown", "link_degrade", "gpu_recover"])?.as_str() {
-                "gpu_fail" => FaultKindConfig::GpuFail { gpu: o.req_usize("gpu")? },
-                "gpu_slowdown" => FaultKindConfig::GpuSlowdown {
-                    gpu: o.req_usize("gpu")?,
-                    factor: o.req_f64("factor")?,
-                },
-                "link_degrade" => FaultKindConfig::LinkDegrade {
-                    bw_factor: o.req_f64("bw_factor")?,
-                    latency_add_secs: o.req_f64("latency_add_secs")?,
-                },
-                _ => FaultKindConfig::GpuRecover { gpu: o.req_usize("gpu")? },
-            };
-        o.finish()?;
-        Ok(FaultEventConfig { at, kind })
+tagged! {
+    /// The device-event alternatives (mirrors `exegpt_faults::FaultKind`),
+    /// written flat in the event's own table.
+    pub enum FaultKindConfig {
+        /// The device dies until recovered.
+        GpuFail = "gpu_fail" {
+            /// Dense device index.
+            gpu: usize,
+        },
+        /// The device runs `factor`× slower.
+        GpuSlowdown = "gpu_slowdown" {
+            /// Dense device index.
+            gpu: usize,
+            /// Slowdown factor (≥ 1).
+            factor: f64 => within("slowdown factor", ">= 1", |x| x >= 1.0),
+        },
+        /// Cluster-wide link degradation.
+        LinkDegrade = "link_degrade" {
+            /// Bandwidth scale in (0, 1].
+            bw_factor: f64 => within("bandwidth factor", "in (0, 1]", |x| x > 0.0 && x <= 1.0),
+            /// Added per-transfer latency (seconds, ≥ 0).
+            latency_add_secs: f64 => non_neg("added latency"),
+        },
+        /// The device heals.
+        GpuRecover = "gpu_recover" {
+            /// Dense device index.
+            gpu: usize,
+        },
     }
-
-    fn validate(&self, path: &str) -> Result<(), ScenarioError> {
-        self.at.validate(path)?;
-        match &self.kind {
-            FaultKindConfig::GpuFail { .. } | FaultKindConfig::GpuRecover { .. } => Ok(()),
-            FaultKindConfig::GpuSlowdown { factor, .. } => {
-                let p = join(path, "factor");
-                require_finite(*factor, &p, "slowdown factor")?;
-                if *factor < 1.0 {
-                    return Err(validate_err(&p, format!("must be >= 1, got {factor}")));
-                }
-                Ok(())
-            }
-            FaultKindConfig::LinkDegrade { bw_factor, latency_add_secs } => {
-                let p = join(path, "bw_factor");
-                require_finite(*bw_factor, &p, "bandwidth factor")?;
-                if !(*bw_factor > 0.0 && *bw_factor <= 1.0) {
-                    return Err(validate_err(&p, format!("must be in (0, 1], got {bw_factor}")));
-                }
-                let p = join(path, "latency_add_secs");
-                require_finite(*latency_add_secs, &p, "added latency")?;
-                if *latency_add_secs < 0.0 {
-                    return Err(validate_err(&p, format!("must be >= 0, got {latency_add_secs}")));
-                }
-                Ok(())
-            }
-        }
-    }
+    flat = true;
 }
 
 // --- fleet mode ----------------------------------------------------------
 
-/// A multi-replica fleet run behind a global router.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetConfig {
-    /// Requests in the multi-tenant trace.
-    pub total: usize,
-    /// One of [`DISPATCH_POLICIES`].
-    pub policy: String,
-    /// GPU pools replicas deploy onto.
-    pub pools: Vec<PoolConfig>,
-    /// The replicas.
-    pub replicas: Vec<ReplicaConfig>,
-    /// SLO classes (tenants reference them by name).
-    pub classes: Vec<ClassConfig>,
-    /// The tenants.
-    pub tenants: Vec<TenantConfig>,
-    /// Fleet-level replica faults, in time order.
-    pub faults: Vec<FleetFaultConfig>,
-    /// Scripted autoscaling actions.
-    pub scale: Vec<ScaleConfig>,
+table! {
+    /// A multi-replica fleet run behind a global router.
+    pub struct FleetConfig {
+        /// Requests in the multi-tenant trace.
+        total: usize => at_least_1,
+        /// One of [`DISPATCH_POLICIES`].
+        policy: String => known("policy", DISPATCH_POLICIES),
+        /// GPU pools replicas deploy onto.
+        pools: Vec<PoolConfig> => declares("pool"),
+        /// The replicas.
+        replicas: Vec<ReplicaConfig> => declares("replica"),
+        /// SLO classes (tenants reference them by name).
+        classes: Vec<ClassConfig> => declares("class"),
+        /// The tenants.
+        tenants: Vec<TenantConfig> => declares("tenant"),
+        /// Fleet-level replica faults, in time order.
+        faults: Vec<FleetFaultConfig> = Vec::new(),
+        /// Scripted autoscaling actions.
+        scale: Vec<ScaleConfig> = Vec::new(),
+    }
+    check = fleet_references;
 }
 
-impl Serialize for FleetConfig {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("total", Value::U64(self.total as u64)),
-            ("policy", Value::Str(self.policy.clone())),
-            ("pools", Value::Array(self.pools.iter().map(Serialize::to_value).collect())),
-            ("replicas", Value::Array(self.replicas.iter().map(Serialize::to_value).collect())),
-            ("classes", Value::Array(self.classes.iter().map(Serialize::to_value).collect())),
-            ("tenants", Value::Array(self.tenants.iter().map(Serialize::to_value).collect())),
-        ];
-        if !self.faults.is_empty() {
-            fields.push((
-                "faults",
-                Value::Array(self.faults.iter().map(Serialize::to_value).collect()),
-            ));
-        }
-        if !self.scale.is_empty() {
-            fields.push((
-                "scale",
-                Value::Array(self.scale.iter().map(Serialize::to_value).collect()),
-            ));
-        }
-        obj(fields)
-    }
+/// Whether item `i` is the `same` as an earlier one.
+fn repeats<T>(items: &[T], i: usize, same: impl Fn(&T, &T) -> bool) -> bool {
+    items[..i].iter().any(|other| same(other, &items[i]))
 }
 
-impl FleetConfig {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let total = o.req_usize("total")?;
-        let policy = o.req_str("policy")?;
-        let mut pools = Vec::new();
-        for (item, item_path) in o.req_array("pools")? {
-            pools.push(PoolConfig::decode(item, &item_path)?);
-        }
-        let mut replicas = Vec::new();
-        for (item, item_path) in o.req_array("replicas")? {
-            replicas.push(ReplicaConfig::decode(item, &item_path)?);
-        }
-        let mut classes = Vec::new();
-        for (item, item_path) in o.req_array("classes")? {
-            classes.push(ClassConfig::decode(item, &item_path)?);
-        }
-        let mut tenants = Vec::new();
-        for (item, item_path) in o.req_array("tenants")? {
-            tenants.push(TenantConfig::decode(item, &item_path)?);
-        }
-        let mut faults = Vec::new();
-        if let Some(items) = o.opt_array("faults")? {
-            for (item, item_path) in items {
-                faults.push(FleetFaultConfig::decode(item, &item_path)?);
-            }
-        }
-        let mut scale = Vec::new();
-        if let Some(items) = o.opt_array("scale")? {
-            for (item, item_path) in items {
-                scale.push(ScaleConfig::decode(item, &item_path)?);
-            }
-        }
-        o.finish()?;
-        Ok(FleetConfig { total, policy, pools, replicas, classes, tenants, faults, scale })
-    }
-
-    fn validate(&self, path: &str) -> Result<(), ScenarioError> {
-        if self.total == 0 {
-            return Err(validate_err(&join(path, "total"), "must be at least 1"));
-        }
-        if !DISPATCH_POLICIES.contains(&self.policy.as_str()) {
-            return Err(validate_err(
-                &join(path, "policy"),
-                format!(
-                    "unknown policy `{}`; expected one of {}",
-                    self.policy,
-                    DISPATCH_POLICIES.join(", ")
-                ),
-            ));
-        }
-        let pools_path = join(path, "pools");
-        if self.pools.is_empty() {
-            return Err(validate_err(&pools_path, "must declare at least one pool"));
-        }
-        for (i, pool) in self.pools.iter().enumerate() {
-            let p = crate::decode::join_index(&pools_path, i);
-            pool.validate(&p)?;
-            if self.pools[..i].iter().any(|other| other.name == pool.name) {
-                return Err(validate_err(
-                    &join(&p, "name"),
-                    format!("pool `{}` declared twice", pool.name),
-                ));
-            }
-        }
-        let replicas_path = join(path, "replicas");
-        if self.replicas.is_empty() {
-            return Err(validate_err(&replicas_path, "must declare at least one replica"));
-        }
-        for (i, r) in self.replicas.iter().enumerate() {
-            let p = crate::decode::join_index(&replicas_path, i);
-            if r.name.is_empty() {
-                return Err(validate_err(&join(&p, "name"), "must not be empty"));
-            }
-            if self.replicas[..i].iter().any(|other| other.name == r.name) {
-                return Err(validate_err(
-                    &join(&p, "name"),
-                    format!("replica `{}` declared twice", r.name),
-                ));
-            }
-            if !self.pools.iter().any(|pool| pool.name == r.pool) {
-                return Err(validate_err(&join(&p, "pool"), format!("unknown pool `{}`", r.pool)));
-            }
-        }
-        if self.replicas.iter().all(|r| r.standby) {
-            return Err(validate_err(&replicas_path, "every replica is standby"));
-        }
-        let classes_path = join(path, "classes");
-        if self.classes.is_empty() {
-            return Err(validate_err(&classes_path, "must declare at least one class"));
-        }
-        for (i, c) in self.classes.iter().enumerate() {
-            let p = crate::decode::join_index(&classes_path, i);
-            c.validate(&p)?;
-            if self.classes[..i].iter().any(|other| other.name == c.name) {
-                return Err(validate_err(
-                    &join(&p, "name"),
-                    format!("class `{}` declared twice", c.name),
-                ));
-            }
-        }
-        let tenants_path = join(path, "tenants");
-        if self.tenants.is_empty() {
-            return Err(validate_err(&tenants_path, "must declare at least one tenant"));
-        }
-        for (i, t) in self.tenants.iter().enumerate() {
-            let p = crate::decode::join_index(&tenants_path, i);
-            t.validate(&p, &self.pools)?;
-            if self.tenants[..i].iter().any(|other| other.tenant == t.tenant) {
-                return Err(validate_err(
-                    &join(&p, "tenant"),
-                    format!("tenant id {} declared twice", t.tenant),
-                ));
-            }
-            if !self.classes.iter().any(|c| c.name == t.class) {
-                return Err(validate_err(
-                    &join(&p, "class"),
-                    format!("unknown class `{}`", t.class),
-                ));
-            }
-        }
-        let faults_path = join(path, "faults");
-        for (i, f) in self.faults.iter().enumerate() {
-            let p = crate::decode::join_index(&faults_path, i);
-            f.at.validate(&p)?;
-            if !self.replicas.iter().any(|r| r.name == f.replica) {
-                return Err(validate_err(
-                    &join(&p, "replica"),
-                    format!("unknown replica `{}`", f.replica),
-                ));
-            }
-            if f.action != "fail" && f.action != "recover" {
-                return Err(validate_err(
-                    &join(&p, "action"),
-                    format!("must be `fail` or `recover`, got `{}`", f.action),
-                ));
-            }
-        }
-        walk_windows(
-            &faults_path,
-            self.faults.iter().map(|f| (&f.at, Some((f.replica.as_str(), f.action == "fail")))),
-            |r| {
-                format!(
-                    "overlapping fault windows on replica `{r}`: \
-                     previous fail has no recover before this one"
-                )
-            },
-            |r| format!("recover for replica `{r}` with no open fault window"),
-        )?;
-        let scale_path = join(path, "scale");
-        for (i, s) in self.scale.iter().enumerate() {
-            let p = crate::decode::join_index(&scale_path, i);
-            s.at.validate(&p)?;
-            if !self.replicas.iter().any(|r| r.name == s.replica) {
-                return Err(validate_err(
-                    &join(&p, "replica"),
-                    format!("unknown replica `{}`", s.replica),
-                ));
-            }
-            if s.action != "up" && s.action != "down" {
-                return Err(validate_err(
-                    &join(&p, "action"),
-                    format!("must be `up` or `down`, got `{}`", s.action),
-                ));
-            }
-        }
+/// A name that must be one of `names`.
+fn resolves<'a>(
+    name: &str,
+    mut names: impl Iterator<Item = &'a str>,
+    path: &str,
+    what: &str,
+) -> Check {
+    if names.any(|n| n == name) {
         Ok(())
+    } else {
+        Err(validate_err(path, format!("unknown {what} `{name}`")))
     }
 }
 
-/// A GPU pool a fleet deploys replicas onto.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PoolConfig {
-    /// Pool name (replicas reference it).
-    pub name: String,
-    /// The pool's cluster.
-    pub cluster: ClusterConfig,
-    /// Latency bound for this pool's schedule (default: the scenario's
-    /// scheduler bound).
-    pub latency_bound_secs: Option<f64>,
-}
-
-impl Serialize for PoolConfig {
-    fn to_value(&self) -> Value {
-        let mut fields =
-            vec![("name", Value::Str(self.name.clone())), ("cluster", self.cluster.to_value())];
-        push_opt(&mut fields, "latency_bound_secs", self.latency_bound_secs.map(Value::F64));
-        obj(fields)
-    }
-}
-
-impl PoolConfig {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let name = o.req_str("name")?;
-        let cluster = ClusterConfig::decode(o.req("cluster")?, &o.child_path("cluster"))?;
-        let latency_bound_secs = o.opt_f64("latency_bound_secs")?;
-        o.finish()?;
-        Ok(PoolConfig { name, cluster, latency_bound_secs })
-    }
-
-    fn validate(&self, path: &str) -> Result<(), ScenarioError> {
-        if self.name.is_empty() {
-            return Err(validate_err(&join(path, "name"), "must not be empty"));
+/// The fleet's cross-references and fault windows: unique names, every
+/// replica on a declared pool, every tenant in a declared class and every
+/// pool rate on a declared pool, every fault and scale action on a
+/// declared replica.
+fn fleet_references(f: &FleetConfig, path: &str) -> Check {
+    let at = |list: &str, i: usize, key: &str| join(&join_index(&join(path, list), i), key);
+    let twice = |p: String, what: String| Err(validate_err(&p, format!("{what} declared twice")));
+    let pools = || f.pools.iter().map(|p| p.name.as_str());
+    let replicas = || f.replicas.iter().map(|r| r.name.as_str());
+    for (i, p) in f.pools.iter().enumerate() {
+        if repeats(&f.pools, i, |a, b| a.name == b.name) {
+            return twice(at("pools", i, "name"), format!("pool `{}`", p.name));
         }
-        self.cluster.validate(&join(path, "cluster"))?;
-        if let Some(b) = self.latency_bound_secs {
-            if b.is_nan() || b <= 0.0 {
-                return Err(validate_err(
-                    &join(path, "latency_bound_secs"),
-                    format!("must be positive (inf allowed), got {b}"),
-                ));
+    }
+    for (i, r) in f.replicas.iter().enumerate() {
+        if repeats(&f.replicas, i, |a, b| a.name == b.name) {
+            return twice(at("replicas", i, "name"), format!("replica `{}`", r.name));
+        }
+        resolves(&r.pool, pools(), &at("replicas", i, "pool"), "pool")?;
+    }
+    if f.replicas.iter().all(|r| r.standby) {
+        return Err(validate_err(&join(path, "replicas"), "every replica is standby"));
+    }
+    for (i, c) in f.classes.iter().enumerate() {
+        if repeats(&f.classes, i, |a, b| a.name == b.name) {
+            return twice(at("classes", i, "name"), format!("class `{}`", c.name));
+        }
+    }
+    for (i, t) in f.tenants.iter().enumerate() {
+        for (key, rate) in t.arrivals.rates() {
+            if let RateSpec::PoolCapacityFrac { pool, .. } = rate {
+                if pool != "fastest" && pool != "slowest" && !pools().any(|p| p == pool) {
+                    return Err(validate_err(
+                        &join(&join(&at("tenants", i, "arrivals"), key), "pool"),
+                        format!("unknown pool `{pool}` (and not `fastest`/`slowest`)"),
+                    ));
+                }
             }
         }
-        Ok(())
-    }
-}
-
-/// One fleet replica.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplicaConfig {
-    /// Replica name (faults and scale events reference it).
-    pub name: String,
-    /// The pool it deploys onto.
-    pub pool: String,
-    /// Start as a standby (not routable until scaled up).
-    pub standby: bool,
-}
-
-impl Serialize for ReplicaConfig {
-    fn to_value(&self) -> Value {
-        obj(vec![
-            ("name", Value::Str(self.name.clone())),
-            ("pool", Value::Str(self.pool.clone())),
-            ("standby", Value::Bool(self.standby)),
-        ])
-    }
-}
-
-impl ReplicaConfig {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let name = o.req_str("name")?;
-        let pool = o.req_str("pool")?;
-        let standby = o.opt_bool("standby")?.unwrap_or(false);
-        o.finish()?;
-        Ok(ReplicaConfig { name, pool, standby })
-    }
-}
-
-/// An SLO class.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClassConfig {
-    /// Class name (tenants reference it).
-    pub name: String,
-    /// Weight in the fleet's weighted violation rate.
-    pub weight: f64,
-    /// End-to-end target (omit for best-effort).
-    pub e2e: Option<E2eSpec>,
-}
-
-impl Serialize for ClassConfig {
-    fn to_value(&self) -> Value {
-        let mut fields =
-            vec![("name", Value::Str(self.name.clone())), ("weight", Value::F64(self.weight))];
-        push_opt(&mut fields, "e2e", self.e2e.as_ref().map(Serialize::to_value));
-        obj(fields)
-    }
-}
-
-impl ClassConfig {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let name = o.req_str("name")?;
-        let weight = o.req_f64("weight")?;
-        let e2e = o.opt("e2e").map(|v| E2eSpec::decode(v, &join(path, "e2e"))).transpose()?;
-        o.finish()?;
-        Ok(ClassConfig { name, weight, e2e })
-    }
-
-    fn validate(&self, path: &str) -> Result<(), ScenarioError> {
-        if self.name.is_empty() {
-            return Err(validate_err(&join(path, "name"), "must not be empty"));
+        if repeats(&f.tenants, i, |a, b| a.tenant == b.tenant) {
+            return twice(at("tenants", i, "tenant"), format!("tenant id {}", t.tenant));
         }
-        let p = join(path, "weight");
-        require_finite(self.weight, &p, "weight")?;
-        if self.weight < 0.0 {
-            return Err(validate_err(&p, format!("must be >= 0, got {}", self.weight)));
+        let classes = f.classes.iter().map(|c| c.name.as_str());
+        resolves(&t.class, classes, &at("tenants", i, "class"), "class")?;
+    }
+    for (i, fault) in f.faults.iter().enumerate() {
+        resolves(&fault.replica, replicas(), &at("faults", i, "replica"), "replica")?;
+    }
+    walk_windows(
+        &join(path, "faults"),
+        f.faults.iter().map(|x| (&x.at, Some((x.replica.as_str(), x.action == "fail")))),
+        |r| {
+            format!(
+                "overlapping fault windows on replica `{r}`: \
+                 previous fail has no recover before this one"
+            )
+        },
+        |r| format!("recover for replica `{r}` with no open fault window"),
+    )?;
+    for (i, s) in f.scale.iter().enumerate() {
+        resolves(&s.replica, replicas(), &at("scale", i, "replica"), "replica")?;
+    }
+    Ok(())
+}
+
+table! {
+    /// A GPU pool a fleet deploys replicas onto.
+    pub struct PoolConfig {
+        /// Pool name (replicas reference it).
+        name: String => non_empty,
+        /// The pool's cluster.
+        cluster: ClusterConfig,
+        /// Latency bound for this pool's schedule (default: the scenario's
+        /// scheduler bound).
+        latency_bound_secs: Option<f64> => pos_or_inf,
+    }
+}
+
+table! {
+    /// One fleet replica.
+    pub struct ReplicaConfig {
+        /// Replica name (faults and scale events reference it).
+        name: String => non_empty,
+        /// The pool it deploys onto.
+        pool: String,
+        /// Start as a standby (not routable until scaled up).
+        standby: bool = false,
+    }
+}
+
+table! {
+    /// An SLO class.
+    pub struct ClassConfig {
+        /// Class name (tenants reference it).
+        name: String => non_empty,
+        /// Weight in the fleet's weighted violation rate.
+        weight: f64 => non_neg("weight"),
+        /// End-to-end target (omit for best-effort).
+        e2e: Option<E2eSpec>,
+    }
+}
+
+tagged! {
+    /// An end-to-end SLO target: a concrete bound, or the midpoint of the
+    /// fleet's plan latencies (the bound that separates fast pools from slow
+    /// ones, whatever the profile says).
+    pub enum E2eSpec {
+        /// A concrete bound in seconds.
+        Secs = "secs" {
+            /// The bound.
+            secs: f64 => pos("SLO target"),
+        },
+        /// Halfway between the fastest and slowest pool's plan latency.
+        PlanLatencyMidpoint = "plan_latency_midpoint",
+    }
+}
+
+table! {
+    /// One tenant's traffic.
+    pub struct TenantConfig {
+        /// Tenant id (unique).
+        tenant: u32,
+        /// SLO class, by name.
+        class: String,
+        /// The tenant's arrival process.
+        arrivals: TenantArrivals,
+    }
+}
+
+tagged! {
+    /// A tenant's arrival process (fleet traces have no mid-stream shift).
+    /// Its rates are `qps` or `pool_capacity_frac`.
+    pub enum TenantArrivals {
+        /// Stationary Poisson arrivals.
+        Poisson = "poisson" {
+            /// Offered load.
+            rate: RateSpec,
+        },
+        /// Two-phase bursty arrivals.
+        Bursty = "bursty" {
+            /// Offered load in the burst phase.
+            rate_burst: RateSpec,
+            /// Offered load in the lull phase.
+            rate_lull: RateSpec,
+            /// Mean burst dwell (virtual seconds).
+            dwell_burst_secs: f64 => pos("dwell"),
+            /// Mean lull dwell (virtual seconds).
+            dwell_lull_secs: f64 => pos("dwell"),
+        },
+    }
+    check = |a: &TenantArrivals, path: &str| {
+        match a.rates().into_iter().find(|(_, r)| matches!(r, RateSpec::CapacityFrac { .. })) {
+            Some((key, _)) => Err(validate_err(
+                &join(&join(path, key), "kind"),
+                "capacity_frac rates are serve-only; use qps or pool_capacity_frac",
+            )),
+            None => Ok(()),
         }
-        if let Some(e2e) = &self.e2e {
-            e2e.validate(&join(path, "e2e"))?;
-        }
-        Ok(())
-    }
-}
-
-/// An end-to-end SLO target: a concrete bound, or the midpoint of the
-/// fleet's plan latencies (the bound that separates fast pools from slow
-/// ones, whatever the profile says).
-#[derive(Debug, Clone, PartialEq)]
-pub enum E2eSpec {
-    /// A concrete bound in seconds.
-    Secs {
-        /// The bound.
-        secs: f64,
-    },
-    /// Halfway between the fastest and slowest pool's plan latency.
-    PlanLatencyMidpoint,
-}
-
-impl Serialize for E2eSpec {
-    fn to_value(&self) -> Value {
-        match self {
-            E2eSpec::Secs { secs } => {
-                obj(vec![("kind", Value::Str("secs".to_string())), ("secs", Value::F64(*secs))])
-            }
-            E2eSpec::PlanLatencyMidpoint => {
-                obj(vec![("kind", Value::Str("plan_latency_midpoint".to_string()))])
-            }
-        }
-    }
-}
-
-impl E2eSpec {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let out = match o.tag(&["secs", "plan_latency_midpoint"])?.as_str() {
-            "secs" => E2eSpec::Secs { secs: o.req_f64("secs")? },
-            _ => E2eSpec::PlanLatencyMidpoint,
-        };
-        o.finish()?;
-        Ok(out)
-    }
-
-    fn validate(&self, path: &str) -> Result<(), ScenarioError> {
-        match self {
-            E2eSpec::Secs { secs } => require_pos(*secs, &join(path, "secs"), "SLO target"),
-            E2eSpec::PlanLatencyMidpoint => Ok(()),
-        }
-    }
-}
-
-/// One tenant's traffic.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TenantConfig {
-    /// Tenant id (unique).
-    pub tenant: u32,
-    /// SLO class, by name.
-    pub class: String,
-    /// The tenant's arrival process.
-    pub arrivals: TenantArrivals,
-}
-
-/// A tenant's arrival process (fleet traces have no mid-stream shift).
-#[derive(Debug, Clone, PartialEq)]
-pub enum TenantArrivals {
-    /// Stationary Poisson arrivals.
-    Poisson {
-        /// Offered load.
-        rate: RateSpec,
-    },
-    /// Two-phase bursty arrivals.
-    Bursty {
-        /// Offered load in the burst phase.
-        rate_burst: RateSpec,
-        /// Offered load in the lull phase.
-        rate_lull: RateSpec,
-        /// Mean burst dwell (virtual seconds).
-        dwell_burst_secs: f64,
-        /// Mean lull dwell (virtual seconds).
-        dwell_lull_secs: f64,
-    },
-}
-
-impl Serialize for TenantConfig {
-    fn to_value(&self) -> Value {
-        obj(vec![
-            ("tenant", Value::U64(u64::from(self.tenant))),
-            ("class", Value::Str(self.class.clone())),
-            ("arrivals", self.arrivals.to_value()),
-        ])
-    }
-}
-
-impl Serialize for TenantArrivals {
-    fn to_value(&self) -> Value {
-        match self {
-            TenantArrivals::Poisson { rate } => {
-                obj(vec![("kind", Value::Str("poisson".to_string())), ("rate", rate.to_value())])
-            }
-            TenantArrivals::Bursty { rate_burst, rate_lull, dwell_burst_secs, dwell_lull_secs } => {
-                obj(vec![
-                    ("kind", Value::Str("bursty".to_string())),
-                    ("rate_burst", rate_burst.to_value()),
-                    ("rate_lull", rate_lull.to_value()),
-                    ("dwell_burst_secs", Value::F64(*dwell_burst_secs)),
-                    ("dwell_lull_secs", Value::F64(*dwell_lull_secs)),
-                ])
-            }
-        }
-    }
-}
-
-impl TenantConfig {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let tenant = o.req_u32("tenant")?;
-        let class = o.req_str("class")?;
-        let arrivals = TenantArrivals::decode(o.req("arrivals")?, &o.child_path("arrivals"))?;
-        o.finish()?;
-        Ok(TenantConfig { tenant, class, arrivals })
-    }
-
-    fn validate(&self, path: &str, pools: &[PoolConfig]) -> Result<(), ScenarioError> {
-        self.arrivals.validate(&join(path, "arrivals"), pools)
-    }
+    };
 }
 
 impl TenantArrivals {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let out = match o.tag(&["poisson", "bursty"])?.as_str() {
-            "poisson" => TenantArrivals::Poisson {
-                rate: RateSpec::decode(o.req("rate")?, &o.child_path("rate"))?,
-            },
-            _ => TenantArrivals::Bursty {
-                rate_burst: RateSpec::decode(o.req("rate_burst")?, &o.child_path("rate_burst"))?,
-                rate_lull: RateSpec::decode(o.req("rate_lull")?, &o.child_path("rate_lull"))?,
-                dwell_burst_secs: o.req_f64("dwell_burst_secs")?,
-                dwell_lull_secs: o.req_f64("dwell_lull_secs")?,
-            },
-        };
-        o.finish()?;
-        Ok(out)
-    }
-
-    fn validate(&self, path: &str, pools: &[PoolConfig]) -> Result<(), ScenarioError> {
-        let check_rate = |rate: &RateSpec, rate_path: &str| -> Result<(), ScenarioError> {
-            rate.validate(rate_path)?;
-            match rate {
-                RateSpec::CapacityFrac { .. } => Err(validate_err(
-                    &join(rate_path, "kind"),
-                    "capacity_frac rates are serve-only; use qps or pool_capacity_frac",
-                )),
-                RateSpec::PoolCapacityFrac { pool, .. } => {
-                    if pool == "fastest"
-                        || pool == "slowest"
-                        || pools.iter().any(|p| p.name == *pool)
-                    {
-                        Ok(())
-                    } else {
-                        Err(validate_err(
-                            &join(rate_path, "pool"),
-                            format!("unknown pool `{pool}` (and not `fastest`/`slowest`)"),
-                        ))
-                    }
-                }
-                RateSpec::Qps { .. } => Ok(()),
-            }
-        };
+    /// Each rate with its key.
+    fn rates(&self) -> Vec<(&'static str, &RateSpec)> {
         match self {
-            TenantArrivals::Poisson { rate } => check_rate(rate, &join(path, "rate")),
-            TenantArrivals::Bursty { rate_burst, rate_lull, dwell_burst_secs, dwell_lull_secs } => {
-                check_rate(rate_burst, &join(path, "rate_burst"))?;
-                check_rate(rate_lull, &join(path, "rate_lull"))?;
-                require_pos(*dwell_burst_secs, &join(path, "dwell_burst_secs"), "dwell")?;
-                require_pos(*dwell_lull_secs, &join(path, "dwell_lull_secs"), "dwell")
+            TenantArrivals::Poisson { rate } => vec![("rate", rate)],
+            TenantArrivals::Bursty { rate_burst, rate_lull, .. } => {
+                vec![("rate_burst", rate_burst), ("rate_lull", rate_lull)]
             }
         }
     }
 }
 
-/// A fleet-level replica fault: the whole replica is lost (or redeployed).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetFaultConfig {
-    /// When it happens.
-    pub at: TimeSpec,
-    /// `fail` or `recover`.
-    pub action: String,
-    /// The replica, by name.
-    pub replica: String,
-}
-
-impl Serialize for FleetFaultConfig {
-    fn to_value(&self) -> Value {
-        let mut fields = Vec::new();
-        self.at.emit(&mut fields);
-        fields.push(("action", Value::Str(self.action.clone())));
-        fields.push(("replica", Value::Str(self.replica.clone())));
-        obj(fields)
+table! {
+    /// A fleet-level replica fault: the whole replica is lost (or redeployed).
+    pub struct FleetFaultConfig {
+        /// When it happens.
+        at: TimeSpec,
+        /// `fail` or `recover`.
+        action: String => one_of(&["fail", "recover"]),
+        /// The replica, by name.
+        replica: String,
     }
 }
 
-impl FleetFaultConfig {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let at = TimeSpec::decode(&mut o)?;
-        let action = o.req_str("action")?;
-        let replica = o.req_str("replica")?;
-        o.finish()?;
-        Ok(FleetFaultConfig { at, action, replica })
-    }
-}
-
-/// A scripted autoscaling action.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScaleConfig {
-    /// When it happens.
-    pub at: TimeSpec,
-    /// `up` or `down`.
-    pub action: String,
-    /// The replica, by name.
-    pub replica: String,
-}
-
-impl Serialize for ScaleConfig {
-    fn to_value(&self) -> Value {
-        let mut fields = Vec::new();
-        self.at.emit(&mut fields);
-        fields.push(("action", Value::Str(self.action.clone())));
-        fields.push(("replica", Value::Str(self.replica.clone())));
-        obj(fields)
-    }
-}
-
-impl ScaleConfig {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let at = TimeSpec::decode(&mut o)?;
-        let action = o.req_str("action")?;
-        let replica = o.req_str("replica")?;
-        o.finish()?;
-        Ok(ScaleConfig { at, action, replica })
+table! {
+    /// A scripted autoscaling action.
+    pub struct ScaleConfig {
+        /// When it happens.
+        at: TimeSpec,
+        /// `up` or `down`.
+        action: String => one_of(&["up", "down"]),
+        /// The replica, by name.
+        replica: String,
     }
 }
 
 // --- replay mode ---------------------------------------------------------
 
-/// An offline replay through the runner: schedule once, then play
-/// `num_queries` sampled requests (optionally drifted) against the plan.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplayConfig {
-    /// Queries to replay.
-    pub num_queries: usize,
-    /// Scale the replayed traffic's output mean (drift studies).
-    pub scale_mean: Option<f64>,
-    /// Scale the replayed traffic's output std.
-    pub scale_std: Option<f64>,
-}
-
-impl Serialize for ReplayConfig {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![("num_queries", Value::U64(self.num_queries as u64))];
-        push_opt(&mut fields, "scale_mean", self.scale_mean.map(Value::F64));
-        push_opt(&mut fields, "scale_std", self.scale_std.map(Value::F64));
-        obj(fields)
-    }
-}
-
-impl ReplayConfig {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let out = ReplayConfig {
-            num_queries: o.req_usize("num_queries")?,
-            scale_mean: o.opt_f64("scale_mean")?,
-            scale_std: o.opt_f64("scale_std")?,
-        };
-        o.finish()?;
-        Ok(out)
-    }
-
-    fn validate(&self, path: &str) -> Result<(), ScenarioError> {
-        if self.num_queries == 0 {
-            return Err(validate_err(&join(path, "num_queries"), "must be at least 1"));
-        }
-        if let Some(k) = self.scale_mean {
-            require_pos(k, &join(path, "scale_mean"), "scale factor")?;
-        }
-        if let Some(k) = self.scale_std {
-            require_pos(k, &join(path, "scale_std"), "scale factor")?;
-        }
-        Ok(())
+table! {
+    /// An offline replay through the runner: schedule once, then play
+    /// `num_queries` sampled requests (optionally drifted) against the plan.
+    pub struct ReplayConfig {
+        /// Queries to replay.
+        num_queries: usize => at_least_1,
+        /// Scale the replayed traffic's output mean (drift studies).
+        scale_mean: Option<f64> => pos("scale factor"),
+        /// Scale the replayed traffic's output std.
+        scale_std: Option<f64> => pos("scale factor"),
     }
 }
