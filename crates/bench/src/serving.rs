@@ -104,7 +104,7 @@ pub fn fleet() -> Study {
     let base = load("fleet-100k.toml");
     let rows = DISPATCH_POLICIES
         .iter()
-        .map(|&policy| {
+        .map(|&(policy, _)| {
             let mut scenario = base.clone();
             if let Mode::Fleet(cfg) = &mut scenario.mode {
                 cfg.policy = policy.to_string();

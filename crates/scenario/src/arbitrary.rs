@@ -24,7 +24,8 @@ use crate::schema::{
     ArrivalsConfig, ClassConfig, ClusterConfig, DriftConfig, E2eSpec, FaultEventConfig,
     FaultKindConfig, FaultsConfig, FleetConfig, LengthDistConfig, Mode, ModelSpec, PoolConfig,
     RateSpec, ReplayConfig, ReplicaConfig, Scenario, SchedulerConfig, ServeConfig, SloConfig,
-    TenantArrivals, TenantConfig, TimeSpec, WorkloadConfig, MODEL_PRESETS, TASKS,
+    TenantArrivals, TenantConfig, TimeSpec, WorkloadConfig, CLUSTER_PRESETS, DISPATCH_POLICIES,
+    MODEL_PRESETS, TASKS,
 };
 
 fn pick<'a, T>(rng: &mut StdRng, items: &'a [T]) -> &'a T {
@@ -59,7 +60,7 @@ fn arbitrary_dist(rng: &mut StdRng) -> LengthDistConfig {
 fn arbitrary_workload(rng: &mut StdRng) -> WorkloadConfig {
     if rng.gen_bool(0.6) {
         WorkloadConfig::Task {
-            task: (*pick(rng, TASKS)).to_string(),
+            task: pick(rng, TASKS).0.to_string(),
             scale_mean: rng.gen_bool(0.3).then(|| small_f64(rng, 0.5, 2.0)),
             scale_std: rng.gen_bool(0.2).then(|| small_f64(rng, 0.5, 2.0)),
         }
@@ -198,7 +199,7 @@ fn arbitrary_fleet(rng: &mut StdRng) -> FleetConfig {
         .map(|i| PoolConfig {
             name: format!("pool-{i}"),
             cluster: ClusterConfig {
-                preset: (*pick(rng, &["a40", "a100"])).to_string(),
+                preset: pick(rng, CLUSTER_PRESETS).0.to_string(),
                 gpus: Some(*pick(rng, &[2, 4_usize])),
             },
             latency_bound_secs: rng.gen_bool(0.4).then(|| small_f64(rng, 10.0, 120.0)),
@@ -274,8 +275,7 @@ fn arbitrary_fleet(rng: &mut StdRng) -> FleetConfig {
     }
     FleetConfig {
         total: rng.gen_range(1..5000_usize),
-        policy: (*pick(rng, &["round_robin", "least_outstanding", "kv_headroom", "slo_aware"]))
-            .to_string(),
+        policy: pick(rng, DISPATCH_POLICIES).0.to_string(),
         pools,
         replicas,
         classes,
@@ -301,14 +301,14 @@ pub fn arbitrary_scenario(rng: &mut StdRng) -> Scenario {
     let cluster = match mode {
         Mode::Fleet(_) => None,
         _ => Some(ClusterConfig {
-            preset: (*pick(rng, &["a40", "a100"])).to_string(),
+            preset: pick(rng, CLUSTER_PRESETS).0.to_string(),
             gpus: rng.gen_bool(0.8).then(|| rng.gen_range(1..16_usize)),
         }),
     };
     Scenario {
         name: format!("arb-{}", rng.gen_range(0..1_000_000_u64)),
         seed: rng.gen_range(0..1_000_000_u64),
-        model: ModelSpec { preset: (*pick(rng, MODEL_PRESETS)).to_string() },
+        model: ModelSpec { preset: pick(rng, MODEL_PRESETS).0.to_string() },
         cluster,
         workload: arbitrary_workload(rng),
         scheduler: arbitrary_scheduler(rng),

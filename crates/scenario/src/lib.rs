@@ -59,7 +59,7 @@ pub use lower::{
 pub use schema::{
     ArrivalsConfig, ClassConfig, ClusterConfig, DriftConfig, E2eSpec, FaultEventConfig,
     FaultKindConfig, FaultsConfig, FleetConfig, FleetFaultConfig, LengthDistConfig, Mode,
-    ModelSpec, PoolConfig, RateSpec, ReplayConfig, ReplicaConfig, ScaleConfig, Scenario,
+    ModelSpec, Names, PoolConfig, RateSpec, ReplayConfig, ReplicaConfig, ScaleConfig, Scenario,
     SchedulerConfig, ServeConfig, SloConfig, TenantArrivals, TenantConfig, TimeSpec,
     WorkloadConfig, CLUSTER_PRESETS, DISPATCH_POLICIES, MODEL_PRESETS, POLICIES, TASKS,
 };

@@ -16,8 +16,7 @@ use exegpt_cluster::ClusterSpec;
 use exegpt_dist::LengthDist;
 use exegpt_faults::{FaultEvent, FaultKind, FaultSchedule};
 use exegpt_fleet::{
-    DispatchPolicy, Fleet, FleetOptions, FleetReport, ReplicaSpec, ScaleAction, ScaleEvent,
-    SloClass,
+    Fleet, FleetOptions, FleetReport, ReplicaSpec, ScaleAction, ScaleEvent, SloClass,
 };
 use exegpt_model::ModelConfig;
 use exegpt_profiler::{LayerProfile, ProfileCache, ProfileOptions};
@@ -29,16 +28,17 @@ use exegpt_serve::{
 use exegpt_sim::Workload;
 use exegpt_units::Secs;
 use exegpt_workload::{
-    multi_tenant_trace, ArrivalProcess, BurstyStream, PoissonStream, Task, TenantRequest,
-    TenantSpec, TimedRequest,
+    multi_tenant_trace, ArrivalProcess, BurstyStream, PoissonStream, TenantRequest, TenantSpec,
+    TimedRequest,
 };
 
 use crate::digest::{fnv1a, format_digest};
 use crate::error::ScenarioError;
 use crate::schema::{
     ArrivalsConfig, ClusterConfig, E2eSpec, FaultKindConfig, FaultsConfig, FleetConfig,
-    LengthDistConfig, Mode, RateSpec, ReplayConfig, Scenario, SchedulerConfig, ServeConfig,
-    SloConfig, TenantArrivals, TimeSpec, WorkloadConfig,
+    LengthDistConfig, Mode, Names, RateSpec, ReplayConfig, Scenario, SchedulerConfig, ServeConfig,
+    SloConfig, TenantArrivals, TimeSpec, WorkloadConfig, CLUSTER_PRESETS, DISPATCH_POLICIES,
+    MODEL_PRESETS, POLICIES, TASKS,
 };
 
 fn lower_err(what: &'static str, why: impl std::fmt::Display) -> ScenarioError {
@@ -58,27 +58,21 @@ fn cache() -> &'static ProfileCache {
 
 // --- leaf lowerings ------------------------------------------------------
 
+/// What `name` stands for in `names`. Validation rejects unknown names,
+/// so the error only reaches callers that lower an unvalidated name.
+fn named<T: Copy>(names: Names<T>, what: &'static str, name: &str) -> Result<T, ScenarioError> {
+    let found = names.iter().find(|(n, _)| *n == name);
+    found.map(|&(_, v)| v).ok_or_else(|| lower_err(what, format!("unknown name `{name}`")))
+}
+
 /// The model preset as a real config.
 pub fn lower_model(preset: &str) -> Result<ModelConfig, ScenarioError> {
-    match preset {
-        "t5-11b" => Ok(ModelConfig::t5_11b()),
-        "ul2-20b" => Ok(ModelConfig::ul2_20b()),
-        "opt-13b" => Ok(ModelConfig::opt_13b()),
-        "gpt3-39b" => Ok(ModelConfig::gpt3_39b()),
-        "gpt3-101b" => Ok(ModelConfig::gpt3_101b()),
-        "gpt3-175b" => Ok(ModelConfig::gpt3_175b()),
-        "gpt3-341b" => Ok(ModelConfig::gpt3_341b()),
-        other => Err(lower_err("model", format!("unknown preset `{other}`"))),
-    }
+    Ok(named(MODEL_PRESETS, "model", preset)?())
 }
 
 /// The cluster config as a real (sub-)cluster.
 pub fn lower_cluster(cfg: &ClusterConfig) -> Result<ClusterSpec, ScenarioError> {
-    let base = match cfg.preset.as_str() {
-        "a40" => ClusterSpec::a40_cluster(),
-        "a100" => ClusterSpec::a100_cluster(),
-        other => return Err(lower_err("cluster", format!("unknown preset `{other}`"))),
-    };
+    let base = named(CLUSTER_PRESETS, "cluster", &cfg.preset)?();
     match cfg.gpus {
         Some(gpus) => base.subcluster(gpus).map_err(|e| lower_err("cluster", e)),
         None => Ok(base),
@@ -101,17 +95,6 @@ fn lower_dist(cfg: &LengthDistConfig) -> Result<LengthDist, ScenarioError> {
     dist.map_err(|e| lower_err("workload", e))
 }
 
-fn lower_task(name: &str) -> Result<Task, ScenarioError> {
-    match name {
-        "summarization" => Ok(Task::Summarization),
-        "translation" => Ok(Task::Translation),
-        "code_generation" => Ok(Task::CodeGeneration),
-        "conversational_qa1" => Ok(Task::ConversationalQa1),
-        "conversational_qa2" => Ok(Task::ConversationalQa2),
-        other => Err(lower_err("workload", format!("unknown task `{other}`"))),
-    }
-}
-
 /// Scales a workload's output distribution like the drift studies do.
 fn scale_output(
     w: &Workload,
@@ -132,21 +115,13 @@ fn scale_output(
 pub fn lower_workload(cfg: &WorkloadConfig) -> Result<Workload, ScenarioError> {
     match cfg {
         WorkloadConfig::Task { task, scale_mean, scale_std } => {
-            let base = lower_task(task)?.workload().map_err(|e| lower_err("workload", e))?;
+            let base = named(TASKS, "workload", task)?;
+            let base = base.workload().map_err(|e| lower_err("workload", e))?;
             scale_output(&base, *scale_mean, *scale_std)
         }
         WorkloadConfig::Custom { input, output } => {
             Ok(Workload::new(lower_dist(input)?, lower_dist(output)?))
         }
-    }
-}
-
-fn lower_policy(name: &str) -> Result<exegpt::Policy, ScenarioError> {
-    match name {
-        "rra" => Ok(exegpt::Policy::Rra),
-        "waa_compute" => Ok(exegpt::Policy::WaaCompute),
-        "waa_memory" => Ok(exegpt::Policy::WaaMemory),
-        other => Err(lower_err("scheduler", format!("unknown policy `{other}`"))),
     }
 }
 
@@ -163,19 +138,10 @@ pub fn lower_scheduler(
         opts.eps_throughput_frac = x;
     }
     if let Some(policies) = &cfg.policies {
-        opts.policies = policies.iter().map(|p| lower_policy(p)).collect::<Result<Vec<_>, _>>()?;
+        opts.policies =
+            policies.iter().map(|p| named(POLICIES, "scheduler", p)).collect::<Result<_, _>>()?;
     }
     Ok(opts)
-}
-
-fn lower_dispatch(name: &str) -> Result<DispatchPolicy, ScenarioError> {
-    match name {
-        "round_robin" => Ok(DispatchPolicy::RoundRobin),
-        "least_outstanding" => Ok(DispatchPolicy::LeastOutstanding),
-        "kv_headroom" => Ok(DispatchPolicy::KvHeadroom),
-        "slo_aware" => Ok(DispatchPolicy::SloAware),
-        other => Err(lower_err("fleet", format!("unknown dispatch policy `{other}`"))),
-    }
 }
 
 fn lower_slo(cfg: &SloConfig) -> SloTargets {
@@ -559,7 +525,12 @@ fn lower_fleet(scenario: &Scenario, cfg: &FleetConfig) -> Result<FleetLowered, S
         })
         .collect::<Result<Vec<_>, ScenarioError>>()?;
 
-    let options = FleetOptions { policy: lower_dispatch(&cfg.policy)?, classes, faults, scale };
+    let options = FleetOptions {
+        policy: named(DISPATCH_POLICIES, "fleet", &cfg.policy)?,
+        classes,
+        faults,
+        scale,
+    };
     Ok(FleetLowered { pools, trace, specs, options })
 }
 

@@ -16,6 +16,11 @@
 //! `decode(to_value(s)) == s` exactly — the identity the round-trip
 //! property suite pins for both TOML and JSON.
 
+use exegpt::Policy;
+use exegpt_cluster::ClusterSpec;
+use exegpt_fleet::DispatchPolicy;
+use exegpt_model::ModelConfig;
+use exegpt_workload::Task;
 use serde::{Serialize, Value};
 
 use crate::decode::{join, join_index, parse_err, validate_err, Obj};
@@ -25,28 +30,46 @@ use crate::table::{
     tagged, within, Body, Check, Fields, Node,
 };
 
+/// A closed name set: each name a scenario file may spell, paired with
+/// what lowering turns it into. Validation messages list the names in
+/// this order.
+pub type Names<T> = &'static [(&'static str, T)];
+
 /// Known model presets, in `ModelConfig` constructor order.
-pub const MODEL_PRESETS: &[&str] =
-    &["t5-11b", "ul2-20b", "opt-13b", "gpt3-39b", "gpt3-101b", "gpt3-175b", "gpt3-341b"];
+pub const MODEL_PRESETS: Names<fn() -> ModelConfig> = &[
+    ("t5-11b", ModelConfig::t5_11b),
+    ("ul2-20b", ModelConfig::ul2_20b),
+    ("opt-13b", ModelConfig::opt_13b),
+    ("gpt3-39b", ModelConfig::gpt3_39b),
+    ("gpt3-101b", ModelConfig::gpt3_101b),
+    ("gpt3-175b", ModelConfig::gpt3_175b),
+    ("gpt3-341b", ModelConfig::gpt3_341b),
+];
 
 /// Known cluster presets.
-pub const CLUSTER_PRESETS: &[&str] = &["a40", "a100"];
+pub const CLUSTER_PRESETS: Names<fn() -> ClusterSpec> =
+    &[("a40", ClusterSpec::a40_cluster), ("a100", ClusterSpec::a100_cluster)];
 
 /// Known workload tasks (Table 3 of the paper).
-pub const TASKS: &[&str] = &[
-    "summarization",
-    "translation",
-    "code_generation",
-    "conversational_qa1",
-    "conversational_qa2",
+pub const TASKS: Names<Task> = &[
+    ("summarization", Task::Summarization),
+    ("translation", Task::Translation),
+    ("code_generation", Task::CodeGeneration),
+    ("conversational_qa1", Task::ConversationalQa1),
+    ("conversational_qa2", Task::ConversationalQa2),
 ];
 
 /// Known scheduler policies.
-pub const POLICIES: &[&str] = &["rra", "waa_compute", "waa_memory"];
+pub const POLICIES: Names<Policy> =
+    &[("rra", Policy::Rra), ("waa_compute", Policy::WaaCompute), ("waa_memory", Policy::WaaMemory)];
 
 /// Known fleet dispatch policies.
-pub const DISPATCH_POLICIES: &[&str] =
-    &["round_robin", "least_outstanding", "kv_headroom", "slo_aware"];
+pub const DISPATCH_POLICIES: Names<DispatchPolicy> = &[
+    ("round_robin", DispatchPolicy::RoundRobin),
+    ("least_outstanding", DispatchPolicy::LeastOutstanding),
+    ("kv_headroom", DispatchPolicy::KvHeadroom),
+    ("slo_aware", DispatchPolicy::SloAware),
+];
 
 // --- scenario root -------------------------------------------------------
 

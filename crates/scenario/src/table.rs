@@ -17,6 +17,7 @@ use serde::Value;
 
 use crate::decode::{expected, join, join_index, parse_err, validate_err, Obj};
 use crate::error::ScenarioError;
+use crate::schema::Names;
 
 /// The result of a check.
 pub(crate) type Check = Result<(), ScenarioError>;
@@ -484,18 +485,16 @@ pub(crate) fn one_of(words: &'static [&'static str]) -> impl Fn(&str, &str) -> C
     }
 }
 
-/// A name from a known set; the error lists the set.
-pub(crate) fn known(
-    what: &'static str,
-    names: &'static [&'static str],
-) -> impl Fn(&str, &str) -> Check {
+/// A name from a [`Names`] set; the error lists the set.
+pub(crate) fn known<T>(what: &'static str, names: Names<T>) -> impl Fn(&str, &str) -> Check {
     move |s, path| {
-        if names.contains(&s) {
+        if names.iter().any(|(n, _)| *n == s) {
             Ok(())
         } else {
+            let all: Vec<&str> = names.iter().map(|(n, _)| *n).collect();
             Err(validate_err(
                 path,
-                format!("unknown {what} `{s}`; expected one of {}", names.join(", ")),
+                format!("unknown {what} `{s}`; expected one of {}", all.join(", ")),
             ))
         }
     }
