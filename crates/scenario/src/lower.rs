@@ -115,8 +115,8 @@ fn scale_output(
 pub fn lower_workload(cfg: &WorkloadConfig) -> Result<Workload, ScenarioError> {
     match cfg {
         WorkloadConfig::Task { task, scale_mean, scale_std } => {
-            let base = named(TASKS, "workload", task)?;
-            let base = base.workload().map_err(|e| lower_err("workload", e))?;
+            let base =
+                named(TASKS, "workload", task)?.workload().map_err(|e| lower_err("workload", e))?;
             scale_output(&base, *scale_mean, *scale_std)
         }
         WorkloadConfig::Custom { input, output } => {
