@@ -4,12 +4,15 @@
 //! search, and WAA `B_E × B_m` for both variants, on two setups (OPT-13B on
 //! 4×A40 with task T, T5-11B on 8×A40 with task S). Every estimate's
 //! `to_bits()` — and, for infeasible points, the error variant — is folded
-//! into one FNV-1a digest pinned below. A performance change to the
-//! estimators must leave the digest unchanged; only a deliberate change to
-//! the cost model may move it, and then with the reason in its commit.
+//! into one FNV-1a digest pinned below. A second digest folds the full
+//! payload of every infeasible point: its `Display` text and, for
+//! out-of-memory errors, the exact byte counts. A performance change to
+//! the estimators must leave both digests unchanged; only a deliberate
+//! change to the cost model may move them, and then with the reason in its
+//! commit.
 
 use std::hash::Hasher;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use exegpt_cluster::ClusterSpec;
 use exegpt_dist::{FnvHasher, LengthDist};
@@ -28,6 +31,11 @@ const B_M: [usize; 8] = [1, 2, 3, 4, 6, 8, 12, 16];
 /// feasible (so a sweep that silently turns infeasible cannot pass).
 const DIGEST: u64 = 0xdf63_07e5_99af_e423;
 const FEASIBLE: usize = 3346;
+
+/// Pinned digest of the infeasible points' error payloads, and how many
+/// there are.
+const ERROR_DIGEST: u64 = 0x56a1_9a9d_51d6_8287;
+const INFEASIBLE: usize = 2774;
 
 fn sim(
     model: ModelConfig,
@@ -100,22 +108,52 @@ fn fold(h: &mut FnvHasher, result: &Result<Estimate, SimError>) {
     }
 }
 
+/// Every sweep point's result, in sweep order, computed once for both
+/// digests.
+fn sweep() -> &'static [Result<Estimate, SimError>] {
+    static RESULTS: OnceLock<Vec<Result<Estimate, SimError>>> = OnceLock::new();
+    RESULTS.get_or_init(|| {
+        let setups = [
+            // OPT-13B, 4×A40, task T (translation).
+            sim(ModelConfig::opt_13b(), 4, (128.0, 81.0, 256), (128.0, 68.0, 320)),
+            // T5-11B, 8×A40, task S (summarization).
+            sim(ModelConfig::t5_11b(), 8, (256.0, 252.0, 512), (32.0, 13.0, 80)),
+        ];
+        setups
+            .iter()
+            .flat_map(|sim| configs(sim).into_iter().map(|cfg| sim.evaluate(&cfg)))
+            .collect()
+    })
+}
+
 #[test]
 fn estimator_sweep_matches_pinned_digest() {
-    let setups = [
-        // OPT-13B, 4×A40, task T (translation).
-        sim(ModelConfig::opt_13b(), 4, (128.0, 81.0, 256), (128.0, 68.0, 320)),
-        // T5-11B, 8×A40, task S (summarization).
-        sim(ModelConfig::t5_11b(), 8, (256.0, 252.0, 512), (32.0, 13.0, 80)),
-    ];
     let mut h = FnvHasher::default();
     let mut feasible = 0;
-    for sim in &setups {
-        for cfg in configs(sim) {
-            let result = sim.evaluate(&cfg);
-            feasible += usize::from(result.is_ok());
-            fold(&mut h, &result);
-        }
+    for result in sweep() {
+        feasible += usize::from(result.is_ok());
+        fold(&mut h, result);
     }
     assert_eq!((h.finish(), feasible), (DIGEST, FEASIBLE), "digest {:#018x}", h.finish());
+}
+
+#[test]
+fn error_payloads_match_pinned_digest() {
+    let mut h = FnvHasher::default();
+    let mut infeasible = 0;
+    for err in sweep().iter().filter_map(|r| r.as_ref().err()) {
+        infeasible += 1;
+        h.write(err.to_string().as_bytes());
+        // `Display` rounds byte counts to 0.1 GiB; fold them exactly.
+        if let SimError::OutOfMemory { needed, capacity, .. } = err {
+            h.write(&needed.to_le_bytes());
+            h.write(&capacity.to_le_bytes());
+        }
+    }
+    assert_eq!(
+        (h.finish(), infeasible),
+        (ERROR_DIGEST, INFEASIBLE),
+        "error digest {:#018x}",
+        h.finish()
+    );
 }
