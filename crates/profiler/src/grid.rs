@@ -57,6 +57,7 @@ impl Grid1D {
     ///
     /// Extrapolated results are clamped to be non-negative, since all
     /// profiled quantities are times.
+    #[inline]
     pub fn eval(&self, x: f64) -> f64 {
         self.interpolate(self.segment(x), x)
     }
@@ -68,8 +69,9 @@ impl Grid1D {
     /// short when successive queries move little, as the simulator's
     /// shrinking decode micro-batches do. Start a new sequence with
     /// `usize::MAX` (walks down from the top segment) or `0`.
+    #[inline]
     pub fn eval_from(&self, x: f64, cursor: &mut usize) -> f64 {
-        let last = self.xs.len().saturating_sub(2);
+        let last = self.last_segment();
         let mut i = (*cursor).min(last);
         #[allow(clippy::neg_cmp_op_on_partial_ord)] // a NaN query walks to 0, as in `segment`
         while i > 0 && !(self.xs[i] <= x) {
@@ -85,28 +87,66 @@ impl Grid1D {
 
     /// Segment index of `x`: the last `i` with `xs[i] <= x`, clamped to
     /// `[0, n-2]` (`0` for a single-knot grid).
+    #[inline]
     fn segment(&self, x: f64) -> usize {
         match self.xs.partition_point(|&v| v <= x) {
             0 => 0,
-            p => (p - 1).min(self.xs.len().saturating_sub(2)),
+            p => (p - 1).min(self.last_segment()),
         }
+    }
+
+    /// Index of the last segment: where every `x` above the last knot falls.
+    #[inline]
+    pub(crate) fn last_segment(&self) -> usize {
+        self.xs.len().saturating_sub(2)
     }
 
     /// The interpolation body shared by [`eval`](Self::eval) and
     /// [`eval_from`](Self::eval_from), on segment `i`.
+    #[inline]
     fn interpolate(&self, i: usize, x: f64) -> f64 {
+        self.piece(i).eval(x)
+    }
+
+    /// Segment `i` as a standalone [`Piece`], which evaluates every `x`
+    /// with the float operations of [`eval`](Self::eval) on that segment.
+    #[inline]
+    pub(crate) fn piece(&self, i: usize) -> Piece {
         if self.xs.len() == 1 {
-            return self.ys[0];
+            return Piece::Constant(self.ys[0]);
         }
         let (x0, x1) = (self.xs[i], self.xs[i + 1]);
         let (y0, y1) = (self.ys[i], self.ys[i + 1]);
-        let t = (x - x0) / (x1 - x0);
-        (y0 + t * (y1 - y0)).max(0.0)
+        Piece::Linear { x0, dx: x1 - x0, y0, dy: y1 - y0 }
     }
 
     /// The swept sample positions.
     pub fn xs(&self) -> &[f64] {
         &self.xs
+    }
+}
+
+/// One segment of a [`Grid1D`]: the single knot's value, or the line
+/// through two neighbouring knots, extended past them and clamped at zero.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Piece {
+    /// A single-knot grid's value, unclamped.
+    Constant(f64),
+    /// The line from `(x0, y0)` rising by `dy` over `dx`.
+    Linear { x0: f64, dx: f64, y0: f64, dy: f64 },
+}
+
+impl Piece {
+    /// The segment's value at `x`.
+    #[inline]
+    pub(crate) fn eval(self, x: f64) -> f64 {
+        match self {
+            Piece::Constant(y) => y,
+            Piece::Linear { x0, dx, y0, dy } => {
+                let t = (x - x0) / dx;
+                (y0 + t * dy).max(0.0)
+            }
+        }
     }
 }
 
@@ -163,17 +203,14 @@ impl Grid2D {
         Ok(Self { xs, ys, zs })
     }
 
-    fn segment(axis: &[f64], v: f64) -> (usize, f64) {
-        let n = axis.len();
-        if n == 1 {
-            return (0, 0.0);
-        }
-        let i = match axis.partition_point(|&a| a <= v) {
+    /// Segment index of `v` on `axis`: the last `i` with `axis[i] <= v`,
+    /// clamped to `[0, n-2]` (`0` for a single-knot axis).
+    #[inline]
+    fn segment(axis: &[f64], v: f64) -> usize {
+        match axis.partition_point(|&a| a <= v) {
             0 => 0,
-            p => (p - 1).min(n - 2),
-        };
-        let t = (v - axis[i]) / (axis[i + 1] - axis[i]);
-        (i, t)
+            p => (p - 1).min(axis.len().saturating_sub(2)),
+        }
     }
 
     /// The swept sample positions along the first axis.
@@ -181,24 +218,64 @@ impl Grid2D {
         &self.xs
     }
 
+    /// Index of the last segment of the first axis: where every `x` above
+    /// its last knot falls.
+    #[inline]
+    pub(crate) fn last_segment(&self) -> usize {
+        self.xs.len().saturating_sub(2)
+    }
+
     /// Bilinearly interpolated (or extrapolated) value at `(x, y)`, clamped
     /// non-negative.
+    #[inline]
     pub fn eval(&self, x: f64, y: f64) -> f64 {
-        if self.xs.len() == 1 && self.ys.len() == 1 {
-            return self.zs[0][0];
+        self.cell(Self::segment(&self.xs, x), y).eval(x)
+    }
+
+    /// The cell over first-axis segment `i` at fixed `y`, as a standalone
+    /// [`Cell`], which evaluates every `x` with the float operations of
+    /// [`eval`](Self::eval) on that segment.
+    #[inline]
+    pub(crate) fn cell(&self, i: usize, y: f64) -> Cell {
+        let (nx, ny) = (self.xs.len(), self.ys.len());
+        if nx == 1 && ny == 1 {
+            return Cell::Constant(self.zs[0][0]);
         }
-        let (i, tx) = Self::segment(&self.xs, x);
-        let (j, ty) = Self::segment(&self.ys, y);
-        let at = |ii: usize, jj: usize| -> f64 {
-            self.zs[ii.min(self.xs.len() - 1)][jj.min(self.ys.len() - 1)]
-        };
-        let z00 = at(i, j);
-        let z10 = at(i + 1, j);
-        let z01 = at(i, j + 1);
-        let z11 = at(i + 1, j + 1);
-        let z0 = z00 + tx * (z10 - z00);
-        let z1 = z01 + tx * (z11 - z01);
-        (z0 + ty * (z1 - z0)).max(0.0)
+        let j = Self::segment(&self.ys, y);
+        let ty = if ny == 1 { 0.0 } else { (y - self.ys[j]) / (self.ys[j + 1] - self.ys[j]) };
+        let x = (nx > 1).then(|| (self.xs[i], self.xs[i + 1] - self.xs[i]));
+        let at = |ii: usize, jj: usize| -> f64 { self.zs[ii.min(nx - 1)][jj.min(ny - 1)] };
+        Cell::Bilinear { x, z: [at(i, j), at(i + 1, j), at(i, j + 1), at(i + 1, j + 1)], ty }
+    }
+}
+
+/// One cell of a [`Grid2D`] with the second coordinate fixed: the grid's
+/// value along one first-axis segment, extended past its knots and clamped
+/// at zero.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Cell {
+    /// A single-knot grid's value, unclamped.
+    Constant(f64),
+    /// Corners `z[i][j], z[i+1][j], z[i][j+1], z[i+1][j+1]` (indices
+    /// clamped to the axes), the fixed second-axis weight `ty`, and the
+    /// segment's origin and width (`None` on a single-knot first axis,
+    /// where the first-axis weight is 0).
+    Bilinear { x: Option<(f64, f64)>, z: [f64; 4], ty: f64 },
+}
+
+impl Cell {
+    /// The cell's value at `x`.
+    #[inline]
+    pub(crate) fn eval(self, x: f64) -> f64 {
+        match self {
+            Cell::Constant(z) => z,
+            Cell::Bilinear { x: seg, z: [z00, z10, z01, z11], ty } => {
+                let tx = seg.map_or(0.0, |(x0, dx)| (x - x0) / dx);
+                let z0 = z00 + tx * (z10 - z00);
+                let z1 = z01 + tx * (z11 - z01);
+                (z0 + ty * (z1 - z0)).max(0.0)
+            }
+        }
     }
 }
 
@@ -257,5 +334,73 @@ mod tests {
         assert!(Grid2D::new(vec![1.0], vec![1.0], vec![]).is_err());
         assert!(Grid2D::new(vec![1.0, 2.0], vec![1.0], vec![vec![1.0], vec![1.0, 2.0]]).is_err());
         assert!(Grid2D::new(vec![], vec![1.0], vec![]).is_err());
+    }
+
+    #[test]
+    fn grid1d_single_knot_branches() {
+        let g = Grid1D::new(vec![4.0], vec![7.0]).expect("valid");
+        assert_eq!((g.segment(-1.0), g.segment(4.0), g.segment(9.0)), (0, 0, 0));
+        assert_eq!(g.last_segment(), 0);
+        assert_eq!(g.piece(0), Piece::Constant(7.0));
+        for cursor in [0, usize::MAX] {
+            let mut c = cursor;
+            assert_eq!(g.eval_from(1e9, &mut c), 7.0);
+            assert_eq!(c, 0);
+        }
+    }
+
+    #[test]
+    fn grid2d_single_knot_first_axis_interpolates_the_second() {
+        // One batch knot: the value follows the sequence axis only.
+        let g = Grid2D::new(vec![2.0], vec![10.0, 20.0], vec![vec![1.0, 3.0]]).expect("valid");
+        for x in [0.0, 2.0, 50.0] {
+            assert_eq!(g.eval(x, 15.0), 2.0);
+            assert_eq!(g.eval(x, 30.0), 5.0, "extrapolates along the second axis");
+            assert_eq!(g.eval(x, 0.0), 0.0, "clamped at zero");
+        }
+        assert!(matches!(g.cell(0, 15.0), Cell::Bilinear { x: None, .. }));
+    }
+
+    #[test]
+    fn grid2d_single_knot_second_axis_interpolates_the_first() {
+        let g = Grid2D::new(vec![1.0, 2.0], vec![5.0], vec![vec![1.0], vec![3.0]]).expect("valid");
+        for y in [0.0, 5.0, 80.0] {
+            assert_eq!(g.eval(1.5, y), 2.0);
+            assert_eq!(g.eval(3.0, y), 5.0);
+            assert_eq!(g.eval(0.0, y), 0.0, "clamped at zero");
+        }
+    }
+
+    #[test]
+    fn grid2d_single_knot_is_constant() {
+        let g = Grid2D::new(vec![3.0], vec![9.0], vec![vec![0.25]]).expect("valid");
+        assert_eq!(g.eval(0.0, 0.0), 0.25);
+        assert_eq!(g.eval(1e6, -4.0), 0.25);
+        assert_eq!(g.cell(0, 9.0), Cell::Constant(0.25));
+    }
+
+    #[test]
+    fn edge_segments_reproduce_eval_bit_for_bit() {
+        let g1 = Grid1D::new(vec![1.0, 3.0, 7.0], vec![0.5, 2.0, 2.5]).expect("valid");
+        let g2 = Grid2D::new(
+            vec![1.0, 4.0, 16.0],
+            vec![8.0, 64.0],
+            vec![vec![0.1, 0.7], vec![0.3, 1.1], vec![0.9, 2.9]],
+        )
+        .expect("valid");
+        let (first1, last1) = (g1.piece(0), g1.piece(g1.last_segment()));
+        for y in [2.0, 8.0, 30.5, 64.0, 100.0] {
+            let (first2, last2) = (g2.cell(0, y), g2.cell(g2.last_segment(), y));
+            for x in [-2.0, 0.0, 0.3, 0.999, f64::NAN] {
+                assert_eq!(first1.eval(x).to_bits(), g1.eval(x).to_bits(), "x={x}");
+                assert_eq!(first2.eval(x).to_bits(), g2.eval(x, y).to_bits(), "x={x} y={y}");
+            }
+            for x in [7.0001, 9.0, 16.5, 1e4] {
+                assert_eq!(last1.eval(x).to_bits(), g1.eval(x).to_bits(), "x={x}");
+            }
+            for x in [16.0001, 40.0, 1e4] {
+                assert_eq!(last2.eval(x).to_bits(), g2.eval(x, y).to_bits(), "x={x} y={y}");
+            }
+        }
     }
 }

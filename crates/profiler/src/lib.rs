@@ -45,5 +45,5 @@ mod profiler;
 
 pub use error::ProfileError;
 pub use grid::{Grid1D, Grid2D};
-pub use profile::LayerProfile;
+pub use profile::{DecodeStageGrid, LayerProfile};
 pub use profiler::{ProfileCache, ProfileOptions, Profiler};

@@ -6,7 +6,7 @@ use exegpt_units::Secs;
 use serde::{Deserialize, Serialize};
 
 use crate::error::ProfileError;
-use crate::grid::{Grid1D, Grid2D};
+use crate::grid::{Cell, Grid1D, Grid2D, Piece};
 
 /// Per-tensor-parallel-degree sweep tables.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -82,6 +82,7 @@ impl LayerProfile {
         self.max_seq
     }
 
+    #[inline]
     fn tables(&self, tp: usize) -> Result<&TpTables, ProfileError> {
         self.per_tp.get(&tp).ok_or_else(|| ProfileError::UnprofiledTpDegree {
             requested: tp,
@@ -98,6 +99,7 @@ impl LayerProfile {
     /// # Errors
     ///
     /// Returns [`ProfileError::UnprofiledTpDegree`] if `tp` was not swept.
+    #[inline]
     pub fn encode_layer_time(&self, batch: f64, seq: f64, tp: usize) -> Result<Secs, ProfileError> {
         let t = self.tables(tp)?;
         let tokens = batch * seq;
@@ -114,6 +116,7 @@ impl LayerProfile {
     /// # Errors
     ///
     /// Returns [`ProfileError::UnprofiledTpDegree`] if `tp` was not swept.
+    #[inline]
     pub fn decode_layer_time(
         &self,
         batch: f64,
@@ -128,18 +131,10 @@ impl LayerProfile {
         ))
     }
 
-    /// Collapses the per-stage decode bottleneck term
+    /// The per-stage decode bottleneck term
     /// `layers · decode_layer_time(batch) + handoff_time(batch)` at fixed
-    /// context/input lengths and TP degree into a single 1-D grid over the
-    /// batch axis.
-    ///
-    /// Every addend is piecewise-linear in `batch`, so on the union of
-    /// their sample positions the sum is too: within the sampled range the
-    /// returned grid evaluates the same function as the individual lookups
-    /// (exactly at the knots, up to floating-point association in between).
-    /// Outside the range the grid extrapolates the *sum* linearly while the
-    /// individual lookups clamp each component at zero separately — callers
-    /// that can leave the range should fall back to the direct calls there.
+    /// context/input lengths, TP degree and link, as one function of the
+    /// batch size (see [`DecodeStageGrid`]).
     ///
     /// This is the simulator's hot-loop hook: one lookup per pipeline-stage
     /// class per decode iteration instead of four.
@@ -154,7 +149,7 @@ impl LayerProfile {
         tp: usize,
         layers: f64,
         intra_node: bool,
-    ) -> Result<Grid1D, ProfileError> {
+    ) -> Result<DecodeStageGrid, ProfileError> {
         let t = self.tables(tp)?;
         let handoff = if intra_node { &self.handoff_intra } else { &self.handoff_inter };
         let mut knots: Vec<f64> = t
@@ -177,11 +172,26 @@ impl LayerProfile {
                 .as_secs())
             })
             .collect::<Result<Vec<_>, ProfileError>>()?;
-        Grid1D::new(knots, ys)
+        // Below the lowest knot every component table is on its first
+        // segment, above the highest on its last.
+        let edge = |last: bool| StageEdge {
+            attn: t.dec_attn.cell(if last { t.dec_attn.last_segment() } else { 0 }, ctx),
+            cross: t
+                .dec_cross
+                .as_ref()
+                .map(|g| g.cell(if last { g.last_segment() } else { 0 }, input_len)),
+            rest: t.dec_rest.piece(if last { t.dec_rest.last_segment() } else { 0 }),
+            sync: t.dec_sync.piece(if last { t.dec_sync.last_segment() } else { 0 }),
+            handoff: handoff.piece(if last { handoff.last_segment() } else { 0 }),
+            layers,
+        };
+        let (below, above) = (edge(false), edge(true));
+        Ok(DecodeStageGrid { grid: Grid1D::new(knots, ys)?, below, above })
     }
 
     /// Pipeline-stage handoff time for an activation tensor of
     /// `tokens` tokens (`intra_node` selects the link).
+    #[inline]
     pub fn handoff_time(&self, tokens: f64, intra_node: bool) -> Secs {
         Secs::new(if intra_node {
             self.handoff_intra.eval(tokens)
@@ -195,5 +205,83 @@ impl LayerProfile {
     /// (WAA handover).
     pub fn kv_transfer_time(&self, tokens: f64, layers: usize) -> Secs {
         self.kv_transfer_per_token_layer * (tokens * layers as f64)
+    }
+}
+
+/// One pipeline stage's decode term
+/// `layers · decode_layer_time(batch) + handoff_time(batch)` over the batch
+/// size, at the fixed context/input lengths, TP degree, layer count and
+/// link it was built for by [`LayerProfile::decode_stage_grid`].
+///
+/// Every addend is piecewise-linear in the batch size, so on the union of
+/// their knots the sum is too. Within the knots the term is one collapsed
+/// 1-D grid: the same function as the individual lookups, exactly at the
+/// knots and up to floating-point association in between. Outside them
+/// the collapsed grid would extrapolate the *sum*, while the individual
+/// lookups clamp each component at zero separately. There every component
+/// sits on a fixed segment, its first below the knots and its last above,
+/// so the term is evaluated from those segments, precomputed: the same
+/// float operations in the same order as the individual lookups, hence the
+/// same bits, without their binary searches.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DecodeStageGrid {
+    grid: Grid1D,
+    below: StageEdge,
+    above: StageEdge,
+}
+
+impl DecodeStageGrid {
+    /// The knots: the union of the component tables' batch samples.
+    pub fn knots(&self) -> &[f64] {
+        self.grid.xs()
+    }
+
+    /// Whether `batch` lies within the knots, where the term is read from
+    /// the collapsed grid and may differ from the individual lookups by
+    /// floating-point association. Outside it is bit-identical to them.
+    #[inline]
+    pub fn covers(&self, batch: f64) -> bool {
+        let xs = self.grid.xs();
+        batch >= xs[0] && batch <= xs[xs.len() - 1]
+    }
+
+    /// The term at `batch`. Within the knots the collapsed grid's segment
+    /// is found from `cursor`, as in [`Grid1D::eval_from`]; outside them
+    /// `cursor` is left alone.
+    #[inline]
+    pub fn eval_from(&self, batch: f64, cursor: &mut usize) -> Secs {
+        if self.covers(batch) {
+            Secs::new(self.grid.eval_from(batch, cursor))
+        } else if batch > self.grid.xs()[self.grid.xs().len() - 1] {
+            self.above.eval(batch)
+        } else {
+            // Below the knots, or NaN, which every lookup sends to its
+            // first segment.
+            self.below.eval(batch)
+        }
+    }
+}
+
+/// The stage term with every component table on one fixed segment.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct StageEdge {
+    attn: Cell,
+    cross: Option<Cell>,
+    rest: Piece,
+    sync: Piece,
+    handoff: Piece,
+    layers: f64,
+}
+
+impl StageEdge {
+    /// `decode_layer_time(batch) * layers + handoff_time(batch)`, written
+    /// as those two methods write it.
+    #[inline]
+    fn eval(&self, batch: f64) -> Secs {
+        let cross = self.cross.map_or(0.0, |c| c.eval(batch));
+        let t_layer = Secs::new(
+            self.attn.eval(batch) + cross + self.rest.eval(batch) + self.sync.eval(batch),
+        );
+        t_layer * self.layers + Secs::new(self.handoff.eval(batch))
     }
 }

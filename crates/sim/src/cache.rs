@@ -1,26 +1,33 @@
 //! Shared, concurrency-safe memoization for simulator evaluations.
 //!
 //! One scheduling run evaluates thousands of configurations, and the
-//! closed-form estimates repeat a lot of work across them: the completion
-//! analysis `P_D(U)` depends only on `N_D`, pipeline plans depend only on
-//! the batch geometry and TP setting, and the branch-and-bound searches of
-//! different `(policy, TP, B_m)` tasks frequently land on identical
-//! [`ScheduleConfig`]s. This module keeps one [`EvalCache`] per
-//! [`Simulator`](crate::Simulator) *workload*:
+//! closed-form estimates repeat some of their work across them: the
+//! completion analysis `P_D(U)` depends only on `N_D`, a decode stage's
+//! bottleneck term only on its (TP degree, link, layer allocation) class,
+//! and the branch-and-bound searches of different `(policy, TP, B_m)` tasks
+//! frequently land on identical [`ScheduleConfig`]s. This module keeps one
+//! [`EvalCache`] per [`Simulator`](crate::Simulator) *workload*:
 //! [`Simulator::with_workload`](crate::Simulator::with_workload) swaps in a
 //! fresh cache so no per-workload entry can leak across workloads (every
 //! layer depends on the length distributions).
 //!
+//! Pipeline plans are *not* memoized. An RRA plan is keyed by
+//! `(B_E, B_D, TP)` and few evaluations share one: on the benchmark's
+//! scheduling grid four in five evaluations would miss, and the plans kept
+//! for the rest (an `Arc` and three `Vec`s each) cost more to keep and to
+//! free than to rebuild. A WAA plan is keyed like its estimate, so after an
+//! evaluation it could only be asked for again by the runner or the plan
+//! checks, once per schedule. Both are built afresh by every call.
+//!
 //! Cluster swaps are cheaper than workload swaps: the completion analyses
-//! and the collapsed decode grids are *cluster-independent* (they derive
-//! from the workload and the layer profile, which degraded topologies
-//! reuse), while pipeline plans and full estimates are not. The
-//! cluster-dependent layers therefore carry a cluster fingerprint in their
-//! key, and [`with_cluster`](crate::Simulator::with_cluster) *shares* the
-//! cache: a fault-driven replan onto survivors keeps every
-//! cluster-independent entry warm, only re-deriving plans and estimates,
-//! and a recovery replan onto the original topology hits the original
-//! entries outright. Entries of departed fingerprints linger until the next
+//! and the decode stage grids are *cluster-independent* (they derive from
+//! the workload and the layer profile, which degraded topologies reuse),
+//! while full estimates are not. Estimates therefore carry a cluster
+//! fingerprint in their key, and [`with_cluster`](crate::Simulator::with_cluster)
+//! *shares* the cache: a fault-driven replan onto survivors keeps every
+//! cluster-independent entry warm, only re-deriving estimates, and a
+//! recovery replan onto the original topology hits the original entries
+//! outright. Entries of departed fingerprints linger until the next
 //! workload swap — an accepted cost, bounded by the number of distinct
 //! topologies a fault schedule can visit.
 //!
@@ -43,13 +50,11 @@ use std::sync::{Arc, RwLock};
 
 use exegpt_dist::convert::narrow_usize;
 use exegpt_dist::{CompletionDist, FnvBuildHasher, LengthDist};
-use exegpt_profiler::Grid1D;
+use exegpt_profiler::DecodeStageGrid;
 
-use crate::config::{ScheduleConfig, TpConfig, WaaConfig};
+use crate::config::ScheduleConfig;
 use crate::error::SimError;
 use crate::estimate::Estimate;
-use crate::rra::RraPlan;
-use crate::waa::WaaPlan;
 
 /// Shards per map: enough to keep the search pool's workers from
 /// contending, small enough to stay cheap to allocate per workload.
@@ -109,31 +114,8 @@ pub(crate) struct CompletionInfo {
     pub survival: Vec<f64>,
 }
 
-/// Key of the RRA plan cache. `b_e` is part of the key (not just the TP
-/// setting and pool size) because the plan's TP speedup is measured at the
-/// schedule's encode operating point, which scales with `B_E`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct RraPlanKey {
-    pub b_e: usize,
-    pub b_d: usize,
-    pub tp: TpConfig,
-}
-
-impl RraPlanKey {
-    /// Canonical key for a plan request. Without tensor parallelism the
-    /// plan is independent of the batch geometry (the TP speedup never
-    /// enters the layout), so every TP-none configuration shares one entry.
-    pub(crate) fn new(b_e: usize, b_d: usize, tp: TpConfig) -> Self {
-        if tp.is_none() {
-            Self { b_e: 0, b_d: 0, tp }
-        } else {
-            Self { b_e, b_d, tp }
-        }
-    }
-}
-
-/// Key of the collapsed decode-bottleneck grids: one grid per
-/// (TP degree, boundary link, layer allocation) stage class. The workload's
+/// Key of the decode stage grids: one grid per (TP degree, boundary link,
+/// layer allocation) stage class. The workload's
 /// context/input lengths are fixed per cache, so they are not part of the
 /// key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -151,19 +133,17 @@ pub struct EvalCacheStats {
     pub hits: usize,
     /// Full-estimate lookups that had to run the closed-form evaluation.
     pub misses: usize,
-    /// Distinct entries across all cache layers (completion, plans,
-    /// estimates).
+    /// Distinct entries across all cache layers: completion analyses,
+    /// decode stage grids and estimates.
     pub entries: usize,
 }
 
-/// The shared evaluation cache: completion analyses, pipeline plans, and
-/// full estimates. One instance per (simulator, workload); see the module
+/// The shared evaluation cache: completion analyses, decode stage grids
+/// and full estimates. One instance per (simulator, workload); see the module
 /// docs for the invalidation contract.
 pub(crate) struct EvalCache {
     completion: ShardedMap<usize, Arc<CompletionInfo>>,
-    dec_stage: ShardedMap<DecStageKey, Result<Arc<Grid1D>, SimError>>,
-    rra_plans: ShardedMap<(u64, RraPlanKey), Result<Arc<RraPlan>, SimError>>,
-    waa_plans: ShardedMap<(u64, WaaConfig), Result<Arc<WaaPlan>, SimError>>,
+    dec_stage: ShardedMap<DecStageKey, Result<Arc<DecodeStageGrid>, SimError>>,
     estimates: ShardedMap<(u64, ScheduleConfig), Result<Estimate, SimError>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
@@ -183,8 +163,6 @@ impl EvalCache {
         Self {
             completion: ShardedMap::new(),
             dec_stage: ShardedMap::new(),
-            rra_plans: ShardedMap::new(),
-            waa_plans: ShardedMap::new(),
             estimates: ShardedMap::new(),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
@@ -195,11 +173,7 @@ impl EvalCache {
         EvalCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self.completion.len()
-                + self.dec_stage.len()
-                + self.rra_plans.len()
-                + self.waa_plans.len()
-                + self.estimates.len(),
+            entries: self.completion.len() + self.dec_stage.len() + self.estimates.len(),
         }
     }
 
@@ -225,52 +199,19 @@ impl EvalCache {
         Ok(info)
     }
 
-    /// Collapsed decode-bottleneck grid for one stage class, built at most
-    /// once per (TP degree, link, allocation).
+    /// Decode stage grid for one stage class, built at most once per
+    /// (TP degree, link, allocation).
     pub(crate) fn dec_stage_grid(
         &self,
         key: DecStageKey,
-        build: impl FnOnce() -> Result<Grid1D, SimError>,
-    ) -> Result<Arc<Grid1D>, SimError> {
+        build: impl FnOnce() -> Result<DecodeStageGrid, SimError>,
+    ) -> Result<Arc<DecodeStageGrid>, SimError> {
         if let Some(grid) = self.dec_stage.get(&key) {
             return grid;
         }
         let grid = build().map(Arc::new);
         self.dec_stage.insert_if_absent(key, grid.clone());
         grid
-    }
-
-    /// RRA pipeline plan, built at most once per `(cluster, B_E, B_D, TP)`.
-    pub(crate) fn rra_plan(
-        &self,
-        cluster: u64,
-        key: RraPlanKey,
-        build: impl FnOnce() -> Result<RraPlan, SimError>,
-    ) -> Result<Arc<RraPlan>, SimError> {
-        let key = (cluster, key);
-        if let Some(plan) = self.rra_plans.get(&key) {
-            return plan;
-        }
-        let plan = build().map(Arc::new);
-        self.rra_plans.insert_if_absent(key, plan.clone());
-        plan
-    }
-
-    /// WAA group split and pipeline plan, built at most once per
-    /// `(cluster, config)`.
-    pub(crate) fn waa_plan(
-        &self,
-        cluster: u64,
-        key: WaaConfig,
-        build: impl FnOnce() -> Result<WaaPlan, SimError>,
-    ) -> Result<Arc<WaaPlan>, SimError> {
-        let key = (cluster, key);
-        if let Some(plan) = self.waa_plans.get(&key) {
-            return plan;
-        }
-        let plan = build().map(Arc::new);
-        self.waa_plans.insert_if_absent(key, plan.clone());
-        plan
     }
 
     /// Full-estimate memo, keyed by `(cluster, config)`. Counts a hit for
@@ -301,7 +242,7 @@ impl EvalCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RraConfig;
+    use crate::config::{RraConfig, TpConfig};
 
     fn dummy_estimate(latency: f64) -> Result<Estimate, SimError> {
         let fp = exegpt_model::MemoryFootprint::default();

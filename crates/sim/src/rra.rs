@@ -11,10 +11,10 @@ use std::sync::Arc;
 
 use exegpt_dist::convert::{ceil_usize, lossless_f64, trunc_u64, trunc_usize, widen_u64};
 use exegpt_model::{MemoryFootprint, ModelKind};
-use exegpt_profiler::Grid1D;
+use exegpt_profiler::DecodeStageGrid;
 use exegpt_units::Secs;
 
-use crate::cache::{DecStageKey, RraPlanKey};
+use crate::cache::DecStageKey;
 use crate::config::RraConfig;
 use crate::error::SimError;
 use crate::estimate::{Breakdown, Estimate, MemoryReport};
@@ -34,13 +34,11 @@ struct StageClass {
     alloc: usize,
 }
 
-/// A stage class with its collapsed bottleneck grid, the grid's sampled
-/// range and the decode loop's segment cursor into it.
+/// A stage class with its bottleneck term and the decode loop's segment
+/// cursor into it.
 struct ClassGrid {
     class: StageClass,
-    grid: Arc<Grid1D>,
-    lo: f64,
-    hi: f64,
+    grid: Arc<DecodeStageGrid>,
     cursor: usize,
 }
 
@@ -73,13 +71,9 @@ pub(crate) fn evaluate(sim: &Simulator, cfg: &RraConfig) -> Result<Estimate, Sim
     }
 
     // Pipeline structure under partial TP; layers allocated by stage speed.
-    // Cached by (B_E, B_D, TP): B_E matters because the TP speedup is taken
-    // at the schedule's encode operating point.
-    let plan =
-        sim.cache().rra_plan(sim.cluster_key(), RraPlanKey::new(cfg.b_e, b_d, cfg.tp), || {
-            self::plan(sim, cfg, b_d)
-        })?;
-    let (layout, enc_alloc, dec_alloc) = (&plan.layout, &plan.enc_alloc, &plan.dec_alloc);
+    // Built afresh: most plans are used by one evaluation only, and a kept
+    // plan costs more to store and free than to rebuild (DESIGN.md §4a).
+    let RraPlan { layout, enc_alloc, dec_alloc } = self::plan(sim, cfg, b_d)?;
     let stages = layout.num_stages();
 
     let s_e = w.input().mean();
@@ -90,8 +84,21 @@ pub(crate) fn evaluate(sim: &Simulator, cfg: &RraConfig) -> Result<Estimate, Sim
     let m_e = stages.min(cfg.b_e).max(1);
     let enc_micro = lossless_f64(cfg.b_e) / lossless_f64(m_e);
     let enc =
-        layout.stage_times(profile, enc_alloc, Pass::Encode { batch: enc_micro, seq: s_e })?;
+        layout.stage_times(profile, &enc_alloc, Pass::Encode { batch: enc_micro, seq: s_e })?;
     let t_enc: Secs = enc.sum + enc.bottleneck * (lossless_f64(m_e) - 1.0);
+
+    // --- Memory, before the decode timeline --------------------------------
+    // The check needs only the plan, B_D and the encode micro-batch, so an
+    // out-of-memory configuration skips the O(N_D) decode loop. It returns
+    // the error the timeline-first order returned: nothing below can fail
+    // once the plan and the encode stage times have succeeded. Decode
+    // stages run at TP degree 1 or the configured degree, over one of two
+    // links, so there are at most MAX_CLASSES classes; the encode pass
+    // looked up every stage's degree, so the decode lookups find their
+    // tables; and the stage grids interpolate the profile's finite tables
+    // at finite points.
+    let memory = memory_report(sim, &layout, &enc_alloc, &dec_alloc, b_d, enc_micro * s_e)?;
+    check_memory(&memory)?;
 
     // --- Decoding phase: N_D iterations over the shrinking pool ----------
     // The pool circulates as one micro-batch per stage; iteration `u` runs
@@ -125,23 +132,19 @@ pub(crate) fn evaluate(sim: &Simulator, cfg: &RraConfig) -> Result<Estimate, Sim
             }
         }
     }
-    // Each class's bottleneck term `alloc · t_layer(µ) + handoff(µ)` is
-    // piecewise-linear in the micro-batch size, so it collapses into one
-    // cached grid: a single lookup per class per iteration. Outside the
-    // grid's sampled range the per-component zero clamps diverge from the
-    // collapsed sum, so those (rare, tiny-batch) points fall back to the
-    // stage-cost kernel's per-stage term. The micro-batch never grows along
-    // the phase (survival only falls), so each class keeps a cursor into its
-    // grid and finds the next segment by walking down from the last one.
+    // Each class's bottleneck term `alloc · t_layer(µ) + handoff(µ)` is a
+    // cached `DecodeStageGrid`: a single lookup per class per iteration,
+    // bit-identical to the stage-cost kernel's per-stage term outside the
+    // grid's knots. The micro-batch never grows along the phase (survival
+    // only falls), so each class keeps a cursor into its grid and finds the
+    // next segment by walking down from the last one.
     let mut grids: [Option<ClassGrid>; MAX_CLASSES] = Default::default();
     for (slot, &class) in grids.iter_mut().zip(&classes[..n_classes]) {
         let StageClass { tp, intra, alloc } = class;
         let grid = sim.cache().dec_stage_grid(DecStageKey { tp, intra, alloc }, || {
             Ok(profile.decode_stage_grid(ctx, s_e, tp, lossless_f64(alloc), intra)?)
         })?;
-        let lo = grid.xs().first().copied().unwrap_or(0.0);
-        let hi = grid.xs().last().copied().unwrap_or(lo);
-        *slot = Some(ClassGrid { class, grid, lo, hi, cursor: usize::MAX });
+        *slot = Some(ClassGrid { class, grid, cursor: usize::MAX });
     }
     let survival = &info.survival;
     let mut t_dec = Secs::ZERO;
@@ -157,13 +160,18 @@ pub(crate) fn evaluate(sim: &Simulator, cfg: &RraConfig) -> Result<Estimate, Sim
         let micro = active / lossless_f64(m_d);
         let mut worst = Secs::ZERO;
         for g in grids.iter_mut().flatten() {
-            let t = if micro >= g.lo && micro <= g.hi {
-                Secs::new(g.grid.eval_from(micro, &mut g.cursor))
-            } else {
-                let StageClass { tp, intra, alloc } = g.class;
-                let pass = Pass::Decode { batch: micro, ctx, input_len: s_e };
-                pass.stage_cost(profile, pass.layer_time(profile, tp)?, alloc, intra)
-            };
+            let t = g.grid.eval_from(micro, &mut g.cursor);
+            debug_assert!(
+                g.grid.covers(micro) || {
+                    let StageClass { tp, intra, alloc } = g.class;
+                    let pass = Pass::Decode { batch: micro, ctx, input_len: s_e };
+                    pass.layer_time(profile, tp).is_ok_and(|t_layer| {
+                        pass.stage_cost(profile, t_layer, alloc, intra).as_secs().to_bits()
+                            == t.as_secs().to_bits()
+                    })
+                },
+                "fixed-segment stage term disagrees with the stage-cost kernel"
+            );
             worst = worst.max(t);
         }
         if u == 0 {
@@ -179,9 +187,6 @@ pub(crate) fn evaluate(sim: &Simulator, cfg: &RraConfig) -> Result<Estimate, Sim
     // A query of 99th-percentile length spans ceil(L99 / N_D) full phases.
     let phases = lossless_f64(w.l99().div_ceil(cfg.n_d));
     let latency = t_phase * phases;
-
-    let memory = memory_report(sim, layout, enc_alloc, dec_alloc, b_d, enc_micro * s_e)?;
-    check_memory(&memory)?;
 
     Ok(Estimate {
         latency,

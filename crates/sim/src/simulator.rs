@@ -8,7 +8,7 @@ use exegpt_model::{LayerKind, ModelConfig, ModelKind};
 use exegpt_profiler::LayerProfile;
 use exegpt_units::Tokens;
 
-use crate::cache::{EvalCache, EvalCacheStats, RraPlanKey};
+use crate::cache::{EvalCache, EvalCacheStats};
 use crate::config::{RraConfig, ScheduleConfig, TpConfig, WaaConfig, Workload};
 use crate::error::SimError;
 use crate::estimate::Estimate;
@@ -33,11 +33,11 @@ pub struct Simulator {
     cluster: ClusterSpec,
     profile: Arc<LayerProfile>,
     workload: Workload,
-    /// Memoized completion analyses, pipeline plans and full estimates.
-    /// Valid for this exact (model, profile, workload) tuple, so it is
-    /// shared by `clone()` *and* [`with_cluster`] (cluster-dependent layers
-    /// carry [`cluster_key`](Self::cluster_key) in their keys) but replaced
-    /// by [`with_workload`].
+    /// Memoized completion analyses, decode stage grids and full estimates
+    /// (not pipeline plans: see the `cache` module docs). Valid for this
+    /// exact (model, profile, workload) tuple, so it is shared by `clone()`
+    /// *and* [`with_cluster`] (estimates carry `cluster_key` in their keys)
+    /// but replaced by [`with_workload`].
     ///
     /// [`with_workload`]: Simulator::with_workload
     /// [`with_cluster`]: Simulator::with_cluster
@@ -93,8 +93,8 @@ impl Simulator {
     /// *types* match the profiled ones, which holds for subclusters and
     /// degraded variants of the original.
     ///
-    /// The evaluation cache is *shared*, not flushed: cluster-dependent
-    /// entries (pipeline plans, full estimates) are keyed by the cluster's
+    /// The evaluation cache is *shared*, not flushed: the cluster-dependent
+    /// entries, full estimates, are keyed by the cluster's
     /// [`fingerprint`](ClusterSpec::fingerprint), so a swap only re-derives
     /// those, keeps the cluster-independent completion analyses and decode
     /// grids warm, and turns a later swap back to the original topology
@@ -114,12 +114,6 @@ impl Simulator {
     /// clones) computes for the current workload.
     pub(crate) fn cache(&self) -> &EvalCache {
         &self.cache
-    }
-
-    /// The precomputed cluster fingerprint scoping cluster-dependent cache
-    /// entries (see [`cache`](Self::cache)).
-    pub(crate) fn cluster_key(&self) -> u64 {
-        self.cluster_key
     }
 
     /// Evaluates either schedule family.
@@ -158,29 +152,26 @@ impl Simulator {
     /// Resolves the pipeline plan (layout + per-stage layer allocations) of
     /// an RRA configuration whose decode pool size is `b_d` (as returned in
     /// [`Estimate`](crate::Estimate)`::breakdown.decode_batch`). The runner
-    /// uses the same plan the simulator timed.
+    /// uses the same plan the simulator timed: the evaluation builds it with
+    /// the same function. Plans are not memoized; each call builds one.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] for structurally invalid
     /// configurations.
     pub fn rra_plan(&self, cfg: &RraConfig, b_d: usize) -> Result<crate::rra::RraPlan, SimError> {
-        let key = RraPlanKey::new(cfg.b_e, b_d, cfg.tp);
-        self.cache
-            .rra_plan(self.cluster_key, key, || crate::rra::plan(self, cfg, b_d))
-            .map(|p| (*p).clone())
+        crate::rra::plan(self, cfg, b_d)
     }
 
-    /// Resolves the group split and pipeline plans of a WAA configuration.
+    /// Resolves the group split and pipeline plans of a WAA configuration,
+    /// with the function the evaluation uses. Each call builds the plan.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] for structurally invalid
     /// configurations.
     pub fn waa_plan(&self, cfg: &WaaConfig) -> Result<crate::waa::WaaPlan, SimError> {
-        self.cache
-            .waa_plan(self.cluster_key, *cfg, || crate::waa::plan(self, cfg))
-            .map(|p| (*p).clone())
+        crate::waa::plan(self, cfg)
     }
 
     /// Usable per-GPU memory in bytes (device capacity minus the workspace

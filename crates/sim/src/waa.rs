@@ -131,9 +131,7 @@ pub(crate) fn plan(sim: &Simulator, cfg: &WaaConfig) -> Result<WaaPlan, SimError
 }
 
 pub(crate) fn evaluate(sim: &Simulator, cfg: &WaaConfig) -> Result<Estimate, SimError> {
-    // The group split and both layouts depend only on the config, so they
-    // come from the simulator's evaluation cache.
-    let plan = sim.cache().waa_plan(sim.cluster_key(), *cfg, || self::plan(sim, cfg))?;
+    let plan = self::plan(sim, cfg)?;
     let (enc_layout, enc_alloc) = (&plan.enc_layout, &plan.enc_alloc);
     let (dec_layout, dec_alloc) = (&plan.dec_layout, &plan.dec_alloc);
     let (b_d, kv_layers) = (plan.b_d, plan.kv_layers);
