@@ -96,11 +96,17 @@ impl CompletionDist {
     /// Returns `None` if the completion fraction is zero (no query can ever
     /// complete within the support, e.g. `N_D` longer than any output).
     pub fn decode_batch_for(&self, b_e: usize) -> Option<usize> {
-        let f = self.completion_fraction();
-        if f <= 0.0 {
+        Self::decode_batch(self.completion_fraction(), b_e)
+    }
+
+    /// [`decode_batch_for`](Self::decode_batch_for) from a completion
+    /// fraction summed beforehand, for callers that size many encoder
+    /// batches against one `N_D`.
+    pub fn decode_batch(fraction: f64, b_e: usize) -> Option<usize> {
+        if fraction <= 0.0 {
             return None;
         }
-        Some(((b_e as f64 / f).round() as usize).max(1))
+        Some(((b_e as f64 / fraction).round() as usize).max(1))
     }
 
     /// Expected number of completions in one decoding phase for a decoding

@@ -104,11 +104,12 @@ impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
     }
 }
 
-/// Completion analysis for one `N_D`, with the per-iteration survival
-/// series precomputed so the RRA decode loop is O(N_D) instead of O(N_D²).
+/// Completion analysis for one `N_D`: the completion fraction, summed once,
+/// and the per-iteration survival series, so the RRA decode loop is O(N_D)
+/// instead of O(N_D²).
 pub(crate) struct CompletionInfo {
-    /// The distribution itself (for `decode_batch_for` etc.).
-    pub dist: CompletionDist,
+    /// [`CompletionDist::completion_fraction`], for sizing `B_D`.
+    pub fraction: f64,
     /// `survival[u-1]` = expected fraction of the pool still active at the
     /// start of decode iteration `u`.
     pub survival: Vec<f64>,
@@ -193,8 +194,10 @@ impl EvalCache {
         }
         let dist = CompletionDist::new(output, n_d)
             .map_err(|e| SimError::InvalidConfig { what: "n_d", why: e.to_string() })?;
-        let survival = dist.survival_series();
-        let info = Arc::new(CompletionInfo { dist, survival });
+        let info = Arc::new(CompletionInfo {
+            fraction: dist.completion_fraction(),
+            survival: dist.survival_series(),
+        });
         self.completion.insert_if_absent(n_d, Arc::clone(&info));
         Ok(info)
     }
@@ -320,8 +323,10 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(a.survival.len(), 8);
         assert_eq!(a.survival[0], 1.0);
+        let dist = CompletionDist::new(&out, 8).expect("valid");
+        assert_eq!(a.fraction.to_bits(), dist.completion_fraction().to_bits());
         for u in 1..=8 {
-            assert_eq!(a.survival[u - 1], a.dist.survival(u), "u={u}");
+            assert_eq!(a.survival[u - 1], dist.survival(u), "u={u}");
         }
     }
 }

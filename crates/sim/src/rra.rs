@@ -10,6 +10,7 @@
 use std::sync::Arc;
 
 use exegpt_dist::convert::{ceil_usize, lossless_f64, trunc_u64, trunc_usize, widen_u64};
+use exegpt_dist::CompletionDist;
 use exegpt_model::{MemoryFootprint, ModelKind};
 use exegpt_profiler::DecodeStageGrid;
 use exegpt_units::Secs;
@@ -56,9 +57,10 @@ pub(crate) fn evaluate(sim: &Simulator, cfg: &RraConfig) -> Result<Estimate, Sim
     // refill exactly B_E slots (paper §6). The completion analysis depends
     // only on N_D, so it comes from the simulator's evaluation cache.
     let info = sim.cache().completion(w.output(), cfg.n_d)?;
-    let completion = &info.dist;
-    let b_d = completion.decode_batch_for(cfg.b_e).ok_or_else(|| SimError::NoSteadyState {
-        why: format!("no query completes within N_D = {} iterations", cfg.n_d),
+    let b_d = CompletionDist::decode_batch(info.fraction, cfg.b_e).ok_or_else(|| {
+        SimError::NoSteadyState {
+            why: format!("no query completes within N_D = {} iterations", cfg.n_d),
+        }
     })?;
     if b_d > profile.max_batch() {
         return Err(SimError::InvalidConfig {
