@@ -174,16 +174,16 @@ impl LayerProfile {
             .collect::<Result<Vec<_>, ProfileError>>()?;
         // Below the lowest knot every component table is on its first
         // segment, above the highest on its last.
-        let edge = |last: bool| StageEdge {
-            attn: t.dec_attn.cell(if last { t.dec_attn.last_segment() } else { 0 }, ctx),
-            cross: t
-                .dec_cross
-                .as_ref()
-                .map(|g| g.cell(if last { g.last_segment() } else { 0 }, input_len)),
-            rest: t.dec_rest.piece(if last { t.dec_rest.last_segment() } else { 0 }),
-            sync: t.dec_sync.piece(if last { t.dec_sync.last_segment() } else { 0 }),
-            handoff: handoff.piece(if last { handoff.last_segment() } else { 0 }),
-            layers,
+        let edge = |last: bool| {
+            let seg = |last_segment: usize| if last { last_segment } else { 0 };
+            StageEdge {
+                attn: t.dec_attn.cell(seg(t.dec_attn.last_segment()), ctx),
+                cross: t.dec_cross.as_ref().map(|g| g.cell(seg(g.last_segment()), input_len)),
+                rest: t.dec_rest.piece(seg(t.dec_rest.last_segment())),
+                sync: t.dec_sync.piece(seg(t.dec_sync.last_segment())),
+                handoff: handoff.piece(seg(handoff.last_segment())),
+                layers,
+            }
         };
         let (below, above) = (edge(false), edge(true));
         Ok(DecodeStageGrid { grid: Grid1D::new(knots, ys)?, below, above })
