@@ -11,13 +11,14 @@
 //! fresh cache so no per-workload entry can leak across workloads (every
 //! layer depends on the length distributions).
 //!
-//! Pipeline plans are *not* memoized. An RRA plan is keyed by
-//! `(B_E, B_D, TP)` and few evaluations share one: on the benchmark's
-//! scheduling grid four in five evaluations would miss, and the plans kept
-//! for the rest (an `Arc` and three `Vec`s each) cost more to keep and to
-//! free than to rebuild. A WAA plan is keyed like its estimate, so after an
-//! evaluation it could only be asked for again by the runner or the plan
-//! checks, once per schedule. Both are built afresh by every call.
+//! Pipeline plans are *not* memoized. An RRA plan depends on
+//! `(B_E, B_D, TP)`, and few evaluations share one: on the benchmark's
+//! scheduling grid four in five evaluations missed a plan memo, and the
+//! plans it kept (an `Arc` and three `Vec`s each) cost more to keep and to
+//! free than to rebuild. A WAA plan depends on the whole configuration, as
+//! its estimate does, so after an evaluation only the runner or the plan
+//! checks ask for it again, once per schedule. Both are built afresh by
+//! every call (DESIGN.md §4a).
 //!
 //! Cluster swaps are cheaper than workload swaps: the completion analyses
 //! and the decode stage grids are *cluster-independent* (they derive from
