@@ -59,7 +59,7 @@ impl Grid1D {
     /// profiled quantities are times.
     #[inline]
     pub fn eval(&self, x: f64) -> f64 {
-        self.interpolate(self.segment(x), x)
+        self.piece(self.segment(x)).eval(x)
     }
 
     /// [`eval`](Self::eval) for a sequence of nearby queries: finds the
@@ -82,7 +82,7 @@ impl Grid1D {
         }
         debug_assert_eq!(i, self.segment(x), "cursor walk disagrees with the binary search");
         *cursor = i;
-        self.interpolate(i, x)
+        self.piece(i).eval(x)
     }
 
     /// Segment index of `x`: the last `i` with `xs[i] <= x`, clamped to
@@ -101,15 +101,8 @@ impl Grid1D {
         self.xs.len().saturating_sub(2)
     }
 
-    /// The interpolation body shared by [`eval`](Self::eval) and
-    /// [`eval_from`](Self::eval_from), on segment `i`.
-    #[inline]
-    fn interpolate(&self, i: usize, x: f64) -> f64 {
-        self.piece(i).eval(x)
-    }
-
-    /// Segment `i` as a standalone [`Piece`], which evaluates every `x`
-    /// with the float operations of [`eval`](Self::eval) on that segment.
+    /// Segment `i` as a standalone [`Piece`]: the interpolation body shared
+    /// by [`eval`](Self::eval) and [`eval_from`](Self::eval_from).
     #[inline]
     pub(crate) fn piece(&self, i: usize) -> Piece {
         if self.xs.len() == 1 {

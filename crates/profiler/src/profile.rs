@@ -250,10 +250,11 @@ impl DecodeStageGrid {
     /// `cursor` is left alone.
     #[inline]
     pub fn eval_from(&self, batch: f64, cursor: &mut usize) -> Secs {
-        if self.covers(batch) {
-            Secs::new(self.grid.eval_from(batch, cursor))
-        } else if batch > self.grid.xs()[self.grid.xs().len() - 1] {
+        let xs = self.grid.xs();
+        if batch > xs[xs.len() - 1] {
             self.above.eval(batch)
+        } else if batch >= xs[0] {
+            Secs::new(self.grid.eval_from(batch, cursor))
         } else {
             // Below the knots, or NaN, which every lookup sends to its
             // first segment.
