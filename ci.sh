@@ -26,12 +26,16 @@ cargo run --offline -q -p exegpt-xlint -- --workspace --baseline xlint-baseline.
 echo "==> cargo test -q"
 cargo test --offline --workspace -q
 
-echo "==> estimator digests in release"
+echo "==> estimator and metrics digests in release"
 # The stage above runs the estimator digests (every estimate's bits, every
 # error's payload) in a debug build. The binaries and the benchmark run
 # release code, where the profile lookups are inlined across crates and
 # debug assertions are off, so the digests must hold there too.
 cargo test --offline --release -q -p exegpt-sim --test estimate_digest
+# Likewise every metrics snapshot of the shipped serve and fleet scenarios:
+# the fleet-100k gate and the benchmark run the serve and fleet loops in
+# release.
+cargo test --offline --release -q -p exegpt-scenario --test metrics_digest
 
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --quiet

@@ -206,6 +206,8 @@ impl Fleet {
             seq: 0,
             wake_seq: vec![0; n],
             scheduled: vec![None; n],
+            cands: Vec::with_capacity(n),
+            e2e_names: (0..n).map(|r| format!("replica{r}_e2e")).collect(),
             origin: BTreeMap::new(),
             tenants: BTreeMap::new(),
             metrics: Metrics::new(),
@@ -372,8 +374,14 @@ struct RunState {
     /// has delivered every arrival at or before its local time, which is
     /// exactly what the single-replica loop sees.
     scheduled: Vec<Option<f64>>,
-    /// Request id → originating tenant, for completion and reroute
-    /// accounting.
+    /// Routing candidates, refilled by [`RunState::fill_candidates`] at
+    /// every dispatch and reroute.
+    cands: Vec<Candidate>,
+    /// Each replica's `replica{r}_e2e` histogram name, built once.
+    e2e_names: Vec<String>,
+    /// Request id → originating tenant of every request in flight, for
+    /// completion and reroute accounting (a completion takes its entry
+    /// out).
     origin: BTreeMap<u64, u32>,
     tenants: BTreeMap<u32, TenantAcc>,
     metrics: Metrics,
@@ -426,21 +434,19 @@ impl RunState {
         self.heap.push(Entry { t, kind: K_CONTROL, replica, seq });
     }
 
-    /// Routable replicas' dispatch signals, ascending replica id.
-    fn candidates(&self) -> Vec<Candidate> {
-        self.handles
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| h.state.routable())
-            .filter_map(|(i, h)| {
-                h.session.as_ref().map(|s| Candidate {
-                    replica: i,
-                    outstanding: s.outstanding(),
-                    headroom_bytes: s.kv_headroom_bytes(),
-                    plan_latency: s.plan_latency(),
-                })
-            })
-            .collect()
+    /// Fills `cands` with the routable replicas' dispatch signals,
+    /// ascending replica id.
+    fn fill_candidates(&mut self) {
+        self.cands.clear();
+        for (i, h) in self.handles.iter().enumerate() {
+            let Some(s) = h.session.as_ref().filter(|_| h.state.routable()) else { continue };
+            self.cands.push(Candidate {
+                replica: i,
+                outstanding: s.outstanding(),
+                headroom_bytes: s.kv_headroom_bytes(),
+                plan_latency: s.plan_latency(),
+            });
+        }
     }
 
     fn tenant_entry(&mut self, tenant: u32, class: u32) -> &mut TenantAcc {
@@ -457,19 +463,16 @@ impl RunState {
     /// Routes one fresh arrival.
     fn dispatch(&mut self, r: TenantRequest) {
         let t = r.request.arrival;
-        let cands = self.candidates();
+        self.fill_candidates();
         let class = &self.classes[r.class as usize];
-        match self.router.choose(class, &cands) {
+        match self.router.choose(class, &self.cands) {
             Some(replica) => {
-                let Some(c) = cands.iter().find(|c| c.replica == replica) else { return };
+                let Some(c) = self.cands.iter().find(|c| c.replica == replica) else { return };
                 let (outstanding, headroom_bytes) = (c.outstanding, c.headroom_bytes);
                 self.dispatched += 1;
                 self.origin.insert(r.request.request.id, r.tenant);
                 self.tenant_entry(r.tenant, r.class).dispatched += 1;
                 self.handles[replica].dispatched += 1;
-                self.metrics.inc("dispatched");
-                self.metrics.inc(&format!("dispatched_{}", self.router.policy().name()));
-                self.metrics.inc(&format!("replica{replica}_dispatched"));
                 self.metrics.observe("dispatch_headroom_bytes", headroom_bytes as f64);
                 self.metrics.observe("dispatch_outstanding", outstanding as f64);
                 self.events.push(FleetEvent::Dispatch {
@@ -494,8 +497,6 @@ impl RunState {
             None => {
                 self.rejected += 1;
                 self.tenant_entry(r.tenant, r.class).rejected += 1;
-                self.metrics.inc("rejected");
-                self.metrics.inc(&format!("rejected_{}", self.router.policy().name()));
                 self.events.push(FleetEvent::Reject {
                     t,
                     id: r.request.request.id,
@@ -534,12 +535,10 @@ impl RunState {
         for c in completions {
             self.completed += 1;
             self.makespan = self.makespan.max(c.t);
-            self.metrics.inc("completed");
-            self.metrics.inc(&format!("replica{rep}_completed"));
             self.metrics.observe("e2e", c.e2e);
             self.metrics.observe("queue_wait", c.queue_wait);
-            self.metrics.observe(&format!("replica{rep}_e2e"), c.e2e);
-            let Some(&tenant) = self.origin.get(&c.id) else { continue };
+            self.metrics.observe(&self.e2e_names[rep], c.e2e);
+            let Some(tenant) = self.origin.remove(&c.id) else { continue };
             let Some(acc) = self.tenants.get_mut(&tenant) else { continue };
             acc.completed += 1;
             let targets = &self.classes[acc.class as usize].targets;
@@ -640,13 +639,11 @@ impl RunState {
         let tenant = self.origin.get(&id).copied();
         let class_idx =
             tenant.and_then(|tn| self.tenants.get(&tn)).map(|acc| acc.class).unwrap_or(0);
-        let cands = self.candidates();
+        self.fill_candidates();
         let class = &self.classes[class_idx as usize];
-        match self.router.choose(class, &cands) {
+        match self.router.choose(class, &self.cands) {
             Some(to) => {
                 self.rerouted += 1;
-                self.metrics.inc("rerouted");
-                self.metrics.inc(&format!("replica{to}_dispatched"));
                 self.handles[to].dispatched += 1;
                 if let Some(tn) = tenant {
                     if let Some(acc) = self.tenants.get_mut(&tn) {
@@ -664,7 +661,6 @@ impl RunState {
             }
             None => {
                 self.lost += 1;
-                self.metrics.inc("requests_lost");
                 false
             }
         }
@@ -694,6 +690,27 @@ impl RunState {
             if weighted_checked > 0.0 { weighted_violations / weighted_checked } else { 0.0 };
         self.metrics.gauge("weighted_violation_rate", weighted_violation_rate);
         self.metrics.gauge("makespan", self.makespan);
+        // Counters with a typed home are counted once, on the run state,
+        // and written here. A registry counter exists only from its first
+        // increment on, so a zero stays out of the snapshot.
+        let metrics = &mut self.metrics;
+        let mut count = |name: &str, n: usize| {
+            if n > 0 {
+                metrics.add(name, n as u64);
+            }
+        };
+        let policy = self.router.policy().name();
+        count("dispatched", self.dispatched);
+        count(&format!("dispatched_{policy}"), self.dispatched);
+        count("rejected", self.rejected);
+        count(&format!("rejected_{policy}"), self.rejected);
+        count("rerouted", self.rerouted);
+        count("requests_lost", self.lost);
+        count("completed", self.completed);
+        for (r, h) in self.handles.iter().enumerate() {
+            count(&format!("replica{r}_dispatched"), h.dispatched);
+            count(&format!("replica{r}_completed"), h.completed);
+        }
         let replicas = self
             .handles
             .into_iter()

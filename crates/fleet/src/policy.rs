@@ -82,7 +82,7 @@ impl Router {
                 self.rr_next = self.rr_next.wrapping_add(1);
                 candidates[idx].replica
             }
-            DispatchPolicy::LeastOutstanding => least_outstanding(candidates)?,
+            DispatchPolicy::LeastOutstanding => least_outstanding(candidates.iter())?,
             DispatchPolicy::KvHeadroom => {
                 let mut best = candidates.first()?;
                 for c in &candidates[1..] {
@@ -96,22 +96,20 @@ impl Router {
                 // A replica "qualifies" when its plan latency fits the
                 // class's end-to-end budget; an unconstrained class
                 // qualifies everyone.
-                let fits = |c: &Candidate| match class.targets.e2e {
+                let fits = |c: &&Candidate| match class.targets.e2e {
                     Some(bound) => c.plan_latency <= bound.as_secs(),
                     None => true,
                 };
-                let qualified: Vec<Candidate> = candidates.iter().copied().filter(fits).collect();
-                if qualified.is_empty() {
-                    // Nothing fits: damage control — the fastest replica.
-                    let mut best = candidates.first()?;
-                    for c in &candidates[1..] {
-                        if c.plan_latency.total_cmp(&best.plan_latency).is_lt() {
-                            best = c;
-                        }
+                match least_outstanding(candidates.iter().filter(fits)) {
+                    Some(replica) => replica,
+                    // Nothing fits: damage control — the fastest replica
+                    // (`min_by` keeps the first, lowest-id one on ties).
+                    None => {
+                        candidates
+                            .iter()
+                            .min_by(|a, b| a.plan_latency.total_cmp(&b.plan_latency))?
+                            .replica
                     }
-                    best.replica
-                } else {
-                    least_outstanding(&qualified)?
                 }
             }
         };
@@ -119,15 +117,10 @@ impl Router {
     }
 }
 
-/// Lowest `(outstanding, replica)` candidate.
-fn least_outstanding(candidates: &[Candidate]) -> Option<usize> {
-    let mut best = candidates.first()?;
-    for c in &candidates[1..] {
-        if c.outstanding < best.outstanding {
-            best = c;
-        }
-    }
-    Some(best.replica)
+/// Lowest `(outstanding, replica)` candidate: the first of the fewest
+/// outstanding, since candidates come in ascending replica id.
+fn least_outstanding<'a>(candidates: impl Iterator<Item = &'a Candidate>) -> Option<usize> {
+    candidates.min_by_key(|c| c.outstanding).map(|c| c.replica)
 }
 
 #[cfg(test)]

@@ -31,19 +31,36 @@ impl Metrics {
         self.add(name, 1);
     }
 
-    /// Increments counter `name` by `n`.
+    // The updates below look an existing entry up in place and own the
+    // name only on first insert: they run on every serve step and fleet
+    // dispatch, where a per-call allocation would dominate the update.
+
+    /// Increments counter `name` by `n` (`n = 0` still creates the
+    /// counter).
     pub fn add(&mut self, name: &str, n: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += n;
+        if let Some(v) = self.counters.get_mut(name) {
+            *v += n;
+        } else {
+            self.counters.insert(name.to_owned(), n);
+        }
     }
 
     /// Sets gauge `name` to `value`.
     pub fn gauge(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_owned(), value);
+        if let Some(v) = self.gauges.get_mut(name) {
+            *v = value;
+        } else {
+            self.gauges.insert(name.to_owned(), value);
+        }
     }
 
     /// Records one sample into histogram `name`.
     pub fn observe(&mut self, name: &str, value: f64) {
-        self.histograms.entry(name.to_owned()).or_default().push(value);
+        if let Some(v) = self.histograms.get_mut(name) {
+            v.push(value);
+        } else {
+            self.histograms.insert(name.to_owned(), vec![value]);
+        }
     }
 
     /// Current value of counter `name` (0 if never incremented).
@@ -150,5 +167,36 @@ mod tests {
         let table = snap.render();
         assert!(table.find("a ").unwrap() < table.find("b ").unwrap());
         assert!(table.contains("p99"));
+    }
+
+    #[test]
+    fn updates_keep_registry_semantics() {
+        let mut m = Metrics::new();
+        // A zero add on a new name still creates the counter.
+        m.add("zero", 0);
+        assert_eq!(m.snapshot().counters.get("zero"), Some(&0));
+        m.add("zero", 3);
+        m.inc("zero");
+        assert_eq!(m.counter("zero"), 4);
+        // A repeated gauge overwrites.
+        m.gauge("depth", 5.0);
+        m.gauge("depth", 2.0);
+        assert_eq!(m.gauge_value("depth"), Some(2.0));
+        assert_eq!(m.snapshot().gauges.len(), 1);
+        // Samples keep insertion order; the summary sees all of them.
+        for x in [3.0, 1.0, 2.0] {
+            m.observe("lat", x);
+        }
+        assert_eq!(m.samples("lat"), &[3.0, 1.0, 2.0]);
+        assert_eq!(m.summary("lat"), stats::summary(&[3.0, 1.0, 2.0]));
+        assert_eq!(m.snapshot().summaries.get("lat"), m.summary("lat").as_ref());
+        // A name never updated stays absent.
+        let snap = m.snapshot();
+        assert!(!snap.counters.contains_key("never"));
+        assert!(!snap.gauges.contains_key("never"));
+        assert!(!snap.summaries.contains_key("never"));
+        assert_eq!(m.counter("never"), 0);
+        assert_eq!(m.gauge_value("never"), None);
+        assert!(m.samples("never").is_empty());
     }
 }
