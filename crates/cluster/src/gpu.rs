@@ -52,7 +52,7 @@ impl GpuSpec {
         if mem_bytes == 0 {
             return Err(ClusterError::InvalidSpec { what: "mem_bytes", why: "must be non-zero" });
         }
-        #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must be rejected too
+        #[expect(clippy::neg_cmp_op_on_partial_ord, reason = "NaN must be rejected too")]
         if !(peak_flops.as_f64() > 0.0) || !(mem_bandwidth.as_f64() > 0.0) {
             return Err(ClusterError::InvalidSpec {
                 what: "throughput",
@@ -73,6 +73,10 @@ impl GpuSpec {
     }
 
     /// NVIDIA A40: 48 GB, ~149.7 TFLOPS dense FP16, 696 GB/s GDDR6.
+    #[expect(
+        clippy::expect_used,
+        reason = "preset arguments are compile-time constants covered by unit tests"
+    )]
     pub fn a40() -> Self {
         Self::new(
             "A40",
@@ -80,11 +84,14 @@ impl GpuSpec {
             FlopsPerSec::from_tflops(149.7),
             BytesPerSec::from_gb_per_sec(696.0),
         )
-        // xlint::allow(P1, preset arguments are compile-time constants covered by unit tests)
         .expect("preset spec is valid")
     }
 
     /// NVIDIA A100 80 GB SXM: ~312 TFLOPS dense FP16, 2039 GB/s HBM2e.
+    #[expect(
+        clippy::expect_used,
+        reason = "preset arguments are compile-time constants covered by unit tests"
+    )]
     pub fn a100_80gb() -> Self {
         Self::new(
             "A100-80GB",
@@ -92,7 +99,6 @@ impl GpuSpec {
             FlopsPerSec::from_tflops(312.0),
             BytesPerSec::from_gb_per_sec(2039.0),
         )
-        // xlint::allow(P1, preset arguments are compile-time constants covered by unit tests)
         .expect("preset spec is valid")
     }
 
@@ -159,7 +165,7 @@ impl GpuSpec {
     /// Returns [`ClusterError::InvalidSpec`] unless `factor` is finite and
     /// ≥ 1 (a "slowdown" below 1 would be a speedup).
     pub fn slowed(&self, factor: f64) -> Result<Self, ClusterError> {
-        #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must be rejected too
+        #[expect(clippy::neg_cmp_op_on_partial_ord, reason = "NaN must be rejected too")]
         if !(factor >= 1.0) || !factor.is_finite() {
             return Err(ClusterError::InvalidSpec {
                 what: "slowdown factor",

@@ -43,11 +43,11 @@ impl Interconnect {
         bandwidth: BytesPerSec,
         latency: Secs,
     ) -> Result<Self, ClusterError> {
-        #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must be rejected too
+        #[expect(clippy::neg_cmp_op_on_partial_ord, reason = "NaN must be rejected too")]
         if !(bandwidth.as_f64() > 0.0) {
             return Err(ClusterError::InvalidSpec { what: "bandwidth", why: "must be positive" });
         }
-        #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must be rejected too
+        #[expect(clippy::neg_cmp_op_on_partial_ord, reason = "NaN must be rejected too")]
         if !(latency.as_f64() >= 0.0) {
             return Err(ClusterError::InvalidSpec { what: "latency", why: "must be non-negative" });
         }
@@ -55,34 +55,46 @@ impl Interconnect {
     }
 
     /// NVLink 3.0: ~300 GB/s effective per-GPU pairwise, ~3 µs latency.
+    #[expect(
+        clippy::expect_used,
+        reason = "preset arguments are compile-time constants covered by unit tests"
+    )]
     pub fn nvlink3() -> Self {
         Self::new("NVLink 3.0", BytesPerSec::from_gb_per_sec(300.0), Secs::from_micros(3.0))
-            // xlint::allow(P1, preset arguments are compile-time constants covered by unit tests)
             .expect("preset link is valid")
     }
 
     /// PCIe 4.0 ×16: ~25 GB/s effective, ~5 µs latency.
+    #[expect(
+        clippy::expect_used,
+        reason = "preset arguments are compile-time constants covered by unit tests"
+    )]
     pub fn pcie4_x16() -> Self {
         Self::new("PCIe 4.0 x16", BytesPerSec::from_gb_per_sec(25.0), Secs::from_micros(5.0))
-            // xlint::allow(P1, preset arguments are compile-time constants covered by unit tests)
             .expect("preset link is valid")
     }
 
     /// 100 Gb InfiniBand: ~12 GB/s effective, ~10 µs latency.
+    #[expect(
+        clippy::expect_used,
+        reason = "preset arguments are compile-time constants covered by unit tests"
+    )]
     pub fn infiniband_100gb() -> Self {
         Self::new("InfiniBand 100Gb", BytesPerSec::from_gb_per_sec(12.0), Secs::from_micros(10.0))
-            // xlint::allow(P1, preset arguments are compile-time constants covered by unit tests)
             .expect("preset link is valid")
     }
 
     /// 8×200 Gb HDR InfiniBand (A100 cluster inter-node): ~190 GB/s, ~8 µs.
+    #[expect(
+        clippy::expect_used,
+        reason = "preset arguments are compile-time constants covered by unit tests"
+    )]
     pub fn infiniband_hdr_8x200gb() -> Self {
         Self::new(
             "InfiniBand 8x200Gb HDR",
             BytesPerSec::from_gb_per_sec(190.0),
             Secs::from_micros(8.0),
         )
-        // xlint::allow(P1, preset arguments are compile-time constants covered by unit tests)
         .expect("preset link is valid")
     }
 
@@ -118,11 +130,11 @@ impl Interconnect {
     /// Returns [`ClusterError::InvalidSpec`] unless `bw_factor` is in
     /// `(0, 1]` and `latency_add` is finite and non-negative.
     pub fn degraded(&self, bw_factor: f64, latency_add: Secs) -> Result<Self, ClusterError> {
-        #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must be rejected too
+        // The negated form rejects NaN too.
         if !(bw_factor > 0.0 && bw_factor <= 1.0) {
             return Err(ClusterError::InvalidSpec { what: "bw_factor", why: "must be in (0, 1]" });
         }
-        #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must be rejected too
+        #[expect(clippy::neg_cmp_op_on_partial_ord, reason = "NaN must be rejected too")]
         if !(latency_add.as_f64() >= 0.0) || !latency_add.as_f64().is_finite() {
             return Err(ClusterError::InvalidSpec {
                 what: "latency_add",

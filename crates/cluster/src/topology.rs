@@ -90,6 +90,10 @@ impl ClusterSpec {
 
     /// The paper's A40 cluster: 6 nodes × 8 A40, PCIe 4.0 intra-node,
     /// 100 Gb InfiniBand inter-node.
+    #[expect(
+        clippy::expect_used,
+        reason = "preset arguments are compile-time constants covered by unit tests"
+    )]
     pub fn a40_cluster() -> Self {
         Self::new(
             "A40 cluster",
@@ -99,12 +103,15 @@ impl ClusterSpec {
             Interconnect::pcie4_x16(),
             Interconnect::infiniband_100gb(),
         )
-        // xlint::allow(P1, preset arguments are compile-time constants covered by unit tests)
         .expect("preset cluster is valid")
     }
 
     /// The paper's A100 cluster: 2 nodes × 8 A100-80GB, NVLink 3.0
     /// intra-node, 8×200 Gb HDR InfiniBand inter-node.
+    #[expect(
+        clippy::expect_used,
+        reason = "preset arguments are compile-time constants covered by unit tests"
+    )]
     pub fn a100_cluster() -> Self {
         Self::new(
             "A100 cluster",
@@ -114,7 +121,6 @@ impl ClusterSpec {
             Interconnect::nvlink3(),
             Interconnect::infiniband_hdr_8x200gb(),
         )
-        // xlint::allow(P1, preset arguments are compile-time constants covered by unit tests)
         .expect("preset cluster is valid")
     }
 

@@ -200,12 +200,16 @@ where
     macro_rules! consider {
         ($p:expr, $perf:expr) => {{
             let (p, perf) = ($p, $perf);
-            if perf.satisfies(opts.latency_bound)
+            #[expect(
+                clippy::float_cmp,
+                reason = "an exact throughput tie falls to the smaller point"
+            )]
+            let wins = perf.satisfies(opts.latency_bound)
                 && perf.throughput.is_finite()
                 && best.map_or(true, |(bp, b)| {
                     perf.throughput > b.throughput || (perf.throughput == b.throughput && p < bp)
-                })
-            {
+                });
+            if wins {
                 best = Some((p, perf));
             }
         }};

@@ -1,7 +1,7 @@
-//! Runtime plan invariants — the dynamic counterpart of `xlint`
+//! Runtime plan invariants — the dynamic counterpart of the static gate
 //! (DESIGN.md §6).
 //!
-//! `xlint` statically rules out the constructs that most often corrupt the
+//! The static gate rules out the constructs that most often corrupt the
 //! cost model (nondeterministic maps, wall-clock reads, lossy casts, float
 //! equality, library panics). [`PlanInvariants`] closes the loop at runtime:
 //! every schedule the search returns is checked — under `debug_assertions`,

@@ -24,6 +24,13 @@
 //! monotone upper bounds, returning the same `config`/`estimate` the full
 //! search would.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "audited pool module: scoped workers write per-task slots that are reduced in \
+              task order, and `Ordering::Relaxed` is used only on the work-index counter `next`"
+)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -832,7 +839,7 @@ fn perf_of(result: Result<exegpt_sim::Estimate, SimError>) -> Perf {
 }
 
 fn validate(opts: &SchedulerOptions) -> Result<(), ScheduleError> {
-    #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must be rejected too
+    #[expect(clippy::neg_cmp_op_on_partial_ord, reason = "NaN must be rejected too")]
     if !(opts.latency_bound.as_f64() > 0.0) {
         return Err(ScheduleError::InvalidOptions {
             what: "latency_bound",

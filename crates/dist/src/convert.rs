@@ -3,9 +3,10 @@
 //! The scheduler's branch-and-bound trusts the simulator's latency and
 //! throughput estimates to be *monotone*; a silently lossy integer↔float
 //! conversion in the cost arithmetic can bend an estimate enough to break
-//! that assumption without failing any test. The xlint rule **N1**
-//! (DESIGN.md §6) therefore bans bare `as` numeric casts in the
-//! `exegpt`/`exegpt-sim` crates in favor of these helpers:
+//! that assumption without failing any test. Rule **N1**
+//! (`clippy::as_conversions`, DESIGN.md §6) therefore bans `as` casts in
+//! the `exegpt-cluster`/`exegpt`/`exegpt-sim` libraries in favor of these
+//! helpers:
 //!
 //! * In release builds every helper has exactly the semantics of Rust's
 //!   saturating `as` cast (`NaN → 0`), so they cost nothing extra.

@@ -210,11 +210,11 @@ impl LengthDist {
         if max_len == 0 {
             return Err(DistError::InvalidParameter { what: "max_len", why: "must be at least 1" });
         }
-        #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must be rejected too
+        #[expect(clippy::neg_cmp_op_on_partial_ord, reason = "NaN must be rejected too")]
         if !(mean > 0.0) {
             return Err(DistError::InvalidParameter { what: "mean", why: "must be positive" });
         }
-        #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must be rejected too
+        #[expect(clippy::neg_cmp_op_on_partial_ord, reason = "NaN must be rejected too")]
         if !(std >= 0.0) {
             return Err(DistError::InvalidParameter { what: "std", why: "must be non-negative" });
         }

@@ -16,8 +16,9 @@
 //!   decode iterations. This is what keeps RRA's batch sizes consistent.
 //! * [`stats`] — correlation and percentile helpers used when deriving
 //!   distributions from datasets.
-//! * [`convert`] — checked numeric conversions required (by xlint rule N1,
-//!   DESIGN.md §6) throughout the cost-model and scheduler arithmetic.
+//! * [`convert`] — checked numeric conversions required (by
+//!   `clippy::as_conversions`, DESIGN.md §6) throughout the cost-model and
+//!   scheduler arithmetic.
 //! * [`fnv1a`] / [`FnvHasher`] — the one FNV-1a implementation behind run
 //!   digests, cluster fingerprints and evaluation-cache keys.
 //!
@@ -35,6 +36,19 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+// The numeric-safety gate for library code (DESIGN.md §6.1): test builds,
+// binaries and integration tests are separate crates and stay exempt.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::float_cmp,
+        clippy::let_underscore_must_use
+    ),
+    deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)
+)]
 
 mod completion;
 pub mod convert;

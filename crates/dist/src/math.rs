@@ -44,7 +44,7 @@ pub(crate) fn skew_normal_from_moments(
     skewness: f64,
 ) -> Option<(f64, f64, f64)> {
     const MAX_ABS_SKEW: f64 = 0.9952;
-    #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must be rejected too
+    #[expect(clippy::neg_cmp_op_on_partial_ord, reason = "NaN must be rejected too")]
     if !(std > 0.0) || !skewness.is_finite() || skewness.abs() >= MAX_ABS_SKEW {
         return None;
     }

@@ -181,7 +181,7 @@ impl FaultSchedule {
     /// Returns the empty schedule when `gpus` is 0, `events` is 0, or
     /// `horizon` is not positive.
     pub fn random(seed: u64, opts: &RandomFaultOptions) -> Self {
-        #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must be rejected too
+        #[expect(clippy::neg_cmp_op_on_partial_ord, reason = "NaN must be rejected too")]
         if opts.gpus == 0 || opts.events == 0 || !(opts.horizon > 0.0) {
             return Self::empty();
         }

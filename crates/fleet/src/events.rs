@@ -124,7 +124,10 @@ impl FleetEventLog {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for e in &self.events {
-            // xlint::allow(P1, FleetEvent is a plain data struct; serialization cannot fail)
+            #[expect(
+                clippy::expect_used,
+                reason = "FleetEvent is a plain data struct; serialization cannot fail"
+            )]
             out.push_str(&serde_json::to_string(e).expect("events serialize"));
             out.push('\n');
         }

@@ -72,7 +72,7 @@ impl ModelConfig {
     /// Returns [`ModelError::InvalidDimension`] if any dimension is zero, if
     /// `d_attn` is not divisible by `num_heads`, or if an encoder–decoder
     /// model has an odd `num_layers`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one argument per architecture dimension")]
     pub fn new(
         name: impl Into<String>,
         kind: ModelKind,

@@ -24,6 +24,19 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+// The numeric-safety gate for library code (DESIGN.md §6.1): test builds,
+// binaries and integration tests are separate crates and stay exempt.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::float_cmp,
+        clippy::let_underscore_must_use
+    ),
+    deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)
+)]
 
 mod config;
 mod error;

@@ -12,6 +12,10 @@ const FP16: usize = 2;
 impl ModelConfig {
     /// T5 11B: encoder–decoder, 48 layers (24 + 24), `d_model` 1024,
     /// 128 heads with `d_kv` 128 (so `d_attn` 16384) and `d_ff` 65536.
+    #[expect(
+        clippy::expect_used,
+        reason = "preset arguments are compile-time constants covered by unit tests"
+    )]
     pub fn t5_11b() -> Self {
         Self::new(
             "T5 11B",
@@ -25,7 +29,6 @@ impl ModelConfig {
             2048,
             FP16,
         )
-        // xlint::allow(P1, preset arguments are compile-time constants covered by unit tests)
         .expect("preset dimensions are valid")
     }
 
@@ -37,6 +40,10 @@ impl ModelConfig {
     /// matrices); this two-matrix description uses the cost-equivalent
     /// `d_ff` 24576, which the paper's FLOPs-equivalence note (citing
     /// Shazeer's GLU work) licenses.
+    #[expect(
+        clippy::expect_used,
+        reason = "preset arguments are compile-time constants covered by unit tests"
+    )]
     pub fn ul2_20b() -> Self {
         Self::new(
             "UL2 20B",
@@ -50,7 +57,6 @@ impl ModelConfig {
             2048,
             FP16,
         )
-        // xlint::allow(P1, preset arguments are compile-time constants covered by unit tests)
         .expect("preset dimensions are valid")
     }
 
@@ -91,6 +97,10 @@ impl ModelConfig {
         ]
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "preset arguments are compile-time constants covered by unit tests"
+    )]
     fn decoder_only_preset(name: &str, layers: usize, hidden: usize, heads: usize) -> Self {
         Self::new(
             name,
@@ -104,7 +114,6 @@ impl ModelConfig {
             4096,
             FP16,
         )
-        // xlint::allow(P1, preset arguments are compile-time constants covered by unit tests)
         .expect("preset dimensions are valid")
     }
 }

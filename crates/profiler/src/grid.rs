@@ -40,7 +40,7 @@ impl Grid1D {
                 why: "must be non-empty and equal length",
             });
         }
-        #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN axis values must fail
+        #[expect(clippy::neg_cmp_op_on_partial_ord, reason = "NaN axis values must fail")]
         if xs.windows(2).any(|w| !(w[0] < w[1])) {
             return Err(ProfileError::InvalidAxis {
                 what: "xs",
@@ -73,7 +73,10 @@ impl Grid1D {
     pub fn eval_from(&self, x: f64, cursor: &mut usize) -> f64 {
         let last = self.last_segment();
         let mut i = (*cursor).min(last);
-        #[allow(clippy::neg_cmp_op_on_partial_ord)] // a NaN query walks to 0, as in `segment`
+        #[expect(
+            clippy::neg_cmp_op_on_partial_ord,
+            reason = "a NaN query walks to 0, as in `segment`"
+        )]
         while i > 0 && !(self.xs[i] <= x) {
             i -= 1;
         }
@@ -179,7 +182,7 @@ impl Grid2D {
             if axis.is_empty() {
                 return Err(ProfileError::InvalidAxis { what, why: "must be non-empty" });
             }
-            #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN axis values must fail
+            #[expect(clippy::neg_cmp_op_on_partial_ord, reason = "NaN axis values must fail")]
             if axis.windows(2).any(|w| !(w[0] < w[1])) {
                 return Err(ProfileError::InvalidAxis { what, why: "must be strictly increasing" });
             }

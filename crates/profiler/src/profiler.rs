@@ -6,7 +6,11 @@ use std::sync::Arc;
 use exegpt_cluster::{ClusterSpec, CostModel};
 use exegpt_model::{KernelCost, LayerKind, ModelConfig, ModelKind};
 use exegpt_units::{Bytes, BytesPerSec};
-// xlint::allow(D3, the profile cache is a leaf shared map guarded by one lock; no lock ordering, no iteration-order dependence)
+#[expect(
+    clippy::disallowed_types,
+    reason = "the profile cache is a leaf shared map guarded by one lock; no lock ordering, \
+              no iteration-order dependence"
+)]
 use parking_lot::Mutex;
 
 use crate::error::ProfileError;
@@ -247,7 +251,11 @@ fn log2_axis(max: usize) -> Vec<f64> {
 /// the scheduler's parallel search share profiles through this cache.
 #[derive(Debug, Default)]
 pub struct ProfileCache {
-    // xlint::allow(D3, single coarse lock around a BTreeMap; callers never hold it across profiling work, so results are order-independent)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "single coarse lock around a BTreeMap; callers never hold it across profiling \
+                  work, so results are order-independent"
+    )]
     entries: Mutex<BTreeMap<(String, String), Arc<LayerProfile>>>,
 }
 

@@ -66,7 +66,7 @@ impl RunOptions {
                 why: "must be in [0, 1)".into(),
             });
         }
-        #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must be rejected too
+        #[expect(clippy::neg_cmp_op_on_partial_ord, reason = "NaN must be rejected too")]
         if !(self.adjust_threshold >= 0.0) {
             return Err(RunError::InvalidOptions {
                 what: "adjust_threshold",
@@ -74,7 +74,7 @@ impl RunOptions {
             });
         }
         if let Some(rate) = self.arrival_rate {
-            #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must be rejected too
+            #[expect(clippy::neg_cmp_op_on_partial_ord, reason = "NaN must be rejected too")]
             if !(rate > 0.0) {
                 return Err(RunError::InvalidOptions {
                     what: "arrival_rate",

@@ -2,7 +2,7 @@
 //! double-accounting, capacity always respected, under arbitrary
 //! admit/grow/release interleavings and all three disciplines.
 
-#![allow(
+#![expect(
     clippy::disallowed_types,
     reason = "test-only live-id set: membership checks and an order-independent final release"
 )]

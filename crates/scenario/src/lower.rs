@@ -334,7 +334,6 @@ fn lower_serve(scenario: &Scenario, cfg: &ServeConfig) -> Result<ServeLowered, S
             let qps = resolve_serve_rate(rate, &engine, &schedule, Some(&shifted))?;
             // Truncate like `total / 4` does for frac = 0.25: exact for the
             // fractions the shipped files use, monotone for the rest.
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
             let shift_after = (shift_after_frac * cfg.total as f64) as usize;
             poisson_with_shift(&base, &shifted, qps, shift_after, cfg.total, scenario.seed)
         }

@@ -232,7 +232,10 @@ impl EventLog {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for e in &self.events {
-            // xlint::allow(P1, Event is a plain data struct; serialization cannot fail)
+            #[expect(
+                clippy::expect_used,
+                reason = "Event is a plain data struct; serialization cannot fail"
+            )]
             out.push_str(&serde_json::to_string(e).expect("events serialize"));
             out.push('\n');
         }

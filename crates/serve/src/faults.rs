@@ -142,7 +142,7 @@ impl StragglerDetector {
     /// this observation *confirms* a straggler (threshold held for
     /// `consecutive` phases, not already latched).
     pub fn observe(&mut self, observed: f64, expected: f64) -> Option<f64> {
-        #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must be rejected too
+        #[expect(clippy::neg_cmp_op_on_partial_ord, reason = "NaN must be rejected too")]
         if !(expected > 0.0) {
             return None;
         }

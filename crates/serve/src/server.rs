@@ -1093,7 +1093,7 @@ fn track_replan(replan: Replan, metrics: &mut Metrics) -> Schedule {
 /// Aborts every in-flight query after a device failure: its KV entry is
 /// released and it re-enters admission after an exponential backoff, or is
 /// dropped once its retry budget is exhausted.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "an abort touches every piece of loop state")]
 fn abort_pool(
     pool: &mut DecodePool,
     kv: &mut KvTracker,

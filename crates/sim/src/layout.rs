@@ -133,7 +133,7 @@ impl PipelineLayout {
                     why: format!("tp covers {} gpus but the pipeline has {n_gpus}", tp.gpus),
                 });
             }
-            #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must be rejected too
+            #[expect(clippy::neg_cmp_op_on_partial_ord, reason = "NaN must be rejected too")]
             if !(tp_speedup > 0.0) {
                 return Err(SimError::InvalidConfig {
                     what: "tp_speedup",

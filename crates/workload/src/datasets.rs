@@ -110,13 +110,19 @@ impl Dataset {
     fn synthesize(shape: &Shape, size: usize, seed: u64) -> Self {
         assert!(size > 0, "dataset must have at least one pair");
         let mut rng = StdRng::seed_from_u64(seed);
+        #[expect(
+            clippy::expect_used,
+            reason = "surrogate Shape presets are compile-time constants"
+        )]
         let input =
             LengthDist::truncated_normal(shape.input_mean, shape.input_std, shape.input_max)
-                // xlint::allow(P1, surrogate Shape presets are compile-time constants)
                 .expect("surrogate shape parameters are valid");
+        #[expect(
+            clippy::expect_used,
+            reason = "surrogate Shape presets are compile-time constants"
+        )]
         let body =
             LengthDist::truncated_normal(shape.output_mean, shape.output_std, shape.output_max)
-                // xlint::allow(P1, surrogate Shape presets are compile-time constants)
                 .expect("surrogate shape parameters are valid");
         let mut pairs = Vec::with_capacity(size);
         for _ in 0..size {

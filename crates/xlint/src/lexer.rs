@@ -1,21 +1,18 @@
 //! A minimal Rust lexer for lint-grade token scanning.
 //!
 //! The lexer strips comments and string/char literals (their contents can
-//! never trigger a rule), keeps line numbers, and collects
-//! `// xlint::allow(RULE, reason)` pragmas from the comments it strips.
-//! It is *not* a full Rust lexer — it only needs to be faithful enough
-//! that identifier/operator/literal boundaries and test-region detection
-//! are correct on well-formed Rust source.
+//! never trigger a rule) and keeps line numbers. It is *not* a full Rust
+//! lexer — it only needs to be faithful enough that identifier/operator/
+//! literal boundaries and test-region detection are correct on well-formed
+//! Rust source.
 
 /// The kind of a lexed token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokKind {
     /// Identifier or keyword (`as`, `fn`, `HashMap`, ...).
     Ident,
-    /// Integer literal (`42`, `0xff`, `1_000u64`).
-    Int,
-    /// Float literal (`0.5`, `1e-3`, `2f64`).
-    Float,
+    /// Numeric literal (`42`, `0xff`, `0.5`, `1e-3`, `2f64`).
+    Number,
     /// A string/char/byte literal (contents dropped).
     Literal,
     /// A lifetime (`'a`) — kept distinct so it never looks like a char.
@@ -37,31 +34,10 @@ pub struct Tok {
     pub line: usize,
 }
 
-/// An `// xlint::allow(RULE, reason)` pragma collected during lexing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Pragma {
-    /// 1-based line the pragma comment sits on.
-    pub line: usize,
-    /// The rule id it suppresses (as written, e.g. `P1`).
-    pub rule: String,
-    /// The mandatory human reason; empty when the author omitted it
-    /// (reported as a malformed pragma).
-    pub reason: String,
-}
-
-/// Lexer output: the token stream plus the pragmas found in comments.
-#[derive(Debug, Default)]
-pub struct Lexed {
-    /// Tokens in source order.
-    pub toks: Vec<Tok>,
-    /// Allow-pragmas in source order.
-    pub pragmas: Vec<Pragma>,
-}
-
-/// Lexes `src`, stripping comments/literals and collecting pragmas.
-pub fn lex(src: &str) -> Lexed {
+/// Lexes `src` into tokens, stripping comments and literal contents.
+pub fn lex(src: &str) -> Vec<Tok> {
     let bytes: Vec<char> = src.chars().collect();
-    let mut out = Lexed::default();
+    let mut out = Vec::new();
     let mut i = 0usize;
     let mut line = 1usize;
     let n = bytes.len();
@@ -79,15 +55,10 @@ pub fn lex(src: &str) -> Lexed {
             i += 1;
             continue;
         }
-        // Line comment (also doc comments) — scan for a pragma, then skip.
+        // Line comment (also doc comments).
         if c == '/' && i + 1 < n && bytes[i + 1] == '/' {
-            let start = i;
             while i < n && bytes[i] != '\n' {
                 i += 1;
-            }
-            let comment: String = bytes[start..i].iter().collect();
-            if let Some(p) = parse_pragma(&comment, line) {
-                out.pragmas.push(p);
             }
             continue;
         }
@@ -114,7 +85,7 @@ pub fn lex(src: &str) -> Lexed {
         // Raw strings r"..." / r#"..."# (and br variants).
         if (c == 'r' || c == 'b') && is_raw_string_start(&bytes, i) {
             let (ni, nl) = skip_raw_string(&bytes, i, line);
-            out.toks.push(Tok { kind: TokKind::Literal, text: String::new(), line });
+            out.push(Tok { kind: TokKind::Literal, text: String::new(), line });
             i = ni;
             line = nl;
             continue;
@@ -137,7 +108,7 @@ pub fn lex(src: &str) -> Lexed {
                     _ => i += 1,
                 }
             }
-            out.toks.push(Tok { kind: TokKind::Literal, text: String::new(), line: start_line });
+            out.push(Tok { kind: TokKind::Literal, text: String::new(), line: start_line });
             continue;
         }
         // Lifetime vs char literal.
@@ -149,7 +120,7 @@ pub fn lex(src: &str) -> Lexed {
                     i += 1;
                 }
                 let text: String = bytes[start..i].iter().collect();
-                out.toks.push(Tok { kind: TokKind::Lifetime, text, line });
+                out.push(Tok { kind: TokKind::Lifetime, text, line });
                 continue;
             }
             // Char literal: 'x', '\n', '\u{1F600}'.
@@ -168,7 +139,7 @@ pub fn lex(src: &str) -> Lexed {
                     _ => i += 1,
                 }
             }
-            out.toks.push(Tok { kind: TokKind::Literal, text: String::new(), line });
+            out.push(Tok { kind: TokKind::Literal, text: String::new(), line });
             continue;
         }
         // Identifier / keyword.
@@ -178,7 +149,7 @@ pub fn lex(src: &str) -> Lexed {
                 i += 1;
             }
             let text: String = bytes[start..i].iter().collect();
-            out.toks.push(Tok { kind: TokKind::Ident, text, line });
+            out.push(Tok { kind: TokKind::Ident, text, line });
             continue;
         }
         // Number: int or float.
@@ -218,41 +189,22 @@ pub fn lex(src: &str) -> Lexed {
                 }
             }
             let text: String = bytes[start..i].iter().collect();
-            if text.contains("f32") || text.contains("f64") {
-                is_float = true;
-            }
-            let kind = if is_float { TokKind::Float } else { TokKind::Int };
-            out.toks.push(Tok { kind, text, line });
+            out.push(Tok { kind: TokKind::Number, text, line });
             continue;
         }
         // Operators and punctuation.
         if i + 1 < n {
             let pair: String = [c, bytes[i + 1]].iter().collect();
             if two_char_ops.contains(&pair.as_str()) {
-                out.toks.push(Tok { kind: TokKind::Punct, text: pair, line });
+                out.push(Tok { kind: TokKind::Punct, text: pair, line });
                 i += 2;
                 continue;
             }
         }
-        out.toks.push(Tok { kind: TokKind::Punct, text: c.to_string(), line });
+        out.push(Tok { kind: TokKind::Punct, text: c.to_string(), line });
         i += 1;
     }
     out
-}
-
-/// Parses `// xlint::allow(RULE, reason)` (leading `/` and `!` noise from
-/// doc comments tolerated). Returns `None` for ordinary comments.
-fn parse_pragma(comment: &str, line: usize) -> Option<Pragma> {
-    let body = comment.trim_start_matches(['/', '!']).trim();
-    let rest = body.strip_prefix("xlint::allow")?.trim_start();
-    let rest = rest.strip_prefix('(')?;
-    let close = rest.rfind(')')?;
-    let inner = &rest[..close];
-    let (rule, reason) = match inner.split_once(',') {
-        Some((r, why)) => (r.trim(), why.trim()),
-        None => (inner.trim(), ""),
-    };
-    Some(Pragma { line, rule: rule.to_string(), reason: reason.to_string() })
 }
 
 /// Whether `bytes[i..]` starts a raw (byte) string: `r"`, `r#`, `br"`, `br#`.
@@ -335,7 +287,7 @@ pub fn test_regions(toks: &[Tok]) -> Vec<bool> {
     let mut i = 0usize;
     while i < toks.len() {
         if is_test_attr_start(toks, i) {
-            let attr_end = match close_bracket(toks, i + 1) {
+            let attr_end = match matching_close(toks, i + 1) {
                 Some(e) => e,
                 None => break,
             };
@@ -393,7 +345,7 @@ fn is_test_attr_start(toks: &[Tok], i: usize) -> bool {
     match head.text.as_str() {
         "test" => true,
         "cfg" => {
-            let end = close_bracket(toks, i + 1).unwrap_or(i + 2);
+            let end = matching_close(toks, i + 1).unwrap_or(i + 2);
             let attr = &toks[i + 2..=end];
             attr.iter().any(|t| t.kind == TokKind::Ident && t.text == "test")
                 && !attr.iter().any(|t| t.kind == TokKind::Ident && t.text == "not")
@@ -402,24 +354,31 @@ fn is_test_attr_start(toks: &[Tok], i: usize) -> bool {
     }
 }
 
-/// Index of the `]` matching the `[` at `open` (which must be a `[`).
-fn close_bracket(toks: &[Tok], open: usize) -> Option<usize> {
+/// Index of the bracket that closes the one at `open` (all bracket kinds
+/// nest alike), or `None` on unbalanced input.
+pub(crate) fn matching_close(toks: &[Tok], open: usize) -> Option<usize> {
     let mut depth = 0usize;
-    for (j, t) in toks.iter().enumerate().skip(open) {
-        if t.kind == TokKind::Punct {
-            match t.text.as_str() {
-                "[" => depth += 1,
-                "]" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some(j);
-                    }
+    for (k, t) in toks.iter().enumerate().skip(open) {
+        if t.kind != TokKind::Punct {
+            continue;
+        }
+        match t.text.as_str() {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" => {
+                depth = depth.saturating_sub(1);
+                if depth == 0 {
+                    return Some(k);
                 }
-                _ => {}
             }
+            _ => {}
         }
     }
     None
+}
+
+/// Whether the token at `i` is the punctuation `s`.
+pub(crate) fn is_punct(toks: &[Tok], i: usize, s: &str) -> bool {
+    matches!(toks.get(i), Some(t) if t.kind == TokKind::Punct && t.text == s)
 }
 
 #[cfg(test)]
@@ -427,7 +386,7 @@ mod tests {
     use super::*;
 
     fn idents(src: &str) -> Vec<String> {
-        lex(src).toks.into_iter().filter(|t| t.kind == TokKind::Ident).map(|t| t.text).collect()
+        lex(src).into_iter().filter(|t| t.kind == TokKind::Ident).map(|t| t.text).collect()
     }
 
     #[test]
@@ -453,33 +412,20 @@ mod tests {
     }
 
     #[test]
-    fn float_vs_int_vs_range() {
-        let toks = lex("let a = 1.5; let b = 0..10; let c = 1e-3; let d = 2f64; let e = 7;").toks;
-        let floats: Vec<_> =
-            toks.iter().filter(|t| t.kind == TokKind::Float).map(|t| t.text.clone()).collect();
-        assert_eq!(floats, vec!["1.5", "1e-3", "2f64"]);
-        let ints: Vec<_> =
-            toks.iter().filter(|t| t.kind == TokKind::Int).map(|t| t.text.clone()).collect();
-        assert_eq!(ints, vec!["0", "10", "7"]);
-    }
-
-    #[test]
-    fn pragmas_are_collected() {
-        let src = "let x = 1; // xlint::allow(P1, preset constant, covered by tests)\n";
-        let lexed = lex(src);
-        assert_eq!(lexed.pragmas.len(), 1);
-        assert_eq!(lexed.pragmas[0].rule, "P1");
-        assert_eq!(lexed.pragmas[0].reason, "preset constant, covered by tests");
-        assert_eq!(lexed.pragmas[0].line, 1);
+    fn numbers_keep_their_dots_but_not_range_or_method_dots() {
+        let toks = lex("let a = 1.5; let b = 0..10; let c = 1e-3; let d = 2f64; let e = 7.max(1);");
+        let numbers: Vec<_> =
+            toks.iter().filter(|t| t.kind == TokKind::Number).map(|t| t.text.clone()).collect();
+        assert_eq!(numbers, vec!["1.5", "0", "10", "1e-3", "2f64", "7", "1"]);
     }
 
     #[test]
     fn test_regions_cover_cfg_test_mod() {
         let src =
             "fn lib() {}\n#[cfg(test)]\nmod tests {\n  fn t() { x.unwrap(); }\n}\nfn lib2() {}";
-        let lexed = lex(src);
-        let regions = test_regions(&lexed.toks);
-        for (t, &in_test) in lexed.toks.iter().zip(&regions) {
+        let toks = lex(src);
+        let regions = test_regions(&toks);
+        for (t, &in_test) in toks.iter().zip(&regions) {
             if t.text == "unwrap" {
                 assert!(in_test, "unwrap inside #[cfg(test)] must be marked");
             }
@@ -492,7 +438,7 @@ mod tests {
     #[test]
     fn line_numbers_survive_multiline_literals() {
         let src = "let a = \"one\ntwo\";\nlet b = 3;";
-        let toks = lex(src).toks;
+        let toks = lex(src);
         let b = toks.iter().find(|t| t.text == "b").map(|t| t.line);
         assert_eq!(b, Some(3));
     }

@@ -1,72 +1,58 @@
-//! `exegpt-xlint`: the workspace determinism & numeric-safety linter.
+//! `exegpt-xlint`: the workspace unit-safety linter.
 //!
-//! ExeGPT's headline properties — a branch-and-bound scheduler that trusts
-//! monotone latency estimates, and a serving loop whose JSONL event logs
-//! are byte-identical across runs — only hold if the whole workspace obeys
-//! a small set of coding rules. This crate enforces them offline, with a
-//! hand-rolled lexer and item-level parser (no `syn`, no dependencies):
-//! comments and string literals are stripped, the token stream is matched
-//! against the rules (with per-file item extraction feeding the
-//! syntax-aware ones), and `// xlint::allow(RULE, reason)` pragmas are
-//! honored, counted, *and budgeted* — the committed `xlint-baseline.toml`
-//! caps each crate's suppression count so the gate only ratchets down.
+//! ExeGPT's branch-and-bound scheduler trusts monotone latency estimates,
+//! and those estimates are only as sound as the cost model's dimensional
+//! arithmetic. This crate checks the unit rules that no compiler lint
+//! expresses, offline, with a hand-rolled lexer and `fn`-item parser (no
+//! `syn`, no dependencies): comments and string literals are stripped and
+//! the token stream is matched against the rules.
 //!
-//! The rules (see DESIGN.md §6 for rationale):
+//! The rules (see DESIGN.md §6.2–§6.3 for rationale):
 //!
 //! | id | rule |
 //! |----|------|
-//! | N1 | no bare `as` numeric casts in the cost-model/scheduler crates |
-//! | F1 | no float `==`/`!=` |
-//! | P1 | no `unwrap`/`expect`/`panic!` in non-test library code |
 //! | U1 | no raw `f64`/`f32` in `pub fn` signatures of the unit-carrying crates |
 //! | U2 | no unit-suffix conflict between a `let` binding and its initializer call |
-//! | L1 | no upward/undeclared cross-crate imports (declared layering DAG) |
-//! | P2 | no discarded `Result`/`#[must_use]` value from a locally-defined fn |
-//! | D3 | no concurrency primitives outside the audited pool modules |
 //! | U3 | no unit-stripped float may re-enter a different unit's constructor |
-//! | X0 | malformed, unknown or stale `xlint::allow` pragma |
-//! | X1 | a crate's pragma count exceeds its committed suppression budget |
 //!
-//! Hash collections, wall-clock and environment reads are clippy's job
-//! (`disallowed-types`/`disallowed-methods` in `clippy.toml`), and a bound
-//! `Result` that is never read is rustc's `unused_variables`; both run
-//! under `-D warnings` in CI and cover test code too. Every rule is a
-//! token pass; U3 follows unit strips through `let` bindings in one
-//! forward pass per `fn`.
+//! Everything else in the determinism and numeric-safety gate belongs to
+//! clippy, rustc and Cargo (DESIGN.md §6.1): panics, casts, float
+//! equality, discarded results, concurrency, hash collections, clock and
+//! environment reads are clippy or rustc lints, and crate layering is
+//! Cargo's dependency graph plus the root package's `tests/layering.rs`.
 //!
 //! # Example
 //!
 //! ```
-//! use exegpt_xlint::{lint_source, FileContext, Rule};
+//! use exegpt_xlint::{lint_source, Rule};
 //!
-//! let report = lint_source("demo.rs", "let v = x.unwrap();", FileContext::default());
-//! assert_eq!(report.findings[0].rule, Rule::P1);
+//! let findings = lint_source("demo.rs", "let total_secs = kv_bytes(4);", false);
+//! assert_eq!(findings[0].rule, Rule::U2);
 //! ```
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+// The numeric-safety gate for library code (DESIGN.md §6.1): test builds,
+// binaries and integration tests are separate crates and stay exempt.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::float_cmp,
+        clippy::let_underscore_must_use
+    ),
+    deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)
+)]
 
-pub mod baseline;
 mod lexer;
 pub mod parser;
 mod rules;
-pub mod workspace;
 
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-pub use rules::{FileContext, FileReport, Finding, Rule, Suppressed};
-
-/// Lints a single source string. See [`FileContext`] for rule scoping.
-pub fn lint_source(file: &str, src: &str, ctx: FileContext) -> FileReport {
-    rules::lint_source(file, src, ctx)
-}
-
-/// The crates whose arithmetic is covered by N1: the hardware model
-/// (`cluster`), the scheduler (`core`) and the cost model (`sim`).
-/// Everything else may still use `as` — its numbers never feed the
-/// branch-and-bound's monotonicity assumptions.
-pub const N1_CRATES: [&str; 3] = ["cluster", "core", "sim"];
+pub use rules::{lint_source, Finding, Rule};
 
 /// The crates whose public signatures are covered by U1: the hardware
 /// model (`cluster`) and the cost model (`sim`), where every quantity is
@@ -105,8 +91,6 @@ impl std::error::Error for XlintError {}
 pub struct Report {
     /// All violations, ordered by (file, line, rule).
     pub findings: Vec<Finding>,
-    /// All pragma-suppressed violations, same order.
-    pub suppressed: Vec<Suppressed>,
     /// Number of files scanned.
     pub files_scanned: usize,
 }
@@ -126,9 +110,8 @@ impl Report {
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         for f in &self.findings {
-            let _ = writeln!(
-                out,
-                "{}:{}: {} {} — {}",
+            out += &format!(
+                "{}:{}: {} {} — {}\n",
                 f.file,
                 f.line,
                 f.rule.id(),
@@ -144,12 +127,10 @@ impl Report {
             .collect();
         let breakdown =
             if per_rule.is_empty() { String::new() } else { format!(" ({})", per_rule.join(", ")) };
-        let _ = writeln!(
-            out,
-            "xlint: {} finding{}{breakdown}, {} suppressed by pragma, {} files scanned",
+        out += &format!(
+            "xlint: {} finding{}{breakdown}, {} files scanned\n",
             self.findings.len(),
             if self.findings.len() == 1 { "" } else { "s" },
-            self.suppressed.len(),
             self.files_scanned,
         );
         out
@@ -191,15 +172,12 @@ pub fn lint_workspace(root: &Path) -> Result<Report, XlintError> {
     for path in &files {
         lint_file_into(&mut report, path, path.strip_prefix(root).unwrap_or(path))?;
     }
-    // The manifest pass: every `crates/*/Cargo.toml` dependency edge is
-    // checked against the declared layering DAG (rule L1).
-    report.findings.extend(workspace::lint_manifests(root)?);
     report.findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(report)
 }
 
-/// Lints an explicit list of files with per-file contexts derived from
-/// their paths (used by the CLI's non-workspace mode and the fixtures).
+/// Lints an explicit list of files, deriving U1's scope from each path
+/// (used by the CLI's non-workspace mode and the fixtures).
 pub fn lint_files(paths: &[PathBuf]) -> Result<Report, XlintError> {
     let mut report = Report::default();
     for path in paths {
@@ -214,34 +192,19 @@ fn lint_file_into(report: &mut Report, path: &Path, label: &Path) -> Result<(), 
     let src = std::fs::read_to_string(path)
         .map_err(|source| XlintError::Io { path: path.to_path_buf(), source })?;
     let label = label.to_string_lossy().replace('\\', "/");
-    let file_report = lint_source(&label, &src, context_for(&label));
-    report.findings.extend(file_report.findings);
-    report.suppressed.extend(file_report.suppressed);
+    report.findings.extend(lint_source(&label, &src, in_units_core(&label)));
     report.files_scanned += 1;
     Ok(())
 }
 
-/// Derives the rule scoping for a workspace-relative file path.
-pub fn context_for(label: &str) -> FileContext {
+/// Whether U1 covers a workspace-relative file path: library code of the
+/// [`U1_CRATES`]. Bin targets format results for humans, so they are out.
+pub fn in_units_core(label: &str) -> bool {
     let crate_name =
         label.strip_prefix("crates/").and_then(|rest| rest.split('/').next()).unwrap_or("");
     let bin = label.contains("/bin/") || label.ends_with("main.rs");
-    FileContext {
-        // Bin targets format results for humans; their numbers never feed
-        // the search, so N1 (like P1) is scoped to library code.
-        numeric_core: N1_CRATES.contains(&crate_name) && !bin,
-        allow_panics: crate_name == "bench" || bin,
-        units_core: U1_CRATES.contains(&crate_name) && !bin,
-        crate_idx: workspace::crate_index_for_dir(crate_name),
-        audited_concurrency: AUDITED_CONCURRENCY_MODULES.contains(&label),
-    }
+    U1_CRATES.contains(&crate_name) && !bin
 }
-
-/// The only modules allowed to hold concurrency primitives (rule D3):
-/// the scheduler's deterministic-join worker pool and the sim's sharded
-/// profile cache. Everything else must stay sequential.
-pub const AUDITED_CONCURRENCY_MODULES: [&str; 2] =
-    ["crates/core/src/scheduler.rs", "crates/sim/src/cache.rs"];
 
 /// Recursively collects `.rs` files under `dir` in sorted order.
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), XlintError> {
@@ -276,26 +239,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn context_scoping_matches_layout() {
-        assert!(context_for("crates/sim/src/rra.rs").numeric_core);
-        assert!(context_for("crates/core/src/bnb.rs").numeric_core);
-        assert!(context_for("crates/cluster/src/gpu.rs").numeric_core);
-        assert!(!context_for("crates/runner/src/kv.rs").numeric_core);
-        assert!(context_for("crates/cluster/src/cost.rs").units_core);
-        assert!(context_for("crates/sim/src/estimate.rs").units_core);
-        assert!(!context_for("crates/core/src/scheduler.rs").units_core);
-        assert!(!context_for("crates/sim/src/bin/tool.rs").units_core);
-        assert!(context_for("crates/core/src/bin/exegpt-cli.rs").allow_panics);
-        assert!(context_for("crates/bench/src/fig7.rs").allow_panics);
-        assert!(!context_for("crates/serve/src/server.rs").allow_panics);
-        assert!(context_for("crates/core/src/scheduler.rs").audited_concurrency);
-        assert!(context_for("crates/sim/src/cache.rs").audited_concurrency);
-        assert!(!context_for("crates/sim/src/estimate.rs").audited_concurrency);
-        assert_eq!(
-            context_for("crates/fleet/src/lib.rs").crate_idx,
-            workspace::crate_index_for_dir("fleet"),
-        );
-        assert_eq!(context_for("src/lib.rs").crate_idx, None);
+    fn u1_scoping_matches_layout() {
+        assert!(in_units_core("crates/cluster/src/cost.rs"));
+        assert!(in_units_core("crates/sim/src/estimate.rs"));
+        assert!(!in_units_core("crates/core/src/scheduler.rs"));
+        assert!(!in_units_core("crates/sim/src/bin/tool.rs"));
+        assert!(!in_units_core("crates/cluster/src/main.rs"));
     }
 
     #[test]
@@ -304,15 +253,14 @@ mod tests {
             findings: vec![Finding {
                 file: "x.rs".into(),
                 line: 3,
-                rule: Rule::P1,
+                rule: Rule::U2,
                 message: "m".into(),
                 suggestion: "s".into(),
             }],
-            suppressed: vec![],
             files_scanned: 1,
         };
         let text = report.render_text();
-        assert!(text.contains("x.rs:3: P1"));
-        assert!(text.contains("1 finding (P1: 1), 0 suppressed by pragma, 1 files scanned"));
+        assert!(text.contains("x.rs:3: U2"));
+        assert!(text.contains("1 finding (U2: 1), 1 files scanned"));
     }
 }

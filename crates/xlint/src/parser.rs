@@ -1,563 +1,101 @@
-//! Item-level parsing on top of the token stream.
+//! `fn` item extraction on top of the token stream.
 //!
-//! The lexer gives a flat token stream; this module
-//! recovers the *item structure* lint rules need: `use` declarations with
-//! their full paths, `mod`/`impl`/`trait` blocks (recursed into, so impl
-//! methods are first-class), and `fn` items with the two signature facts
-//! that matter for rule P2 — does it return `Result`, and is it
-//! `#[must_use]`. It is not a full Rust parser: it only needs to be
-//! faithful on well-formed source and *panic-free* on arbitrary input
-//! (pinned by a property test), since the linter runs over fixtures and
-//! fuzz-shaped token soup as well as the real workspace.
+//! The unit rules need two facts about each function: its token range
+//! (U3 walks every body once) and its signature (U1 inspects the types of
+//! every `pub fn`). Functions nested in `mod`, `impl` and `trait` blocks
+//! are found because the scan walks straight through those blocks; items
+//! inside a `fn` body are not, because the scan resumes after the body.
+//! It is not a Rust parser: it only needs to be faithful on well-formed
+//! source and *panic-free* on arbitrary input (pinned by a property test).
 
-use crate::lexer::{Tok, TokKind};
+use crate::lexer::{is_punct, matching_close, Tok, TokKind};
 
-/// Item visibility, as far as lint rules care.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Visibility {
-    /// Unrestricted `pub`.
-    Pub,
-    /// `pub(crate)` / `pub(super)` / `pub(in ...)`.
-    Restricted,
-    /// No visibility modifier.
-    Private,
-}
-
-/// The signature facts rule P2 needs about a `fn` item.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FnSig {
-    /// The declared return type's head is `Result` (incl. `io::Result`).
-    pub returns_result: bool,
-    /// The item carries a `#[must_use]` attribute.
-    pub must_use: bool,
-}
-
-/// What kind of item was parsed.
+/// One `fn` item with its source span.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ItemKind {
-    /// `use path::to::{Things};` — `name` holds the rendered path.
-    Use,
-    /// `mod name;` or `mod name { ... }`.
-    Mod {
-        /// Whether the module body is inline (`{ ... }` vs `;`).
-        inline: bool,
-    },
-    /// A function or method.
-    Fn(FnSig),
-    /// `struct` definition.
-    Struct,
-    /// `enum` definition.
-    Enum,
-    /// `trait` definition (recursed into for default methods).
-    Trait,
-    /// `impl` block (recursed into for methods); `name` is the header.
-    Impl,
-    /// `const` item.
-    Const,
-    /// `static` item.
-    Static,
-    /// `type` alias.
-    TypeAlias,
-    /// `macro_rules!` definition.
-    MacroDef,
-    /// `extern crate` declaration.
-    ExternCrate,
-}
-
-/// One parsed item with its source span.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Item {
-    /// The item kind.
-    pub kind: ItemKind,
-    /// Item name (path text for `use`, header text for `impl`).
+pub struct FnItem {
+    /// The function's name.
     pub name: String,
-    /// Visibility modifier.
-    pub vis: Visibility,
-    /// 1-based line of the item keyword.
+    /// Unrestricted `pub`; `pub(crate)` and friends count as not public.
+    pub public: bool,
+    /// 1-based line of the `fn` keyword.
     pub line: usize,
     /// 1-based line of the item's last token (`;` or closing `}`).
     pub end_line: usize,
-    /// Token index of the item keyword.
+    /// Token index of the `fn` keyword.
     pub start: usize,
+    /// Token index of the `{` or `;` that ends the signature.
+    pub sig_end: usize,
     /// Token index of the item's last token.
     pub end: usize,
 }
 
-/// Recursion is bounded so adversarial nesting (`mod a{mod b{...`) can
-/// never overflow the stack; items below the bound are simply not listed.
-const MAX_DEPTH: usize = 64;
+/// Lexes `src` and lists its `fn` items in one step — the public entry
+/// point for tests and tools (the token types themselves stay private).
+pub fn parse_source(src: &str) -> Vec<FnItem> {
+    fn_items(&crate::lexer::lex(src))
+}
 
-/// Parses the item list of a token stream. Items nested in `mod`, `impl`
-/// and `trait` bodies are included (flat, in source order); items inside
-/// `fn` bodies are not.
-pub fn parse_items(toks: &[Tok]) -> Vec<Item> {
+/// Lists the `fn` items of a token stream in source order, excluding
+/// functions nested in another function's body.
+pub(crate) fn fn_items(toks: &[Tok]) -> Vec<FnItem> {
     let mut out = Vec::new();
-    parse_into(toks, 0, 0, &mut out);
-    out
-}
-
-/// Lexes `src` and parses its items in one step — the public entry point
-/// for tests and tools (the token types themselves stay crate-private).
-pub fn parse_source(src: &str) -> Vec<Item> {
-    parse_items(&crate::lexer::lex(src).toks)
-}
-
-/// Core scanner over `toks[lo..]` (absolute indices via `base + i` are
-/// already folded into `lo`); appends parsed items to `out`.
-fn parse_into(toks: &[Tok], lo: usize, depth: usize, out: &mut Vec<Item>) {
-    if depth > MAX_DEPTH {
-        return;
-    }
-    let mut i = lo;
-    let mut pending_must_use = false;
+    let mut i = 0;
     while i < toks.len() {
-        // Attribute group: remember `must_use`, skip to the matching `]`.
-        if is_punct(toks, i, "#") {
-            let open = if is_punct(toks, i + 1, "!") { i + 2 } else { i + 1 };
-            if is_punct(toks, open, "[") {
-                let close = match_close(toks, open, "[", "]");
-                let attr = toks.get(open + 1..close).unwrap_or(&[]);
-                if attr.iter().any(|t| t.kind == TokKind::Ident && t.text == "must_use") {
-                    pending_must_use = true;
-                }
-                i = close + 1;
-                continue;
-            }
+        // `fn` followed by `(` is a function-pointer type, not an item.
+        let is_item = toks[i].kind == TokKind::Ident
+            && toks[i].text == "fn"
+            && toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident);
+        if !is_item {
             i += 1;
             continue;
         }
-        let (vis, after_vis) = parse_visibility(toks, i);
-        let mut j = after_vis;
-        // Modifiers before the item keyword.
-        while matches!(toks.get(j), Some(t) if t.kind == TokKind::Ident
-            && matches!(t.text.as_str(), "const" | "unsafe" | "async" | "extern" | "default"))
-        {
-            // `const` is itself an item keyword unless followed by fn/etc.;
-            // disambiguate: `const NAME` / `const _` starts a const item.
-            if toks[j].text == "const"
-                && matches!(toks.get(j + 1), Some(t) if t.kind == TokKind::Ident
-                    && !matches!(t.text.as_str(), "fn" | "unsafe" | "extern" | "async"))
-            {
-                break;
-            }
-            // `extern "C" fn` / `extern crate`.
-            if toks[j].text == "extern"
-                && matches!(toks.get(j + 1), Some(t) if t.kind == TokKind::Ident && t.text == "crate")
-            {
-                break;
-            }
-            j += 1;
-            // Skip the ABI literal of `extern "C"`.
-            if matches!(toks.get(j), Some(t) if t.kind == TokKind::Literal) {
-                j += 1;
-            }
-        }
-        let Some(kw) = toks.get(j) else { break };
-        if kw.kind != TokKind::Ident {
-            i = i.max(j) + 1;
-            continue;
-        }
-        let parsed = match kw.text.as_str() {
-            "use" => parse_terminated(toks, i, j, ItemKind::Use, vis, use_path(toks, j + 1)),
-            "mod" => parse_mod(toks, i, j, vis, depth, out),
-            "fn" => parse_fn(toks, i, j, vis, pending_must_use),
-            "struct" => parse_terminated(toks, i, j, ItemKind::Struct, vis, name_after(toks, j)),
-            "enum" => parse_terminated(toks, i, j, ItemKind::Enum, vis, name_after(toks, j)),
-            "union" => parse_terminated(toks, i, j, ItemKind::Struct, vis, name_after(toks, j)),
-            "trait" => parse_block_recursing(toks, i, j, ItemKind::Trait, vis, depth, out),
-            "impl" => parse_block_recursing(toks, i, j, ItemKind::Impl, vis, depth, out),
-            "const" => parse_terminated(toks, i, j, ItemKind::Const, vis, name_after(toks, j)),
-            "static" => parse_terminated(toks, i, j, ItemKind::Static, vis, name_after(toks, j)),
-            "type" => parse_terminated(toks, i, j, ItemKind::TypeAlias, vis, name_after(toks, j)),
-            "macro_rules" => {
-                parse_terminated(toks, i, j + 1, ItemKind::MacroDef, vis, name_after(toks, j + 1))
-            }
-            "extern" => parse_terminated(
-                toks,
-                i,
-                j + 1,
-                ItemKind::ExternCrate,
-                vis,
-                name_after(toks, j + 1),
-            ),
-            _ => None,
+        let sig_end = signature_end(toks, i + 2);
+        let end = if is_punct(toks, sig_end, "{") {
+            matching_close(toks, sig_end).unwrap_or(toks.len() - 1)
+        } else {
+            sig_end
         };
-        match parsed {
-            Some(item) => {
-                let next = item.end + 1;
-                out.push(item);
-                pending_must_use = false;
-                i = next;
-            }
-            None => {
-                pending_must_use = false;
-                i = j + 1;
-            }
-        }
-    }
-}
-
-/// Parses an optional `pub` / `pub(...)` prefix at `i`; returns the
-/// visibility and the index after it.
-fn parse_visibility(toks: &[Tok], i: usize) -> (Visibility, usize) {
-    if !matches!(toks.get(i), Some(t) if t.kind == TokKind::Ident && t.text == "pub") {
-        return (Visibility::Private, i);
-    }
-    if is_punct(toks, i + 1, "(") {
-        let close = match_close(toks, i + 1, "(", ")");
-        return (Visibility::Restricted, close + 1);
-    }
-    (Visibility::Pub, i + 1)
-}
-
-/// Generic item body/terminator finder: the item ends at the matching `}`
-/// of the first `{` seen at nesting depth 0, or at a `;` at depth 0.
-/// Returns the token index of that final token (or the last token of the
-/// stream on malformed input — never past the end).
-fn item_end(toks: &[Tok], from: usize) -> usize {
-    let mut depth = 0usize;
-    let mut j = from;
-    while let Some(t) = toks.get(j) {
-        if t.kind == TokKind::Punct {
-            match t.text.as_str() {
-                "{" if depth == 0 => return match_close(toks, j, "{", "}"),
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth = depth.saturating_sub(1),
-                ";" if depth == 0 => return j,
-                _ => {}
-            }
-        }
-        j += 1;
-    }
-    toks.len().saturating_sub(1)
-}
-
-/// Index of the token closing the bracket opened at `open` (which should
-/// hold `open_s`). Saturates to the last token on malformed input.
-fn match_close(toks: &[Tok], open: usize, open_s: &str, close_s: &str) -> usize {
-    let mut depth = 0usize;
-    let mut j = open;
-    while let Some(t) = toks.get(j) {
-        if t.kind == TokKind::Punct {
-            if t.text == open_s {
-                depth += 1;
-            } else if t.text == close_s {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    return j;
-                }
-            }
-        }
-        j += 1;
-    }
-    toks.len().saturating_sub(1)
-}
-
-fn is_punct(toks: &[Tok], i: usize, s: &str) -> bool {
-    matches!(toks.get(i), Some(t) if t.kind == TokKind::Punct && t.text == s)
-}
-
-/// The identifier right after index `kw` (e.g. the item name), or `?`.
-fn name_after(toks: &[Tok], kw: usize) -> String {
-    match toks.get(kw + 1) {
-        Some(t) if t.kind == TokKind::Ident => t.text.clone(),
-        _ => "?".to_string(),
-    }
-}
-
-/// Renders a `use` path from `from` up to the terminating `;`:
-/// `use std :: collections :: { HashMap , BTreeMap }` becomes
-/// `std::collections::{HashMap, BTreeMap}`.
-fn use_path(toks: &[Tok], from: usize) -> String {
-    let mut parts: Vec<&str> = Vec::new();
-    let mut j = from;
-    while let Some(t) = toks.get(j) {
-        if t.kind == TokKind::Punct && t.text == ";" {
-            break;
-        }
-        parts.push(&t.text);
-        j += 1;
-    }
-    let mut out = String::new();
-    for (k, p) in parts.iter().enumerate() {
-        if k > 0 {
-            let prev = parts[k - 1];
-            let word_boundary = prev.chars().next_back().is_some_and(char::is_alphanumeric)
-                && p.chars().next().is_some_and(char::is_alphanumeric);
-            if word_boundary || prev == "," {
-                out.push(' ');
-            }
-        }
-        out.push_str(p);
+        out.push(FnItem {
+            name: toks[i + 1].text.clone(),
+            public: is_public(toks, i),
+            line: toks[i].line,
+            end_line: toks[end].line,
+            start: i,
+            sig_end,
+            end,
+        });
+        i = end + 1;
     }
     out
 }
 
-/// Builds a `;`- or `{}`-terminated item whose span starts at `start`.
-fn parse_terminated(
-    toks: &[Tok],
-    start: usize,
-    kw: usize,
-    kind: ItemKind,
-    vis: Visibility,
-    name: String,
-) -> Option<Item> {
-    let end = item_end(toks, kw + 1);
-    Some(Item {
-        kind,
-        name,
-        vis,
-        line: toks.get(kw)?.line,
-        end_line: toks.get(end).map_or(0, |t| t.line),
-        start,
-        end,
-    })
-}
-
-/// Parses a `mod` item, recursing into an inline body.
-fn parse_mod(
-    toks: &[Tok],
-    start: usize,
-    kw: usize,
-    vis: Visibility,
-    depth: usize,
-    out: &mut Vec<Item>,
-) -> Option<Item> {
-    let name = name_after(toks, kw);
-    let end = item_end(toks, kw + 1);
-    let inline = matches!(toks.get(end), Some(t) if t.text == "}");
-    if inline {
-        // Body tokens live between the opening `{` and `end`; the opening
-        // brace is the first `{` after the name.
-        let mut open = kw + 1;
-        while open < end && !is_punct(toks, open, "{") {
-            open += 1;
-        }
-        if open < end {
-            parse_slice(toks, open + 1, end, depth + 1, out);
-        }
-    }
-    Some(Item {
-        kind: ItemKind::Mod { inline },
-        name,
-        vis,
-        line: toks.get(kw)?.line,
-        end_line: toks.get(end).map_or(0, |t| t.line),
-        start,
-        end,
-    })
-}
-
-/// Parses a `trait`/`impl` block, recursing into the body for methods.
-fn parse_block_recursing(
-    toks: &[Tok],
-    start: usize,
-    kw: usize,
-    kind: ItemKind,
-    vis: Visibility,
-    depth: usize,
-    out: &mut Vec<Item>,
-) -> Option<Item> {
-    let end = item_end(toks, kw + 1);
-    let mut open = kw + 1;
-    let mut bracket = 0usize;
-    while open < end {
-        match (toks[open].kind, toks[open].text.as_str()) {
-            (TokKind::Punct, "(" | "[") => bracket += 1,
-            (TokKind::Punct, ")" | "]") => bracket = bracket.saturating_sub(1),
-            (TokKind::Punct, "{") if bracket == 0 => break,
+/// Index of the `{` or `;` at bracket depth 0 that ends the signature
+/// starting at `from`, or the last token on malformed input.
+fn signature_end(toks: &[Tok], from: usize) -> usize {
+    let mut depth = 0usize;
+    for (j, t) in toks.iter().enumerate().skip(from) {
+        match (t.kind, t.text.as_str()) {
+            (TokKind::Punct, "(" | "[") => depth += 1,
+            (TokKind::Punct, ")" | "]") => depth = depth.saturating_sub(1),
+            (TokKind::Punct, "{" | ";") if depth == 0 => return j,
             _ => {}
         }
-        open += 1;
     }
-    // Header text: tokens between the keyword and the body (for impl this
-    // is `<generics> Type` or `<generics> Trait for Type`).
-    let name = render_tokens(&toks[(kw + 1).min(toks.len())..open.min(toks.len())]);
-    if open < end {
-        parse_slice(toks, open + 1, end, depth + 1, out);
-    }
-    Some(Item {
-        kind,
-        name,
-        vis,
-        line: toks.get(kw)?.line,
-        end_line: toks.get(end).map_or(0, |t| t.line),
-        start,
-        end,
-    })
+    toks.len() - 1
 }
 
-/// Recurse over `toks[lo..hi]` without slicing (token indices stay
-/// absolute): runs the item scanner but stops it at `hi` by temporarily
-/// bounding the view.
-fn parse_slice(toks: &[Tok], lo: usize, hi: usize, depth: usize, out: &mut Vec<Item>) {
-    let hi = hi.min(toks.len());
-    if lo >= hi {
-        return;
-    }
-    // Parse the sub-slice, then rebase token indices to absolute.
-    let mut nested = Vec::new();
-    parse_into(&toks[..hi], lo, depth, &mut nested);
-    out.extend(nested);
-}
-
-/// Joins token texts with minimal spacing (word boundaries only).
-fn render_tokens(toks: &[Tok]) -> String {
-    let mut out = String::new();
-    for (k, t) in toks.iter().enumerate() {
-        if k > 0 {
-            let prev = &toks[k - 1].text;
-            let boundary = prev.chars().next_back().is_some_and(char::is_alphanumeric)
-                && t.text.chars().next().is_some_and(char::is_alphanumeric);
-            if boundary {
-                out.push(' ');
-            }
+/// Whether the `fn` keyword at `kw` carries an unrestricted `pub`, looking
+/// back over the qualifiers that may sit between them.
+fn is_public(toks: &[Tok], kw: usize) -> bool {
+    let mut j = kw;
+    while let Some(prev) = j.checked_sub(1).and_then(|p| toks.get(p)) {
+        let qualifier = prev.kind == TokKind::Literal // the ABI of `extern "C"`
+            || (prev.kind == TokKind::Ident
+                && matches!(prev.text.as_str(), "const" | "unsafe" | "async" | "extern"));
+        if !qualifier {
+            return prev.kind == TokKind::Ident && prev.text == "pub";
         }
-        out.push_str(&t.text);
+        j -= 1;
     }
-    out
-}
-
-/// Parses a `fn` item: name, `Result` return, span.
-fn parse_fn(
-    toks: &[Tok],
-    start: usize,
-    kw: usize,
-    vis: Visibility,
-    must_use: bool,
-) -> Option<Item> {
-    // `fn` followed by `(` is a function-pointer type, not an item.
-    let name_tok = toks.get(kw + 1)?;
-    if name_tok.kind != TokKind::Ident {
-        return None;
-    }
-    let name = name_tok.text.clone();
-    let mut j = kw + 2;
-    // Skip generics `<...>` (angle depth; `->`/`=>` lex as single tokens).
-    if is_punct(toks, j, "<") {
-        let mut angle = 0usize;
-        while let Some(t) = toks.get(j) {
-            if t.kind == TokKind::Punct {
-                match t.text.as_str() {
-                    "<" => angle += 1,
-                    ">" => {
-                        angle = angle.saturating_sub(1);
-                        if angle == 0 {
-                            j += 1;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            j += 1;
-        }
-    }
-    // Parameter list.
-    if is_punct(toks, j, "(") {
-        j = match_close(toks, j, "(", ")") + 1;
-    }
-    // Optional return type, up to body / `;` / `where`.
-    let mut returns_result = false;
-    if is_punct(toks, j, "->") {
-        j += 1;
-        let mut angle = 0usize;
-        while let Some(t) = toks.get(j) {
-            match (t.kind, t.text.as_str()) {
-                (TokKind::Punct, "{" | ";") => break,
-                (TokKind::Ident, "where") => break,
-                (TokKind::Punct, "<") => angle += 1,
-                (TokKind::Punct, ">") => angle = angle.saturating_sub(1),
-                (TokKind::Ident, "Result") if angle == 0 => returns_result = true,
-                _ => {}
-            }
-            j += 1;
-        }
-    }
-    let end = item_end(toks, j);
-    Some(Item {
-        kind: ItemKind::Fn(FnSig { returns_result, must_use }),
-        name,
-        vis,
-        line: toks.get(kw)?.line,
-        end_line: toks.get(end).map_or(0, |t| t.line),
-        start,
-        end,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::lexer::lex;
-
-    fn items(src: &str) -> Vec<Item> {
-        parse_items(&lex(src).toks)
-    }
-
-    #[test]
-    fn use_items_render_their_paths() {
-        let it = items("use std::collections::BTreeMap;\nuse exegpt_sim::{Simulator, Estimate};");
-        assert_eq!(it.len(), 2);
-        assert_eq!(it[0].kind, ItemKind::Use);
-        assert_eq!(it[0].name, "std::collections::BTreeMap");
-        assert_eq!(it[1].name, "exegpt_sim::{Simulator, Estimate}");
-    }
-
-    #[test]
-    fn fn_signature_facts_are_extracted() {
-        let it = items(
-            "pub fn plain(x: usize) -> usize { x }\n\
-             fn fallible() -> Result<u32, String> { Ok(1) }\n\
-             #[must_use]\nfn scored() -> u32 { 7 }\n\
-             fn nested() -> Option<Result<u8, ()>> { None }",
-        );
-        let sig = |name: &str| {
-            it.iter()
-                .find_map(|i| match (&i.kind, i.name.as_str()) {
-                    (ItemKind::Fn(s), n) if n == name => Some(*s),
-                    _ => None,
-                })
-                .expect("fn item present")
-        };
-        assert!(!sig("plain").returns_result);
-        assert!(sig("fallible").returns_result);
-        assert!(sig("scored").must_use);
-        assert!(!sig("nested").returns_result, "Result nested in Option is not a Result return");
-        assert_eq!(it[0].vis, Visibility::Pub);
-        assert_eq!(it[1].vis, Visibility::Private);
-    }
-
-    #[test]
-    fn impl_methods_are_recursed_into() {
-        let it = items(
-            "struct S;\nimpl S {\n  pub fn save(&self) -> Result<(), String> { Ok(()) }\n  \
-             fn peek(&self) -> u32 { 0 }\n}",
-        );
-        let fns: Vec<&Item> = it.iter().filter(|i| matches!(i.kind, ItemKind::Fn(_))).collect();
-        assert_eq!(fns.len(), 2);
-        assert_eq!(fns[0].name, "save");
-        assert!(matches!(fns[0].kind, ItemKind::Fn(s) if s.returns_result));
-    }
-
-    #[test]
-    fn mod_spans_cover_nested_items() {
-        let src = "mod outer {\n  mod inner {\n    fn f() {}\n  }\n}\nmod filed;";
-        let it = items(src);
-        let outer = it.iter().find(|i| i.name == "outer").expect("outer");
-        assert!(matches!(outer.kind, ItemKind::Mod { inline: true }));
-        assert_eq!((outer.line, outer.end_line), (1, 5));
-        assert!(it.iter().any(|i| i.name == "inner"));
-        assert!(it.iter().any(|i| i.name == "f"));
-        let filed = it.iter().find(|i| i.name == "filed").expect("filed");
-        assert!(matches!(filed.kind, ItemKind::Mod { inline: false }));
-    }
-
-    #[test]
-    fn fn_pointer_types_are_not_items() {
-        let it = items("type Cb = fn(usize) -> bool;\nfn real(cb: fn(u8) -> u8) {}");
-        let fns: Vec<&Item> = it.iter().filter(|i| matches!(i.kind, ItemKind::Fn(_))).collect();
-        assert_eq!(fns.len(), 1);
-        assert_eq!(fns[0].name, "real");
-    }
+    false
 }

@@ -25,7 +25,3 @@ pub fn slowed(factor: f64) -> Secs {
 pub fn efficiency_of(f: Flops) -> f64 {
     f.as_f64()
 }
-// xlint::allow(U1, measured headroom is dimensionless but outside the vocabulary)
-pub fn headroom() -> f64 {
-    0.5
-}

@@ -4,7 +4,5 @@ fn demo() {
     let weights_bytes = param_bytes(12);
     let t_secs = compute(kv_bytes(1));
     let plain = kv_bytes(1);
-    // xlint::allow(U2, transitional shim: the clock is byte-addressed here)
-    let shim_secs = kv_bytes(2);
-    let _ = (total_secs, peak_bytes, weights_bytes, t_secs, plain, shim_secs);
+    let _ = (total_secs, peak_bytes, weights_bytes, t_secs, plain);
 }

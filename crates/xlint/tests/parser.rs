@@ -1,17 +1,21 @@
-//! Item-extraction golden tests on deliberately tricky sources, plus the
-//! property the whole linter leans on: lexing + parsing + linting never
-//! panics, whatever bytes come in.
+//! `fn`-item extraction golden tests on deliberately tricky sources, plus
+//! the property the whole linter leans on: lexing + parsing + linting
+//! never panics, whatever bytes come in.
 
-use exegpt_xlint::parser::{parse_source, Item, ItemKind, Visibility};
-use exegpt_xlint::{lint_source, FileContext};
+use exegpt_xlint::lint_source;
+use exegpt_xlint::parser::{parse_source, FnItem};
 use proptest::prelude::*;
 
-fn named<'a>(items: &'a [Item], name: &str) -> &'a Item {
-    items.iter().find(|i| i.name == name).unwrap_or_else(|| panic!("item `{name}` parsed"))
+fn named<'a>(items: &'a [FnItem], name: &str) -> &'a FnItem {
+    items.iter().find(|i| i.name == name).unwrap_or_else(|| panic!("fn `{name}` parsed"))
+}
+
+fn names(items: &[FnItem]) -> Vec<&str> {
+    items.iter().map(|i| i.name.as_str()).collect()
 }
 
 #[test]
-fn nested_mods_yield_flat_items_with_correct_spans() {
+fn fns_in_mods_traits_and_impls_are_found_with_their_spans() {
     let src = "\
 mod a {
     pub mod b {
@@ -21,64 +25,82 @@ mod a {
     }
     const K: usize = 3;
 }
-mod leaf;
-";
-    let items = parse_source(src);
-    let a = named(&items, "a");
-    assert!(matches!(a.kind, ItemKind::Mod { inline: true }));
-    assert_eq!((a.line, a.end_line), (1, 8));
-    let b = named(&items, "b");
-    assert_eq!(b.vis, Visibility::Pub);
-    assert_eq!((b.line, b.end_line), (2, 6));
-    let inner = named(&items, "inner");
-    assert_eq!(inner.vis, Visibility::Restricted);
-    assert!(matches!(inner.kind, ItemKind::Fn(s) if s.returns_result));
-    assert_eq!(named(&items, "K").kind, ItemKind::Const);
-    assert!(matches!(named(&items, "leaf").kind, ItemKind::Mod { inline: false }));
+trait Estimator {
+    fn estimate(&self) -> u64;
 }
-
-#[test]
-fn cfg_test_modules_still_parse_as_items() {
-    // The parser reports structure; *rules* decide whether a region is
-    // exempt. A #[cfg(test)] mod must still appear with its span.
-    let src = "\
-fn shipped() -> Result<u8, u8> { Ok(0) }
-#[cfg(test)]
-mod tests {
-    use super::*;
-    #[test]
-    fn probe() {
-        assert!(shipped().is_ok());
+impl<T: Clone> Estimator for Vec<T> {
+    fn estimate(&self) -> u64 {
+        self.len() as u64
     }
 }
 ";
     let items = parse_source(src);
-    let tests = named(&items, "tests");
-    assert_eq!((tests.line, tests.end_line), (3, 9));
-    let probe = named(&items, "probe");
-    assert!(matches!(probe.kind, ItemKind::Fn(s) if !s.returns_result && !s.must_use));
-    assert_eq!(named(&items, "super::*").kind, ItemKind::Use);
+    assert_eq!(names(&items), vec!["inner", "estimate", "estimate"]);
+    let inner = named(&items, "inner");
+    assert_eq!((inner.line, inner.end_line), (3, 5));
+    assert!(!inner.public, "pub(crate) is restricted");
+    assert_eq!((items[1].line, items[1].end_line), (10, 10), "a trait declaration ends at `;`");
+    assert_eq!((items[2].line, items[2].end_line), (13, 15));
 }
 
 #[test]
-fn raw_strings_and_literals_do_not_confuse_item_boundaries() {
-    // The raw string contains `fn fake()` and unbalanced braces; the lexer
-    // strips literals, so none of it may surface as items.
+fn visibility_looks_through_qualifiers() {
+    let src = "pub fn a() {}\nfn b() {}\npub const unsafe fn c() {}\n\
+               pub extern \"C\" fn d() {}\npub(super) fn e() {}\npub async fn f() {}";
+    let public: Vec<bool> = parse_source(src).iter().map(|i| i.public).collect();
+    assert_eq!(public, vec![true, false, true, true, false, true]);
+}
+
+#[test]
+fn signatures_end_at_the_body_or_the_semicolon() {
+    let src = "pub fn f(x: [u8; 4], y: f64) -> Secs where T: Copy { body() }\nfn g(x: u8);";
+    let items = parse_source(src);
+    assert_eq!(items.len(), 2);
+    for it in &items {
+        assert!(it.start < it.sig_end && it.sig_end <= it.end, "{it:?}");
+    }
+    assert_eq!(items[1].sig_end, items[1].end, "a bodiless fn ends at its `;`");
+}
+
+#[test]
+fn cfg_test_modules_still_list_their_fns() {
+    // The parser reports structure; *rules* decide whether a region is
+    // exempt. A #[cfg(test)] mod's fns must still appear.
     let src = "\
-const DOC: &str = r#\"fn fake() -> Result<(), ()> { } } } {\"#;
-static BRACES: &str = \"{ fn also_fake() }\";
-fn real() {}
+fn shipped() -> u8 { 0 }
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn probe() {
+        assert_eq!(super::shipped(), 0);
+    }
+}
 ";
     let items = parse_source(src);
-    assert!(!items.iter().any(|i| i.name.contains("fake")), "{items:?}");
-    assert_eq!(named(&items, "DOC").kind, ItemKind::Const);
-    assert_eq!(named(&items, "BRACES").kind, ItemKind::Static);
-    let real = named(&items, "real");
-    assert_eq!((real.line, real.end_line), (3, 3));
+    assert_eq!(names(&items), vec!["shipped", "probe"]);
+    let probe = named(&items, "probe");
+    assert_eq!((probe.line, probe.end_line), (5, 7));
 }
 
 #[test]
-fn macro_heavy_sources_keep_their_surrounding_items() {
+fn literals_pointer_types_and_nested_fns_are_not_items() {
+    // The raw string contains `fn fake()` and unbalanced braces; the lexer
+    // strips literals, so none of it may surface as items. `fn(u8)` is a
+    // pointer type, and a fn inside another fn's body is part of it.
+    let src = "\
+const DOC: &str = r#\"fn fake() -> Result<(), ()> { } } } {\"#;
+type Cb = fn(usize) -> bool;
+fn real(cb: fn(u8) -> u8) {
+    fn helper() {}
+}
+";
+    let items = parse_source(src);
+    assert_eq!(names(&items), vec!["real"]);
+    assert_eq!((items[0].line, items[0].end_line), (3, 5));
+}
+
+#[test]
+fn macro_bodies_keep_their_surrounding_fns() {
     let src = "\
 macro_rules! gen {
     ($n:ident) => {
@@ -92,40 +114,10 @@ pub fn after() -> u32 {
 }
 ";
     let items = parse_source(src);
-    let mac = named(&items, "gen");
-    assert_eq!(mac.kind, ItemKind::MacroDef);
-    assert_eq!((mac.line, mac.end_line), (1, 5));
-    // `fn $n()` inside the macro body is not an item occurrence the rules
-    // should resolve against ($n is not an ident the lexer keeps paired).
-    let after = named(&items, "after");
-    assert!(matches!(after.kind, ItemKind::Fn(s) if s.must_use));
-    assert_eq!(after.vis, Visibility::Pub);
-    assert_eq!((after.line, after.end_line), (8, 10), "anchored at the `fn` keyword");
-}
-
-#[test]
-fn impl_headers_and_trait_bodies_are_recovered() {
-    let src = "\
-trait Estimator {
-    fn estimate(&self) -> Result<u64, ()>;
-    fn hint(&self) -> usize {
-        0
-    }
-}
-impl<T: Clone> Estimator for Vec<T> {
-    fn estimate(&self) -> Result<u64, ()> {
-        Ok(self.len() as u64)
-    }
-}
-";
-    let items = parse_source(src);
-    assert_eq!(named(&items, "Estimator").kind, ItemKind::Trait);
-    let impls: Vec<&Item> = items.iter().filter(|i| i.kind == ItemKind::Impl).collect();
-    assert_eq!(impls.len(), 1);
-    assert!(impls[0].name.contains("Estimator for Vec"), "{}", impls[0].name);
-    let estimates: Vec<&Item> = items.iter().filter(|i| i.name == "estimate").collect();
-    assert_eq!(estimates.len(), 2, "trait decl and impl method");
-    assert!(estimates.iter().all(|i| matches!(i.kind, ItemKind::Fn(s) if s.returns_result)));
+    // `fn $n()` is not an item: `$` is not an identifier.
+    assert_eq!(names(&items), vec!["after"]);
+    assert!(items[0].public);
+    assert_eq!((items[0].line, items[0].end_line), (8, 10), "anchored at the `fn` keyword");
 }
 
 #[test]
@@ -133,20 +125,21 @@ fn malformed_sources_parse_without_panicking() {
     // Truncations and unbalanced nesting must degrade, not crash.
     for src in [
         "fn",
+        "fn f",
         "fn (",
         "pub",
         "pub(",
+        "pub fn",
         "impl {",
         "mod m { mod n {",
-        "use ;;;",
-        "#[must_use",
         "fn f() -> Result<",
+        "fn f() {",
         "}}}}",
-        "const = ;",
         "macro_rules!",
-        "extern",
+        "extern \"C\" fn",
     ] {
         let _ = parse_source(src);
+        let _ = lint_source("malformed.rs", src, true);
     }
 }
 
@@ -198,20 +191,14 @@ proptest! {
     fn parsing_and_linting_never_panic(picks in prop::collection::vec(0usize..VOCAB.len(), 0..40)) {
         let src: String =
             picks.iter().map(|&i| VOCAB[i]).collect::<Vec<_>>().join(" ");
-        let items = parse_source(&src);
-        for it in &items {
-            prop_assert!(it.end_line >= it.line || it.end_line == 0);
-            prop_assert!(it.end >= it.start);
+        for it in &parse_source(&src) {
+            prop_assert!(it.end_line >= it.line);
+            prop_assert!(it.start < it.sig_end || it.sig_end == it.end);
+            prop_assert!(it.sig_end <= it.end);
         }
-        // The full rule pipeline (lexer regions, parser-backed P2, L1, D3, U3)
-        // must also survive the same soup under every scoping.
-        let strict = FileContext {
-            numeric_core: true,
-            units_core: true,
-            crate_idx: Some(0),
-            ..FileContext::default()
-        };
-        let _ = lint_source("soup.rs", &src, strict);
-        let _ = lint_source("soup.rs", &src, FileContext::default());
+        // The full rule pipeline (test regions, U1's signatures, U2, U3's
+        // per-fn pass) must also survive the same soup, with U1 on and off.
+        let _ = lint_source("soup.rs", &src, true);
+        let _ = lint_source("soup.rs", &src, false);
     }
 }

@@ -1,0 +1,116 @@
+//! Crate layering (DESIGN.md §6.1a): every workspace crate may depend only
+//! on crates in *strictly lower* layers, so the dependency graph is a DAG
+//! by construction. Cargo already rejects an `exegpt_*` path that is not a
+//! declared dependency; this test rejects a declared `[dependencies]` edge
+//! that points sideways or upward. `[dev-dependencies]` are exempt: test
+//! code may look upward.
+
+use std::path::Path;
+
+/// The declared layering, bottom (0) to top, by directory under `crates/`.
+/// The package is `exegpt-<dir>`, except `core`, whose package is `exegpt`.
+const LAYERS: &[(&str, u8)] = &[
+    ("units", 0),
+    ("dist", 0),
+    ("model", 0),
+    ("xlint", 0),
+    ("cluster", 1),
+    ("profiler", 2),
+    ("sim", 3),
+    ("workload", 4),
+    ("core", 5),
+    ("runner", 6),
+    ("faults", 7),
+    ("serve", 8),
+    ("baselines", 8),
+    ("fleet", 9),
+    ("scenario", 10),
+    ("bench", 11),
+];
+
+fn layer(dir: &str) -> Option<u8> {
+    LAYERS.iter().find(|(d, _)| *d == dir).map(|&(_, l)| l)
+}
+
+/// The crate directory a package name refers to.
+fn dir_of_package(package: &str) -> Option<&str> {
+    if package == "exegpt" {
+        Some("core")
+    } else {
+        package.strip_prefix("exegpt-")
+    }
+}
+
+/// The `exegpt*` packages named in a manifest's `[dependencies]` table.
+fn workspace_deps(manifest: &str) -> Vec<&str> {
+    let mut in_dependencies = false;
+    let mut deps = Vec::new();
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_dependencies = line == "[dependencies]";
+            continue;
+        }
+        let key = line.split(['=', '.', ' ']).next().unwrap_or("").trim_matches('"');
+        if in_dependencies && line.contains('=') && key.starts_with("exegpt") {
+            deps.push(key);
+        }
+    }
+    deps
+}
+
+/// Every layering violation in the manifest of the crate at `crates/<dir>`.
+fn violations(dir: &str, manifest: &str) -> Vec<String> {
+    let Some(from) = layer(dir) else {
+        return vec![format!("crate `{dir}` has no declared layer")];
+    };
+    workspace_deps(manifest)
+        .into_iter()
+        .filter_map(|dep| match dir_of_package(dep).and_then(|to| Some((to, layer(to)?))) {
+            None => Some(format!("`{dir}` depends on `{dep}`, which has no declared layer")),
+            Some((to, l)) if l >= from => {
+                Some(format!("`{dir}` (layer {from}) depends on `{to}` (layer {l})"))
+            }
+            Some(_) => None,
+        })
+        .collect()
+}
+
+#[test]
+fn every_crate_depends_only_on_lower_layers() {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut dirs: Vec<String> = std::fs::read_dir(&crates)
+        .expect("crates/ is readable")
+        .map(|e| e.expect("directory entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    dirs.sort();
+    let mut found = Vec::new();
+    for dir in &dirs {
+        let manifest = std::fs::read_to_string(crates.join(dir).join("Cargo.toml"))
+            .unwrap_or_else(|e| panic!("crates/{dir}/Cargo.toml: {e}"));
+        found.extend(violations(dir, &manifest));
+    }
+    assert!(found.is_empty(), "layering violations:\n{}", found.join("\n"));
+    for (dir, _) in LAYERS {
+        assert!(dirs.iter().any(|d| d == dir), "declared crate `{dir}` is not under crates/");
+    }
+}
+
+#[test]
+fn upward_same_layer_and_unknown_edges_are_rejected() {
+    let manifest = |deps: &str| {
+        format!(
+            "[package]\nname = \"exegpt-serve\"\n\n[dependencies]\n{deps}\n\
+             serde.workspace = true\n\n[dev-dependencies]\nexegpt-scenario.workspace = true\n"
+        )
+    };
+    let ok = violations("serve", &manifest("exegpt.workspace = true\nexegpt-faults = \"0.1\""));
+    assert!(ok.is_empty(), "downward edges and dev-dependencies pass: {ok:?}");
+    let up = violations("serve", &manifest("exegpt-fleet.workspace = true"));
+    assert_eq!(up, ["`serve` (layer 8) depends on `fleet` (layer 9)"]);
+    let same = violations("serve", &manifest("exegpt-baselines = { path = \"../baselines\" }"));
+    assert_eq!(same, ["`serve` (layer 8) depends on `baselines` (layer 8)"]);
+    let unknown = violations("serve", &manifest("exegpt-mystery.workspace = true"));
+    assert_eq!(unknown, ["`serve` depends on `exegpt-mystery`, which has no declared layer"]);
+    let undeclared = violations("newcomer", "[package]\nname = \"exegpt-newcomer\"\n");
+    assert_eq!(undeclared, ["crate `newcomer` has no declared layer"]);
+}
