@@ -73,33 +73,35 @@ impl GpuSpec {
     }
 
     /// NVIDIA A40: 48 GB, ~149.7 TFLOPS dense FP16, 696 GB/s GDDR6.
-    #[expect(
-        clippy::expect_used,
-        reason = "preset arguments are compile-time constants covered by unit tests"
-    )]
     pub fn a40() -> Self {
-        Self::new(
+        #[expect(
+            clippy::expect_used,
+            reason = "preset arguments are compile-time constants covered by unit tests"
+        )]
+        let spec = Self::new(
             "A40",
             48 * (1u64 << 30),
             FlopsPerSec::from_tflops(149.7),
             BytesPerSec::from_gb_per_sec(696.0),
         )
-        .expect("preset spec is valid")
+        .expect("preset spec is valid");
+        spec
     }
 
     /// NVIDIA A100 80 GB SXM: ~312 TFLOPS dense FP16, 2039 GB/s HBM2e.
-    #[expect(
-        clippy::expect_used,
-        reason = "preset arguments are compile-time constants covered by unit tests"
-    )]
     pub fn a100_80gb() -> Self {
-        Self::new(
+        #[expect(
+            clippy::expect_used,
+            reason = "preset arguments are compile-time constants covered by unit tests"
+        )]
+        let spec = Self::new(
             "A100-80GB",
             80 * (1u64 << 30),
             FlopsPerSec::from_tflops(312.0),
             BytesPerSec::from_gb_per_sec(2039.0),
         )
-        .expect("preset spec is valid")
+        .expect("preset spec is valid");
+        spec
     }
 
     /// Device name.

@@ -55,47 +55,57 @@ impl Interconnect {
     }
 
     /// NVLink 3.0: ~300 GB/s effective per-GPU pairwise, ~3 µs latency.
-    #[expect(
-        clippy::expect_used,
-        reason = "preset arguments are compile-time constants covered by unit tests"
-    )]
     pub fn nvlink3() -> Self {
-        Self::new("NVLink 3.0", BytesPerSec::from_gb_per_sec(300.0), Secs::from_micros(3.0))
-            .expect("preset link is valid")
+        #[expect(
+            clippy::expect_used,
+            reason = "preset arguments are compile-time constants covered by unit tests"
+        )]
+        let link =
+            Self::new("NVLink 3.0", BytesPerSec::from_gb_per_sec(300.0), Secs::from_micros(3.0))
+                .expect("preset link is valid");
+        link
     }
 
     /// PCIe 4.0 ×16: ~25 GB/s effective, ~5 µs latency.
-    #[expect(
-        clippy::expect_used,
-        reason = "preset arguments are compile-time constants covered by unit tests"
-    )]
     pub fn pcie4_x16() -> Self {
-        Self::new("PCIe 4.0 x16", BytesPerSec::from_gb_per_sec(25.0), Secs::from_micros(5.0))
-            .expect("preset link is valid")
+        #[expect(
+            clippy::expect_used,
+            reason = "preset arguments are compile-time constants covered by unit tests"
+        )]
+        let link =
+            Self::new("PCIe 4.0 x16", BytesPerSec::from_gb_per_sec(25.0), Secs::from_micros(5.0))
+                .expect("preset link is valid");
+        link
     }
 
     /// 100 Gb InfiniBand: ~12 GB/s effective, ~10 µs latency.
-    #[expect(
-        clippy::expect_used,
-        reason = "preset arguments are compile-time constants covered by unit tests"
-    )]
     pub fn infiniband_100gb() -> Self {
-        Self::new("InfiniBand 100Gb", BytesPerSec::from_gb_per_sec(12.0), Secs::from_micros(10.0))
-            .expect("preset link is valid")
+        #[expect(
+            clippy::expect_used,
+            reason = "preset arguments are compile-time constants covered by unit tests"
+        )]
+        let link = Self::new(
+            "InfiniBand 100Gb",
+            BytesPerSec::from_gb_per_sec(12.0),
+            Secs::from_micros(10.0),
+        )
+        .expect("preset link is valid");
+        link
     }
 
     /// 8×200 Gb HDR InfiniBand (A100 cluster inter-node): ~190 GB/s, ~8 µs.
-    #[expect(
-        clippy::expect_used,
-        reason = "preset arguments are compile-time constants covered by unit tests"
-    )]
     pub fn infiniband_hdr_8x200gb() -> Self {
-        Self::new(
+        #[expect(
+            clippy::expect_used,
+            reason = "preset arguments are compile-time constants covered by unit tests"
+        )]
+        let link = Self::new(
             "InfiniBand 8x200Gb HDR",
             BytesPerSec::from_gb_per_sec(190.0),
             Secs::from_micros(8.0),
         )
-        .expect("preset link is valid")
+        .expect("preset link is valid");
+        link
     }
 
     /// Link name.

@@ -90,12 +90,12 @@ impl ClusterSpec {
 
     /// The paper's A40 cluster: 6 nodes × 8 A40, PCIe 4.0 intra-node,
     /// 100 Gb InfiniBand inter-node.
-    #[expect(
-        clippy::expect_used,
-        reason = "preset arguments are compile-time constants covered by unit tests"
-    )]
     pub fn a40_cluster() -> Self {
-        Self::new(
+        #[expect(
+            clippy::expect_used,
+            reason = "preset arguments are compile-time constants covered by unit tests"
+        )]
+        let cluster = Self::new(
             "A40 cluster",
             GpuSpec::a40(),
             8,
@@ -103,17 +103,18 @@ impl ClusterSpec {
             Interconnect::pcie4_x16(),
             Interconnect::infiniband_100gb(),
         )
-        .expect("preset cluster is valid")
+        .expect("preset cluster is valid");
+        cluster
     }
 
     /// The paper's A100 cluster: 2 nodes × 8 A100-80GB, NVLink 3.0
     /// intra-node, 8×200 Gb HDR InfiniBand inter-node.
-    #[expect(
-        clippy::expect_used,
-        reason = "preset arguments are compile-time constants covered by unit tests"
-    )]
     pub fn a100_cluster() -> Self {
-        Self::new(
+        #[expect(
+            clippy::expect_used,
+            reason = "preset arguments are compile-time constants covered by unit tests"
+        )]
+        let cluster = Self::new(
             "A100 cluster",
             GpuSpec::a100_80gb(),
             8,
@@ -121,7 +122,8 @@ impl ClusterSpec {
             Interconnect::nvlink3(),
             Interconnect::infiniband_hdr_8x200gb(),
         )
-        .expect("preset cluster is valid")
+        .expect("preset cluster is valid");
+        cluster
     }
 
     /// Cluster name.

@@ -24,14 +24,12 @@
 //! monotone upper bounds, returning the same `config`/`estimate` the full
 //! search would.
 
-#![expect(
+#[expect(
     clippy::disallowed_types,
-    clippy::disallowed_methods,
-    reason = "audited pool module: scoped workers write per-task slots that are reduced in \
-              task order, and `Ordering::Relaxed` is used only on the work-index counter `next`"
+    reason = "audited pool module: the search pool's work index is an atomic counter"
 )]
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::AtomicUsize;
+use std::sync::atomic::Ordering;
 use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
@@ -202,9 +200,19 @@ impl Scheduler {
             // per-task slots, so the reduction below always sees them in
             // task order regardless of which worker ran what. All workers
             // share the simulator's evaluation cache.
+            #[expect(
+                clippy::disallowed_types,
+                reason = "audited pool module: `next` is a counter, so `Ordering::Relaxed` \
+                          suffices — each fetch_add hands out one index"
+            )]
             let next = AtomicUsize::new(0);
             let slots: Vec<OnceLock<Option<Schedule>>> =
                 (0..tasks.len()).map(|_| OnceLock::new()).collect();
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "audited pool module: scoped workers write per-task slots that are \
+                          reduced in task order, so the join is deterministic"
+            )]
             std::thread::scope(|s| {
                 for _ in 0..workers {
                     s.spawn(|| loop {

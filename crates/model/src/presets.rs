@@ -12,12 +12,12 @@ const FP16: usize = 2;
 impl ModelConfig {
     /// T5 11B: encoder–decoder, 48 layers (24 + 24), `d_model` 1024,
     /// 128 heads with `d_kv` 128 (so `d_attn` 16384) and `d_ff` 65536.
-    #[expect(
-        clippy::expect_used,
-        reason = "preset arguments are compile-time constants covered by unit tests"
-    )]
     pub fn t5_11b() -> Self {
-        Self::new(
+        #[expect(
+            clippy::expect_used,
+            reason = "preset arguments are compile-time constants covered by unit tests"
+        )]
+        let config = Self::new(
             "T5 11B",
             ModelKind::EncoderDecoder,
             48,
@@ -29,7 +29,8 @@ impl ModelConfig {
             2048,
             FP16,
         )
-        .expect("preset dimensions are valid")
+        .expect("preset dimensions are valid");
+        config
     }
 
     /// UL2 20B: encoder-decoder, 64 layers (32 + 32), `d_model` 4096,
@@ -40,12 +41,12 @@ impl ModelConfig {
     /// matrices); this two-matrix description uses the cost-equivalent
     /// `d_ff` 24576, which the paper's FLOPs-equivalence note (citing
     /// Shazeer's GLU work) licenses.
-    #[expect(
-        clippy::expect_used,
-        reason = "preset arguments are compile-time constants covered by unit tests"
-    )]
     pub fn ul2_20b() -> Self {
-        Self::new(
+        #[expect(
+            clippy::expect_used,
+            reason = "preset arguments are compile-time constants covered by unit tests"
+        )]
+        let config = Self::new(
             "UL2 20B",
             ModelKind::EncoderDecoder,
             64,
@@ -57,7 +58,8 @@ impl ModelConfig {
             2048,
             FP16,
         )
-        .expect("preset dimensions are valid")
+        .expect("preset dimensions are valid");
+        config
     }
 
     /// OPT 13B: decoder-only, 40 layers, hidden 5120, 40 heads.
@@ -97,12 +99,12 @@ impl ModelConfig {
         ]
     }
 
-    #[expect(
-        clippy::expect_used,
-        reason = "preset arguments are compile-time constants covered by unit tests"
-    )]
     fn decoder_only_preset(name: &str, layers: usize, hidden: usize, heads: usize) -> Self {
-        Self::new(
+        #[expect(
+            clippy::expect_used,
+            reason = "preset arguments are compile-time constants covered by unit tests"
+        )]
+        let config = Self::new(
             name,
             ModelKind::DecoderOnly,
             layers,
@@ -114,7 +116,8 @@ impl ModelConfig {
             4096,
             FP16,
         )
-        .expect("preset dimensions are valid")
+        .expect("preset dimensions are valid");
+        config
     }
 }
 

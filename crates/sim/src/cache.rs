@@ -39,16 +39,25 @@
 //! function of the evaluated multiset only, independent of thread
 //! interleaving.
 
-#![expect(
+#[expect(
     clippy::disallowed_types,
-    reason = "audited pool module: the sharded FNV maps are keyed lookup only (iteration order \
-              never observed), and `Ordering::Relaxed` is used only on the `hits`/`misses` counters"
+    reason = "audited pool module: the shard maps are keyed lookup only, so their iteration \
+              order is never observed"
 )]
-
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+#[expect(
+    clippy::disallowed_types,
+    reason = "audited pool module: the `hits`/`misses` counters are the only atomics"
+)]
+use std::sync::atomic::AtomicUsize;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+#[expect(
+    clippy::disallowed_types,
+    reason = "audited pool module: each shard has its own lock and no code path holds two"
+)]
+use std::sync::RwLock;
 
 use exegpt_dist::convert::narrow_usize;
 use exegpt_dist::{CompletionDist, FnvBuildHasher, LengthDist};
@@ -66,19 +75,32 @@ const SHARDS: usize = 8;
 /// FNV-1a: they are small, program-generated config structs on the hot path
 /// of every simulator evaluation, where SipHash's per-call overhead is
 /// measurable and its flooding resistance buys nothing.
+#[expect(
+    clippy::disallowed_types,
+    reason = "audited pool module: one lock per shard around a keyed-lookup map"
+)]
 struct ShardedMap<K, V> {
     shards: Vec<RwLock<HashMap<K, V, FnvBuildHasher>>>,
 }
 
 impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
     fn new() -> Self {
-        Self { shards: (0..SHARDS).map(|_| RwLock::new(HashMap::default())).collect() }
+        #[expect(
+            clippy::disallowed_types,
+            reason = "audited pool module: one lock per shard around a keyed-lookup map"
+        )]
+        let shards = (0..SHARDS).map(|_| RwLock::new(HashMap::default())).collect();
+        Self { shards }
     }
 
     /// The shard comes from the middle bits of the key's hash: the map
     /// inside indexes its buckets by the low bits, and FNV's low bits only
     /// mix the low bits of each integer field, so a low-bit shard index
     /// would leave every key of a shard sharing its bucket-index bits.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "audited pool module: one lock per shard around a keyed-lookup map"
+    )]
     fn shard(&self, key: &K) -> &RwLock<HashMap<K, V, FnvBuildHasher>> {
         let idx = narrow_usize(FnvBuildHasher::default().hash_one(key) >> 32) % SHARDS;
         &self.shards[idx]
@@ -148,7 +170,15 @@ pub(crate) struct EvalCache {
     completion: ShardedMap<usize, Arc<CompletionInfo>>,
     dec_stage: ShardedMap<DecStageKey, Result<Arc<DecodeStageGrid>, SimError>>,
     estimates: ShardedMap<(u64, ScheduleConfig), Result<Estimate, SimError>>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "audited pool module: a counter, so `Ordering::Relaxed` suffices"
+    )]
     hits: AtomicUsize,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "audited pool module: a counter, so `Ordering::Relaxed` suffices"
+    )]
     misses: AtomicUsize,
 }
 
@@ -163,12 +193,17 @@ impl std::fmt::Debug for EvalCache {
 
 impl EvalCache {
     pub(crate) fn new() -> Self {
+        #[expect(
+            clippy::disallowed_types,
+            reason = "audited pool module: the `hits`/`misses` counters start at zero"
+        )]
+        let (hits, misses) = (AtomicUsize::new(0), AtomicUsize::new(0));
         Self {
             completion: ShardedMap::new(),
             dec_stage: ShardedMap::new(),
             estimates: ShardedMap::new(),
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
+            hits,
+            misses,
         }
     }
 

@@ -1,17 +1,3 @@
 //! Workspace umbrella for the ExeGPT reproduction: hosts the cross-crate
 //! integration tests in `tests/` and the runnable examples in `examples/`.
 //! See the `exegpt` crate for the library entry point.
-
-// The numeric-safety gate for library code (DESIGN.md §6.1): test builds,
-// binaries and integration tests are separate crates and stay exempt.
-#![cfg_attr(
-    not(test),
-    warn(
-        clippy::unwrap_used,
-        clippy::expect_used,
-        clippy::panic,
-        clippy::float_cmp,
-        clippy::let_underscore_must_use
-    ),
-    deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)
-)]
