@@ -2,11 +2,6 @@
 //! double-accounting, capacity always respected, under arbitrary
 //! admit/grow/release interleavings and all three disciplines.
 
-#![expect(
-    clippy::disallowed_types,
-    reason = "test-only live-id set: membership checks and an order-independent final release"
-)]
-
 use exegpt_runner::{KvTracker, ReservePolicy};
 use proptest::prelude::*;
 
@@ -50,6 +45,11 @@ proptest! {
         capacity in 1_000u64..100_000,
     ) {
         let mut kv = KvTracker::new(1.0, capacity, policy);
+        #[expect(
+            clippy::disallowed_types,
+            reason = "test-only live-id set: membership checks and an order-independent final \
+                      release"
+        )]
         let mut live: std::collections::HashSet<u64> = std::collections::HashSet::new();
         let mut peak_seen = 0u64;
         for op in ops {
