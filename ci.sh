@@ -29,7 +29,7 @@ cargo run --offline -q -p exegpt-xlint -- --workspace
 echo "==> cargo test -q"
 cargo test --offline --workspace -q
 
-echo "==> estimator and metrics digests in release"
+echo "==> estimator, metrics and schedule digests in release"
 # The stage above runs the estimator digests (every estimate's bits, every
 # error's payload) in a debug build. The binaries and the benchmark run
 # release code, where the profile lookups are inlined across crates and
@@ -39,6 +39,9 @@ cargo test --offline --release -q -p exegpt-sim --test estimate_digest
 # the fleet-100k gate and the benchmark run the serve and fleet loops in
 # release.
 cargo test --offline --release -q -p exegpt-scenario --test metrics_digest
+# And every plan the scheduler picks on the Figure 6 grid (80 cases, three
+# portfolios each): the debug stage covers only the OPT-13B deployment.
+cargo test --offline --release -q -p exegpt-bench --test schedule_digest -- --include-ignored
 
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --quiet

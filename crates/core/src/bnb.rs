@@ -82,7 +82,9 @@ pub struct BnbOptions {
     /// the portfolio's true optimum); then the returned point is unchanged
     /// whenever it reaches the floor — the only case a portfolio merge can
     /// select — and also-ran searches collapse to a handful of corner
-    /// evaluations.
+    /// evaluations. That holds on a monotone surface only: where throughput
+    /// falls along an axis, a floored run can prune the block holding the
+    /// cold run's optimum and end below the floor instead.
     pub prune_floor: Option<f64>,
 }
 

@@ -105,9 +105,11 @@ impl Engine {
     /// Like [`Engine::reschedule`], but replans *incrementally* from the
     /// schedule currently being served: only the incumbent's neighborhood
     /// is searched and the rest of the portfolio is certified away (see
-    /// [`Scheduler::reschedule_from`]), with a verified fallback to the
-    /// full search. The chosen plan is identical to what
-    /// [`Engine::reschedule`] would pick; only the replan latency differs.
+    /// [`Scheduler::reschedule_from`]), with a fallback to the full
+    /// search. The chosen plan is what [`Engine::reschedule`] would pick
+    /// wherever the monotonicity assumptions that
+    /// [`Scheduler::reschedule_from`] names hold; only the replan latency
+    /// differs.
     ///
     /// # Errors
     ///

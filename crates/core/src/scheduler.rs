@@ -5,7 +5,7 @@
 //! policy's two monotone control variables, with the partial-TP variable
 //! handled as the paper prescribes: the tensor-parallel *degree* is fixed
 //! per run and the runs are repeated for every feasible `(degree, #gpus)`
-//! setting (§5.1). Runs are independent and execute in parallel.
+//! setting (§5.1).
 //!
 //! Axis orientation (both variables increase throughput *and* latency):
 //!
@@ -18,11 +18,14 @@
 //!   values per (policy, TP) run is both cheaper and safer than trusting a
 //!   monotone direction that does not hold.
 //!
-//! Online replans (drift, faults) do not pay for the full portfolio again:
-//! [`Scheduler::reschedule_from`] warm-starts only the incumbent's
-//! neighborhood and *certifies* the remaining searches away through their
-//! monotone upper bounds, returning the same `config`/`estimate` the full
-//! search would.
+//! Branch-and-bound does not run on every task: a cheap staircase probe
+//! bounds each task first, and tasks whose bound cannot reach the best
+//! result so far are *certified* away. Online replans (drift, faults) run
+//! the same sweep after warm-starting the incumbent's neighborhood
+//! ([`Scheduler::reschedule_from`]). The probe bound assumes a monotone
+//! surface, so both return the `config`/`estimate` a search of every task
+//! would only where it holds within ε_T: checked on pinned cases, not
+//! proven (DESIGN.md §4a).
 
 #[expect(
     clippy::disallowed_types,
@@ -80,7 +83,7 @@ pub struct SchedulerOptions {
     /// Restrict the search to these partial-TP settings (default: all
     /// profiled degrees at every feasible GPU count).
     pub tp_configs: Option<Vec<TpConfig>>,
-    /// Run per-TP-setting searches on parallel threads (default true).
+    /// Run the per-task probes on parallel threads (default true).
     pub parallel: bool,
     /// Worker threads of the search pool (default: the machine's available
     /// parallelism, capped at the task count). Ignored when `parallel` is
@@ -119,7 +122,10 @@ pub struct Schedule {
     pub config: ScheduleConfig,
     /// The simulator's estimate for it.
     pub estimate: exegpt_sim::Estimate,
-    /// Total distinct configuration evaluations across all searches.
+    /// Estimate lookups of the whole search: probes and branch-and-bound
+    /// runs alike, cache hits included. A configuration looked up by two
+    /// tasks counts twice, so this is not a count of distinct
+    /// configurations.
     pub evals: usize,
     /// Simulator evaluations answered by the shared evaluation cache.
     pub cache_hits: usize,
@@ -141,10 +147,10 @@ pub struct ReplanDelta {
 
 /// Outcome of an incremental replan ([`Scheduler::reschedule_from`]).
 ///
-/// `schedule.config` and `schedule.estimate` are identical to what the full
-/// [`Scheduler::schedule`] would select; the task counters describe how the
-/// incremental path got there (and `fell_back` whether it had to give up
-/// and run the full search after all).
+/// `schedule.config` and `schedule.estimate` are the full
+/// [`Scheduler::schedule`]'s choice where the probe bounds and warm floors
+/// hold; the task counters describe how the incremental path got there
+/// (and `fell_back` whether it had to run the full search after all).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Replan {
     /// The chosen schedule.
@@ -182,6 +188,14 @@ impl Scheduler {
 
     /// Finds the best schedule across all requested policies.
     ///
+    /// Every `(policy, TP, B_m)` task is probed first, on the search pool,
+    /// and branch-and-bound runs only on the tasks whose probe bound can
+    /// still reach the best result so far. The returned `config` and
+    /// `estimate` are what branch-and-bound over every task would select
+    /// wherever each certified task's optimum is within its probe bound
+    /// × (1 + ε_T): not guaranteed on a non-monotone surface, and checked
+    /// only on the pinned Figure 6 grid at the default ε_T.
+    ///
     /// # Errors
     ///
     /// Returns [`ScheduleError::NoFeasibleSchedule`] when nothing satisfies
@@ -190,83 +204,7 @@ impl Scheduler {
         validate(opts)?;
         let hits_before = self.sim.cache_stats().hits;
         let tasks = self.search_tasks(opts);
-        let workers = opts
-            .pool_threads
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-            .clamp(1, tasks.len().max(1));
-        let results: Vec<Option<Schedule>> = if opts.parallel && workers > 1 {
-            // Bounded work-stealing pool: a fixed set of workers pulls task
-            // indices from a shared counter and writes results into
-            // per-task slots, so the reduction below always sees them in
-            // task order regardless of which worker ran what. All workers
-            // share the simulator's evaluation cache.
-            #[expect(
-                clippy::disallowed_types,
-                reason = "audited pool module: `next` is a counter, so `Ordering::Relaxed` \
-                          suffices — each fetch_add hands out one index"
-            )]
-            let next = AtomicUsize::new(0);
-            let slots: Vec<OnceLock<Option<Schedule>>> =
-                (0..tasks.len()).map(|_| OnceLock::new()).collect();
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "audited pool module: scoped workers write per-task slots that are \
-                          reduced in task order, so the join is deterministic"
-            )]
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(task) = tasks.get(i) else { break };
-                        // The fetch_add hands each index to exactly one
-                        // worker, so this slot is necessarily empty.
-                        let set_res = slots[i].set(self.run_task(task, opts));
-                        debug_assert!(set_res.is_ok(), "task index {i} claimed twice");
-                    });
-                }
-            });
-            slots.into_iter().map(|slot| slot.into_inner().flatten()).collect()
-        } else {
-            tasks.iter().map(|t| self.run_task(t, opts)).collect()
-        };
-
-        let mut evals = 0;
-        let mut best: Option<Schedule> = None;
-        for r in results.into_iter().flatten() {
-            evals += r.evals;
-            if best.as_ref().is_none_or(|b| r.estimate.throughput > b.estimate.throughput) {
-                best = Some(r);
-            }
-        }
-        match best {
-            Some(mut b) => {
-                b.evals = evals;
-                // Deterministic even across pool widths: the cache counts a
-                // lost insert race as a hit, so the totals depend only on
-                // the multiset of configurations evaluated.
-                b.cache_hits = self.sim.cache_stats().hits - hits_before;
-                #[cfg(debug_assertions)]
-                if let Err(report) = crate::PlanInvariants::check(&self.sim, &b) {
-                    debug_assert!(false, "schedule violates plan invariants: {report}");
-                }
-                Ok(b)
-            }
-            None => Err(ScheduleError::NoFeasibleSchedule { latency_bound: opts.latency_bound }),
-        }
-    }
-
-    /// Finds the best schedule for a single policy.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Scheduler::schedule`].
-    pub fn schedule_policy(
-        &self,
-        policy: Policy,
-        opts: &SchedulerOptions,
-    ) -> Result<Schedule, ScheduleError> {
-        let narrowed = SchedulerOptions { policies: vec![policy], ..opts.clone() };
-        self.schedule(&narrowed)
+        self.sweep(&tasks, opts, vec![None; tasks.len()], f64::NEG_INFINITY, hits_before).0
     }
 
     /// Enumerates the independent (policy, TP setting) searches, fixing the
@@ -304,17 +242,11 @@ impl Scheduler {
         tasks
     }
 
-    /// Runs one branch-and-bound search; returns `None` when the task's
-    /// space contains no feasible point.
-    fn run_task(&self, task: &SearchTask, opts: &SchedulerOptions) -> Option<Schedule> {
-        self.run_task_seeded(task, opts, None, None).map(|(s, _)| s)
-    }
-
-    /// Runs one search, optionally warm-started and floor-pruned, also
-    /// reporting whether the search drained its queue (`false` means its
-    /// eval budget bit, so the result is not guaranteed to match a cold
-    /// run's).
-    fn run_task_seeded(
+    /// Runs one branch-and-bound search, optionally warm-started and
+    /// floor-pruned; returns `None` when it finds no feasible point, else
+    /// also whether the search drained its queue (`false` means its eval
+    /// budget bit, so the result is not guaranteed to match a cold run's).
+    fn run_task(
         &self,
         task: &SearchTask,
         opts: &SchedulerOptions,
@@ -396,21 +328,22 @@ impl Scheduler {
     ///    policy, with no-TP plus the incumbent's TP degree within one GPU
     ///    step of its (delta-adjusted) GPU count, and `B_m` within one
     ///    ladder step.
-    /// 2. Every remaining search is *certified* away through its monotone
-    ///    upper bound — the maximal corner of its box, recursively split
-    ///    around unevaluable regions — in a handful of evaluations instead
-    ///    of a full search.
-    /// 3. Tasks the probe cannot certify run in full, and the whole replan
-    ///    falls back to the full [`Scheduler::schedule`] whenever a warm
-    ///    search was cut short by its eval budget or the neighborhood found
-    ///    nothing feasible, so the result is *verified*, never speculative.
+    /// 2. Every other task goes through the same certified sweep as the
+    ///    cold [`Scheduler::schedule`], starting from the best warm
+    ///    result instead of nothing, so most tasks are certified away by
+    ///    their probe bound in a handful of evaluations.
+    /// 3. The whole replan falls back to the full [`Scheduler::schedule`]
+    ///    whenever a warm search was cut short by its eval budget or the
+    ///    neighborhood found nothing feasible.
     ///
-    /// The returned schedule's `config` and `estimate` are identical to
-    /// what the full search would select: warm starts never change a
-    /// search's returned point ([`BnbOptions::warm_start`]), certified
-    /// tasks are strictly below the winner, and the final reduction visits
-    /// tasks in the same canonical order. `evals`/`cache_hits` reflect the
-    /// (much smaller) work actually done.
+    /// The returned `config` and `estimate` are what the full search would
+    /// select where two monotonicity assumptions hold: each certified
+    /// task's probe bound (as for [`Scheduler::schedule`]) and each warm
+    /// search's floor. Given those, warm starts never change a search's
+    /// returned point ([`BnbOptions::warm_start`]), the warm results are
+    /// achieved throughputs, and the final reduction visits tasks in the
+    /// same canonical order; `crates/core/tests/replan.rs` checks this on
+    /// pinned scenarios. `evals`/`cache_hits` reflect the work done.
     ///
     /// # Errors
     ///
@@ -432,7 +365,8 @@ impl Scheduler {
         }
 
         // Warm searches over the neighborhood, each floored by the best
-        // earlier warm result (an achieved throughput, so identity-safe).
+        // earlier warm result (an achieved throughput, so identity-safe
+        // only where throughput is monotone in `B_E`; DESIGN.md §8).
         // Any search whose eval budget bit invalidates the identity
         // argument, so it forces the fallback.
         let mut per_task: Vec<Option<Schedule>> = vec![None; tasks.len()];
@@ -442,7 +376,7 @@ impl Scheduler {
                 continue;
             }
             let seed = self.task_space(task, opts).seed(&incumbent.config);
-            if let Some((s, complete)) = self.run_task_seeded(task, opts, Some(seed), warm_floor) {
+            if let Some((s, complete)) = self.run_task(task, opts, Some(seed), warm_floor) {
                 if !complete {
                     return self.full_fallback(opts, tasks.len());
                 }
@@ -452,95 +386,100 @@ impl Scheduler {
                 per_task[i] = Some(s);
             }
         }
-        let candidate_thr = per_task
-            .iter()
-            .flatten()
-            .map(|s| s.estimate.throughput)
-            .fold(f64::NEG_INFINITY, f64::max);
-        if !candidate_thr.is_finite() {
+        let Some(candidate_thr) = warm_floor else {
             return self.full_fallback(opts, tasks.len());
-        }
+        };
 
-        // Certification sweep over everything else (including neighborhood
-        // tasks whose warm search found nothing feasible: the probe decides
-        // whether "nothing" could hide a winner). The threshold is the best
-        // result seen *so far* — it only grows toward the final winner, so
-        // a certification at any point stays valid at the end.
-        let eps_thr = opts.eps_throughput_frac.max(0.0);
-        let (mut certified_tasks, mut exact_tasks, mut full_tasks) = (0usize, 0usize, 0usize);
-        let mut probe_evals = 0usize;
-        let mut running_best = candidate_thr;
+        // Neighborhood tasks whose warm search found nothing feasible go
+        // through the sweep too: the probe decides whether "nothing" could
+        // hide a winner.
+        let (schedule, sweep) = self.sweep(&tasks, opts, per_task, candidate_thr, hits_before);
+        Ok(Replan {
+            schedule: schedule?,
+            fell_back: false,
+            neighborhood_tasks,
+            certified_tasks: sweep.certified,
+            exact_tasks: sweep.exact,
+            full_tasks: sweep.full,
+        })
+    }
+
+    /// The certified sweep of both paths. Every task without a result is
+    /// probed on the search pool against the fixed `threshold`; the probes
+    /// are independent, so the work done does not depend on the pool width.
+    /// A feasible top corner resolves its task exactly. The remaining tasks
+    /// are visited in bound order — finite bounds first, then descending
+    /// bound, then task index — against `running_best`, which starts at
+    /// `threshold` and only ever takes achieved throughputs (exact probes
+    /// and searches, never probe bounds). A task whose bound times
+    /// `(1 + ε_T)` trails it is certified away; every other task runs the
+    /// same cold branch-and-bound as a search of every task. A floor at
+    /// `running_best` would save little (0.2% of `sched-paper`'s
+    /// evaluations) and is not identity-safe: on a surface that is not
+    /// monotone in `B_E` it can prune the block holding the task's cold
+    /// optimum. With one task to resolve there is nothing to certify, so
+    /// the probe is skipped.
+    ///
+    /// The reduction then picks the first task in canonical order with
+    /// strictly greater throughput, so ties resolve as they would over
+    /// every task.
+    fn sweep(
+        &self,
+        tasks: &[SearchTask],
+        opts: &SchedulerOptions,
+        mut per_task: Vec<Option<Schedule>>,
+        threshold: f64,
+        hits_before: usize,
+    ) -> (Result<Schedule, ScheduleError>, SweepStats) {
+        let open: Vec<usize> = (0..tasks.len()).filter(|&i| per_task[i].is_none()).collect();
+        let (mut stats, mut evals) = (SweepStats::default(), 0usize);
+        let mut running_best = threshold;
         let mut deferred: Vec<(usize, f64)> = Vec::new();
-        for (i, task) in tasks.iter().enumerate() {
-            if per_task[i].is_some() {
-                continue;
-            }
-            match self.probe_task(task, opts, running_best) {
-                Probe::Exact { schedule } => {
-                    exact_tasks += 1;
-                    running_best = running_best.max(schedule.estimate.throughput);
-                    per_task[i] = Some(schedule);
-                }
-                Probe::Bounded { upper, evals } => {
-                    probe_evals += evals;
-                    if upper * (1.0 + eps_thr) < running_best {
-                        certified_tasks += 1;
-                    } else {
+        if let [only] = open[..] {
+            deferred.push((only, f64::INFINITY));
+        } else {
+            let workers = if opts.parallel {
+                opts.pool_threads
+                    .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+            } else {
+                1
+            };
+            let probes = pool_map(&open, workers, |&i| self.probe_task(&tasks[i], opts, threshold));
+            for (&i, probe) in open.iter().zip(probes) {
+                match probe {
+                    Probe::Exact { schedule } => {
+                        stats.exact += 1;
+                        running_best = running_best.max(schedule.estimate.throughput);
+                        per_task[i] = Some(schedule);
+                    }
+                    Probe::Bounded { upper, evals: e } => {
+                        evals += e;
                         deferred.push((i, upper));
                     }
                 }
             }
         }
-
-        // Resolve what the first pass could not. The staircase bound is
-        // essentially the task's true optimum, so the largest finite bound
-        // is almost always the winner: run it first, and its result raises
-        // the threshold enough to certify the rest in place. Unresolvable
-        // probes (`upper = ∞`, the rare evaluation inconsistency) go last
-        // and re-probe against the improved threshold before paying for a
-        // full search.
+        // The staircase bound is close to the task's optimum, so the largest
+        // finite bound is almost always the winner: searching it first
+        // raises `running_best` enough to certify the rest. Unresolved
+        // probes (`upper = ∞`) go last.
         deferred.sort_by(|a, b| {
-            let inf = (a.1.is_infinite() && a.1 > 0.0, b.1.is_infinite() && b.1 > 0.0);
+            let inf = (a.1 == f64::INFINITY, b.1 == f64::INFINITY);
             inf.0.cmp(&inf.1).then(b.1.total_cmp(&a.1)).then(a.0.cmp(&b.0))
         });
-        for (i, mut upper) in deferred {
-            if upper == f64::INFINITY {
-                match self.probe_task(&tasks[i], opts, running_best) {
-                    Probe::Exact { schedule } => {
-                        exact_tasks += 1;
-                        running_best = running_best.max(schedule.estimate.throughput);
-                        per_task[i] = Some(schedule);
-                        continue;
-                    }
-                    Probe::Bounded { upper: refined, evals } => {
-                        probe_evals += evals;
-                        upper = refined;
-                    }
-                }
-            }
+        let eps_thr = opts.eps_throughput_frac.max(0.0);
+        for (i, upper) in deferred {
             if upper * (1.0 + eps_thr) < running_best {
-                certified_tasks += 1;
+                stats.certified += 1;
                 continue;
             }
-            full_tasks += 1;
-            // Full run, floored by the running best: also-ran tasks collapse
-            // to a few corner evaluations, the true winner is unaffected.
-            if let Some((s, complete)) =
-                self.run_task_seeded(&tasks[i], opts, None, Some(running_best))
-            {
-                if !complete {
-                    return self.full_fallback(opts, tasks.len());
-                }
+            stats.full += 1;
+            if let Some((s, _)) = self.run_task(&tasks[i], opts, None, None) {
                 running_best = running_best.max(s.estimate.throughput);
                 per_task[i] = Some(s);
             }
         }
 
-        // The same reduction as `schedule()`: first task in canonical order
-        // with strictly greater throughput wins, so ties resolve as they
-        // would in the full search. Certified tasks are strictly below the
-        // candidate, so their absence cannot change the winner.
-        let mut evals = probe_evals;
         let mut best: Option<Schedule> = None;
         for r in per_task.into_iter().flatten() {
             evals += r.evals;
@@ -548,25 +487,20 @@ impl Scheduler {
                 best = Some(r);
             }
         }
-        match best {
-            Some(mut b) => {
-                b.evals = evals;
-                b.cache_hits = self.sim.cache_stats().hits - hits_before;
-                #[cfg(debug_assertions)]
-                if let Err(report) = crate::PlanInvariants::check(&self.sim, &b) {
-                    debug_assert!(false, "replanned schedule violates plan invariants: {report}");
-                }
-                Ok(Replan {
-                    schedule: b,
-                    fell_back: false,
-                    neighborhood_tasks,
-                    certified_tasks,
-                    exact_tasks,
-                    full_tasks,
-                })
-            }
-            None => Err(ScheduleError::NoFeasibleSchedule { latency_bound: opts.latency_bound }),
+        let Some(mut b) = best else {
+            let err = ScheduleError::NoFeasibleSchedule { latency_bound: opts.latency_bound };
+            return (Err(err), stats);
+        };
+        b.evals = evals;
+        // Deterministic even across pool widths: the cache counts a lost
+        // insert race as a hit, so the totals depend only on the multiset
+        // of configurations evaluated.
+        b.cache_hits = self.sim.cache_stats().hits - hits_before;
+        #[cfg(debug_assertions)]
+        if let Err(report) = crate::PlanInvariants::check(&self.sim, &b) {
+            debug_assert!(false, "schedule violates plan invariants: {report}");
         }
+        (Ok(b), stats)
     }
 
     /// Runs the complete search and wraps it as a fallen-back replan.
@@ -632,8 +566,8 @@ impl Scheduler {
         }
     }
 
-    /// Derives a certified upper bound on the best feasible throughput of
-    /// one task without searching it, in O(stairs · log(width + height))
+    /// Derives an upper bound on the best feasible throughput of one task
+    /// without searching it, in O(stairs · log(width + height))
     /// evaluations.
     ///
     /// Both ways a point can be unusable are *upward-closed* in the
@@ -649,7 +583,9 @@ impl Scheduler {
     /// monotone model *is* the task's optimum (each stair's points are
     /// dominated by its right-end corner); the ε_T slack in the
     /// certification test absorbs the measured non-monotone ripple, the
-    /// same robustness contract the search itself relies on.
+    /// same robustness contract the search itself relies on. Where the
+    /// ripple is larger the bound does not hold, and the search can beat
+    /// it; DESIGN.md §4a gives the margin on the paper grid.
     ///
     /// Shortcuts, in order:
     ///
@@ -756,8 +692,59 @@ enum Probe {
     /// A certified upper bound on every feasible throughput in the task
     /// (`f64::INFINITY` only in the rare case of an evaluation
     /// inconsistency at the maximal corner, which leaves the task
-    /// unresolved and forces a re-probe or full search).
+    /// unresolved and forces its branch-and-bound run).
     Bounded { upper: f64, evals: usize },
+}
+
+/// Task counters of one certified sweep ([`Scheduler::sweep`]): tasks
+/// certified away by their probe bound, resolved by a feasible top corner,
+/// and run through branch-and-bound.
+#[derive(Debug, Default)]
+struct SweepStats {
+    certified: usize,
+    exact: usize,
+    full: usize,
+}
+
+/// Maps `f` over `items` on a bounded work-stealing pool of at most
+/// `workers` threads and returns the results in item order. A fixed set of
+/// scoped workers pulls indices from a shared counter and writes per-item
+/// slots, so the results never depend on which worker ran what.
+fn pool_map<T: Sync, R: Send + Sync>(
+    items: &[T],
+    workers: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    if workers.min(items.len()) <= 1 {
+        return items.iter().map(f).collect();
+    }
+    #[expect(
+        clippy::disallowed_types,
+        reason = "audited pool module: `next` is a counter, so `Ordering::Relaxed` suffices — \
+                  each fetch_add hands out one index"
+    )]
+    let next = AtomicUsize::new(0);
+    let slots: Vec<OnceLock<R>> = items.iter().map(|_| OnceLock::new()).collect();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "audited pool module: scoped workers write per-item slots that are read back \
+                  in item order, so the join is deterministic"
+    )]
+    std::thread::scope(|s| {
+        for _ in 0..workers.min(items.len()) {
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                // The fetch_add hands each index to exactly one worker, so
+                // this slot is necessarily empty.
+                let set_res = slots[i].set(f(item));
+                debug_assert!(set_res.is_ok(), "item index {i} claimed twice");
+            });
+        }
+    });
+    // Every index below `items.len()` was claimed, and a worker that
+    // panicked re-raises at the end of the scope, so every slot is full.
+    slots.into_iter().filter_map(OnceLock::into_inner).collect()
 }
 
 /// Largest value in `[t, b - 1]` for which `pred` holds, given that
@@ -859,6 +846,11 @@ fn validate(opts: &SchedulerOptions) -> Result<(), ScheduleError> {
             what: "policies",
             why: "must request at least one policy".into(),
         });
+    }
+    for (what, limit) in [("max_b_e", opts.max_b_e), ("max_n_d", opts.max_n_d)] {
+        if limit == Some(0) {
+            return Err(ScheduleError::InvalidOptions { what, why: "must be at least 1".into() });
+        }
     }
     if !(0.0..1.0).contains(&opts.eps_latency_frac) {
         return Err(ScheduleError::InvalidOptions {

@@ -111,6 +111,16 @@ fn invalid_options_are_rejected() {
         engine.schedule_with(&opts),
         Err(ScheduleError::InvalidOptions { what: "eps_latency_frac", .. })
     ));
+    let opts = SchedulerOptions { max_b_e: Some(0), ..SchedulerOptions::bounded(Secs::new(10.0)) };
+    assert!(matches!(
+        engine.schedule_with(&opts),
+        Err(ScheduleError::InvalidOptions { what: "max_b_e", .. })
+    ));
+    let opts = SchedulerOptions { max_n_d: Some(0), ..SchedulerOptions::bounded(Secs::new(10.0)) };
+    assert!(matches!(
+        engine.schedule_with(&opts),
+        Err(ScheduleError::InvalidOptions { what: "max_n_d", .. })
+    ));
 }
 
 #[test]

@@ -54,10 +54,11 @@ pub struct ServeOptions {
     /// `Some` with an empty schedule behaves identically to `None`).
     pub faults: Option<FaultOptions>,
     /// Replan incrementally from the plan being served (warm-started
-    /// neighborhood search with a verified fallback) instead of running the
-    /// full search on every drift or fault replan. The chosen plans — and
-    /// therefore the event log — are identical either way; only the replan
-    /// latency differs.
+    /// neighborhood search with a full-search fallback) instead of running
+    /// the full search on every drift or fault replan. The chosen plans —
+    /// and therefore the event log — are identical either way wherever the
+    /// monotonicity assumptions of `Scheduler::reschedule_from` hold (the
+    /// shift test compares both logs); only the replan latency differs.
     pub incremental_replan: bool,
 }
 
@@ -149,7 +150,7 @@ pub struct ServeReport {
     /// Replans (drift or fault) answered by the incremental path without
     /// falling back to the full search.
     pub incremental_replans: usize,
-    /// Incremental replans that took the verified full-search fallback.
+    /// Incremental replans that took the full-search fallback.
     pub replan_fallbacks: usize,
     /// Request abort-and-retry episodes caused by failures.
     pub retries: usize,
