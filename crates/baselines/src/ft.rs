@@ -52,11 +52,6 @@ impl FasterTransformer {
         &self.sim
     }
 
-    /// The tensor-parallel degree in use.
-    pub fn tensor_parallelism(&self) -> usize {
-        self.plan.layout.stages()[0].tp
-    }
-
     /// Closed-form estimate for a given static batch size.
     ///
     /// Latency is the full-batch completion time when generating the
@@ -281,7 +276,7 @@ mod tests {
 
     #[test]
     fn uses_max_tp_within_a_node() {
-        assert_eq!(ft(Task::Translation).tensor_parallelism(), 4);
+        assert_eq!(ft(Task::Translation).plan.layout.stages()[0].tp, 4);
     }
 
     #[test]

@@ -64,14 +64,6 @@ impl CostModel {
         };
         compute.max(memory) + self.gpu.launch_overhead()
     }
-
-    /// Execution time of a sequence of kernels run back to back.
-    pub fn kernels_time<I>(&self, costs: I) -> Secs
-    where
-        I: IntoIterator<Item = KernelCost>,
-    {
-        costs.into_iter().map(|c| self.kernel_time(c)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -112,15 +104,6 @@ mod tests {
         let t_mem = c.kernel_time(KernelCost { flops: 0.0, bytes: 1e9 });
         let t_both = c.kernel_time(KernelCost { flops: 1e8, bytes: 1e9 });
         assert!((t_both - t_mem).as_secs().abs() / t_mem.as_secs() < 1e-9);
-    }
-
-    #[test]
-    fn kernels_time_sums() {
-        let c = cm();
-        let k = KernelCost { flops: 1e10, bytes: 1e7 };
-        let one = c.kernel_time(k);
-        let three = c.kernels_time([k, k, k]);
-        assert!((three - one * 3.0).as_secs().abs() < 1e-12);
     }
 
     #[test]

@@ -147,13 +147,6 @@ impl GpuSpec {
         self.max_memory_efficiency * (x / (x + self.memory_half_sat))
     }
 
-    /// Overrides the launch overhead (used by baseline models that add host
-    /// overhead, and by tests).
-    pub fn with_launch_overhead(mut self, overhead: Secs) -> Self {
-        self.launch_overhead = overhead;
-        self
-    }
-
     /// The same device running `factor`× slower: peak compute and memory
     /// bandwidth are divided by `factor` (memory *capacity* is unchanged —
     /// a straggler still holds its weights and KV entries).

@@ -12,13 +12,6 @@
 //!    the bound, and keep the best feasible corner seen.
 //! 3. Tolerances `ε_L`/`ε_T` keep the search robust when the functions are
 //!    only monotone within small violations (as measured in Table 5).
-//! 4. An optional warm start ([`BnbOptions::warm_start`]) evaluates a seed
-//!    point — typically the incumbent plan of an incremental replan — and
-//!    installs it as the initial incumbent, so near-optimal blocks are
-//!    pruned from the first pop instead of only after the search has
-//!    rediscovered the incumbent. Ties on throughput break to the
-//!    lexicographically smaller point, which makes the returned point
-//!    independent of the seed.
 //!
 //! Axis orientation is the caller's job: map each raw control variable so
 //! that *increasing* the mapped coordinate increases both throughput and
@@ -67,25 +60,6 @@ pub struct BnbOptions {
     pub eps_throughput: f64,
     /// Safety valve on the number of distinct evaluations.
     pub max_evals: usize,
-    /// Seed point (in oriented coordinates) evaluated and installed as the
-    /// initial incumbent before any block is popped, so pruning bites from
-    /// the first node. Points outside the search box are clamped onto it.
-    /// Seeding never changes the returned point — ties are broken
-    /// lexicographically, so warm and cold runs agree — it only shrinks the
-    /// explored frontier. The natural seed is the incumbent plan of an
-    /// incremental replan.
-    pub warm_start: Option<(usize, usize)>,
-    /// External lower bound on the throughput the caller already holds from
-    /// *other* searches of a portfolio: blocks whose upper bound times
-    /// `(1 + ε_T)` trail the floor are pruned even before this run finds its
-    /// own incumbent. The floor must be an *achieved* throughput (never above
-    /// the portfolio's true optimum); then the returned point is unchanged
-    /// whenever it reaches the floor — the only case a portfolio merge can
-    /// select — and also-ran searches collapse to a handful of corner
-    /// evaluations. That holds on a monotone surface only: where throughput
-    /// falls along an axis, a floored run can prune the block holding the
-    /// cold run's optimum and end below the floor instead.
-    pub prune_floor: Option<f64>,
 }
 
 impl Default for BnbOptions {
@@ -95,8 +69,6 @@ impl Default for BnbOptions {
             eps_latency: Secs::ZERO,
             eps_throughput: 0.0,
             max_evals: 20_000,
-            warm_start: None,
-            prune_floor: None,
         }
     }
 }
@@ -110,9 +82,6 @@ pub struct BnbResult {
     pub perf: Perf,
     /// Number of distinct configuration evaluations performed.
     pub evals: usize,
-    /// Whether the search drained its queue (`false` = the `max_evals`
-    /// budget cut exploration short, so `point` may be sub-optimal).
-    pub complete: bool,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -196,9 +165,7 @@ where
     }
     // Ties on throughput go to the lexicographically smaller point. This
     // makes the winner a function of the *set* of evaluated feasible points
-    // rather than their discovery order, which is what lets a warm-started
-    // run return the same point as a cold one: pruning is strict, so every
-    // block bounding a tying maximum is explored in both runs.
+    // rather than their discovery order.
     macro_rules! consider {
         ($p:expr, $perf:expr) => {{
             let (p, perf) = ($p, $perf);
@@ -218,19 +185,12 @@ where
     }
 
     // The maximal corner of the whole space: if it meets the bound it is
-    // the optimum outright (Algorithm 1's boundary check). Checked before
-    // any seeding so warm and cold runs return the identical corner.
+    // the optimum outright (Algorithm 1's boundary check).
     let top = (range1.1, range2.1);
     let p_top = ev!(top);
     consider!(top, p_top);
     if p_top.satisfies(opts.latency_bound) {
-        return best.map(|(point, perf)| BnbResult { point, perf, evals, complete: true });
-    }
-
-    if let Some(seed) = opts.warm_start {
-        let seed = (seed.0.clamp(range1.0, range1.1), seed.1.clamp(range2.0, range2.1));
-        let p_seed = ev!(seed);
-        consider!(seed, p_seed);
+        return best.map(|(point, perf)| BnbResult { point, perf, evals });
     }
 
     let mut queue: BinaryHeap<Block> = BinaryHeap::new();
@@ -241,16 +201,13 @@ where
         queue.push(Block { lo: lo0, hi: top, upper_thr: f64::INFINITY });
     }
 
-    let mut complete = true;
     while let Some(block) = queue.pop() {
         if evals >= opts.max_evals {
-            complete = false;
             break;
         }
-        // Prune blocks that cannot beat the incumbent — or the caller's
-        // external floor — even with the ε_T slack.
-        let floor = opts.prune_floor.unwrap_or(f64::NEG_INFINITY);
-        let cutoff = best.map_or(floor, |(_, b)| b.throughput.max(floor));
+        // Prune blocks that cannot beat the incumbent even with the ε_T
+        // slack.
+        let cutoff = best.map_or(f64::NEG_INFINITY, |(_, b)| b.throughput);
         if block.upper_thr * (1.0 + opts.eps_throughput) < cutoff {
             continue;
         }
@@ -316,7 +273,7 @@ where
         }
     }
 
-    best.map(|(point, perf)| BnbResult { point, perf, evals, complete })
+    best.map(|(point, perf)| BnbResult { point, perf, evals })
 }
 
 #[cfg(test)]
@@ -424,8 +381,6 @@ mod tests {
             eps_latency: Secs::new(2.0),
             eps_throughput: 0.05,
             max_evals: 20_000,
-            warm_start: None,
-            prune_floor: None,
         };
         let r = optimize((1, 64), (1, 64), &o, eval).expect("feasible");
         let want = brute((1, 64), (1, 64), 60.0, &eval).expect("some feasible");
@@ -462,99 +417,13 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_matches_cold_search() {
-        // On both the smooth and the OOM-pocked surface, seeding from any
-        // point — including the optimum itself — returns the cold result.
-        let smooth = |x: usize, y: usize| Perf {
-            latency: Secs::new((x + 2 * y) as f64),
-            throughput: (x * x + y) as f64,
-        };
-        let oom = |x: usize, y: usize| {
-            if x * y > 400 {
-                Perf::INFEASIBLE
-            } else {
-                Perf { latency: Secs::new((x + y) as f64), throughput: (x * y) as f64 }
-            }
-        };
-        for (bound, eval) in
-            [(17.0, &smooth as &dyn Fn(usize, usize) -> Perf), (40.0, &smooth), (45.0, &oom)]
-        {
-            let cold = optimize((1, 64), (1, 64), &opts(bound), eval).expect("feasible");
-            for seed in [(1, 1), (64, 64), (13, 7), cold.point, (100, 100)] {
-                let o = BnbOptions { warm_start: Some(seed), ..opts(bound) };
-                let warm = optimize((1, 64), (1, 64), &o, eval).expect("feasible");
-                assert_eq!(warm.point, cold.point, "bound {bound} seed {seed:?}");
-                assert_eq!(warm.perf, cold.perf, "bound {bound} seed {seed:?}");
-            }
-            // Seeding with the known optimum never costs extra work beyond
-            // the seed evaluation itself.
-            let o = BnbOptions { warm_start: Some(cold.point), ..opts(bound) };
-            let warm = optimize((1, 64), (1, 64), &o, eval).expect("feasible");
-            assert!(
-                warm.evals <= cold.evals + 1,
-                "bound {bound}: warm {} vs cold {} evals",
-                warm.evals,
-                cold.evals
-            );
-        }
-    }
-
-    #[test]
-    fn a_prune_floor_collapses_also_ran_searches() {
-        let eval = |x: usize, y: usize| Perf {
-            latency: Secs::new((3 * x + y) as f64),
-            throughput: (x * y + x) as f64,
-        };
-        let cold = optimize((1, 512), (1, 512), &opts(600.0), eval).expect("feasible");
-        // A floor at (or below) the true optimum never changes the answer.
-        for floor in [0.0, cold.perf.throughput / 2.0, cold.perf.throughput] {
-            let o = BnbOptions { prune_floor: Some(floor), ..opts(600.0) };
-            let floored = optimize((1, 512), (1, 512), &o, eval).expect("feasible");
-            assert_eq!(floored.point, cold.point, "floor {floor}");
-            assert_eq!(floored.perf, cold.perf, "floor {floor}");
-            assert!(floored.evals <= cold.evals, "floor {floor} must not add work");
-        }
-        // A floor the space cannot reach cuts the search to a few corners
-        // (the portfolio merge ignores such a search's return entirely).
-        let o = BnbOptions { prune_floor: Some(cold.perf.throughput * 2.0), ..opts(600.0) };
-        let hopeless = optimize((1, 512), (1, 512), &o, eval).expect("still returns its best");
-        assert!(hopeless.complete);
-        assert!(
-            hopeless.evals * 10 < cold.evals,
-            "floored {} vs cold {} evals",
-            hopeless.evals,
-            cold.evals
-        );
-    }
-
-    #[test]
     fn ties_break_to_the_lexicographically_smaller_point() {
-        // A flat feasible plateau: every run, seeded or not, must settle on
-        // the smallest evaluated point rather than the discovery order.
+        // A flat feasible plateau: the search must settle on the smallest
+        // evaluated point rather than the discovery order.
         let eval =
             |x: usize, y: usize| Perf { latency: Secs::new((x + y) as f64), throughput: 1.0 };
-        let cold = optimize((1, 8), (1, 8), &opts(10.0), eval).expect("feasible");
-        assert_eq!(cold.point, (1, 1));
-        for seed in [(4, 4), (8, 1), (1, 8)] {
-            let o = BnbOptions { warm_start: Some(seed), ..opts(10.0) };
-            let warm = optimize((1, 8), (1, 8), &o, eval).expect("feasible");
-            assert_eq!(warm.point, (1, 1), "seed {seed:?}");
-        }
-    }
-
-    #[test]
-    fn complete_reflects_the_eval_budget() {
-        let eval = |x: usize, y: usize| Perf {
-            latency: Secs::new((3 * x + y) as f64),
-            throughput: (x * y + x) as f64,
-        };
-        let full = optimize((1, 512), (1, 512), &opts(600.0), eval).expect("feasible");
-        assert!(full.complete, "unbudgeted run drains its queue");
-        let starved =
-            optimize((1, 512), (1, 512), &BnbOptions { max_evals: 8, ..opts(600.0) }, eval);
-        if let Some(r) = starved {
-            assert!(!r.complete, "budget cut exploration short");
-        }
+        let r = optimize((1, 8), (1, 8), &opts(10.0), eval).expect("feasible");
+        assert_eq!(r.point, (1, 1));
     }
 
     #[test]

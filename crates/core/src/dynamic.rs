@@ -50,7 +50,7 @@ impl DynamicAdjuster {
     }
 
     /// The scheduled (average) encoder workload in tokens.
-    pub fn target_workload(&self) -> f64 {
+    fn target_workload(&self) -> f64 {
         lossless_f64(self.base_b_e) * self.mean_input_len
     }
 

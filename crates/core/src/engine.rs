@@ -10,7 +10,7 @@ use exegpt_sim::{Simulator, Workload};
 use exegpt_units::Secs;
 
 use crate::error::ScheduleError;
-use crate::scheduler::{Replan, ReplanDelta, Schedule, Scheduler, SchedulerOptions};
+use crate::scheduler::{Schedule, Scheduler, SchedulerOptions};
 
 /// End-to-end ExeGPT pipeline: profile once, then schedule for any latency
 /// bound or workload (paper Figure 2).
@@ -102,45 +102,29 @@ impl Engine {
         self.schedule_with(opts)
     }
 
-    /// Like [`Engine::reschedule`], but replans *incrementally* from the
-    /// schedule currently being served: only the incumbent's neighborhood
-    /// is searched and the rest of the portfolio is certified away (see
-    /// [`Scheduler::reschedule_from`]), with a fallback to the full
-    /// search. The chosen plan is what [`Engine::reschedule`] would pick
-    /// wherever the monotonicity assumptions that
-    /// [`Scheduler::reschedule_from`] names hold; only the replan latency
-    /// differs.
+    /// Compatibility shim for callers of the removed incremental replan:
+    /// [`Engine::reschedule`] with the certified search's task counters.
+    /// `incumbent` is not consulted, and [`Replan::fell_back`] is always
+    /// `false`, since there is no second path to fall back to.
     ///
     /// # Errors
     ///
-    /// See [`Scheduler::schedule`]. On error the engine still serves the
-    /// new workload (scheduling is side-effect free).
+    /// See [`Engine::reschedule`].
     pub fn reschedule_incremental(
         &mut self,
         workload: Workload,
-        incumbent: &Schedule,
+        _incumbent: &Schedule,
         opts: &SchedulerOptions,
     ) -> Result<Replan, ScheduleError> {
         *self = self.with_workload(workload);
-        let delta = ReplanDelta { gpu_delta: 0, workload_changed: true };
-        self.scheduler.reschedule_from(incumbent, delta, opts)
-    }
-
-    /// Incremental replan on the *current* engine state — the fault path:
-    /// call [`Engine::with_cluster`] (or [`Engine::with_workload`]) first,
-    /// describe what changed in `delta`, and pass the plan that was being
-    /// served as the incumbent.
-    ///
-    /// # Errors
-    ///
-    /// See [`Scheduler::schedule`].
-    pub fn replan_from(
-        &self,
-        incumbent: &Schedule,
-        delta: ReplanDelta,
-        opts: &SchedulerOptions,
-    ) -> Result<Replan, ScheduleError> {
-        self.scheduler.reschedule_from(incumbent, delta, opts)
+        let (schedule, stats) = self.scheduler.sweep(opts);
+        Ok(Replan {
+            schedule: schedule?,
+            fell_back: false,
+            certified_tasks: stats.certified,
+            exact_tasks: stats.exact,
+            full_tasks: stats.full,
+        })
     }
 
     /// Estimated cost of (re-)deploying the model according to a new
@@ -150,6 +134,23 @@ impl Engine {
         let sim = self.simulator();
         self.load_cost.load_time(sim.model().param_bytes(), sim.cluster().total_gpus(), source)
     }
+}
+
+/// Outcome of [`Engine::reschedule_incremental`]: the schedule and how the
+/// certified search resolved the portfolio's tasks.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Replan {
+    /// The chosen schedule, exactly as [`Engine::reschedule`] returns it.
+    pub schedule: Schedule,
+    /// Always `false`; kept so callers of the removed incremental path
+    /// still compile.
+    pub fell_back: bool,
+    /// Searches excluded by their certified monotone upper bound.
+    pub certified_tasks: usize,
+    /// Searches resolved exactly by a single feasible top-corner probe.
+    pub exact_tasks: usize,
+    /// Searches the probe could not resolve, which then ran in full.
+    pub full_tasks: usize,
 }
 
 /// Builder for [`Engine`]: supply a model, cluster and workload; profiling

@@ -77,10 +77,10 @@ mod scheduler;
 pub mod search;
 
 pub use dynamic::DynamicAdjuster;
-pub use engine::{Engine, EngineBuilder};
+pub use engine::{Engine, EngineBuilder, Replan};
 pub use error::ScheduleError;
 pub use invariants::{InvariantReport, PlanInvariants};
-pub use scheduler::{Policy, Replan, ReplanDelta, Schedule, Scheduler, SchedulerOptions};
+pub use scheduler::{Policy, Schedule, Scheduler, SchedulerOptions};
 
 // Re-export the configuration vocabulary so `exegpt` is self-contained for
 // typical users.

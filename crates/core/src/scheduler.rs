@@ -20,12 +20,12 @@
 //!
 //! Branch-and-bound does not run on every task: a cheap staircase probe
 //! bounds each task first, and tasks whose bound cannot reach the best
-//! result so far are *certified* away. Online replans (drift, faults) run
-//! the same sweep after warm-starting the incumbent's neighborhood
-//! ([`Scheduler::reschedule_from`]). The probe bound assumes a monotone
-//! surface, so both return the `config`/`estimate` a search of every task
-//! would only where it holds within ε_T: checked on pinned cases, not
-//! proven (DESIGN.md §4a).
+//! result so far are *certified* away. Online replans (drift, faults) are
+//! this same search on an engine whose evaluation cache survived the change
+//! (DESIGN.md §8). The probe bound assumes a monotone surface, so the
+//! search returns the `config`/`estimate` a search of every task would only
+//! where it holds within ε_T: checked on pinned cases, not proven
+//! (DESIGN.md §4a).
 
 #[expect(
     clippy::disallowed_types,
@@ -131,43 +131,6 @@ pub struct Schedule {
     pub cache_hits: usize,
 }
 
-/// What changed since the incumbent schedule was computed; guides the
-/// neighborhood of an incremental replan ([`Scheduler::reschedule_from`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ReplanDelta {
-    /// Change in the cluster's total GPU count (negative after failures,
-    /// positive after recovery). A shrink re-centers the tensor-parallel
-    /// neighborhood on the nearest GPU count that still exists.
-    pub gpu_delta: isize,
-    /// Whether the workload's length distributions changed (the drift
-    /// path). Recorded for diagnostics; the neighborhood shape is the same
-    /// either way.
-    pub workload_changed: bool,
-}
-
-/// Outcome of an incremental replan ([`Scheduler::reschedule_from`]).
-///
-/// `schedule.config` and `schedule.estimate` are the full
-/// [`Scheduler::schedule`]'s choice where the probe bounds and warm floors
-/// hold; the task counters describe how the incremental path got there
-/// (and `fell_back` whether it had to run the full search after all).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Replan {
-    /// The chosen schedule.
-    pub schedule: Schedule,
-    /// `true` when the incremental path could not certify optimality and
-    /// the full search ran instead.
-    pub fell_back: bool,
-    /// Searches warm-started inside the incumbent's neighborhood.
-    pub neighborhood_tasks: usize,
-    /// Searches excluded by their certified monotone upper bound.
-    pub certified_tasks: usize,
-    /// Searches resolved exactly by a single feasible top-corner probe.
-    pub exact_tasks: usize,
-    /// Searches the probe could not resolve, which then ran in full.
-    pub full_tasks: usize,
-}
-
 /// XScheduler: searches the configuration space for the highest-throughput
 /// schedule satisfying a latency bound (paper §5).
 #[derive(Debug, Clone)]
@@ -201,10 +164,7 @@ impl Scheduler {
     /// Returns [`ScheduleError::NoFeasibleSchedule`] when nothing satisfies
     /// the bound, or [`ScheduleError::InvalidOptions`] for bad options.
     pub fn schedule(&self, opts: &SchedulerOptions) -> Result<Schedule, ScheduleError> {
-        validate(opts)?;
-        let hits_before = self.sim.cache_stats().hits;
-        let tasks = self.search_tasks(opts);
-        self.sweep(&tasks, opts, vec![None; tasks.len()], f64::NEG_INFINITY, hits_before).0
+        self.sweep(opts).0
     }
 
     /// Enumerates the independent (policy, TP setting) searches, fixing the
@@ -242,24 +202,16 @@ impl Scheduler {
         tasks
     }
 
-    /// Runs one branch-and-bound search, optionally warm-started and
-    /// floor-pruned; returns `None` when it finds no feasible point, else
-    /// also whether the search drained its queue (`false` means its eval
-    /// budget bit, so the result is not guaranteed to match a cold run's).
-    fn run_task(
-        &self,
-        task: &SearchTask,
-        opts: &SchedulerOptions,
-        warm_start: Option<(usize, usize)>,
-        prune_floor: Option<f64>,
-    ) -> Option<(Schedule, bool)> {
+    /// Runs one cold branch-and-bound search; returns `None` when it finds
+    /// no feasible point.
+    fn run_task(&self, task: &SearchTask, opts: &SchedulerOptions) -> Option<Schedule> {
         let space = self.task_space(task, opts);
-        let bnb_opts = self.bnb_options(opts, warm_start, prune_floor);
+        let bnb_opts = self.bnb_options(opts);
         let eval = |x1: usize, x2: usize| perf_of(self.sim.evaluate(&space.config(x1, x2)));
         let r = bnb::optimize(space.range1, space.range2, &bnb_opts, eval)?;
         let cfg = space.config(r.point.0, r.point.1);
         let estimate = self.sim.evaluate(&cfg).ok()?;
-        Some((Schedule { config: cfg, estimate, evals: r.evals, cache_hits: 0 }, r.complete))
+        Some(Schedule { config: cfg, estimate, evals: r.evals, cache_hits: 0 })
     }
 
     /// The oriented search box and configuration mapping of one task.
@@ -299,12 +251,7 @@ impl Scheduler {
     }
 
     /// The branch-and-bound tolerances derived from scheduler options.
-    fn bnb_options(
-        &self,
-        opts: &SchedulerOptions,
-        warm_start: Option<(usize, usize)>,
-        prune_floor: Option<f64>,
-    ) -> BnbOptions {
+    fn bnb_options(&self, opts: &SchedulerOptions) -> BnbOptions {
         BnbOptions {
             latency_bound: opts.latency_bound,
             eps_latency: if opts.latency_bound.is_finite() {
@@ -314,129 +261,43 @@ impl Scheduler {
             },
             eps_throughput: opts.eps_throughput_frac.max(0.0),
             max_evals: 20_000,
-            warm_start,
-            prune_floor,
         }
     }
 
-    /// Incrementally replans from a known-good incumbent — the online drift
-    /// and fault paths (§5.2, §7.6), where replan latency is serving
-    /// downtime. Instead of re-running every (policy, TP, `B_m`) search:
-    ///
-    /// 1. Full branch-and-bound runs, warm-started at the incumbent's
-    ///    point, cover only the incumbent's *neighborhood*: the same
-    ///    policy, with no-TP plus the incumbent's TP degree within one GPU
-    ///    step of its (delta-adjusted) GPU count, and `B_m` within one
-    ///    ladder step.
-    /// 2. Every other task goes through the same certified sweep as the
-    ///    cold [`Scheduler::schedule`], starting from the best warm
-    ///    result instead of nothing, so most tasks are certified away by
-    ///    their probe bound in a handful of evaluations.
-    /// 3. The whole replan falls back to the full [`Scheduler::schedule`]
-    ///    whenever a warm search was cut short by its eval budget or the
-    ///    neighborhood found nothing feasible.
-    ///
-    /// The returned `config` and `estimate` are what the full search would
-    /// select where two monotonicity assumptions hold: each certified
-    /// task's probe bound (as for [`Scheduler::schedule`]) and each warm
-    /// search's floor. Given those, warm starts never change a search's
-    /// returned point ([`BnbOptions::warm_start`]), the warm results are
-    /// achieved throughputs, and the final reduction visits tasks in the
-    /// same canonical order; `crates/core/tests/replan.rs` checks this on
-    /// pinned scenarios. `evals`/`cache_hits` reflect the work done.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Scheduler::schedule`].
-    pub fn reschedule_from(
-        &self,
-        incumbent: &Schedule,
-        delta: ReplanDelta,
-        opts: &SchedulerOptions,
-    ) -> Result<Replan, ScheduleError> {
-        validate(opts)?;
-        let hits_before = self.sim.cache_stats().hits;
-        let tasks = self.search_tasks(opts);
-        let warm: Vec<bool> =
-            tasks.iter().map(|t| self.in_neighborhood(t, &incumbent.config, delta)).collect();
-        let neighborhood_tasks = warm.iter().filter(|&&w| w).count();
-        if neighborhood_tasks == 0 {
-            return self.full_fallback(opts, tasks.len());
-        }
-
-        // Warm searches over the neighborhood, each floored by the best
-        // earlier warm result (an achieved throughput, so identity-safe
-        // only where throughput is monotone in `B_E`; DESIGN.md §8).
-        // Any search whose eval budget bit invalidates the identity
-        // argument, so it forces the fallback.
-        let mut per_task: Vec<Option<Schedule>> = vec![None; tasks.len()];
-        let mut warm_floor: Option<f64> = None;
-        for (i, task) in tasks.iter().enumerate() {
-            if !warm[i] {
-                continue;
-            }
-            let seed = self.task_space(task, opts).seed(&incumbent.config);
-            if let Some((s, complete)) = self.run_task(task, opts, Some(seed), warm_floor) {
-                if !complete {
-                    return self.full_fallback(opts, tasks.len());
-                }
-                warm_floor = Some(
-                    warm_floor.map_or(s.estimate.throughput, |f: f64| f.max(s.estimate.throughput)),
-                );
-                per_task[i] = Some(s);
-            }
-        }
-        let Some(candidate_thr) = warm_floor else {
-            return self.full_fallback(opts, tasks.len());
-        };
-
-        // Neighborhood tasks whose warm search found nothing feasible go
-        // through the sweep too: the probe decides whether "nothing" could
-        // hide a winner.
-        let (schedule, sweep) = self.sweep(&tasks, opts, per_task, candidate_thr, hits_before);
-        Ok(Replan {
-            schedule: schedule?,
-            fell_back: false,
-            neighborhood_tasks,
-            certified_tasks: sweep.certified,
-            exact_tasks: sweep.exact,
-            full_tasks: sweep.full,
-        })
-    }
-
-    /// The certified sweep of both paths. Every task without a result is
-    /// probed on the search pool against the fixed `threshold`; the probes
+    /// The certified sweep behind [`Scheduler::schedule`], returned with its
+    /// task counters. Every task is probed on the search pool; the probes
     /// are independent, so the work done does not depend on the pool width.
     /// A feasible top corner resolves its task exactly. The remaining tasks
     /// are visited in bound order — finite bounds first, then descending
-    /// bound, then task index — against `running_best`, which starts at
-    /// `threshold` and only ever takes achieved throughputs (exact probes
-    /// and searches, never probe bounds). A task whose bound times
-    /// `(1 + ε_T)` trails it is certified away; every other task runs the
-    /// same cold branch-and-bound as a search of every task. A floor at
-    /// `running_best` would save little (0.2% of `sched-paper`'s
-    /// evaluations) and is not identity-safe: on a surface that is not
-    /// monotone in `B_E` it can prune the block holding the task's cold
-    /// optimum. With one task to resolve there is nothing to certify, so
-    /// the probe is skipped.
+    /// bound, then task index — against `running_best`, which only ever
+    /// takes achieved throughputs (exact probes and searches, never probe
+    /// bounds). A task whose bound times `(1 + ε_T)` trails it is certified
+    /// away; every other task runs the same cold branch-and-bound as a
+    /// search of every task. The searches are not floored at
+    /// `running_best`: that would save little (0.2% of `sched-paper`'s
+    /// evaluations) and is not identity-safe, since on a surface that is
+    /// not monotone in `B_E` it can prune the block holding the task's cold
+    /// optimum. With one task there is nothing to certify, so the probe is
+    /// skipped.
     ///
     /// The reduction then picks the first task in canonical order with
     /// strictly greater throughput, so ties resolve as they would over
     /// every task.
-    fn sweep(
+    pub(crate) fn sweep(
         &self,
-        tasks: &[SearchTask],
         opts: &SchedulerOptions,
-        mut per_task: Vec<Option<Schedule>>,
-        threshold: f64,
-        hits_before: usize,
     ) -> (Result<Schedule, ScheduleError>, SweepStats) {
-        let open: Vec<usize> = (0..tasks.len()).filter(|&i| per_task[i].is_none()).collect();
         let (mut stats, mut evals) = (SweepStats::default(), 0usize);
-        let mut running_best = threshold;
+        if let Err(e) = validate(opts) {
+            return (Err(e), stats);
+        }
+        let hits_before = self.sim.cache_stats().hits;
+        let tasks = self.search_tasks(opts);
+        let mut per_task: Vec<Option<Schedule>> = vec![None; tasks.len()];
+        let mut running_best = f64::NEG_INFINITY;
         let mut deferred: Vec<(usize, f64)> = Vec::new();
-        if let [only] = open[..] {
-            deferred.push((only, f64::INFINITY));
+        if tasks.len() == 1 {
+            deferred.push((0, f64::INFINITY));
         } else {
             let workers = if opts.parallel {
                 opts.pool_threads
@@ -444,8 +305,8 @@ impl Scheduler {
             } else {
                 1
             };
-            let probes = pool_map(&open, workers, |&i| self.probe_task(&tasks[i], opts, threshold));
-            for (&i, probe) in open.iter().zip(probes) {
+            let probes = pool_map(&tasks, workers, |task| self.probe_task(task, opts));
+            for (i, probe) in probes.into_iter().enumerate() {
                 match probe {
                     Probe::Exact { schedule } => {
                         stats.exact += 1;
@@ -474,7 +335,7 @@ impl Scheduler {
                 continue;
             }
             stats.full += 1;
-            if let Some((s, _)) = self.run_task(&tasks[i], opts, None, None) {
+            if let Some(s) = self.run_task(&tasks[i], opts) {
                 running_best = running_best.max(s.estimate.throughput);
                 per_task[i] = Some(s);
             }
@@ -503,69 +364,6 @@ impl Scheduler {
         (Ok(b), stats)
     }
 
-    /// Runs the complete search and wraps it as a fallen-back replan.
-    fn full_fallback(
-        &self,
-        opts: &SchedulerOptions,
-        tasks: usize,
-    ) -> Result<Replan, ScheduleError> {
-        self.schedule(opts).map(|schedule| Replan {
-            schedule,
-            fell_back: true,
-            neighborhood_tasks: 0,
-            certified_tasks: 0,
-            exact_tasks: 0,
-            full_tasks: tasks,
-        })
-    }
-
-    /// Whether `task` lies in the incumbent's replan neighborhood.
-    fn in_neighborhood(&self, task: &SearchTask, inc: &ScheduleConfig, delta: ReplanDelta) -> bool {
-        let n = self.sim.cluster().total_gpus();
-        let (inc_policy, inc_tp, inc_bm) = match inc {
-            ScheduleConfig::Rra(c) => (Policy::Rra, c.tp, 1),
-            ScheduleConfig::Waa(c) => {
-                let policy = match c.variant {
-                    WaaVariant::Compute => Policy::WaaCompute,
-                    WaaVariant::Memory => Policy::WaaMemory,
-                };
-                (policy, c.tp, c.b_m)
-            }
-        };
-        if task.policy != inc_policy {
-            return false;
-        }
-        let tp_ok = if task.tp.is_none() {
-            // The no-TP pipeline is always cheap to keep in play.
-            true
-        } else if inc_tp.is_none() || task.tp.degree != inc_tp.degree {
-            false
-        } else {
-            let d = inc_tp.degree;
-            // After failures, re-center on the nearest TP GPU count that
-            // still exists; growth keeps the incumbent's count central.
-            let g0 =
-                if delta.gpu_delta < 0 { inc_tp.gpus.min((n / d) * d).max(d) } else { inc_tp.gpus };
-            task.tp.gpus.abs_diff(g0) <= d
-        };
-        if !tp_ok {
-            return false;
-        }
-        match task.policy {
-            Policy::Rra => true,
-            Policy::WaaCompute | Policy::WaaMemory => {
-                let ladder = b_m_ladder(n);
-                if ladder.is_empty() {
-                    return false;
-                }
-                let pos = ladder.iter().position(|&m| m >= inc_bm).unwrap_or(ladder.len() - 1);
-                let lo = pos.saturating_sub(1);
-                let hi = (pos + 1).min(ladder.len() - 1);
-                ladder[lo..=hi].contains(&task.b_m)
-            }
-        }
-    }
-
     /// Derives an upper bound on the best feasible throughput of one task
     /// without searching it, in O(stairs · log(width + height))
     /// evaluations.
@@ -587,20 +385,14 @@ impl Scheduler {
     /// ripple is larger the bound does not hold, and the search can beat
     /// it; DESIGN.md §4a gives the margin on the paper grid.
     ///
-    /// Shortcuts, in order:
-    ///
-    /// * a *feasible* maximal corner of the full box is the cold search's
-    ///   own first step, so the task resolves exactly to that [`Schedule`];
-    /// * a finite maximal corner below `threshold` retires the whole task
-    ///   at one evaluation (the corner dominates the box).
-    ///
-    /// The walk always completes, so even a bound above `threshold` is a
-    /// *tight* bound: the caller sorts unresolved tasks by it to search the
-    /// likely winner first and certify the rest against its result.
-    fn probe_task(&self, task: &SearchTask, opts: &SchedulerOptions, threshold: f64) -> Probe {
+    /// A *feasible* maximal corner of the full box is the cold search's own
+    /// first step, so the task resolves exactly to that [`Schedule`].
+    /// Otherwise the walk always completes, so the bound is *tight*: the
+    /// caller sorts unresolved tasks by it to search the likely winner
+    /// first and certify the rest against its result.
+    fn probe_task(&self, task: &SearchTask, opts: &SchedulerOptions) -> Probe {
         let space = self.task_space(task, opts);
-        let bnb_opts = self.bnb_options(opts, None, None);
-        let retired = |thr: f64| thr * (1.0 + bnb_opts.eps_throughput) < threshold;
+        let bnb_opts = self.bnb_options(opts);
         let mut evals = 0usize;
         let mut eval = |x1: usize, x2: usize| {
             evals += 1;
@@ -617,9 +409,6 @@ impl Scheduler {
             return Probe::Exact {
                 schedule: Schedule { config: cfg, estimate, evals: 1, cache_hits: 0 },
             };
-        }
-        if p_top.throughput.is_finite() && retired(p_top.throughput) {
-            return Probe::Bounded { upper: p_top.throughput, evals };
         }
 
         let mut upper = f64::NEG_INFINITY;
@@ -700,10 +489,10 @@ enum Probe {
 /// certified away by their probe bound, resolved by a feasible top corner,
 /// and run through branch-and-bound.
 #[derive(Debug, Default)]
-struct SweepStats {
-    certified: usize,
-    exact: usize,
-    full: usize,
+pub(crate) struct SweepStats {
+    pub(crate) certified: usize,
+    pub(crate) exact: usize,
+    pub(crate) full: usize,
 }
 
 /// Maps `f` over `items` on a bounded work-stealing pool of at most
@@ -769,8 +558,8 @@ fn b_m_ladder(n: usize) -> Vec<usize> {
 }
 
 /// One task's oriented integer search box plus the mapping back to concrete
-/// configurations, shared by the search, the warm-seed derivation and the
-/// certification probe so all three agree on orientation and clamping.
+/// configurations, shared by the search and the certification probe so
+/// both agree on orientation and clamping.
 #[derive(Debug, Clone, Copy)]
 struct TaskSpace {
     range1: (usize, usize),
@@ -800,20 +589,6 @@ impl TaskSpace {
                 let b_d = round_usize(lossless_f64(x1) * s_d).max(1);
                 ScheduleConfig::Waa(WaaConfig::new(x1, b_m.min(b_d), self.tp, variant))
             }
-        }
-    }
-
-    /// The incumbent's position in this task's oriented coordinates (the
-    /// search clamps it onto the box).
-    fn seed(&self, inc: &ScheduleConfig) -> (usize, usize) {
-        match (self.kind, inc) {
-            (SpaceKind::Rra { max_n_d }, ScheduleConfig::Rra(c)) => {
-                (c.b_e, (max_n_d + 1).saturating_sub(c.n_d).max(1))
-            }
-            (SpaceKind::Waa { .. }, ScheduleConfig::Waa(c)) => (c.b_e, 1),
-            // Cross-policy seeds only carry the encode batch over.
-            (_, ScheduleConfig::Rra(c)) => (c.b_e, self.range2.0),
-            (_, ScheduleConfig::Waa(c)) => (c.b_e, self.range2.0),
         }
     }
 }

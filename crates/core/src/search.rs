@@ -61,7 +61,7 @@ where
             best = Some(((x, y), p));
         }
     }
-    best.map(|(point, perf)| BnbResult { point, perf, evals, complete: true })
+    best.map(|(point, perf)| BnbResult { point, perf, evals })
 }
 
 #[cfg(test)]

@@ -119,8 +119,6 @@ proptest! {
             eps_latency: Secs::new(bound * 0.1),
             eps_throughput: 0.0,
             max_evals: 20_000,
-            warm_start: None,
-            prune_floor: None,
         };
         let got = optimize((1, 20), (1, 20), &opts, eval);
         // The origin corner is always evaluated; if it is feasible the

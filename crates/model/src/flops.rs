@@ -146,23 +146,6 @@ impl ModelConfig {
         let dt = self.dtype_bytes() as f64;
         KernelCost { flops: 2.0 * b * 2.0 * d * da, bytes: 2.0 * d * da * dt + 2.0 * b * d * dt }
     }
-
-    /// One-time cost of projecting the cross-attention keys/values for
-    /// `batch` inputs of length `input_len` (encoder–decoder models only;
-    /// charged at the encode→decode handoff).
-    pub fn cross_kv_projection_cost(&self, batch: usize, input_len: usize) -> KernelCost {
-        if self.kind() != crate::config::ModelKind::EncoderDecoder {
-            return KernelCost::default();
-        }
-        let tokens = (batch * input_len) as f64;
-        let d = self.d_model() as f64;
-        let da = self.d_attn() as f64;
-        let dt = self.dtype_bytes() as f64;
-        KernelCost {
-            flops: 2.0 * tokens * 2.0 * d * da,
-            bytes: 2.0 * d * da * dt + 3.0 * tokens * da * dt,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -208,7 +191,6 @@ mod tests {
     fn cross_attention_costs_zero_for_decoder_only() {
         let m = ModelConfig::gpt3_175b();
         assert_eq!(m.cross_projection_cost(LayerKind::Decoder, 16), KernelCost::default());
-        assert_eq!(m.cross_kv_projection_cost(16, 128), KernelCost::default());
     }
 
     #[test]

@@ -120,11 +120,6 @@ impl Partition {
         self.stages.iter().copied()
     }
 
-    /// The largest per-stage layer count (pipeline bottleneck depth).
-    pub fn max_stage_len(&self) -> usize {
-        self.stages.iter().map(LayerRange::len).max().unwrap_or(0)
-    }
-
     /// Total number of layers covered.
     pub fn num_layers(&self) -> usize {
         self.stages.last().map_or(0, |r| r.end)
@@ -165,11 +160,5 @@ mod tests {
         assert!(Partition::from_counts(4, &[]).is_err());
         let p = Partition::from_counts(5, &[1, 4]).expect("valid");
         assert_eq!(p.stage(1), LayerRange { start: 1, end: 5 });
-    }
-
-    #[test]
-    fn max_stage_len_reports_bottleneck() {
-        let p = Partition::from_counts(7, &[1, 5, 1]).expect("valid");
-        assert_eq!(p.max_stage_len(), 5);
     }
 }

@@ -55,7 +55,7 @@ impl RunReport {
 
     /// The shared summary of sojourn times (arrival → last token); `None`
     /// when not an open-loop run.
-    pub fn sojourn_summary(&self) -> Option<stats::Summary> {
+    fn sojourn_summary(&self) -> Option<stats::Summary> {
         stats::summary(&self.sojourn_times)
     }
 

@@ -185,7 +185,6 @@ fn arbitrary_serve(rng: &mut StdRng, gpus: usize) -> ServeConfig {
         total: rng.gen_range(1..5000_usize),
         adaptive: rng.gen_bool(0.5),
         adjust_threshold: rng.gen_bool(0.3).then(|| small_f64(rng, 0.05, 0.5)),
-        incremental_replan: rng.gen_bool(0.3).then(|| rng.gen_bool(0.5)),
         arrivals,
         slo: arbitrary_slo(rng),
         drift: rng.gen_bool(0.4).then(|| arbitrary_drift(rng)),
@@ -427,7 +426,6 @@ pub fn arbitrary_fault_recovery(rng: &mut StdRng) -> Scenario {
             total: rng.gen_range(60..160_usize),
             adaptive: false,
             adjust_threshold: None,
-            incremental_replan: None,
             arrivals: ArrivalsConfig::Poisson {
                 rate: RateSpec::CapacityFrac {
                     frac: small_f64(rng, 0.3, 0.6),

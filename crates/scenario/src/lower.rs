@@ -359,7 +359,6 @@ fn lower_serve(scenario: &Scenario, cfg: &ServeConfig) -> Result<ServeLowered, S
         adaptive: cfg.adaptive,
         scheduler: lower_scheduler(&scenario.scheduler, bound)?,
         faults: cfg.faults.as_ref().map(|f| lower_serve_faults(f, horizon)).transpose()?,
-        incremental_replan: cfg.incremental_replan.unwrap_or(defaults.incremental_replan),
     };
 
     Ok(ServeLowered { engine, schedule, arrivals, options })

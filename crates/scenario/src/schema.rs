@@ -400,8 +400,6 @@ table! {
         adaptive: bool = true,
         /// §5.2 dynamic-adjustment threshold (default 0.15).
         adjust_threshold: Option<f64> => pos("threshold"),
-        /// Warm-started incremental replanning (default true).
-        incremental_replan: Option<bool>,
         /// The arrival process.
         arrivals: ArrivalsConfig,
         /// Per-request latency targets.

@@ -15,7 +15,7 @@ use exegpt_scenario::{fnv1a, run, Mode, Report, Scenario};
 use exegpt_serve::MetricsSnapshot;
 
 /// FNV-1a over the records of every shipped serve and fleet scenario.
-const PINNED: u64 = 0xd341_390b_6a70_2098;
+const PINNED: u64 = 0x7b5f_6e12_a3ea_81a8;
 
 fn json(m: &MetricsSnapshot) -> String {
     serde_json::to_string(m).expect("metrics snapshots serialize")

@@ -84,6 +84,14 @@ fn unknown_key_names_the_injected_path() {
 }
 
 #[test]
+fn the_removed_incremental_replan_key_is_rejected() {
+    let text = MINIMAL_SERVE.replace("total = 100", "total = 100\nincremental_replan = true");
+    let err = error_of(&text);
+    assert_eq!(err.key_path(), Some("serve.incremental_replan"));
+    assert!(err.to_string().contains("unknown key"), "must be an unknown-key error: {err}");
+}
+
+#[test]
 fn wrong_type_names_the_field_path() {
     let text = MINIMAL_SERVE.replace("total = 100", "total = \"lots\"");
     let err = error_of(&text);

@@ -16,7 +16,7 @@ use exegpt_scenario::{toml, Scenario};
 use serde::Value;
 
 /// The FNV-1a digest of every record, one per line.
-const PINNED: u64 = 0x0245_f687_0a6d_6bc5;
+const PINNED: u64 = 0x4e93_a0ba_0442_479b;
 
 const FIXTURES: &[(&str, &str)] = &[
     (
@@ -46,7 +46,6 @@ policies = ["rra", "waa_memory"]
 total = 50
 adaptive = false
 adjust_threshold = 0.2
-incremental_replan = false
 
 [serve.arrivals]
 kind = "bursty"

@@ -13,9 +13,7 @@
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
-use exegpt::{
-    DynamicAdjuster, Engine, Replan, ReplanDelta, Schedule, ScheduleConfig, SchedulerOptions,
-};
+use exegpt::{DynamicAdjuster, Engine, ScheduleConfig, SchedulerOptions};
 use exegpt_cluster::{ClusterSpec, LoadSource};
 use exegpt_dist::stats::Summary;
 use exegpt_runner::{
@@ -53,13 +51,6 @@ pub struct ServeOptions {
     /// Fault injection and graceful degradation (`None` = fault layer off;
     /// `Some` with an empty schedule behaves identically to `None`).
     pub faults: Option<FaultOptions>,
-    /// Replan incrementally from the plan being served (warm-started
-    /// neighborhood search with a full-search fallback) instead of running
-    /// the full search on every drift or fault replan. The chosen plans —
-    /// and therefore the event log — are identical either way wherever the
-    /// monotonicity assumptions of `Scheduler::reschedule_from` hold (the
-    /// shift test compares both logs); only the replan latency differs.
-    pub incremental_replan: bool,
 }
 
 impl Default for ServeOptions {
@@ -71,7 +62,6 @@ impl Default for ServeOptions {
             adaptive: true,
             scheduler: SchedulerOptions::bounded(Secs::INFINITY),
             faults: None,
-            incremental_replan: true,
         }
     }
 }
@@ -147,10 +137,9 @@ pub struct ServeReport {
     pub stragglers_detected: usize,
     /// Fault-driven replans (failover onto survivors, or recovery).
     pub replans: usize,
-    /// Replans (drift or fault) answered by the incremental path without
-    /// falling back to the full search.
-    pub incremental_replans: usize,
-    /// Incremental replans that took the full-search fallback.
+    /// Always 0: every replan is the one certified search, so nothing falls
+    /// back. Kept so readers of the removed incremental path's counter
+    /// still compile; it is not in [`ServeReport::metrics`].
     pub replan_fallbacks: usize,
     /// Request abort-and-retry episodes caused by failures.
     pub retries: usize,
@@ -246,11 +235,6 @@ pub struct ServeLoop {
     /// The initially installed plan, reinstalled verbatim on full
     /// recovery when no drift refit happened in between.
     original: ScheduleConfig,
-    /// The most recently planned schedule with its estimate — the incumbent
-    /// that incremental replans warm-start from. `None` only when the
-    /// installed config cannot be evaluated, which disables the incremental
-    /// path (replans then run the full search, as before).
-    last_plan: Option<Schedule>,
 }
 
 /// A plan waiting to be installed at the next phase boundary.
@@ -279,13 +263,7 @@ impl ServeLoop {
         let exec = PhaseExecutor::new(engine.simulator(), schedule)?;
         let healthy = engine.simulator().cluster().clone();
         let original = exec.schedule();
-        let last_plan = engine.simulator().evaluate(&original).ok().map(|estimate| Schedule {
-            config: original,
-            estimate,
-            evals: 0,
-            cache_hits: 0,
-        });
-        Ok(Self { engine, exec, opts, healthy, original, last_plan })
+        Ok(Self { engine, exec, opts, healthy, original })
     }
 
     /// The schedule currently installed.
@@ -356,7 +334,6 @@ impl ServeLoop {
             original: self.original,
             workload_refit: false,
             planned_removed: 0,
-            last_plan: self.last_plan,
             scratch: Scratch::default(),
             stream: stream.map(|v| v.into_iter().peekable()),
             inbox: VecDeque::new(),
@@ -458,7 +435,6 @@ pub struct ReplicaSession {
     /// Devices removed from the topology by the currently planned-for
     /// degradation (0 = plan assumes the full cluster).
     planned_removed: usize,
-    last_plan: Option<Schedule>,
     scratch: Scratch,
     /// `Some` in stream mode: the session knows its future arrivals and
     /// jumps its own clock. `None` in fleet mode: arrivals land in `inbox`.
@@ -944,8 +920,7 @@ impl ReplicaSession {
             faults_detected: self.metrics.counter("faults_detected") as usize,
             stragglers_detected: self.metrics.counter("stragglers_detected") as usize,
             replans: self.metrics.counter("replans") as usize,
-            incremental_replans: self.metrics.counter("incremental_replans") as usize,
-            replan_fallbacks: self.metrics.counter("replan_fallbacks") as usize,
+            replan_fallbacks: 0,
             retries: self.metrics.counter("retries") as usize,
             requests_lost: self.metrics.counter("requests_lost") as usize,
             final_schedule: self.exec.schedule().describe(),
@@ -955,13 +930,11 @@ impl ReplicaSession {
     }
 
     /// Refits the output distribution to the drift window and re-runs the
-    /// scheduler on the warm engine — incrementally from the served plan
-    /// when [`ServeOptions::incremental_replan`] is on. Returns the new
-    /// plan to install at the next phase boundary, or `None` if
-    /// refitting/scheduling failed (the loop keeps serving on the old plan
-    /// either way).
+    /// scheduler on the warm engine. Returns the new plan to install at the
+    /// next phase boundary, or `None` if refitting/scheduling failed (the
+    /// loop keeps serving on the old plan either way).
     fn reschedule(&mut self) -> Option<ScheduleConfig> {
-        let result: Result<Schedule, ServeError> = match self.detector.refit() {
+        let result = match self.detector.refit() {
             Err(e) => Err(ServeError::from(e)),
             Ok(refit) => {
                 let workload = Workload::new(
@@ -969,29 +942,13 @@ impl ReplicaSession {
                     refit.dist.clone(),
                 );
                 self.metrics.gauge("refit_mean", refit.dist.mean());
-                match self.opts.incremental_replan.then(|| self.last_plan.clone()).flatten() {
-                    Some(inc) => {
-                        match self.engine.reschedule_incremental(
-                            workload,
-                            &inc,
-                            &self.opts.scheduler,
-                        ) {
-                            Ok(replan) => Ok(track_replan(replan, &mut self.metrics)),
-                            Err(e) => Err(ServeError::from(e)),
-                        }
-                    }
-                    None => self
-                        .engine
-                        .reschedule(workload, &self.opts.scheduler)
-                        .map_err(ServeError::from),
-                }
+                self.engine.reschedule(workload, &self.opts.scheduler).map_err(ServeError::from)
             }
         };
         self.detector.reset();
         match result {
             Ok(schedule) => {
                 self.workload_refit = true;
-                self.last_plan = Some(schedule.clone());
                 self.metrics.inc("reschedules");
                 self.events.push(Event::Reschedule {
                     t: self.t,
@@ -1018,9 +975,8 @@ impl ReplicaSession {
     /// refit, the pre-fault plan is reinstalled verbatim — no search — so
     /// recovery provably restores the original deployment.
     ///
-    /// Failover searches under the configured scheduler options first —
-    /// incrementally from the served plan when
-    /// [`ServeOptions::incremental_replan`] is on — and falls back to an
+    /// Failover searches under the configured scheduler options first, on
+    /// an engine that shares the evaluation cache, and retries under an
     /// unconstrained bound (serving degraded beats not serving); a failover
     /// with no feasible plan at all is fatal.
     fn fault_replan(&mut self, removed: usize) -> Result<Option<PendingSwap>, ServeError> {
@@ -1034,30 +990,13 @@ impl ReplicaSession {
         let chosen: Result<ScheduleConfig, exegpt::ScheduleError> = if restored {
             Ok(self.original)
         } else {
-            let incumbent = self.opts.incremental_replan.then(|| self.last_plan.clone()).flatten();
-            let primary = match incumbent {
-                Some(inc) => {
-                    let old = self.engine.simulator().cluster().total_gpus() as isize;
-                    let delta =
-                        ReplanDelta { gpu_delta: gpus as isize - old, workload_changed: false };
-                    engine
-                        .replan_from(&inc, delta, &self.opts.scheduler)
-                        .map(|replan| track_replan(replan, &mut self.metrics))
-                }
-                None => engine.schedule_with(&self.opts.scheduler),
-            };
-            primary.map(|s| s.config).or_else(|_| {
-                engine.schedule_with(&SchedulerOptions::bounded(Secs::INFINITY)).map(|s| s.config)
-            })
+            engine
+                .schedule_with(&self.opts.scheduler)
+                .or_else(|_| engine.schedule_with(&SchedulerOptions::bounded(Secs::INFINITY)))
+                .map(|s| s.config)
         };
         match chosen {
             Ok(cfg) => {
-                self.last_plan = engine.simulator().evaluate(&cfg).ok().map(|estimate| Schedule {
-                    config: cfg,
-                    estimate,
-                    evals: 0,
-                    cache_hits: 0,
-                });
                 self.metrics.inc("replans");
                 self.events.push(Event::Replan {
                     t: self.t,
@@ -1081,14 +1020,6 @@ impl ReplicaSession {
             }
         }
     }
-}
-
-/// Records whether an incremental replan held or fell back. Counters only:
-/// the event log must stay byte-identical to the full-search path, and the
-/// chosen plan already is.
-fn track_replan(replan: Replan, metrics: &mut Metrics) -> Schedule {
-    metrics.inc(if replan.fell_back { "replan_fallbacks" } else { "incremental_replans" });
-    replan.schedule
 }
 
 /// Aborts every in-flight query after a device failure: its KV entry is

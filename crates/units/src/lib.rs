@@ -365,13 +365,6 @@ impl Bytes {
     pub fn from_u64(bytes: u64) -> Self {
         Self::new(exact_f64(bytes))
     }
-
-    /// An amount given in binary gibibytes.
-    #[inline]
-    #[must_use]
-    pub fn from_gib(gib: f64) -> Self {
-        Self::new(gib * (1u64 << 30) as f64)
-    }
 }
 
 impl Tokens {
@@ -425,7 +418,7 @@ mod tests {
     fn roofline_algebra() {
         let t1: Secs = Flops::new(4.0e12) / FlopsPerSec::from_tflops(2.0);
         assert_eq!(t1, Secs::new(2.0));
-        let t2: Secs = Bytes::from_gib(1.0) / BytesPerSec::new((1u64 << 30) as f64);
+        let t2: Secs = Bytes::new((1u64 << 30) as f64) / BytesPerSec::new((1u64 << 30) as f64);
         assert_eq!(t2, Secs::new(1.0));
         let back: Bytes = BytesPerSec::new(10.0) * Secs::new(3.0);
         assert_eq!(back, Bytes::new(30.0));
