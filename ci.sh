@@ -29,12 +29,15 @@ cargo run --offline -q -p exegpt-xlint -- --workspace
 echo "==> cargo test -q"
 cargo test --offline --workspace -q
 
-echo "==> estimator, metrics and schedule digests in release"
+echo "==> estimator, score-memo, metrics and schedule digests in release"
 # The stage above runs the estimator digests (every estimate's bits, every
 # error's payload) in a debug build. The binaries and the benchmark run
 # release code, where the profile lookups are inlined across crates and
 # debug assertions are off, so the digests must hold there too.
 cargo test --offline --release -q -p exegpt-sim --test estimate_digest
+# The search reads memoized scores, and the benchmark times release code:
+# scores must match fresh estimates bit for bit there too.
+cargo test --offline --release -q -p exegpt-sim --test cache_props
 # Likewise every metrics snapshot of the shipped serve and fleet scenarios:
 # the fleet-100k gate and the benchmark run the serve and fleet loops in
 # release.

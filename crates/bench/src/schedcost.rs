@@ -8,8 +8,7 @@
 //! counts on the simulated substrate. Wall-clock cost is measured outside
 //! the workspace, by the `sched-paper` workload of `benchmark/`.
 
-use exegpt::bnb::Perf;
-use exegpt::{Policy, RraConfig, SchedulerOptions, TpConfig};
+use exegpt::{Policy, RraConfig, ScheduleConfig, SchedulerOptions, TpConfig};
 use exegpt_sim::Simulator;
 use exegpt_units::Secs;
 use exegpt_workload::Task;
@@ -48,10 +47,9 @@ fn exhaustive(sim: &Simulator, bound: Secs) -> (f64, usize) {
     for b_e in 1..=MAX_B_E {
         for n_d in 1..=MAX_N_D {
             evals += 1;
-            if let Ok(est) = sim.evaluate_rra(&RraConfig::new(b_e, n_d, TpConfig::none())) {
-                if est.latency <= bound {
-                    best = best.max(est.throughput);
-                }
+            let p = sim.score(&ScheduleConfig::Rra(RraConfig::new(b_e, n_d, TpConfig::none())));
+            if p.satisfies(bound) {
+                best = best.max(p.throughput);
             }
         }
     }
@@ -81,10 +79,7 @@ pub fn generate() -> Vec<Row> {
         bound,
         bnb.evals,
         42,
-        |b_e, n_d| match sim.evaluate_rra(&RraConfig::new(b_e, n_d, TpConfig::none())) {
-            Ok(e) => Perf { latency: e.latency, throughput: e.throughput },
-            Err(_) => Perf::INFEASIBLE,
-        },
+        |b_e, n_d| sim.score(&ScheduleConfig::Rra(RraConfig::new(b_e, n_d, TpConfig::none()))),
     );
 
     let row = |search: &str, throughput, evals| Row {

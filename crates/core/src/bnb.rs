@@ -21,29 +21,10 @@ use std::collections::{BTreeMap, BinaryHeap};
 
 use exegpt_units::Secs;
 
-/// Evaluated performance of one configuration point.
-///
-/// Infeasible points (out of memory, structurally invalid) are represented
-/// as [`Perf::INFEASIBLE`]: infinite latency keeps them out of the candidate
-/// set, and infinite throughput keeps them from wrongly pruning blocks when
-/// they appear as an upper-bound corner.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Perf {
-    /// Latency of the configuration.
-    pub latency: Secs,
-    /// Throughput in queries per second.
-    pub throughput: f64,
-}
-
-impl Perf {
-    /// The sentinel for configurations that cannot run.
-    pub const INFEASIBLE: Perf = Perf { latency: Secs::INFINITY, throughput: f64::INFINITY };
-
-    /// Whether this point can be a solution under `bound`.
-    pub fn satisfies(&self, bound: Secs) -> bool {
-        self.latency.is_finite() && self.latency <= bound
-    }
-}
+/// Evaluated performance of one configuration point: the simulator's score
+/// type, so [`Simulator::score`](exegpt_sim::Simulator::score) feeds the
+/// search directly.
+pub use exegpt_sim::Perf;
 
 /// Tolerances and limits for one branch-and-bound run.
 #[derive(Debug, Clone, Copy, PartialEq)]

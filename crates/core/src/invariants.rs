@@ -21,8 +21,9 @@
 //!   reversal is the signature of a corrupted cost model, not of the benign
 //!   small-tolerance violations the paper measures in Table 5.
 //!
-//! The check is cheap: the probe shares the simulator's evaluation cache, so
-//! it costs at most one extra closed-form evaluation.
+//! The check is cheap: the probe reads the neighbour's memoized score
+//! ([`Simulator::score`]), so it costs at most one extra closed-form
+//! evaluation.
 
 use exegpt_sim::{RraConfig, ScheduleConfig, Simulator, WaaConfig};
 use exegpt_units::Secs;
@@ -224,22 +225,24 @@ fn check_alloc(
 fn check_latency_monotone(sim: &Simulator, schedule: &Schedule, v: &mut Vec<String>) {
     let base = schedule.estimate.latency;
     let neighbor = match schedule.config {
-        ScheduleConfig::Rra(cfg) => sim.evaluate_rra(&RraConfig::new(cfg.b_e + 1, cfg.n_d, cfg.tp)),
+        ScheduleConfig::Rra(cfg) => {
+            ScheduleConfig::Rra(RraConfig::new(cfg.b_e + 1, cfg.n_d, cfg.tp))
+        }
         ScheduleConfig::Waa(cfg) => {
-            sim.evaluate_waa(&WaaConfig::new(cfg.b_e + 1, cfg.b_m, cfg.tp, cfg.variant))
+            ScheduleConfig::Waa(WaaConfig::new(cfg.b_e + 1, cfg.b_m, cfg.tp, cfg.variant))
         }
     };
-    // An infeasible neighbour (memory, profile range) is not a violation.
-    if let Ok(n) = neighbor {
-        let floor = base * (1.0 - MONOTONE_SLACK);
-        if n.latency < floor {
-            v.push(format!(
-                "latency at B_E+1 ({}) undercuts the schedule's own latency ({base}) by more \
-                 than {:.0}% — non-monotone estimate surface",
-                n.latency,
-                MONOTONE_SLACK * 100.0
-            ));
-        }
+    // Only the latency is read, so the memoized score serves. An infeasible
+    // neighbour (memory, profile range) scores infinite latency, which is
+    // never a violation.
+    let n = sim.score(&neighbor);
+    if n.latency < base * (1.0 - MONOTONE_SLACK) {
+        v.push(format!(
+            "latency at B_E+1 ({}) undercuts the schedule's own latency ({base}) by more \
+             than {:.0}% — non-monotone estimate surface",
+            n.latency,
+            MONOTONE_SLACK * 100.0
+        ));
     }
 }
 

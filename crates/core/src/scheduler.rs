@@ -38,10 +38,10 @@ use std::sync::OnceLock;
 use serde::{Deserialize, Serialize};
 
 use exegpt_dist::convert::{lossless_f64, round_usize, trunc_usize};
-use exegpt_sim::{RraConfig, ScheduleConfig, SimError, Simulator, TpConfig, WaaConfig, WaaVariant};
+use exegpt_sim::{RraConfig, ScheduleConfig, Simulator, TpConfig, WaaConfig, WaaVariant};
 use exegpt_units::Secs;
 
-use crate::bnb::{self, BnbOptions, Perf};
+use crate::bnb::{self, BnbOptions};
 use crate::error::ScheduleError;
 
 /// A scheduling policy the scheduler may select (paper §4.1).
@@ -127,7 +127,10 @@ pub struct Schedule {
     /// tasks counts twice, so this is not a count of distinct
     /// configurations.
     pub evals: usize,
-    /// Simulator evaluations answered by the shared evaluation cache.
+    /// Score lookups of the search answered by the shared evaluation
+    /// cache's score memo ([`Simulator::score`]). The whole estimates of
+    /// each searched task's winner and of an exact probe come from
+    /// [`Simulator::evaluate`], which is not memoized and not counted.
     pub cache_hits: usize,
 }
 
@@ -207,7 +210,7 @@ impl Scheduler {
     fn run_task(&self, task: &SearchTask, opts: &SchedulerOptions) -> Option<Schedule> {
         let space = self.task_space(task, opts);
         let bnb_opts = self.bnb_options(opts);
-        let eval = |x1: usize, x2: usize| perf_of(self.sim.evaluate(&space.config(x1, x2)));
+        let eval = |x1: usize, x2: usize| self.sim.score(&space.config(x1, x2));
         let r = bnb::optimize(space.range1, space.range2, &bnb_opts, eval)?;
         let cfg = space.config(r.point.0, r.point.1);
         let estimate = self.sim.evaluate(&cfg).ok()?;
@@ -396,7 +399,7 @@ impl Scheduler {
         let mut evals = 0usize;
         let mut eval = |x1: usize, x2: usize| {
             evals += 1;
-            perf_of(self.sim.evaluate(&space.config(x1, x2)))
+            self.sim.score(&space.config(x1, x2))
         };
         let (r1, r2) = (space.range1, space.range2);
         let top = (r1.1, r2.1);
@@ -599,13 +602,6 @@ struct SearchTask {
     tp: TpConfig,
     /// Fixed decoder micro-batch count for WAA tasks (ignored for RRA).
     b_m: usize,
-}
-
-fn perf_of(result: Result<exegpt_sim::Estimate, SimError>) -> Perf {
-    match result {
-        Ok(e) => Perf { latency: e.latency, throughput: e.throughput },
-        Err(_) => Perf::INFEASIBLE,
-    }
 }
 
 fn validate(opts: &SchedulerOptions) -> Result<(), ScheduleError> {

@@ -11,7 +11,17 @@
 //! fresh cache so no per-workload entry can leak across workloads (every
 //! layer depends on the length distributions).
 //!
-//! Pipeline plans are *not* memoized. An RRA plan depends on
+//! Whole estimates are *not* memoized. The search reads only a
+//! configuration's latency and throughput, so the third layer is a score
+//! memo: [`Simulator::score`](crate::Simulator::score) keeps one
+//! [`Perf`] per configuration, [`Perf::INFEASIBLE`] for any error, with no
+//! [`Estimate`](crate::Estimate) or [`SimError`] payload to store or clone.
+//! [`Simulator::evaluate`](crate::Simulator::evaluate) computes every
+//! estimate afresh over the warm completion and decode-grid layers; only
+//! each searched task's winner, an exact probe, the runner and scenario
+//! lowering ask for one, a few times per schedule.
+//!
+//! Pipeline plans are not memoized either. An RRA plan depends on
 //! `(B_E, B_D, TP)`, and few evaluations share one: on the benchmark's
 //! scheduling grid four in five evaluations missed a plan memo, and the
 //! plans it kept (an `Arc` and three `Vec`s each) cost more to keep and to
@@ -23,20 +33,20 @@
 //! Cluster swaps are cheaper than workload swaps: the completion analyses
 //! and the decode stage grids are *cluster-independent* (they derive from
 //! the workload and the layer profile, which degraded topologies reuse),
-//! while full estimates are not. Estimates therefore carry a cluster
-//! fingerprint in their key, and [`with_cluster`](crate::Simulator::with_cluster)
+//! while scores are not. Scores therefore carry a cluster fingerprint in
+//! their key, and [`with_cluster`](crate::Simulator::with_cluster)
 //! *shares* the cache: a fault-driven replan onto survivors keeps every
-//! cluster-independent entry warm, only re-deriving estimates, and a
-//! recovery replan onto the original topology hits the original entries
-//! outright. Entries of departed fingerprints linger until the next
-//! workload swap — an accepted cost, bounded by the number of distinct
-//! topologies a fault schedule can visit.
+//! cluster-independent entry warm, only re-deriving scores, and a recovery
+//! replan onto the original topology hits the original entries outright.
+//! Entries of departed fingerprints linger until the next workload swap —
+//! an accepted cost, bounded by the number of distinct topologies a fault
+//! schedule can visit.
 //!
 //! Concurrency: maps are sharded `RwLock<HashMap>`s so the scheduler's
 //! search pool shares one cache without serializing on a single lock. On a
 //! racing miss both threads compute (computation is pure), and the insert
 //! that loses the race is counted as a hit — making the hit/miss totals a
-//! function of the evaluated multiset only, independent of thread
+//! function of the looked-up multiset only, independent of thread
 //! interleaving.
 
 #[expect(
@@ -65,7 +75,7 @@ use exegpt_profiler::DecodeStageGrid;
 
 use crate::config::ScheduleConfig;
 use crate::error::SimError;
-use crate::estimate::Estimate;
+use crate::estimate::Perf;
 
 /// Shards per map: enough to keep the search pool's workers from
 /// contending, small enough to stay cheap to allocate per workload.
@@ -154,22 +164,24 @@ pub(crate) struct DecStageKey {
 /// [`Simulator::cache_stats`](crate::Simulator::cache_stats).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EvalCacheStats {
-    /// Full-estimate lookups answered from the cache.
+    /// [`Simulator::score`](crate::Simulator::score) lookups answered from
+    /// the score memo. [`Simulator::evaluate`](crate::Simulator::evaluate)
+    /// is not memoized and counts neither way.
     pub hits: usize,
-    /// Full-estimate lookups that had to run the closed-form evaluation.
+    /// Score lookups that had to run the closed-form evaluation.
     pub misses: usize,
     /// Distinct entries across all cache layers: completion analyses,
-    /// decode stage grids and estimates.
+    /// decode stage grids and scores.
     pub entries: usize,
 }
 
 /// The shared evaluation cache: completion analyses, decode stage grids
-/// and full estimates. One instance per (simulator, workload); see the module
+/// and scores. One instance per (simulator, workload); see the module
 /// docs for the invalidation contract.
 pub(crate) struct EvalCache {
     completion: ShardedMap<usize, Arc<CompletionInfo>>,
     dec_stage: ShardedMap<DecStageKey, Result<Arc<DecodeStageGrid>, SimError>>,
-    estimates: ShardedMap<(u64, ScheduleConfig), Result<Estimate, SimError>>,
+    scores: ShardedMap<(u64, ScheduleConfig), Perf>,
     #[expect(
         clippy::disallowed_types,
         reason = "audited pool module: a counter, so `Ordering::Relaxed` suffices"
@@ -201,7 +213,7 @@ impl EvalCache {
         Self {
             completion: ShardedMap::new(),
             dec_stage: ShardedMap::new(),
-            estimates: ShardedMap::new(),
+            scores: ShardedMap::new(),
             hits,
             misses,
         }
@@ -211,7 +223,7 @@ impl EvalCache {
         EvalCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self.completion.len() + self.dec_stage.len() + self.estimates.len(),
+            entries: self.completion.len() + self.dec_stage.len() + self.scores.len(),
         }
     }
 
@@ -254,28 +266,28 @@ impl EvalCache {
         grid
     }
 
-    /// Full-estimate memo, keyed by `(cluster, config)`. Counts a hit for
-    /// every lookup answered without running `eval`, including insert races
-    /// lost to a concurrent miss, so the totals are deterministic for a
-    /// deterministic evaluation multiset.
-    pub(crate) fn estimate(
+    /// Score memo, keyed by `(cluster, config)`. Counts a hit for every
+    /// lookup answered without running `eval`, including insert races lost
+    /// to a concurrent miss, so the totals are deterministic for a
+    /// deterministic lookup multiset.
+    pub(crate) fn score(
         &self,
         cluster: u64,
         key: ScheduleConfig,
-        eval: impl FnOnce() -> Result<Estimate, SimError>,
-    ) -> Result<Estimate, SimError> {
+        eval: impl FnOnce() -> Perf,
+    ) -> Perf {
         let key = (cluster, key);
-        if let Some(est) = self.estimates.get(&key) {
+        if let Some(perf) = self.scores.get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return est;
+            return perf;
         }
-        let est = eval();
-        if self.estimates.insert_if_absent(key, est.clone()) {
+        let perf = eval();
+        if self.scores.insert_if_absent(key, perf) {
             self.misses.fetch_add(1, Ordering::Relaxed);
         } else {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
-        est
+        perf
     }
 }
 
@@ -284,35 +296,21 @@ mod tests {
     use super::*;
     use crate::config::{RraConfig, TpConfig};
 
-    fn dummy_estimate(latency: f64) -> Result<Estimate, SimError> {
-        let fp = exegpt_model::MemoryFootprint::default();
-        Ok(Estimate {
-            latency: exegpt_units::Secs::new(latency),
-            throughput: 1.0 / latency,
-            memory: crate::estimate::MemoryReport { encoder_gpu: fp, decoder_gpu: fp, capacity: 0 },
-            breakdown: crate::estimate::Breakdown {
-                encode_time: exegpt_units::Secs::ZERO,
-                decode_time: exegpt_units::Secs::ZERO,
-                period: exegpt_units::Secs::new(latency),
-                stages: 1,
-                decode_batch: 1,
-            },
-        })
+    fn perf(latency: f64) -> Perf {
+        Perf { latency: exegpt_units::Secs::new(latency), throughput: 1.0 / latency }
     }
 
     #[test]
-    fn estimate_memo_counts_hits_and_misses() {
+    fn score_memo_counts_hits_and_misses() {
         let cache = EvalCache::new();
         let key = ScheduleConfig::Rra(RraConfig::new(4, 8, TpConfig::none()));
         let mut evals = 0;
         for _ in 0..3 {
-            let est = cache
-                .estimate(7, key, || {
-                    evals += 1;
-                    dummy_estimate(2.0)
-                })
-                .expect("ok");
-            assert_eq!(est.latency, exegpt_units::Secs::new(2.0));
+            let p = cache.score(7, key, || {
+                evals += 1;
+                perf(2.0)
+            });
+            assert_eq!(p, perf(2.0));
         }
         assert_eq!(evals, 1);
         let stats = cache.stats();
@@ -321,34 +319,36 @@ mod tests {
     }
 
     #[test]
-    fn estimates_are_keyed_per_cluster() {
+    fn scores_are_keyed_per_cluster() {
         let cache = EvalCache::new();
         let key = ScheduleConfig::Rra(RraConfig::new(4, 8, TpConfig::none()));
-        let a = cache.estimate(1, key, || dummy_estimate(2.0)).expect("ok");
+        let a = cache.score(1, key, || perf(2.0));
         // A different cluster fingerprint re-evaluates...
-        let b = cache.estimate(2, key, || dummy_estimate(3.0)).expect("ok");
+        let b = cache.score(2, key, || perf(3.0));
         assert_ne!(a.latency, b.latency);
         // ...while the original entry stays warm (recovery path).
-        let again = cache.estimate(1, key, || dummy_estimate(9.0)).expect("ok");
-        assert_eq!(again.latency, a.latency);
+        let again = cache.score(1, key, || perf(9.0));
+        assert_eq!(again, a);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 2));
         assert_eq!(stats.entries, 2);
     }
 
     #[test]
-    fn errors_are_memoized_too() {
+    fn errors_are_memoized_as_infeasible() {
         let cache = EvalCache::new();
         let key = ScheduleConfig::Rra(RraConfig::new(1, 1, TpConfig::none()));
         let mut evals = 0;
         for _ in 0..2 {
-            let r = cache.estimate(7, key, || {
+            let p = cache.score(7, key, || {
                 evals += 1;
-                Err(SimError::InvalidConfig { what: "b_e", why: "test".into() })
+                Perf::of(&Err(SimError::InvalidConfig { what: "b_e", why: "test".into() }))
             });
-            assert!(r.is_err());
+            assert_eq!(p, Perf::INFEASIBLE);
         }
         assert_eq!(evals, 1);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
     #[test]

@@ -4,6 +4,8 @@ use exegpt_model::MemoryFootprint;
 use exegpt_units::Secs;
 use serde::{Deserialize, Serialize};
 
+use crate::error::SimError;
+
 /// Per-GPU memory accounting of a schedule (drives Figure 9 and the
 /// feasibility check).
 ///
@@ -55,6 +57,41 @@ pub struct Estimate {
     pub memory: MemoryReport,
     /// Timeline decomposition.
     pub breakdown: Breakdown,
+}
+
+/// The score of one configuration: the two numbers of an [`Estimate`] the
+/// scheduler's search reads, as memoized by
+/// [`Simulator::score`](crate::Simulator::score).
+///
+/// Infeasible configurations (out of memory, structurally invalid) score
+/// [`Perf::INFEASIBLE`]: infinite latency keeps them out of the candidate
+/// set, and infinite throughput keeps them from wrongly pruning blocks when
+/// they appear as an upper-bound corner.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Perf {
+    /// Latency of the configuration.
+    pub latency: Secs,
+    /// Throughput in queries per second.
+    pub throughput: f64,
+}
+
+impl Perf {
+    /// The sentinel for configurations that cannot run.
+    pub const INFEASIBLE: Perf = Perf { latency: Secs::INFINITY, throughput: f64::INFINITY };
+
+    /// The score of an evaluation: its latency and throughput, or
+    /// [`Perf::INFEASIBLE`] for any error.
+    pub(crate) fn of(result: &Result<Estimate, SimError>) -> Perf {
+        match result {
+            Ok(e) => Perf { latency: e.latency, throughput: e.throughput },
+            Err(_) => Perf::INFEASIBLE,
+        }
+    }
+
+    /// Whether this point can be a solution under `bound`.
+    pub fn satisfies(&self, bound: Secs) -> bool {
+        self.latency.is_finite() && self.latency <= bound
+    }
 }
 
 #[cfg(test)]

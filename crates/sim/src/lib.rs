@@ -77,7 +77,7 @@ pub mod waa;
 pub use cache::EvalCacheStats;
 pub use config::{RraConfig, ScheduleConfig, TpConfig, WaaConfig, WaaVariant, Workload};
 pub use error::SimError;
-pub use estimate::{Breakdown, Estimate, MemoryReport};
+pub use estimate::{Breakdown, Estimate, MemoryReport, Perf};
 pub use layout::{Pass, PipelineLayout, StageTimes};
 pub use rra::RraPlan;
 pub use simulator::Simulator;

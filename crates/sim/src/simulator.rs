@@ -11,7 +11,7 @@ use exegpt_units::Tokens;
 use crate::cache::{EvalCache, EvalCacheStats};
 use crate::config::{RraConfig, ScheduleConfig, TpConfig, WaaConfig, Workload};
 use crate::error::SimError;
-use crate::estimate::Estimate;
+use crate::estimate::{Estimate, Perf};
 use crate::{rra, waa};
 
 /// Fraction of device memory usable by the schedule (the rest is reserved
@@ -33,11 +33,11 @@ pub struct Simulator {
     cluster: ClusterSpec,
     profile: Arc<LayerProfile>,
     workload: Workload,
-    /// Memoized completion analyses, decode stage grids and full estimates
-    /// (not pipeline plans: see the `cache` module docs). Valid for this
-    /// exact (model, profile, workload) tuple, so it is shared by `clone()`
-    /// *and* [`with_cluster`] (estimates carry `cluster_key` in their keys)
-    /// but replaced by [`with_workload`].
+    /// Memoized completion analyses, decode stage grids and scores (not
+    /// whole estimates or pipeline plans: see the `cache` module docs).
+    /// Valid for this exact (model, profile, workload) tuple, so it is
+    /// shared by `clone()` *and* [`with_cluster`] (scores carry
+    /// `cluster_key` in their keys) but replaced by [`with_workload`].
     ///
     /// [`with_workload`]: Simulator::with_workload
     /// [`with_cluster`]: Simulator::with_cluster
@@ -94,7 +94,7 @@ impl Simulator {
     /// degraded variants of the original.
     ///
     /// The evaluation cache is *shared*, not flushed: the cluster-dependent
-    /// entries, full estimates, are keyed by the cluster's
+    /// entries, scores, are keyed by the cluster's
     /// [`fingerprint`](ClusterSpec::fingerprint), so a swap only re-derives
     /// those, keeps the cluster-independent completion analyses and decode
     /// grids warm, and turns a later swap back to the original topology
@@ -104,8 +104,8 @@ impl Simulator {
         Self { cluster, cache: Arc::clone(&self.cache), cluster_key, ..self.clone() }
     }
 
-    /// Point-in-time counters of the shared evaluation cache (hits, misses,
-    /// distinct entries).
+    /// Point-in-time counters of the shared evaluation cache: score-memo
+    /// hits and misses, and distinct entries across all layers.
     pub fn cache_stats(&self) -> EvalCacheStats {
         self.cache.stats()
     }
@@ -117,6 +117,11 @@ impl Simulator {
     }
 
     /// Evaluates either schedule family.
+    ///
+    /// Not memoized: each call computes the whole estimate afresh, over the
+    /// cache's completion analyses and decode stage grids, and leaves the
+    /// hit/miss counters alone. A search that reads only latency and
+    /// throughput calls [`Simulator::score`] instead.
     ///
     /// # Errors
     ///
@@ -135,8 +140,7 @@ impl Simulator {
     ///
     /// See [`Simulator::evaluate`].
     pub fn evaluate_rra(&self, cfg: &RraConfig) -> Result<Estimate, SimError> {
-        self.cache
-            .estimate(self.cluster_key, ScheduleConfig::Rra(*cfg), || rra::evaluate(self, cfg))
+        rra::evaluate(self, cfg)
     }
 
     /// Evaluates a WAA schedule (see [`WaaConfig`]).
@@ -145,8 +149,15 @@ impl Simulator {
     ///
     /// See [`Simulator::evaluate`].
     pub fn evaluate_waa(&self, cfg: &WaaConfig) -> Result<Estimate, SimError> {
-        self.cache
-            .estimate(self.cluster_key, ScheduleConfig::Waa(*cfg), || waa::evaluate(self, cfg))
+        waa::evaluate(self, cfg)
+    }
+
+    /// The memoized [`Perf`] of a configuration: [`Simulator::evaluate`]'s
+    /// latency and throughput, bit for bit, or [`Perf::INFEASIBLE`] where it
+    /// errs. Keyed by (cluster fingerprint, configuration) in the shared
+    /// cache, and counted in [`Simulator::cache_stats`].
+    pub fn score(&self, cfg: &ScheduleConfig) -> Perf {
+        self.cache.score(self.cluster_key, *cfg, || Perf::of(&self.evaluate(cfg)))
     }
 
     /// Resolves the pipeline plan (layout + per-stage layer allocations) of

@@ -9,7 +9,8 @@
 //! out-of-memory errors, the exact byte counts. A performance change to
 //! the estimators must leave both digests unchanged; only a deliberate
 //! change to the cost model may move them, and then with the reason in its
-//! commit.
+//! commit. At every point the memoized score must also carry the estimate's
+//! latency and throughput bits, or the infeasible marker where it errs.
 
 use std::hash::Hasher;
 use std::sync::{Arc, OnceLock};
@@ -19,8 +20,8 @@ use exegpt_dist::{FnvHasher, LengthDist};
 use exegpt_model::ModelConfig;
 use exegpt_profiler::{ProfileOptions, Profiler};
 use exegpt_sim::{
-    Estimate, RraConfig, ScheduleConfig, SimError, Simulator, TpConfig, WaaConfig, WaaVariant,
-    Workload,
+    Estimate, Perf, RraConfig, ScheduleConfig, SimError, Simulator, TpConfig, WaaConfig,
+    WaaVariant, Workload,
 };
 
 const B_E: [usize; 15] = [1, 2, 3, 4, 5, 6, 8, 11, 16, 23, 32, 45, 64, 91, 128];
@@ -108,10 +109,10 @@ fn fold(h: &mut FnvHasher, result: &Result<Estimate, SimError>) {
     }
 }
 
-/// Every sweep point's result, in sweep order, computed once for both
-/// digests.
-fn sweep() -> &'static [Result<Estimate, SimError>] {
-    static RESULTS: OnceLock<Vec<Result<Estimate, SimError>>> = OnceLock::new();
+/// Every sweep point's result and score, in sweep order, computed once for
+/// every test.
+fn sweep() -> &'static [(Result<Estimate, SimError>, Perf)] {
+    static RESULTS: OnceLock<Vec<(Result<Estimate, SimError>, Perf)>> = OnceLock::new();
     RESULTS.get_or_init(|| {
         let setups = [
             // OPT-13B, 4×A40, task T (translation).
@@ -121,7 +122,9 @@ fn sweep() -> &'static [Result<Estimate, SimError>] {
         ];
         setups
             .iter()
-            .flat_map(|sim| configs(sim).into_iter().map(|cfg| sim.evaluate(&cfg)))
+            .flat_map(|sim| {
+                configs(sim).into_iter().map(|cfg| (sim.evaluate(&cfg), sim.score(&cfg)))
+            })
             .collect()
     })
 }
@@ -130,7 +133,7 @@ fn sweep() -> &'static [Result<Estimate, SimError>] {
 fn estimator_sweep_matches_pinned_digest() {
     let mut h = FnvHasher::default();
     let mut feasible = 0;
-    for result in sweep() {
+    for (result, _) in sweep() {
         feasible += usize::from(result.is_ok());
         fold(&mut h, result);
     }
@@ -141,7 +144,7 @@ fn estimator_sweep_matches_pinned_digest() {
 fn error_payloads_match_pinned_digest() {
     let mut h = FnvHasher::default();
     let mut infeasible = 0;
-    for err in sweep().iter().filter_map(|r| r.as_ref().err()) {
+    for err in sweep().iter().filter_map(|(r, _)| r.as_ref().err()) {
         infeasible += 1;
         h.write(err.to_string().as_bytes());
         // `Display` rounds byte counts to 0.1 GiB; fold them exactly.
@@ -156,4 +159,18 @@ fn error_payloads_match_pinned_digest() {
         "error digest {:#018x}",
         h.finish()
     );
+}
+
+#[test]
+fn scores_carry_the_estimate_bits_at_every_point() {
+    let bits = |latency: exegpt_units::Secs, throughput: f64| {
+        (latency.as_secs().to_bits(), throughput.to_bits())
+    };
+    for (i, (result, score)) in sweep().iter().enumerate() {
+        let want = match result {
+            Ok(est) => bits(est.latency, est.throughput),
+            Err(_) => bits(Perf::INFEASIBLE.latency, Perf::INFEASIBLE.throughput),
+        };
+        assert_eq!(bits(score.latency, score.throughput), want, "sweep point {i}: {result:?}");
+    }
 }
