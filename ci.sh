@@ -29,7 +29,7 @@ cargo run --offline -q -p exegpt-xlint -- --workspace
 echo "==> cargo test -q"
 cargo test --offline --workspace -q
 
-echo "==> estimator, score-memo, metrics and schedule digests in release"
+echo "==> estimator, score-memo, metrics, schedule and report digests and the decode kernel in release"
 # The stage above runs the estimator digests (every estimate's bits, every
 # error's payload) in a debug build. The binaries and the benchmark run
 # release code, where the profile lookups are inlined across crates and
@@ -45,6 +45,12 @@ cargo test --offline --release -q -p exegpt-scenario --test metrics_digest
 # And every plan the scheduler picks on the Figure 6 grid (80 cases, three
 # portfolios each): the debug stage covers only the OPT-13B deployment.
 cargo test --offline --release -q -p exegpt-bench --test schedule_digest -- --include-ignored
+# The batched decode kernel against its scalar reference, and every runner
+# report over the shared stage-cost kernel: the debug assertion that checks
+# the kernel inside the estimator is off in release, where the benchmark
+# times the inlined kernel.
+cargo test --offline --release -q -p exegpt-profiler
+cargo test --offline --release -q -p exegpt-runner --test report_digest
 
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --quiet

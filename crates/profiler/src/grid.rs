@@ -62,32 +62,6 @@ impl Grid1D {
         self.piece(self.segment(x)).eval(x)
     }
 
-    /// [`eval`](Self::eval) for a sequence of nearby queries: finds the
-    /// segment by walking from the one the previous query left in `cursor`
-    /// instead of binary-searching the whole axis. The result is bit for
-    /// bit the same as `eval(x)` whatever the query order; the walk is
-    /// short when successive queries move little, as the simulator's
-    /// shrinking decode micro-batches do. Start a new sequence with
-    /// `usize::MAX` (walks down from the top segment) or `0`.
-    #[inline]
-    pub fn eval_from(&self, x: f64, cursor: &mut usize) -> f64 {
-        let last = self.last_segment();
-        let mut i = (*cursor).min(last);
-        #[expect(
-            clippy::neg_cmp_op_on_partial_ord,
-            reason = "a NaN query walks to 0, as in `segment`"
-        )]
-        while i > 0 && !(self.xs[i] <= x) {
-            i -= 1;
-        }
-        while i < last && self.xs[i + 1] <= x {
-            i += 1;
-        }
-        debug_assert_eq!(i, self.segment(x), "cursor walk disagrees with the binary search");
-        *cursor = i;
-        self.piece(i).eval(x)
-    }
-
     /// Segment index of `x`: the last `i` with `xs[i] <= x`, clamped to
     /// `[0, n-2]` (`0` for a single-knot grid).
     #[inline]
@@ -104,8 +78,8 @@ impl Grid1D {
         self.xs.len().saturating_sub(2)
     }
 
-    /// Segment `i` as a standalone [`Piece`]: the interpolation body shared
-    /// by [`eval`](Self::eval) and [`eval_from`](Self::eval_from).
+    /// Segment `i` as a standalone [`Piece`]: the interpolation body of
+    /// [`eval`](Self::eval).
     #[inline]
     pub(crate) fn piece(&self, i: usize) -> Piece {
         if self.xs.len() == 1 {
@@ -113,7 +87,7 @@ impl Grid1D {
         }
         let (x0, x1) = (self.xs[i], self.xs[i + 1]);
         let (y0, y1) = (self.ys[i], self.ys[i + 1]);
-        Piece::Linear { x0, dx: x1 - x0, y0, dy: y1 - y0 }
+        Piece::Linear(Line { span: Span { x0, dx: x1 - x0 }, y0, dy: y1 - y0 })
     }
 
     /// The swept sample positions.
@@ -128,8 +102,8 @@ impl Grid1D {
 pub(crate) enum Piece {
     /// A single-knot grid's value, unclamped.
     Constant(f64),
-    /// The line from `(x0, y0)` rising by `dy` over `dx`.
-    Linear { x0: f64, dx: f64, y0: f64, dy: f64 },
+    /// A segment between two knots.
+    Linear(Line),
 }
 
 impl Piece {
@@ -138,11 +112,41 @@ impl Piece {
     pub(crate) fn eval(self, x: f64) -> f64 {
         match self {
             Piece::Constant(y) => y,
-            Piece::Linear { x0, dx, y0, dy } => {
-                let t = (x - x0) / dx;
-                (y0 + t * dy).max(0.0)
-            }
+            Piece::Linear(line) => line.eval(x),
         }
+    }
+}
+
+/// A first-axis segment from `x0`, `dx` wide.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Span {
+    x0: f64,
+    dx: f64,
+}
+
+impl Span {
+    /// The interpolation weight of `x`: 0 at `x0`, 1 at `x0 + dx`.
+    #[inline]
+    pub(crate) fn weight(self, x: f64) -> f64 {
+        (x - self.x0) / self.dx
+    }
+}
+
+/// The line over `span` rising from `y0` by `dy`, extended past it and
+/// clamped at zero: a [`Piece::Linear`] unpacked, so a loop can match once
+/// and evaluate many.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Line {
+    span: Span,
+    y0: f64,
+    dy: f64,
+}
+
+impl Line {
+    /// The line's value at `x`.
+    #[inline]
+    pub(crate) fn eval(self, x: f64) -> f64 {
+        (self.y0 + self.span.weight(x) * self.dy).max(0.0)
     }
 }
 
@@ -239,7 +243,7 @@ impl Grid2D {
         }
         let j = Self::segment(&self.ys, y);
         let ty = if ny == 1 { 0.0 } else { (y - self.ys[j]) / (self.ys[j + 1] - self.ys[j]) };
-        let x = (nx > 1).then(|| (self.xs[i], self.xs[i + 1] - self.xs[i]));
+        let x = (nx > 1).then(|| Span { x0: self.xs[i], dx: self.xs[i + 1] - self.xs[i] });
         let at = |ii: usize, jj: usize| -> f64 { self.zs[ii.min(nx - 1)][jj.min(ny - 1)] };
         Cell::Bilinear { x, z: [at(i, j), at(i + 1, j), at(i, j + 1), at(i + 1, j + 1)], ty }
     }
@@ -256,7 +260,7 @@ pub(crate) enum Cell {
     /// clamped to the axes), the fixed second-axis weight `ty`, and the
     /// segment's origin and width (`None` on a single-knot first axis,
     /// where the first-axis weight is 0).
-    Bilinear { x: Option<(f64, f64)>, z: [f64; 4], ty: f64 },
+    Bilinear { x: Option<Span>, z: [f64; 4], ty: f64 },
 }
 
 impl Cell {
@@ -265,14 +269,44 @@ impl Cell {
     pub(crate) fn eval(self, x: f64) -> f64 {
         match self {
             Cell::Constant(z) => z,
-            Cell::Bilinear { x: seg, z: [z00, z10, z01, z11], ty } => {
-                let tx = seg.map_or(0.0, |(x0, dx)| (x - x0) / dx);
-                let z0 = z00 + tx * (z10 - z00);
-                let z1 = z01 + tx * (z11 - z01);
-                (z0 + ty * (z1 - z0)).max(0.0)
-            }
+            Cell::Bilinear { x: span, z, ty } => blend(z, ty, span.map_or(0.0, |s| s.weight(x))),
         }
     }
+
+    /// The cell as a [`SlopedCell`], if it spans a first-axis segment.
+    #[inline]
+    pub(crate) fn sloped(self) -> Option<SlopedCell> {
+        match self {
+            Cell::Bilinear { x: Some(span), z, ty } => Some(SlopedCell { span, z, ty }),
+            _ => None,
+        }
+    }
+}
+
+/// A [`Cell::Bilinear`] on a first-axis segment of nonzero width, unpacked
+/// so a loop can match once and evaluate many.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct SlopedCell {
+    span: Span,
+    z: [f64; 4],
+    ty: f64,
+}
+
+impl SlopedCell {
+    /// The cell's value at `x`, as [`Cell::eval`] computes it.
+    #[inline]
+    pub(crate) fn eval(self, x: f64) -> f64 {
+        blend(self.z, self.ty, self.span.weight(x))
+    }
+}
+
+/// Bilinear blend of the corners `z00, z10, z01, z11` at weights `(tx, ty)`,
+/// clamped at zero.
+#[inline]
+fn blend([z00, z10, z01, z11]: [f64; 4], ty: f64, tx: f64) -> f64 {
+    let z0 = z00 + tx * (z10 - z00);
+    let z1 = z01 + tx * (z11 - z01);
+    (z0 + ty * (z1 - z0)).max(0.0)
 }
 
 #[cfg(test)]
@@ -338,11 +372,7 @@ mod tests {
         assert_eq!((g.segment(-1.0), g.segment(4.0), g.segment(9.0)), (0, 0, 0));
         assert_eq!(g.last_segment(), 0);
         assert_eq!(g.piece(0), Piece::Constant(7.0));
-        for cursor in [0, usize::MAX] {
-            let mut c = cursor;
-            assert_eq!(g.eval_from(1e9, &mut c), 7.0);
-            assert_eq!(c, 0);
-        }
+        assert_eq!(g.eval(1e9), 7.0);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use exegpt_units::Secs;
 use serde::{Deserialize, Serialize};
 
 use crate::error::ProfileError;
-use crate::grid::{Cell, Grid1D, Grid2D, Piece};
+use crate::grid::{Cell, Grid1D, Grid2D, Line, Piece, SlopedCell};
 
 /// Per-tensor-parallel-degree sweep tables.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -231,7 +231,10 @@ pub struct DecodeStageGrid {
 }
 
 impl DecodeStageGrid {
-    /// The knots: the union of the component tables' batch samples.
+    /// The knots: the union of the component tables' batch samples. A hook
+    /// for tests that probe each region; the simulator needs only
+    /// [`covers`](Self::covers).
+    #[doc(hidden)]
     pub fn knots(&self) -> &[f64] {
         self.grid.xs()
     }
@@ -245,21 +248,79 @@ impl DecodeStageGrid {
         batch >= xs[0] && batch <= xs[xs.len() - 1]
     }
 
-    /// The term at `batch`. Within the knots the collapsed grid's segment
-    /// is found from `cursor`, as in [`Grid1D::eval_from`]; outside them
-    /// `cursor` is left alone.
-    #[inline]
-    pub fn eval_from(&self, batch: f64, cursor: &mut usize) -> Secs {
+    /// The term at `batch`: the scalar reference for
+    /// [`fold_max`](Self::fold_max).
+    pub fn eval(&self, batch: f64) -> Secs {
         let xs = self.grid.xs();
         if batch > xs[xs.len() - 1] {
             self.above.eval(batch)
         } else if batch >= xs[0] {
-            Secs::new(self.grid.eval_from(batch, cursor))
+            Secs::new(self.grid.eval(batch))
         } else {
             // Below the knots, or NaN, which every lookup sends to its
             // first segment.
             self.below.eval(batch)
         }
+    }
+
+    /// Raises each `worst[i]` to the term at `batches[i]`: the batched
+    /// [`eval`](Self::eval) behind the simulator's decode loop.
+    ///
+    /// Precondition: `batches` does not increase (a decode phase's
+    /// micro-batch only shrinks), and has one entry per `worst` entry.
+    /// Then the above-knot batches are a prefix, the below-knot ones a
+    /// suffix, and each collapsed-grid segment a run in between, so the
+    /// fold walks the regions in order with each segment's piece, and each
+    /// edge's cell and pieces, matched once outside the loop. Debug builds
+    /// assert the order.
+    ///
+    /// Each entry becomes `if term > worst[i] { term } else { worst[i] }`.
+    /// That is bit for bit `worst[i].max(self.eval(batches[i]))` (the
+    /// total order of [`Secs::max`]) whenever `worst[i]` is `+0.0` or a
+    /// larger term: the two orders differ only on NaN and on zeros of
+    /// opposite sign, a term is never NaN (every component is clamped at
+    /// zero or a finite table value), and a worst that starts at `+0.0` is
+    /// only ever replaced by a larger term.
+    pub fn fold_max(&self, batches: &[f64], worst: &mut [Secs]) {
+        debug_assert_eq!(batches.len(), worst.len(), "one worst term per batch");
+        debug_assert!(batches.windows(2).all(|w| w[0] >= w[1]), "batches must not increase");
+        let n = batches.len().min(worst.len());
+        let xs = self.grid.xs();
+        let (lo, hi) = (xs[0], xs[xs.len() - 1]);
+        let mut i = batches[..n].iter().take_while(|&&b| b > hi).count();
+        self.above.fold_max(&batches[..i], &mut worst[..i]);
+        // Within the knots: walk down the collapsed grid's segments. `seg`
+        // ends as `Grid1D::segment(batches[i])`: the last knot at or below
+        // it, clamped to the last segment; the batches after it down to
+        // that knot share the segment.
+        let mut seg = self.grid.last_segment();
+        while i < n && batches[i] >= lo {
+            while seg > 0 && xs[seg] > batches[i] {
+                seg -= 1;
+            }
+            let x0 = xs[seg];
+            let end = i + batches[i..n].iter().take_while(|&&b| b >= x0).count();
+            let (batches, worst) = (&batches[i..end], &mut worst[i..end]);
+            match self.grid.piece(seg) {
+                Piece::Constant(y) => worst.iter_mut().for_each(|w| raise(w, Secs::new(y))),
+                Piece::Linear(line) => {
+                    for (w, &b) in worst.iter_mut().zip(batches) {
+                        raise(w, Secs::new(line.eval(b)));
+                    }
+                }
+            }
+            i = end;
+        }
+        self.below.fold_max(&batches[i..n], &mut worst[i..n]);
+    }
+}
+
+/// `*worst = if term > *worst { term } else { *worst }`, in IEEE order (see
+/// [`DecodeStageGrid::fold_max`] for when it agrees with [`Secs::max`]).
+#[inline]
+fn raise(worst: &mut Secs, term: Secs) {
+    if term.as_secs() > worst.as_secs() {
+        *worst = term;
     }
 }
 
@@ -284,5 +345,53 @@ impl StageEdge {
             self.attn.eval(batch) + cross + self.rest.eval(batch) + self.sync.eval(batch),
         );
         t_layer * self.layers + Secs::new(self.handoff.eval(batch))
+    }
+
+    /// [`DecodeStageGrid::fold_max`] over batches on this edge. When every
+    /// component is a sloped segment (the profiles' multi-knot tables) the
+    /// matches are hoisted out of the loop; otherwise each batch takes
+    /// [`eval`](Self::eval).
+    fn fold_max(&self, batches: &[f64], worst: &mut [Secs]) {
+        if batches.is_empty() {
+            return;
+        }
+        let linear = match (self.attn.sloped(), self.rest, self.sync, self.handoff) {
+            (Some(attn), Piece::Linear(rest), Piece::Linear(sync), Piece::Linear(handoff)) => {
+                Some(LinearEdge { attn, rest, sync, handoff, layers: self.layers })
+            }
+            _ => None,
+        };
+        match (linear, self.cross.map(Cell::sloped)) {
+            (Some(edge), None) => edge.fold_max(|_| 0.0, batches, worst),
+            (Some(edge), Some(Some(cross))) => edge.fold_max(|b| cross.eval(b), batches, worst),
+            _ => {
+                for (w, &b) in worst.iter_mut().zip(batches) {
+                    raise(w, self.eval(b));
+                }
+            }
+        }
+    }
+}
+
+/// A [`StageEdge`] whose components are all sloped segments.
+#[derive(Clone, Copy)]
+struct LinearEdge {
+    attn: SlopedCell,
+    rest: Line,
+    sync: Line,
+    handoff: Line,
+    layers: f64,
+}
+
+impl LinearEdge {
+    /// The fold with [`StageEdge::eval`]'s float operations in its order;
+    /// `cross` is the cross-attention cell's value, or `0.0`.
+    #[inline]
+    fn fold_max(self, cross: impl Fn(f64) -> f64, batches: &[f64], worst: &mut [Secs]) {
+        for (w, &b) in worst.iter_mut().zip(batches) {
+            let t_layer =
+                Secs::new(self.attn.eval(b) + cross(b) + self.rest.eval(b) + self.sync.eval(b));
+            raise(w, t_layer * self.layers + Secs::new(self.handoff.eval(b)));
+        }
     }
 }

@@ -59,37 +59,4 @@ proptest! {
         let want = f(qx, qy).max(0.0); // grids clamp to non-negative times
         prop_assert!((g.eval(qx, qy) - want).abs() < 1e-6 * (1.0 + want.abs()));
     }
-
-    /// The cursor evaluation finds the binary search's segment from any
-    /// starting cursor, so it equals `eval` bit for bit whatever the query
-    /// order: increasing (cursor walks up), decreasing (walks down, as in
-    /// the RRA decode loop) and random, at the knots and outside the knot
-    /// range, single-knot grids included.
-    #[test]
-    fn grid1d_cursor_eval_is_bit_identical_to_eval(
-        increments in prop::collection::vec(0.01f64..10.0, 1..24),
-        ys in prop::collection::vec(-5.0f64..50.0, 24),
-        random in prop::collection::vec(-20.0f64..300.0, 1..64),
-    ) {
-        let mut xs = Vec::with_capacity(increments.len());
-        let mut acc = 0.0;
-        for inc in &increments {
-            acc += inc;
-            xs.push(acc);
-        }
-        let g = Grid1D::new(xs.clone(), ys[..xs.len()].to_vec()).expect("valid grid");
-        let mut queries = random;
-        queries.extend(&xs);
-        let mut increasing = queries.clone();
-        increasing.sort_by(f64::total_cmp);
-        let decreasing: Vec<f64> = increasing.iter().rev().copied().collect();
-        for order in [&queries, &increasing, &decreasing] {
-            for start in [0, xs.len() / 2, usize::MAX] {
-                let mut cursor = start;
-                for &x in order {
-                    prop_assert_eq!(g.eval_from(x, &mut cursor).to_bits(), g.eval(x).to_bits());
-                }
-            }
-        }
-    }
 }

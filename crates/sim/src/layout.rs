@@ -73,6 +73,11 @@ impl Pass {
     }
 }
 
+/// Stage classes whose term [`PipelineLayout::stage_times`] keeps: two TP
+/// degrees and two links cover most layouts, but layer counts can split a
+/// class, so the rest are computed per stage.
+const STAGE_CLASSES: usize = 4;
+
 /// Sum and maximum of one pass's per-stage times.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageTimes {
@@ -226,9 +231,13 @@ impl PipelineLayout {
     /// only place a stage's cost is written out; simulator, runner and
     /// baselines differ only in how they aggregate it.
     ///
-    /// Stages are fused-TP first, then singles, so the layer time is looked
-    /// up once per distinct TP degree. The lookups are pure, so the result
-    /// is bit-identical to a per-stage scan.
+    /// A stage's term depends only on its `(tp, intra-node link, layers)`
+    /// class, so each class's term is computed once and kept in a fixed
+    /// array of `STAGE_CLASSES` (4) entries; stages of classes beyond it are
+    /// computed directly. Stages are fused-TP first, then singles, so the
+    /// layer time is looked up once per distinct TP degree. The lookups
+    /// are pure and the terms are still summed in stage order, so the
+    /// result is bit-identical to a per-stage scan.
     ///
     /// # Errors
     ///
@@ -243,16 +252,29 @@ impl PipelineLayout {
         debug_assert_eq!(alloc.len(), self.stages.len(), "one allocation per stage");
         let mut times = StageTimes::default();
         let mut layer: Option<(usize, Secs)> = None;
+        let mut classes = [((0, false, 0), Secs::ZERO); STAGE_CLASSES];
+        let mut n_classes = 0;
         for (i, (stage, &layers)) in self.stages.iter().zip(alloc).enumerate() {
-            let t_layer = match layer {
-                Some((tp, t)) if tp == stage.tp => t,
-                _ => {
-                    let t = pass.layer_time(profile, stage.tp)?;
-                    layer = Some((stage.tp, t));
+            let class = (stage.tp, self.boundary_intra_node(i), layers);
+            let t = match classes[..n_classes].iter().find(|(c, _)| *c == class) {
+                Some(&(_, t)) => t,
+                None => {
+                    let t_layer = match layer {
+                        Some((tp, t)) if tp == stage.tp => t,
+                        _ => {
+                            let t = pass.layer_time(profile, stage.tp)?;
+                            layer = Some((stage.tp, t));
+                            t
+                        }
+                    };
+                    let t = pass.stage_cost(profile, t_layer, layers, class.1);
+                    if let Some(slot) = classes.get_mut(n_classes) {
+                        *slot = (class, t);
+                        n_classes += 1;
+                    }
                     t
                 }
             };
-            let t = pass.stage_cost(profile, t_layer, layers, self.boundary_intra_node(i));
             times.sum += t;
             times.bottleneck = times.bottleneck.max(t);
         }
@@ -380,7 +402,9 @@ mod tests {
         let cluster = ClusterSpec::a40_cluster().subcluster(16).expect("fits");
         let profile = Profiler::new(model, cluster).run(&ProfileOptions::default()).expect("ok");
         // (TP setting, GPUs per node): partial TP whose fused and single
-        // stages cross node boundaries, full pipelines, a fused-only one.
+        // stages cross node boundaries, full pipelines, a fused-only one,
+        // and ones with more (tp, link, layers) classes than the kernel's
+        // class array holds, whose extra stages take the per-stage path.
         let layouts = [
             (TpConfig::none(), 8),
             (TpConfig::none(), 3),
@@ -389,14 +413,21 @@ mod tests {
             (TpConfig { degree: 4, gpus: 12 }, 6),
             (TpConfig { degree: 8, gpus: 8 }, 8),
             (TpConfig { degree: 4, gpus: 16 }, 8),
+            (TpConfig { degree: 2, gpus: 6 }, 3),
         ];
-        let mut crossings = 0;
+        let (mut crossings, mut most_classes) = (0, 0);
         for (tp, per_node) in layouts {
             let layout = PipelineLayout::build(16, tp, 1.7, per_node).expect("valid");
             crossings +=
                 (0..layout.num_stages()).filter(|&i| !layout.boundary_intra_node(i)).count();
             for layers in [40, 53] {
                 let alloc = layout.allocate_layers(layers).expect("fits");
+                let mut classes: Vec<_> = (0..layout.num_stages())
+                    .map(|i| (layout.stages()[i].tp, layout.boundary_intra_node(i), alloc[i]))
+                    .collect();
+                classes.sort_unstable();
+                classes.dedup();
+                most_classes = most_classes.max(classes.len());
                 for batch in [1.0, 2.5, 16.0, 61.0] {
                     let passes = [
                         Pass::Encode { batch, seq: 37.0 },
@@ -417,5 +448,9 @@ mod tests {
             }
         }
         assert!(crossings >= 5, "layouts must hand off across nodes ({crossings})");
+        assert!(
+            most_classes > STAGE_CLASSES,
+            "a layout must overflow the class array ({most_classes} classes)"
+        );
     }
 }

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use exegpt_dist::convert::{ceil_usize, lossless_f64, trunc_u64, trunc_usize, widen_u64};
 use exegpt_dist::CompletionDist;
 use exegpt_model::{MemoryFootprint, ModelKind};
-use exegpt_profiler::DecodeStageGrid;
+use exegpt_profiler::{DecodeStageGrid, LayerProfile};
 use exegpt_units::Secs;
 
 use crate::cache::DecStageKey;
@@ -35,13 +35,8 @@ struct StageClass {
     alloc: usize,
 }
 
-/// A stage class with its bottleneck term and the decode loop's segment
-/// cursor into it.
-struct ClassGrid {
-    class: StageClass,
-    grid: Arc<DecodeStageGrid>,
-    cursor: usize,
-}
+/// Survival runs per chunk of the decode loop (stack arrays).
+const DECODE_CHUNK: usize = 64;
 
 pub(crate) fn evaluate(sim: &Simulator, cfg: &RraConfig) -> Result<Estimate, SimError> {
     if cfg.b_e == 0 {
@@ -105,10 +100,11 @@ pub(crate) fn evaluate(sim: &Simulator, cfg: &RraConfig) -> Result<Estimate, Sim
     // --- Decoding phase: N_D iterations over the shrinking pool ----------
     // The pool circulates as one micro-batch per stage; iteration `u` runs
     // with the expected active pool after earlier completions. The survival
-    // series is precomputed with the completion analysis (O(N_D) total),
-    // and iterations whose survival factor is bit-identical — long runs of
-    // them exist wherever P_D(U) has zero mass — share one per-stage
-    // bottleneck computation.
+    // series is precomputed with the completion analysis (O(N_D) total).
+    // Iterations whose survival factor is bit-identical share one term; on
+    // the paper grid's output distributions no two neighbours are, so runs
+    // are single iterations, and they only collapse for point-mass-like
+    // distributions, where P_D(U) has zero mass over long stretches.
     let m_d = stages.min(b_d).max(1);
     // Stages with the same TP degree and boundary link share their layer
     // time and handoff at any micro-batch size, so within such a class only
@@ -135,52 +131,63 @@ pub(crate) fn evaluate(sim: &Simulator, cfg: &RraConfig) -> Result<Estimate, Sim
         }
     }
     // Each class's bottleneck term `alloc · t_layer(µ) + handoff(µ)` is a
-    // cached `DecodeStageGrid`: a single lookup per class per iteration,
-    // bit-identical to the stage-cost kernel's per-stage term outside the
-    // grid's knots. The micro-batch never grows along the phase (survival
-    // only falls), so each class keeps a cursor into its grid and finds the
-    // next segment by walking down from the last one.
-    let mut grids: [Option<ClassGrid>; MAX_CLASSES] = Default::default();
-    for (slot, &class) in grids.iter_mut().zip(&classes[..n_classes]) {
-        let StageClass { tp, intra, alloc } = class;
-        let grid = sim.cache().dec_stage_grid(DecStageKey { tp, intra, alloc }, || {
+    // cached `DecodeStageGrid`, bit-identical to the stage-cost kernel's
+    // per-stage term outside the grid's knots.
+    let mut grids: [Option<Arc<DecodeStageGrid>>; MAX_CLASSES] = Default::default();
+    for (slot, &StageClass { tp, intra, alloc }) in grids.iter_mut().zip(&classes[..n_classes]) {
+        *slot = Some(sim.cache().dec_stage_grid(DecStageKey { tp, intra, alloc }, || {
             Ok(profile.decode_stage_grid(ctx, s_e, tp, lossless_f64(alloc), intra)?)
-        })?;
-        *slot = Some(ClassGrid { class, grid, cursor: usize::MAX });
+        })?);
     }
+    // The loop runs in chunks of up to DECODE_CHUNK survival runs, in three
+    // passes over stack arrays: gather each run and its micro-batch; fold
+    // every class's term into the chunk's bottlenecks (`fold_max` walks a
+    // grid's regions and segments once per chunk, which needs micro-batches
+    // that do not increase: survival is a running `1 − Σ` of non-negative
+    // terms, and a chunk also ends early at any rise); then add the
+    // bottlenecks in iteration order. Every estimate keeps the bits of the
+    // per-iteration loop: `fold_max` matches a `Secs::max` fold of
+    // `DecodeStageGrid::eval` from `+0.0`, which debug builds assert.
+    let (b_d_f, m_d_f) = (lossless_f64(b_d), lossless_f64(m_d));
     let survival = &info.survival;
     let mut t_dec = Secs::ZERO;
     let mut fill = Secs::ZERO;
     let mut u = 0;
     while u < cfg.n_d {
-        let s = survival[u];
-        let mut run = 1;
-        while u + run < cfg.n_d && survival[u + run].to_bits() == s.to_bits() {
-            run += 1;
+        let first = u == 0;
+        let mut runs = [0usize; DECODE_CHUNK];
+        let mut micro = [0.0f64; DECODE_CHUNK];
+        let mut len = 0;
+        while len < DECODE_CHUNK && u < cfg.n_d {
+            let s = survival[u];
+            let mut run = 1;
+            while u + run < cfg.n_d && survival[u + run].to_bits() == s.to_bits() {
+                run += 1;
+            }
+            let m = (b_d_f * s).max(1.0) / m_d_f;
+            if len > 0 && m > micro[len - 1] {
+                break;
+            }
+            (runs[len], micro[len]) = (run, m);
+            len += 1;
+            u += run;
         }
-        let active = (lossless_f64(b_d) * s).max(1.0);
-        let micro = active / lossless_f64(m_d);
-        let mut worst = Secs::ZERO;
-        for g in grids.iter_mut().flatten() {
-            let t = g.grid.eval_from(micro, &mut g.cursor);
-            debug_assert!(
-                g.grid.covers(micro) || {
-                    let StageClass { tp, intra, alloc } = g.class;
-                    let pass = Pass::Decode { batch: micro, ctx, input_len: s_e };
-                    pass.layer_time(profile, tp).is_ok_and(|t_layer| {
-                        pass.stage_cost(profile, t_layer, alloc, intra).as_secs().to_bits()
-                            == t.as_secs().to_bits()
-                    })
-                },
-                "fixed-segment stage term disagrees with the stage-cost kernel"
-            );
-            worst = worst.max(t);
+        let (runs, micro) = (&runs[..len], &micro[..len]);
+        let mut worst = [Secs::ZERO; DECODE_CHUNK];
+        let worst = &mut worst[..len];
+        for grid in grids.iter().flatten() {
+            grid.fold_max(micro, worst);
         }
-        if u == 0 {
-            fill = worst * (lossless_f64(stages) - 1.0);
+        debug_assert!(
+            chunk_matches_scalar(profile, &classes[..n_classes], &grids, (ctx, s_e), micro, worst),
+            "batched decode terms disagree with the scalar grid or the stage-cost kernel"
+        );
+        if first {
+            fill = worst[0] * (lossless_f64(stages) - 1.0);
         }
-        t_dec += worst * (lossless_f64(run) * lossless_f64(m_d));
-        u += run;
+        for (&w, &run) in worst.iter().zip(runs) {
+            t_dec += w * (lossless_f64(run) * m_d_f);
+        }
     }
     t_dec += fill;
 
@@ -201,6 +208,37 @@ pub(crate) fn evaluate(sim: &Simulator, cfg: &RraConfig) -> Result<Estimate, Sim
             stages,
             decode_batch: b_d,
         },
+    })
+}
+
+/// The decode loop's debug check of one chunk: each bottleneck in `worst`
+/// is the `Secs::max` fold, from `+0.0`, of the classes' scalar
+/// `DecodeStageGrid::eval` terms at its micro-batch, and each term outside
+/// its grid's knots is the stage-cost kernel's, bit for bit.
+fn chunk_matches_scalar(
+    profile: &LayerProfile,
+    classes: &[StageClass],
+    grids: &[Option<Arc<DecodeStageGrid>>],
+    (ctx, input_len): (f64, f64),
+    micro: &[f64],
+    worst: &[Secs],
+) -> bool {
+    micro.iter().zip(worst).all(|(&batch, worst)| {
+        let mut scalar = Secs::ZERO;
+        for (&StageClass { tp, intra, alloc }, grid) in classes.iter().zip(grids.iter().flatten()) {
+            let t = grid.eval(batch);
+            if !grid.covers(batch) {
+                let pass = Pass::Decode { batch, ctx, input_len };
+                let kernel = pass
+                    .layer_time(profile, tp)
+                    .map(|t_layer| pass.stage_cost(profile, t_layer, alloc, intra));
+                if !kernel.is_ok_and(|k| k.as_secs().to_bits() == t.as_secs().to_bits()) {
+                    return false;
+                }
+            }
+            scalar = scalar.max(t);
+        }
+        scalar.as_secs().to_bits() == worst.as_secs().to_bits()
     })
 }
 
