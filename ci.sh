@@ -29,15 +29,21 @@ cargo run --offline -q -p exegpt-xlint -- --workspace
 echo "==> cargo test -q"
 cargo test --offline --workspace -q
 
-echo "==> estimator, score-memo, metrics, schedule and report digests and the decode kernel in release"
+echo "==> estimator, search-memo, completion, metrics, schedule and report digests and the decode kernel in release"
 # The stage above runs the estimator digests (every estimate's bits, every
 # error's payload) in a debug build. The binaries and the benchmark run
 # release code, where the profile lookups are inlined across crates and
 # debug assertions are off, so the digests must hold there too.
 cargo test --offline --release -q -p exegpt-sim --test estimate_digest
-# The search reads memoized scores, and the benchmark times release code:
-# scores must match fresh estimates bit for bit there too.
+# The search reads scores, and remembered searches stand in for cold ones;
+# the benchmark times release code, so scores must match fresh estimates,
+# and remembered searches the ones that ran, bit for bit there too.
 cargo test --offline --release -q -p exegpt-sim --test cache_props
+# The one-pass completion analysis the RRA estimate reads, against the
+# completion distribution, and the replans and repeated schedules that the
+# search memo answers.
+cargo test --offline --release -q -p exegpt-dist
+cargo test --offline --release -q -p exegpt --test replan --test scheduler
 # Likewise every metrics snapshot of the shipped serve and fleet scenarios:
 # the fleet-100k gate and the benchmark run the serve and fleet loops in
 # release.

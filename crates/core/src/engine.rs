@@ -117,13 +117,13 @@ impl Engine {
         opts: &SchedulerOptions,
     ) -> Result<Replan, ScheduleError> {
         *self = self.with_workload(workload);
-        let (schedule, stats) = self.scheduler.sweep(opts);
+        let (schedule, outcome) = self.scheduler.sweep(opts)?;
         Ok(Replan {
-            schedule: schedule?,
+            schedule,
             fell_back: false,
-            certified_tasks: stats.certified,
-            exact_tasks: stats.exact,
-            full_tasks: stats.full,
+            certified_tasks: outcome.certified,
+            exact_tasks: outcome.exact,
+            full_tasks: outcome.full,
         })
     }
 

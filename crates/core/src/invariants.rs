@@ -21,9 +21,8 @@
 //!   reversal is the signature of a corrupted cost model, not of the benign
 //!   small-tolerance violations the paper measures in Table 5.
 //!
-//! The check is cheap: the probe reads the neighbour's memoized score
-//! ([`Simulator::score`]), so it costs at most one extra closed-form
-//! evaluation.
+//! The check is cheap: the probe reads the neighbour's score
+//! ([`Simulator::score`]), so it costs one extra closed-form evaluation.
 
 use exegpt_sim::{RraConfig, ScheduleConfig, Simulator, WaaConfig};
 use exegpt_units::Secs;
@@ -232,9 +231,9 @@ fn check_latency_monotone(sim: &Simulator, schedule: &Schedule, v: &mut Vec<Stri
             ScheduleConfig::Waa(WaaConfig::new(cfg.b_e + 1, cfg.b_m, cfg.tp, cfg.variant))
         }
     };
-    // Only the latency is read, so the memoized score serves. An infeasible
-    // neighbour (memory, profile range) scores infinite latency, which is
-    // never a violation.
+    // Only the latency is read, so the neighbour is scored, not estimated
+    // in full. An infeasible neighbour (memory, profile range) scores
+    // infinite latency, which is never a violation.
     let n = sim.score(&neighbor);
     if n.latency < base * (1.0 - MONOTONE_SLACK) {
         v.push(format!(

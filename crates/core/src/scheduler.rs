@@ -22,7 +22,8 @@
 //! bounds each task first, and tasks whose bound cannot reach the best
 //! result so far are *certified* away. Online replans (drift, faults) are
 //! this same search on an engine whose evaluation cache survived the change
-//! (DESIGN.md §8). The probe bound assumes a monotone surface, so the
+//! (DESIGN.md §8), and a search that cache remembers (same cluster, same
+//! options) is answered whole from it. The probe bound assumes a monotone surface, so the
 //! search returns the `config`/`estimate` a search of every task would only
 //! where it holds within ε_T: checked on pinned cases, not proven
 //! (DESIGN.md §4a).
@@ -37,8 +38,10 @@ use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
-use exegpt_dist::convert::{lossless_f64, round_usize, trunc_usize};
-use exegpt_sim::{RraConfig, ScheduleConfig, Simulator, TpConfig, WaaConfig, WaaVariant};
+use exegpt_dist::convert::{lossless_f64, round_usize, trunc_usize, widen_u64};
+use exegpt_sim::{
+    RraConfig, ScheduleConfig, SearchOutcome, Simulator, TpConfig, WaaConfig, WaaVariant,
+};
 use exegpt_units::Secs;
 
 use crate::bnb::{self, BnbOptions};
@@ -127,10 +130,10 @@ pub struct Schedule {
     /// tasks counts twice, so this is not a count of distinct
     /// configurations.
     pub evals: usize,
-    /// Score lookups of the search answered by the shared evaluation
-    /// cache's score memo ([`Simulator::score`]). The whole estimates of
-    /// each searched task's winner and of an exact probe come from
-    /// [`Simulator::evaluate`], which is not memoized and not counted.
+    /// Lookups answered from the shared evaluation cache: `evals` when the
+    /// whole search was remembered by the simulator's search memo
+    /// ([`Simulator::remembered_search`]), else 0. Scores and estimates are
+    /// not memoized point by point.
     pub cache_hits: usize,
 }
 
@@ -167,7 +170,7 @@ impl Scheduler {
     /// Returns [`ScheduleError::NoFeasibleSchedule`] when nothing satisfies
     /// the bound, or [`ScheduleError::InvalidOptions`] for bad options.
     pub fn schedule(&self, opts: &SchedulerOptions) -> Result<Schedule, ScheduleError> {
-        self.sweep(opts).0
+        self.sweep(opts).map(|(schedule, _)| schedule)
     }
 
     /// Enumerates the independent (policy, TP setting) searches, fixing the
@@ -267,34 +270,51 @@ impl Scheduler {
         }
     }
 
-    /// The certified sweep behind [`Scheduler::schedule`], returned with its
-    /// task counters. Every task is probed on the search pool; the probes
-    /// are independent, so the work done does not depend on the pool width.
-    /// A feasible top corner resolves its task exactly. The remaining tasks
-    /// are visited in bound order — finite bounds first, then descending
-    /// bound, then task index — against `running_best`, which only ever
-    /// takes achieved throughputs (exact probes and searches, never probe
-    /// bounds). A task whose bound times `(1 + ε_T)` trails it is certified
-    /// away; every other task runs the same cold branch-and-bound as a
-    /// search of every task. The searches are not floored at
-    /// `running_best`: that would save little (0.2% of `sched-paper`'s
-    /// evaluations) and is not identity-safe, since on a surface that is
-    /// not monotone in `B_E` it can prune the block holding the task's cold
-    /// optimum. With one task there is nothing to certify, so the probe is
-    /// skipped.
+    /// The search behind [`Scheduler::schedule`], returned with its task
+    /// counters. A search this simulator's shared cache remembers (same
+    /// cluster fingerprint, same [`search_key`]) is answered from it, and
+    /// reports every lookup as a cache hit; any other runs
+    /// [`cold_sweep`](Self::cold_sweep) and is remembered.
+    pub(crate) fn sweep(
+        &self,
+        opts: &SchedulerOptions,
+    ) -> Result<(Schedule, SearchOutcome), ScheduleError> {
+        validate(opts)?;
+        let (outcome, remembered) =
+            self.sim.remembered_search(search_key(opts), || self.cold_sweep(opts));
+        let Some((config, estimate)) = outcome.best.clone() else {
+            return Err(ScheduleError::NoFeasibleSchedule { latency_bound: opts.latency_bound });
+        };
+        let evals = outcome.evals;
+        let cache_hits = if remembered { evals } else { 0 };
+        let b = Schedule { config, estimate, evals, cache_hits };
+        #[cfg(debug_assertions)]
+        if let Err(report) = crate::PlanInvariants::check(&self.sim, &b) {
+            debug_assert!(false, "schedule violates plan invariants: {report}");
+        }
+        Ok((b, outcome))
+    }
+
+    /// The certified sweep: every task is probed on the search pool; the
+    /// probes are independent, so the work done does not depend on the pool
+    /// width. A feasible top corner resolves its task exactly. The remaining
+    /// tasks are visited in bound order — finite bounds first, then
+    /// descending bound, then task index — against `running_best`, which
+    /// only ever takes achieved throughputs (exact probes and searches,
+    /// never probe bounds). A task whose bound times `(1 + ε_T)` trails it
+    /// is certified away; every other task runs the same cold
+    /// branch-and-bound as a search of every task. The searches are not
+    /// floored at `running_best`: that would save little (0.2% of
+    /// `sched-paper`'s evaluations) and is not identity-safe, since on a
+    /// surface that is not monotone in `B_E` it can prune the block holding
+    /// the task's cold optimum. With one task there is nothing to certify,
+    /// so the probe is skipped.
     ///
     /// The reduction then picks the first task in canonical order with
     /// strictly greater throughput, so ties resolve as they would over
     /// every task.
-    pub(crate) fn sweep(
-        &self,
-        opts: &SchedulerOptions,
-    ) -> (Result<Schedule, ScheduleError>, SweepStats) {
-        let (mut stats, mut evals) = (SweepStats::default(), 0usize);
-        if let Err(e) = validate(opts) {
-            return (Err(e), stats);
-        }
-        let hits_before = self.sim.cache_stats().hits;
+    fn cold_sweep(&self, opts: &SchedulerOptions) -> SearchOutcome {
+        let mut outcome = SearchOutcome { best: None, evals: 0, certified: 0, exact: 0, full: 0 };
         let tasks = self.search_tasks(opts);
         let mut per_task: Vec<Option<Schedule>> = vec![None; tasks.len()];
         let mut running_best = f64::NEG_INFINITY;
@@ -312,12 +332,12 @@ impl Scheduler {
             for (i, probe) in probes.into_iter().enumerate() {
                 match probe {
                     Probe::Exact { schedule } => {
-                        stats.exact += 1;
+                        outcome.exact += 1;
                         running_best = running_best.max(schedule.estimate.throughput);
                         per_task[i] = Some(schedule);
                     }
-                    Probe::Bounded { upper, evals: e } => {
-                        evals += e;
+                    Probe::Bounded { upper, evals } => {
+                        outcome.evals += evals;
                         deferred.push((i, upper));
                     }
                 }
@@ -334,10 +354,10 @@ impl Scheduler {
         let eps_thr = opts.eps_throughput_frac.max(0.0);
         for (i, upper) in deferred {
             if upper * (1.0 + eps_thr) < running_best {
-                stats.certified += 1;
+                outcome.certified += 1;
                 continue;
             }
-            stats.full += 1;
+            outcome.full += 1;
             if let Some(s) = self.run_task(&tasks[i], opts) {
                 running_best = running_best.max(s.estimate.throughput);
                 per_task[i] = Some(s);
@@ -346,25 +366,13 @@ impl Scheduler {
 
         let mut best: Option<Schedule> = None;
         for r in per_task.into_iter().flatten() {
-            evals += r.evals;
+            outcome.evals += r.evals;
             if best.as_ref().is_none_or(|b| r.estimate.throughput > b.estimate.throughput) {
                 best = Some(r);
             }
         }
-        let Some(mut b) = best else {
-            let err = ScheduleError::NoFeasibleSchedule { latency_bound: opts.latency_bound };
-            return (Err(err), stats);
-        };
-        b.evals = evals;
-        // Deterministic even across pool widths: the cache counts a lost
-        // insert race as a hit, so the totals depend only on the multiset
-        // of configurations evaluated.
-        b.cache_hits = self.sim.cache_stats().hits - hits_before;
-        #[cfg(debug_assertions)]
-        if let Err(report) = crate::PlanInvariants::check(&self.sim, &b) {
-            debug_assert!(false, "schedule violates plan invariants: {report}");
-        }
-        (Ok(b), stats)
+        outcome.best = best.map(|b| (b.config, b.estimate));
+        outcome
     }
 
     /// Derives an upper bound on the best feasible throughput of one task
@@ -488,16 +496,6 @@ enum Probe {
     Bounded { upper: f64, evals: usize },
 }
 
-/// Task counters of one certified sweep ([`Scheduler::sweep`]): tasks
-/// certified away by their probe bound, resolved by a feasible top corner,
-/// and run through branch-and-bound.
-#[derive(Debug, Default)]
-pub(crate) struct SweepStats {
-    pub(crate) certified: usize,
-    pub(crate) exact: usize,
-    pub(crate) full: usize,
-}
-
 /// Maps `f` over `items` on a bounded work-stealing pool of at most
 /// `workers` threads and returns the results in item order. A fixed set of
 /// scoped workers pulls indices from a shared counter and writes per-item
@@ -604,6 +602,50 @@ struct SearchTask {
     b_m: usize,
 }
 
+/// Every option that decides a search's outcome, as the words of its
+/// search-memo key. Fixed-width fields, tagged `Option`s and
+/// length-prefixed lists make the encoding injective, so equal words mean
+/// equal options. `parallel` and `pool_threads` are left out: the outcome
+/// is the same at every pool width.
+fn search_key(opts: &SchedulerOptions) -> Vec<u64> {
+    let SchedulerOptions {
+        latency_bound,
+        eps_latency_frac,
+        eps_throughput_frac,
+        policies,
+        max_b_e,
+        max_n_d,
+        tp_configs,
+        parallel: _,
+        pool_threads: _,
+    } = opts;
+    let mut key = vec![
+        latency_bound.as_f64().to_bits(),
+        eps_latency_frac.to_bits(),
+        eps_throughput_frac.to_bits(),
+        widen_u64(policies.len()),
+    ];
+    key.extend(policies.iter().map(|p| match p {
+        Policy::Rra => 0,
+        Policy::WaaCompute => 1,
+        Policy::WaaMemory => 2,
+    }));
+    for limit in [max_b_e, max_n_d] {
+        match limit {
+            None => key.push(0),
+            Some(v) => key.extend([1, widen_u64(*v)]),
+        }
+    }
+    match tp_configs {
+        None => key.push(0),
+        Some(tps) => {
+            key.extend([1, widen_u64(tps.len())]);
+            key.extend(tps.iter().flat_map(|tp| [widen_u64(tp.degree), widen_u64(tp.gpus)]));
+        }
+    }
+    key
+}
+
 fn validate(opts: &SchedulerOptions) -> Result<(), ScheduleError> {
     #[expect(clippy::neg_cmp_op_on_partial_ord, reason = "NaN must be rejected too")]
     if !(opts.latency_bound.as_f64() > 0.0) {
@@ -630,4 +672,38 @@ fn validate(opts: &SchedulerOptions) -> Result<(), ScheduleError> {
         });
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn search_keys_tell_deciding_options_apart() {
+        let base = SchedulerOptions::bounded(Secs::new(10.0));
+        let variants = [
+            base.clone(),
+            SchedulerOptions::bounded(Secs::new(10.5)),
+            SchedulerOptions::bounded(Secs::INFINITY),
+            SchedulerOptions { eps_latency_frac: 0.1, ..base.clone() },
+            SchedulerOptions { eps_throughput_frac: 0.0, ..base.clone() },
+            SchedulerOptions { policies: vec![Policy::Rra], ..base.clone() },
+            SchedulerOptions { policies: vec![Policy::WaaMemory, Policy::Rra], ..base.clone() },
+            SchedulerOptions { max_b_e: Some(8), ..base.clone() },
+            SchedulerOptions { max_n_d: Some(8), ..base.clone() },
+            SchedulerOptions { max_b_e: Some(8), max_n_d: Some(8), ..base.clone() },
+            SchedulerOptions { tp_configs: Some(vec![]), ..base.clone() },
+            SchedulerOptions { tp_configs: Some(vec![TpConfig::none()]), ..base.clone() },
+            SchedulerOptions { tp_configs: Some(vec![TpConfig::full(2, 4)]), ..base.clone() },
+        ];
+        let keys: Vec<Vec<u64>> = variants.iter().map(search_key).collect();
+        for (i, a) in keys.iter().enumerate() {
+            for (j, b) in keys.iter().enumerate().skip(i + 1) {
+                assert_ne!(a, b, "options {i} and {j} share a key");
+            }
+        }
+        // The pool width does not decide the outcome, so it shares the key.
+        let pooled = SchedulerOptions { parallel: false, pool_threads: Some(3), ..base.clone() };
+        assert_eq!(search_key(&pooled), search_key(&base));
+    }
 }

@@ -1,6 +1,6 @@
 //! End-to-end behaviour of the constraint-aware scheduler.
 
-use exegpt::{Engine, Policy, ScheduleConfig, ScheduleError, SchedulerOptions};
+use exegpt::{Engine, Policy, Schedule, ScheduleConfig, ScheduleError, SchedulerOptions};
 use exegpt_cluster::ClusterSpec;
 use exegpt_dist::LengthDist;
 use exegpt_model::ModelConfig;
@@ -158,6 +158,37 @@ fn schedule_is_deterministic_across_pool_widths() {
     for width in [1, 2, 3, 8] {
         assert_eq!(reference, run(true, Some(width)), "pool width {width} diverged");
     }
+}
+
+#[test]
+fn a_remembered_search_is_the_cold_one_at_every_pool_width() {
+    // The pool width is not part of a search's memo key, since the result
+    // does not depend on it: on one engine the first run searches, and
+    // every later run is remembered whatever its width, reporting each of
+    // its lookups as a cache hit.
+    let engine = engine_task_s();
+    let opts = |parallel: bool, pool_threads: Option<usize>| SchedulerOptions {
+        parallel,
+        pool_threads,
+        ..SchedulerOptions::bounded(Secs::new(10.0))
+    };
+    let cold = engine.schedule_with(&opts(true, Some(2))).expect("feasible");
+    assert_eq!(cold.cache_hits, 0, "a cold search answers nothing from the cache");
+    let remembered = Schedule { cache_hits: cold.evals, ..cold.clone() };
+    for (parallel, width) in [(false, None), (true, None), (true, Some(1)), (true, Some(3))] {
+        let again = engine.schedule_with(&opts(parallel, width)).expect("feasible");
+        assert_eq!(again, remembered, "parallel={parallel} width={width:?}");
+    }
+    assert_eq!(engine.simulator().cache_stats().hits, 4);
+
+    // An infeasible bound is remembered too.
+    let ns = SchedulerOptions::bounded(Secs::new(1e-3));
+    for _ in 0..2 {
+        let err = engine.schedule_with(&ns).expect_err("1 ms is impossible");
+        assert!(matches!(err, ScheduleError::NoFeasibleSchedule { .. }));
+    }
+    let stats = engine.simulator().cache_stats();
+    assert_eq!((stats.hits, stats.misses), (5, 2));
 }
 
 #[test]

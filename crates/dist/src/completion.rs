@@ -48,22 +48,9 @@ impl CompletionDist {
     ///
     /// Returns [`DistError::InvalidParameter`] if `n_d == 0`.
     pub fn new(output: &LengthDist, n_d: usize) -> Result<Self, DistError> {
-        if n_d == 0 {
-            return Err(DistError::InvalidParameter {
-                what: "n_d",
-                why: "encoding frequency must be at least 1",
-            });
-        }
+        check_n_d(n_d)?;
         let mut probs = vec![0.0; n_d];
-        for (s, p_s) in output.iter() {
-            if s <= n_d {
-                probs[s - 1] += p_s;
-            } else {
-                let phases = s.div_ceil(n_d) as f64;
-                let u = 1 + (s - 1) % n_d;
-                probs[u - 1] += p_s / phases;
-            }
-        }
+        accumulate(output, &mut probs);
         Ok(Self { probs, n_d })
     }
 
@@ -134,9 +121,9 @@ impl CompletionDist {
     }
 
     /// The whole survival series `[survival(1), ..., survival(N_D)]` in one
-    /// O(N_D) pass — the per-phase reuse hook for simulator evaluation
-    /// caches, which would otherwise pay O(N_D²) calling
+    /// O(N_D) pass, instead of the O(N_D²) of calling
     /// [`expected_active`](Self::expected_active) per iteration.
+    /// [`CompletionSeries`] builds the same series without the distribution.
     pub fn survival_series(&self) -> Vec<f64> {
         let mut series = Vec::with_capacity(self.n_d);
         let mut completed_before = 0.0;
@@ -145,6 +132,70 @@ impl CompletionDist {
             completed_before += self.prob(u);
         }
         series
+    }
+}
+
+/// The completion analysis the RRA estimate reads, built in one pass
+/// without a [`CompletionDist`]: `P_D(U)` is accumulated phase by phase
+/// into the series' buffer, which is then turned into survival factors in
+/// place. Bit for bit, `fraction` is
+/// [`CompletionDist::completion_fraction`] and `survival` is
+/// [`CompletionDist::survival_series`] of the same `N_D`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CompletionSeries {
+    /// `Σ_U P_D(U)`, for sizing the decode pool: the survival series'
+    /// final cumulative sum.
+    pub fraction: f64,
+    /// `survival[u-1]` = expected fraction of the pool still active at the
+    /// start of decode iteration `u`.
+    pub survival: Vec<f64>,
+}
+
+impl CompletionSeries {
+    /// The completion fraction and survival series for encoding frequency
+    /// `N_D` over the output-length distribution `P_D(S)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DistError::InvalidParameter`] if `n_d == 0`.
+    pub fn new(output: &LengthDist, n_d: usize) -> Result<Self, DistError> {
+        check_n_d(n_d)?;
+        let mut survival = vec![0.0; n_d];
+        accumulate(output, &mut survival);
+        let mut completed_before = 0.0;
+        for slot in &mut survival {
+            let p = *slot;
+            *slot = 1.0 - completed_before;
+            completed_before += p;
+        }
+        Ok(Self { fraction: completed_before, survival })
+    }
+}
+
+fn check_n_d(n_d: usize) -> Result<(), DistError> {
+    if n_d == 0 {
+        return Err(DistError::InvalidParameter {
+            what: "n_d",
+            why: "encoding frequency must be at least 1",
+        });
+    }
+    Ok(())
+}
+
+/// Adds `P_D(U = u)` into `probs[u-1]` for `N_D = probs.len()`, phase by
+/// phase: the lengths of phase `k` (0-based) are `k·N_D + 1 ..= (k+1)·N_D`,
+/// one chunk of the PMF, and complete at `U = 1 ..= N_D` with probability
+/// `P(S) / (k + 1)` (dividing by 1.0 is exact). Lengths of zero mass are
+/// skipped, as [`LengthDist::iter`] skips them.
+fn accumulate(output: &LengthDist, probs: &mut [f64]) {
+    let mut phases = 1.0;
+    for chunk in output.masses().chunks(probs.len()) {
+        for (slot, &p_s) in probs.iter_mut().zip(chunk) {
+            if p_s > 0.0 {
+                *slot += p_s / phases;
+            }
+        }
+        phases += 1.0;
     }
 }
 

@@ -230,6 +230,11 @@ impl LengthDist {
         }
     }
 
+    /// The whole PMF: `masses()[i]` is the probability of length `i + 1`.
+    pub(crate) fn masses(&self) -> &[f64] {
+        &self.pmf
+    }
+
     /// Probability of at most `len` tokens.
     pub fn cdf(&self, len: usize) -> f64 {
         if len == 0 {

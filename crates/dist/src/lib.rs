@@ -14,6 +14,8 @@
 //!   that a query completes decoding at iteration `U` after the most recent
 //!   encoding phase, given an encoding frequency of one encode every `N_D`
 //!   decode iterations. This is what keeps RRA's batch sizes consistent.
+//!   [`CompletionSeries`] builds the completion fraction and survival series
+//!   the RRA estimate reads in one pass.
 //! * [`stats`] — correlation and percentile helpers used when deriving
 //!   distributions from datasets.
 //! * [`convert`] — checked numeric conversions required (by
@@ -59,7 +61,7 @@ mod length;
 mod math;
 pub mod stats;
 
-pub use completion::CompletionDist;
+pub use completion::{CompletionDist, CompletionSeries};
 pub use error::DistError;
 pub use fnv::{fnv1a, FnvBuildHasher, FnvHasher};
 pub use length::LengthDist;

@@ -1,25 +1,29 @@
-//! Shared, concurrency-safe memoization for simulator evaluations.
+//! Shared, concurrency-safe memoization for simulator evaluations and
+//! schedule searches.
 //!
 //! One scheduling run evaluates thousands of configurations, and the
 //! closed-form estimates repeat some of their work across them: the
-//! completion analysis `P_D(U)` depends only on `N_D`, a decode stage's
-//! bottleneck term only on its (TP degree, link, layer allocation) class,
-//! and the branch-and-bound searches of different `(policy, TP, B_m)` tasks
-//! frequently land on identical [`ScheduleConfig`]s. This module keeps one
-//! [`EvalCache`] per [`Simulator`](crate::Simulator) *workload*:
-//! [`Simulator::with_workload`](crate::Simulator::with_workload) swaps in a
-//! fresh cache so no per-workload entry can leak across workloads (every
-//! layer depends on the length distributions).
+//! completion analysis `P_D(U)` depends only on `N_D`, and a decode stage's
+//! bottleneck term only on its (TP degree, link, layer allocation) class.
+//! This module keeps one [`EvalCache`] per [`Simulator`](crate::Simulator)
+//! *workload*: [`Simulator::with_workload`](crate::Simulator::with_workload)
+//! swaps in a fresh cache so no per-workload entry can leak across
+//! workloads (every layer depends on the length distributions).
 //!
-//! Whole estimates are *not* memoized. The search reads only a
-//! configuration's latency and throughput, so the third layer is a score
-//! memo: [`Simulator::score`](crate::Simulator::score) keeps one
-//! [`Perf`] per configuration, [`Perf::INFEASIBLE`] for any error, with no
-//! [`Estimate`](crate::Estimate) or [`SimError`] payload to store or clone.
-//! [`Simulator::evaluate`](crate::Simulator::evaluate) computes every
-//! estimate afresh over the warm completion and decode-grid layers; only
-//! each searched task's winner, an exact probe, the runner and scenario
-//! lowering ask for one, a few times per schedule.
+//! No evaluation is memoized per configuration. The branch-and-bound
+//! searches of different tasks rarely meet on one configuration (3.5 % of
+//! a `sched-paper` schedule's lookups), and a per-point memo cost every
+//! lookup a key hash, two lock round trips and an insert into a growing
+//! map. What repeats is whole searches: a recovery replan onto the original
+//! topology, or the same bound scheduled twice on one engine. So the third
+//! layer is a search memo:
+//! [`Simulator::remembered_search`](crate::Simulator::remembered_search)
+//! keeps each search's [`SearchOutcome`], keyed by the cluster fingerprint
+//! and the caller's word-for-word encoding of the options that decide the
+//! result. Keys compare exactly, so a hash collision costs a bucket probe,
+//! never a wrong plan. [`Simulator::score`](crate::Simulator::score) and
+//! [`Simulator::evaluate`](crate::Simulator::evaluate) compute every point
+//! afresh over the warm completion and decode-grid layers.
 //!
 //! Pipeline plans are not memoized either. An RRA plan depends on
 //! `(B_E, B_D, TP)`, and few evaluations share one: on the benchmark's
@@ -33,21 +37,19 @@
 //! Cluster swaps are cheaper than workload swaps: the completion analyses
 //! and the decode stage grids are *cluster-independent* (they derive from
 //! the workload and the layer profile, which degraded topologies reuse),
-//! while scores are not. Scores therefore carry a cluster fingerprint in
-//! their key, and [`with_cluster`](crate::Simulator::with_cluster)
+//! while searches are not. Searches therefore carry a cluster fingerprint
+//! in their key, and [`with_cluster`](crate::Simulator::with_cluster)
 //! *shares* the cache: a fault-driven replan onto survivors keeps every
-//! cluster-independent entry warm, only re-deriving scores, and a recovery
-//! replan onto the original topology hits the original entries outright.
-//! Entries of departed fingerprints linger until the next workload swap —
-//! an accepted cost, bounded by the number of distinct topologies a fault
-//! schedule can visit.
+//! cluster-independent entry warm, and a recovery replan onto the original
+//! topology is one lookup of the original search. Entries of departed
+//! fingerprints linger until the next workload swap — an accepted cost,
+//! bounded by the number of distinct topologies and options a serving run
+//! schedules for.
 //!
 //! Concurrency: maps are sharded `RwLock<HashMap>`s so the scheduler's
 //! search pool shares one cache without serializing on a single lock. On a
-//! racing miss both threads compute (computation is pure), and the insert
-//! that loses the race is counted as a hit — making the hit/miss totals a
-//! function of the looked-up multiset only, independent of thread
-//! interleaving.
+//! racing miss both threads compute (computation is pure) and the first
+//! insert stays.
 
 #[expect(
     clippy::disallowed_types,
@@ -70,12 +72,12 @@ use std::sync::Arc;
 use std::sync::RwLock;
 
 use exegpt_dist::convert::narrow_usize;
-use exegpt_dist::{CompletionDist, FnvBuildHasher, LengthDist};
+use exegpt_dist::{CompletionSeries, FnvBuildHasher, LengthDist};
 use exegpt_profiler::DecodeStageGrid;
 
 use crate::config::ScheduleConfig;
 use crate::error::SimError;
-use crate::estimate::Perf;
+use crate::estimate::Estimate;
 
 /// Shards per map: enough to keep the search pool's workers from
 /// contending, small enough to stay cheap to allocate per workload.
@@ -120,33 +122,15 @@ impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
         self.shard(key).read().unwrap_or_else(|e| e.into_inner()).get(key).cloned()
     }
 
-    /// Inserts unless the key appeared meanwhile; reports whether this call
-    /// actually inserted (`false` = lost a race, treat as a hit).
-    fn insert_if_absent(&self, key: K, value: V) -> bool {
+    /// Inserts unless the key appeared meanwhile: the first value stays.
+    fn insert(&self, key: K, value: V) {
         let mut shard = self.shard(&key).write().unwrap_or_else(|e| e.into_inner());
-        match shard.entry(key) {
-            std::collections::hash_map::Entry::Occupied(_) => false,
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(value);
-                true
-            }
-        }
+        shard.entry(key).or_insert(value);
     }
 
     fn len(&self) -> usize {
         self.shards.iter().map(|s| s.read().unwrap_or_else(|e| e.into_inner()).len()).sum()
     }
-}
-
-/// Completion analysis for one `N_D`: the completion fraction, summed once,
-/// and the per-iteration survival series, so the RRA decode loop is O(N_D)
-/// instead of O(N_D²).
-pub(crate) struct CompletionInfo {
-    /// [`CompletionDist::completion_fraction`], for sizing `B_D`.
-    pub fraction: f64,
-    /// `survival[u-1]` = expected fraction of the pool still active at the
-    /// start of decode iteration `u`.
-    pub survival: Vec<f64>,
 }
 
 /// Key of the decode stage grids: one grid per (TP degree, boundary link,
@@ -160,28 +144,49 @@ pub(crate) struct DecStageKey {
     pub alloc: usize,
 }
 
+/// What one schedule search found, as the search memo keeps it: the pick,
+/// the lookups it took, and the searcher's task counters.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SearchOutcome {
+    /// The chosen configuration and its estimate, or `None` when nothing
+    /// was feasible.
+    pub best: Option<(ScheduleConfig, Estimate)>,
+    /// Score lookups the search made.
+    pub evals: usize,
+    /// Tasks the search certified away without searching them.
+    pub certified: usize,
+    /// Tasks a single probe resolved exactly.
+    pub exact: usize,
+    /// Tasks searched in full.
+    pub full: usize,
+}
+
+/// Key of the search memo: the cluster fingerprint and the caller's
+/// encoding of the search options, compared word for word.
+type SearchKey = (u64, Vec<u64>);
+
 /// Point-in-time cache counters, exposed through
 /// [`Simulator::cache_stats`](crate::Simulator::cache_stats).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EvalCacheStats {
-    /// [`Simulator::score`](crate::Simulator::score) lookups answered from
-    /// the score memo. [`Simulator::evaluate`](crate::Simulator::evaluate)
-    /// is not memoized and counts neither way.
+    /// Searches answered by the search memo
+    /// ([`Simulator::remembered_search`](crate::Simulator::remembered_search)).
+    /// Scores and estimates are not memoized and count neither way.
     pub hits: usize,
-    /// Score lookups that had to run the closed-form evaluation.
+    /// Searches that ran.
     pub misses: usize,
     /// Distinct entries across all cache layers: completion analyses,
-    /// decode stage grids and scores.
+    /// decode stage grids and searches.
     pub entries: usize,
 }
 
 /// The shared evaluation cache: completion analyses, decode stage grids
-/// and scores. One instance per (simulator, workload); see the module
+/// and searches. One instance per (simulator, workload); see the module
 /// docs for the invalidation contract.
 pub(crate) struct EvalCache {
-    completion: ShardedMap<usize, Arc<CompletionInfo>>,
+    completion: ShardedMap<usize, Arc<CompletionSeries>>,
     dec_stage: ShardedMap<DecStageKey, Result<Arc<DecodeStageGrid>, SimError>>,
-    scores: ShardedMap<(u64, ScheduleConfig), Perf>,
+    searches: ShardedMap<SearchKey, SearchOutcome>,
     #[expect(
         clippy::disallowed_types,
         reason = "audited pool module: a counter, so `Ordering::Relaxed` suffices"
@@ -213,7 +218,7 @@ impl EvalCache {
         Self {
             completion: ShardedMap::new(),
             dec_stage: ShardedMap::new(),
-            scores: ShardedMap::new(),
+            searches: ShardedMap::new(),
             hits,
             misses,
         }
@@ -223,7 +228,7 @@ impl EvalCache {
         EvalCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self.completion.len() + self.dec_stage.len() + self.scores.len(),
+            entries: self.completion.len() + self.dec_stage.len() + self.searches.len(),
         }
     }
 
@@ -232,23 +237,20 @@ impl EvalCache {
     ///
     /// # Errors
     ///
-    /// Propagates [`CompletionDist::new`] failures (`n_d == 0`).
+    /// Propagates [`CompletionSeries::new`] failures (`n_d == 0`).
     pub(crate) fn completion(
         &self,
         output: &LengthDist,
         n_d: usize,
-    ) -> Result<Arc<CompletionInfo>, SimError> {
-        if let Some(info) = self.completion.get(&n_d) {
-            return Ok(info);
+    ) -> Result<Arc<CompletionSeries>, SimError> {
+        if let Some(series) = self.completion.get(&n_d) {
+            return Ok(series);
         }
-        let dist = CompletionDist::new(output, n_d)
+        let series = CompletionSeries::new(output, n_d)
             .map_err(|e| SimError::InvalidConfig { what: "n_d", why: e.to_string() })?;
-        let info = Arc::new(CompletionInfo {
-            fraction: dist.completion_fraction(),
-            survival: dist.survival_series(),
-        });
-        self.completion.insert_if_absent(n_d, Arc::clone(&info));
-        Ok(info)
+        let series = Arc::new(series);
+        self.completion.insert(n_d, Arc::clone(&series));
+        Ok(series)
     }
 
     /// Decode stage grid for one stage class, built at most once per
@@ -262,97 +264,75 @@ impl EvalCache {
             return grid;
         }
         let grid = build().map(Arc::new);
-        self.dec_stage.insert_if_absent(key, grid.clone());
+        self.dec_stage.insert(key, grid.clone());
         grid
     }
 
-    /// Score memo, keyed by `(cluster, config)`. Counts a hit for every
-    /// lookup answered without running `eval`, including insert races lost
-    /// to a concurrent miss, so the totals are deterministic for a
-    /// deterministic lookup multiset.
-    pub(crate) fn score(
+    /// Search memo, keyed by `(cluster, options)`: the remembered outcome
+    /// and `true`, or `search()`'s outcome, now remembered, and `false`.
+    /// Counts a hit or a miss per call.
+    pub(crate) fn search(
         &self,
-        cluster: u64,
-        key: ScheduleConfig,
-        eval: impl FnOnce() -> Perf,
-    ) -> Perf {
-        let key = (cluster, key);
-        if let Some(perf) = self.scores.get(&key) {
+        key: SearchKey,
+        search: impl FnOnce() -> SearchOutcome,
+    ) -> (SearchOutcome, bool) {
+        if let Some(outcome) = self.searches.get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return perf;
+            return (outcome, true);
         }
-        let perf = eval();
-        if self.scores.insert_if_absent(key, perf) {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        perf
+        let outcome = search();
+        self.searches.insert(key, outcome.clone());
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        (outcome, false)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{RraConfig, TpConfig};
 
-    fn perf(latency: f64) -> Perf {
-        Perf { latency: exegpt_units::Secs::new(latency), throughput: 1.0 / latency }
+    fn outcome(evals: usize) -> SearchOutcome {
+        SearchOutcome { best: None, evals, certified: 1, exact: 2, full: 3 }
     }
 
     #[test]
-    fn score_memo_counts_hits_and_misses() {
+    fn search_memo_counts_hits_and_misses() {
+        // An infeasible search (`best: None`) is remembered like any other.
         let cache = EvalCache::new();
-        let key = ScheduleConfig::Rra(RraConfig::new(4, 8, TpConfig::none()));
-        let mut evals = 0;
-        for _ in 0..3 {
-            let p = cache.score(7, key, || {
-                evals += 1;
-                perf(2.0)
+        let mut runs = 0;
+        for round in 0..3 {
+            let (found, hit) = cache.search((7, vec![1, 2]), || {
+                runs += 1;
+                outcome(40)
             });
-            assert_eq!(p, perf(2.0));
+            assert_eq!(found, outcome(40));
+            assert_eq!(hit, round > 0);
         }
-        assert_eq!(evals, 1);
+        assert_eq!(runs, 1);
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (2, 1));
-        assert_eq!(stats.entries, 1);
+        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 1, 1));
     }
 
     #[test]
-    fn scores_are_keyed_per_cluster() {
+    fn searches_are_keyed_per_cluster_and_options() {
         let cache = EvalCache::new();
-        let key = ScheduleConfig::Rra(RraConfig::new(4, 8, TpConfig::none()));
-        let a = cache.score(1, key, || perf(2.0));
-        // A different cluster fingerprint re-evaluates...
-        let b = cache.score(2, key, || perf(3.0));
-        assert_ne!(a.latency, b.latency);
-        // ...while the original entry stays warm (recovery path).
-        let again = cache.score(1, key, || perf(9.0));
+        let (a, _) = cache.search((1, vec![5]), || outcome(10));
+        // Another cluster fingerprint, or other options, search again...
+        let (b, hit) = cache.search((2, vec![5]), || outcome(20));
+        assert!(!hit);
+        assert_ne!(a, b);
+        let (_, hit) = cache.search((1, vec![5, 0]), || outcome(30));
+        assert!(!hit, "options compare word for word, length included");
+        // ...while the original entry stays (the recovery path).
+        let (again, hit) = cache.search((1, vec![5]), || outcome(99));
+        assert!(hit);
         assert_eq!(again, a);
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 2));
-        assert_eq!(stats.entries, 2);
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 3, 3));
     }
 
     #[test]
-    fn errors_are_memoized_as_infeasible() {
-        let cache = EvalCache::new();
-        let key = ScheduleConfig::Rra(RraConfig::new(1, 1, TpConfig::none()));
-        let mut evals = 0;
-        for _ in 0..2 {
-            let p = cache.score(7, key, || {
-                evals += 1;
-                Perf::of(&Err(SimError::InvalidConfig { what: "b_e", why: "test".into() }))
-            });
-            assert_eq!(p, Perf::INFEASIBLE);
-        }
-        assert_eq!(evals, 1);
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
-    }
-
-    #[test]
-    fn completion_info_is_shared_per_nd() {
+    fn completion_series_is_shared_per_nd() {
         let cache = EvalCache::new();
         let out = LengthDist::truncated_normal(16.0, 8.0, 64).expect("valid");
         let a = cache.completion(&out, 8).expect("ok");
@@ -360,7 +340,7 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(a.survival.len(), 8);
         assert_eq!(a.survival[0], 1.0);
-        let dist = CompletionDist::new(&out, 8).expect("valid");
+        let dist = exegpt_dist::CompletionDist::new(&out, 8).expect("valid");
         assert_eq!(a.fraction.to_bits(), dist.completion_fraction().to_bits());
         for u in 1..=8 {
             assert_eq!(a.survival[u - 1], dist.survival(u), "u={u}");

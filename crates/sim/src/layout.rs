@@ -73,6 +73,50 @@ impl Pass {
     }
 }
 
+/// Layer times [`LayerTimes`] keeps: an estimate looks up at most five
+/// (pass, TP degree) points.
+const LAYER_TIMES: usize = 6;
+
+/// The layer times one estimate has looked up, keyed by the pass's bits and
+/// the TP degree. Lookups are pure, so a pass at a point seen before reuses
+/// its time: the TP speedup and the WAA group split look up the same points
+/// the pipeline passes then time.
+#[derive(Debug, Default)]
+pub(crate) struct LayerTimes {
+    seen: [(PointKey, Secs); LAYER_TIMES],
+    len: usize,
+}
+
+/// A layer time's point: decode or not, the pass's operating point as
+/// bits, and the TP degree.
+type PointKey = (bool, [u64; 3], usize);
+
+impl LayerTimes {
+    /// `pass.layer_time(profile, tp)`, looked up once per point.
+    pub(crate) fn get(
+        &mut self,
+        profile: &LayerProfile,
+        pass: Pass,
+        tp: usize,
+    ) -> Result<Secs, ProfileError> {
+        let key = match pass {
+            Pass::Encode { batch, seq } => (false, [batch.to_bits(), seq.to_bits(), 0], tp),
+            Pass::Decode { batch, ctx, input_len } => {
+                (true, [batch.to_bits(), ctx.to_bits(), input_len.to_bits()], tp)
+            }
+        };
+        if let Some(&(_, t)) = self.seen[..self.len].iter().find(|(k, _)| *k == key) {
+            return Ok(t);
+        }
+        let t = pass.layer_time(profile, tp)?;
+        if let Some(slot) = self.seen.get_mut(self.len) {
+            *slot = (key, t);
+            self.len += 1;
+        }
+        Ok(t)
+    }
+}
+
 /// Stage classes whose term [`PipelineLayout::stage_times`] keeps: two TP
 /// degrees and two links cover most layouts, but layer counts can split a
 /// class, so the rest are computed per stage.
@@ -123,9 +167,9 @@ impl PipelineLayout {
                 why: "pipeline needs at least one gpu".to_string(),
             });
         }
-        let mut stages = Vec::new();
-        let mut next_gpu = 0usize;
-        if !tp.is_none() {
+        let (fused, degree) = if tp.is_none() {
+            (0, 1)
+        } else {
             if !tp.gpus.is_multiple_of(tp.degree) {
                 return Err(SimError::InvalidConfig {
                     what: "tp",
@@ -145,19 +189,15 @@ impl PipelineLayout {
                     why: "must be positive".to_string(),
                 });
             }
-            for _ in 0..tp.gpus / tp.degree {
-                stages.push(Stage {
-                    tp: tp.degree,
-                    first_gpu: next_gpu,
-                    gpus: tp.degree,
-                    speed: tp_speedup,
-                });
-                next_gpu += tp.degree;
-            }
-        }
-        while next_gpu < n_gpus {
-            stages.push(Stage { tp: 1, first_gpu: next_gpu, gpus: 1, speed: 1.0 });
-            next_gpu += 1;
+            (tp.gpus / tp.degree, tp.degree)
+        };
+        let n = fused + (n_gpus - fused * degree);
+        let mut stages = Vec::with_capacity(n);
+        let mut first_gpu = 0;
+        for i in 0..n {
+            let (tp, speed) = if i < fused { (degree, tp_speedup) } else { (1, 1.0) };
+            stages.push(Stage { tp, first_gpu, gpus: tp, speed });
+            first_gpu += tp;
         }
         Ok(Self { stages, gpus_per_node: gpus_per_node.max(1) })
     }
@@ -188,8 +228,30 @@ impl PipelineLayout {
         a / self.gpus_per_node == b / self.gpus_per_node
     }
 
+    /// [`boundary_intra_node`](Self::boundary_intra_node) of every stage in
+    /// pipeline order, without a division: a handoff crosses nodes exactly
+    /// when the next stage starts on a node's first GPU, and the walk steps
+    /// a node start up through those GPU ids. The last stage's is `true`.
+    pub fn intra_node_links(&self) -> impl Iterator<Item = bool> + '_ {
+        let per_node = self.gpus_per_node.max(1);
+        let mut node_start = 0;
+        let links = self.stages.iter().skip(1).map(move |next| {
+            while node_start < next.first_gpu {
+                node_start += per_node;
+            }
+            node_start != next.first_gpu
+        });
+        links.chain(std::iter::once(true))
+    }
+
     /// Splits `total_layers` across stages proportionally to stage speed
     /// (largest-remainder rounding, every stage at least one layer).
+    ///
+    /// The stages form two runs of equal speed, fused TP stages and then
+    /// singles, so every stage of a run has the same ideal share and the
+    /// same remainder, and the split is computed per run: the leftover
+    /// layers go round the stages in descending remainder order, ties in
+    /// stage order, as a stable sort of the remainders would deal them.
     ///
     /// # Errors
     ///
@@ -206,23 +268,33 @@ impl PipelineLayout {
         let speed_sum: f64 = self.stages.iter().map(|s| s.speed).sum();
         // Give every stage one layer up front, split the rest by speed.
         let spare = total_layers - n;
-        let ideal: Vec<f64> =
-            self.stages.iter().map(|s| lossless_f64(spare) * s.speed / speed_sum).collect();
-        let mut counts: Vec<usize> = ideal.iter().map(|&x| trunc_usize(x)).collect();
-        let mut assigned: usize = counts.iter().sum();
-        // Largest remainders get the leftover layers.
-        let mut rema: Vec<(usize, f64)> =
-            ideal.iter().enumerate().map(|(i, &x)| (i, x - x.floor())).collect();
-        rema.sort_by(|a, b| b.1.total_cmp(&a.1));
-        let mut k = 0;
-        while assigned < spare {
-            counts[rema[k % n].0] += 1;
-            assigned += 1;
-            k += 1;
-        }
-        for c in &mut counts {
-            *c += 1;
-        }
+        let fused = self.stages.partition_point(|s| s.tp > 1);
+        // A run's whole share and remainder, from its first stage's speed.
+        let run = |stages: &[Stage]| {
+            stages.first().map_or((0, 0.0), |s| {
+                let ideal = lossless_f64(spare) * s.speed / speed_sum;
+                (trunc_usize(ideal), ideal - ideal.floor())
+            })
+        };
+        let (fused_share, fused_rem) = run(&self.stages[..fused]);
+        let (single_share, single_rem) = run(&self.stages[fused..]);
+        let assigned = fused * fused_share + (n - fused) * single_share;
+        // Largest remainders get the leftover layers, round after round.
+        let leftover = spare.saturating_sub(assigned);
+        let (rounds, extra) =
+            (leftover.checked_div(n).unwrap_or(0), leftover.checked_rem(n).unwrap_or(0));
+        let fused_first = fused_rem.total_cmp(&single_rem).is_ge();
+        let counts = (0..n)
+            .map(|i| {
+                let (share, rank) = match (i < fused, fused_first) {
+                    (true, true) => (fused_share, i),
+                    (true, false) => (fused_share, n - fused + i),
+                    (false, true) => (single_share, i),
+                    (false, false) => (single_share, i - fused),
+                };
+                share + rounds + usize::from(rank < extra) + 1
+            })
+            .collect();
         Ok(counts)
     }
 
@@ -249,25 +321,40 @@ impl PipelineLayout {
         alloc: &[usize],
         pass: Pass,
     ) -> Result<StageTimes, SimError> {
+        self.stage_times_by(profile, alloc, pass, |tp| pass.layer_time(profile, tp))
+    }
+
+    /// [`stage_times`](Self::stage_times) with the layer time of each TP
+    /// degree at `pass` taken from `layer_time`, which must return what
+    /// `pass.layer_time(profile, tp)` returns: the estimators pass layer
+    /// times they already looked up at the same operating point.
+    pub(crate) fn stage_times_by(
+        &self,
+        profile: &LayerProfile,
+        alloc: &[usize],
+        pass: Pass,
+        mut layer_time: impl FnMut(usize) -> Result<Secs, ProfileError>,
+    ) -> Result<StageTimes, SimError> {
         debug_assert_eq!(alloc.len(), self.stages.len(), "one allocation per stage");
         let mut times = StageTimes::default();
         let mut layer: Option<(usize, Secs)> = None;
         let mut classes = [((0, false, 0), Secs::ZERO); STAGE_CLASSES];
         let mut n_classes = 0;
-        for (i, (stage, &layers)) in self.stages.iter().zip(alloc).enumerate() {
-            let class = (stage.tp, self.boundary_intra_node(i), layers);
+        for ((stage, intra), &layers) in self.stages.iter().zip(self.intra_node_links()).zip(alloc)
+        {
+            let class = (stage.tp, intra, layers);
             let t = match classes[..n_classes].iter().find(|(c, _)| *c == class) {
                 Some(&(_, t)) => t,
                 None => {
                     let t_layer = match layer {
                         Some((tp, t)) if tp == stage.tp => t,
                         _ => {
-                            let t = pass.layer_time(profile, stage.tp)?;
+                            let t = layer_time(stage.tp)?;
                             layer = Some((stage.tp, t));
                             t
                         }
                     };
-                    let t = pass.stage_cost(profile, t_layer, layers, class.1);
+                    let t = pass.stage_cost(profile, t_layer, layers, intra);
                     if let Some(slot) = classes.get_mut(n_classes) {
                         *slot = (class, t);
                         n_classes += 1;

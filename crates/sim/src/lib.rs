@@ -74,7 +74,7 @@ pub mod rra;
 mod simulator;
 pub mod waa;
 
-pub use cache::EvalCacheStats;
+pub use cache::{EvalCacheStats, SearchOutcome};
 pub use config::{RraConfig, ScheduleConfig, TpConfig, WaaConfig, WaaVariant, Workload};
 pub use error::SimError;
 pub use estimate::{Breakdown, Estimate, MemoryReport, Perf};

@@ -19,7 +19,7 @@ use crate::cache::DecStageKey;
 use crate::config::RraConfig;
 use crate::error::SimError;
 use crate::estimate::{Breakdown, Estimate, MemoryReport};
-use crate::layout::{Pass, PipelineLayout};
+use crate::layout::{LayerTimes, Pass, PipelineLayout};
 use crate::simulator::Simulator;
 
 /// Upper bound on decode stage classes: stages run at TP degree 1 or the
@@ -34,6 +34,11 @@ struct StageClass {
     intra: bool,
     alloc: usize,
 }
+
+/// Distinct `(tp, enc layers, dec layers)` stages whose footprint the
+/// memory report keeps: two runs of stages, each with at most three
+/// allocation pairs. Stages beyond it are computed directly.
+const MEMORY_CLASSES: usize = 8;
 
 /// Survival runs per chunk of the decode loop (stack arrays).
 const DECODE_CHUNK: usize = 64;
@@ -51,8 +56,8 @@ pub(crate) fn evaluate(sim: &Simulator, cfg: &RraConfig) -> Result<Estimate, Sim
     // Steady-state decode pool: B_D such that expected completions per phase
     // refill exactly B_E slots (paper §6). The completion analysis depends
     // only on N_D, so it comes from the simulator's evaluation cache.
-    let info = sim.cache().completion(w.output(), cfg.n_d)?;
-    let b_d = CompletionDist::decode_batch(info.fraction, cfg.b_e).ok_or_else(|| {
+    let series = sim.cache().completion(w.output(), cfg.n_d)?;
+    let b_d = CompletionDist::decode_batch(series.fraction, cfg.b_e).ok_or_else(|| {
         SimError::NoSteadyState {
             why: format!("no query completes within N_D = {} iterations", cfg.n_d),
         }
@@ -70,7 +75,8 @@ pub(crate) fn evaluate(sim: &Simulator, cfg: &RraConfig) -> Result<Estimate, Sim
     // Pipeline structure under partial TP; layers allocated by stage speed.
     // Built afresh: most plans are used by one evaluation only, and a kept
     // plan costs more to store and free than to rebuild (DESIGN.md §4a).
-    let RraPlan { layout, enc_alloc, dec_alloc } = self::plan(sim, cfg, b_d)?;
+    let mut times = LayerTimes::default();
+    let RraPlan { layout, enc_alloc, dec_alloc } = plan_with(sim, cfg, b_d, &mut times)?;
     let stages = layout.num_stages();
 
     let s_e = w.input().mean();
@@ -80,8 +86,10 @@ pub(crate) fn evaluate(sim: &Simulator, cfg: &RraConfig) -> Result<Estimate, Sim
     // B_E is split into one micro-batch per stage to fill the pipeline.
     let m_e = stages.min(cfg.b_e).max(1);
     let enc_micro = lossless_f64(cfg.b_e) / lossless_f64(m_e);
+    // The TP speedup looked the encode layer times up at this micro-batch.
+    let pass = Pass::Encode { batch: enc_micro, seq: s_e };
     let enc =
-        layout.stage_times(profile, &enc_alloc, Pass::Encode { batch: enc_micro, seq: s_e })?;
+        layout.stage_times_by(profile, &enc_alloc, pass, |tp| times.get(profile, pass, tp))?;
     let t_enc: Secs = enc.sum + enc.bottleneck * (lossless_f64(m_e) - 1.0);
 
     // --- Memory, before the decode timeline --------------------------------
@@ -114,12 +122,13 @@ pub(crate) fn evaluate(sim: &Simulator, cfg: &RraConfig) -> Result<Estimate, Sim
     // inter-node link) removes most profile lookups from the hot loop.
     let mut classes = [StageClass::default(); MAX_CLASSES];
     let mut n_classes = 0;
-    for (i, stage) in layout.stages().iter().enumerate() {
-        let intra = layout.boundary_intra_node(i);
+    for ((stage, intra), &alloc) in
+        layout.stages().iter().zip(layout.intra_node_links()).zip(&dec_alloc)
+    {
         match classes[..n_classes].iter_mut().find(|c| c.tp == stage.tp && c.intra == intra) {
-            Some(class) => class.alloc = class.alloc.max(dec_alloc[i]),
+            Some(class) => class.alloc = class.alloc.max(alloc),
             None if n_classes < MAX_CLASSES => {
-                classes[n_classes] = StageClass { tp: stage.tp, intra, alloc: dec_alloc[i] };
+                classes[n_classes] = StageClass { tp: stage.tp, intra, alloc };
                 n_classes += 1;
             }
             None => {
@@ -149,7 +158,7 @@ pub(crate) fn evaluate(sim: &Simulator, cfg: &RraConfig) -> Result<Estimate, Sim
     // per-iteration loop: `fold_max` matches a `Secs::max` fold of
     // `DecodeStageGrid::eval` from `+0.0`, which debug builds assert.
     let (b_d_f, m_d_f) = (lossless_f64(b_d), lossless_f64(m_d));
-    let survival = &info.survival;
+    let survival = &series.survival;
     let mut t_dec = Secs::ZERO;
     let mut fill = Secs::ZERO;
     let mut u = 0;
@@ -282,6 +291,16 @@ impl RraPlan {
 /// Builds the pipeline plan for an RRA configuration with a known decode
 /// pool size.
 pub(crate) fn plan(sim: &Simulator, cfg: &RraConfig, b_d: usize) -> Result<RraPlan, SimError> {
+    plan_with(sim, cfg, b_d, &mut LayerTimes::default())
+}
+
+/// [`plan`], keeping the layer times the TP speedup looks up in `times`.
+fn plan_with(
+    sim: &Simulator,
+    cfg: &RraConfig,
+    b_d: usize,
+    times: &mut LayerTimes,
+) -> Result<RraPlan, SimError> {
     let n = sim.cluster().total_gpus();
     let stages_f = if cfg.tp.is_none() {
         lossless_f64(n)
@@ -294,11 +313,16 @@ pub(crate) fn plan(sim: &Simulator, cfg: &RraConfig, b_d: usize) -> Result<RraPl
         cfg.tp,
         (lossless_f64(cfg.b_e) / stages_f).max(1.0),
         lossless_f64(b_d) / stages_f.max(1.0),
+        times,
     )?;
     let layout = PipelineLayout::build(n, cfg.tp, speedup, sim.cluster().gpus_per_node())?;
     RraPlan::allocate(sim, layout)
 }
 
+/// The worst stage's footprint: its parameter slice, its share of the
+/// decode pool's KV cache and the encode activations, TP-sharded. Stages of
+/// one `(tp, enc layers, dec layers)` class have one footprint, so each
+/// class is computed once, and the first stage to reach the maximum wins.
 fn memory_report(
     sim: &Simulator,
     layout: &PipelineLayout,
@@ -308,38 +332,38 @@ fn memory_report(
     enc_tokens: f64,
 ) -> Result<MemoryReport, SimError> {
     let m = sim.model();
-    let kv_ctx = sim.kv_ctx_tokens();
+    let (enc_bytes, dec_bytes) = (sim.enc_layer_bytes(), sim.dec_layer_bytes());
+    // Self-attention KV per decoder layer, and cross-attention KV over the
+    // cached inputs (encoder-decoder only), before TP sharding.
+    let kv_self_per_layer = lossless_f64(b_d)
+        * sim.kv_ctx_tokens().as_f64()
+        * lossless_f64(m.kv_bytes_per_token_per_layer());
+    let kv_cross_per_layer =
+        lossless_f64(m.cross_kv_cache_bytes(b_d, trunc_usize(sim.workload().input().mean()), 1));
+    let act = m.activation_bytes(1, ceil_usize(enc_tokens));
     let mut worst = MemoryFootprint::default();
-    for (i, stage) in layout.stages().iter().enumerate() {
+    let mut seen = [(0, 0, 0); MEMORY_CLASSES];
+    let mut n_seen = 0;
+    for ((stage, &enc), &dec) in layout.stages().iter().zip(enc_alloc).zip(dec_alloc) {
+        let class = (stage.tp, enc, dec);
+        if seen[..n_seen].contains(&class) {
+            continue;
+        }
+        if let Some(slot) = seen.get_mut(n_seen) {
+            *slot = class;
+            n_seen += 1;
+        }
         let params = match m.kind() {
             // Encoder-decoder stages hold their encoder and decoder slices.
-            ModelKind::EncoderDecoder => {
-                widen_u64(enc_alloc[i]) * sim.enc_layer_bytes()
-                    + widen_u64(dec_alloc[i]) * sim.dec_layer_bytes()
-            }
+            ModelKind::EncoderDecoder => widen_u64(enc) * enc_bytes + widen_u64(dec) * dec_bytes,
             // Decoder-only stages hold one copy serving both passes.
-            ModelKind::DecoderOnly => widen_u64(dec_alloc[i]) * sim.dec_layer_bytes(),
+            ModelKind::DecoderOnly => widen_u64(dec) * dec_bytes,
         } / widen_u64(stage.tp);
-        // Self-attention KV for the stage's decoder layers, sharded by TP.
-        let kv_self = trunc_u64(
-            lossless_f64(b_d)
-                * kv_ctx.as_f64()
-                * lossless_f64(m.kv_bytes_per_token_per_layer())
-                * lossless_f64(dec_alloc[i])
-                / lossless_f64(stage.tp),
-        );
-        // Cross-attention KV over the cached inputs (encoder-decoder only).
-        let kv_cross = trunc_u64(
-            lossless_f64(m.cross_kv_cache_bytes(
-                b_d,
-                trunc_usize(sim.workload().input().mean()),
-                1,
-            )) * lossless_f64(dec_alloc[i])
-                / lossless_f64(stage.tp),
-        );
-        let kv = kv_self + kv_cross;
-        let act = m.activation_bytes(1, ceil_usize(enc_tokens)) / widen_u64(stage.tp);
-        let fp = MemoryFootprint { param_bytes: params, kv_bytes: kv, activation_bytes: act };
+        let (layers, tp) = (lossless_f64(dec), lossless_f64(stage.tp));
+        let kv = trunc_u64(kv_self_per_layer * layers / tp)
+            + trunc_u64(kv_cross_per_layer * layers / tp);
+        let activation_bytes = act / widen_u64(stage.tp);
+        let fp = MemoryFootprint { param_bytes: params, kv_bytes: kv, activation_bytes };
         if fp.total() > worst.total() {
             worst = fp;
         }

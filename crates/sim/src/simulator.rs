@@ -8,10 +8,11 @@ use exegpt_model::{LayerKind, ModelConfig, ModelKind};
 use exegpt_profiler::LayerProfile;
 use exegpt_units::Tokens;
 
-use crate::cache::{EvalCache, EvalCacheStats};
+use crate::cache::{EvalCache, EvalCacheStats, SearchOutcome};
 use crate::config::{RraConfig, ScheduleConfig, TpConfig, WaaConfig, Workload};
 use crate::error::SimError;
 use crate::estimate::{Estimate, Perf};
+use crate::layout::{LayerTimes, Pass};
 use crate::{rra, waa};
 
 /// Fraction of device memory usable by the schedule (the rest is reserved
@@ -33,10 +34,10 @@ pub struct Simulator {
     cluster: ClusterSpec,
     profile: Arc<LayerProfile>,
     workload: Workload,
-    /// Memoized completion analyses, decode stage grids and scores (not
-    /// whole estimates or pipeline plans: see the `cache` module docs).
-    /// Valid for this exact (model, profile, workload) tuple, so it is
-    /// shared by `clone()` *and* [`with_cluster`] (scores carry
+    /// Memoized completion analyses, decode stage grids and search
+    /// outcomes (not scores, estimates or pipeline plans: see the `cache`
+    /// module docs). Valid for this exact (model, profile, workload) tuple,
+    /// so it is shared by `clone()` *and* [`with_cluster`] (searches carry
     /// `cluster_key` in their keys) but replaced by [`with_workload`].
     ///
     /// [`with_workload`]: Simulator::with_workload
@@ -94,17 +95,17 @@ impl Simulator {
     /// degraded variants of the original.
     ///
     /// The evaluation cache is *shared*, not flushed: the cluster-dependent
-    /// entries, scores, are keyed by the cluster's
-    /// [`fingerprint`](ClusterSpec::fingerprint), so a swap only re-derives
-    /// those, keeps the cluster-independent completion analyses and decode
-    /// grids warm, and turns a later swap back to the original topology
-    /// (fault recovery) into pure cache hits.
+    /// entries, searches, are keyed by the cluster's
+    /// [`fingerprint`](ClusterSpec::fingerprint), so a swap keeps the
+    /// cluster-independent completion analyses and decode grids warm, and a
+    /// later swap back to the original topology (fault recovery) finds the
+    /// searches it ran there remembered.
     pub fn with_cluster(&self, cluster: ClusterSpec) -> Self {
         let cluster_key = cluster.fingerprint();
         Self { cluster, cache: Arc::clone(&self.cache), cluster_key, ..self.clone() }
     }
 
-    /// Point-in-time counters of the shared evaluation cache: score-memo
+    /// Point-in-time counters of the shared evaluation cache: search-memo
     /// hits and misses, and distinct entries across all layers.
     pub fn cache_stats(&self) -> EvalCacheStats {
         self.cache.stats()
@@ -152,12 +153,28 @@ impl Simulator {
         waa::evaluate(self, cfg)
     }
 
-    /// The memoized [`Perf`] of a configuration: [`Simulator::evaluate`]'s
-    /// latency and throughput, bit for bit, or [`Perf::INFEASIBLE`] where it
-    /// errs. Keyed by (cluster fingerprint, configuration) in the shared
-    /// cache, and counted in [`Simulator::cache_stats`].
+    /// The [`Perf`] of a configuration: [`Simulator::evaluate`]'s latency
+    /// and throughput, bit for bit, or [`Perf::INFEASIBLE`] where it errs.
+    /// Not memoized: a search that repeats is remembered whole, by
+    /// [`Simulator::remembered_search`].
     pub fn score(&self, cfg: &ScheduleConfig) -> Perf {
-        self.cache.score(self.cluster_key, *cfg, || Perf::of(&self.evaluate(cfg)))
+        Perf::of(&self.evaluate(cfg))
+    }
+
+    /// The outcome of the search that `options` encodes, on this
+    /// simulator's cluster: remembered, with `true`, if the shared cache
+    /// holds one for this cluster fingerprint and these exact words;
+    /// otherwise `search()`'s outcome, with `false`, which is then
+    /// remembered. `options` must encode, injectively, every input of
+    /// `search` beyond this simulator's (model, cluster, profile, workload):
+    /// keys compare word for word, never by hash alone. Counted in
+    /// [`Simulator::cache_stats`].
+    pub fn remembered_search(
+        &self,
+        options: Vec<u64>,
+        search: impl FnOnce() -> SearchOutcome,
+    ) -> (SearchOutcome, bool) {
+        self.cache.search((self.cluster_key, options), search)
     }
 
     /// Resolves the pipeline plan (layout + per-stage layer allocations) of
@@ -200,6 +217,8 @@ impl Simulator {
     /// Measured speedup of a fused TP stage over a single GPU at this
     /// schedule's operating point (blend of encode and decode work).
     /// Dimensionless ratio, hence crate-private under the unit-safety policy.
+    /// The layer times it looks up land in `times`, for the passes the
+    /// estimate then times at the same points.
     ///
     /// # Errors
     ///
@@ -209,6 +228,7 @@ impl Simulator {
         tp: TpConfig,
         enc_batch: f64,
         dec_batch: f64,
+        times: &mut LayerTimes,
     ) -> Result<f64, SimError> {
         if tp.is_none() {
             return Ok(1.0);
@@ -216,10 +236,12 @@ impl Simulator {
         let s_e = self.workload.input().mean();
         let ctx = self.workload.mean_decode_context().as_f64();
         let p = &self.profile;
-        let e1 = p.encode_layer_time(enc_batch, s_e, 1)?;
-        let ed = p.encode_layer_time(enc_batch, s_e, tp.degree)?;
-        let d1 = p.decode_layer_time(dec_batch, ctx, s_e, 1)?;
-        let dd = p.decode_layer_time(dec_batch, ctx, s_e, tp.degree)?;
+        let enc = Pass::Encode { batch: enc_batch, seq: s_e };
+        let dec = Pass::Decode { batch: dec_batch, ctx, input_len: s_e };
+        let e1 = times.get(p, enc, 1)?;
+        let ed = times.get(p, enc, tp.degree)?;
+        let d1 = times.get(p, dec, 1)?;
+        let dd = times.get(p, dec, tp.degree)?;
         Ok(((e1 + d1) / (ed + dd)).max(0.05))
     }
 

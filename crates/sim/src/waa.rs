@@ -15,12 +15,17 @@ use exegpt_model::{MemoryFootprint, ModelKind};
 use crate::config::{WaaConfig, WaaVariant};
 use crate::error::SimError;
 use crate::estimate::{Breakdown, Estimate, MemoryReport};
-use crate::layout::{Pass, PipelineLayout, StageTimes};
+use crate::layout::{LayerTimes, Pass, PipelineLayout, StageTimes};
 use crate::simulator::Simulator;
 
 /// Fraction of the KV handover that cannot be hidden behind compute
 /// (the paper overlaps the staged copies with computation, §3).
 pub const KV_TRANSFER_EXPOSED: f64 = 0.3;
+
+/// Distinct `(tp, layers)` decode stages whose footprint the memory report
+/// keeps: two runs of stages, each with at most two allocations. Stages
+/// beyond it are computed directly.
+const MEMORY_CLASSES: usize = 4;
 
 /// Latency margin for the runtime's dynamic workload adjustment buffers
 /// (paper §5.2, §6 "including buffer time for dynamic adjustments").
@@ -48,6 +53,16 @@ pub struct WaaPlan {
 
 /// Validates a WAA configuration and resolves its group split and layouts.
 pub(crate) fn plan(sim: &Simulator, cfg: &WaaConfig) -> Result<WaaPlan, SimError> {
+    plan_with(sim, cfg, &mut LayerTimes::default())
+}
+
+/// [`plan`], keeping the layer times the group split and the TP speedup
+/// look up in `times`.
+fn plan_with(
+    sim: &Simulator,
+    cfg: &WaaConfig,
+    times: &mut LayerTimes,
+) -> Result<WaaPlan, SimError> {
     if cfg.b_e == 0 {
         return Err(SimError::InvalidConfig { what: "b_e", why: "must be at least 1".into() });
     }
@@ -88,8 +103,10 @@ pub(crate) fn plan(sim: &Simulator, cfg: &WaaConfig) -> Result<WaaPlan, SimError
     // --- Group split -----------------------------------------------------
     let enc_layers = sim.enc_layers_total();
     let dec_layers = sim.dec_layers_total();
-    let c_e = profile.encode_layer_time(lossless_f64(cfg.b_e), s_e, 1)? * lossless_f64(enc_layers);
-    let c_d = profile.decode_layer_time(lossless_f64(b_d), ctx, s_e, 1)? * lossless_f64(dec_layers);
+    let enc = Pass::Encode { batch: lossless_f64(cfg.b_e), seq: s_e };
+    let c_e = times.get(profile, enc, 1)? * lossless_f64(enc_layers);
+    let dec = Pass::Decode { batch: lossless_f64(b_d), ctx, input_len: s_e };
+    let c_d = times.get(profile, dec, 1)? * lossless_f64(dec_layers);
     let n_e = match cfg.variant {
         WaaVariant::Compute => split_by_ratio(n, c_e / (c_e + c_d)),
         WaaVariant::Memory => {
@@ -117,7 +134,7 @@ pub(crate) fn plan(sim: &Simulator, cfg: &WaaConfig) -> Result<WaaPlan, SimError
         });
     }
     let micro = lossless_f64(b_d) / lossless_f64(cfg.b_m);
-    let speedup = sim.tp_speedup(cfg.tp, lossless_f64(cfg.b_e), micro)?;
+    let speedup = sim.tp_speedup(cfg.tp, lossless_f64(cfg.b_e), micro, times)?;
     let dec_layout = PipelineLayout::build(n_dec, cfg.tp, speedup, sim.cluster().gpus_per_node())?;
     let dec_alloc = dec_layout.allocate_layers(dec_layers)?;
 
@@ -131,7 +148,10 @@ pub(crate) fn plan(sim: &Simulator, cfg: &WaaConfig) -> Result<WaaPlan, SimError
 }
 
 pub(crate) fn evaluate(sim: &Simulator, cfg: &WaaConfig) -> Result<Estimate, SimError> {
-    let plan = self::plan(sim, cfg)?;
+    // The group split and the TP speedup look up the encode pass's layer
+    // time, and with TP the decode pass's at B_D / B_m: both are reused.
+    let mut times = LayerTimes::default();
+    let plan = plan_with(sim, cfg, &mut times)?;
     let (enc_layout, enc_alloc) = (&plan.enc_layout, &plan.enc_alloc);
     let (dec_layout, dec_alloc) = (&plan.dec_layout, &plan.dec_alloc);
     let (b_d, kv_layers) = (plan.b_d, plan.kv_layers);
@@ -143,13 +163,15 @@ pub(crate) fn evaluate(sim: &Simulator, cfg: &WaaConfig) -> Result<Estimate, Sim
     // --- Encoding pipeline (single-GPU stages) ---------------------------
     let enc = Pass::Encode { batch: lossless_f64(cfg.b_e), seq: s_e };
     let StageTimes { sum: enc_latency, bottleneck: p_enc } =
-        enc_layout.stage_times(profile, enc_alloc, enc)?;
+        enc_layout.stage_times_by(profile, enc_alloc, enc, |tp| times.get(profile, enc, tp))?;
 
     // --- Decoding pipeline (partial TP allowed) --------------------------
     let micro = lossless_f64(b_d) / lossless_f64(cfg.b_m);
     let stages_d = dec_layout.num_stages();
     let dec = Pass::Decode { batch: micro, ctx, input_len: s_e };
-    let t_dstage = dec_layout.stage_times(profile, dec_alloc, dec)?.bottleneck;
+    let t_dstage = dec_layout
+        .stage_times_by(profile, dec_alloc, dec, |tp| times.get(profile, dec, tp))?
+        .bottleneck;
     // Micro-batches circulate the stage ring: the period of one decoding
     // iteration of the full pool is bounded by stage occupancy (m per
     // stage) or ring traversal (stages_d), whichever is longer.
@@ -240,28 +262,31 @@ fn memory_report(
     };
 
     // Decoder GPU: its layer slice (TP-sharded) plus its share of the pool.
-    let kv_ctx = sim.kv_ctx_tokens();
+    // Stages of one `(tp, layers)` class have one footprint, so each class
+    // is computed once, and the first stage to reach the maximum wins.
+    let dec_bytes = sim.dec_layer_bytes();
+    let kv_self_per_layer = lossless_f64(b_d)
+        * sim.kv_ctx_tokens().as_f64()
+        * lossless_f64(m.kv_bytes_per_token_per_layer());
+    let kv_cross_per_layer = lossless_f64(m.cross_kv_cache_bytes(b_d, trunc_usize(s_e), 1));
+    let activation_bytes = m.activation_bytes((b_d / cfg.b_m).max(1), 1);
     let mut decoder_gpu = MemoryFootprint::default();
-    for (i, stage) in dec_layout.stages().iter().enumerate() {
-        let params = widen_u64(dec_alloc[i]) * sim.dec_layer_bytes() / widen_u64(stage.tp);
-        let kv_self = trunc_u64(
-            lossless_f64(b_d)
-                * kv_ctx.as_f64()
-                * lossless_f64(m.kv_bytes_per_token_per_layer())
-                * lossless_f64(dec_alloc[i])
-                / lossless_f64(stage.tp),
-        );
-        let kv_cross = trunc_u64(
-            lossless_f64(m.cross_kv_cache_bytes(b_d, trunc_usize(s_e), 1))
-                * lossless_f64(dec_alloc[i])
-                / lossless_f64(stage.tp),
-        );
-        let act = m.activation_bytes((b_d / cfg.b_m).max(1), 1);
-        let fp = MemoryFootprint {
-            param_bytes: params,
-            kv_bytes: kv_self + kv_cross,
-            activation_bytes: act,
-        };
+    let mut seen = [(0, 0); MEMORY_CLASSES];
+    let mut n_seen = 0;
+    for (stage, &dec) in dec_layout.stages().iter().zip(dec_alloc) {
+        let class = (stage.tp, dec);
+        if seen[..n_seen].contains(&class) {
+            continue;
+        }
+        if let Some(slot) = seen.get_mut(n_seen) {
+            *slot = class;
+            n_seen += 1;
+        }
+        let params = widen_u64(dec) * dec_bytes / widen_u64(stage.tp);
+        let (layers, tp) = (lossless_f64(dec), lossless_f64(stage.tp));
+        let kv_bytes = trunc_u64(kv_self_per_layer * layers / tp)
+            + trunc_u64(kv_cross_per_layer * layers / tp);
+        let fp = MemoryFootprint { param_bytes: params, kv_bytes, activation_bytes };
         if fp.total() > decoder_gpu.total() {
             decoder_gpu = fp;
         }

@@ -1,8 +1,10 @@
-//! Property coverage of the evaluation cache: memoized scores must be
-//! bit-identical to the latency and throughput of freshly computed
-//! estimates, for both schedule families, and infeasible exactly where the
-//! estimator errs; estimates computed over warm completion and decode-grid
-//! layers must be bit-identical to cold ones.
+//! Property coverage of the evaluation cache: scores are bit-identical to
+//! the latency and throughput of freshly computed estimates, for both
+//! schedule families, and infeasible exactly where the estimator errs;
+//! estimates over warm completion and decode-grid layers are bit-identical
+//! to cold ones; and a remembered search returns what the search returned
+//! when it ran, infeasible outcomes and counters included, for the cluster
+//! and workload it ran on only.
 
 use std::sync::{Arc, OnceLock};
 
@@ -11,8 +13,10 @@ use exegpt_dist::LengthDist;
 use exegpt_model::ModelConfig;
 use exegpt_profiler::{ProfileOptions, Profiler};
 use exegpt_sim::{
-    Perf, RraConfig, ScheduleConfig, Simulator, TpConfig, WaaConfig, WaaVariant, Workload,
+    Perf, RraConfig, ScheduleConfig, SearchOutcome, Simulator, TpConfig, WaaConfig, WaaVariant,
+    Workload,
 };
+use exegpt_units::Secs;
 use proptest::prelude::*;
 
 /// OPT-13B on four A40s serving task S, profiled once for the whole suite.
@@ -53,28 +57,26 @@ fn config_strategy() -> impl Strategy<Value = ScheduleConfig> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
     #[test]
-    fn memoized_scores_are_bit_identical_to_fresh_estimates(
+    fn scores_and_warm_estimates_are_bit_identical_to_cold_ones(
         cfgs in prop::collection::vec(config_strategy(), 10),
     ) {
         // One simulator accumulates cache entries across the whole case;
         // each configuration is also evaluated on a cache-free twin.
-        let warm = simulator().with_workload(simulator().workload().clone());
+        let warm = fresh();
         for cfg in &cfgs {
-            let first = warm.score(cfg);
-            let second = warm.score(cfg); // must be served by the memo
+            let score = warm.score(cfg);
             let estimate = warm.evaluate(cfg); // over the warm layers
-            let cold = warm.with_workload(warm.workload().clone()).evaluate(cfg);
-            prop_assert_eq!(bits(first), bits(second));
+            let cold = fresh().evaluate(cfg);
             match (estimate, cold) {
                 (Ok(a), Ok(c)) => {
-                    prop_assert_eq!(bits(first), (a.latency.as_secs().to_bits(), a.throughput.to_bits()));
+                    prop_assert_eq!(bits(score), (a.latency.as_secs().to_bits(), a.throughput.to_bits()));
                     // Byte-level identity, not approximate agreement: the
                     // serializer prints shortest-round-trip floats, so equal
                     // strings mean equal bits.
                     let ja = serde_json::to_string(&a).expect("serializes");
                     prop_assert_eq!(&ja, &serde_json::to_string(&c).expect("serializes"));
                 }
-                (Err(_), Err(_)) => prop_assert_eq!(bits(first), bits(Perf::INFEASIBLE)),
+                (Err(_), Err(_)) => prop_assert_eq!(bits(score), bits(Perf::INFEASIBLE)),
                 (a, c) => prop_assert!(
                     false,
                     "warm layers changed feasibility for {:?}: {:?} / {:?}",
@@ -83,14 +85,35 @@ proptest! {
             }
         }
         let stats = warm.cache_stats();
-        prop_assert!(
-            stats.hits >= cfgs.len(),
-            "every repeated lookup must hit: {:?}",
-            stats
-        );
-        prop_assert!(stats.misses <= cfgs.len());
-        prop_assert_eq!(stats.hits + stats.misses, 2 * cfgs.len(), "evaluate must not count");
+        prop_assert_eq!((stats.hits, stats.misses), (0, 0), "scores must not count");
     }
+
+    #[test]
+    fn a_remembered_search_equals_the_cold_one(
+        cfgs in prop::collection::vec(config_strategy(), 1..12),
+        bound in prop_oneof![Just(1e-6), 1.0f64..40.0, Just(f64::INFINITY)],
+    ) {
+        let sim = fresh();
+        let key = options(bound, &cfgs);
+        let (cold, hit) = sim.remembered_search(key.clone(), || best_of(&sim, &cfgs, bound));
+        prop_assert!(!hit);
+        let (again, hit) =
+            sim.remembered_search(key.clone(), || panic!("a remembered search must not run"));
+        prop_assert!(hit);
+        prop_assert_eq!(fingerprint(&again), fingerprint(&cold));
+        // The remembered outcome is the search's own, not a stale one.
+        prop_assert_eq!(fingerprint(&cold), fingerprint(&best_of(&fresh(), &cfgs, bound)));
+        if bound == 1e-6 {
+            prop_assert!(cold.best.is_none(), "1 µs is infeasible");
+        }
+        let stats = sim.cache_stats();
+        prop_assert_eq!((stats.hits, stats.misses), (1, 1));
+    }
+}
+
+/// A fresh simulator for the shared setup: its cache starts empty.
+fn fresh() -> Simulator {
+    simulator().with_workload(simulator().workload().clone())
 }
 
 /// A score's bits, so infinities and signed zeros compare exactly.
@@ -98,53 +121,111 @@ fn bits(p: Perf) -> (u64, u64) {
     (p.latency.as_secs().to_bits(), p.throughput.to_bits())
 }
 
-#[test]
-fn with_cluster_shares_the_cache_without_leaking_across_topologies() {
-    let sim = simulator().with_workload(simulator().workload().clone());
-    let cfg = ScheduleConfig::Rra(RraConfig::new(16, 16, TpConfig::none()));
-    let healthy = sim.score(&cfg);
-    assert_ne!(healthy, Perf::INFEASIBLE);
-    let warm_misses = sim.cache_stats().misses;
+/// A small search for the memo to remember: the highest-throughput
+/// configuration of `cfgs` within `bound`, scored one by one, with its
+/// estimate. Infeasible points count as certified, feasible ones as full.
+fn best_of(sim: &Simulator, cfgs: &[ScheduleConfig], bound: f64) -> SearchOutcome {
+    let (mut best, mut infeasible) = (None::<(ScheduleConfig, f64)>, 0);
+    for cfg in cfgs {
+        let p = sim.score(cfg);
+        if p.satisfies(Secs::new(bound)) && p.throughput.is_finite() {
+            if best.is_none_or(|(_, t)| p.throughput > t) {
+                best = Some((*cfg, p.throughput));
+            }
+        } else {
+            infeasible += 1;
+        }
+    }
+    let best = best.map(|(cfg, _)| (cfg, sim.evaluate(&cfg).expect("scored feasible")));
+    SearchOutcome {
+        best,
+        evals: cfgs.len(),
+        certified: infeasible,
+        exact: 0,
+        full: cfgs.len() - infeasible,
+    }
+}
 
-    // Same config on a degraded topology: scores are keyed by cluster
-    // fingerprint, so this must re-derive rather than replay the healthy
-    // score.
-    let degraded = sim.with_cluster(sim.cluster().survivors(1).expect("one node left"));
-    let worse = degraded.score(&cfg);
-    assert_ne!(healthy, worse, "halving the pipeline must change the score");
-    assert!(worse.throughput < healthy.throughput);
-    let fresh = degraded.evaluate(&cfg).expect("feasible");
-    assert_eq!(bits(worse), (fresh.latency.as_secs().to_bits(), fresh.throughput.to_bits()));
+/// The search options as memo words: the bound's bits, then the
+/// configurations' debug text, length-prefixed.
+fn options(bound: f64, cfgs: &[ScheduleConfig]) -> Vec<u64> {
+    let text = format!("{cfgs:?}");
+    let mut key = vec![bound.to_bits(), text.len() as u64];
+    key.extend(text.bytes().map(u64::from));
+    key
+}
 
-    // The cache is shared (not flushed): the degraded lookup shows up in
-    // the same stats, and swapping back to the healthy topology is pure
-    // hits — no new misses, bit-identical scores.
-    assert!(degraded.cache_stats().misses > warm_misses);
-    let recovered = degraded.with_cluster(sim.cluster().clone());
-    let before = recovered.cache_stats();
-    let replay = recovered.score(&cfg);
-    assert_eq!(bits(replay), bits(healthy));
-    let after = recovered.cache_stats();
-    assert_eq!(after.misses, before.misses, "recovery must be a cache hit");
-    assert_eq!(after.hits, before.hits + 1);
+/// An outcome with its estimate as serialized text, so equal fingerprints
+/// mean equal bits.
+fn fingerprint(o: &SearchOutcome) -> String {
+    let best = o
+        .best
+        .as_ref()
+        .map(|(cfg, est)| format!("{cfg:?} {}", serde_json::to_string(est).expect("serializes")));
+    format!("{best:?} {} {} {} {}", o.evals, o.certified, o.exact, o.full)
 }
 
 #[test]
-fn with_workload_does_not_leak_cached_scores() {
-    let sim = simulator().with_workload(simulator().workload().clone());
-    let cfg = ScheduleConfig::Rra(RraConfig::new(16, 16, TpConfig::none()));
-    let short = sim.score(&cfg);
+fn with_cluster_shares_the_cache_without_leaking_across_topologies() {
+    let sim = fresh();
+    let cfgs: Vec<ScheduleConfig> = [4, 16, 32]
+        .map(|b_e| ScheduleConfig::Rra(RraConfig::new(b_e, 16, TpConfig::none())))
+        .to_vec();
+    let key = options(f64::INFINITY, &cfgs);
+    let (healthy, _) = sim.remembered_search(key.clone(), || best_of(&sim, &cfgs, f64::INFINITY));
+    let healthy_throughput = healthy.best.as_ref().expect("feasible").1.throughput;
 
-    // Same config under a shifted workload: were the cache carried across
-    // `with_workload`, the stale score would be returned verbatim.
+    // The same search on a degraded topology: searches are keyed by
+    // cluster fingerprint, so this must run rather than replay the healthy
+    // outcome.
+    let degraded = sim.with_cluster(sim.cluster().survivors(1).expect("one node left"));
+    let (worse, hit) =
+        degraded.remembered_search(key.clone(), || best_of(&degraded, &cfgs, f64::INFINITY));
+    assert!(!hit, "a fault topology must search again");
+    let worse_throughput = worse.best.as_ref().expect("feasible").1.throughput;
+    assert!(worse_throughput < healthy_throughput, "halving the pipeline must cost throughput");
+    assert_eq!(
+        fingerprint(&worse),
+        fingerprint(&best_of(&fresh_on(&degraded), &cfgs, f64::INFINITY))
+    );
+
+    // The cache is shared (not flushed): the degraded search shows up in
+    // the same stats, and swapping back to the healthy topology is one hit
+    // with the healthy outcome, bit for bit.
+    assert_eq!(sim.cache_stats().misses, 2);
+    let recovered = degraded.with_cluster(sim.cluster().clone());
+    let (replay, hit) =
+        recovered.remembered_search(key.clone(), || panic!("recovery must be a hit"));
+    assert!(hit);
+    assert_eq!(fingerprint(&replay), fingerprint(&healthy));
+    let stats = recovered.cache_stats();
+    assert_eq!((stats.hits, stats.misses), (1, 2));
+}
+
+/// A fresh simulator on `sim`'s cluster.
+fn fresh_on(sim: &Simulator) -> Simulator {
+    sim.with_workload(sim.workload().clone())
+}
+
+#[test]
+fn with_workload_starts_with_an_empty_cache() {
+    let sim = fresh();
+    let cfgs = vec![ScheduleConfig::Rra(RraConfig::new(16, 16, TpConfig::none()))];
+    let key = options(f64::INFINITY, &cfgs);
+    let (short, _) = sim.remembered_search(key.clone(), || best_of(&sim, &cfgs, f64::INFINITY));
+
+    // The same search under a shifted workload: were the cache carried
+    // across `with_workload`, the stale outcome would be returned verbatim.
     let shifted = sim.with_workload(Workload::new(
         LengthDist::truncated_normal(128.0, 81.0, 256).expect("valid"),
         LengthDist::truncated_normal(128.0, 68.0, 320).expect("valid"),
     ));
     let empty = shifted.cache_stats();
     assert_eq!((empty.hits, empty.misses, empty.entries), (0, 0, 0));
-    let long = shifted.score(&cfg);
-    assert_ne!(short, long, "4x longer outputs must change the score");
-    assert!(long.latency > short.latency);
+    let (long, hit) =
+        shifted.remembered_search(key.clone(), || best_of(&shifted, &cfgs, f64::INFINITY));
+    assert!(!hit);
+    let latency = |o: &SearchOutcome| o.best.as_ref().expect("feasible").1.latency;
+    assert!(latency(&long) > latency(&short), "4x longer outputs must cost latency");
     assert_eq!(shifted.cache_stats().misses, 1);
 }

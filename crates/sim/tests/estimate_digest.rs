@@ -9,8 +9,8 @@
 //! out-of-memory errors, the exact byte counts. A performance change to
 //! the estimators must leave both digests unchanged; only a deliberate
 //! change to the cost model may move them, and then with the reason in its
-//! commit. At every point the memoized score must also carry the estimate's
-//! latency and throughput bits, or the infeasible marker where it errs.
+//! commit. At every point the score must also carry the estimate's latency
+//! and throughput bits, or the infeasible marker where it errs.
 
 use std::hash::Hasher;
 use std::sync::{Arc, OnceLock};
