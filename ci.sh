@@ -57,6 +57,10 @@ cargo test --offline --release -q -p exegpt-bench --test schedule_digest -- --in
 # times the inlined kernel.
 cargo test --offline --release -q -p exegpt-profiler
 cargo test --offline --release -q -p exegpt-runner --test report_digest
+# The benchmark times the serve step in release too: its KV-peak digest,
+# and the check that the serve step and the offline replay, which share one
+# phase body, agree on the same closed-loop stream.
+cargo test --offline --release -q -p exegpt-serve --test kv_peak --test agreement
 
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --quiet

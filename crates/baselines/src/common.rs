@@ -61,24 +61,6 @@ pub(crate) fn batch_sweep(max: usize) -> impl Iterator<Item = usize> {
     (1..).map(|i| i * 4).take_while(move |&b| b <= max)
 }
 
-/// Windowed throughput over completion times (same convention as the
-/// ExeGPT runner): completions after warm-up over the elapsed window.
-pub(crate) fn windowed(completion_times: &[f64], warmup_frac: f64) -> (f64, f64) {
-    if completion_times.is_empty() {
-        return (0.0, 0.0);
-    }
-    let mut times = completion_times.to_vec();
-    times.sort_by(f64::total_cmp);
-    let warm = ((times.len() as f64 * warmup_frac) as usize).min(times.len() - 1);
-    let t0 = if warm == 0 { 0.0 } else { times[warm - 1] };
-    let t1 = times.last().copied().unwrap_or(0.0);
-    if t1 <= t0 {
-        // Degenerate window (one static batch): whole-run average.
-        return (times.len() as f64 / t1.max(f64::MIN_POSITIVE), t1);
-    }
-    ((times.len() - warm) as f64 / (t1 - t0), t1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

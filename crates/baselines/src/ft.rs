@@ -7,14 +7,14 @@
 //! boxes in the paper's Figure 1). KV-cache space is reserved up-front for
 //! the maximum output length.
 
-use exegpt_runner::{KvTracker, ReservePolicy, RunError, RunOptions, RunReport};
+use exegpt_runner::{
+    windowed_throughput, KvTracker, ReservePolicy, RunError, RunOptions, RunReport,
+};
 use exegpt_sim::{Breakdown, Estimate, MemoryReport, Pass, SimError, Simulator};
 use exegpt_units::Secs;
 use exegpt_workload::{Request, RequestStream};
 
-use crate::common::{
-    batch_sweep, build_grid, paper_parallelism, param_bytes_per_gpu, windowed, GridPlan,
-};
+use crate::common::{batch_sweep, build_grid, paper_parallelism, param_bytes_per_gpu, GridPlan};
 
 /// NVIDIA FasterTransformer executing with static batches.
 #[derive(Debug, Clone)]
@@ -235,7 +235,7 @@ impl FasterTransformer {
             }
         }
 
-        let (throughput, makespan) = windowed(&completions, opts.warmup_frac);
+        let (throughput, makespan) = windowed_throughput(&mut completions, opts.warmup_frac);
         Ok(RunReport {
             completed: latencies.len(),
             tokens_generated: tokens,

@@ -9,14 +9,14 @@
 //! ongoing query's token cadence. That jitter is precisely why the paper
 //! finds iteration-level scheduling hard to bound (§2).
 
-use exegpt_runner::{KvSlot, KvTracker, ReservePolicy, RunError, RunOptions, RunReport};
+use exegpt_runner::{
+    windowed_throughput, KvSlot, KvTracker, ReservePolicy, RunError, RunOptions, RunReport,
+};
 use exegpt_sim::{Pass, SimError, Simulator};
 use exegpt_units::Secs;
 use exegpt_workload::{Request, RequestStream};
 
-use crate::common::{
-    batch_sweep, build_grid, paper_parallelism, param_bytes_per_gpu, windowed, GridPlan,
-};
+use crate::common::{batch_sweep, build_grid, paper_parallelism, param_bytes_per_gpu, GridPlan};
 
 /// Tunables distinguishing the iteration-level systems.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -312,7 +312,7 @@ impl Orca {
             }
         }
 
-        let (throughput, makespan) = windowed(&completions, opts.warmup_frac);
+        let (throughput, makespan) = windowed_throughput(&mut completions, opts.warmup_frac);
         Ok(RunReport {
             completed: latencies.len(),
             tokens_generated: tokens,

@@ -3,13 +3,15 @@
 //! [`PhaseExecutor`] encapsulates everything timing-related about running
 //! one concrete schedule on the simulated cluster: the pipeline plan, the
 //! KV-accounting parameters of the bottleneck GPU, and the per-phase /
-//! per-iteration time formulas. The offline replays ([`Runner`]) and the
-//! online serving loop (`exegpt-serve`) both drive it, so a schedule is
-//! timed identically whether it is replayed over a pre-drawn batch or
-//! served against a live arrival stream — and a plan swap mid-serve is just
-//! constructing a new executor at a phase boundary.
+//! per-iteration time formulas. Only [`ReplicaState::run_phase`] composes
+//! these into phases, for the offline replay and the online serving loop
+//! (`exegpt-serve`) alike, so a schedule is timed identically whether it is
+//! replayed over a pre-drawn batch or served against a live arrival stream
+//! — and a plan swap mid-serve is [`ReplicaState::install`] of a new
+//! executor at a phase boundary.
 //!
-//! [`Runner`]: crate::Runner
+//! [`ReplicaState::run_phase`]: crate::ReplicaState::run_phase
+//! [`ReplicaState::install`]: crate::ReplicaState::install
 
 use exegpt::DynamicAdjuster;
 use exegpt_sim::waa::KV_TRANSFER_EXPOSED;
@@ -134,7 +136,7 @@ impl PhaseExecutor {
 
     /// Decoding iterations per encoding opportunity: `N_D` for RRA, 1 for
     /// WAA (one pool iteration per coupled round).
-    pub fn decode_iters_per_phase(&self) -> usize {
+    pub(crate) fn decode_iters_per_phase(&self) -> usize {
         match &self.variant {
             Variant::Rra { cfg, .. } => cfg.n_d,
             Variant::Waa { .. } => 1,
@@ -143,7 +145,7 @@ impl PhaseExecutor {
 
     /// Whether encode and decode run as coupled pipelines (WAA): a round
     /// takes `max(encode, decode, handover)` instead of their sum.
-    pub fn is_coupled(&self) -> bool {
+    pub(crate) fn is_coupled(&self) -> bool {
         matches!(self.variant, Variant::Waa { .. })
     }
 

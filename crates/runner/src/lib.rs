@@ -63,19 +63,18 @@ mod exec;
 mod kv;
 mod pool;
 mod queue;
-mod replay;
+mod replica;
 mod report;
-mod rra_run;
 mod runner;
 mod slab;
 mod trace;
-mod waa_run;
 
 pub use error::RunError;
 pub use exec::{DecodeTiming, EncodeTiming, PhaseExecutor};
 pub use kv::{KvSlot, KvTracker, ReservePolicy};
 pub use pool::{DecodePool, Finished, GrowthOrder};
 pub use queue::AdmissionQueue;
+pub use replica::{Admission, FaultFactors, PhaseRecord, ReplicaState};
 pub use report::RunReport;
-pub use runner::{RunOptions, Runner};
+pub use runner::{windowed_throughput, RunOptions, Runner};
 pub use trace::{Span, SpanKind, Trace};

@@ -6,10 +6,15 @@ use exegpt_cluster::ClusterSpec;
 use exegpt_model::ModelConfig;
 use exegpt_profiler::LayerProfile;
 use exegpt_sim::{ScheduleConfig, Simulator, Workload};
+use exegpt_units::Secs;
+use exegpt_workload::{PoissonStream, RequestStream, TimedRequest};
 
 use crate::error::RunError;
+use crate::exec::PhaseExecutor;
+use crate::queue::AdmissionQueue;
+use crate::replica::{Admission, FaultFactors, PhaseRecord, ReplicaState};
 use crate::report::RunReport;
-use crate::{rra_run, waa_run};
+use crate::trace::{SpanKind, Trace};
 
 /// Options for one execution run.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,16 +129,82 @@ impl Runner {
     /// [`RunError::Stalled`] when no progress is possible.
     pub fn run(&self, schedule: &ScheduleConfig, opts: &RunOptions) -> Result<RunReport, RunError> {
         opts.validate()?;
-        match schedule {
-            ScheduleConfig::Rra(cfg) => rra_run::run(&self.sim, cfg, opts),
-            ScheduleConfig::Waa(cfg) => waa_run::run(&self.sim, cfg, opts),
+        // The simulator's feasibility checks and derived pool size apply
+        // as-is.
+        let exec = PhaseExecutor::new(&self.sim, schedule)?;
+        let stream_workload = opts.request_workload.as_ref().unwrap_or(self.sim.workload());
+        // FIFO queue (front = oldest), sorted by arrival time.
+        let queue: AdmissionQueue = match opts.arrival_rate {
+            Some(rate) => PoissonStream::new(stream_workload, rate, opts.seed)
+                .take(opts.num_queries)
+                .collect(),
+            None => RequestStream::new(stream_workload, opts.seed)
+                .take(opts.num_queries)
+                .map(|request| TimedRequest { request, arrival: 0.0 })
+                .collect(),
+        };
+        let mut state = ReplicaState::new(exec, opts.adjust_threshold, queue);
+        let open_loop = opts.arrival_rate.is_some();
+        let mut latencies = Vec::with_capacity(opts.num_queries);
+        let mut sojourns = Vec::new();
+        let mut completion_times = Vec::with_capacity(opts.num_queries);
+        let (mut enc_stage_times, mut dec_stage_times) = (Vec::new(), Vec::new());
+        let mut trace = opts.record_trace.then(Trace::new);
+        while latencies.len() < opts.num_queries {
+            match state.admit()? {
+                Admission::Run => {}
+                Admission::Idle => continue,
+                Admission::Drained => break,
+            }
+            let record = state.run_phase(FaultFactors::nominal(), |done, t| {
+                latencies.push(t - done.t_encoded);
+                if open_loop {
+                    sojourns.push(t - done.arrival);
+                }
+                completion_times.push(t);
+            })?;
+            enc_stage_times.extend(record.encode_stage);
+            dec_stage_times.extend_from_slice(state.decode_stage_times());
+            if let Some(trace) = trace.as_mut() {
+                record_spans(trace, &record);
+            }
         }
+        let (throughput, makespan) = windowed_throughput(&mut completion_times, opts.warmup_frac);
+        Ok(RunReport {
+            completed: latencies.len(),
+            tokens_generated: state.pool().tokens(),
+            makespan: Secs::new(makespan),
+            throughput,
+            latencies,
+            encoder_stage_times: enc_stage_times,
+            decoder_stage_times: dec_stage_times,
+            peak_kv_bytes: state.peak_kv_bytes(),
+            kv_clamped_tokens: state.kv().clamped_tokens(),
+            param_bytes: state.exec().param_bytes(),
+            trace,
+            sojourn_times: sojourns,
+        })
+    }
+}
+
+/// Records a phase's spans: RRA phases on the shared workers, WAA rounds on
+/// the encoder and decoder groups and the handover between them.
+fn record_spans(trace: &mut Trace, r: &PhaseRecord) {
+    let ([e0, e1], [d0, d1], [h0, h1]) = (r.encode, r.decode, r.handover);
+    if r.coupled {
+        trace.record("encoders", SpanKind::Encode, e0, e1, r.admitted);
+        trace.record("decoders", SpanKind::Decode, d0, d1, r.pool);
+        trace.record("handover", SpanKind::KvTransfer, h0, h1, r.admitted);
+    } else {
+        trace.record("workers", SpanKind::Encode, e0, e1, r.admitted);
+        trace.record("workers", SpanKind::Decode, d0, d1, r.pool);
     }
 }
 
 /// Computes the throughput window: completions after warm-up, over the time
-/// between the warm-up completion and the last completion. Sorts `times`.
-pub(crate) fn windowed_throughput(times: &mut [f64], warmup_frac: f64) -> (f64, f64) {
+/// between the warm-up completion and the last completion. Returns the
+/// throughput and the last completion time. Sorts `times`.
+pub fn windowed_throughput(times: &mut [f64], warmup_frac: f64) -> (f64, f64) {
     if times.is_empty() {
         return (0.0, 0.0);
     }

@@ -25,11 +25,15 @@
 //! `1.0`, no wakes, no detections), so enabling the fault layer on a
 //! healthy run is a byte-exact no-op — the differential test pins this.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use exegpt_faults::{FaultEvent, FaultKind, FaultSchedule, FaultState, GpuStatus};
+use exegpt_runner::{FaultFactors, PhaseRecord, ReplicaState};
+use exegpt_workload::TimedRequest;
 
 use crate::error::ServeError;
+use crate::events::{Event, EventLog};
+use crate::metrics::Metrics;
 
 /// Configuration of the serving loop's fault handling.
 #[derive(Debug, Clone)]
@@ -158,27 +162,6 @@ impl StragglerDetector {
             return Some(ratio);
         }
         None
-    }
-}
-
-/// Compute and link multipliers the loop applies to phase timings.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultFactors {
-    /// Phase-time multiplier from the worst live, non-evicted straggler
-    /// (exactly `1.0` when nominal).
-    pub dilation: f64,
-    /// KV-handover multiplier from link bandwidth degradation (exactly
-    /// `1.0` when nominal).
-    pub link_time: f64,
-    /// Added per-handover latency in virtual seconds (exactly `0.0` when
-    /// nominal).
-    pub link_latency: f64,
-}
-
-impl FaultFactors {
-    /// The identity: nominal cluster, no dilation.
-    pub fn nominal() -> Self {
-        Self { dilation: 1.0, link_time: 1.0, link_latency: 0.0 }
     }
 }
 
@@ -334,6 +317,119 @@ impl FaultDriver {
         match (next_event, next_detect) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
+        }
+    }
+}
+
+/// The serving loop's fault layer: the replayed scenario, straggler
+/// confirmation, and the requests that failures aborted.
+pub(crate) struct FaultLayer {
+    opts: FaultOptions,
+    pub(crate) driver: FaultDriver,
+    straggler: StragglerDetector,
+    /// Aborted requests waiting out their retry backoff, with the time
+    /// they become eligible, in `(eligible_at, id)` order.
+    pub(crate) retry: VecDeque<(f64, TimedRequest)>,
+    /// Aborts so far, per request id.
+    attempts: BTreeMap<u64, usize>,
+}
+
+impl FaultLayer {
+    /// The fault layer for a cluster of `total_gpus` devices; fails with
+    /// [`ServeError::Fault`] when the schedule targets a device outside it.
+    pub(crate) fn new(opts: FaultOptions, total_gpus: usize) -> Result<Self, ServeError> {
+        let driver = FaultDriver::new(opts.schedule.clone(), total_gpus)?
+            .with_detection_delay(opts.detection_delay);
+        let straggler = StragglerDetector::new(opts.straggler);
+        Ok(Self { opts, driver, straggler, retry: VecDeque::new(), attempts: BTreeMap::new() })
+    }
+
+    /// Replays the fault world up to the replica's clock: logs the events
+    /// that fired, and for each failure whose heartbeat timeout matured,
+    /// moves the clock to its detection and aborts the pool. Returns the
+    /// devices now removed from the topology.
+    pub(crate) fn replay(
+        &mut self,
+        state: &mut ReplicaState,
+        metrics: &mut Metrics,
+        events: &mut EventLog,
+    ) -> usize {
+        for e in self.driver.advance(state.t) {
+            metrics.inc("faults_injected");
+            events.push(Event::Fault { t: e.t, desc: e.kind.to_string() });
+        }
+        for (gpu, t_d) in self.driver.mature_detections(state.t) {
+            // Pay the rest of the heartbeat window if the phase boundary
+            // arrived before the timeout elapsed.
+            state.t = state.t.max(t_d);
+            metrics.inc("faults_detected");
+            events.push(Event::FaultDetected { t: state.t, gpu, aborted: state.pool().len() });
+            // The failed device held a KV shard for every in-flight query:
+            // abort them all into the retry queue.
+            self.abort(state, metrics, events);
+        }
+        self.driver.removed()
+    }
+
+    /// Aborts every in-flight query after a device failure: its KV entry is
+    /// released and it re-enters admission after an exponential backoff,
+    /// or is dropped once its retry budget is exhausted.
+    fn abort(&mut self, state: &mut ReplicaState, metrics: &mut Metrics, events: &mut EventLog) {
+        let t = state.t;
+        state.clear_pool(|req| {
+            let id = req.request.id;
+            let n = self.attempts.entry(id).or_insert(0);
+            *n += 1;
+            let attempt = *n;
+            if attempt > self.opts.max_retries {
+                metrics.inc("requests_lost");
+                events.push(Event::RequestLost { t, id, attempts: attempt });
+            } else {
+                metrics.inc("retries");
+                let eligible_at = t + self.opts.backoff_base * 2.0f64.powi(attempt as i32 - 1);
+                events.push(Event::RequestRetry { t, id, attempt, eligible_at });
+                // Original arrival is kept: TTFT/E2E latency of a retried
+                // request honestly includes the failure it survived.
+                let i = self.retry.partition_point(|(at, r)| {
+                    at.total_cmp(&eligible_at).then(r.request.id.cmp(&id)).is_lt()
+                });
+                self.retry.insert(i, (eligible_at, req));
+            }
+        });
+    }
+
+    /// Moves the retries whose backoff has elapsed into the replica's
+    /// queue.
+    pub(crate) fn readmit(&mut self, state: &mut ReplicaState) {
+        while let Some((_, r)) = self.retry.pop_front_if(|(at, _)| *at <= state.t) {
+            state.queue.push(r);
+        }
+    }
+
+    /// Straggler confirmation from a phase's dilated against its nominal
+    /// time, at time `t`. A confirmed straggler at or above
+    /// [`FaultOptions::evict_slowdown`] is evicted: the next
+    /// [`replay`](Self::replay) reports it removed, and the loop replans
+    /// onto the survivors.
+    pub(crate) fn confirm_straggler(
+        &mut self,
+        phase: &PhaseRecord,
+        t: f64,
+        metrics: &mut Metrics,
+        events: &mut EventLog,
+    ) {
+        if self.straggler.observe(phase.dilated, phase.nominal).is_none() {
+            return;
+        }
+        // Link degradation also inflates the ratio; only a device that is
+        // actually slowed can be blamed (and possibly evicted).
+        if let Some((gpu, factor)) = self.driver.worst_slowed_gpu() {
+            let evicted = factor >= self.opts.evict_slowdown;
+            metrics.inc("stragglers_detected");
+            events.push(Event::StragglerDetected { t, gpu, factor, evicted });
+            if evicted {
+                self.driver.evict(gpu);
+            }
         }
     }
 }

@@ -4,8 +4,8 @@
 //! schedule for an *assumed* output-length distribution; this crate closes
 //! the loop at serving time. A [`ServeLoop`] plays a timed arrival stream
 //! (Poisson, bursty, or trace-driven — see [`exegpt_workload`]) through the
-//! same discrete-event phase machinery the offline runner uses
-//! ([`exegpt_runner::PhaseExecutor`]), while a control loop
+//! same phase body the offline runner uses
+//! ([`exegpt_runner::ReplicaState::run_phase`]), while a control loop
 //!
 //! 1. tracks per-request TTFT, per-token and end-to-end latency against
 //!    [`SloTargets`],
@@ -81,7 +81,7 @@ mod traffic;
 pub use drift::{DriftCheck, DriftDetector, DriftOptions};
 pub use error::ServeError;
 pub use events::{Event, EventLog};
-pub use faults::{FaultDriver, FaultFactors, FaultOptions, StragglerDetector, StragglerOptions};
+pub use faults::{FaultDriver, FaultOptions, StragglerDetector, StragglerOptions};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use server::{Completion, ReplicaSession, ServeLoop, ServeOptions, ServeReport, StepOutcome};
 pub use slo::{SloCheck, SloOutcome, SloTargets};

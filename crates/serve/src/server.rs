@@ -2,23 +2,27 @@
 //! against a live, swappable schedule.
 //!
 //! The loop body lives in [`ReplicaSession::step`]: one call performs one
-//! phase boundary (fault replay, plan-swap install, admission, one
-//! phase/round, completion accounting). [`ServeLoop::run`] drives a session
-//! to completion over its own arrival stream — the classic single-replica
-//! mode — while [`ServeLoop::into_replica`] yields the same session in
-//! *fleet* mode: arrivals are injected by an external router, the session
-//! never jumps its own clock past a parked point, and a fleet event loop
-//! interleaves many sessions on one virtual clock.
+//! phase boundary as a sequence of named steps (fault replay, plan-swap
+//! install, retry re-admission, arrivals, admission, one phase/round,
+//! straggler confirmation, completion accounting, drift reschedule). The
+//! phase itself is the runner's [`ReplicaState::run_phase`], the body the
+//! offline replay runs too; the session maps its record to events and
+//! metrics.
+//!
+//! [`ServeLoop::run`] drives a session to completion over its own arrival
+//! stream — the classic single-replica mode — while
+//! [`ServeLoop::into_replica`] yields the same session in *fleet* mode:
+//! arrivals are injected by an external router, the session never jumps its
+//! own clock past a parked point, and a fleet event loop interleaves many
+//! sessions on one virtual clock.
 
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
-use exegpt::{DynamicAdjuster, Engine, ScheduleConfig, SchedulerOptions};
+use exegpt::{Engine, ScheduleConfig, SchedulerOptions};
 use exegpt_cluster::{ClusterSpec, LoadSource};
 use exegpt_dist::stats::Summary;
 use exegpt_runner::{
-    AdmissionQueue, DecodePool, EncodeTiming, Finished, GrowthOrder, KvSlot, KvTracker,
-    PhaseExecutor, RunError,
+    Admission, AdmissionQueue, FaultFactors, Finished, PhaseExecutor, PhaseRecord, ReplicaState,
 };
 use exegpt_sim::Workload;
 use exegpt_units::Secs;
@@ -28,7 +32,7 @@ use serde::Serialize;
 use crate::drift::{DriftDetector, DriftOptions};
 use crate::error::ServeError;
 use crate::events::{Event, EventLog};
-use crate::faults::{FaultDriver, FaultFactors, FaultOptions, StragglerDetector};
+use crate::faults::{FaultLayer, FaultOptions};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::slo::{SloOutcome, SloTargets};
 
@@ -153,53 +157,6 @@ pub struct ServeReport {
     pub events: EventLog,
 }
 
-/// An aborted request waiting out its retry backoff.
-///
-/// Ordered as a *min*-heap key on `(eligible_at, id)` (reversed, since
-/// [`BinaryHeap`] pops the maximum), so popping yields the same
-/// deterministic re-admission order a fully sorted queue would.
-struct Retry {
-    eligible_at: f64,
-    req: TimedRequest,
-}
-
-impl PartialEq for Retry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Retry {}
-
-impl PartialOrd for Retry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Retry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .eligible_at
-            .total_cmp(&self.eligible_at)
-            .then_with(|| other.req.request.id.cmp(&self.req.request.id))
-    }
-}
-
-/// Reusable per-round buffers of the serving loop. Every round used to
-/// allocate these afresh; at thousands of rounds per run the churn showed
-/// up in the simulated-requests-per-wall-second numbers.
-#[derive(Default)]
-struct Scratch {
-    /// Input lengths of the admitted batch (encode timing).
-    lens: Vec<usize>,
-    /// Requests admitted this round with their KV handles (drained into
-    /// the pool).
-    admitted: Vec<(TimedRequest, KvSlot)>,
-    /// Queries finished this round, with their completion times.
-    done: Vec<(Finished, f64)>,
-}
-
 /// The online serving engine.
 ///
 /// Owns a warm [`Engine`] (profile + evaluation caches) and the
@@ -217,10 +174,11 @@ struct Scratch {
 ///
 /// When the fault layer is enabled ([`ServeOptions::faults`]), the loop
 /// additionally replays a [`exegpt_faults::FaultSchedule`] on its virtual
-/// clock: stragglers dilate phase timings until a [`StragglerDetector`]
-/// confirms them (severe ones are evicted and the plan recomputed), device
-/// failures mature through a heartbeat timeout, abort in-flight work into
-/// a bounded-backoff retry queue and trigger a replan onto the surviving
+/// clock: stragglers dilate phase timings until a
+/// [`StragglerDetector`](crate::StragglerDetector) confirms them (severe
+/// ones are evicted and the plan recomputed), device failures mature
+/// through a heartbeat timeout, abort in-flight work into a
+/// bounded-backoff retry queue and trigger a replan onto the surviving
 /// topology, and a fully recovered cluster gets its pre-fault plan back
 /// verbatim (unless a drift refit happened in between).
 ///
@@ -282,7 +240,7 @@ impl ServeLoop {
         arrivals: impl IntoIterator<Item = TimedRequest>,
     ) -> Result<ServeReport, ServeError> {
         let stream: Vec<TimedRequest> = arrivals.into_iter().collect();
-        let mut session = self.into_session(Some(stream), false)?;
+        let mut session = self.into_session(Some(stream))?;
         // `Parked` never occurs in stream mode (the session jumps its own
         // clock); anything but `Progressed` ends the run, so a logic error
         // cannot spin forever.
@@ -302,61 +260,34 @@ impl ServeLoop {
     /// Returns [`ServeError::Fault`] when the configured fault schedule is
     /// invalid for the deployment.
     pub fn into_replica(self) -> Result<ReplicaSession, ServeError> {
-        self.into_session(None, true)
+        self.into_session(None)
     }
 
     /// Builds the run-state session. `stream` is `Some` for single-replica
     /// mode (the session owns its future arrivals) and `None` for fleet
     /// mode (arrivals are injected).
-    fn into_session(
-        self,
-        stream: Option<Vec<TimedRequest>>,
-        collect_completions: bool,
-    ) -> Result<ReplicaSession, ServeError> {
-        let fault_opts = self.opts.faults.clone();
-        let driver = match &fault_opts {
-            Some(f) => Some(
-                FaultDriver::new(f.schedule.clone(), self.healthy.total_gpus())?
-                    .with_detection_delay(f.detection_delay),
-            ),
-            None => None,
-        };
-        let straggler = fault_opts.as_ref().map(|f| StragglerDetector::new(f.straggler));
-        let adjuster = self.exec.adjuster(self.opts.adjust_threshold);
-        let kv = self.exec.kv_tracker();
-        let scheduled_b_d = self.exec.scheduled_decode_batch();
-        let detector = DriftDetector::new(self.opts.drift);
+    fn into_session(self, stream: Option<Vec<TimedRequest>>) -> Result<ReplicaSession, ServeError> {
+        let gpus = self.healthy.total_gpus();
+        let faults = self.opts.faults.clone().map(|f| FaultLayer::new(f, gpus)).transpose()?;
         Ok(ReplicaSession {
             engine: self.engine,
-            exec: self.exec,
+            state: ReplicaState::new(self.exec, self.opts.adjust_threshold, AdmissionQueue::new()),
+            detector: DriftDetector::new(self.opts.drift),
             opts: self.opts,
             healthy: self.healthy,
             original: self.original,
             workload_refit: false,
             planned_removed: 0,
-            scratch: Scratch::default(),
             stream: stream.map(|v| v.into_iter().peekable()),
             inbox: VecDeque::new(),
-            pending: AdmissionQueue::new(),
-            pool: DecodePool::default(),
-            t: 0.0,
+            done: Vec::new(),
             metrics: Metrics::new(),
             events: EventLog::new(),
             slo_out: SloOutcome::default(),
-            detector,
-            adjuster,
-            kv,
-            scheduled_b_d,
             pending_swap: None,
             swap_cost_total: 0.0,
-            peak_kv: 0,
             last_completion: 0.0,
-            fault_opts,
-            driver,
-            straggler,
-            retry: BinaryHeap::new(),
-            attempts: BTreeMap::new(),
-            collect_completions,
+            faults,
             outbox: Vec::new(),
         })
     }
@@ -425,7 +356,8 @@ impl Completion {
 /// execution reproduces the single-replica event log byte-for-byte.
 pub struct ReplicaSession {
     engine: Engine,
-    exec: PhaseExecutor,
+    /// The installed plan, queue, pool, KV cache and clock.
+    state: ReplicaState,
     opts: ServeOptions,
     healthy: ClusterSpec,
     original: ScheduleConfig,
@@ -435,54 +367,44 @@ pub struct ReplicaSession {
     /// Devices removed from the topology by the currently planned-for
     /// degradation (0 = plan assumes the full cluster).
     planned_removed: usize,
-    scratch: Scratch,
     /// `Some` in stream mode: the session knows its future arrivals and
     /// jumps its own clock. `None` in fleet mode: arrivals land in `inbox`.
     stream: Option<std::iter::Peekable<std::vec::IntoIter<TimedRequest>>>,
     /// Externally injected arrivals (fleet mode; always empty in stream
     /// mode).
     inbox: VecDeque<TimedRequest>,
-    pending: AdmissionQueue,
-    pool: DecodePool,
-    t: f64,
+    /// Queries finished in this step's phase, with their completion times.
+    done: Vec<(Finished, f64)>,
     metrics: Metrics,
     events: EventLog,
     slo_out: SloOutcome,
     detector: DriftDetector,
-    adjuster: DynamicAdjuster,
-    kv: KvTracker,
-    scheduled_b_d: usize,
     pending_swap: Option<PendingSwap>,
     swap_cost_total: f64,
-    peak_kv: u64,
     last_completion: f64,
-    fault_opts: Option<FaultOptions>,
-    driver: Option<FaultDriver>,
-    straggler: Option<StragglerDetector>,
-    retry: BinaryHeap<Retry>,
-    attempts: BTreeMap<u64, usize>,
-    /// Whether completions are copied into `outbox` for a fleet router.
-    collect_completions: bool,
+    /// `None` when the fault layer is off.
+    faults: Option<FaultLayer>,
+    /// Completions for a fleet router (fleet mode only).
     outbox: Vec<Completion>,
 }
 
 impl ReplicaSession {
     /// The session's current virtual time.
     pub fn now(&self) -> f64 {
-        self.t
+        self.state.t
     }
 
     /// The schedule currently installed.
     pub fn schedule(&self) -> ScheduleConfig {
-        self.exec.schedule()
+        self.state.exec().schedule()
     }
 
     /// Advances the clock to `t`, logging the idle gap the single-replica
     /// loop would log before its own jump. No-op unless `t > now()`.
     pub fn wake_to(&mut self, t: f64) {
-        if t > self.t {
-            self.events.push(Event::Idle { from: self.t, until: t });
-            self.t = t;
+        if t > self.state.t {
+            self.events.push(Event::Idle { from: self.state.t, until: t });
+            self.state.t = t;
         }
     }
 
@@ -491,7 +413,7 @@ impl ReplicaSession {
     /// rather than recording a fictitious idle period since time zero.
     /// Intended before the first step; never moves the clock backwards.
     pub fn skip_to(&mut self, t: f64) {
-        self.t = self.t.max(t);
+        self.state.t = self.state.t.max(t);
     }
 
     /// Queues an externally routed arrival (fleet mode); it is ingested at
@@ -502,19 +424,21 @@ impl ReplicaSession {
 
     /// Requests queued or in flight (pending + pool + retries + inbox).
     pub fn outstanding(&self) -> usize {
-        self.pending.len() + self.pool.len() + self.retry.len() + self.inbox.len()
+        let retries = self.faults.as_ref().map_or(0, |f| f.retry.len());
+        self.state.queue.len() + self.state.pool().len() + retries + self.inbox.len()
     }
 
     /// Unreserved KV-cache bytes on the bottleneck GPU, the router signal
     /// for KV-aware dispatch.
     pub fn kv_headroom_bytes(&self) -> u64 {
-        self.kv.capacity_bytes().saturating_sub(self.kv.used_bytes())
+        let kv = self.state.kv();
+        kv.capacity_bytes().saturating_sub(kv.used_bytes())
     }
 
     /// The installed plan's estimated per-request latency in seconds, the
     /// router signal for SLO-aware dispatch.
     pub fn plan_latency(&self) -> f64 {
-        self.exec.estimate().latency.as_secs()
+        self.state.exec().estimate().latency.as_secs()
     }
 
     /// Drains completions recorded since the last call (fleet mode; empty
@@ -528,10 +452,10 @@ impl ReplicaSession {
     /// replica), retries in eligibility order, then the inbox. Original
     /// arrival stamps are kept, so rerouted latencies include the loss.
     pub fn extract_queued(&mut self) -> Vec<TimedRequest> {
-        let mut out = self.pending.take_all();
-        self.pool.clear(&mut self.kv, |r| out.push(r));
-        while let Some(r) = self.retry.pop() {
-            out.push(r.req);
+        let mut out = self.state.queue.take_all();
+        self.state.clear_pool(|r| out.push(r));
+        if let Some(f) = self.faults.as_mut() {
+            out.extend(f.retry.drain(..).map(|(_, r)| r));
         }
         out.extend(self.inbox.drain(..));
         out
@@ -547,280 +471,160 @@ impl ReplicaSession {
     /// Returns [`ServeError::Run`] if execution stalls (a query can never
     /// fit in the KV cache) or a batch falls outside the profiled range.
     pub fn step(&mut self) -> Result<StepOutcome, ServeError> {
-        // ---- Fault replay: activations, detections, replans -------------
-        if self.fault_opts.is_some() {
-            let fired = match self.driver.as_mut() {
-                Some(d) => d.advance(self.t),
-                None => Vec::new(),
-            };
-            for e in fired {
-                self.metrics.inc("faults_injected");
-                self.events.push(Event::Fault { t: e.t, desc: e.kind.to_string() });
-            }
-            let matured = match self.driver.as_mut() {
-                Some(d) => d.mature_detections(self.t),
-                None => Vec::new(),
-            };
-            for (gpu, t_d) in matured {
-                // Pay the rest of the heartbeat window if the phase
-                // boundary arrived before the timeout elapsed.
-                self.t = self.t.max(t_d);
-                self.metrics.inc("faults_detected");
-                self.events.push(Event::FaultDetected { t: self.t, gpu, aborted: self.pool.len() });
-                // The failed device held a KV shard for every in-flight
-                // query: abort them all into the retry queue.
-                if let Some(fo) = &self.fault_opts {
-                    abort_pool(
-                        &mut self.pool,
-                        &mut self.kv,
-                        &mut self.retry,
-                        &mut self.attempts,
-                        fo,
-                        self.t,
-                        &mut self.metrics,
-                        &mut self.events,
-                    );
-                }
-            }
-            let removed = self.driver.as_ref().map_or(self.planned_removed, |d| d.removed());
-            if removed != self.planned_removed {
-                self.pending_swap = self.fault_replan(removed)?;
-                self.planned_removed = removed;
-            }
-        }
-
-        // ---- Install a pending plan swap at the phase boundary ----------
+        self.replay_faults()?;
         if let Some(swap) = self.pending_swap.take() {
-            let topology_change = swap.engine.is_some();
-            if let Some(engine) = swap.engine {
-                self.engine = engine;
-            }
-            let cfg = swap.cfg;
-            let new_exec = PhaseExecutor::new(self.engine.simulator(), &cfg)?;
-            let cost = if topology_change {
-                // A topology change always redeploys from DRAM and
-                // re-migrates the resident KV cache across the new
-                // layout (zero when the pool was aborted).
-                self.engine.deploy_time(LoadSource::Dram).as_secs()
-                    + new_exec.kv_migration_time(self.kv.used_bytes()).as_secs()
-            } else {
-                swap_cost(&self.engine, &self.exec.schedule(), &cfg)
-            };
-            self.t += cost;
-            self.peak_kv = self.peak_kv.max(self.kv.peak_bytes());
-            let mut new_kv = new_exec.kv_tracker();
-            // In-flight KV entries move to the new plan's tracker
-            // unconditionally: evicting live queries would violate their
-            // SLO by construction.
-            self.pool.migrate(&mut new_kv);
-            self.events.push(Event::PlanSwap { t: self.t, cost, migrated: self.pool.len() });
-            self.metrics.inc("plan_swaps");
-            self.swap_cost_total += cost;
-            self.exec = new_exec;
-            self.kv = new_kv;
-            self.adjuster = self.exec.adjuster(self.opts.adjust_threshold);
-            self.scheduled_b_d = self.exec.scheduled_decode_batch();
+            self.install(swap)?;
         }
-
-        // ---- Re-admit retries whose backoff has elapsed -----------------
-        while self.retry.peek().is_some_and(|r| r.eligible_at <= self.t) {
-            if let Some(r) = self.retry.pop() {
-                self.pending.push(r.req);
-            }
+        if let Some(f) = self.faults.as_mut() {
+            f.readmit(&mut self.state);
         }
+        self.ingest_arrivals();
+        match self.state.admit()? {
+            Admission::Run => {}
+            // Only arrived requests are queued, so the clock never jumps
+            // here; a jump would be progress all the same.
+            Admission::Idle => return Ok(StepOutcome::Progressed),
+            Admission::Drained => return Ok(self.idle()),
+        }
+        let phase = self.run_phase()?;
+        if let Some(f) = self.faults.as_mut() {
+            f.confirm_straggler(&phase, self.state.t, &mut self.metrics, &mut self.events);
+        }
+        let drift_declared = self.account_completions();
+        if drift_declared && self.opts.adaptive && self.pending_swap.is_none() {
+            self.pending_swap = self.reschedule().map(|cfg| PendingSwap { cfg, engine: None });
+        }
+        Ok(StepOutcome::Progressed)
+    }
 
-        // ---- Ingest arrivals up to the current virtual time -------------
-        let t = self.t;
+    /// Fault replay: activations, detections (aborting the pool), and a
+    /// replan when the topology changed.
+    fn replay_faults(&mut self) -> Result<(), ServeError> {
+        let Some(f) = self.faults.as_mut() else {
+            return Ok(());
+        };
+        let removed = f.replay(&mut self.state, &mut self.metrics, &mut self.events);
+        if removed != self.planned_removed {
+            self.pending_swap = self.fault_replan(removed)?;
+            self.planned_removed = removed;
+        }
+        Ok(())
+    }
+
+    /// Installs a pending plan swap at the phase boundary, paying its cost
+    /// in virtual time.
+    fn install(&mut self, swap: PendingSwap) -> Result<(), ServeError> {
+        let topology_change = swap.engine.is_some();
+        if let Some(engine) = swap.engine {
+            self.engine = engine;
+        }
+        let exec = PhaseExecutor::new(self.engine.simulator(), &swap.cfg)?;
+        let cost = if topology_change {
+            // A topology change always redeploys from DRAM and re-migrates
+            // the resident KV cache across the new layout (zero when the
+            // pool was aborted).
+            self.engine.deploy_time(LoadSource::Dram).as_secs()
+                + exec.kv_migration_time(self.state.kv().used_bytes()).as_secs()
+        } else {
+            swap_cost(&self.engine, &self.state.exec().schedule(), &swap.cfg)
+        };
+        self.state.t += cost;
+        self.state.install(exec);
+        let migrated = self.state.pool().len();
+        self.events.push(Event::PlanSwap { t: self.state.t, cost, migrated });
+        self.metrics.inc("plan_swaps");
+        self.swap_cost_total += cost;
+        Ok(())
+    }
+
+    /// Queues the arrivals up to the current virtual time.
+    fn ingest_arrivals(&mut self) {
+        let t = self.state.t;
         while let Some(r) = self.stream.as_mut().and_then(|s| s.next_if(|r| r.arrival <= t)) {
             self.arrive(r);
         }
         while let Some(r) = self.inbox.pop_front_if(|r| r.arrival <= t) {
             self.arrive(r);
         }
+    }
 
-        // ---- Dynamic admission (§5.2) -----------------------------------
-        self.pending.admit(
-            self.pending.len(),
-            &self.adjuster,
-            self.pool.len(),
-            self.scheduled_b_d,
-            &mut self.kv,
-            &mut self.scratch.admitted,
-        );
-        if !self.scratch.admitted.is_empty() {
-            self.metrics.add("admitted", self.scratch.admitted.len() as u64);
+    /// Nothing is queued or in flight: ends a stream run, parks a fleet
+    /// replica, or jumps the clock to the session's next self-owned work.
+    fn idle(&mut self) -> StepOutcome {
+        // Self-owned work: the next arrival of the stream or, in fleet
+        // mode, a future-dated injection; and the next retry.
+        let next_arrival = match self.stream.as_mut() {
+            Some(upcoming) => upcoming.peek().map(|r| r.arrival),
+            None => self.inbox.iter().map(|r| r.arrival).reduce(f64::min),
+        };
+        let next_retry = self.faults.as_ref().and_then(|f| f.retry.front()).map(|&(at, _)| at);
+        if next_arrival.is_none() && next_retry.is_none() {
+            // A stream run is complete. A fleet replica is quiescent and —
+            // mirroring that termination rule — does not ask to be woken
+            // for fault events alone; the fault world catches up at the
+            // next injection.
+            return match self.stream {
+                Some(_) => StepOutcome::Done,
+                None => StepOutcome::Parked { until: None },
+            };
         }
-
-        if self.scratch.admitted.is_empty() && self.pool.is_empty() {
-            if self.pending.is_empty() {
-                // Self-owned work: the next arrival of the stream or, in
-                // fleet mode, a future-dated injection; and the next retry.
-                let next_arrival = match self.stream.as_mut() {
-                    Some(upcoming) => upcoming.peek().map(|r| r.arrival),
-                    None => self.inbox.iter().map(|r| r.arrival).reduce(f64::min),
-                };
-                let next_retry = self.retry.peek().map(|r| r.eligible_at);
-                if next_arrival.is_none() && next_retry.is_none() {
-                    // Nothing queued and nothing in flight: a stream run is
-                    // complete. A fleet replica is quiescent and — mirroring
-                    // that termination rule — does not ask to be woken for
-                    // fault events alone; the fault world catches up at the
-                    // next injection.
-                    return Ok(match self.stream {
-                        Some(_) => StepOutcome::Done,
-                        None => StepOutcome::Parked { until: None },
-                    });
-                }
-                // Wake at whichever comes first: an arrival, a retry
-                // becoming eligible, or the fault world changing (an event
-                // firing or a failure detection maturing — otherwise a
-                // mid-idle failure would go unnoticed until the next
-                // arrival and the first phase after it would run on the
-                // dead topology).
-                let next_fault =
-                    self.driver.as_ref().and_then(|d| d.next_wake()).filter(|&w| w > self.t);
-                let wake = [next_arrival, next_retry, next_fault]
-                    .into_iter()
-                    .flatten()
-                    .fold(f64::INFINITY, f64::min);
-                if self.stream.is_none() {
-                    // Fleet mode: park instead of jumping — the fleet clock
-                    // owns inter-replica ordering.
-                    return Ok(StepOutcome::Parked { until: Some(wake) });
-                }
-                self.events.push(Event::Idle { from: self.t, until: wake });
-                self.t = wake;
-                return Ok(StepOutcome::Progressed);
-            }
-            return Err(self.pending.stalled().into());
+        // Wake at whichever comes first: an arrival, a retry becoming
+        // eligible, or the fault world changing (an event firing or a
+        // failure detection maturing — otherwise a mid-idle failure would
+        // go unnoticed until the next arrival and the first phase after it
+        // would run on the dead topology).
+        let next_fault =
+            self.faults.as_ref().and_then(|f| f.driver.next_wake()).filter(|&w| w > self.state.t);
+        let wake = [next_arrival, next_retry, next_fault]
+            .into_iter()
+            .flatten()
+            .fold(f64::INFINITY, f64::min);
+        if self.stream.is_none() {
+            // Fleet mode: park instead of jumping — the fleet clock owns
+            // inter-replica ordering.
+            return StepOutcome::Parked { until: Some(wake) };
         }
+        self.events.push(Event::Idle { from: self.state.t, until: wake });
+        self.state.t = wake;
+        StepOutcome::Progressed
+    }
 
-        // ---- Execute one phase (RRA) or round (WAA) ---------------------
-        // Active faults dilate the plan's timings at runtime: the
-        // worst live straggler scales compute, link degradation scales
-        // the KV handover. All factors are exactly 1 when nominal, so
-        // the arithmetic below is bit-identical to the fault-free path.
-        let factors = self.driver.as_ref().map_or(FaultFactors::nominal(), |d| d.factors());
-        let mut phase_base = 0.0f64;
-        let mut phase_actual = 0.0f64;
-        self.scratch.done.clear();
-        if self.exec.is_coupled() {
-            let n_admitted = self.scratch.admitted.len();
-            let (p_enc, enc_tokens) = if self.scratch.admitted.is_empty() {
-                (0.0, 0.0)
-            } else {
-                let enc = self.encode_admitted()?;
-                (enc.bottleneck.as_secs(), enc.tokens)
-            };
-            let p_dec = if self.pool.is_empty() {
-                0.0
-            } else {
-                let b_m = self.exec.decode_parallelism(self.pool.len());
-                let ctx = self.pool.mean_context();
-                self.exec.decode_timing(b_m, self.pool.len(), ctx, false)?.total.as_secs()
-            };
-            let t_kv_base = self.exec.handover_time(enc_tokens).as_secs();
-            let t_kv = if t_kv_base > 0.0 {
-                t_kv_base * factors.link_time + factors.link_latency
-            } else {
-                t_kv_base
-            };
-            let round = (p_enc * factors.dilation).max(p_dec * factors.dilation).max(t_kv);
-            phase_base = p_enc.max(p_dec).max(t_kv_base);
-            phase_actual = round;
-            let t_start = self.t;
-            let pool_during = self.pool.len();
-            self.t += round;
-            if !self.pool.is_empty() {
-                // The encoder group's fresh admissions are resident but not
-                // pooled: only the pool grows, in its scan order.
-                self.advance_pool(GrowthOrder::Pool);
-            }
+    /// Runs the admitted batch through one phase (RRA) or round (WAA) and
+    /// logs it. Active faults dilate the plan's timings: the worst live
+    /// straggler scales compute, link degradation the KV handover.
+    fn run_phase(&mut self) -> Result<PhaseRecord, ServeError> {
+        let factors = self.faults.as_ref().map_or(FaultFactors::nominal(), |f| f.driver.factors());
+        self.done.clear();
+        let done = &mut self.done;
+        let r = self.state.run_phase(factors, |f, t| done.push((f, t)))?;
+        let admitted = r.admitted;
+        if admitted > 0 {
+            self.metrics.add("admitted", admitted as u64);
+        }
+        if r.coupled {
             self.metrics.inc("rounds");
-            self.events.push(Event::Round {
-                t_start,
-                t_end: self.t,
-                admitted: n_admitted,
-                pool: pool_during,
-            });
-            for (r, slot) in self.scratch.admitted.drain(..) {
-                self.pool.push(&mut self.kv, r, slot, t_start);
-            }
+            let [t_start, t_end] = r.span;
+            self.events.push(Event::Round { t_start, t_end, admitted, pool: r.pool });
         } else {
-            if !self.scratch.admitted.is_empty() {
-                let enc = self.encode_admitted()?;
-                let t_start = self.t;
-                let dt = enc.total.as_secs();
-                self.t += dt * factors.dilation;
-                phase_base += dt;
-                phase_actual += dt * factors.dilation;
+            if admitted > 0 {
                 self.metrics.inc("encode_phases");
-                self.events.push(Event::Encode {
-                    t_start,
-                    t_end: self.t,
-                    admitted: self.scratch.admitted.len(),
-                    queue_depth: self.pending.len(),
-                });
-                for (r, slot) in self.scratch.admitted.drain(..) {
-                    self.pool.push(&mut self.kv, r, slot, t_start);
-                }
+                let ([t_start, t_end], queue_depth) = (r.encode, self.state.queue.len());
+                self.events.push(Event::Encode { t_start, t_end, admitted, queue_depth });
             }
-            let m_d = self.exec.decode_parallelism(self.pool.len());
-            let t_start = self.t;
-            let mut iters = 0usize;
-            for u in 0..self.exec.decode_iters_per_phase() {
-                if self.pool.is_empty() {
-                    break;
-                }
-                let ctx = self.pool.mean_context();
-                let dec = self.exec.decode_timing(m_d, self.pool.len(), ctx, u == 0)?;
-                let dt = dec.total.as_secs();
-                self.t += dt * factors.dilation;
-                phase_base += dt;
-                phase_actual += dt * factors.dilation;
-                iters += 1;
-                // RRA decode: the resident set is exactly the pool.
-                self.advance_pool(GrowthOrder::Arena);
-            }
-            self.metrics.add("decode_iters", iters as u64);
-            self.events.push(Event::Decode {
-                t_start,
-                t_end: self.t,
-                iters,
-                completed: self.scratch.done.len(),
-            });
+            self.metrics.add("decode_iters", r.iters as u64);
+            let [t_start, t_end] = r.decode;
+            let (iters, completed) = (r.iters, self.done.len());
+            self.events.push(Event::Decode { t_start, t_end, iters, completed });
         }
+        Ok(r)
+    }
 
-        // ---- Straggler confirmation from observed phase timings ---------
-        if let (Some(drv), Some(det), Some(fo)) =
-            (self.driver.as_mut(), self.straggler.as_mut(), self.fault_opts.as_ref())
-        {
-            if det.observe(phase_actual, phase_base).is_some() {
-                // Link degradation also inflates the ratio; only a
-                // device that is actually slowed can be blamed (and
-                // possibly evicted).
-                if let Some((gpu, factor)) = drv.worst_slowed_gpu() {
-                    let evict = factor >= fo.evict_slowdown;
-                    self.metrics.inc("stragglers_detected");
-                    self.events.push(Event::StragglerDetected {
-                        t: self.t,
-                        gpu,
-                        factor,
-                        evicted: evict,
-                    });
-                    if evict {
-                        // Removing it changes `removed()`: the next
-                        // step's fault replay replans onto the survivors.
-                        drv.evict(gpu);
-                    }
-                }
-            }
-        }
-
-        // ---- Account completions: SLO, metrics, drift -------------------
-        let scheduled_mean = self.exec.simulator().workload().output().mean();
+    /// Accounts this step's completions: SLO, metrics, outbox and drift.
+    /// Returns whether drift was declared.
+    fn account_completions(&mut self) -> bool {
+        let scheduled_mean = self.state.exec().simulator().workload().output().mean();
         let mut drift_declared = false;
-        for &(f, t) in &self.scratch.done {
+        for &(f, t) in &self.done {
             let d = Completion::new(&f, t);
             self.metrics.inc("completions");
             self.metrics.observe("ttft", d.ttft);
@@ -843,7 +647,7 @@ impl ReplicaSession {
                 violated: check.violated(),
             });
             self.last_completion = d.t;
-            if self.collect_completions {
+            if self.stream.is_none() {
                 self.outbox.push(d);
             }
             if let Some(c) = self.detector.observe(f.req.output_len, scheduled_mean) {
@@ -858,21 +662,9 @@ impl ReplicaSession {
                 drift_declared |= c.drifted;
             }
         }
-        self.metrics.gauge("queue_depth", self.pending.len() as f64);
-        self.metrics.gauge("pool_size", self.pool.len() as f64);
-
-        // ---- Live reschedule on declared drift --------------------------
-        if drift_declared && self.opts.adaptive && self.pending_swap.is_none() {
-            self.pending_swap = self.reschedule().map(|cfg| PendingSwap { cfg, engine: None });
-        }
-        Ok(StepOutcome::Progressed)
-    }
-
-    /// One decoding iteration of the pool ending at the current time; its
-    /// completions join this step's.
-    fn advance_pool(&mut self, order: GrowthOrder) {
-        let t = self.t;
-        self.pool.advance(&mut self.kv, order, t, |f| self.scratch.done.push((f, t)));
+        self.metrics.gauge("queue_depth", self.state.queue.len() as f64);
+        self.metrics.gauge("pool_size", self.state.pool().len() as f64);
+        drift_declared
     }
 
     /// Logs an arrival and queues it for admission.
@@ -884,27 +676,19 @@ impl ReplicaSession {
             output_len: r.request.output_len,
         });
         self.metrics.inc("arrivals");
-        self.pending.push(r);
-    }
-
-    /// Times the encoding of this step's (non-empty) admitted batch.
-    fn encode_admitted(&mut self) -> Result<EncodeTiming, RunError> {
-        self.scratch.lens.clear();
-        self.scratch.lens.extend(self.scratch.admitted.iter().map(|(r, _)| r.request.input_len));
-        self.exec.encode_timing(&self.scratch.lens)
+        self.state.queue.push(r);
     }
 
     /// Consumes the session into its final report.
     pub fn finish(mut self) -> ServeReport {
-        self.peak_kv = self.peak_kv.max(self.kv.peak_bytes());
         let completed = self.slo_out.checked;
         let makespan = self.last_completion;
         let throughput = if makespan > 0.0 { completed as f64 / makespan } else { 0.0 };
         self.metrics.gauge("swap_cost_total", self.swap_cost_total);
-        self.metrics.gauge("kv_peak_bytes", self.peak_kv as f64);
+        self.metrics.gauge("kv_peak_bytes", self.state.peak_kv_bytes() as f64);
         ServeReport {
             completed,
-            tokens_generated: self.pool.tokens(),
+            tokens_generated: self.state.pool().tokens(),
             makespan,
             throughput,
             ttft: self.metrics.summary("ttft"),
@@ -923,7 +707,7 @@ impl ReplicaSession {
             replan_fallbacks: 0,
             retries: self.metrics.counter("retries") as usize,
             requests_lost: self.metrics.counter("requests_lost") as usize,
-            final_schedule: self.exec.schedule().describe(),
+            final_schedule: self.state.exec().schedule().describe(),
             metrics: self.metrics.snapshot(),
             events: self.events,
         }
@@ -938,7 +722,7 @@ impl ReplicaSession {
             Err(e) => Err(ServeError::from(e)),
             Ok(refit) => {
                 let workload = Workload::new(
-                    self.exec.simulator().workload().input().clone(),
+                    self.state.exec().simulator().workload().input().clone(),
                     refit.dist.clone(),
                 );
                 self.metrics.gauge("refit_mean", refit.dist.mean());
@@ -951,8 +735,8 @@ impl ReplicaSession {
                 self.workload_refit = true;
                 self.metrics.inc("reschedules");
                 self.events.push(Event::Reschedule {
-                    t: self.t,
-                    from: self.exec.schedule().describe(),
+                    t: self.state.t,
+                    from: self.state.exec().schedule().describe(),
                     to: schedule.config.describe(),
                     refit_mean: self.engine.simulator().workload().output().mean(),
                 });
@@ -963,7 +747,7 @@ impl ReplicaSession {
             }
             Err(e) => {
                 self.metrics.inc("reschedule_failures");
-                self.events.push(Event::RescheduleFailed { t: self.t, why: e.to_string() });
+                self.events.push(Event::RescheduleFailed { t: self.state.t, why: e.to_string() });
                 None
             }
         }
@@ -999,7 +783,7 @@ impl ReplicaSession {
             Ok(cfg) => {
                 self.metrics.inc("replans");
                 self.events.push(Event::Replan {
-                    t: self.t,
+                    t: self.state.t,
                     reason: reason.into(),
                     gpus,
                     to: cfg.describe(),
@@ -1009,7 +793,7 @@ impl ReplicaSession {
             }
             Err(e) => {
                 self.metrics.inc("replan_failures");
-                self.events.push(Event::ReplanFailed { t: self.t, why: e.to_string() });
+                self.events.push(Event::ReplanFailed { t: self.state.t, why: e.to_string() });
                 if failover {
                     Err(ServeError::Failover { survivors: gpus, why: e.to_string() })
                 } else {
@@ -1020,39 +804,6 @@ impl ReplicaSession {
             }
         }
     }
-}
-
-/// Aborts every in-flight query after a device failure: its KV entry is
-/// released and it re-enters admission after an exponential backoff, or is
-/// dropped once its retry budget is exhausted.
-#[expect(clippy::too_many_arguments, reason = "an abort touches every piece of loop state")]
-fn abort_pool(
-    pool: &mut DecodePool,
-    kv: &mut KvTracker,
-    retry: &mut BinaryHeap<Retry>,
-    attempts: &mut BTreeMap<u64, usize>,
-    fo: &FaultOptions,
-    t: f64,
-    metrics: &mut Metrics,
-    events: &mut EventLog,
-) {
-    pool.clear(kv, |req| {
-        let id = req.request.id;
-        let n = attempts.entry(id).or_insert(0);
-        *n += 1;
-        let attempt = *n;
-        if attempt > fo.max_retries {
-            metrics.inc("requests_lost");
-            events.push(Event::RequestLost { t, id, attempts: attempt });
-        } else {
-            metrics.inc("retries");
-            let eligible_at = t + fo.backoff_base * 2.0f64.powi(attempt as i32 - 1);
-            events.push(Event::RequestRetry { t, id, attempt, eligible_at });
-            // Original arrival is kept: TTFT/E2E latency of a retried
-            // request honestly includes the failure it survived.
-            retry.push(Retry { eligible_at, req });
-        }
-    });
 }
 
 /// Virtual cost of swapping from `old` to `new`.
