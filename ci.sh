@@ -29,12 +29,15 @@ cargo run --offline -q -p exegpt-xlint -- --workspace
 echo "==> cargo test -q"
 cargo test --offline --workspace -q
 
-echo "==> estimator, search-memo, completion, metrics, schedule and report digests and the decode kernel in release"
+echo "==> estimator, search-memo, completion, metrics, schedule, figures and report digests and the decode sum in release"
 # The stage above runs the estimator digests (every estimate's bits, every
 # error's payload) in a debug build. The binaries and the benchmark run
 # release code, where the profile lookups are inlined across crates and
 # debug assertions are off, so the digests must hold there too.
 cargo test --offline --release -q -p exegpt-sim --test estimate_digest
+# The closed-form decode sum against its per-iteration reference: the debug
+# assertion that checks it inside every estimate is off in release.
+cargo test --offline --release -q -p exegpt-sim --test decode_sum
 # The search reads scores, and remembered searches stand in for cold ones;
 # the benchmark times release code, so scores must match fresh estimates,
 # and remembered searches the ones that ran, bit for bit there too.
@@ -51,10 +54,12 @@ cargo test --offline --release -q -p exegpt-scenario --test metrics_digest
 # And every plan the scheduler picks on the Figure 6 grid (80 cases, three
 # portfolios each): the debug stage covers only the OPT-13B deployment.
 cargo test --offline --release -q -p exegpt-bench --test schedule_digest -- --include-ignored
-# The batched decode kernel against its scalar reference, and every runner
-# report over the shared stage-cost kernel: the debug assertion that checks
-# the kernel inside the estimator is off in release, where the benchmark
-# times the inlined kernel.
+# And every table `figures all` prints and writes, against the committed
+# results_all.txt and results/*.json.
+cargo test --offline --release -q -p exegpt-bench --test figures_cli -- --include-ignored
+# The decode stage term's fixed segments and breakpoints, which the decode
+# sum relies on, and every runner report over the shared stage-cost kernel,
+# in the release code the benchmark times.
 cargo test --offline --release -q -p exegpt-profiler
 cargo test --offline --release -q -p exegpt-runner --test report_digest
 # The benchmark times the serve step in release too: its KV-peak digest,

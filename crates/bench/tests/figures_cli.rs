@@ -44,3 +44,36 @@ fn unknown_experiment_is_a_usage_error() {
     assert!(stderr.contains("unknown experiment `fig99`"), "{stderr}");
     assert!(stderr.contains("ablations schedcost all"), "{stderr}");
 }
+
+/// `figures all` prints what `results_all.txt` holds and writes what
+/// `results/` holds, byte for byte, so the paper tables cannot drift
+/// unnoticed. After a deliberate change, regenerate both from the root of
+/// the repository with `figures all --json results > results_all.txt`.
+#[test]
+#[ignore = "runs every experiment; ci.sh runs it in release"]
+fn all_matches_the_committed_results() {
+    let dir = scratch("all");
+    let out = figures(&["all", "--json", dir.to_str().expect("utf-8 path")]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let committed = std::fs::read_to_string(root.join("results_all.txt")).expect("committed");
+    let printed = String::from_utf8(out.stdout).expect("utf-8 output");
+    if let Some((i, (want, got))) =
+        committed.lines().zip(printed.lines()).enumerate().find(|(_, (a, b))| a != b)
+    {
+        panic!("results_all.txt line {}: committed `{want}`, printed `{got}`", i + 1);
+    }
+    assert_eq!(printed, committed, "results_all.txt and the printed run differ in length");
+    let mut written: Vec<_> = std::fs::read_dir(&dir)
+        .expect("json written")
+        .map(|e| e.expect("entry").file_name())
+        .collect();
+    written.sort();
+    assert!(written.len() >= 10, "{written:?}");
+    for name in written {
+        let fresh = std::fs::read(dir.join(&name)).expect("written");
+        let committed = std::fs::read(root.join("results").join(&name))
+            .unwrap_or_else(|_| panic!("results/{} is not committed", name.to_string_lossy()));
+        assert!(fresh == committed, "results/{} differs from a fresh run", name.to_string_lossy());
+    }
+}

@@ -32,25 +32,27 @@ fn portfolios() -> [Vec<Policy>; 3] {
 
 /// Pinned `(deployment, digest per portfolio, feasible cases per
 /// portfolio)`, so a grid that silently turns infeasible cannot pass.
+/// Last re-pinned when the RRA decode sum became a closed form: every plan
+/// kept its configuration, and RRA estimates moved by rounding only.
 const PINNED: [(&str, [u64; 3], [usize; 3]); 4] = [
     (
         "T5-11B/8xA40",
-        [0x9982_cc62_7d6a_5b17, 0x9982_cc62_7d6a_5b17, 0xcc9a_5cf1_f665_71ec],
+        [0x3b43_6757_1b30_de20, 0x3b43_6757_1b30_de20, 0xcc9a_5cf1_f665_71ec],
         [20, 20, 12],
     ),
     (
         "OPT-13B/4xA40",
-        [0x5c67_1da4_916e_da1b, 0xc608_0edd_fe24_feed, 0xe25b_b13f_6cbb_0a41],
+        [0xe8e3_8fdb_d92b_0ea7, 0xd875_2179_70fd_050b, 0xe25b_b13f_6cbb_0a41],
         [20, 20, 12],
     ),
     (
         "GPT-3-39B/16xA40",
-        [0x9b8e_f14a_8fa9_9f0c, 0xe065_efad_968f_3d71, 0x6b66_fa51_bd24_005f],
+        [0x8365_8baf_25f6_47e4, 0x5cd2_87c8_9c9f_4a02, 0x6b66_fa51_bd24_005f],
         [20, 20, 13],
     ),
     (
         "GPT-3-101B/16xA100-80GB",
-        [0x1efb_c4c4_2463_c19b, 0x8872_6f09_980b_70db, 0xfd56_38b5_c184_5972],
+        [0x213d_77fa_5f7b_6427, 0x5802_c23b_3465_921d, 0xfd56_38b5_c184_5972],
         [20, 20, 11],
     ),
 ];

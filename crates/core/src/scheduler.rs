@@ -71,11 +71,12 @@ pub struct SchedulerOptions {
     /// Latency bound `L_Bound` for generating the 99th-percentile-length
     /// sequence (`Secs::INFINITY` = unconstrained).
     pub latency_bound: Secs,
-    /// Latency tolerance `ε_L` as a fraction of the bound (default 5%).
+    /// Latency tolerance `ε_L` as a fraction of the bound, in `[0, 1)`
+    /// (default 5%).
     pub eps_latency_frac: f64,
     /// Throughput tolerance `ε_T` as a fraction of the incumbent (blocks
     /// within this fraction of the best known throughput are not pruned;
-    /// default 2%).
+    /// in `[0, 1)`, default 2%).
     pub eps_throughput_frac: f64,
     /// Policies to search (default: all three).
     pub policies: Vec<Policy>,
@@ -265,7 +266,7 @@ impl Scheduler {
             } else {
                 Secs::ZERO
             },
-            eps_throughput: opts.eps_throughput_frac.max(0.0),
+            eps_throughput: opts.eps_throughput_frac,
             max_evals: 20_000,
         }
     }
@@ -351,7 +352,7 @@ impl Scheduler {
             let inf = (a.1 == f64::INFINITY, b.1 == f64::INFINITY);
             inf.0.cmp(&inf.1).then(b.1.total_cmp(&a.1)).then(a.0.cmp(&b.0))
         });
-        let eps_thr = opts.eps_throughput_frac.max(0.0);
+        let eps_thr = opts.eps_throughput_frac;
         for (i, upper) in deferred {
             if upper * (1.0 + eps_thr) < running_best {
                 outcome.certified += 1;
@@ -665,11 +666,14 @@ fn validate(opts: &SchedulerOptions) -> Result<(), ScheduleError> {
             return Err(ScheduleError::InvalidOptions { what, why: "must be at least 1".into() });
         }
     }
-    if !(0.0..1.0).contains(&opts.eps_latency_frac) {
-        return Err(ScheduleError::InvalidOptions {
-            what: "eps_latency_frac",
-            why: "must be in [0, 1)".into(),
-        });
+    // NaN fails `contains` too.
+    for (what, frac) in [
+        ("eps_latency_frac", opts.eps_latency_frac),
+        ("eps_throughput_frac", opts.eps_throughput_frac),
+    ] {
+        if !(0.0..1.0).contains(&frac) {
+            return Err(ScheduleError::InvalidOptions { what, why: "must be in [0, 1)".into() });
+        }
     }
     Ok(())
 }
@@ -677,6 +681,27 @@ fn validate(opts: &SchedulerOptions) -> Result<(), ScheduleError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tolerances_outside_the_unit_interval_are_rejected() {
+        let base = SchedulerOptions::bounded(Secs::new(10.0));
+        let with = |what: &str, frac: f64| match what {
+            "eps_latency_frac" => SchedulerOptions { eps_latency_frac: frac, ..base.clone() },
+            _ => SchedulerOptions { eps_throughput_frac: frac, ..base.clone() },
+        };
+        for what in ["eps_latency_frac", "eps_throughput_frac"] {
+            for bad in [-0.01, -f64::INFINITY, 1.0, 1.5, f64::INFINITY, f64::NAN] {
+                let err = validate(&with(what, bad));
+                assert!(
+                    matches!(err, Err(ScheduleError::InvalidOptions { what: w, .. }) if w == what),
+                    "{what} = {bad}: {err:?}"
+                );
+            }
+            for good in [0.0, 0.02, 0.999] {
+                assert!(validate(&with(what, good)).is_ok(), "{what} = {good}");
+            }
+        }
+    }
 
     #[test]
     fn search_keys_tell_deciding_options_apart() {

@@ -87,7 +87,7 @@ impl Grid1D {
         }
         let (x0, x1) = (self.xs[i], self.xs[i + 1]);
         let (y0, y1) = (self.ys[i], self.ys[i + 1]);
-        Piece::Linear(Line { span: Span { x0, dx: x1 - x0 }, y0, dy: y1 - y0 })
+        Piece::Linear { span: Span { x0, dx: x1 - x0 }, y0, dy: y1 - y0 }
     }
 
     /// The swept sample positions.
@@ -102,8 +102,9 @@ impl Grid1D {
 pub(crate) enum Piece {
     /// A single-knot grid's value, unclamped.
     Constant(f64),
-    /// A segment between two knots.
-    Linear(Line),
+    /// The line over `span` rising from `y0` by `dy`: a segment between
+    /// two knots.
+    Linear { span: Span, y0: f64, dy: f64 },
 }
 
 impl Piece {
@@ -112,7 +113,16 @@ impl Piece {
     pub(crate) fn eval(self, x: f64) -> f64 {
         match self {
             Piece::Constant(y) => y,
-            Piece::Linear(line) => line.eval(x),
+            Piece::Linear { span, y0, dy } => (y0 + span.weight(x) * dy).max(0.0),
+        }
+    }
+
+    /// Where the segment's line, unclamped, crosses zero: `None` for a
+    /// constant piece.
+    pub(crate) fn root(self) -> Option<f64> {
+        match self {
+            Piece::Constant(_) => None,
+            Piece::Linear { span, y0, dy } => Some(span.x0 - y0 / dy * span.dx),
         }
     }
 }
@@ -129,24 +139,6 @@ impl Span {
     #[inline]
     pub(crate) fn weight(self, x: f64) -> f64 {
         (x - self.x0) / self.dx
-    }
-}
-
-/// The line over `span` rising from `y0` by `dy`, extended past it and
-/// clamped at zero: a [`Piece::Linear`] unpacked, so a loop can match once
-/// and evaluate many.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Line {
-    span: Span,
-    y0: f64,
-    dy: f64,
-}
-
-impl Line {
-    /// The line's value at `x`.
-    #[inline]
-    pub(crate) fn eval(self, x: f64) -> f64 {
-        (self.y0 + self.span.weight(x) * self.dy).max(0.0)
     }
 }
 
@@ -273,30 +265,16 @@ impl Cell {
         }
     }
 
-    /// The cell as a [`SlopedCell`], if it spans a first-axis segment.
-    #[inline]
-    pub(crate) fn sloped(self) -> Option<SlopedCell> {
+    /// Where the cell's value along its first-axis segment, unclamped,
+    /// crosses zero: `None` when it does not vary along that axis.
+    pub(crate) fn root(self) -> Option<f64> {
         match self {
-            Cell::Bilinear { x: Some(span), z, ty } => Some(SlopedCell { span, z, ty }),
+            Cell::Bilinear { x: Some(span), z: [z00, z10, z01, z11], ty } => {
+                let (y0, y1) = (z00 + ty * (z01 - z00), z10 + ty * (z11 - z10));
+                Some(span.x0 + y0 / (y0 - y1) * span.dx)
+            }
             _ => None,
         }
-    }
-}
-
-/// A [`Cell::Bilinear`] on a first-axis segment of nonzero width, unpacked
-/// so a loop can match once and evaluate many.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct SlopedCell {
-    span: Span,
-    z: [f64; 4],
-    ty: f64,
-}
-
-impl SlopedCell {
-    /// The cell's value at `x`, as [`Cell::eval`] computes it.
-    #[inline]
-    pub(crate) fn eval(self, x: f64) -> f64 {
-        blend(self.z, self.ty, self.span.weight(x))
     }
 }
 

@@ -1,4 +1,5 @@
-//! The decode stage term, scalar and batched, bit for bit.
+//! The decode stage term: its fixed segments bit for bit, and its
+//! breakpoints.
 //!
 //! [`DecodeStageGrid`] evaluates batches below its lowest knot or above its
 //! highest from precomputed fixed segments. There it must equal the direct
@@ -6,20 +7,20 @@
 //! link)` to the bit, for every profiled TP degree, both links and any
 //! layer count.
 //!
-//! [`DecodeStageGrid::fold_max`], the simulator's batched decode kernel,
-//! must equal a `Secs::max` fold of the scalar [`DecodeStageGrid::eval`]
-//! from `+0.0` to the bit, for every batch sequence that does not increase:
-//! across the above, within and below regions, at the knots and between
-//! them, with repeated values, on decoder-only tables (no cross-attention),
-//! encoder-decoder ones (with it) and single-knot ones (constant pieces).
+//! The simulator's closed-form decode sum relies on
+//! [`DecodeStageGrid::breakpoints`]: between two neighbours, and past the
+//! outermost, [`DecodeStageGrid::eval`] must be one line. That is checked
+//! on decoder-only tables (no cross-attention), encoder-decoder ones (with
+//! it), single-knot ones (constant pieces) and tables bent so that fixed
+//! segments reach their zero clamps at positive batch sizes.
 
 use std::sync::OnceLock;
 
 use exegpt_cluster::ClusterSpec;
 use exegpt_model::ModelConfig;
 use exegpt_profiler::{DecodeStageGrid, LayerProfile, ProfileOptions, Profiler};
-use exegpt_units::Secs;
 use proptest::prelude::*;
+use serde::{Deserialize, Serialize, Value};
 
 fn profile(model: ModelConfig, gpus: usize) -> LayerProfile {
     profile_with(model, gpus, &ProfileOptions::default())
@@ -77,15 +78,54 @@ fn fixed_segment_term_matches_direct_lookups_bit_for_bit() {
     assert!(checked >= 1000, "{checked}");
 }
 
+/// OPT-13B's profile with tables bent so that, beyond the knots, component
+/// lines reach zero at positive batch sizes: the first segments of the
+/// decode rest table and of the handoff tables climb steeply from near
+/// zero, and the last segment of the TP sync table falls slowly.
+fn bent(profile: &LayerProfile) -> LayerProfile {
+    fn field<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+        match v {
+            Value::Object(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1,
+            _ => panic!("{key}: not an object"),
+        }
+    }
+    fn bend(grid: &mut Value, first: bool) {
+        let Value::Array(ys) = field(grid, "ys") else { panic!("a 1-D table") };
+        let y = |v: &Value| match *v {
+            Value::F64(y) => y,
+            Value::U64(y) => y as f64,
+            _ => panic!("a number"),
+        };
+        let n = ys.len();
+        if first {
+            ys[0] = Value::F64(y(&ys[1]) * 0.1);
+        } else {
+            ys[n - 1] = Value::F64(y(&ys[n - 2]) * (1.0 - 1e-4));
+        }
+    }
+    let mut v = profile.to_value();
+    let Value::Object(degrees) = field(&mut v, "per_tp") else { panic!("per-degree tables") };
+    for (_, tables) in degrees {
+        bend(field(tables, "dec_rest"), true);
+        bend(field(tables, "dec_sync"), false);
+    }
+    bend(field(&mut v, "handoff_intra"), true);
+    bend(field(&mut v, "handoff_inter"), true);
+    LayerProfile::from_value(&v).expect("deserializes")
+}
+
 /// Profiles whose decode tables have no cross-attention (OPT-13B), have it
 /// (T5-11B), have a single batch knot but many token knots (sloped
-/// collapsed grid, constant edges), and a single knot everywhere.
-fn fold_profiles() -> &'static [LayerProfile] {
+/// collapsed grid, constant edges), a single knot everywhere, and bent
+/// edges.
+fn profiles() -> &'static [LayerProfile] {
     static PROFILES: OnceLock<Vec<LayerProfile>> = OnceLock::new();
     PROFILES.get_or_init(|| {
         let one_batch = |max_seq| ProfileOptions { max_batch: 1, max_seq, ..Default::default() };
+        let opt = profile(ModelConfig::opt_13b(), 4);
         vec![
-            profile(ModelConfig::opt_13b(), 4),
+            bent(&opt),
+            opt,
             profile(ModelConfig::t5_11b(), 8),
             profile_with(ModelConfig::t5_11b(), 4, &one_batch(64)),
             profile_with(ModelConfig::opt_13b(), 4, &one_batch(1)),
@@ -93,94 +133,70 @@ fn fold_profiles() -> &'static [LayerProfile] {
     })
 }
 
-/// The stage grids of one decode phase's classes: both links at the
-/// profile's TP degrees, with different layer counts.
-fn stage_grids(profile: &LayerProfile, ctx: f64, input_len: f64) -> Vec<DecodeStageGrid> {
-    let mut grids = Vec::new();
-    for (k, tp) in profile.tp_degrees().into_iter().enumerate() {
-        for (intra, layers) in [(true, 10.0), (false, 3.0 + k as f64)] {
-            grids.push(
-                profile.decode_stage_grid(ctx, input_len, tp, layers, intra).expect("profiled"),
+/// Asserts that `grid` is one line between neighbouring breakpoints and
+/// past the outermost ones.
+fn assert_linear_between_breakpoints(grid: &DecodeStageGrid) {
+    let (bps, knots) = (grid.breakpoints(), grid.knots());
+    assert!(bps.windows(2).all(|w| w[0] < w[1]), "ascending: {bps:?}");
+    assert!(knots.iter().all(|k| bps.contains(k)), "every knot is a breakpoint");
+    let (first, last) = (bps[0], bps[bps.len() - 1]);
+    let outer = [(first - 1.0 - first.abs(), first), (last, 2.0 * last + 1.0)];
+    // Rounding is relative to the term's scale: next to a zero clamp a
+    // line's ends differ from zero by rounding alone.
+    let scale = grid.eval(knots[0]).as_secs();
+    for (a, b) in bps.windows(2).map(|w| (w[0], w[1])).chain(outer) {
+        let (ya, yb) = (grid.eval(a).as_secs(), grid.eval(b).as_secs());
+        for t in [0.1, 0.37, 0.5, 0.9] {
+            let (got, want) = (grid.eval(a + t * (b - a)).as_secs(), ya + t * (yb - ya));
+            assert!(
+                (got - want).abs() <= 1e-12 * ya.abs().max(yb.abs()).max(scale),
+                "[{a}, {b}] at {t}: {got:e} vs {want:e}"
             );
         }
-    }
-    grids
-}
-
-/// A batch in one region of `knots`: below the lowest (`region == 0`),
-/// at or between knots `region - 1` and `region`, or above the highest
-/// (`region > knots.len()`), placed by `t ∈ [0, 1)`.
-fn batch_in(knots: &[f64], region: usize, t: f64) -> f64 {
-    let (lo, hi) = (knots[0], knots[knots.len() - 1]);
-    match region {
-        0 => lo * t,
-        r if r > knots.len() => hi * (1.0 + 4.0 * t),
-        r if r == knots.len() || t < 0.3 => knots[r - 1],
-        r => knots[r - 1] + (t - 0.3) / 0.7 * (knots[r] - knots[r - 1]),
-    }
-}
-
-/// Folds `batches` through every grid, batched and scalar, and compares
-/// the bits.
-fn assert_fold_matches_scalar(grids: &[DecodeStageGrid], batches: &[f64]) {
-    let mut worst = vec![Secs::ZERO; batches.len()];
-    for grid in grids {
-        grid.fold_max(batches, &mut worst);
-    }
-    for (&batch, got) in batches.iter().zip(&worst) {
-        let want = grids.iter().fold(Secs::ZERO, |acc, g| acc.max(g.eval(batch)));
-        assert_eq!(got.as_secs().to_bits(), want.as_secs().to_bits(), "batch={batch}");
     }
 }
 
 #[test]
-fn batched_fold_matches_scalar_fold_on_every_region() {
-    let mut regions = [0usize; 3];
-    for profile in fold_profiles() {
+fn the_term_is_one_line_between_breakpoints() {
+    let mut positive_roots = 0;
+    for profile in profiles() {
         for (ctx, input_len) in [(192.0, 128.0), (51.25, 17.0), (9000.0, 6000.0)] {
-            let grids = stage_grids(profile, ctx, input_len);
-            let knots = grids[0].knots();
-            // Every region of the first grid, knots hit exactly, each
-            // batch twice, in non-increasing order.
-            let mut batches: Vec<f64> = (0..=knots.len() + 1)
-                .flat_map(|r| [0.0, 0.2, 0.5, 0.9].map(|t| batch_in(knots, r, t)))
-                .flat_map(|b| [b, b])
-                .collect();
-            batches.sort_by(|a, b| b.total_cmp(a));
-            for &b in &batches {
-                let region = usize::from(b >= knots[0]) + usize::from(b > knots[knots.len() - 1]);
-                regions[region] += 1;
-            }
-            assert_fold_matches_scalar(&grids, &batches);
-            for grid in &grids {
-                assert_fold_matches_scalar(std::slice::from_ref(grid), &batches);
+            for tp in profile.tp_degrees() {
+                for (intra, layers) in [(true, 10.0), (false, 3.0)] {
+                    let grid = profile
+                        .decode_stage_grid(ctx, input_len, tp, layers, intra)
+                        .expect("profiled");
+                    assert_linear_between_breakpoints(&grid);
+                    let knots = grid.knots();
+                    positive_roots += grid
+                        .breakpoints()
+                        .iter()
+                        .filter(|&&b| b > 0.0 && !knots.contains(&b))
+                        .count();
+                }
             }
         }
     }
-    assert!(regions.iter().all(|&n| n >= 50), "below, within, above: {regions:?}");
+    assert!(positive_roots >= 20, "zero clamps at positive batches: {positive_roots}");
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Random non-increasing sequences: region picks over the first
-    /// grid's knots, each repeated one to three times.
     #[test]
-    fn batched_fold_is_a_scalar_fold_bit_for_bit(
-        which in 0usize..4,
+    fn the_term_is_one_line_between_breakpoints_anywhere(
+        which in 0usize..5,
         ctx in 1.0f64..10_000.0,
         input_len in 1.0f64..10_000.0,
-        picks in prop::collection::vec((0usize..64, 0.0f64..1.0, 1usize..4), 0..80),
+        tp in 0usize..8,
+        intra in any::<bool>(),
+        layers in 1usize..64,
     ) {
-        let grids = stage_grids(&fold_profiles()[which], ctx, input_len);
-        let knots = grids[0].knots();
-        let mut batches: Vec<f64> = picks
-            .iter()
-            .flat_map(|&(r, t, repeat)| {
-                std::iter::repeat_n(batch_in(knots, r % (knots.len() + 2), t), repeat)
-            })
-            .collect();
-        batches.sort_by(|a, b| b.total_cmp(a));
-        assert_fold_matches_scalar(&grids, &batches);
+        let profile = &profiles()[which];
+        let degrees = profile.tp_degrees();
+        let grid = profile
+            .decode_stage_grid(ctx, input_len, degrees[tp % degrees.len()], layers as f64, intra)
+            .expect("profiled");
+        assert_linear_between_breakpoints(&grid);
     }
 }

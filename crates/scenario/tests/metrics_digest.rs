@@ -14,8 +14,11 @@ use std::path::Path;
 use exegpt_scenario::{fnv1a, run, Mode, Report, Scenario};
 use exegpt_serve::MetricsSnapshot;
 
-/// FNV-1a over the records of every shipped serve and fleet scenario.
-const PINNED: u64 = 0x7b5f_6e12_a3ea_81a8;
+/// FNV-1a over the records of every shipped serve and fleet scenario. Last
+/// re-pinned when the RRA decode sum became a closed form: no counter
+/// moved, and latency summaries moved in their last digits (relative
+/// 1.8e-12 at most).
+const PINNED: u64 = 0x9bd0_1080_2ed6_0dd1;
 
 fn json(m: &MetricsSnapshot) -> String {
     serde_json::to_string(m).expect("metrics snapshots serialize")

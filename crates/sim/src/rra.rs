@@ -10,9 +10,9 @@
 use std::sync::Arc;
 
 use exegpt_dist::convert::{ceil_usize, lossless_f64, trunc_u64, trunc_usize, widen_u64};
-use exegpt_dist::CompletionDist;
+use exegpt_dist::{CompletionDist, CompletionSeries};
 use exegpt_model::{MemoryFootprint, ModelKind};
-use exegpt_profiler::{DecodeStageGrid, LayerProfile};
+use exegpt_profiler::DecodeStageGrid;
 use exegpt_units::Secs;
 
 use crate::cache::DecStageKey;
@@ -40,10 +40,27 @@ struct StageClass {
 /// allocation pairs. Stages beyond it are computed directly.
 const MEMORY_CLASSES: usize = 8;
 
-/// Survival runs per chunk of the decode loop (stack arrays).
-const DECODE_CHUNK: usize = 64;
-
 pub(crate) fn evaluate(sim: &Simulator, cfg: &RraConfig) -> Result<Estimate, SimError> {
+    evaluate_with(sim, cfg, decode_sum)
+}
+
+/// [`Simulator::evaluate_rra`] with the decode phase summed one iteration
+/// at a time by [`decode_sum_scalar`]: the reference the closed form is
+/// tested against.
+///
+/// # Errors
+///
+/// As [`Simulator::evaluate_rra`].
+#[doc(hidden)]
+pub fn evaluate_scalar(sim: &Simulator, cfg: &RraConfig) -> Result<Estimate, SimError> {
+    evaluate_with(sim, cfg, decode_sum_scalar)
+}
+
+fn evaluate_with(
+    sim: &Simulator,
+    cfg: &RraConfig,
+    decode: impl Fn(&[&DecodeStageGrid], &CompletionSeries, usize, usize) -> Secs,
+) -> Result<Estimate, SimError> {
     if cfg.b_e == 0 {
         return Err(SimError::InvalidConfig { what: "b_e", why: "must be at least 1".into() });
     }
@@ -94,7 +111,7 @@ pub(crate) fn evaluate(sim: &Simulator, cfg: &RraConfig) -> Result<Estimate, Sim
 
     // --- Memory, before the decode timeline --------------------------------
     // The check needs only the plan, B_D and the encode micro-batch, so an
-    // out-of-memory configuration skips the O(N_D) decode loop. It returns
+    // out-of-memory configuration skips the decode sum. It returns
     // the error the timeline-first order returned: nothing below can fail
     // once the plan and the encode stage times have succeeded. Decode
     // stages run at TP degree 1 or the configured degree, over one of two
@@ -107,19 +124,14 @@ pub(crate) fn evaluate(sim: &Simulator, cfg: &RraConfig) -> Result<Estimate, Sim
 
     // --- Decoding phase: N_D iterations over the shrinking pool ----------
     // The pool circulates as one micro-batch per stage; iteration `u` runs
-    // with the expected active pool after earlier completions. The survival
-    // series is precomputed with the completion analysis (O(N_D) total).
-    // Iterations whose survival factor is bit-identical share one term; on
-    // the paper grid's output distributions no two neighbours are, so runs
-    // are single iterations, and they only collapse for point-mass-like
-    // distributions, where P_D(U) has zero mass over long stretches.
+    // with the expected active pool after earlier completions, from the
+    // survival series precomputed with the completion analysis.
     let m_d = stages.min(b_d).max(1);
     // Stages with the same TP degree and boundary link share their layer
     // time and handoff at any micro-batch size, so within such a class only
-    // the largest layer allocation can be the bottleneck. Collapsing the
-    // per-iteration stage scan to one entry per class (at most 4: stages run
-    // at TP degree 1 or the configured degree, across an intra- or
-    // inter-node link) removes most profile lookups from the hot loop.
+    // the largest layer allocation can be the bottleneck. The bottleneck is
+    // the largest of one term per class (at most 4: stages run at TP degree
+    // 1 or the configured degree, across an intra- or inter-node link).
     let mut classes = [StageClass::default(); MAX_CLASSES];
     let mut n_classes = 0;
     for ((stage, intra), &alloc) in
@@ -139,66 +151,33 @@ pub(crate) fn evaluate(sim: &Simulator, cfg: &RraConfig) -> Result<Estimate, Sim
             }
         }
     }
-    // Each class's bottleneck term `alloc · t_layer(µ) + handoff(µ)` is a
-    // cached `DecodeStageGrid`, bit-identical to the stage-cost kernel's
-    // per-stage term outside the grid's knots.
-    let mut grids: [Option<Arc<DecodeStageGrid>>; MAX_CLASSES] = Default::default();
-    for (slot, &StageClass { tp, intra, alloc }) in grids.iter_mut().zip(&classes[..n_classes]) {
+    // Each class's term `alloc · t_layer(µ) + handoff(µ)` is a cached
+    // `DecodeStageGrid`, bit-identical to the stage-cost kernel's per-stage
+    // term outside the grid's knots.
+    let mut held: [Option<Arc<DecodeStageGrid>>; MAX_CLASSES] = Default::default();
+    for (slot, &StageClass { tp, intra, alloc }) in held.iter_mut().zip(&classes[..n_classes]) {
         *slot = Some(sim.cache().dec_stage_grid(DecStageKey { tp, intra, alloc }, || {
             Ok(profile.decode_stage_grid(ctx, s_e, tp, lossless_f64(alloc), intra)?)
         })?);
     }
-    // The loop runs in chunks of up to DECODE_CHUNK survival runs, in three
-    // passes over stack arrays: gather each run and its micro-batch; fold
-    // every class's term into the chunk's bottlenecks (`fold_max` walks a
-    // grid's regions and segments once per chunk, which needs micro-batches
-    // that do not increase: survival is a running `1 − Σ` of non-negative
-    // terms, and a chunk also ends early at any rise); then add the
-    // bottlenecks in iteration order. Every estimate keeps the bits of the
-    // per-iteration loop: `fold_max` matches a `Secs::max` fold of
-    // `DecodeStageGrid::eval` from `+0.0`, which debug builds assert.
-    let (b_d_f, m_d_f) = (lossless_f64(b_d), lossless_f64(m_d));
-    let survival = &series.survival;
-    let mut t_dec = Secs::ZERO;
-    let mut fill = Secs::ZERO;
-    let mut u = 0;
-    while u < cfg.n_d {
-        let first = u == 0;
-        let mut runs = [0usize; DECODE_CHUNK];
-        let mut micro = [0.0f64; DECODE_CHUNK];
-        let mut len = 0;
-        while len < DECODE_CHUNK && u < cfg.n_d {
-            let s = survival[u];
-            let mut run = 1;
-            while u + run < cfg.n_d && survival[u + run].to_bits() == s.to_bits() {
-                run += 1;
-            }
-            let m = (b_d_f * s).max(1.0) / m_d_f;
-            if len > 0 && m > micro[len - 1] {
-                break;
-            }
-            (runs[len], micro[len]) = (run, m);
-            len += 1;
-            u += run;
-        }
-        let (runs, micro) = (&runs[..len], &micro[..len]);
-        let mut worst = [Secs::ZERO; DECODE_CHUNK];
-        let worst = &mut worst[..len];
-        for grid in grids.iter().flatten() {
-            grid.fold_max(micro, worst);
-        }
-        debug_assert!(
-            chunk_matches_scalar(profile, &classes[..n_classes], &grids, (ctx, s_e), micro, worst),
-            "batched decode terms disagree with the scalar grid or the stage-cost kernel"
-        );
-        if first {
-            fill = worst[0] * (lossless_f64(stages) - 1.0);
-        }
-        for (&w, &run) in worst.iter().zip(runs) {
-            t_dec += w * (lossless_f64(run) * m_d_f);
-        }
-    }
-    t_dec += fill;
+    let [Some(first), ..] = &held else {
+        return Err(SimError::InvalidConfig { what: "tp", why: "no decode stage".into() });
+    };
+    let grids: [&DecodeStageGrid; MAX_CLASSES] =
+        std::array::from_fn(|c| held[c].as_deref().unwrap_or(first));
+    let grids = &grids[..n_classes];
+    // `t_dec = m_d · Σ_u F(µ_u) + fill`, with the sum in closed form
+    // (`decode_sum`), which debug builds check against the per-iteration
+    // sum, and the pipeline filling at the first iteration's bottleneck.
+    let sum = decode(grids, &series, b_d, m_d);
+    debug_assert!(
+        within_oracle(sum, decode_sum_scalar(grids, &series, b_d, m_d)),
+        "closed-form decode sum {sum:?} strays from the per-iteration sum"
+    );
+    let m_d_f = lossless_f64(m_d);
+    let first_micro = (lossless_f64(b_d) * series.survival[0]).max(1.0) / m_d_f;
+    let fill = bottleneck(grids, first_micro) * (lossless_f64(stages) - 1.0);
+    let t_dec = sum * m_d_f + fill;
 
     let t_phase = t_enc + t_dec;
     let throughput = lossless_f64(cfg.b_e) / t_phase.as_secs();
@@ -220,35 +199,141 @@ pub(crate) fn evaluate(sim: &Simulator, cfg: &RraConfig) -> Result<Estimate, Sim
     })
 }
 
-/// The decode loop's debug check of one chunk: each bottleneck in `worst`
-/// is the `Secs::max` fold, from `+0.0`, of the classes' scalar
-/// `DecodeStageGrid::eval` terms at its micro-batch, and each term outside
-/// its grid's knots is the stage-cost kernel's, bit for bit.
-fn chunk_matches_scalar(
-    profile: &LayerProfile,
-    classes: &[StageClass],
-    grids: &[Option<Arc<DecodeStageGrid>>],
-    (ctx, input_len): (f64, f64),
-    micro: &[f64],
-    worst: &[Secs],
-) -> bool {
-    micro.iter().zip(worst).all(|(&batch, worst)| {
-        let mut scalar = Secs::ZERO;
-        for (&StageClass { tp, intra, alloc }, grid) in classes.iter().zip(grids.iter().flatten()) {
-            let t = grid.eval(batch);
-            if !grid.covers(batch) {
-                let pass = Pass::Decode { batch, ctx, input_len };
-                let kernel = pass
-                    .layer_time(profile, tp)
-                    .map(|t_layer| pass.stage_cost(profile, t_layer, alloc, intra));
-                if !kernel.is_ok_and(|k| k.as_secs().to_bits() == t.as_secs().to_bits()) {
-                    return false;
+/// `Σ_u F(µ_u)` over one decode phase, in closed form: `F(µ) = max_c
+/// f_c(µ)` is the bottleneck of the stage classes' terms `grids` (at most
+/// four are read, the most an RRA layout has), and `µ_u = max(b_d·s_u, 1) /
+/// m_d` the micro-batch at iteration `u`'s survival `s_u` in `series`.
+///
+/// The micro-batch never grows along a phase: survival is a running
+/// `1 − Σ` of non-negative terms. `F` is one line between the classes'
+/// breakpoints and the points where two classes cross, and on a piece
+/// where it is one line, the `n` iterations there sum to `n·F(µ̄)` at
+/// their mean micro-batch `µ̄`. So the sum walks the breakpoints down from
+/// the first iteration's micro-batch, evaluating each class once per
+/// breakpoint, finds each piece's iterations by a binary search on the
+/// survival series, and takes `µ̄` from a slice sum of it. It is exact in
+/// real arithmetic; [`decode_sum_scalar`] is the reference, within a
+/// relative `1e-12`.
+#[doc(hidden)]
+pub fn decode_sum(
+    grids: &[&DecodeStageGrid],
+    series: &CompletionSeries,
+    b_d: usize,
+    m_d: usize,
+) -> Secs {
+    let survival = &series.survival[..];
+    let (b_d, m_d) = (lossless_f64(b_d), lossless_f64(m_d));
+    let micro = |s: f64| (b_d * s).max(1.0) / m_d;
+    let grids = &grids[..grids.len().min(MAX_CLASSES)];
+    let (Some(&first), Some(&last), false) = (survival.first(), survival.last(), grids.is_empty())
+    else {
+        return Secs::ZERO;
+    };
+    let (top, floor) = (micro(first), micro(last));
+    // From `clamped` on, iterations run at the one-query floor `1 / m_d`.
+    let clamped = survival.partition_point(|&s| b_d * s >= 1.0);
+    // Per class: how many of its breakpoints lie below the current piece,
+    // and its term at the piece's upper and lower ends.
+    let mut below = [0; MAX_CLASSES];
+    let (mut upper, mut lower) = ([0.0; MAX_CLASSES], [0.0; MAX_CLASSES]);
+    for ((n, y), g) in below.iter_mut().zip(&mut upper).zip(grids) {
+        *n = g.breakpoints().partition_point(|&p| p < top);
+        *y = g.eval(top).as_secs();
+    }
+    let (mut hi, mut u, mut total) = (top, 0, 0.0);
+    loop {
+        let lo = grids
+            .iter()
+            .zip(&below)
+            .filter_map(|(g, &n)| n.checked_sub(1).map(|k| g.breakpoints()[k]))
+            .fold(floor, f64::max);
+        let last = lo <= floor;
+        for ((n, y), g) in below.iter_mut().zip(&mut lower).zip(grids) {
+            *n = g.breakpoints()[..*n].partition_point(|&p| p < lo);
+            *y = g.eval(lo).as_secs();
+        }
+        // Every class is one line on `[lo, hi]`; walk down their upper
+        // envelope from the class on top at `hi` (on a tie, the one that
+        // stays on top below it). `t` runs from 0 at `hi` to 1 at `lo`.
+        let width = hi - lo;
+        let mut w = 0;
+        for c in 1..grids.len() {
+            if (upper[c], lower[c]) > (upper[w], lower[w]) {
+                w = c;
+            }
+        }
+        let mut t = 0.0;
+        loop {
+            // The first class to overtake `w` further down, and where.
+            let mut overtake: Option<(f64, usize)> = None;
+            for c in 0..grids.len() {
+                let (gap, rise) = (upper[w] - upper[c], lower[c] - lower[w]);
+                if rise > 0.0 {
+                    let at = if gap + rise > 0.0 { (gap / (gap + rise)).clamp(t, 1.0) } else { t };
+                    if overtake.is_none_or(|(best, _)| at < best) {
+                        overtake = Some((at, c));
+                    }
                 }
             }
-            scalar = scalar.max(t);
+            let end = match overtake {
+                Some((at, _)) => u + survival[u..].partition_point(|&s| micro(s) > hi - at * width),
+                None if last => survival.len(),
+                None => u + survival[u..].partition_point(|&s| micro(s) > lo),
+            };
+            if end > u {
+                let k = clamped.clamp(u, end);
+                let n = lossless_f64(end - u);
+                let mean = (b_d * sum(&survival[u..k]) + lossless_f64(end - k)) / m_d / n;
+                let tm = if width > 0.0 { (hi - mean) / width } else { 0.0 };
+                total += n * (upper[w] + tm * (lower[w] - upper[w]));
+            }
+            u = end;
+            match overtake {
+                Some((at, c)) => (t, w) = (at, c),
+                None => break,
+            }
         }
-        scalar.as_secs().to_bits() == worst.as_secs().to_bits()
-    })
+        if last {
+            return Secs::new(total);
+        }
+        (hi, upper) = (lo, lower);
+    }
+}
+
+/// [`decode_sum`] one iteration at a time: the reference it is checked
+/// against.
+#[doc(hidden)]
+pub fn decode_sum_scalar(
+    grids: &[&DecodeStageGrid],
+    series: &CompletionSeries,
+    b_d: usize,
+    m_d: usize,
+) -> Secs {
+    let (b_d, m_d) = (lossless_f64(b_d), lossless_f64(m_d));
+    series.survival.iter().map(|&s| bottleneck(grids, (b_d * s).max(1.0) / m_d)).sum()
+}
+
+/// `F(µ)`: the `Secs::max` fold of the classes' terms at `micro`, from zero.
+fn bottleneck(grids: &[&DecodeStageGrid], micro: f64) -> Secs {
+    grids.iter().fold(Secs::ZERO, |worst, g| worst.max(g.eval(micro)))
+}
+
+/// Whether `sum` is within a relative `1e-12` of the per-iteration `oracle`.
+fn within_oracle(sum: Secs, oracle: Secs) -> bool {
+    (sum.as_secs() - oracle.as_secs()).abs() <= 1e-12 * oracle.as_secs()
+}
+
+/// `Σ xs`, in four lanes so the adds overlap.
+fn sum(xs: &[f64]) -> f64 {
+    let mut lanes = [0.0; 4];
+    let chunks = xs.chunks_exact(4);
+    let tail: f64 = chunks.remainder().iter().sum();
+    for chunk in chunks {
+        for (lane, &x) in lanes.iter_mut().zip(chunk) {
+            *lane += x;
+        }
+    }
+    lanes.iter().sum::<f64>() + tail
 }
 
 /// The resolved pipeline structure of an RRA schedule: the stage layout and

@@ -29,8 +29,10 @@ const N_D: [usize; 18] = [1, 2, 3, 4, 5, 6, 8, 11, 16, 23, 32, 45, 64, 91, 128, 
 const B_M: [usize; 8] = [1, 2, 3, 4, 6, 8, 12, 16];
 
 /// Pinned digest of the whole sweep, and how many of its points are
-/// feasible (so a sweep that silently turns infeasible cannot pass).
-const DIGEST: u64 = 0xdf63_07e5_99af_e423;
+/// feasible (so a sweep that silently turns infeasible cannot pass). Last
+/// re-pinned when the RRA decode sum became a closed form, which moves
+/// RRA estimates by rounding only (`tests/decode_sum.rs` bounds it).
+const DIGEST: u64 = 0x4ee1_9006_5a23_f12a;
 const FEASIBLE: usize = 3346;
 
 /// Pinned digest of the infeasible points' error payloads, and how many
