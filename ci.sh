@@ -63,9 +63,10 @@ cargo test --offline --release -q -p exegpt-bench --test figures_cli -- --includ
 cargo test --offline --release -q -p exegpt-profiler
 cargo test --offline --release -q -p exegpt-runner --test report_digest
 # The benchmark times the serve step in release too: its KV-peak digest,
-# and the check that the serve step and the offline replay, which share one
-# phase body, agree on the same closed-loop stream.
-cargo test --offline --release -q -p exegpt-serve --test kv_peak --test agreement
+# the check that the serve step and the offline replay, which share one
+# phase body, agree on the same closed-loop stream, and the fault layer
+# that serve-adapt's GPU failure runs through.
+cargo test --offline --release -q -p exegpt-serve --test kv_peak --test agreement --test faults
 
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --quiet

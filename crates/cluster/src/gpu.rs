@@ -146,33 +146,6 @@ impl GpuSpec {
         let x = bytes.max_zero();
         self.max_memory_efficiency * (x / (x + self.memory_half_sat))
     }
-
-    /// The same device running `factor`× slower: peak compute and memory
-    /// bandwidth are divided by `factor` (memory *capacity* is unchanged —
-    /// a straggler still holds its weights and KV entries).
-    ///
-    /// This is how the fault-injection layer expresses a degraded device to
-    /// the cost model: every roofline term scales, so kernel times on the
-    /// straggler stretch by up to `factor`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::InvalidSpec`] unless `factor` is finite and
-    /// ≥ 1 (a "slowdown" below 1 would be a speedup).
-    pub fn slowed(&self, factor: f64) -> Result<Self, ClusterError> {
-        #[expect(clippy::neg_cmp_op_on_partial_ord, reason = "NaN must be rejected too")]
-        if !(factor >= 1.0) || !factor.is_finite() {
-            return Err(ClusterError::InvalidSpec {
-                what: "slowdown factor",
-                why: "must be finite and >= 1",
-            });
-        }
-        let mut slowed = self.clone();
-        slowed.name = format!("{} (x{factor:.2} slow)", self.name);
-        slowed.peak_flops = FlopsPerSec::new(self.peak_flops.as_f64() / factor);
-        slowed.mem_bandwidth = BytesPerSec::new(self.mem_bandwidth.as_f64() / factor);
-        Ok(slowed)
-    }
 }
 
 #[cfg(test)]
@@ -199,22 +172,6 @@ mod tests {
             prev = e;
         }
         assert!(g.compute_efficiency(Flops::new(1e15)) > 0.6);
-    }
-
-    #[test]
-    fn slowdown_scales_throughput_not_capacity() {
-        let g = GpuSpec::a40();
-        let s = g.slowed(2.0).expect("valid factor");
-        assert_eq!(s.mem_bytes(), g.mem_bytes(), "a straggler keeps its memory");
-        assert!((s.peak_flops().as_f64() - g.peak_flops().as_f64() / 2.0).abs() < 1e-6);
-        assert!((s.mem_bandwidth().as_f64() - g.mem_bandwidth().as_f64() / 2.0).abs() < 1e-6);
-        assert!(s.name().contains("slow"));
-        // Factor 1 is the identity on every roofline term.
-        let same = g.slowed(1.0).expect("valid factor");
-        assert_eq!(same.peak_flops(), g.peak_flops());
-        assert!(g.slowed(0.5).is_err(), "speedups are rejected");
-        assert!(g.slowed(f64::NAN).is_err());
-        assert!(g.slowed(f64::INFINITY).is_err());
     }
 
     #[test]

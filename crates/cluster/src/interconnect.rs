@@ -128,36 +128,6 @@ impl Interconnect {
         self.latency + bytes.max_zero() / self.bandwidth
     }
 
-    /// The same link under degradation: bandwidth scaled by `bw_factor`
-    /// (in `(0, 1]`) and `latency_add` added to the base latency.
-    ///
-    /// This is how the fault-injection layer expresses a flapping or
-    /// contended link to the cost model; `bw_factor = 1` with
-    /// `latency_add = 0` reproduces the healthy link exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::InvalidSpec`] unless `bw_factor` is in
-    /// `(0, 1]` and `latency_add` is finite and non-negative.
-    pub fn degraded(&self, bw_factor: f64, latency_add: Secs) -> Result<Self, ClusterError> {
-        // The negated form rejects NaN too.
-        if !(bw_factor > 0.0 && bw_factor <= 1.0) {
-            return Err(ClusterError::InvalidSpec { what: "bw_factor", why: "must be in (0, 1]" });
-        }
-        #[expect(clippy::neg_cmp_op_on_partial_ord, reason = "NaN must be rejected too")]
-        if !(latency_add.as_f64() >= 0.0) || !latency_add.as_f64().is_finite() {
-            return Err(ClusterError::InvalidSpec {
-                what: "latency_add",
-                why: "must be finite and non-negative",
-            });
-        }
-        let mut degraded = self.clone();
-        degraded.name = format!("{} (degraded)", self.name);
-        degraded.bandwidth = BytesPerSec::new(self.bandwidth.as_f64() * bw_factor);
-        degraded.latency = self.latency + latency_add;
-        Ok(degraded)
-    }
-
     /// Time for a ring all-reduce of `bytes` across `group_size` peers.
     ///
     /// Standard ring cost: each peer sends `2·(n−1)/n · bytes` in `2·(n−1)`
@@ -204,23 +174,6 @@ mod tests {
         // 2(n-1)/n -> 2 as n grows.
         let t = l.allreduce_time(Bytes::new(1e9), 64);
         assert!((t.as_secs() - 2.0 * 63.0 / 64.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn degraded_link_is_slower_and_identity_at_nominal() {
-        let l = Interconnect::pcie4_x16();
-        let d = l.degraded(0.5, Secs::from_micros(100.0)).expect("valid degradation");
-        assert!((d.bandwidth().as_f64() - l.bandwidth().as_f64() * 0.5).abs() < 1e-9);
-        assert!(d.latency() > l.latency());
-        assert!(d.p2p_time(Bytes::new(1e8)) > l.p2p_time(Bytes::new(1e8)));
-        // Nominal parameters reproduce the healthy link's behaviour.
-        let same = l.degraded(1.0, Secs::ZERO).expect("valid");
-        assert_eq!(same.bandwidth(), l.bandwidth());
-        assert_eq!(same.latency(), l.latency());
-        assert!(l.degraded(0.0, Secs::ZERO).is_err());
-        assert!(l.degraded(1.5, Secs::ZERO).is_err());
-        assert!(l.degraded(0.5, Secs::new(-1.0)).is_err());
-        assert!(l.degraded(f64::NAN, Secs::ZERO).is_err());
     }
 
     #[test]

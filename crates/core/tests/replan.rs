@@ -217,3 +217,24 @@ fn a_replan_outside_the_incumbents_policy_family_finds_the_pinned_plan() {
     let replan = engine.reschedule_incremental(task_s(), &incumbent, &opts).expect("feasible");
     assert_replays_full_search(&engine, &replan, &opts, EXHAUSTIVE_RESTRICTED);
 }
+
+/// Failover replans onto `survivors(k)` for every survivable `k` on the
+/// 4×A40 task-S engine: each plan passes the runtime plan invariants, and
+/// fewer devices never beat the healthy plan's throughput.
+#[test]
+fn survivor_plans_pass_invariants_and_never_beat_healthy() {
+    let healthy = engine_task_s().schedule(Secs::INFINITY).expect("feasible");
+    for k in 1..4 {
+        let survivors = engine_task_s().simulator().cluster().survivors(k).expect("survivable");
+        let degraded = engine_task_s().with_cluster(survivors);
+        let plan = degraded.schedule(Secs::INFINITY).expect("survivors admit a plan");
+        PlanInvariants::check(degraded.simulator(), &plan)
+            .unwrap_or_else(|e| panic!("plan on {k} lost devices breaks the invariants: {e:?}"));
+        assert!(
+            plan.estimate.throughput <= healthy.estimate.throughput,
+            "{k} lost devices: throughput {} beats healthy {}",
+            plan.estimate.throughput,
+            healthy.estimate.throughput,
+        );
+    }
+}

@@ -2,29 +2,25 @@
 //!
 //! ExeGPT's scheduler assumes a healthy, fixed topology; production traffic
 //! does not. This crate models the gap as *data*: a [`FaultSchedule`] is a
-//! seeded, serializable list of timed events — [`FaultKind::GpuFail`],
+//! validated list of timed events — [`FaultKind::GpuFail`],
 //! [`FaultKind::GpuSlowdown`], [`FaultKind::LinkDegrade`],
 //! [`FaultKind::GpuRecover`] — that a consumer replays against a virtual
 //! clock. Because everything runs in virtual time, a failure scenario is
-//! *exactly* reproducible: two runs with the same schedule and seed produce
+//! *exactly* reproducible: two runs with the same schedule produce
 //! byte-identical traces, which is something no physical testbed offers.
 //!
 //! The pieces:
 //!
-//! * [`FaultSchedule`] — the validated, time-sorted event list (build one
-//!   explicitly, or draw a random one with [`FaultSchedule::random`]).
+//! * [`FaultSchedule`] — the validated, time-sorted event list.
 //! * [`FaultState`] — the replay state machine: [`advance`] consumes events
-//!   up to a virtual time and reports what fired; queries answer which
-//!   devices are [`GpuStatus::Failed`] (they reject work), how slow the
-//!   worst straggler is, and how degraded the links are.
-//! * [`Degradation`] — a snapshot of the active faults that [`apply`]s to a
-//!   healthy [`ClusterSpec`](exegpt_cluster::ClusterSpec): failed devices
-//!   are removed (the surviving topology), stragglers scale the device
-//!   roofline, degraded links scale bandwidth and add latency.
+//!   up to a virtual time and reports what fired; [`status`] answers
+//!   whether a device is healthy, [`GpuStatus::Slowed`] or
+//!   [`GpuStatus::Failed`], and [`link`] how degraded the links are.
 //!
-//! The serving loop (`exegpt-serve`) drives all of this online: it dilates
-//! phase timings under active stragglers, detects failures, retries
-//! in-flight work, and replans onto the surviving topology.
+//! The serving loop (`exegpt-serve`) is the one consumer and owns the
+//! policy: it dilates phase timings under active stragglers and degraded
+//! links, detects failures, retries in-flight work, and replans onto the
+//! surviving topology (`ClusterSpec::survivors`).
 //!
 //! # Example
 //!
@@ -38,14 +34,14 @@
 //! let mut state = FaultState::new(schedule, 4)?;
 //! assert!(state.advance(10.0).len() == 1);
 //! assert_eq!(state.status(2), GpuStatus::Failed);
-//! assert_eq!(state.failed(), vec![2]);
 //! state.advance(50.0);
-//! assert!(state.is_nominal());
+//! assert_eq!(state.status(2), GpuStatus::Healthy);
 //! # Ok::<(), exegpt_faults::FaultError>(())
 //! ```
 //!
 //! [`advance`]: FaultState::advance
-//! [`apply`]: Degradation::apply
+//! [`status`]: FaultState::status
+//! [`link`]: FaultState::link
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -68,5 +64,5 @@ mod schedule;
 mod state;
 
 pub use error::FaultError;
-pub use schedule::{FaultEvent, FaultKind, FaultSchedule, RandomFaultOptions};
-pub use state::{Degradation, FaultState, GpuStatus, LinkStatus};
+pub use schedule::{FaultEvent, FaultKind, FaultSchedule};
+pub use state::{FaultState, GpuStatus, LinkStatus};

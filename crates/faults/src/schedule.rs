@@ -1,13 +1,9 @@
 //! The fault-event vocabulary and the validated, time-sorted schedule.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
-
 use crate::error::FaultError;
 
 /// What happens to the cluster at a fault event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// The device dies: it rejects all work until it recovers.
     GpuFail {
@@ -93,7 +89,7 @@ impl FaultKind {
 /// `t` is *virtual* seconds — fault times come from the simulated clock the
 /// consumer replays against, never from the wall clock (see clippy.toml), so
 /// a scenario replays byte-identically.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// Virtual time at which the fault becomes active.
     pub t: f64,
@@ -103,24 +99,10 @@ pub struct FaultEvent {
 
 /// A validated fault scenario: events sorted by activation time.
 ///
-/// The schedule is plain serializable data — persist it next to a run's
-/// event log and the run is fully reconstructible.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+/// The schedule is plain data: the same schedule replays the same run.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultSchedule {
     events: Vec<FaultEvent>,
-}
-
-/// Tuning of [`FaultSchedule::random`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RandomFaultOptions {
-    /// Devices in the target cluster (events stay in `0..gpus`).
-    pub gpus: usize,
-    /// Events are drawn with activation times in `[0, horizon)`.
-    pub horizon: f64,
-    /// Number of events to draw.
-    pub events: usize,
-    /// Largest slowdown factor drawn (factors land in `[1, max_slowdown]`).
-    pub max_slowdown: f64,
 }
 
 impl FaultSchedule {
@@ -168,66 +150,6 @@ impl FaultSchedule {
     pub fn max_gpu(&self) -> Option<usize> {
         self.events.iter().filter_map(|e| e.kind.gpu()).max()
     }
-
-    /// Draws a random but *valid* scenario, deterministically in `seed`.
-    ///
-    /// Invariants the generator maintains (so every drawn schedule is
-    /// survivable): at least one device stays alive at all times — a
-    /// `GpuFail` is only emitted while fewer than `gpus − 1` devices are
-    /// down — and `GpuRecover` only targets a currently failed or slowed
-    /// device. Slowdown factors land in `[1, max_slowdown]`; link events
-    /// draw `bw_factor` from `[0.25, 1]` and a small added latency.
-    ///
-    /// Returns the empty schedule when `gpus` is 0, `events` is 0, or
-    /// `horizon` is not positive.
-    pub fn random(seed: u64, opts: &RandomFaultOptions) -> Self {
-        #[expect(clippy::neg_cmp_op_on_partial_ord, reason = "NaN must be rejected too")]
-        if opts.gpus == 0 || opts.events == 0 || !(opts.horizon > 0.0) {
-            return Self::empty();
-        }
-        let mut rng = StdRng::seed_from_u64(seed);
-        let max_slow = opts.max_slowdown.max(1.0);
-        // Track the simulated status so the draw never kills the cluster.
-        let mut failed = vec![false; opts.gpus];
-        let mut slowed = vec![false; opts.gpus];
-        let mut events = Vec::with_capacity(opts.events);
-        let mut t = 0.0f64;
-        for _ in 0..opts.events {
-            t += rng.gen_range(0.0..opts.horizon / opts.events as f64);
-            let down = failed.iter().filter(|&&f| f).count();
-            let impaired: Vec<usize> = (0..opts.gpus).filter(|&g| failed[g] || slowed[g]).collect();
-            let kind = match rng.gen_range(0u32..4) {
-                0 if down + 1 < opts.gpus => {
-                    let alive: Vec<usize> = (0..opts.gpus).filter(|&g| !failed[g]).collect();
-                    let gpu = alive[rng.gen_range(0..alive.len())];
-                    failed[gpu] = true;
-                    FaultKind::GpuFail { gpu }
-                }
-                1 => {
-                    let gpu = rng.gen_range(0..opts.gpus);
-                    slowed[gpu] = true;
-                    FaultKind::GpuSlowdown { gpu, factor: rng.gen_range(1.0..max_slow.max(1.01)) }
-                }
-                2 => FaultKind::LinkDegrade {
-                    bw_factor: rng.gen_range(0.25..1.0),
-                    latency_add: rng.gen_range(0.0..0.01),
-                },
-                _ if !impaired.is_empty() => {
-                    let gpu = impaired[rng.gen_range(0..impaired.len())];
-                    failed[gpu] = false;
-                    slowed[gpu] = false;
-                    FaultKind::GpuRecover { gpu }
-                }
-                // Nothing to recover (or the failure slot was vetoed):
-                // fall back to a link restore, always valid.
-                _ => FaultKind::LinkDegrade { bw_factor: 1.0, latency_add: 0.0 },
-            };
-            events.push(FaultEvent { t, kind });
-        }
-        // Generated events are valid by construction and emitted in time
-        // order, so validation cannot fail.
-        Self { events }
-    }
 }
 
 #[cfg(test)]
@@ -265,44 +187,6 @@ mod tests {
             kind: FaultKind::LinkDegrade { bw_factor: 0.5, latency_add: -1.0 },
         };
         assert!(FaultSchedule::new(vec![neg]).is_err());
-    }
-
-    #[test]
-    fn random_is_deterministic_and_valid() {
-        let opts = RandomFaultOptions { gpus: 4, horizon: 100.0, events: 32, max_slowdown: 3.0 };
-        let a = FaultSchedule::random(7, &opts);
-        let b = FaultSchedule::random(7, &opts);
-        let c = FaultSchedule::random(8, &opts);
-        assert_eq!(a, b, "same seed, same scenario");
-        assert_ne!(a, c, "different seed, different scenario");
-        assert_eq!(a.len(), 32);
-        // Round-trips through the validating constructor.
-        assert_eq!(FaultSchedule::new(a.events().to_vec()).expect("valid"), a);
-        assert!(a.max_gpu().is_some_and(|g| g < 4));
-    }
-
-    #[test]
-    fn random_degenerate_inputs_yield_empty() {
-        let z = RandomFaultOptions { gpus: 0, horizon: 10.0, events: 4, max_slowdown: 2.0 };
-        assert!(FaultSchedule::random(1, &z).is_empty());
-        let z = RandomFaultOptions { gpus: 4, horizon: 0.0, events: 4, max_slowdown: 2.0 };
-        assert!(FaultSchedule::random(1, &z).is_empty());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let s = FaultSchedule::new(vec![
-            FaultEvent { t: 1.5, kind: FaultKind::GpuFail { gpu: 1 } },
-            FaultEvent {
-                t: 2.5,
-                kind: FaultKind::LinkDegrade { bw_factor: 0.5, latency_add: 0.001 },
-            },
-            FaultEvent { t: 9.0, kind: FaultKind::GpuRecover { gpu: 1 } },
-        ])
-        .expect("valid");
-        let json = serde_json::to_string(&s).expect("serializes");
-        let back: FaultSchedule = serde_json::from_str(&json).expect("deserializes");
-        assert_eq!(back, s);
     }
 
     #[test]

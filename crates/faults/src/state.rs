@@ -1,8 +1,5 @@
 //! The replay state machine: what is broken *right now*.
 
-use exegpt_cluster::{ClusterError, ClusterSpec};
-use exegpt_units::Secs;
-
 use crate::error::FaultError;
 use crate::schedule::{FaultEvent, FaultKind, FaultSchedule};
 
@@ -30,11 +27,6 @@ impl LinkStatus {
     /// Healthy links: full bandwidth, no added latency.
     pub fn nominal() -> Self {
         Self { bw_factor: 1.0, latency_add: 0.0 }
-    }
-
-    /// Whether the links are at nominal capacity.
-    pub fn is_nominal(&self) -> bool {
-        self.bw_factor >= 1.0 && self.latency_add <= 0.0
     }
 
     /// How much longer a transfer takes under this status: the multiplier
@@ -133,107 +125,14 @@ impl FaultState {
         self.gpus.get(gpu).copied().unwrap_or(GpuStatus::Healthy)
     }
 
-    /// Indices of currently failed devices, ascending.
-    pub fn failed(&self) -> Vec<usize> {
-        (0..self.gpus.len()).filter(|&g| matches!(self.gpus[g], GpuStatus::Failed)).collect()
-    }
-
-    /// The worst slowdown factor among *live* devices (≥ 1; exactly 1 when
-    /// no live device is straggling). Failed devices do not count — they
-    /// reject work rather than slow it down.
-    pub fn worst_slowdown(&self) -> f64 {
-        self.gpus
-            .iter()
-            .filter_map(|s| match s {
-                GpuStatus::Slowed(f) => Some(*f),
-                _ => None,
-            })
-            .fold(1.0, f64::max)
-    }
-
-    /// The most-slowed live device and its factor, if any device is
-    /// straggling. Ties break toward the lowest index.
-    pub fn worst_slowed_gpu(&self) -> Option<(usize, f64)> {
-        let mut worst: Option<(usize, f64)> = None;
-        for (g, s) in self.gpus.iter().enumerate() {
-            if let GpuStatus::Slowed(f) = s {
-                let beat = match worst {
-                    Some((_, wf)) => *f > wf,
-                    None => true,
-                };
-                if beat {
-                    worst = Some((g, *f));
-                }
-            }
-        }
-        worst
-    }
-
     /// Current link health.
     pub fn link(&self) -> LinkStatus {
         self.link
     }
 
-    /// Whether nothing is currently degraded (all devices healthy, links
-    /// nominal). Future scheduled events do not affect this.
-    pub fn is_nominal(&self) -> bool {
-        self.link.is_nominal() && self.gpus.iter().all(|s| matches!(s, GpuStatus::Healthy))
-    }
-
     /// Devices in the cluster being replayed against.
     pub fn total_gpus(&self) -> usize {
         self.gpus.len()
-    }
-
-    /// Snapshot of the active degradation, suitable for
-    /// [`Degradation::apply`] to a healthy cluster spec.
-    pub fn degradation(&self) -> Degradation {
-        Degradation { failed: self.failed(), slowdown: self.worst_slowdown(), link: self.link }
-    }
-}
-
-/// A snapshot of active faults, decoupled from the replay cursor.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Degradation {
-    /// Currently failed device indices, ascending.
-    pub failed: Vec<usize>,
-    /// Worst live-device slowdown factor (≥ 1).
-    pub slowdown: f64,
-    /// Link health.
-    pub link: LinkStatus,
-}
-
-impl Degradation {
-    /// Whether this snapshot describes a fully healthy cluster.
-    pub fn is_none(&self) -> bool {
-        self.failed.is_empty() && self.slowdown <= 1.0 && self.link.is_nominal()
-    }
-
-    /// Projects a healthy cluster spec into the degraded world: failed
-    /// devices are removed (see `ClusterSpec::survivors` for the rounding
-    /// policy), the worst straggler factor scales the device roofline
-    /// (homogeneous-cluster conservatism: the slowest device paces a
-    /// data-parallel stage), and degraded links lose bandwidth and gain
-    /// latency.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `ClusterError` when no device survives or a factor is
-    /// out of range (impossible for snapshots taken from a [`FaultState`],
-    /// whose schedule was validated).
-    pub fn apply(&self, healthy: &ClusterSpec) -> Result<ClusterSpec, ClusterError> {
-        let mut spec = healthy.survivors(self.failed.len())?;
-        if self.slowdown > 1.0 {
-            spec = spec.with_gpu(spec.gpu().slowed(self.slowdown)?);
-        }
-        if !self.link.is_nominal() {
-            let latency = Secs::new(self.link.latency_add);
-            spec = spec.with_links(
-                spec.intra().degraded(self.link.bw_factor, latency)?,
-                spec.inter().degraded(self.link.bw_factor, latency)?,
-            );
-        }
-        Ok(spec)
     }
 }
 
@@ -241,22 +140,9 @@ impl Degradation {
 mod tests {
     use super::*;
     use crate::schedule::{FaultEvent, FaultKind};
-    use exegpt_cluster::{ClusterSpec, GpuSpec, Interconnect};
 
     fn schedule(events: Vec<FaultEvent>) -> FaultSchedule {
         FaultSchedule::new(events).expect("valid schedule")
-    }
-
-    fn cluster() -> ClusterSpec {
-        ClusterSpec::new(
-            "test 4xA40",
-            GpuSpec::a40(),
-            4,
-            1,
-            Interconnect::pcie4_x16(),
-            Interconnect::infiniband_100gb(),
-        )
-        .expect("valid cluster")
     }
 
     #[test]
@@ -273,10 +159,7 @@ mod tests {
         assert_eq!(fired.len(), 2);
         assert_eq!(st.status(0), GpuStatus::Failed);
         assert_eq!(st.status(1), GpuStatus::Slowed(2.0));
-        assert_eq!(st.failed(), vec![0]);
-        assert!(st.worst_slowdown() >= 2.0);
-        assert_eq!(st.worst_slowed_gpu(), Some((1, 2.0)));
-        assert!(!st.is_nominal());
+        assert_eq!(st.status(2), GpuStatus::Healthy);
         // Idempotent at a fixed time.
         assert!(st.advance(2.0).is_empty());
         st.advance(10.0);
@@ -292,8 +175,7 @@ mod tests {
         ]);
         let mut st = FaultState::new(s, 4).expect("in range");
         st.advance(5.0);
-        assert_eq!(st.status(2), GpuStatus::Failed);
-        assert!(st.worst_slowdown() <= 1.0, "failed devices are not stragglers");
+        assert_eq!(st.status(2), GpuStatus::Failed, "failed devices are not stragglers");
     }
 
     #[test]
@@ -319,48 +201,9 @@ mod tests {
         ]);
         let mut st = FaultState::new(s, 4).expect("in range");
         st.advance(1.0);
-        assert!(!st.link().is_nominal());
+        assert_ne!(st.link(), LinkStatus::nominal());
         assert!(st.link().time_factor() > 1.9);
         st.advance(2.0);
-        assert!(st.link().is_nominal());
-        assert!(st.is_nominal());
-    }
-
-    #[test]
-    fn degradation_applies_to_cluster() {
-        let s = schedule(vec![
-            FaultEvent { t: 1.0, kind: FaultKind::GpuFail { gpu: 3 } },
-            FaultEvent { t: 1.0, kind: FaultKind::GpuSlowdown { gpu: 1, factor: 2.0 } },
-            FaultEvent {
-                t: 1.0,
-                kind: FaultKind::LinkDegrade { bw_factor: 0.5, latency_add: 0.001 },
-            },
-        ]);
-        let mut st = FaultState::new(s, 4).expect("in range");
-        st.advance(1.0);
-        let deg = st.degradation();
-        assert!(!deg.is_none());
-        let healthy = cluster();
-        let spec = deg.apply(&healthy).expect("survivable");
-        assert_eq!(spec.total_gpus(), 3);
-        assert!(spec.gpu().peak_flops().as_f64() < healthy.gpu().peak_flops().as_f64());
-        assert!(spec.intra().bandwidth().as_f64() < healthy.intra().bandwidth().as_f64());
-    }
-
-    #[test]
-    fn nominal_degradation_is_identity() {
-        let st = FaultState::new(FaultSchedule::empty(), 4).expect("empty ok");
-        let deg = st.degradation();
-        assert!(deg.is_none());
-        let healthy = cluster();
-        let spec = deg.apply(&healthy).expect("identity");
-        assert_eq!(spec.total_gpus(), healthy.total_gpus());
-    }
-
-    #[test]
-    fn all_failed_is_unsurvivable() {
-        let deg =
-            Degradation { failed: vec![0, 1, 2, 3], slowdown: 1.0, link: LinkStatus::nominal() };
-        assert!(deg.apply(&cluster()).is_err());
+        assert_eq!(st.link(), LinkStatus::nominal());
     }
 }

@@ -149,7 +149,7 @@ fn arbitrary_faults(rng: &mut StdRng, gpus: usize) -> FaultsConfig {
     }
     FaultsConfig {
         detection_delay_secs: rng.gen_bool(0.3).then(|| small_f64(rng, 0.0, 2.0)),
-        evict_slowdown: rng.gen_bool(0.3).then(|| small_f64(rng, 1.0, 4.0)),
+        evict_slowdown: rng.gen_bool(0.3).then(|| small_f64(rng, 1.05, 4.0)),
         max_retries: rng.gen_bool(0.3).then(|| rng.gen_range(1..8_usize)),
         backoff_base_secs: rng.gen_bool(0.3).then(|| small_f64(rng, 0.0, 1.0)),
         straggler_rel_threshold: rng.gen_bool(0.3).then(|| small_f64(rng, 1.05, 2.0)),

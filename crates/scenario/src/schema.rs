@@ -519,7 +519,7 @@ table! {
         detection_delay_secs: Option<f64> => non_neg("delay"),
         /// Straggler slowdown at or above which eviction beats tolerance
         /// (default 2.0).
-        evict_slowdown: Option<f64> => within("slowdown", ">= 1", |x| x >= 1.0),
+        evict_slowdown: Option<f64> => within("slowdown", "> 1", |x| x > 1.0),
         /// Retry budget per request (default 5).
         max_retries: Option<usize>,
         /// Exponential retry backoff base (default 0.25).

@@ -147,6 +147,16 @@ fn fault_recover_without_open_window_is_rejected() {
     assert_eq!(err.key_path(), Some("serve.faults.events[0]"));
 }
 
+#[test]
+fn evict_slowdown_of_one_names_the_faults_path() {
+    // Eviction at a slowdown of 1 would evict healthy devices; the serve
+    // loop rejects it, so validation must too.
+    let text = format!("{MINIMAL_SERVE}\n[serve.faults]\nevict_slowdown = 1.0\nevents = []\n");
+    let err = error_of(&text);
+    assert_eq!(err.key_path(), Some("serve.faults.evict_slowdown"));
+    assert!(err.to_string().contains("> 1"), "message must state the bound: {err}");
+}
+
 const MINIMAL_FLEET: &str = r#"
 name = "minimal-fleet"
 

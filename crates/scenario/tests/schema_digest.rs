@@ -15,8 +15,11 @@ use std::path::Path;
 use exegpt_scenario::{toml, Scenario};
 use serde::Value;
 
-/// The FNV-1a digest of every record, one per line.
-const PINNED: u64 = 0x4e93_a0ba_0442_479b;
+/// The FNV-1a digest of every record, one per line. Last re-pinned when
+/// `serve.faults.evict_slowdown` moved from `>= 1` to `> 1`, the bound the
+/// serve loop enforces: only the four records that corrupt that key to 0
+/// or -1 changed, in their message's bound.
+const PINNED: u64 = 0x86f3_e7e7_208e_fde5;
 
 const FIXTURES: &[(&str, &str)] = &[
     (

@@ -1,6 +1,6 @@
 //! Online fault handling: detection, dilation and degradation policy.
 //!
-//! The [`FaultDriver`] sits between a replayed
+//! The [`FaultLayer`] sits between a replayed
 //! [`exegpt_faults::FaultSchedule`] and the serving loop. It advances the
 //! fault state on the loop's *virtual* clock (never the wall clock), and
 //! answers the three questions the loop asks at every phase boundary:
@@ -10,14 +10,14 @@
 //!    virtual time — the heartbeat-timeout model — at which point the
 //!    in-flight pool is aborted into the retry queue and the loop replans
 //!    onto the surviving topology.
-//! 2. **How slow are we right now?** [`FaultDriver::factors`] gives the
+//! 2. **How slow are we right now?** [`FaultLayer::factors`] gives the
 //!    compute dilation (worst live straggler) and link factors the loop
 //!    multiplies into phase timings. Stragglers are *tolerated* below
 //!    [`FaultOptions::evict_slowdown`] and evicted (removed from the
 //!    topology, plan recomputed) at or above it, once the
 //!    [`StragglerDetector`] has confirmed the slowdown from observed phase
 //!    timings.
-//! 3. **When should an idle loop wake up?** [`FaultDriver::next_wake`]
+//! 3. **When should an idle loop wake up?** [`FaultLayer::next_wake`]
 //!    folds pending fault activations and maturing detections into the
 //!    idle-jump target.
 //!
@@ -107,7 +107,8 @@ impl FaultOptions {
     }
 }
 
-/// Tuning of the [`StragglerDetector`].
+/// Tuning of the serving loop's straggler detector, which confirms a
+/// straggler from observed against predicted phase times.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StragglerOptions {
     /// Observed/expected phase-time ratio that counts as a straggler hit.
@@ -130,7 +131,7 @@ impl Default for StragglerOptions {
 /// silent until the ratio falls back below the threshold — so a tolerated
 /// (non-evictable) straggler is reported once, not every phase.
 #[derive(Debug, Clone)]
-pub struct StragglerDetector {
+pub(crate) struct StragglerDetector {
     opts: StragglerOptions,
     hits: usize,
     latched: bool,
@@ -138,14 +139,14 @@ pub struct StragglerDetector {
 
 impl StragglerDetector {
     /// Creates a detector.
-    pub fn new(opts: StragglerOptions) -> Self {
+    pub(crate) fn new(opts: StragglerOptions) -> Self {
         Self { opts, hits: 0, latched: false }
     }
 
     /// Feeds one executed phase. Returns the observed/expected ratio when
     /// this observation *confirms* a straggler (threshold held for
     /// `consecutive` phases, not already latched).
-    pub fn observe(&mut self, observed: f64, expected: f64) -> Option<f64> {
+    pub(crate) fn observe(&mut self, observed: f64, expected: f64) -> Option<f64> {
         #[expect(clippy::neg_cmp_op_on_partial_ord, reason = "NaN must be rejected too")]
         if !(expected > 0.0) {
             return None;
@@ -165,168 +166,19 @@ impl StragglerDetector {
     }
 }
 
-/// Replays a fault scenario against the serving loop's virtual clock and
-/// tracks the degradation policy's bookkeeping (detections pending the
-/// heartbeat timeout, stragglers evicted from the topology).
-#[derive(Debug, Clone)]
-pub struct FaultDriver {
+/// The serving loop's fault layer: the replayed scenario, the detection and
+/// eviction bookkeeping, straggler confirmation, and the requests that
+/// failures aborted.
+pub(crate) struct FaultLayer {
+    opts: FaultOptions,
     state: FaultState,
-    detection_delay: f64,
+    straggler: StragglerDetector,
     /// Failures that fired but have not yet matured through the heartbeat
     /// timeout: `(gpu, detection time)`, in firing order.
     undetected: Vec<(usize, f64)>,
-    /// Failures the loop has detected and removed from the topology.
-    detected: BTreeSet<usize>,
-    /// Stragglers the loop evicted from the topology.
-    evicted: BTreeSet<usize>,
-}
-
-impl FaultDriver {
-    /// Builds the driver for a cluster of `total_gpus` devices.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Fault`] when the schedule targets a device
-    /// outside the cluster.
-    pub fn new(schedule: FaultSchedule, total_gpus: usize) -> Result<Self, ServeError> {
-        let state = FaultState::new(schedule, total_gpus).map_err(ServeError::Fault)?;
-        Ok(Self {
-            state,
-            detection_delay: FaultOptions::default().detection_delay,
-            undetected: Vec::new(),
-            detected: BTreeSet::new(),
-            evicted: BTreeSet::new(),
-        })
-    }
-
-    /// Overrides the heartbeat timeout (virtual seconds).
-    pub fn with_detection_delay(mut self, delay: f64) -> Self {
-        self.detection_delay = delay;
-        self
-    }
-
-    /// Applies every fault event with activation time `<= t`, updating the
-    /// detection and eviction bookkeeping, and returns the fired events in
-    /// order.
-    pub fn advance(&mut self, t: f64) -> Vec<FaultEvent> {
-        let fired = self.state.advance(t);
-        for e in &fired {
-            match e.kind {
-                FaultKind::GpuFail { gpu } => {
-                    self.undetected.push((gpu, e.t + self.detection_delay));
-                }
-                FaultKind::GpuRecover { gpu } => {
-                    // A recovered device rejoins the topology: clear any
-                    // pending detection (the flap healed before the
-                    // heartbeat timed out) and any standing removal.
-                    self.undetected.retain(|&(g, _)| g != gpu);
-                    self.detected.remove(&gpu);
-                    self.evicted.remove(&gpu);
-                }
-                FaultKind::GpuSlowdown { .. } | FaultKind::LinkDegrade { .. } => {}
-            }
-        }
-        fired
-    }
-
-    /// Drains failures whose heartbeat timeout has matured by time `t`,
-    /// marking them detected (removed from the topology). Returns
-    /// `(gpu, detection time)` pairs in firing order.
-    pub fn mature_detections(&mut self, t: f64) -> Vec<(usize, f64)> {
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < self.undetected.len() {
-            let (gpu, t_d) = self.undetected[i];
-            if t_d <= t {
-                self.undetected.remove(i);
-                self.detected.insert(gpu);
-                out.push((gpu, t_d));
-            } else {
-                i += 1;
-            }
-        }
-        out
-    }
-
-    /// Evicts a confirmed straggler from the topology.
-    pub fn evict(&mut self, gpu: usize) {
-        self.evicted.insert(gpu);
-    }
-
-    /// Devices currently removed from the topology (detected failures plus
-    /// evicted stragglers).
-    pub fn removed(&self) -> usize {
-        self.detected.len() + self.evicted.len()
-    }
-
-    /// Current runtime multipliers. Failed and evicted devices do not
-    /// dilate (they no longer run work); link factors come straight from
-    /// the fault state.
-    pub fn factors(&self) -> FaultFactors {
-        let mut dilation = 1.0f64;
-        for g in 0..self.state.total_gpus() {
-            if self.evicted.contains(&g) {
-                continue;
-            }
-            if let GpuStatus::Slowed(f) = self.state.status(g) {
-                dilation = dilation.max(f);
-            }
-        }
-        let link = self.state.link();
-        FaultFactors { dilation, link_time: link.time_factor(), link_latency: link.latency_add }
-    }
-
-    /// The most-slowed live, non-evicted device, if any.
-    pub fn worst_slowed_gpu(&self) -> Option<(usize, f64)> {
-        let mut worst: Option<(usize, f64)> = None;
-        for g in 0..self.state.total_gpus() {
-            if self.evicted.contains(&g) {
-                continue;
-            }
-            if let GpuStatus::Slowed(f) = self.state.status(g) {
-                let beat = match worst {
-                    Some((_, wf)) => f > wf,
-                    None => true,
-                };
-                if beat {
-                    worst = Some((g, f));
-                }
-            }
-        }
-        worst
-    }
-
-    /// The earliest virtual time at which the fault world changes: the
-    /// next scheduled event or the next maturing detection. The idle loop
-    /// folds this into its wake-up target so failures are detected (and
-    /// replans installed) even across idle gaps.
-    pub fn next_wake(&self) -> Option<f64> {
-        let next_event = self.state.next_event_time();
-        let next_detect = self.undetected.iter().map(|&(_, t_d)| t_d).fold(None, |acc, t| {
-            Some(match acc {
-                None => t,
-                Some(a) => {
-                    if t < a {
-                        t
-                    } else {
-                        a
-                    }
-                }
-            })
-        });
-        match (next_event, next_detect) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-}
-
-/// The serving loop's fault layer: the replayed scenario, straggler
-/// confirmation, and the requests that failures aborted.
-pub(crate) struct FaultLayer {
-    opts: FaultOptions,
-    pub(crate) driver: FaultDriver,
-    straggler: StragglerDetector,
+    /// Devices removed from the topology: detected failures and evicted
+    /// stragglers. A device is removed once, however it went.
+    removed: BTreeSet<usize>,
     /// Aborted requests waiting out their retry backoff, with the time
     /// they become eligible, in `(eligible_at, id)` order.
     pub(crate) retry: VecDeque<(f64, TimedRequest)>,
@@ -338,10 +190,18 @@ impl FaultLayer {
     /// The fault layer for a cluster of `total_gpus` devices; fails with
     /// [`ServeError::Fault`] when the schedule targets a device outside it.
     pub(crate) fn new(opts: FaultOptions, total_gpus: usize) -> Result<Self, ServeError> {
-        let driver = FaultDriver::new(opts.schedule.clone(), total_gpus)?
-            .with_detection_delay(opts.detection_delay);
+        let state =
+            FaultState::new(opts.schedule.clone(), total_gpus).map_err(ServeError::Fault)?;
         let straggler = StragglerDetector::new(opts.straggler);
-        Ok(Self { opts, driver, straggler, retry: VecDeque::new(), attempts: BTreeMap::new() })
+        Ok(Self {
+            opts,
+            state,
+            straggler,
+            undetected: Vec::new(),
+            removed: BTreeSet::new(),
+            retry: VecDeque::new(),
+            attempts: BTreeMap::new(),
+        })
     }
 
     /// Replays the fault world up to the replica's clock: logs the events
@@ -354,11 +214,11 @@ impl FaultLayer {
         metrics: &mut Metrics,
         events: &mut EventLog,
     ) -> usize {
-        for e in self.driver.advance(state.t) {
+        for e in self.advance(state.t) {
             metrics.inc("faults_injected");
             events.push(Event::Fault { t: e.t, desc: e.kind.to_string() });
         }
-        for (gpu, t_d) in self.driver.mature_detections(state.t) {
+        for (gpu, t_d) in self.mature_detections(state.t) {
             // Pay the rest of the heartbeat window if the phase boundary
             // arrived before the timeout elapsed.
             state.t = state.t.max(t_d);
@@ -368,7 +228,85 @@ impl FaultLayer {
             // abort them all into the retry queue.
             self.abort(state, metrics, events);
         }
-        self.driver.removed()
+        self.removed.len()
+    }
+
+    /// Applies every fault event with activation time `<= t`, updating the
+    /// detection bookkeeping, and returns the fired events in order.
+    fn advance(&mut self, t: f64) -> Vec<FaultEvent> {
+        let fired = self.state.advance(t);
+        for e in &fired {
+            match e.kind {
+                FaultKind::GpuFail { gpu } => {
+                    self.undetected.push((gpu, e.t + self.opts.detection_delay));
+                }
+                FaultKind::GpuRecover { gpu } => {
+                    // A recovered device rejoins the topology: clear any
+                    // pending detection (the flap healed before the
+                    // heartbeat timed out) and any standing removal.
+                    self.undetected.retain(|&(g, _)| g != gpu);
+                    self.removed.remove(&gpu);
+                }
+                FaultKind::GpuSlowdown { .. } | FaultKind::LinkDegrade { .. } => {}
+            }
+        }
+        fired
+    }
+
+    /// Drains failures whose heartbeat timeout has matured by time `t`,
+    /// removing them from the topology. Returns `(gpu, detection time)`
+    /// pairs in firing order.
+    fn mature_detections(&mut self, t: f64) -> Vec<(usize, f64)> {
+        let mut out = Vec::new();
+        let mut i = 0;
+        while i < self.undetected.len() {
+            let (gpu, t_d) = self.undetected[i];
+            if t_d <= t {
+                self.undetected.remove(i);
+                self.removed.insert(gpu);
+                out.push((gpu, t_d));
+            } else {
+                i += 1;
+            }
+        }
+        out
+    }
+
+    /// Current runtime multipliers. Removed devices do not dilate (they no
+    /// longer run work); link factors come straight from the fault state.
+    pub(crate) fn factors(&self) -> FaultFactors {
+        let dilation = self.worst_slowed_gpu().map_or(1.0, |(_, f)| f);
+        let link = self.state.link();
+        FaultFactors { dilation, link_time: link.time_factor(), link_latency: link.latency_add }
+    }
+
+    /// The most-slowed device still in the topology, if any. Ties break
+    /// toward the lowest index.
+    fn worst_slowed_gpu(&self) -> Option<(usize, f64)> {
+        let mut worst: Option<(usize, f64)> = None;
+        for g in 0..self.state.total_gpus() {
+            if self.removed.contains(&g) {
+                continue;
+            }
+            if let GpuStatus::Slowed(f) = self.state.status(g) {
+                if worst.is_none_or(|(_, wf)| f > wf) {
+                    worst = Some((g, f));
+                }
+            }
+        }
+        worst
+    }
+
+    /// The earliest virtual time at which the fault world changes: the
+    /// next scheduled event or the next maturing detection. The idle loop
+    /// folds this into its wake-up target so failures are detected (and
+    /// replans installed) even across idle gaps.
+    pub(crate) fn next_wake(&self) -> Option<f64> {
+        let next_detect = self.undetected.iter().map(|&(_, t_d)| t_d).reduce(f64::min);
+        match (self.state.next_event_time(), next_detect) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
     }
 
     /// Aborts every in-flight query after a device failure: its KV entry is
@@ -423,12 +361,12 @@ impl FaultLayer {
         }
         // Link degradation also inflates the ratio; only a device that is
         // actually slowed can be blamed (and possibly evicted).
-        if let Some((gpu, factor)) = self.driver.worst_slowed_gpu() {
+        if let Some((gpu, factor)) = self.worst_slowed_gpu() {
             let evicted = factor >= self.opts.evict_slowdown;
             metrics.inc("stragglers_detected");
             events.push(Event::StragglerDetected { t, gpu, factor, evicted });
             if evicted {
-                self.driver.evict(gpu);
+                self.removed.insert(gpu);
             }
         }
     }
@@ -439,53 +377,54 @@ mod tests {
     use super::*;
     use exegpt_faults::{FaultEvent, FaultKind};
 
-    fn schedule(events: Vec<FaultEvent>) -> FaultSchedule {
-        FaultSchedule::new(events).expect("valid")
+    /// A fault layer on 4 devices replaying `events` with a 0.5 s
+    /// heartbeat timeout.
+    fn layer(events: Vec<FaultEvent>) -> FaultLayer {
+        let schedule = FaultSchedule::new(events).expect("valid");
+        let opts = FaultOptions { schedule, detection_delay: 0.5, ..FaultOptions::default() };
+        FaultLayer::new(opts, 4).expect("in range")
     }
 
     #[test]
     fn failure_matures_through_detection_delay() {
-        let s = schedule(vec![FaultEvent { t: 10.0, kind: FaultKind::GpuFail { gpu: 1 } }]);
-        let mut d = FaultDriver::new(s, 4).expect("in range").with_detection_delay(0.5);
-        assert_eq!(d.advance(10.0).len(), 1);
-        assert!(d.mature_detections(10.2).is_empty(), "heartbeat not yet timed out");
-        assert_eq!(d.next_wake(), Some(10.5));
-        assert_eq!(d.mature_detections(10.5), vec![(1, 10.5)]);
-        assert_eq!(d.removed(), 1);
-        assert_eq!(d.next_wake(), None);
+        let mut l = layer(vec![FaultEvent { t: 10.0, kind: FaultKind::GpuFail { gpu: 1 } }]);
+        assert_eq!(l.advance(10.0).len(), 1);
+        assert!(l.mature_detections(10.2).is_empty(), "heartbeat not yet timed out");
+        assert_eq!(l.next_wake(), Some(10.5));
+        assert_eq!(l.mature_detections(10.5), vec![(1, 10.5)]);
+        assert_eq!(l.removed.len(), 1);
+        assert_eq!(l.next_wake(), None);
     }
 
     #[test]
     fn recovery_clears_detection_and_eviction() {
-        let s = schedule(vec![
+        let mut l = layer(vec![
             FaultEvent { t: 1.0, kind: FaultKind::GpuFail { gpu: 0 } },
             FaultEvent { t: 5.0, kind: FaultKind::GpuRecover { gpu: 0 } },
             FaultEvent { t: 5.0, kind: FaultKind::GpuRecover { gpu: 2 } },
         ]);
-        let mut d = FaultDriver::new(s, 4).expect("in range").with_detection_delay(0.5);
-        d.advance(1.0);
-        d.mature_detections(2.0);
-        d.evict(2);
-        assert_eq!(d.removed(), 2);
-        d.advance(5.0);
-        assert_eq!(d.removed(), 0, "recovery restores the whole topology");
+        l.advance(1.0);
+        l.mature_detections(2.0);
+        l.removed.insert(2);
+        assert_eq!(l.removed.len(), 2);
+        l.advance(5.0);
+        assert!(l.removed.is_empty(), "recovery restores the whole topology");
     }
 
     #[test]
     fn flapping_failure_heals_before_detection() {
-        let s = schedule(vec![
+        let mut l = layer(vec![
             FaultEvent { t: 1.0, kind: FaultKind::GpuFail { gpu: 0 } },
             FaultEvent { t: 1.1, kind: FaultKind::GpuRecover { gpu: 0 } },
         ]);
-        let mut d = FaultDriver::new(s, 4).expect("in range").with_detection_delay(0.5);
-        d.advance(2.0);
-        assert!(d.mature_detections(2.0).is_empty(), "flap healed within the heartbeat window");
-        assert_eq!(d.removed(), 0);
+        l.advance(2.0);
+        assert!(l.mature_detections(2.0).is_empty(), "flap healed within the heartbeat window");
+        assert!(l.removed.is_empty());
     }
 
     #[test]
     fn factors_exclude_failed_and_evicted_devices() {
-        let s = schedule(vec![
+        let mut l = layer(vec![
             FaultEvent { t: 1.0, kind: FaultKind::GpuSlowdown { gpu: 0, factor: 3.0 } },
             FaultEvent { t: 1.0, kind: FaultKind::GpuSlowdown { gpu: 1, factor: 1.5 } },
             FaultEvent {
@@ -493,24 +432,23 @@ mod tests {
                 kind: FaultKind::LinkDegrade { bw_factor: 0.5, latency_add: 0.002 },
             },
         ]);
-        let mut d = FaultDriver::new(s, 4).expect("in range");
-        d.advance(1.0);
-        assert_eq!(d.worst_slowed_gpu(), Some((0, 3.0)));
-        assert!(d.factors().dilation >= 3.0);
-        d.evict(0);
-        let f = d.factors();
+        l.advance(1.0);
+        assert_eq!(l.worst_slowed_gpu(), Some((0, 3.0)));
+        assert!(l.factors().dilation >= 3.0);
+        l.removed.insert(0);
+        let f = l.factors();
         assert!(f.dilation < 3.0 && f.dilation >= 1.5, "evicted straggler stops dilating");
-        assert_eq!(d.worst_slowed_gpu(), Some((1, 1.5)));
+        assert_eq!(l.worst_slowed_gpu(), Some((1, 1.5)));
         assert!(f.link_time > 1.9 && f.link_latency > 0.0);
     }
 
     #[test]
     fn empty_schedule_is_identity() {
-        let mut d = FaultDriver::new(FaultSchedule::empty(), 4).expect("empty ok");
-        assert!(d.advance(1e9).is_empty());
-        assert_eq!(d.factors(), FaultFactors::nominal());
-        assert_eq!(d.next_wake(), None);
-        assert_eq!(d.removed(), 0);
+        let mut l = layer(Vec::new());
+        assert!(l.advance(1e9).is_empty());
+        assert_eq!(l.factors(), FaultFactors::nominal());
+        assert_eq!(l.next_wake(), None);
+        assert!(l.removed.is_empty());
     }
 
     #[test]

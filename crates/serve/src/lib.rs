@@ -81,7 +81,7 @@ mod traffic;
 pub use drift::{DriftCheck, DriftDetector, DriftOptions};
 pub use error::ServeError;
 pub use events::{Event, EventLog};
-pub use faults::{FaultDriver, FaultOptions, StragglerDetector, StragglerOptions};
+pub use faults::{FaultOptions, StragglerOptions};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use server::{Completion, ReplicaSession, ServeLoop, ServeOptions, ServeReport, StepOutcome};
 pub use slo::{SloCheck, SloOutcome, SloTargets};

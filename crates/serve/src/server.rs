@@ -174,8 +174,8 @@ pub struct ServeReport {
 ///
 /// When the fault layer is enabled ([`ServeOptions::faults`]), the loop
 /// additionally replays a [`exegpt_faults::FaultSchedule`] on its virtual
-/// clock: stragglers dilate phase timings until a
-/// [`StragglerDetector`](crate::StragglerDetector) confirms them (severe
+/// clock: stragglers dilate phase timings until the straggler detector
+/// ([`StragglerOptions`](crate::StragglerOptions)) confirms them (severe
 /// ones are evicted and the plan recomputed), device failures mature
 /// through a heartbeat timeout, abort in-flight work into a
 /// bounded-backoff retry queue and trigger a replan onto the surviving
@@ -574,7 +574,7 @@ impl ReplicaSession {
         // go unnoticed until the next arrival and the first phase after it
         // would run on the dead topology).
         let next_fault =
-            self.faults.as_ref().and_then(|f| f.driver.next_wake()).filter(|&w| w > self.state.t);
+            self.faults.as_ref().and_then(|f| f.next_wake()).filter(|&w| w > self.state.t);
         let wake = [next_arrival, next_retry, next_fault]
             .into_iter()
             .flatten()
@@ -593,7 +593,7 @@ impl ReplicaSession {
     /// logs it. Active faults dilate the plan's timings: the worst live
     /// straggler scales compute, link degradation the KV handover.
     fn run_phase(&mut self) -> Result<PhaseRecord, ServeError> {
-        let factors = self.faults.as_ref().map_or(FaultFactors::nominal(), |f| f.driver.factors());
+        let factors = self.faults.as_ref().map_or(FaultFactors::nominal(), |f| f.factors());
         self.done.clear();
         let done = &mut self.done;
         let r = self.state.run_phase(factors, |f, t| done.push((f, t)))?;

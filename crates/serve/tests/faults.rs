@@ -244,3 +244,44 @@ fn single_gpu_failure_degrades_gracefully_under_default_options() {
         "degraded runs must stay byte-deterministic"
     );
 }
+
+#[test]
+fn evicted_then_failed_device_counts_once() {
+    // A straggler is evicted, and the same device later fails with no
+    // recovery in between: one device is lost, so the failure must not
+    // replan onto two survivors.
+    let setup = setup();
+    let faults = FaultOptions {
+        schedule: FaultSchedule::new(vec![
+            FaultEvent {
+                t: 0.25 * setup.horizon,
+                kind: FaultKind::GpuSlowdown { gpu: 1, factor: 3.0 },
+            },
+            FaultEvent { t: 0.75 * setup.horizon, kind: FaultKind::GpuFail { gpu: 1 } },
+        ])
+        .expect("valid schedule"),
+        straggler: StragglerOptions { rel_threshold: 1.25, consecutive: 2 },
+        ..FaultOptions::default()
+    };
+    let report = serve(&setup, &opts(&setup, Some(faults), false));
+    let events = report.events.events();
+    let evicted = events
+        .iter()
+        .position(|e| matches!(e, Event::StragglerDetected { gpu: 1, evicted: true, .. }))
+        .expect("the straggler is evicted");
+    let detected = events
+        .iter()
+        .position(|e| matches!(e, Event::FaultDetected { gpu: 1, .. }))
+        .expect("the failure is detected");
+    assert!(evicted < detected, "the eviction precedes the failure");
+    assert!(
+        events.iter().any(|e| matches!(e, Event::Replan { gpus: 3, .. })),
+        "the eviction replans onto three survivors"
+    );
+    assert!(
+        !events.iter().any(|e| matches!(e, Event::Replan { gpus: 2, .. })),
+        "the failed device was already evicted: no replan onto two survivors"
+    );
+    assert_eq!(report.requests_lost, 0);
+    assert_eq!(report.completed, TOTAL);
+}
