@@ -42,6 +42,9 @@ cargo test --offline --release -q -p exegpt-sim --test decode_sum
 # the benchmark times release code, so scores must match fresh estimates,
 # and remembered searches the ones that ran, bit for bit there too.
 cargo test --offline --release -q -p exegpt-sim --test cache_props
+# A warm scorer must score without allocating in the release code the
+# benchmark times, where the estimator's debug assertion is off.
+cargo test --offline --release -q -p exegpt-sim --test scorer_alloc
 # The one-pass completion analysis the RRA estimate reads, against the
 # completion distribution, and the replans and repeated schedules that the
 # search memo answers.

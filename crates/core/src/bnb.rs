@@ -22,8 +22,8 @@ use std::collections::{BTreeMap, BinaryHeap};
 use exegpt_units::Secs;
 
 /// Evaluated performance of one configuration point: the simulator's score
-/// type, so [`Simulator::score`](exegpt_sim::Simulator::score) feeds the
-/// search directly.
+/// type, so [`Scorer::score`](exegpt_sim::Scorer::score) feeds the search
+/// directly.
 pub use exegpt_sim::Perf;
 
 /// Tolerances and limits for one branch-and-bound run.
@@ -119,10 +119,10 @@ pub fn optimize<F>(
     range1: (usize, usize),
     range2: (usize, usize),
     opts: &BnbOptions,
-    eval: F,
+    mut eval: F,
 ) -> Option<BnbResult>
 where
-    F: Fn(usize, usize) -> Perf,
+    F: FnMut(usize, usize) -> Perf,
 {
     assert!(range1.0 <= range1.1, "range1 must be non-empty");
     assert!(range2.0 <= range2.1, "range2 must be non-empty");

@@ -40,7 +40,7 @@ use serde::{Deserialize, Serialize};
 
 use exegpt_dist::convert::{lossless_f64, round_usize, trunc_usize, widen_u64};
 use exegpt_sim::{
-    RraConfig, ScheduleConfig, SearchOutcome, Simulator, TpConfig, WaaConfig, WaaVariant,
+    RraConfig, ScheduleConfig, Scorer, SearchOutcome, Simulator, TpConfig, WaaConfig, WaaVariant,
 };
 use exegpt_units::Secs;
 
@@ -209,15 +209,20 @@ impl Scheduler {
         tasks
     }
 
-    /// Runs one cold branch-and-bound search; returns `None` when it finds
-    /// no feasible point.
-    fn run_task(&self, task: &SearchTask, opts: &SchedulerOptions) -> Option<Schedule> {
+    /// Runs one cold branch-and-bound search on `scorer`; returns `None`
+    /// when it finds no feasible point.
+    fn run_task(
+        &self,
+        scorer: &mut Scorer<'_>,
+        task: &SearchTask,
+        opts: &SchedulerOptions,
+    ) -> Option<Schedule> {
         let space = self.task_space(task, opts);
         let bnb_opts = self.bnb_options(opts);
-        let eval = |x1: usize, x2: usize| self.sim.score(&space.config(x1, x2));
+        let eval = |x1: usize, x2: usize| scorer.score(&space.config(x1, x2));
         let r = bnb::optimize(space.range1, space.range2, &bnb_opts, eval)?;
         let cfg = space.config(r.point.0, r.point.1);
-        let estimate = self.sim.evaluate(&cfg).ok()?;
+        let estimate = scorer.evaluate(&cfg).ok()?;
         Some(Schedule { config: cfg, estimate, evals: r.evals, cache_hits: 0 })
     }
 
@@ -329,7 +334,12 @@ impl Scheduler {
             } else {
                 1
             };
-            let probes = pool_map(&tasks, workers, |task| self.probe_task(task, opts));
+            let probes = pool_map(
+                &tasks,
+                workers,
+                || self.sim.scorer(),
+                |scorer, task| self.probe_task(scorer, task, opts),
+            );
             for (i, probe) in probes.into_iter().enumerate() {
                 match probe {
                     Probe::Exact { schedule } => {
@@ -353,13 +363,14 @@ impl Scheduler {
             inf.0.cmp(&inf.1).then(b.1.total_cmp(&a.1)).then(a.0.cmp(&b.0))
         });
         let eps_thr = opts.eps_throughput_frac;
+        let mut scorer = self.sim.scorer();
         for (i, upper) in deferred {
             if upper * (1.0 + eps_thr) < running_best {
                 outcome.certified += 1;
                 continue;
             }
             outcome.full += 1;
-            if let Some(s) = self.run_task(&tasks[i], opts) {
+            if let Some(s) = self.run_task(&mut scorer, &tasks[i], opts) {
                 running_best = running_best.max(s.estimate.throughput);
                 per_task[i] = Some(s);
             }
@@ -402,20 +413,25 @@ impl Scheduler {
     /// Otherwise the walk always completes, so the bound is *tight*: the
     /// caller sorts unresolved tasks by it to search the likely winner
     /// first and certify the rest against its result.
-    fn probe_task(&self, task: &SearchTask, opts: &SchedulerOptions) -> Probe {
+    fn probe_task(
+        &self,
+        scorer: &mut Scorer<'_>,
+        task: &SearchTask,
+        opts: &SchedulerOptions,
+    ) -> Probe {
         let space = self.task_space(task, opts);
         let bnb_opts = self.bnb_options(opts);
         let mut evals = 0usize;
         let mut eval = |x1: usize, x2: usize| {
             evals += 1;
-            self.sim.score(&space.config(x1, x2))
+            scorer.score(&space.config(x1, x2))
         };
         let (r1, r2) = (space.range1, space.range2);
         let top = (r1.1, r2.1);
         let p_top = eval(top.0, top.1);
         if p_top.satisfies(bnb_opts.latency_bound) && p_top.throughput.is_finite() {
             let cfg = space.config(top.0, top.1);
-            let Ok(estimate) = self.sim.evaluate(&cfg) else {
+            let Ok(estimate) = scorer.evaluate(&cfg) else {
                 return Probe::Bounded { upper: f64::INFINITY, evals };
             };
             return Probe::Exact {
@@ -500,14 +516,18 @@ enum Probe {
 /// Maps `f` over `items` on a bounded work-stealing pool of at most
 /// `workers` threads and returns the results in item order. A fixed set of
 /// scoped workers pulls indices from a shared counter and writes per-item
-/// slots, so the results never depend on which worker ran what.
-fn pool_map<T: Sync, R: Send + Sync>(
+/// slots, so the results never depend on which worker ran what, as long as
+/// `f`'s result does not depend on the worker state (`init()`'s, one per
+/// worker) it is handed.
+fn pool_map<T: Sync, S, R: Send + Sync>(
     items: &[T],
     workers: usize,
-    f: impl Fn(&T) -> R + Sync,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, &T) -> R + Sync,
 ) -> Vec<R> {
     if workers.min(items.len()) <= 1 {
-        return items.iter().map(f).collect();
+        let mut state = init();
+        return items.iter().map(|item| f(&mut state, item)).collect();
     }
     #[expect(
         clippy::disallowed_types,
@@ -523,13 +543,16 @@ fn pool_map<T: Sync, R: Send + Sync>(
     )]
     std::thread::scope(|s| {
         for _ in 0..workers.min(items.len()) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                // The fetch_add hands each index to exactly one worker, so
-                // this slot is necessarily empty.
-                let set_res = slots[i].set(f(item));
-                debug_assert!(set_res.is_ok(), "item index {i} claimed twice");
+            s.spawn(|| {
+                let mut state = init();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(item) = items.get(i) else { break };
+                    // The fetch_add hands each index to exactly one worker,
+                    // so this slot is necessarily empty.
+                    let set_res = slots[i].set(f(&mut state, item));
+                    debug_assert!(set_res.is_ok(), "item index {i} claimed twice");
+                }
             });
         }
     });

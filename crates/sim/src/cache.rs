@@ -10,6 +10,11 @@
 //! swaps in a fresh cache so no per-workload entry can leak across
 //! workloads (every layer depends on the length distributions).
 //!
+//! The estimator reads the first two layers through a
+//! [`Scorer`](crate::Scorer), which fetches each completion analysis and
+//! decode stage grid it uses from here once and keeps the handle, so a
+//! search worker's warm evaluations take no lock and clone no `Arc`.
+//!
 //! No evaluation is memoized per configuration. The branch-and-bound
 //! searches of different tasks rarely meet on one configuration (3.5 % of
 //! a `sched-paper` schedule's lookups), and a per-point memo cost every
@@ -21,18 +26,15 @@
 //! keeps each search's [`SearchOutcome`], keyed by the cluster fingerprint
 //! and the caller's word-for-word encoding of the options that decide the
 //! result. Keys compare exactly, so a hash collision costs a bucket probe,
-//! never a wrong plan. [`Simulator::score`](crate::Simulator::score) and
-//! [`Simulator::evaluate`](crate::Simulator::evaluate) compute every point
+//! never a wrong plan. A [`Scorer`](crate::Scorer) computes every point
 //! afresh over the warm completion and decode-grid layers.
 //!
 //! Pipeline plans are not memoized either. An RRA plan depends on
 //! `(B_E, B_D, TP)`, and few evaluations share one: on the benchmark's
-//! scheduling grid four in five evaluations missed a plan memo, and the
-//! plans it kept (an `Arc` and three `Vec`s each) cost more to keep and to
-//! free than to rebuild. A WAA plan depends on the whole configuration, as
-//! its estimate does, so after an evaluation only the runner or the plan
-//! checks ask for it again, once per schedule. Both are built afresh by
-//! every call (DESIGN.md §4a).
+//! scheduling grid four in five evaluations missed a plan memo. A WAA plan
+//! depends on the whole configuration, as its estimate does. Instead each
+//! scorer rebuilds one plan per family in place, in `Vec`s that keep their
+//! capacity, so a warm evaluation allocates nothing (DESIGN.md §4a).
 //!
 //! Cluster swaps are cheaper than workload swaps: the completion analyses
 //! and the decode stage grids are *cluster-independent* (they derive from
@@ -137,7 +139,7 @@ impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
 /// layer allocation) stage class. The workload's
 /// context/input lengths are fixed per cache, so they are not part of the
 /// key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) struct DecStageKey {
     pub tp: usize,
     pub intra: bool,

@@ -60,8 +60,8 @@ pub struct Estimate {
 }
 
 /// The score of one configuration: the two numbers of an [`Estimate`] the
-/// scheduler's search reads, as memoized by
-/// [`Simulator::score`](crate::Simulator::score).
+/// scheduler's search reads, as [`Scorer::score`](crate::Scorer::score)
+/// returns them.
 ///
 /// Infeasible configurations (out of memory, structurally invalid) score
 /// [`Perf::INFEASIBLE`]: infinite latency keeps them out of the candidate

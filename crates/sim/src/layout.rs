@@ -161,6 +161,26 @@ impl PipelineLayout {
         tp_speedup: f64,
         gpus_per_node: usize,
     ) -> Result<Self, SimError> {
+        let mut layout = Self::empty();
+        layout.rebuild(n_gpus, tp, tp_speedup, gpus_per_node)?;
+        Ok(layout)
+    }
+
+    /// A layout of no stages, for [`rebuild`](Self::rebuild) to fill.
+    pub(crate) fn empty() -> Self {
+        Self { stages: Vec::new(), gpus_per_node: 1 }
+    }
+
+    /// [`build`](Self::build) into this layout's stage `Vec`, which keeps
+    /// its capacity: the estimators rebuild one layout per evaluation. On
+    /// an error the layout is left as it was.
+    pub(crate) fn rebuild(
+        &mut self,
+        n_gpus: usize,
+        tp: TpConfig,
+        tp_speedup: f64,
+        gpus_per_node: usize,
+    ) -> Result<(), SimError> {
         if n_gpus == 0 {
             return Err(SimError::InvalidConfig {
                 what: "n_gpus",
@@ -191,15 +211,31 @@ impl PipelineLayout {
             }
             (tp.gpus / tp.degree, tp.degree)
         };
-        let n = fused + (n_gpus - fused * degree);
-        let mut stages = Vec::with_capacity(n);
+        let n = Self::stage_count(n_gpus, tp);
+        self.stages.clear();
+        self.stages.reserve(n);
         let mut first_gpu = 0;
         for i in 0..n {
             let (tp, speed) = if i < fused { (degree, tp_speedup) } else { (1, 1.0) };
-            stages.push(Stage { tp, first_gpu, gpus: tp, speed });
+            self.stages.push(Stage { tp, first_gpu, gpus: tp, speed });
             first_gpu += tp;
         }
-        Ok(Self { stages, gpus_per_node: gpus_per_node.max(1) })
+        self.gpus_per_node = gpus_per_node.max(1);
+        Ok(())
+    }
+
+    /// The number of stages [`build`](Self::build) lays out for `n_gpus`
+    /// GPUs under `tp`: `tp.gpus / tp.degree` fused stages plus `n_gpus −
+    /// tp.gpus` singles. It is total, so the RRA estimate can measure its
+    /// TP speedup at this count before `build` validates `tp`: where
+    /// `build` rejects the degree as not dividing `tp.gpus` it is `n_gpus`,
+    /// and where `tp` covers more GPUs than there are, the fused stages
+    /// alone (at least one).
+    pub(crate) fn stage_count(n_gpus: usize, tp: TpConfig) -> usize {
+        if tp.is_none() || !tp.gpus.is_multiple_of(tp.degree) {
+            return n_gpus;
+        }
+        (n_gpus.saturating_sub(tp.gpus) + tp.gpus / tp.degree).max(1)
     }
 
     /// Number of pipeline stages.
@@ -258,6 +294,18 @@ impl PipelineLayout {
     /// Returns [`SimError::InvalidConfig`] if there are fewer layers than
     /// stages.
     pub fn allocate_layers(&self, total_layers: usize) -> Result<Vec<usize>, SimError> {
+        let mut counts = Vec::new();
+        self.allocate_layers_into(total_layers, &mut counts)?;
+        Ok(counts)
+    }
+
+    /// [`allocate_layers`](Self::allocate_layers) into `counts`, which
+    /// keeps its capacity. On an error `counts` is left as it was.
+    pub(crate) fn allocate_layers_into(
+        &self,
+        total_layers: usize,
+        counts: &mut Vec<usize>,
+    ) -> Result<(), SimError> {
         let n = self.stages.len();
         if total_layers < n {
             return Err(SimError::InvalidConfig {
@@ -284,18 +332,17 @@ impl PipelineLayout {
         let (rounds, extra) =
             (leftover.checked_div(n).unwrap_or(0), leftover.checked_rem(n).unwrap_or(0));
         let fused_first = fused_rem.total_cmp(&single_rem).is_ge();
-        let counts = (0..n)
-            .map(|i| {
-                let (share, rank) = match (i < fused, fused_first) {
-                    (true, true) => (fused_share, i),
-                    (true, false) => (fused_share, n - fused + i),
-                    (false, true) => (single_share, i),
-                    (false, false) => (single_share, i - fused),
-                };
-                share + rounds + usize::from(rank < extra) + 1
-            })
-            .collect();
-        Ok(counts)
+        counts.clear();
+        counts.extend((0..n).map(|i| {
+            let (share, rank) = match (i < fused, fused_first) {
+                (true, true) => (fused_share, i),
+                (true, false) => (fused_share, n - fused + i),
+                (false, true) => (single_share, i),
+                (false, false) => (single_share, i - fused),
+            };
+            share + rounds + usize::from(rank < extra) + 1
+        }));
+        Ok(())
     }
 
     /// The per-stage cost kernel: `alloc[i] · t_layer(tp_i) + handoff(i)`

@@ -71,6 +71,7 @@ mod error;
 mod estimate;
 mod layout;
 pub mod rra;
+mod scorer;
 mod simulator;
 pub mod waa;
 
@@ -80,5 +81,6 @@ pub use error::SimError;
 pub use estimate::{Breakdown, Estimate, MemoryReport, Perf};
 pub use layout::{Pass, PipelineLayout, StageTimes};
 pub use rra::RraPlan;
+pub use scorer::Scorer;
 pub use simulator::Simulator;
 pub use waa::WaaPlan;

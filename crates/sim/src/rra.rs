@@ -7,6 +7,8 @@
 //! Early termination shrinks the active pool within a phase according to
 //! the completion distribution `P_D(U)`; the next encoding phase refills it.
 
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use exegpt_dist::convert::{ceil_usize, lossless_f64, trunc_u64, trunc_usize, widen_u64};
@@ -40,8 +42,81 @@ struct StageClass {
 /// allocation pairs. Stages beyond it are computed directly.
 const MEMORY_CLASSES: usize = 8;
 
-pub(crate) fn evaluate(sim: &Simulator, cfg: &RraConfig) -> Result<Estimate, SimError> {
-    evaluate_with(sim, cfg, decode_sum)
+/// What RRA estimates keep across the evaluations of one
+/// [`Scorer`](crate::Scorer): handles to the shared cache's completion
+/// analyses and decode stage grids, each fetched from it once, and the plan
+/// buffers every evaluation rebuilds in place.
+#[derive(Debug)]
+pub(crate) struct RraState {
+    completions: Completions,
+    grids: Grids,
+    plan: RraPlan,
+}
+
+impl RraState {
+    pub(crate) fn new() -> Self {
+        Self {
+            completions: Completions(Vec::new()),
+            grids: Grids(BTreeMap::new()),
+            plan: RraPlan::empty(),
+        }
+    }
+}
+
+/// Completion analyses, indexed by `N_D`.
+#[derive(Debug)]
+struct Completions(Vec<Option<Arc<CompletionSeries>>>);
+
+impl Completions {
+    /// The completion analysis for `n_d`, from the shared cache on first
+    /// use.
+    fn get(&mut self, sim: &Simulator, n_d: usize) -> Result<&CompletionSeries, SimError> {
+        if self.0.len() <= n_d {
+            self.0.resize(n_d + 1, None);
+        }
+        let slot = &mut self.0[n_d];
+        let series = match slot.take() {
+            Some(series) => series,
+            None => sim.cache().completion(sim.workload().output(), n_d)?,
+        };
+        Ok(slot.insert(series))
+    }
+}
+
+/// Decode stage grids, or the error building one gave, by stage class.
+#[derive(Debug)]
+struct Grids(BTreeMap<DecStageKey, Result<Arc<DecodeStageGrid>, SimError>>);
+
+impl Grids {
+    /// Makes the grid of `key` available to [`get`](Self::get), from the
+    /// shared cache on first use.
+    fn fetch(&mut self, sim: &Simulator, key: DecStageKey) -> Result<(), SimError> {
+        let grid = match self.0.entry(key) {
+            Entry::Occupied(entry) => entry.into_mut(),
+            Entry::Vacant(entry) => {
+                let w = sim.workload();
+                let (ctx, s_e) = (w.mean_decode_context().as_f64(), w.input().mean());
+                let DecStageKey { tp, intra, alloc } = key;
+                entry.insert(sim.cache().dec_stage_grid(key, || {
+                    Ok(sim.profile().decode_stage_grid(ctx, s_e, tp, lossless_f64(alloc), intra)?)
+                }))
+            }
+        };
+        grid.as_ref().map(|_| ()).map_err(SimError::clone)
+    }
+
+    /// A grid [`fetch`](Self::fetch) made available.
+    fn get(&self, key: DecStageKey) -> Option<&DecodeStageGrid> {
+        self.0.get(&key).and_then(|grid| grid.as_deref().ok())
+    }
+}
+
+pub(crate) fn evaluate(
+    sim: &Simulator,
+    state: &mut RraState,
+    cfg: &RraConfig,
+) -> Result<Estimate, SimError> {
+    evaluate_with(sim, state, cfg, decode_sum)
 }
 
 /// [`Simulator::evaluate_rra`] with the decode phase summed one iteration
@@ -53,11 +128,12 @@ pub(crate) fn evaluate(sim: &Simulator, cfg: &RraConfig) -> Result<Estimate, Sim
 /// As [`Simulator::evaluate_rra`].
 #[doc(hidden)]
 pub fn evaluate_scalar(sim: &Simulator, cfg: &RraConfig) -> Result<Estimate, SimError> {
-    evaluate_with(sim, cfg, decode_sum_scalar)
+    evaluate_with(sim, &mut RraState::new(), cfg, decode_sum_scalar)
 }
 
 fn evaluate_with(
     sim: &Simulator,
+    state: &mut RraState,
     cfg: &RraConfig,
     decode: impl Fn(&[&DecodeStageGrid], &CompletionSeries, usize, usize) -> Secs,
 ) -> Result<Estimate, SimError> {
@@ -72,8 +148,10 @@ fn evaluate_with(
 
     // Steady-state decode pool: B_D such that expected completions per phase
     // refill exactly B_E slots (paper §6). The completion analysis depends
-    // only on N_D, so it comes from the simulator's evaluation cache.
-    let series = sim.cache().completion(w.output(), cfg.n_d)?;
+    // only on N_D: the scorer holds it, fetched once from the simulator's
+    // evaluation cache.
+    let RraState { completions, grids: held, plan } = state;
+    let series = completions.get(sim, cfg.n_d)?;
     let b_d = CompletionDist::decode_batch(series.fraction, cfg.b_e).ok_or_else(|| {
         SimError::NoSteadyState {
             why: format!("no query completes within N_D = {} iterations", cfg.n_d),
@@ -90,14 +168,14 @@ fn evaluate_with(
     }
 
     // Pipeline structure under partial TP; layers allocated by stage speed.
-    // Built afresh: most plans are used by one evaluation only, and a kept
-    // plan costs more to store and free than to rebuild (DESIGN.md §4a).
+    // Rebuilt in place: few evaluations share a plan, and the buffers keep
+    // their capacity (DESIGN.md §4a).
     let mut times = LayerTimes::default();
-    let RraPlan { layout, enc_alloc, dec_alloc } = plan_with(sim, cfg, b_d, &mut times)?;
+    plan_into(sim, cfg, b_d, &mut times, plan)?;
+    let RraPlan { layout, enc_alloc, dec_alloc } = &*plan;
     let stages = layout.num_stages();
 
     let s_e = w.input().mean();
-    let ctx = w.mean_decode_context().as_f64();
 
     // --- Encoding phase -------------------------------------------------
     // B_E is split into one micro-batch per stage to fill the pipeline.
@@ -105,8 +183,7 @@ fn evaluate_with(
     let enc_micro = lossless_f64(cfg.b_e) / lossless_f64(m_e);
     // The TP speedup looked the encode layer times up at this micro-batch.
     let pass = Pass::Encode { batch: enc_micro, seq: s_e };
-    let enc =
-        layout.stage_times_by(profile, &enc_alloc, pass, |tp| times.get(profile, pass, tp))?;
+    let enc = layout.stage_times_by(profile, enc_alloc, pass, |tp| times.get(profile, pass, tp))?;
     let t_enc: Secs = enc.sum + enc.bottleneck * (lossless_f64(m_e) - 1.0);
 
     // --- Memory, before the decode timeline --------------------------------
@@ -119,7 +196,7 @@ fn evaluate_with(
     // looked up every stage's degree, so the decode lookups find their
     // tables; and the stage grids interpolate the profile's finite tables
     // at finite points.
-    let memory = memory_report(sim, &layout, &enc_alloc, &dec_alloc, b_d, enc_micro * s_e)?;
+    let memory = memory_report(sim, layout, enc_alloc, dec_alloc, b_d, enc_micro * s_e)?;
     check_memory(&memory)?;
 
     // --- Decoding phase: N_D iterations over the shrinking pool ----------
@@ -135,7 +212,7 @@ fn evaluate_with(
     let mut classes = [StageClass::default(); MAX_CLASSES];
     let mut n_classes = 0;
     for ((stage, intra), &alloc) in
-        layout.stages().iter().zip(layout.intra_node_links()).zip(&dec_alloc)
+        layout.stages().iter().zip(layout.intra_node_links()).zip(dec_alloc)
     {
         match classes[..n_classes].iter_mut().find(|c| c.tp == stage.tp && c.intra == intra) {
             Some(class) => class.alloc = class.alloc.max(alloc),
@@ -154,24 +231,25 @@ fn evaluate_with(
     // Each class's term `alloc · t_layer(µ) + handoff(µ)` is a cached
     // `DecodeStageGrid`, bit-identical to the stage-cost kernel's per-stage
     // term outside the grid's knots.
-    let mut held: [Option<Arc<DecodeStageGrid>>; MAX_CLASSES] = Default::default();
-    for (slot, &StageClass { tp, intra, alloc }) in held.iter_mut().zip(&classes[..n_classes]) {
-        *slot = Some(sim.cache().dec_stage_grid(DecStageKey { tp, intra, alloc }, || {
-            Ok(profile.decode_stage_grid(ctx, s_e, tp, lossless_f64(alloc), intra)?)
-        })?);
+    let keys = classes.map(|StageClass { tp, intra, alloc }| DecStageKey { tp, intra, alloc });
+    let keys = &keys[..n_classes];
+    for &key in keys {
+        held.fetch(sim, key)?;
     }
-    let [Some(first), ..] = &held else {
+    let Some(first) = keys.first().and_then(|&key| held.get(key)) else {
         return Err(SimError::InvalidConfig { what: "tp", why: "no decode stage".into() });
     };
-    let grids: [&DecodeStageGrid; MAX_CLASSES] =
-        std::array::from_fn(|c| held[c].as_deref().unwrap_or(first));
+    let mut grids = [first; MAX_CLASSES];
+    for (grid, &key) in grids.iter_mut().zip(keys) {
+        *grid = held.get(key).unwrap_or(first);
+    }
     let grids = &grids[..n_classes];
     // `t_dec = m_d · Σ_u F(µ_u) + fill`, with the sum in closed form
     // (`decode_sum`), which debug builds check against the per-iteration
     // sum, and the pipeline filling at the first iteration's bottleneck.
-    let sum = decode(grids, &series, b_d, m_d);
+    let sum = decode(grids, series, b_d, m_d);
     debug_assert!(
-        within_oracle(sum, decode_sum_scalar(grids, &series, b_d, m_d)),
+        within_oracle(sum, decode_sum_scalar(grids, series, b_d, m_d)),
         "closed-form decode sum {sum:?} strays from the per-iteration sum"
     );
     let m_d_f = lossless_f64(m_d);
@@ -359,49 +437,61 @@ impl RraPlan {
     /// Returns [`SimError::InvalidConfig`] if a pass has fewer layers than
     /// the layout has stages.
     pub fn allocate(sim: &Simulator, layout: PipelineLayout) -> Result<Self, SimError> {
-        let (enc_alloc, dec_alloc) = match sim.model().kind() {
-            ModelKind::EncoderDecoder => (
-                layout.allocate_layers(sim.enc_layers_total())?,
-                layout.allocate_layers(sim.dec_layers_total())?,
-            ),
-            ModelKind::DecoderOnly => {
-                let alloc = layout.allocate_layers(sim.model().num_layers())?;
-                (alloc.clone(), alloc)
+        let mut plan = Self { layout, enc_alloc: Vec::new(), dec_alloc: Vec::new() };
+        plan.reallocate(sim)?;
+        Ok(plan)
+    }
+
+    /// A plan of no stages, for [`plan_into`] to fill.
+    fn empty() -> Self {
+        Self { layout: PipelineLayout::empty(), enc_alloc: Vec::new(), dec_alloc: Vec::new() }
+    }
+
+    /// [`allocate`](Self::allocate) over this plan's layout, into its
+    /// allocation `Vec`s.
+    fn reallocate(&mut self, sim: &Simulator) -> Result<(), SimError> {
+        let Self { layout, enc_alloc, dec_alloc } = self;
+        match sim.model().kind() {
+            ModelKind::EncoderDecoder => {
+                layout.allocate_layers_into(sim.enc_layers_total(), enc_alloc)?;
+                layout.allocate_layers_into(sim.dec_layers_total(), dec_alloc)?;
             }
-        };
-        Ok(Self { layout, enc_alloc, dec_alloc })
+            ModelKind::DecoderOnly => {
+                layout.allocate_layers_into(sim.model().num_layers(), dec_alloc)?;
+                enc_alloc.clone_from(dec_alloc);
+            }
+        }
+        Ok(())
     }
 }
 
 /// Builds the pipeline plan for an RRA configuration with a known decode
 /// pool size.
 pub(crate) fn plan(sim: &Simulator, cfg: &RraConfig, b_d: usize) -> Result<RraPlan, SimError> {
-    plan_with(sim, cfg, b_d, &mut LayerTimes::default())
+    let mut plan = RraPlan::empty();
+    plan_into(sim, cfg, b_d, &mut LayerTimes::default(), &mut plan)?;
+    Ok(plan)
 }
 
-/// [`plan`], keeping the layer times the TP speedup looks up in `times`.
-fn plan_with(
+/// [`plan`], rebuilt in `plan`'s buffers, keeping the layer times the TP
+/// speedup looks up in `times`.
+fn plan_into(
     sim: &Simulator,
     cfg: &RraConfig,
     b_d: usize,
     times: &mut LayerTimes,
-) -> Result<RraPlan, SimError> {
+    plan: &mut RraPlan,
+) -> Result<(), SimError> {
     let n = sim.cluster().total_gpus();
-    let stages_f = if cfg.tp.is_none() {
-        lossless_f64(n)
-    } else if cfg.tp.degree > 0 && cfg.tp.gpus.is_multiple_of(cfg.tp.degree) {
-        lossless_f64(((n.saturating_sub(cfg.tp.gpus)) + cfg.tp.gpus / cfg.tp.degree).max(1))
-    } else {
-        lossless_f64(n)
-    };
+    let stages_f = lossless_f64(PipelineLayout::stage_count(n, cfg.tp));
     let speedup = sim.tp_speedup(
         cfg.tp,
         (lossless_f64(cfg.b_e) / stages_f).max(1.0),
         lossless_f64(b_d) / stages_f.max(1.0),
         times,
     )?;
-    let layout = PipelineLayout::build(n, cfg.tp, speedup, sim.cluster().gpus_per_node())?;
-    RraPlan::allocate(sim, layout)
+    plan.layout.rebuild(n, cfg.tp, speedup, sim.cluster().gpus_per_node())?;
+    plan.reallocate(sim)
 }
 
 /// The worst stage's footprint: its parameter slice, its share of the

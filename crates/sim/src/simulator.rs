@@ -13,7 +13,7 @@ use crate::config::{RraConfig, ScheduleConfig, TpConfig, WaaConfig, Workload};
 use crate::error::SimError;
 use crate::estimate::{Estimate, Perf};
 use crate::layout::{LayerTimes, Pass};
-use crate::{rra, waa};
+use crate::scorer::Scorer;
 
 /// Fraction of device memory usable by the schedule (the rest is reserved
 /// for workspace buffers, fragmentation and the framework, as in real
@@ -117,48 +117,56 @@ impl Simulator {
         &self.cache
     }
 
-    /// Evaluates either schedule family.
+    /// A [`Scorer`] over this simulator: the estimator every evaluation
+    /// goes through. A caller that evaluates many configurations keeps one
+    /// (a search keeps one per worker thread), so its handles into the
+    /// evaluation cache and its plan buffers stay warm.
+    pub fn scorer(&self) -> Scorer<'_> {
+        Scorer::new(self)
+    }
+
+    /// Evaluates either schedule family, on a fresh [`Scorer`].
     ///
     /// Not memoized: each call computes the whole estimate afresh, over the
     /// cache's completion analyses and decode stage grids, and leaves the
-    /// hit/miss counters alone. A search that reads only latency and
-    /// throughput calls [`Simulator::score`] instead.
+    /// hit/miss counters alone. A caller that evaluates many configurations
+    /// keeps a [`Simulator::scorer`] instead.
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] if the configuration is invalid, does not fit in
     /// memory, or cannot reach a steady state.
     pub fn evaluate(&self, cfg: &ScheduleConfig) -> Result<Estimate, SimError> {
-        match cfg {
-            ScheduleConfig::Rra(c) => self.evaluate_rra(c),
-            ScheduleConfig::Waa(c) => self.evaluate_waa(c),
-        }
+        self.scorer().evaluate(cfg)
     }
 
-    /// Evaluates an RRA schedule (see [`RraConfig`]).
+    /// Evaluates an RRA schedule (see [`RraConfig`]), on a fresh
+    /// [`Scorer`].
     ///
     /// # Errors
     ///
     /// See [`Simulator::evaluate`].
     pub fn evaluate_rra(&self, cfg: &RraConfig) -> Result<Estimate, SimError> {
-        rra::evaluate(self, cfg)
+        self.scorer().evaluate_rra(cfg)
     }
 
-    /// Evaluates a WAA schedule (see [`WaaConfig`]).
+    /// Evaluates a WAA schedule (see [`WaaConfig`]), on a fresh
+    /// [`Scorer`].
     ///
     /// # Errors
     ///
     /// See [`Simulator::evaluate`].
     pub fn evaluate_waa(&self, cfg: &WaaConfig) -> Result<Estimate, SimError> {
-        waa::evaluate(self, cfg)
+        self.scorer().evaluate_waa(cfg)
     }
 
     /// The [`Perf`] of a configuration: [`Simulator::evaluate`]'s latency
-    /// and throughput, bit for bit, or [`Perf::INFEASIBLE`] where it errs.
-    /// Not memoized: a search that repeats is remembered whole, by
-    /// [`Simulator::remembered_search`].
+    /// and throughput, bit for bit, or [`Perf::INFEASIBLE`] where it errs,
+    /// on a fresh [`Scorer`]. Not memoized: a search scores its points on
+    /// its workers' scorers, and a search that repeats is remembered whole,
+    /// by [`Simulator::remembered_search`].
     pub fn score(&self, cfg: &ScheduleConfig) -> Perf {
-        Perf::of(&self.evaluate(cfg))
+        self.scorer().score(cfg)
     }
 
     /// The outcome of the search that `options` encodes, on this
@@ -180,8 +188,9 @@ impl Simulator {
     /// Resolves the pipeline plan (layout + per-stage layer allocations) of
     /// an RRA configuration whose decode pool size is `b_d` (as returned in
     /// [`Estimate`](crate::Estimate)`::breakdown.decode_batch`). The runner
-    /// uses the same plan the simulator timed: the evaluation builds it with
-    /// the same function. Plans are not memoized; each call builds one.
+    /// uses the same plan the simulator timed: the evaluation rebuilds it in
+    /// its scorer's buffers with the same function. Plans are not memoized;
+    /// each call builds one.
     ///
     /// # Errors
     ///
@@ -192,7 +201,8 @@ impl Simulator {
     }
 
     /// Resolves the group split and pipeline plans of a WAA configuration,
-    /// with the function the evaluation uses. Each call builds the plan.
+    /// with the function the evaluation rebuilds it with in place. Each
+    /// call builds the plan.
     ///
     /// # Errors
     ///

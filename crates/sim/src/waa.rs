@@ -51,18 +51,36 @@ pub struct WaaPlan {
     pub kv_layers: usize,
 }
 
-/// Validates a WAA configuration and resolves its group split and layouts.
-pub(crate) fn plan(sim: &Simulator, cfg: &WaaConfig) -> Result<WaaPlan, SimError> {
-    plan_with(sim, cfg, &mut LayerTimes::default())
+impl WaaPlan {
+    /// A plan of no stages, for [`plan_into`] to fill.
+    pub(crate) fn empty() -> Self {
+        Self {
+            n_enc: 0,
+            enc_layout: PipelineLayout::empty(),
+            enc_alloc: Vec::new(),
+            dec_layout: PipelineLayout::empty(),
+            dec_alloc: Vec::new(),
+            b_d: 0,
+            kv_layers: 0,
+        }
+    }
 }
 
-/// [`plan`], keeping the layer times the group split and the TP speedup
-/// look up in `times`.
-fn plan_with(
+/// Validates a WAA configuration and resolves its group split and layouts.
+pub(crate) fn plan(sim: &Simulator, cfg: &WaaConfig) -> Result<WaaPlan, SimError> {
+    let mut plan = WaaPlan::empty();
+    plan_into(sim, cfg, &mut LayerTimes::default(), &mut plan)?;
+    Ok(plan)
+}
+
+/// [`plan`], rebuilt in `plan`'s buffers, keeping the layer times the group
+/// split and the TP speedup look up in `times`.
+fn plan_into(
     sim: &Simulator,
     cfg: &WaaConfig,
     times: &mut LayerTimes,
-) -> Result<WaaPlan, SimError> {
+    plan: &mut WaaPlan,
+) -> Result<(), SimError> {
     if cfg.b_e == 0 {
         return Err(SimError::InvalidConfig { what: "b_e", why: "must be at least 1".into() });
     }
@@ -118,14 +136,15 @@ fn plan_with(
     };
     let n_dec = n - n_e;
 
+    let WaaPlan { enc_layout, enc_alloc, dec_layout, dec_alloc, .. } = plan;
     let enc_stages = n_e.min(enc_layers);
-    let enc_layout = PipelineLayout::build(
+    enc_layout.rebuild(
         enc_stages,
         crate::config::TpConfig::none(),
         1.0,
         sim.cluster().gpus_per_node(),
     )?;
-    let enc_alloc = enc_layout.allocate_layers(enc_layers)?;
+    enc_layout.allocate_layers_into(enc_layers, enc_alloc)?;
 
     if cfg.tp.gpus > n_dec {
         return Err(SimError::InvalidConfig {
@@ -135,8 +154,8 @@ fn plan_with(
     }
     let micro = lossless_f64(b_d) / lossless_f64(cfg.b_m);
     let speedup = sim.tp_speedup(cfg.tp, lossless_f64(cfg.b_e), micro, times)?;
-    let dec_layout = PipelineLayout::build(n_dec, cfg.tp, speedup, sim.cluster().gpus_per_node())?;
-    let dec_alloc = dec_layout.allocate_layers(dec_layers)?;
+    dec_layout.rebuild(n_dec, cfg.tp, speedup, sim.cluster().gpus_per_node())?;
+    dec_layout.allocate_layers_into(dec_layers, dec_alloc)?;
 
     // Decoder-only models hand over the full prefill KV (all layers);
     // encoder-decoder models hand over the cross-attention KV.
@@ -144,14 +163,20 @@ fn plan_with(
         ModelKind::DecoderOnly => sim.model().num_layers(),
         ModelKind::EncoderDecoder => dec_layers,
     };
-    Ok(WaaPlan { n_enc: n_e, enc_layout, enc_alloc, dec_layout, dec_alloc, b_d, kv_layers })
+    (plan.n_enc, plan.b_d, plan.kv_layers) = (n_e, b_d, kv_layers);
+    Ok(())
 }
 
-pub(crate) fn evaluate(sim: &Simulator, cfg: &WaaConfig) -> Result<Estimate, SimError> {
+/// Estimates `cfg`, rebuilding its plan in `plan`'s buffers.
+pub(crate) fn evaluate(
+    sim: &Simulator,
+    plan: &mut WaaPlan,
+    cfg: &WaaConfig,
+) -> Result<Estimate, SimError> {
     // The group split and the TP speedup look up the encode pass's layer
     // time, and with TP the decode pass's at B_D / B_m: both are reused.
     let mut times = LayerTimes::default();
-    let plan = plan_with(sim, cfg, &mut times)?;
+    plan_into(sim, cfg, &mut times, plan)?;
     let (enc_layout, enc_alloc) = (&plan.enc_layout, &plan.enc_alloc);
     let (dec_layout, dec_alloc) = (&plan.dec_layout, &plan.dec_alloc);
     let (b_d, kv_layers) = (plan.b_d, plan.kv_layers);

@@ -2,9 +2,11 @@
 //! the latency and throughput of freshly computed estimates, for both
 //! schedule families, and infeasible exactly where the estimator errs;
 //! estimates over warm completion and decode-grid layers are bit-identical
-//! to cold ones; and a remembered search returns what the search returned
-//! when it ran, infeasible outcomes and counters included, for the cluster
-//! and workload it ran on only.
+//! to cold ones; a `Scorer` reused across any sequence of configurations
+//! returns what a fresh one returns for each, errors included; and a
+//! remembered search returns what the search returned when it ran,
+//! infeasible outcomes and counters included, for the cluster and workload
+//! it ran on only.
 
 use std::sync::{Arc, OnceLock};
 
@@ -13,27 +15,43 @@ use exegpt_dist::LengthDist;
 use exegpt_model::ModelConfig;
 use exegpt_profiler::{ProfileOptions, Profiler};
 use exegpt_sim::{
-    Perf, RraConfig, ScheduleConfig, SearchOutcome, Simulator, TpConfig, WaaConfig, WaaVariant,
-    Workload,
+    Estimate, Perf, RraConfig, ScheduleConfig, SearchOutcome, SimError, Simulator, TpConfig,
+    WaaConfig, WaaVariant, Workload,
 };
 use exegpt_units::Secs;
 use proptest::prelude::*;
 
+/// `model` on `gpus` A40s serving task S.
+fn setup(model: ModelConfig, gpus: usize) -> Simulator {
+    let cluster = ClusterSpec::a40_cluster().subcluster(gpus).expect("fits");
+    let profile = Profiler::new(model.clone(), cluster.clone())
+        .run(&ProfileOptions::default())
+        .expect("profiles");
+    let workload = Workload::new(
+        LengthDist::truncated_normal(256.0, 252.0, 512).expect("valid"),
+        LengthDist::truncated_normal(32.0, 13.0, 80).expect("valid"),
+    );
+    Simulator::new(model, cluster, Arc::new(profile), workload)
+}
+
 /// OPT-13B on four A40s serving task S, profiled once for the whole suite.
 fn simulator() -> &'static Simulator {
     static SIM: OnceLock<Simulator> = OnceLock::new();
-    SIM.get_or_init(|| {
-        let model = ModelConfig::opt_13b();
-        let cluster = ClusterSpec::a40_cluster().subcluster(4).expect("fits");
-        let profile = Profiler::new(model.clone(), cluster.clone())
-            .run(&ProfileOptions::default())
-            .expect("profiles");
-        let workload = Workload::new(
-            LengthDist::truncated_normal(256.0, 252.0, 512).expect("valid"),
-            LengthDist::truncated_normal(32.0, 13.0, 80).expect("valid"),
-        );
-        Simulator::new(model, cluster, Arc::new(profile), workload)
-    })
+    SIM.get_or_init(|| setup(ModelConfig::opt_13b(), 4))
+}
+
+/// OPT-13B on eight A40s: unlike four, its TP settings lay out pipelines
+/// of one stage count with different layer allocations (TP 2×6 and 4×4
+/// both give five stages), which a stale plan buffer would show.
+fn opt_on_eight() -> &'static Simulator {
+    static SIM: OnceLock<Simulator> = OnceLock::new();
+    SIM.get_or_init(|| setup(ModelConfig::opt_13b(), 8))
+}
+
+/// T5-11B, an encoder–decoder model, on eight A40s serving task S.
+fn t5_simulator() -> &'static Simulator {
+    static SIM: OnceLock<Simulator> = OnceLock::new();
+    SIM.get_or_init(|| setup(ModelConfig::t5_11b(), 8))
 }
 
 fn tp_strategy() -> impl Strategy<Value = TpConfig> {
@@ -108,6 +126,125 @@ proptest! {
         }
         let stats = sim.cache_stats();
         prop_assert_eq!((stats.hits, stats.misses), (1, 1));
+    }
+}
+
+/// Every TP setting the scheduler searches on `sim` (none, and each
+/// multiple of each profiled degree up to the cluster size), and three it
+/// rejects: a degree that does not divide its GPUs, more GPUs than the
+/// cluster has, and an unprofiled degree.
+fn every_tp_setting(sim: &Simulator) -> Vec<TpConfig> {
+    let n = sim.cluster().total_gpus();
+    let mut tps = vec![TpConfig::none()];
+    for degree in sim.profile().tp_degrees().into_iter().filter(|&d| d >= 2) {
+        tps.extend((degree..=n).step_by(degree).map(|gpus| TpConfig { degree, gpus }));
+    }
+    tps.extend([
+        TpConfig { degree: 2, gpus: 3 },
+        TpConfig { degree: 2, gpus: 2 * n },
+        TpConfig { degree: 3, gpus: 3 },
+    ]);
+    tps
+}
+
+/// RRA, WAA-C and WAA-M configurations at every TP setting of `sim`, over
+/// ranges that reach zero-sized (invalid) and oversized (out of memory or
+/// past the profiled batch) points. No configuration has no steady state:
+/// every query completes in some phase, so an RRA phase completes at least
+/// a `1 / max_len²` fraction of its pool, and a pool too large for that
+/// fails as past the profiled batch first.
+fn any_config(sim: &Simulator) -> impl Strategy<Value = ScheduleConfig> {
+    let tps = every_tp_setting(sim);
+    let tp = (0..tps.len()).prop_map(move |i| tps[i]);
+    let rra = (0usize..=160, 0usize..=96, tp.clone())
+        .prop_map(|(b_e, n_d, tp)| ScheduleConfig::Rra(RraConfig::new(b_e, n_d, tp)));
+    let variant = prop_oneof![Just(WaaVariant::Compute), Just(WaaVariant::Memory)];
+    let waa = (0usize..=48, 0usize..=20, tp, variant)
+        .prop_map(|(b_e, b_m, tp, v)| ScheduleConfig::Waa(WaaConfig::new(b_e, b_m, tp, v)));
+    prop_oneof![rra, waa]
+}
+
+/// What one configuration evaluated to, as `Scorer` reuse must keep it: an
+/// estimate's serialized text (equal text means equal bits) with its
+/// latency and throughput bits, or the error with its `Display` text.
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    Estimate(String, (u64, u64)),
+    Error(SimError, String),
+}
+
+impl Outcome {
+    fn of(result: Result<Estimate, SimError>) -> Self {
+        match result {
+            Ok(est) => Outcome::Estimate(
+                serde_json::to_string(&est).expect("serializes"),
+                (est.latency.as_secs().to_bits(), est.throughput.to_bits()),
+            ),
+            Err(e) => {
+                let text = e.to_string();
+                Outcome::Error(e, text)
+            }
+        }
+    }
+}
+
+/// Evaluates `cfgs` in order through one scorer of a cache-free twin of
+/// `sim`, and each also through a fresh `Simulator::evaluate` on `sim`;
+/// returns the first configuration where they differ, and otherwise every
+/// outcome's kind.
+fn reuse_mismatch(sim: &Simulator, cfgs: &[ScheduleConfig]) -> Result<Vec<&'static str>, String> {
+    let twin = sim.with_workload(sim.workload().clone());
+    let mut scorer = twin.scorer();
+    let mut kinds = Vec::new();
+    for (i, cfg) in cfgs.iter().enumerate() {
+        let got = Outcome::of(scorer.evaluate(cfg));
+        let want = Outcome::of(sim.evaluate(cfg));
+        if got != want {
+            return Err(format!("config {i} {cfg:?}: reused {got:?}, fresh {want:?}"));
+        }
+        kinds.push(match want {
+            Outcome::Estimate(..) => "ok",
+            Outcome::Error(SimError::InvalidConfig { .. }, _) => "invalid",
+            Outcome::Error(SimError::OutOfMemory { .. }, _) => "oom",
+            Outcome::Error(SimError::Profile(_), _) => "profile",
+            Outcome::Error(..) => "other",
+        });
+    }
+    Ok(kinds)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+    #[test]
+    fn a_reused_scorer_leaks_no_state_on_a_decoder_only_model(
+        cfgs in prop::collection::vec(any_config(simulator()), 1..=64),
+        wide in prop::collection::vec(any_config(opt_on_eight()), 1..=64),
+    ) {
+        prop_assert_eq!(reuse_mismatch(simulator(), &cfgs).err(), None);
+        prop_assert_eq!(reuse_mismatch(opt_on_eight(), &wide).err(), None);
+    }
+
+    #[test]
+    fn a_reused_scorer_leaks_no_state_on_an_encoder_decoder_model(
+        cfgs in prop::collection::vec(any_config(t5_simulator()), 1..=64),
+    ) {
+        prop_assert_eq!(reuse_mismatch(t5_simulator(), &cfgs).err(), None);
+    }
+}
+
+#[test]
+fn the_reuse_strategy_reaches_every_outcome() {
+    // A fixed draw from each fixture's strategy, so the properties above
+    // are known to cover feasible, invalid, out-of-memory and unprofiled
+    // points.
+    for sim in [simulator(), opt_on_eight(), t5_simulator()] {
+        let name = format!("{} on {}", sim.model().name(), sim.cluster().total_gpus());
+        let mut rng = proptest::test_rng(&name);
+        let cfgs = prop::collection::vec(any_config(sim), 400).generate(&mut rng);
+        let kinds = reuse_mismatch(sim, &cfgs).expect("a reused scorer matches fresh ones");
+        for kind in ["ok", "invalid", "oom", "profile"] {
+            assert!(kinds.contains(&kind), "{name} draws no {kind} point");
+        }
     }
 }
 
