@@ -65,11 +65,20 @@ cargo test --offline --release -q -p exegpt-bench --test figures_cli -- --includ
 # in the release code the benchmark times.
 cargo test --offline --release -q -p exegpt-profiler
 cargo test --offline --release -q -p exegpt-runner --test report_digest
+# The KV tracker is reached only through handles: a warm tracker's admit,
+# grow and release cycle must not allocate in the release code the
+# benchmark times.
+cargo test --offline --release -q -p exegpt-runner --test kv_alloc
 # The benchmark times the serve step in release too: its KV-peak digest,
 # the check that the serve step and the offline replay, which share one
 # phase body, agree on the same closed-loop stream, and the fault layer
 # that serve-adapt's GPU failure runs through.
 cargo test --offline --release -q -p exegpt-serve --test kv_peak --test agreement --test faults
+# And the fleet loop, with its metric handles and tenant table, in the
+# release code fleet-tenants times: single-replica equivalence,
+# determinism, conservation through a replica loss, and the rejection of a
+# trace that repeats a request id.
+cargo test --offline --release -q -p exegpt-fleet --test fleet
 
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --quiet

@@ -8,7 +8,7 @@
 //! the maximum output length.
 
 use exegpt_runner::{
-    windowed_throughput, KvTracker, ReservePolicy, RunError, RunOptions, RunReport,
+    windowed_throughput, KvSlot, KvTracker, ReservePolicy, RunError, RunOptions, RunReport,
 };
 use exegpt_sim::{Breakdown, Estimate, MemoryReport, Pass, SimError, Simulator};
 use exegpt_units::Secs;
@@ -188,14 +188,12 @@ impl FasterTransformer {
 
         while !pending.is_empty() {
             // Assemble the next static batch.
-            let mut batch_reqs: Vec<Request> = Vec::with_capacity(batch);
+            let mut batch_reqs: Vec<(Request, KvSlot)> = Vec::with_capacity(batch);
             while batch_reqs.len() < batch {
                 let Some(req) = pending.last().copied() else { break };
-                if kv.try_admit(req.id, req.input_len, s_dist_max).is_none() {
-                    break;
-                }
+                let Some(slot) = kv.try_admit(req.id, req.input_len, s_dist_max) else { break };
                 pending.pop();
-                batch_reqs.push(req);
+                batch_reqs.push((req, slot));
             }
             if batch_reqs.is_empty() {
                 return Err(RunError::Stalled {
@@ -206,7 +204,7 @@ impl FasterTransformer {
             let t_start = t;
             let b = batch_reqs.len();
             let mean_in: f64 =
-                batch_reqs.iter().map(|r| r.input_len as f64).sum::<f64>() / b as f64;
+                batch_reqs.iter().map(|(r, _)| r.input_len as f64).sum::<f64>() / b as f64;
 
             // Prefill.
             let m_e = (2 * stages).min(b).max(1);
@@ -216,7 +214,7 @@ impl FasterTransformer {
             t += (enc_stage * (stages + m_e - 1) as f64).as_secs();
 
             // Decode to the batch's longest output with no early termination.
-            let s_batch = batch_reqs.iter().map(|r| r.output_len).max().unwrap_or(0);
+            let s_batch = batch_reqs.iter().map(|(r, _)| r.output_len).max().unwrap_or(0);
             let m_d = stages.min(b).max(1);
             let micro = b as f64 / m_d as f64;
             for u in 1..=s_batch {
@@ -227,9 +225,9 @@ impl FasterTransformer {
                 t += (worst * m_d as f64).as_secs();
             }
 
-            for req in batch_reqs {
+            for (req, slot) in batch_reqs {
                 tokens += req.output_len as u64;
-                kv.release(req.id);
+                kv.release(slot);
                 latencies.push(t - t_start);
                 completions.push(t);
             }

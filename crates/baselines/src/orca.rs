@@ -303,7 +303,7 @@ impl Orca {
                 kv.grow_slot_or_clamp(running[i].kv_slot, 1);
                 if running[i].progress >= running[i].req.output_len {
                     let done = running.swap_remove(i);
-                    kv.release(done.req.id);
+                    kv.release(done.kv_slot);
                     latencies.push(t - done.t_admitted);
                     completions.push(t);
                 } else {

@@ -101,8 +101,9 @@ pub fn generate() -> Vec<Row> {
     .map(|(name, policy)| {
         let mut kv = KvTracker::new(1.0, u64::MAX >> 1, policy);
         for id in 0..KV_QUERIES {
-            let _ = kv.try_admit(id, 128, 320);
-            let _ = kv.grow(id, 128);
+            if let Some(slot) = kv.try_admit(id, 128, 320) {
+                let _ = kv.grow_slot(slot, 128);
+            }
         }
         KvPeak { policy: name.to_string(), peak_tokens: kv.peak_bytes() }
     })

@@ -53,14 +53,23 @@ pub fn pearson(x: &[f64], y: &[f64]) -> Option<f64> {
 /// assert_eq!(exegpt_dist::stats::percentile(&xs, 0.5), Some(3.0));
 /// ```
 pub fn percentile(xs: &[f64], p: f64) -> Option<f64> {
-    if xs.is_empty() {
-        return None;
-    }
-    let mut sorted: Vec<f64> = xs.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let p = p.clamp(0.0, 1.0);
-    let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    Some(sorted[rank - 1])
+    nearest_rank(&sorted(xs), p)
+}
+
+/// A sorted copy of `xs`. Unstable sorting is exact here: `total_cmp`
+/// calls two values equal only when their bits are, so every order of
+/// equal values is the same array.
+fn sorted(xs: &[f64]) -> Vec<f64> {
+    let mut sorted = xs.to_vec();
+    sorted.sort_unstable_by(f64::total_cmp);
+    sorted
+}
+
+/// The `p`-th percentile (nearest-rank) of an ascending sample.
+fn nearest_rank(sorted: &[f64], p: f64) -> Option<f64> {
+    let n = sorted.len();
+    let rank = ((p.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n.max(1));
+    sorted.get(rank - 1).copied()
 }
 
 /// Mean of a sample (`None` if empty).
@@ -120,16 +129,16 @@ pub struct Summary {
 /// assert_eq!(s.max, 100.0);
 /// ```
 pub fn summary(xs: &[f64]) -> Option<Summary> {
-    if xs.is_empty() {
-        return None;
-    }
-    let mut sorted: Vec<f64> = xs.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let pick = |p: f64| {
-        let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        sorted[rank - 1]
-    };
+    summary_in_place(&mut xs.to_vec())
+}
+
+/// [`summary`] without the copy: sorts `xs` in place (ascending by
+/// `total_cmp`), then summarizes it. Same result, bit for bit.
+pub fn summary_in_place(xs: &mut [f64]) -> Option<Summary> {
+    xs.sort_unstable_by(f64::total_cmp);
+    let sorted = &*xs;
     let max = *sorted.last()?;
+    let pick = |p| nearest_rank(sorted, p).unwrap_or(max);
     Some(Summary {
         count: sorted.len(),
         mean: sorted.iter().sum::<f64>() / sorted.len() as f64,
@@ -145,8 +154,9 @@ pub fn summary(xs: &[f64]) -> Option<Summary> {
 ///
 /// Returns `None` for an empty sample.
 pub fn pctl99_half_range(xs: &[f64]) -> Option<f64> {
-    let hi = percentile(xs, 0.99)?;
-    let lo = percentile(xs, 0.01)?;
+    let sorted = sorted(xs);
+    let hi = nearest_rank(&sorted, 0.99)?;
+    let lo = nearest_rank(&sorted, 0.01)?;
     Some((hi - lo) / 2.0)
 }
 
@@ -197,6 +207,39 @@ mod tests {
         assert_eq!(Some(s.p99), percentile(&xs, 0.99));
         assert_eq!(s.max, xs.iter().copied().fold(f64::MIN, f64::max));
         assert_eq!(summary(&[]), None);
+    }
+
+    #[test]
+    fn summary_in_place_sorts_and_matches_summary() {
+        let xs: Vec<f64> = (0..257).map(|i| ((i * 53) % 101) as f64 - 50.0).collect();
+        let mut ys = xs.clone();
+        let s = summary_in_place(&mut ys).expect("non-empty");
+        assert_eq!(Some(s), summary(&xs));
+        assert!(ys.windows(2).all(|w| w[0] <= w[1]), "sorted in place");
+        for (got, p) in [(s.p50, 0.50), (s.p95, 0.95), (s.p99, 0.99)] {
+            assert_eq!(got.to_bits(), stable_percentile(&xs, p).to_bits(), "p = {p}");
+        }
+        assert_eq!(summary_in_place(&mut []), None);
+    }
+
+    /// The nearest-rank percentile over a stably sorted copy, as every
+    /// percentile here was once computed.
+    fn stable_percentile(xs: &[f64], p: f64) -> f64 {
+        let mut sorted = xs.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+        sorted[rank - 1]
+    }
+
+    #[test]
+    fn half_range_matches_two_percentiles_bit_for_bit() {
+        let xs: Vec<f64> = (0..1_000).map(|i| ((i * 7_919) % 997) as f64 * 0.37 - 5.0).collect();
+        for n in [1, 2, 3, 99, 100, 101, 1_000] {
+            let xs = &xs[..n];
+            let want = (stable_percentile(xs, 0.99) - stable_percentile(xs, 0.01)) / 2.0;
+            assert_eq!(pctl99_half_range(xs).map(f64::to_bits), Some(want.to_bits()), "n = {n}");
+        }
+        assert_eq!(pctl99_half_range(&[]), None);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
 
 use exegpt_faults::{FaultKind, FaultSchedule};
-use exegpt_serve::{Completion, Metrics, MetricsSnapshot, StepOutcome};
+use exegpt_serve::{Completion, HistogramId, Metrics, MetricsSnapshot, StepOutcome};
 use exegpt_units::Secs;
 use exegpt_workload::{TenantRequest, TimedRequest};
 use serde::Serialize;
@@ -173,9 +173,9 @@ impl Fleet {
     ///
     /// # Errors
     ///
-    /// Returns [`FleetError::InvalidConfig`] when the trace is unsorted or
-    /// references an unknown SLO class, and [`FleetError::Serve`] when a
-    /// replica's loop fails.
+    /// Returns [`FleetError::InvalidConfig`] when the trace is unsorted,
+    /// repeats a request id or references an unknown SLO class, and
+    /// [`FleetError::Serve`] when a replica's loop fails.
     pub fn run(self, trace: Vec<TenantRequest>) -> Result<FleetReport, FleetError> {
         let n_classes = self.opts.classes.len();
         for pair in trace.windows(2) {
@@ -196,7 +196,10 @@ impl Fleet {
             });
         }
 
+        let tenants = Tenants::new(&trace)?;
         let n = self.specs.len();
+        let mut metrics = Metrics::new();
+        let ids = FleetMetrics::resolve(&mut metrics, n);
         let mut state = RunState {
             handles: self.specs.into_iter().map(ReplicaHandle::new).collect(),
             router: Router::new(self.opts.policy),
@@ -207,10 +210,9 @@ impl Fleet {
             wake_seq: vec![0; n],
             scheduled: vec![None; n],
             cands: Vec::with_capacity(n),
-            e2e_names: (0..n).map(|r| format!("replica{r}_e2e")).collect(),
-            origin: BTreeMap::new(),
-            tenants: BTreeMap::new(),
-            metrics: Metrics::new(),
+            tenants,
+            metrics,
+            ids,
             events: FleetEventLog::new(),
             makespan: 0.0,
             dispatched: 0,
@@ -298,6 +300,84 @@ impl Fleet {
     }
 }
 
+/// The tenant table of one run: every tenant of the trace and the tenant
+/// of every request, built once from the trace and binary-searched.
+struct Tenants {
+    /// Accounting per tenant, ascending tenant id.
+    accs: Vec<TenantAcc>,
+    /// (request id, index into `accs`) of every trace request, ascending
+    /// id.
+    by_id: Vec<(u64, usize)>,
+}
+
+impl Tenants {
+    /// The table of `trace`. Each tenant takes the class of its first
+    /// request.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FleetError::InvalidConfig`] when two requests share an id.
+    fn new(trace: &[TenantRequest]) -> Result<Self, FleetError> {
+        let mut ids: Vec<u32> = trace.iter().map(|r| r.tenant).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let accs = ids.into_iter().map(|tenant| TenantAcc { tenant, ..TenantAcc::default() });
+        let mut table = Self { accs: accs.collect(), by_id: Vec::with_capacity(trace.len()) };
+        // Backwards, so each tenant's class is last set by its first request.
+        for r in trace.iter().rev() {
+            let i = table.index(r.tenant).unwrap_or_default();
+            if let Some(acc) = table.accs.get_mut(i) {
+                acc.class = r.class;
+            }
+            table.by_id.push((r.request.request.id, i));
+        }
+        table.by_id.sort_unstable_by_key(|&(id, _)| id);
+        if let Some(pair) = table.by_id.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+            return Err(FleetError::InvalidConfig {
+                what: "trace",
+                why: format!("request id {} appears more than once", pair[0].0),
+            });
+        }
+        Ok(table)
+    }
+
+    /// The index in `accs` of tenant `tenant`.
+    fn index(&self, tenant: u32) -> Option<usize> {
+        self.accs.binary_search_by_key(&tenant, |acc| acc.tenant).ok()
+    }
+
+    /// The index in `accs` of the tenant that sent request `id`.
+    fn origin(&self, id: u64) -> Option<usize> {
+        let at = self.by_id.binary_search_by_key(&id, |&(id, _)| id).ok()?;
+        self.by_id.get(at).map(|&(_, tenant)| tenant)
+    }
+}
+
+/// Handles of the metrics the fleet updates per request, resolved once
+/// when the run starts.
+struct FleetMetrics {
+    e2e: HistogramId,
+    queue_wait: HistogramId,
+    dispatch_headroom_bytes: HistogramId,
+    dispatch_outstanding: HistogramId,
+    /// Each replica's `replica{r}_e2e`.
+    replica_e2e: Vec<HistogramId>,
+}
+
+impl FleetMetrics {
+    fn resolve(m: &mut Metrics, replicas: usize) -> Self {
+        Self {
+            e2e: m.histogram_id("e2e"),
+            queue_wait: m.histogram_id("queue_wait"),
+            dispatch_headroom_bytes: m.histogram_id("dispatch_headroom_bytes"),
+            dispatch_outstanding: m.histogram_id("dispatch_outstanding"),
+            replica_e2e: (0..replicas)
+                .map(|r| m.histogram_id(&format!("replica{r}_e2e")))
+                .collect(),
+        }
+    }
+}
+
 /// Heap-entry kinds, in tie-break order at one instant.
 const K_CONTROL: u8 = 0;
 const K_ARRIVAL: u8 = 1; // arrivals live in the trace iterator, not the heap
@@ -348,7 +428,10 @@ enum Control {
 }
 
 /// Per-tenant running accounting.
+#[derive(Default)]
 struct TenantAcc {
+    tenant: u32,
+    /// The class of the tenant's first request.
     class: u32,
     dispatched: usize,
     rejected: usize,
@@ -377,14 +460,12 @@ struct RunState {
     /// Routing candidates, refilled by [`RunState::fill_candidates`] at
     /// every dispatch and reroute.
     cands: Vec<Candidate>,
-    /// Each replica's `replica{r}_e2e` histogram name, built once.
-    e2e_names: Vec<String>,
-    /// Request id → originating tenant of every request in flight, for
-    /// completion and reroute accounting (a completion takes its entry
-    /// out).
-    origin: BTreeMap<u64, u32>,
-    tenants: BTreeMap<u32, TenantAcc>,
+    /// Per-tenant accounting, and the tenant of every request for
+    /// completion and reroute accounting.
+    tenants: Tenants,
     metrics: Metrics,
+    /// Handles of the metrics updated per request.
+    ids: FleetMetrics,
     events: FleetEventLog,
     makespan: f64,
     dispatched: usize,
@@ -449,32 +530,23 @@ impl RunState {
         }
     }
 
-    fn tenant_entry(&mut self, tenant: u32, class: u32) -> &mut TenantAcc {
-        self.tenants.entry(tenant).or_insert_with(|| TenantAcc {
-            class,
-            dispatched: 0,
-            rejected: 0,
-            rerouted: 0,
-            completed: 0,
-            slo: exegpt_serve::SloOutcome::default(),
-        })
-    }
-
     /// Routes one fresh arrival.
     fn dispatch(&mut self, r: TenantRequest) {
         let t = r.request.arrival;
         self.fill_candidates();
         let class = &self.classes[r.class as usize];
+        let acc = self.tenants.index(r.tenant);
         match self.router.choose(class, &self.cands) {
             Some(replica) => {
                 let Some(c) = self.cands.iter().find(|c| c.replica == replica) else { return };
                 let (outstanding, headroom_bytes) = (c.outstanding, c.headroom_bytes);
                 self.dispatched += 1;
-                self.origin.insert(r.request.request.id, r.tenant);
-                self.tenant_entry(r.tenant, r.class).dispatched += 1;
+                if let Some(acc) = acc.and_then(|i| self.tenants.accs.get_mut(i)) {
+                    acc.dispatched += 1;
+                }
                 self.handles[replica].dispatched += 1;
-                self.metrics.observe("dispatch_headroom_bytes", headroom_bytes as f64);
-                self.metrics.observe("dispatch_outstanding", outstanding as f64);
+                self.metrics.observe_at(self.ids.dispatch_headroom_bytes, headroom_bytes as f64);
+                self.metrics.observe_at(self.ids.dispatch_outstanding, outstanding as f64);
                 self.events.push(FleetEvent::Dispatch {
                     t,
                     id: r.request.request.id,
@@ -496,7 +568,9 @@ impl RunState {
             }
             None => {
                 self.rejected += 1;
-                self.tenant_entry(r.tenant, r.class).rejected += 1;
+                if let Some(acc) = acc.and_then(|i| self.tenants.accs.get_mut(i)) {
+                    acc.rejected += 1;
+                }
                 self.events.push(FleetEvent::Reject {
                     t,
                     id: r.request.request.id,
@@ -532,14 +606,17 @@ impl RunState {
 
     /// Folds a batch of completions into tenant and fleet accounting.
     fn account(&mut self, rep: usize, completions: &[Completion]) {
+        let ids = &self.ids;
         for c in completions {
             self.completed += 1;
             self.makespan = self.makespan.max(c.t);
-            self.metrics.observe("e2e", c.e2e);
-            self.metrics.observe("queue_wait", c.queue_wait);
-            self.metrics.observe(&self.e2e_names[rep], c.e2e);
-            let Some(tenant) = self.origin.remove(&c.id) else { continue };
-            let Some(acc) = self.tenants.get_mut(&tenant) else { continue };
+            self.metrics.observe_at(ids.e2e, c.e2e);
+            self.metrics.observe_at(ids.queue_wait, c.queue_wait);
+            if let Some(&replica_e2e) = ids.replica_e2e.get(rep) {
+                self.metrics.observe_at(replica_e2e, c.e2e);
+            }
+            let Some(tenant) = self.tenants.origin(c.id) else { continue };
+            let Some(acc) = self.tenants.accs.get_mut(tenant) else { continue };
             acc.completed += 1;
             let targets = &self.classes[acc.class as usize].targets;
             let check =
@@ -636,19 +713,16 @@ impl RunState {
     /// whether a survivor took it (otherwise it counts as lost).
     fn reroute(&mut self, req: TimedRequest, from: usize, t: f64) -> bool {
         let id = req.request.id;
-        let tenant = self.origin.get(&id).copied();
-        let class_idx =
-            tenant.and_then(|tn| self.tenants.get(&tn)).map(|acc| acc.class).unwrap_or(0);
+        let tenant = self.tenants.origin(id);
+        let class_idx = tenant.and_then(|tn| self.tenants.accs.get(tn)).map_or(0, |acc| acc.class);
         self.fill_candidates();
         let class = &self.classes[class_idx as usize];
         match self.router.choose(class, &self.cands) {
             Some(to) => {
                 self.rerouted += 1;
                 self.handles[to].dispatched += 1;
-                if let Some(tn) = tenant {
-                    if let Some(acc) = self.tenants.get_mut(&tn) {
-                        acc.rerouted += 1;
-                    }
+                if let Some(acc) = tenant.and_then(|tn| self.tenants.accs.get_mut(tn)) {
+                    acc.rerouted += 1;
                 }
                 self.events.push(FleetEvent::Reroute { t, id, from, to });
                 let mut wake_at = t;
@@ -670,14 +744,15 @@ impl RunState {
     fn into_report(mut self) -> FleetReport {
         let mut weighted_violations = 0.0f64;
         let mut weighted_checked = 0.0f64;
-        let mut tenants = Vec::with_capacity(self.tenants.len());
-        for (id, acc) in &self.tenants {
+        let mut tenants = Vec::with_capacity(self.tenants.accs.len());
+        for acc in &self.tenants.accs {
             let class = &self.classes[acc.class as usize];
             weighted_violations += class.weight * acc.slo.violations as f64;
             weighted_checked += class.weight * acc.slo.checked as f64;
+            let id = acc.tenant;
             self.metrics.gauge(&format!("tenant{id}_violation_rate"), acc.slo.violation_rate());
             tenants.push(TenantReport {
-                tenant: *id,
+                tenant: id,
                 class: class.name.clone(),
                 dispatched: acc.dispatched,
                 rejected: acc.rejected,
@@ -732,7 +807,7 @@ impl RunState {
             weighted_violation_rate,
             tenants,
             replicas,
-            metrics: self.metrics.snapshot(),
+            metrics: self.metrics.into_snapshot(),
             events: self.events,
         }
     }

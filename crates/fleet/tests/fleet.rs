@@ -16,7 +16,9 @@ use std::sync::{Arc, OnceLock};
 use exegpt::Engine;
 use exegpt_cluster::ClusterSpec;
 use exegpt_faults::{FaultEvent, FaultKind, FaultSchedule};
-use exegpt_fleet::{DispatchPolicy, Fleet, FleetOptions, FleetReport, ReplicaSpec, SloClass};
+use exegpt_fleet::{
+    DispatchPolicy, Fleet, FleetError, FleetOptions, FleetReport, ReplicaSpec, SloClass,
+};
 use exegpt_model::ModelConfig;
 use exegpt_profiler::{LayerProfile, ProfileOptions, Profiler};
 use exegpt_serve::{ServeLoop, ServeOptions};
@@ -200,4 +202,37 @@ fn tight_classes_route_to_fitting_replicas() {
     assert!(report.tenants[0].slo.is_consistent());
     // Both replicas took a share: least-outstanding load-balances.
     assert!(report.replicas.iter().all(|r| r.dispatched > 0));
+}
+
+#[test]
+fn a_repeated_request_id_is_rejected() {
+    let engine = engine();
+    let schedule = engine.schedule(Secs::INFINITY).expect("schedules");
+    let build = || {
+        Fleet::new(vec![replica("solo", &engine, schedule.config)], FleetOptions::default())
+            .expect("valid fleet")
+    };
+    let mut requests = trace(0.5 * schedule.estimate.throughput, 50);
+    // Another tenant sends a request under an id already in the trace:
+    // its completion must not be credited to the first sender.
+    let mut copy = requests[40];
+    copy.tenant = 1;
+    copy.request.request.id = requests[10].request.request.id;
+    requests[40] = copy;
+    match build().run(requests) {
+        Err(FleetError::InvalidConfig { what, why }) => {
+            assert_eq!(what, "trace");
+            assert!(why.contains("appears more than once"), "{why}");
+        }
+        other => {
+            panic!("expected InvalidConfig for the trace, got {:?}", other.map(|r| r.completed))
+        }
+    }
+    // Distinct ids run, and every tenant is credited its own completions.
+    let mut requests = trace(0.5 * schedule.estimate.throughput, 50);
+    requests[40].tenant = 1;
+    let report = build().run(requests).expect("runs");
+    let completed: Vec<(u32, usize)> =
+        report.tenants.iter().map(|t| (t.tenant, t.completed)).collect();
+    assert_eq!(completed, vec![(0, 49), (1, 1)]);
 }

@@ -11,8 +11,6 @@
 //!   granted in fixed-size pages, wasting at most one partial page per
 //!   query.
 
-use std::collections::BTreeMap;
-
 use crate::slab::Slab;
 
 /// Cache reservation discipline.
@@ -42,22 +40,22 @@ pub enum ReservePolicy {
 ///
 /// let mut kv = KvTracker::new(1000.0, 1_000_000, ReservePolicy::Incremental);
 /// let slot = kv.try_admit(1, 100, 0).expect("fits");
-/// assert!(kv.grow(1, 1));
-/// assert!(kv.grow_slot(slot, 1), "the handle reaches the same entry");
-/// kv.release(1);
+/// assert!(kv.grow_slot(slot, 1));
+/// assert!(kv.grow_slot(slot, 1), "the handle keeps reaching its entry");
+/// kv.release(slot);
 /// assert_eq!(kv.used_bytes(), 0);
 /// assert!(kv.peak_bytes() > 0);
+/// assert!(!kv.grow_slot(slot, 1), "a released handle reaches nothing");
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct KvTracker {
     bytes_per_token: f64,
     capacity_bytes: u64,
     policy: ReservePolicy,
-    /// Per-query entries in a slot-reusing arena: admissions recycle the
-    /// slots of retired queries instead of allocating tree nodes.
+    /// Per-admission entries in a slot-reusing arena, reached only through
+    /// the [`KvSlot`] each admission returns: admissions recycle the slots
+    /// of released entries instead of allocating.
     entries: Slab<KvEntry>,
-    /// Query id → arena slot, for the id-keyed (release, grow) paths.
-    index: BTreeMap<u64, usize>,
     used_bytes: u64,
     peak_bytes: u64,
     /// Tokens clamped at capacity by
@@ -89,10 +87,10 @@ impl KvEntry {
     }
 }
 
-/// Handle to a resident query's entry, returned at admission: growth
-/// through it indexes the arena directly instead of looking the id up.
-/// Once its query is released the handle reaches nothing, like an unknown
-/// id, even after another query reuses the slot. Handles order by arena
+/// Handle to a resident query's entry, returned at admission: the only way
+/// to reach the entry, by indexing the arena directly. Once its entry is
+/// released the handle reaches nothing, even after another query reuses
+/// the slot (the handle carries its query's id). Handles order by arena
 /// index, the order in which an arena sweep visits their entries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct KvSlot {
@@ -123,7 +121,6 @@ impl KvTracker {
             capacity_bytes,
             policy,
             entries: Slab::new(),
-            index: BTreeMap::new(),
             used_bytes: 0,
             peak_bytes: 0,
             clamped_tokens: 0,
@@ -132,14 +129,10 @@ impl KvTracker {
         }
     }
 
-    /// Stores an entry for `id` holding `held` tokens. A re-admission of a
-    /// resident id replaces its entry (matching the previous map-backed
-    /// behaviour, which never reclaimed the overwritten reservation).
+    /// Stores a new entry for `id` holding `held` tokens. Every admission
+    /// is an entry of its own, even of an id that is already resident.
     fn store(&mut self, id: u64, held: usize) -> KvSlot {
         let slot = self.entries.insert(KvEntry { id, held, pooled_at: None });
-        if let Some(old) = self.index.insert(id, slot) {
-            self.entries.remove(old);
-        }
         KvSlot { slot, id }
     }
 
@@ -183,19 +176,10 @@ impl KvTracker {
         slot
     }
 
-    /// Grows query `id` by `tokens` newly generated tokens. Under
-    /// [`ReservePolicy::UpFront`] this is a no-op (space was pre-reserved).
-    /// Returns `false` on overflow or for an unknown id (the growth is not
-    /// applied). The id lookup aside, this is [`grow_slot`](Self::grow_slot).
-    pub fn grow(&mut self, id: u64, tokens: usize) -> bool {
-        // An unknown id gets a handle to no slot, which reaches nothing.
-        let slot = self.index.get(&id).copied().unwrap_or(usize::MAX);
-        self.grow_slot(KvSlot { slot, id }, tokens)
-    }
-
-    /// [`grow`](Self::grow) through the handle [`try_admit`](Self::try_admit)
-    /// returned: it indexes the arena directly and updates the entry in
-    /// place.
+    /// Grows the entry behind `slot` by `tokens` newly generated tokens,
+    /// in place. Under [`ReservePolicy::UpFront`] this is a no-op (space
+    /// was pre-reserved). Returns `false` on overflow or for a released
+    /// handle (the growth is not applied).
     pub fn grow_slot(&mut self, slot: KvSlot, tokens: usize) -> bool {
         if matches!(self.policy, ReservePolicy::UpFront) {
             return true;
@@ -274,11 +258,12 @@ impl KvTracker {
         self.peak_bytes = self.peak_bytes.max(bytes);
     }
 
-    /// Releases all entries of query `id` (early-termination compaction).
-    /// Unknown ids are ignored.
-    pub fn release(&mut self, id: u64) {
-        if let Some(slot) = self.index.remove(&id) {
-            if let Some(entry) = self.entries.remove(slot) {
+    /// Releases the entry behind `slot` (early-termination compaction).
+    /// A handle already released is ignored, even when another query
+    /// reuses its slot.
+    pub fn release(&mut self, slot: KvSlot) {
+        if self.entries.get_mut(slot.slot).is_some_and(|e| e.id == slot.id) {
+            if let Some(entry) = self.entries.remove(slot.slot) {
                 let bytes = self.entry_bytes(entry.held_at(self.epoch));
                 self.used_bytes = self.used_bytes.saturating_sub(bytes);
             }
@@ -295,9 +280,9 @@ impl KvTracker {
         self.peak_bytes
     }
 
-    /// Number of resident queries.
+    /// Number of resident entries.
     pub fn resident(&self) -> usize {
-        self.index.len()
+        self.entries.len()
     }
 
     /// The capacity this tracker enforces.
@@ -327,42 +312,45 @@ mod tests {
     #[test]
     fn upfront_reserves_max_output() {
         let mut ft = KvTracker::new(10.0, 10_000, ReservePolicy::UpFront);
-        assert!(ft.try_admit(1, 100, 400).is_some()); // 5000 bytes
+        let slot = ft.try_admit(1, 100, 400).expect("fits"); // 5000 bytes
         assert!(ft.try_admit(2, 100, 500).is_none()); // would be 6000 more
-        assert!(ft.grow(1, 50), "growth is free under up-front");
+        assert!(ft.grow_slot(slot, 50), "growth is free under up-front");
         assert_eq!(ft.used_bytes(), 5000);
     }
 
     #[test]
     fn incremental_grows_per_token() {
         let mut kv = KvTracker::new(10.0, 2_000, ReservePolicy::Incremental);
-        assert!(kv.try_admit(1, 100, 999).is_some());
+        let slot = kv.try_admit(1, 100, 999).expect("fits");
         assert_eq!(kv.used_bytes(), 1000);
-        assert!(kv.grow(1, 100));
+        assert!(kv.grow_slot(slot, 100));
         assert_eq!(kv.used_bytes(), 2000);
-        assert!(!kv.grow(1, 1), "capacity reached");
+        assert!(!kv.grow_slot(slot, 1), "capacity reached");
         assert_eq!(kv.used_bytes(), 2000, "failed growth is not applied");
     }
 
     #[test]
     fn release_compacts_and_keeps_peak() {
         let mut kv = KvTracker::new(1.0, 1000, ReservePolicy::Incremental);
-        assert!(kv.try_admit(1, 600, 0).is_some());
-        kv.release(1);
+        let slot = kv.try_admit(1, 600, 0).expect("fits");
+        kv.release(slot);
         assert_eq!(kv.used_bytes(), 0);
         assert_eq!(kv.peak_bytes(), 600);
-        assert!(kv.try_admit(2, 900, 0).is_some(), "space was reclaimed");
-        kv.release(42); // unknown id is fine
+        let other = kv.try_admit(2, 900, 0).expect("space was reclaimed");
+        kv.release(slot); // a released handle is fine, though its slot is reused
+        assert_eq!((kv.used_bytes(), kv.resident()), (900, 1));
+        kv.release(other);
+        assert_eq!((kv.used_bytes(), kv.resident()), (0, 0));
     }
 
     #[test]
     fn paged_rounds_to_pages() {
         let mut kv = KvTracker::new(1.0, 1000, ReservePolicy::Paged { page_tokens: 16 });
-        assert!(kv.try_admit(1, 17, 0).is_some()); // 2 pages = 32
+        let slot = kv.try_admit(1, 17, 0).expect("fits"); // 2 pages = 32
         assert_eq!(kv.used_bytes(), 32);
-        assert!(kv.grow(1, 10)); // 27 tokens still 2 pages
+        assert!(kv.grow_slot(slot, 10)); // 27 tokens still 2 pages
         assert_eq!(kv.used_bytes(), 32);
-        assert!(kv.grow(1, 10)); // 37 tokens -> 3 pages
+        assert!(kv.grow_slot(slot, 10)); // 37 tokens -> 3 pages
         assert_eq!(kv.used_bytes(), 48);
     }
 
@@ -378,7 +366,7 @@ mod tests {
             if up.try_admit(id, 100, 500).is_some() {
                 up_count += 1;
             }
-            if pg.try_admit(id, 100, 500).is_some() && pg.grow(id, 20) {
+            if pg.try_admit(id, 100, 500).is_some_and(|slot| pg.grow_slot(slot, 20)) {
                 pg_count += 1;
             }
         }
@@ -390,22 +378,24 @@ mod tests {
     #[test]
     fn admit_unchecked_may_overcommit_but_blocks_later_admissions() {
         let mut kv = KvTracker::new(1.0, 100, ReservePolicy::Incremental);
-        kv.admit_unchecked(1, 150); // migration: beyond capacity
+        let slot = kv.admit_unchecked(1, 150); // migration: beyond capacity
         assert_eq!(kv.used_bytes(), 150);
         assert!(kv.try_admit(2, 1, 0).is_none(), "over-commit blocks new admissions");
-        kv.release(1);
+        kv.release(slot);
         assert!(kv.try_admit(2, 50, 0).is_some(), "normal accounting resumes");
     }
 
     #[test]
     fn slots_are_recycled_across_admissions() {
         let mut kv = KvTracker::new(1.0, 10_000, ReservePolicy::Incremental);
+        let mut slots = Vec::new();
         for round in 0..100u64 {
+            slots.clear();
             for i in 0..8 {
-                assert!(kv.try_admit(round * 8 + i, 10, 0).is_some());
+                slots.push(kv.try_admit(round * 8 + i, 10, 0).expect("fits"));
             }
-            for i in 0..8 {
-                kv.release(round * 8 + i);
+            for &slot in &slots {
+                kv.release(slot);
             }
         }
         assert_eq!(kv.entries.capacity(), 8, "arena stays at the high-water mark");
@@ -413,9 +403,25 @@ mod tests {
     }
 
     #[test]
-    fn grow_unknown_id_fails() {
+    fn every_admission_is_its_own_entry() {
         let mut kv = KvTracker::new(1.0, 100, ReservePolicy::Incremental);
-        assert!(!kv.grow(9, 1));
+        let first = kv.try_admit(7, 10, 0).expect("fits");
+        let second = kv.try_admit(7, 20, 0).expect("fits");
+        assert_eq!((kv.used_bytes(), kv.resident()), (30, 2));
+        kv.release(first);
+        assert_eq!((kv.used_bytes(), kv.resident()), (20, 1));
+        assert!(kv.grow_slot(second, 1), "the other admission of the id stays live");
+        kv.release(second);
+        assert_eq!((kv.used_bytes(), kv.resident()), (0, 0));
+    }
+
+    #[test]
+    fn grow_released_handle_fails() {
+        let mut kv = KvTracker::new(1.0, 100, ReservePolicy::Incremental);
+        let slot = kv.try_admit(9, 10, 0).expect("fits");
+        kv.release(slot);
+        assert!(!kv.grow_slot(slot, 1));
+        assert_eq!(kv.used_bytes(), 0);
     }
 
     #[test]
@@ -425,37 +431,42 @@ mod tests {
         kv.grow_slot_or_clamp(slot, 1); // fits: 100/100
         assert_eq!((kv.used_bytes(), kv.clamped_tokens()), (100, 0));
         kv.grow_slot_or_clamp(slot, 1); // clamped at capacity
-        kv.release(1);
+        kv.release(slot);
         kv.grow_slot_or_clamp(slot, 3); // a retired query also clamps
         assert_eq!((kv.used_bytes(), kv.clamped_tokens()), (0, 4));
     }
 
     #[test]
-    fn slot_growth_matches_id_growth_up_to_capacity() {
+    fn slot_growth_matches_clamped_growth_up_to_capacity() {
         for policy in [
             ReservePolicy::Incremental,
             ReservePolicy::Paged { page_tokens: 16 },
             ReservePolicy::UpFront,
         ] {
-            let mut by_id = KvTracker::new(1.0, 400, policy);
-            let mut by_slot = by_id.clone();
+            let mut grown = KvTracker::new(1.0, 400, policy);
+            let mut clamped = grown.clone();
             let mut slots = Vec::new();
             for id in 0..3 {
-                assert!(by_id.try_admit(id, 100, 20).is_some());
-                slots.push(by_slot.try_admit(id, 100, 20).expect("fits"));
+                let slot = grown.try_admit(id, 100, 20).expect("fits");
+                assert_eq!(clamped.try_admit(id, 100, 20), Some(slot), "{policy:?}");
+                slots.push(slot);
             }
             // Enough rounds to saturate the cache and fail every growth.
             let mut failed = 0;
             for _ in 0..60 {
-                for (id, &slot) in slots.iter().enumerate() {
-                    let grown = by_id.grow(id as u64, 1);
-                    assert_eq!(grown, by_slot.grow_slot(slot, 1), "{policy:?}");
-                    failed += usize::from(!grown);
+                for &slot in &slots {
+                    failed += u64::from(!grown.grow_slot(slot, 1));
+                    clamped.grow_slot_or_clamp(slot, 1);
                 }
-                assert_eq!(by_id, by_slot, "{policy:?}");
+                assert_eq!(
+                    (grown.used_bytes(), grown.peak_bytes()),
+                    (clamped.used_bytes(), clamped.peak_bytes()),
+                    "{policy:?}"
+                );
+                assert_eq!(clamped.clamped_tokens(), failed, "{policy:?}");
             }
             if policy == ReservePolicy::Incremental {
-                assert_eq!(by_slot.used_bytes(), 400);
+                assert_eq!(grown.used_bytes(), 400);
                 assert_eq!(failed, 3 * 60 - 100);
             }
         }
@@ -472,7 +483,7 @@ mod tests {
         assert_eq!(kv.used_bytes(), 64);
         kv.grow_slot_or_clamp(a, 1); // folds the pooled token in first
         assert_eq!(kv.used_bytes(), 66);
-        kv.release(2);
+        kv.release(b);
         assert_eq!(kv.used_bytes(), 24, "the released entry held 21 tokens");
         assert_eq!(kv.grow_pooled(39), None, "24 + 39·2 would exceed 100");
         assert_eq!(kv.used_bytes(), 24, "a refused step applies nothing");
@@ -484,7 +495,7 @@ mod tests {
     fn released_slot_reaches_nothing_even_when_reused() {
         let mut kv = KvTracker::new(1.0, 1000, ReservePolicy::Incremental);
         let old = kv.try_admit(1, 10, 0).expect("fits");
-        kv.release(1);
+        kv.release(old);
         let new = kv.try_admit(2, 10, 0).expect("fits");
         assert!(!kv.grow_slot(old, 1), "query 1 is gone although its slot is reused");
         kv.grow_slot_or_clamp(old, 1);

@@ -257,7 +257,7 @@ impl DecodePool {
             self.pos[moved.slot.index()] = i;
         }
         self.ctx_sum -= m.context(self.iter);
-        kv.release(m.query.req.id);
+        kv.release(m.slot);
         m.query
     }
 
@@ -279,7 +279,7 @@ impl DecodePool {
     /// and handing its request to `each`.
     pub fn clear(&mut self, kv: &mut KvTracker, mut each: impl FnMut(TimedRequest)) {
         for m in self.members.drain(..) {
-            kv.release(m.query.req.id);
+            kv.release(m.slot);
             each(TimedRequest { request: m.query.req, arrival: m.query.arrival });
         }
         self.heap.clear();

@@ -231,8 +231,8 @@ mod tests {
             let taken: Vec<u64> = admitted.iter().map(|(r, _)| r.request.id).collect();
             let rest: Vec<u64> = before.iter().copied().filter(|id| !taken.contains(id)).collect();
             assert_eq!(ids(&q), rest, "survivors keep FIFO order");
-            for (r, _) in &admitted {
-                kv.release(r.request.id);
+            for &(_, slot) in &admitted {
+                kv.release(slot);
             }
             seen.extend(taken);
         }

@@ -46,6 +46,11 @@ impl<T> Slab<T> {
         Some(value)
     }
 
+    /// Number of occupied slots.
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
     /// Mutable access to the value at `slot`, if occupied.
     pub(crate) fn get_mut(&mut self, slot: usize) -> Option<&mut T> {
         self.slots.get_mut(slot)?.as_mut()
@@ -76,6 +81,7 @@ mod tests {
         assert_eq!(s.insert(4), a);
         assert_eq!(s.insert(5), b);
         assert_eq!(s.capacity(), 3, "no growth past the high-water mark");
+        assert_eq!(s.len(), 3);
     }
 
     #[test]
@@ -85,6 +91,7 @@ mod tests {
         assert_eq!(s.remove(a), Some(9));
         assert_eq!(s.remove(a), None, "double remove");
         assert_eq!(s.remove(99), None, "out of range");
+        assert_eq!(s.len(), 0, "failed removes free nothing");
         assert_eq!(s.get_mut(a), None);
     }
 }

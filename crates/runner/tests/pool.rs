@@ -77,7 +77,7 @@ impl Oracle {
             }
             if a.progress >= a.req.output_len {
                 let a = self.pool.swap_remove(i);
-                self.kv.release(a.req.id);
+                self.kv.release(a.slot);
                 done.push((a.req.id, t));
             } else {
                 i += 1;
@@ -170,10 +170,11 @@ proptest! {
                 Action::Clear => {
                     let mut got = Vec::new();
                     pool.clear(&mut kv, |r| got.push(r.request.id));
-                    let want: Vec<u64> = oracle.pool.drain(..).map(|a| a.req.id).collect();
-                    for a in &want {
-                        oracle.kv.release(*a);
+                    let drained: Vec<Active> = oracle.pool.drain(..).collect();
+                    for a in &drained {
+                        oracle.kv.release(a.slot);
                     }
+                    let want: Vec<u64> = drained.iter().map(|a| a.req.id).collect();
                     assert_eq!(got, want, "drain order at step {n}");
                 }
             }

@@ -2,7 +2,9 @@
 //! double-accounting, capacity always respected, under arbitrary
 //! admit/grow/release interleavings and all three disciplines.
 
-use exegpt_runner::{KvTracker, ReservePolicy};
+use std::collections::{BTreeMap, BTreeSet};
+
+use exegpt_runner::{KvSlot, KvTracker, ReservePolicy};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -37,7 +39,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Capacity is never exceeded; releasing everything returns to zero;
-    /// the peak is the running maximum.
+    /// the peak is the running maximum. Ops name a query by id and reach
+    /// it through the handle of its latest admission, which after its
+    /// release must reach nothing.
     #[test]
     fn tracker_conserves_bytes(
         ops in prop::collection::vec(arb_op(), 1..120),
@@ -45,25 +49,32 @@ proptest! {
         capacity in 1_000u64..100_000,
     ) {
         let mut kv = KvTracker::new(1.0, capacity, policy);
-        #[expect(
-            clippy::disallowed_types,
-            reason = "test-only live-id set: membership checks and an order-independent final \
-                      release"
-        )]
-        let mut live: std::collections::HashSet<u64> = std::collections::HashSet::new();
+        let mut handles: BTreeMap<u64, KvSlot> = BTreeMap::new();
+        let mut live: BTreeSet<u64> = BTreeSet::new();
         let mut peak_seen = 0u64;
         for op in ops {
             match op {
                 Op::Admit { id, input, max_out } => {
-                    if !live.contains(&id) && kv.try_admit(id, input, max_out).is_some() {
-                        live.insert(id);
+                    if !live.contains(&id) {
+                        if let Some(slot) = kv.try_admit(id, input, max_out) {
+                            live.insert(id);
+                            handles.insert(id, slot);
+                        }
                     }
                 }
                 Op::Grow { id, tokens } => {
-                    let _ = kv.grow(id, tokens);
+                    if let Some(&slot) = handles.get(&id) {
+                        let used = kv.used_bytes();
+                        let grown = kv.grow_slot(slot, tokens);
+                        prop_assert!(grown || kv.used_bytes() == used, "failed growth applied");
+                        let released = !live.contains(&id);
+                        prop_assert!(!released || kv.used_bytes() == used, "released handle grew");
+                    }
                 }
                 Op::Release { id } => {
-                    kv.release(id);
+                    if let Some(&slot) = handles.get(&id) {
+                        kv.release(slot);
+                    }
                     live.remove(&id);
                 }
             }
@@ -73,7 +84,7 @@ proptest! {
             prop_assert_eq!(kv.resident(), live.len());
         }
         for id in live {
-            kv.release(id);
+            kv.release(handles[&id]);
         }
         prop_assert_eq!(kv.used_bytes(), 0, "bytes leaked after releasing all");
     }
@@ -89,10 +100,12 @@ proptest! {
         let mut incr = KvTracker::new(1.0, u64::MAX >> 1, ReservePolicy::Incremental);
         for (i, &(input, growth)) in admissions.iter().enumerate() {
             let id = i as u64;
-            prop_assert!(paged.try_admit(id, input, 0).is_some());
-            prop_assert!(incr.try_admit(id, input, 0).is_some());
-            prop_assert!(paged.grow(id, growth));
-            prop_assert!(incr.grow(id, growth));
+            let paged_slot = paged.try_admit(id, input, 0);
+            let incr_slot = incr.try_admit(id, input, 0);
+            prop_assert!(paged_slot.is_some());
+            prop_assert!(incr_slot.is_some());
+            prop_assert!(paged_slot.is_some_and(|slot| paged.grow_slot(slot, growth)));
+            prop_assert!(incr_slot.is_some_and(|slot| incr.grow_slot(slot, growth)));
         }
         let n = admissions.len() as u64;
         prop_assert!(paged.used_bytes() >= incr.used_bytes());

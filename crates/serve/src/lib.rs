@@ -82,7 +82,7 @@ pub use drift::{DriftCheck, DriftDetector, DriftOptions};
 pub use error::ServeError;
 pub use events::{Event, EventLog};
 pub use faults::{FaultOptions, StragglerOptions};
-pub use metrics::{Metrics, MetricsSnapshot};
+pub use metrics::{CounterId, GaugeId, HistogramId, Metrics, MetricsSnapshot};
 pub use server::{Completion, ReplicaSession, ServeLoop, ServeOptions, ServeReport, StepOutcome};
 pub use slo::{SloCheck, SloOutcome, SloTargets};
 pub use traffic::poisson_with_shift;

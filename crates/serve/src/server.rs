@@ -33,7 +33,7 @@ use crate::drift::{DriftDetector, DriftOptions};
 use crate::error::ServeError;
 use crate::events::{Event, EventLog};
 use crate::faults::{FaultLayer, FaultOptions};
-use crate::metrics::{Metrics, MetricsSnapshot};
+use crate::metrics::{CounterId, GaugeId, HistogramId, Metrics, MetricsSnapshot};
 use crate::slo::{SloOutcome, SloTargets};
 
 /// Configuration of a [`ServeLoop`].
@@ -269,6 +269,8 @@ impl ServeLoop {
     fn into_session(self, stream: Option<Vec<TimedRequest>>) -> Result<ReplicaSession, ServeError> {
         let gpus = self.healthy.total_gpus();
         let faults = self.opts.faults.clone().map(|f| FaultLayer::new(f, gpus)).transpose()?;
+        let mut metrics = Metrics::new();
+        let ids = StepMetrics::resolve(&mut metrics);
         Ok(ReplicaSession {
             engine: self.engine,
             state: ReplicaState::new(self.exec, self.opts.adjust_threshold, AdmissionQueue::new()),
@@ -281,7 +283,8 @@ impl ServeLoop {
             stream: stream.map(|v| v.into_iter().peekable()),
             inbox: VecDeque::new(),
             done: Vec::new(),
-            metrics: Metrics::new(),
+            metrics,
+            ids,
             events: EventLog::new(),
             slo_out: SloOutcome::default(),
             pending_swap: None,
@@ -376,6 +379,8 @@ pub struct ReplicaSession {
     /// Queries finished in this step's phase, with their completion times.
     done: Vec<(Finished, f64)>,
     metrics: Metrics,
+    /// Handles of the metrics updated every step.
+    ids: StepMetrics,
     events: EventLog,
     slo_out: SloOutcome,
     detector: DriftDetector,
@@ -386,6 +391,43 @@ pub struct ReplicaSession {
     faults: Option<FaultLayer>,
     /// Completions for a fleet router (fleet mode only).
     outbox: Vec<Completion>,
+}
+
+/// Handles of the metrics the serve step updates per phase or request,
+/// resolved once when the session is built.
+#[derive(Debug, Clone, Copy)]
+struct StepMetrics {
+    arrivals: CounterId,
+    admitted: CounterId,
+    rounds: CounterId,
+    encode_phases: CounterId,
+    decode_iters: CounterId,
+    completions: CounterId,
+    ttft: HistogramId,
+    e2e: HistogramId,
+    queue_wait: HistogramId,
+    per_token: HistogramId,
+    queue_depth: GaugeId,
+    pool_size: GaugeId,
+}
+
+impl StepMetrics {
+    fn resolve(m: &mut Metrics) -> Self {
+        Self {
+            arrivals: m.counter_id("arrivals"),
+            admitted: m.counter_id("admitted"),
+            rounds: m.counter_id("rounds"),
+            encode_phases: m.counter_id("encode_phases"),
+            decode_iters: m.counter_id("decode_iters"),
+            completions: m.counter_id("completions"),
+            ttft: m.histogram_id("ttft"),
+            e2e: m.histogram_id("e2e"),
+            queue_wait: m.histogram_id("queue_wait"),
+            per_token: m.histogram_id("per_token"),
+            queue_depth: m.gauge_id("queue_depth"),
+            pool_size: m.gauge_id("pool_size"),
+        }
+    }
 }
 
 impl ReplicaSession {
@@ -597,21 +639,21 @@ impl ReplicaSession {
         self.done.clear();
         let done = &mut self.done;
         let r = self.state.run_phase(factors, |f, t| done.push((f, t)))?;
-        let admitted = r.admitted;
+        let (admitted, ids) = (r.admitted, self.ids);
         if admitted > 0 {
-            self.metrics.add("admitted", admitted as u64);
+            self.metrics.add_at(ids.admitted, admitted as u64);
         }
         if r.coupled {
-            self.metrics.inc("rounds");
+            self.metrics.inc_at(ids.rounds);
             let [t_start, t_end] = r.span;
             self.events.push(Event::Round { t_start, t_end, admitted, pool: r.pool });
         } else {
             if admitted > 0 {
-                self.metrics.inc("encode_phases");
+                self.metrics.inc_at(ids.encode_phases);
                 let ([t_start, t_end], queue_depth) = (r.encode, self.state.queue.len());
                 self.events.push(Event::Encode { t_start, t_end, admitted, queue_depth });
             }
-            self.metrics.add("decode_iters", r.iters as u64);
+            self.metrics.add_at(ids.decode_iters, r.iters as u64);
             let [t_start, t_end] = r.decode;
             let (iters, completed) = (r.iters, self.done.len());
             self.events.push(Event::Decode { t_start, t_end, iters, completed });
@@ -624,14 +666,15 @@ impl ReplicaSession {
     fn account_completions(&mut self) -> bool {
         let scheduled_mean = self.state.exec().simulator().workload().output().mean();
         let mut drift_declared = false;
+        let ids = self.ids;
         for &(f, t) in &self.done {
             let d = Completion::new(&f, t);
-            self.metrics.inc("completions");
-            self.metrics.observe("ttft", d.ttft);
-            self.metrics.observe("e2e", d.e2e);
-            self.metrics.observe("queue_wait", d.queue_wait);
+            self.metrics.inc_at(ids.completions);
+            self.metrics.observe_at(ids.ttft, d.ttft);
+            self.metrics.observe_at(ids.e2e, d.e2e);
+            self.metrics.observe_at(ids.queue_wait, d.queue_wait);
             if let Some(pt) = d.per_token {
-                self.metrics.observe("per_token", pt);
+                self.metrics.observe_at(ids.per_token, pt);
             }
             let check = self.opts.slo.check(
                 Secs::new(d.ttft),
@@ -662,8 +705,8 @@ impl ReplicaSession {
                 drift_declared |= c.drifted;
             }
         }
-        self.metrics.gauge("queue_depth", self.state.queue.len() as f64);
-        self.metrics.gauge("pool_size", self.state.pool().len() as f64);
+        self.metrics.gauge_at(ids.queue_depth, self.state.queue.len() as f64);
+        self.metrics.gauge_at(ids.pool_size, self.state.pool().len() as f64);
         drift_declared
     }
 
@@ -675,7 +718,7 @@ impl ReplicaSession {
             input_len: r.request.input_len,
             output_len: r.request.output_len,
         });
-        self.metrics.inc("arrivals");
+        self.metrics.inc_at(self.ids.arrivals);
         self.state.queue.push(r);
     }
 
@@ -686,29 +729,34 @@ impl ReplicaSession {
         let throughput = if makespan > 0.0 { completed as f64 / makespan } else { 0.0 };
         self.metrics.gauge("swap_cost_total", self.swap_cost_total);
         self.metrics.gauge("kv_peak_bytes", self.state.peak_kv_bytes() as f64);
+        // One snapshot, each histogram sorted once: the report's summaries
+        // and counters are read from it.
+        let metrics = self.metrics.into_snapshot();
+        let summary = |name: &str| metrics.summaries.get(name).copied();
+        let count = |name: &str| metrics.counters.get(name).map_or(0, |&n| n as usize);
         ServeReport {
             completed,
             tokens_generated: self.state.pool().tokens(),
             makespan,
             throughput,
-            ttft: self.metrics.summary("ttft"),
-            per_token: self.metrics.summary("per_token"),
-            e2e: self.metrics.summary("e2e"),
-            queue_wait: self.metrics.summary("queue_wait"),
+            ttft: summary("ttft"),
+            per_token: summary("per_token"),
+            e2e: summary("e2e"),
+            queue_wait: summary("queue_wait"),
             slo: self.slo_out,
-            drift_checks: self.metrics.counter("drift_checks") as usize,
-            reschedules: self.metrics.counter("reschedules") as usize,
-            plan_swaps: self.metrics.counter("plan_swaps") as usize,
+            drift_checks: count("drift_checks"),
+            reschedules: count("reschedules"),
+            plan_swaps: count("plan_swaps"),
             swap_cost: self.swap_cost_total,
-            faults_injected: self.metrics.counter("faults_injected") as usize,
-            faults_detected: self.metrics.counter("faults_detected") as usize,
-            stragglers_detected: self.metrics.counter("stragglers_detected") as usize,
-            replans: self.metrics.counter("replans") as usize,
+            faults_injected: count("faults_injected"),
+            faults_detected: count("faults_detected"),
+            stragglers_detected: count("stragglers_detected"),
+            replans: count("replans"),
             replan_fallbacks: 0,
-            retries: self.metrics.counter("retries") as usize,
-            requests_lost: self.metrics.counter("requests_lost") as usize,
+            retries: count("retries"),
+            requests_lost: count("requests_lost"),
             final_schedule: self.state.exec().schedule().describe(),
-            metrics: self.metrics.snapshot(),
+            metrics,
             events: self.events,
         }
     }
