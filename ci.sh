@@ -23,7 +23,8 @@ cargo build --offline --release
 
 echo "==> xlint (unit-safety lint)"
 # The unit rules U1-U3, which no clippy or rustc lint expresses: any
-# finding fails.
+# finding fails. Each rule is kept because it catches unit slips that rustc
+# and clippy both miss (the mutation audit in DESIGN.md §6.1b).
 cargo run --offline -q -p exegpt-xlint -- --workspace
 
 echo "==> cargo test -q"

@@ -13,7 +13,7 @@ use exegpt::{RraConfig, ScheduleConfig, TpConfig};
 use exegpt_baselines::FasterTransformer;
 use exegpt_runner::{KvTracker, ReservePolicy, RunOptions, RunReport, Runner};
 use exegpt_workload::Task;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::scenarios::opt_4xa40;
 
@@ -21,7 +21,7 @@ use crate::scenarios::opt_4xa40;
 const KV_QUERIES: u64 = 256;
 
 /// Peak KV occupancy of one reservation discipline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct KvPeak {
     /// Discipline name (`up-front`, `incremental`, `paged(16)`).
     pub policy: String,
@@ -30,7 +30,7 @@ pub struct KvPeak {
 }
 
 /// One ablation's result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum Row {
     /// RRA's early termination versus FT's fixed batch, both holding the
     /// same number of queries resident.

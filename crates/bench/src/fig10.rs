@@ -5,14 +5,14 @@
 use exegpt::Policy;
 use exegpt_units::Secs;
 use exegpt_workload::Dataset;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::scenarios::{gpt39b_16xa40, opt_4xa40, System};
 use crate::support::{bounds_for, measured_exegpt, measured_ft, speedup};
 use crate::table;
 
 /// One bar group of Figure 10.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Row {
     /// Deployment name.
     pub system: String,

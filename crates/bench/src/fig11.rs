@@ -10,14 +10,14 @@ use exegpt_runner::{RunOptions, Runner};
 use exegpt_sim::Workload;
 use exegpt_units::Secs;
 use exegpt_workload::Task;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::scenarios::opt_4xa40;
 use crate::support::bounds_for;
 use crate::table;
 
 /// Which output-distribution statistic is shifted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Shift {
     /// Average length scaled by the factor.
     Average,
@@ -38,7 +38,7 @@ impl std::fmt::Display for Shift {
 }
 
 /// One bar of Figure 11.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Row {
     /// Scheduling policy under study (`WAA` for the figure; `RRA` for the
     /// §7.6 text numbers).

@@ -3,14 +3,14 @@
 
 use exegpt::Policy;
 use exegpt_workload::Task;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::scenarios::small_mid_systems;
 use crate::support::{bounds_for, measured_exegpt, measured_ft, speedup};
 use crate::table;
 
 /// One bar group of Figure 6.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Row {
     /// Deployment name.
     pub system: String,

@@ -4,14 +4,14 @@
 use exegpt_baselines::{DeepSpeedInference, FasterTransformer, IterationLevel, Orca, Vllm};
 use exegpt_runner::RunOptions;
 use exegpt_workload::Task;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::scenarios::opt_4xa40;
 use crate::support::bounds_for;
 use crate::table;
 
 /// One bar group of Figure 7.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Row {
     /// Task id.
     pub task: String,

@@ -8,7 +8,7 @@ use exegpt_cluster::ClusterSpec;
 use exegpt_model::ModelConfig;
 use exegpt_units::Secs;
 use exegpt_workload::Task;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::scenarios::System;
 use crate::table;
@@ -16,7 +16,7 @@ use crate::table;
 const GIB: f64 = (1u64 << 30) as f64;
 
 /// One deployment/task row of Figure 9, all values in GiB per GPU.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Row {
     /// Deployment name.
     pub system: String,

@@ -6,7 +6,7 @@ use std::sync::{Arc, OnceLock};
 use exegpt::Engine;
 use exegpt_cluster::ClusterSpec;
 use exegpt_model::ModelConfig;
-use exegpt_profiler::{LayerProfile, ProfileCache, ProfileOptions};
+use exegpt_profiler::{LayerProfile, ProfileCache};
 use exegpt_sim::{Simulator, Workload};
 use exegpt_workload::Task;
 
@@ -40,9 +40,7 @@ impl System {
 
     /// The cached layer profile for this deployment (profiled on first use).
     pub fn profile(&self) -> Arc<LayerProfile> {
-        cache()
-            .get_or_profile(&self.model, &self.cluster, &ProfileOptions::default())
-            .expect("scenario profiling succeeds")
+        cache().get_or_profile(&self.model, &self.cluster).expect("scenario profiling succeeds")
     }
 
     /// A simulator for this deployment under `workload`.

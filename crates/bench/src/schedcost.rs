@@ -12,7 +12,7 @@ use exegpt::{Policy, RraConfig, ScheduleConfig, SchedulerOptions, TpConfig};
 use exegpt_sim::Simulator;
 use exegpt_units::Secs;
 use exegpt_workload::Task;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::scenarios::opt_4xa40;
 use crate::support::bounds_for;
@@ -26,7 +26,7 @@ const MAX_B_E: usize = 128;
 const MAX_N_D: usize = 64;
 
 /// One search strategy's result over the same space and bound.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Row {
     /// Strategy: `branch-and-bound`, `exhaustive` or `random search`
     /// (budget-matched to branch-and-bound's evaluations).

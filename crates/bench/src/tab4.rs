@@ -4,12 +4,12 @@
 
 use exegpt_cluster::{ClusterSpec, LoadCostModel, LoadSource};
 use exegpt_model::ModelConfig;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::table;
 
 /// One row of Table 4.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Row {
     /// Model name.
     pub model: String,

@@ -8,14 +8,14 @@
 use exegpt::monotonicity::{measure_sweep, Direction};
 use exegpt_sim::{RraConfig, Simulator, TpConfig, WaaConfig, WaaVariant};
 use exegpt_workload::Task;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::scenarios::gpt39b_for_tab5;
 use crate::support::bounds_for;
 use crate::table;
 
 /// One Table 5 cell group: violations for one (task, variable, tolerance).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Row {
     /// Task id (S or T, as in the paper's excerpt).
     pub task: String,

@@ -4,14 +4,14 @@
 
 use exegpt::SchedulerOptions;
 use exegpt_workload::Task;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::scenarios::opt_4xa40;
 use crate::support::bounds_for;
 use crate::table;
 
 /// One row of Table 6.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Row {
     /// Latency bound in seconds.
     pub bound: f64,

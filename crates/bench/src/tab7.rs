@@ -5,14 +5,14 @@
 use exegpt::{Policy, SchedulerOptions};
 use exegpt_runner::{RunOptions, Runner};
 use exegpt_workload::Task;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::scenarios::opt_4xa40;
 use crate::support::bounds_for;
 use crate::table;
 
 /// One row of Table 7 (times in seconds).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Row {
     /// Schedule family.
     pub schedule: String,

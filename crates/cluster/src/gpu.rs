@@ -1,7 +1,7 @@
 //! GPU device capability descriptions.
 
 use exegpt_units::{Bytes, BytesPerSec, Flops, FlopsPerSec, Secs};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::error::ClusterError;
 
@@ -21,7 +21,7 @@ use crate::error::ClusterError;
 /// let a100 = GpuSpec::a100_80gb();
 /// assert!(a100.peak_flops() > GpuSpec::a40().peak_flops());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GpuSpec {
     name: String,
     mem_bytes: u64,

@@ -2,7 +2,7 @@
 
 use exegpt_dist::convert::lossless_f64;
 use exegpt_units::{Bytes, BytesPerSec, Secs};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::error::ClusterError;
 
@@ -24,7 +24,7 @@ use crate::error::ClusterError;
 /// let payload = Bytes::new(100e6);
 /// assert!(nv.allreduce_time(payload, 8) < pcie.allreduce_time(payload, 8) * 0.2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Interconnect {
     name: String,
     bandwidth: BytesPerSec,

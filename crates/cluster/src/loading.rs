@@ -6,12 +6,12 @@
 
 use exegpt_dist::convert::lossless_f64;
 use exegpt_units::{Bytes, Secs};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::topology::ClusterSpec;
 
 /// Where the weights are loaded from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum LoadSource {
     /// Initial deployment: weights on NVMe SSD.
     Ssd,

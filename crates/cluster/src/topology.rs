@@ -5,16 +5,14 @@ use std::hash::Hasher;
 use exegpt_dist::convert::widen_u64;
 use exegpt_dist::FnvHasher;
 use exegpt_units::BytesPerSec;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::error::ClusterError;
 use crate::gpu::GpuSpec;
 use crate::interconnect::Interconnect;
 
 /// Identifier of a GPU within a cluster (dense, `0..total_gpus`).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct GpuId(pub usize);
 
 impl std::fmt::Display for GpuId {
@@ -39,7 +37,7 @@ impl std::fmt::Display for GpuId {
 /// assert!(c.same_node(GpuId(0), GpuId(1)));
 /// assert!(!c.same_node(GpuId(0), GpuId(8)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ClusterSpec {
     name: String,
     gpu: GpuSpec,

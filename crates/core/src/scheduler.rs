@@ -36,7 +36,7 @@ use std::sync::atomic::AtomicUsize;
 use std::sync::atomic::Ordering;
 use std::sync::OnceLock;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use exegpt_dist::convert::{lossless_f64, round_usize, trunc_usize, widen_u64};
 use exegpt_sim::{
@@ -48,7 +48,7 @@ use crate::bnb::{self, BnbOptions};
 use crate::error::ScheduleError;
 
 /// A scheduling policy the scheduler may select (paper §4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Policy {
     /// Round-Robin Allocation.
     Rra,
@@ -87,12 +87,11 @@ pub struct SchedulerOptions {
     /// Restrict the search to these partial-TP settings (default: all
     /// profiled degrees at every feasible GPU count).
     pub tp_configs: Option<Vec<TpConfig>>,
-    /// Run the per-task probes on parallel threads (default true).
-    pub parallel: bool,
-    /// Worker threads of the search pool (default: the machine's available
-    /// parallelism, capped at the task count). Ignored when `parallel` is
-    /// false. [`Scheduler::schedule`] returns the same `Schedule` for every
-    /// width, so this only trades wall-clock time for CPU.
+    /// Worker threads of the search pool that runs the per-task probes
+    /// (default: the machine's available parallelism, capped at the task
+    /// count; `Some(1)` runs them serially, `Some(0)` is rejected).
+    /// [`Scheduler::schedule`] returns the same `Schedule` for every width,
+    /// so this only trades wall-clock time for CPU.
     pub pool_threads: Option<usize>,
 }
 
@@ -106,7 +105,6 @@ impl Default for SchedulerOptions {
             max_b_e: None,
             max_n_d: None,
             tp_configs: None,
-            parallel: true,
             pool_threads: None,
         }
     }
@@ -328,12 +326,9 @@ impl Scheduler {
         if tasks.len() == 1 {
             deferred.push((0, f64::INFINITY));
         } else {
-            let workers = if opts.parallel {
-                opts.pool_threads
-                    .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-            } else {
-                1
-            };
+            let workers = opts
+                .pool_threads
+                .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
             let probes = pool_map(
                 &tasks,
                 workers,
@@ -629,8 +624,8 @@ struct SearchTask {
 /// Every option that decides a search's outcome, as the words of its
 /// search-memo key. Fixed-width fields, tagged `Option`s and
 /// length-prefixed lists make the encoding injective, so equal words mean
-/// equal options. `parallel` and `pool_threads` are left out: the outcome
-/// is the same at every pool width.
+/// equal options. `pool_threads` is left out: the outcome is the same at
+/// every pool width.
 fn search_key(opts: &SchedulerOptions) -> Vec<u64> {
     let SchedulerOptions {
         latency_bound,
@@ -640,7 +635,6 @@ fn search_key(opts: &SchedulerOptions) -> Vec<u64> {
         max_b_e,
         max_n_d,
         tp_configs,
-        parallel: _,
         pool_threads: _,
     } = opts;
     let mut key = vec![
@@ -684,7 +678,9 @@ fn validate(opts: &SchedulerOptions) -> Result<(), ScheduleError> {
             why: "must request at least one policy".into(),
         });
     }
-    for (what, limit) in [("max_b_e", opts.max_b_e), ("max_n_d", opts.max_n_d)] {
+    for (what, limit) in
+        [("max_b_e", opts.max_b_e), ("max_n_d", opts.max_n_d), ("pool_threads", opts.pool_threads)]
+    {
         if limit == Some(0) {
             return Err(ScheduleError::InvalidOptions { what, why: "must be at least 1".into() });
         }
@@ -751,7 +747,7 @@ mod tests {
             }
         }
         // The pool width does not decide the outcome, so it shares the key.
-        let pooled = SchedulerOptions { parallel: false, pool_threads: Some(3), ..base.clone() };
+        let pooled = SchedulerOptions { pool_threads: Some(3), ..base.clone() };
         assert_eq!(search_key(&pooled), search_key(&base));
     }
 }

@@ -121,20 +121,12 @@ fn invalid_options_are_rejected() {
         engine.schedule_with(&opts),
         Err(ScheduleError::InvalidOptions { what: "max_n_d", .. })
     ));
-}
-
-#[test]
-fn sequential_and_parallel_search_agree() {
-    let engine = engine_task_s();
-    let bound = Secs::new(10.0);
-    let par = engine
-        .schedule_with(&SchedulerOptions { parallel: true, ..SchedulerOptions::bounded(bound) })
-        .expect("feasible");
-    let seq = engine
-        .schedule_with(&SchedulerOptions { parallel: false, ..SchedulerOptions::bounded(bound) })
-        .expect("feasible");
-    assert_eq!(par.config, seq.config);
-    assert_eq!(par.estimate, seq.estimate);
+    let opts =
+        SchedulerOptions { pool_threads: Some(0), ..SchedulerOptions::bounded(Secs::new(10.0)) };
+    assert!(matches!(
+        engine.schedule_with(&opts),
+        Err(ScheduleError::InvalidOptions { what: "pool_threads", .. })
+    ));
 }
 
 #[test]
@@ -144,19 +136,15 @@ fn schedule_is_deterministic_across_pool_widths() {
     // search-pool width. A fresh engine per run keeps the evaluation cache
     // cold, so the counters are comparable too.
     let bound = Secs::new(10.0);
-    let run = |parallel: bool, pool_threads: Option<usize>| {
+    let run = |pool_threads: Option<usize>| {
         engine_task_s()
-            .schedule_with(&SchedulerOptions {
-                parallel,
-                pool_threads,
-                ..SchedulerOptions::bounded(bound)
-            })
+            .schedule_with(&SchedulerOptions { pool_threads, ..SchedulerOptions::bounded(bound) })
             .expect("feasible")
     };
-    let reference = run(false, None);
-    assert_eq!(reference, run(true, None), "auto-width pool diverged from serial");
-    for width in [1, 2, 3, 8] {
-        assert_eq!(reference, run(true, Some(width)), "pool width {width} diverged");
+    let reference = run(Some(1));
+    assert_eq!(reference, run(None), "auto-width pool diverged from serial");
+    for width in [2, 3, 8] {
+        assert_eq!(reference, run(Some(width)), "pool width {width} diverged");
     }
 }
 
@@ -167,19 +155,18 @@ fn a_remembered_search_is_the_cold_one_at_every_pool_width() {
     // every later run is remembered whatever its width, reporting each of
     // its lookups as a cache hit.
     let engine = engine_task_s();
-    let opts = |parallel: bool, pool_threads: Option<usize>| SchedulerOptions {
-        parallel,
+    let opts = |pool_threads: Option<usize>| SchedulerOptions {
         pool_threads,
         ..SchedulerOptions::bounded(Secs::new(10.0))
     };
-    let cold = engine.schedule_with(&opts(true, Some(2))).expect("feasible");
+    let cold = engine.schedule_with(&opts(Some(2))).expect("feasible");
     assert_eq!(cold.cache_hits, 0, "a cold search answers nothing from the cache");
     let remembered = Schedule { cache_hits: cold.evals, ..cold.clone() };
-    for (parallel, width) in [(false, None), (true, None), (true, Some(1)), (true, Some(3))] {
-        let again = engine.schedule_with(&opts(parallel, width)).expect("feasible");
-        assert_eq!(again, remembered, "parallel={parallel} width={width:?}");
+    for width in [None, Some(1), Some(3)] {
+        let again = engine.schedule_with(&opts(width)).expect("feasible");
+        assert_eq!(again, remembered, "width={width:?}");
     }
-    assert_eq!(engine.simulator().cache_stats().hits, 4);
+    assert_eq!(engine.simulator().cache_stats().hits, 3);
 
     // An infeasible bound is remembered too.
     let ns = SchedulerOptions::bounded(Secs::new(1e-3));
@@ -188,7 +175,7 @@ fn a_remembered_search_is_the_cold_one_at_every_pool_width() {
         assert!(matches!(err, ScheduleError::NoFeasibleSchedule { .. }));
     }
     let stats = engine.simulator().cache_stats();
-    assert_eq!((stats.hits, stats.misses), (5, 2));
+    assert_eq!((stats.hits, stats.misses), (4, 2));
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //! scheduler size encoder batches so the pipeline stays in steady state:
 //! `B_E = B_D · Σ_U P_D(U)`.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::error::DistError;
 use crate::length::LengthDist;
@@ -27,7 +27,7 @@ use crate::length::LengthDist;
 /// assert!((c.completion_fraction() - 0.5).abs() < 0.15);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CompletionDist {
     /// `probs[u-1] = P_D(U = u)`.
     probs: Vec<f64>,

@@ -5,14 +5,14 @@
 //! This module reproduces that selection step: fit each family by moment
 //! matching and rank them by log-likelihood on the sample.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::error::DistError;
 use crate::length::LengthDist;
 use crate::stats;
 
 /// A candidate distribution family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Family {
     /// Normal truncated to the support (the paper's choice).
     TruncatedNormal,
@@ -44,7 +44,7 @@ fn complexity(family: Family) -> f64 {
 }
 
 /// One family's fit to a sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fit {
     /// The family.
     pub family: Family,

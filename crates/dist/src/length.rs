@@ -1,7 +1,7 @@
 //! Discrete sequence-length distributions.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::error::DistError;
 use crate::math;
@@ -25,7 +25,7 @@ use crate::math;
 /// assert!((total - 1.0).abs() < 1e-9);
 /// # Ok::<(), exegpt_dist::DistError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LengthDist {
     /// `pmf[i]` is the probability of length `i + 1`.
     pmf: Vec<f64>,

@@ -6,7 +6,7 @@
 //! latency-summary shape consumed by the runner's reports and the serving
 //! loop's metrics histograms.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Pearson correlation coefficient of two equal-length samples.
 ///
@@ -100,7 +100,7 @@ pub fn std_dev(xs: &[f64]) -> Option<f64> {
 /// percentile semantics (nearest-rank, as [`percentile`]).
 ///
 /// [`RunReport`]: https://docs.rs/exegpt-runner
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Summary {
     /// Number of samples.
     pub count: usize,

@@ -1,11 +1,11 @@
 //! Model configuration types.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::error::ModelError;
 
 /// Structural family of a transformer model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ModelKind {
     /// Encoder–decoder models such as T5/UL2: dedicated encoder layers encode
     /// the input once, decoder layers (with cross-attention) generate output.
@@ -19,7 +19,7 @@ pub enum ModelKind {
 ///
 /// For [`ModelKind::DecoderOnly`] every layer is a [`LayerKind::Decoder`]; the
 /// *phase* (encoding vs. decoding) is a property of the work, not the layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum LayerKind {
     /// Encoder layer: self-attention + feed-forward.
     Encoder,
@@ -46,7 +46,7 @@ pub enum LayerKind {
 /// assert_eq!(gpt.num_layers(), 96);
 /// assert_eq!(gpt.head_dim(), 128);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ModelConfig {
     name: String,
     kind: ModelKind,

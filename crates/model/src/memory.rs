@@ -3,7 +3,7 @@
 //! The WAA-M allocation policy (§4.1) and the memory-overhead evaluation
 //! (Figure 9) are driven entirely by these quantities.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::config::{LayerKind, ModelConfig};
 
@@ -17,7 +17,7 @@ use crate::config::{LayerKind, ModelConfig};
 /// let fp = MemoryFootprint { param_bytes: 10, kv_bytes: 5, activation_bytes: 1 };
 /// assert_eq!(fp.total(), 16);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct MemoryFootprint {
     /// Bytes held by model parameters.
     pub param_bytes: u64,

@@ -4,12 +4,12 @@
 //! baseline partition a model's layers into contiguous runs, one per pipeline
 //! stage. This module provides the (validated) partition type they share.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::error::ModelError;
 
 /// A half-open range `[start, end)` of layer indices owned by one stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct LayerRange {
     /// First layer index (inclusive).
     pub start: usize,
@@ -44,7 +44,7 @@ impl LayerRange {
 /// assert_eq!(p.stage(0).len() + p.stage(1).len() + p.stage(2).len() + p.stage(3).len(), 10);
 /// # Ok::<(), exegpt_model::ModelError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Partition {
     stages: Vec<LayerRange>,
 }

@@ -1,7 +1,5 @@
 //! Interpolation grids backing the profile tables.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ProfileError;
 
 /// A 1-D lookup table with piecewise-linear interpolation.
@@ -20,7 +18,7 @@ use crate::error::ProfileError;
 /// assert_eq!(g.eval(3.0), 30.0);
 /// # Ok::<(), exegpt_profiler::ProfileError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Grid1D {
     xs: Vec<f64>,
     ys: Vec<f64>,
@@ -94,6 +92,23 @@ impl Grid1D {
     pub fn xs(&self) -> &[f64] {
         &self.xs
     }
+
+    /// This grid with its first value cut to a tenth of the second
+    /// (`first`), or its last a hair below the one before, so that the
+    /// fixed segment past that end reaches zero at a finite `x`. A
+    /// single-knot grid has no such segment and stays as it is.
+    pub(crate) fn bent(&self, first: bool) -> Result<Self, ProfileError> {
+        let mut ys = self.ys.clone();
+        let n = ys.len();
+        if n >= 2 {
+            if first {
+                ys[0] = ys[1] * 0.1;
+            } else {
+                ys[n - 1] = ys[n - 2] * (1.0 - 1e-4);
+            }
+        }
+        Self::new(self.xs.clone(), ys)
+    }
 }
 
 /// One segment of a [`Grid1D`]: the single knot's value, or the line
@@ -158,7 +173,7 @@ impl Span {
 /// assert!((g.eval(1.5, 15.0) - 2.25).abs() < 1e-12);
 /// # Ok::<(), exegpt_profiler::ProfileError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Grid2D {
     xs: Vec<f64>,
     ys: Vec<f64>,

@@ -15,9 +15,6 @@
 //! (profile → simulate → schedule) and keeping the hardware substitution
 //! confined to this boundary (see `DESIGN.md`).
 //!
-//! Profiles serialize with serde so they can be saved and re-loaded, like
-//! the paper's once-per-cluster profiling step (§7.7).
-//!
 //! # Example
 //!
 //! ```

@@ -3,13 +3,12 @@
 use std::collections::BTreeMap;
 
 use exegpt_units::Secs;
-use serde::{Deserialize, Serialize};
 
 use crate::error::ProfileError;
 use crate::grid::{Cell, Grid1D, Grid2D, Piece};
 
 /// Per-tensor-parallel-degree sweep tables.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct TpTables {
     /// Encode attention kernel time over (batch, seq).
     pub enc_attn: Grid2D,
@@ -38,7 +37,7 @@ pub(crate) struct TpTables {
 /// *one* layer; callers multiply by per-stage layer counts. The underlying
 /// interpolation grids store raw seconds (`f64`) — the typed boundary is the
 /// query methods.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerProfile {
     pub(crate) model_name: String,
     pub(crate) cluster_name: String,
@@ -210,6 +209,28 @@ impl LayerProfile {
         } else {
             self.handoff_inter.eval(tokens)
         })
+    }
+
+    /// This profile with tables bent so that, beyond the knots, component
+    /// lines reach zero at positive batch sizes: the first segments of the
+    /// decode rest tables and of the handoff tables climb steeply from near
+    /// zero, and the last segments of the TP sync tables fall slowly. A
+    /// fixture for the tests of [`DecodeStageGrid::breakpoints`] and the
+    /// simulator's decode sum, built through the grids' own constructor.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProfileError::InvalidAxis`] if a bent table is invalid.
+    #[doc(hidden)]
+    pub fn bent(&self) -> Result<LayerProfile, ProfileError> {
+        let mut bent = self.clone();
+        for tables in bent.per_tp.values_mut() {
+            tables.dec_rest = tables.dec_rest.bent(true)?;
+            tables.dec_sync = tables.dec_sync.bent(false)?;
+        }
+        bent.handoff_intra = bent.handoff_intra.bent(true)?;
+        bent.handoff_inter = bent.handoff_inter.bent(true)?;
+        Ok(bent)
     }
 
     /// Time to transfer the KV-cache entries of `tokens` tokens across

@@ -2,16 +2,16 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-use exegpt_cluster::{ClusterSpec, CostModel};
-use exegpt_model::{KernelCost, LayerKind, ModelConfig, ModelKind};
-use exegpt_units::{Bytes, BytesPerSec};
 #[expect(
     clippy::disallowed_types,
     reason = "the profile cache is a leaf shared map guarded by one lock; no lock ordering, \
               no iteration-order dependence"
 )]
-use parking_lot::Mutex;
+use std::sync::Mutex;
+
+use exegpt_cluster::{ClusterSpec, CostModel};
+use exegpt_model::{KernelCost, LayerKind, ModelConfig, ModelKind};
+use exegpt_units::{Bytes, BytesPerSec};
 
 use crate::error::ProfileError;
 use crate::grid::{Grid1D, Grid2D};
@@ -246,9 +246,10 @@ fn log2_axis(max: usize) -> Vec<f64> {
     xs
 }
 
-/// A concurrency-safe cache of profiles keyed by (model, cluster, options),
-/// mirroring the paper's once-per-deployment profiling step. Benchmarks and
-/// the scheduler's parallel search share profiles through this cache.
+/// A concurrency-safe cache of profiles keyed by (model, cluster), each
+/// swept with [`ProfileOptions::default`], mirroring the paper's
+/// once-per-deployment profiling step. Benchmarks and the scheduler's
+/// parallel search share profiles through this cache.
 #[derive(Debug, Default)]
 pub struct ProfileCache {
     #[expect(
@@ -266,7 +267,7 @@ impl ProfileCache {
     }
 
     /// Returns the cached profile for `(model, cluster)`, running the sweep
-    /// on a miss.
+    /// with the default options on a miss.
     ///
     /// # Errors
     ///
@@ -275,15 +276,18 @@ impl ProfileCache {
         &self,
         model: &ModelConfig,
         cluster: &ClusterSpec,
-        opts: &ProfileOptions,
     ) -> Result<Arc<LayerProfile>, ProfileError> {
         let key =
             (model.name().to_string(), format!("{}/{}gpus", cluster.name(), cluster.total_gpus()));
-        if let Some(hit) = self.entries.lock().get(&key) {
+        // The lock guards no invariant a panicking holder could break: the
+        // map only ever gains finished profiles.
+        if let Some(hit) = self.entries.lock().unwrap_or_else(|e| e.into_inner()).get(&key) {
             return Ok(Arc::clone(hit));
         }
-        let profile = Arc::new(Profiler::new(model.clone(), cluster.clone()).run(opts)?);
-        self.entries.lock().insert(key, Arc::clone(&profile));
+        let profile = Arc::new(
+            Profiler::new(model.clone(), cluster.clone()).run(&ProfileOptions::default())?,
+        );
+        self.entries.lock().unwrap_or_else(|e| e.into_inner()).insert(key, Arc::clone(&profile));
         Ok(profile)
     }
 }
@@ -383,21 +387,12 @@ mod tests {
     }
 
     #[test]
-    fn profile_round_trips_through_serde() {
-        let p = profile(ModelConfig::opt_13b(), 4);
-        let json = serde_json::to_string(&p).expect("serializes");
-        let back: LayerProfile = serde_json::from_str(&json).expect("deserializes");
-        assert_eq!(p, back);
-    }
-
-    #[test]
     fn cache_returns_same_instance() {
         let cache = ProfileCache::new();
         let model = ModelConfig::opt_13b();
         let cluster = ClusterSpec::a40_cluster().subcluster(4).expect("fits");
-        let a =
-            cache.get_or_profile(&model, &cluster, &ProfileOptions::default()).expect("profiles");
-        let b = cache.get_or_profile(&model, &cluster, &ProfileOptions::default()).expect("cached");
+        let a = cache.get_or_profile(&model, &cluster).expect("profiles");
+        let b = cache.get_or_profile(&model, &cluster).expect("cached");
         assert!(Arc::ptr_eq(&a, &b));
     }
 

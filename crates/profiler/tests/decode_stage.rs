@@ -20,7 +20,6 @@ use exegpt_cluster::ClusterSpec;
 use exegpt_model::ModelConfig;
 use exegpt_profiler::{DecodeStageGrid, LayerProfile, ProfileOptions, Profiler};
 use proptest::prelude::*;
-use serde::{Deserialize, Serialize, Value};
 
 fn profile(model: ModelConfig, gpus: usize) -> LayerProfile {
     profile_with(model, gpus, &ProfileOptions::default())
@@ -78,42 +77,6 @@ fn fixed_segment_term_matches_direct_lookups_bit_for_bit() {
     assert!(checked >= 1000, "{checked}");
 }
 
-/// OPT-13B's profile with tables bent so that, beyond the knots, component
-/// lines reach zero at positive batch sizes: the first segments of the
-/// decode rest table and of the handoff tables climb steeply from near
-/// zero, and the last segment of the TP sync table falls slowly.
-fn bent(profile: &LayerProfile) -> LayerProfile {
-    fn field<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
-        match v {
-            Value::Object(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1,
-            _ => panic!("{key}: not an object"),
-        }
-    }
-    fn bend(grid: &mut Value, first: bool) {
-        let Value::Array(ys) = field(grid, "ys") else { panic!("a 1-D table") };
-        let y = |v: &Value| match *v {
-            Value::F64(y) => y,
-            Value::U64(y) => y as f64,
-            _ => panic!("a number"),
-        };
-        let n = ys.len();
-        if first {
-            ys[0] = Value::F64(y(&ys[1]) * 0.1);
-        } else {
-            ys[n - 1] = Value::F64(y(&ys[n - 2]) * (1.0 - 1e-4));
-        }
-    }
-    let mut v = profile.to_value();
-    let Value::Object(degrees) = field(&mut v, "per_tp") else { panic!("per-degree tables") };
-    for (_, tables) in degrees {
-        bend(field(tables, "dec_rest"), true);
-        bend(field(tables, "dec_sync"), false);
-    }
-    bend(field(&mut v, "handoff_intra"), true);
-    bend(field(&mut v, "handoff_inter"), true);
-    LayerProfile::from_value(&v).expect("deserializes")
-}
-
 /// Profiles whose decode tables have no cross-attention (OPT-13B), have it
 /// (T5-11B), have a single batch knot but many token knots (sloped
 /// collapsed grid, constant edges), a single knot everywhere, and bent
@@ -124,7 +87,7 @@ fn profiles() -> &'static [LayerProfile] {
         let one_batch = |max_seq| ProfileOptions { max_batch: 1, max_seq, ..Default::default() };
         let opt = profile(ModelConfig::opt_13b(), 4);
         vec![
-            bent(&opt),
+            opt.bent().expect("bent tables are valid"),
             opt,
             profile(ModelConfig::t5_11b(), 8),
             profile_with(ModelConfig::t5_11b(), 4, &one_batch(64)),

@@ -2,7 +2,7 @@
 
 use exegpt_dist::stats;
 use exegpt_units::Secs;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::trace::Trace;
 
@@ -12,7 +12,7 @@ use crate::trace::Trace;
 /// completed query (from the start of the query's encoding to its final
 /// token); stage-time vectors feed the Table 7 variance analysis; peak KV
 /// bytes feed the Figure 9 memory comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RunReport {
     /// Queries completed over the whole run.
     pub completed: usize,

@@ -19,7 +19,7 @@ use exegpt_fleet::{
     Fleet, FleetOptions, FleetReport, ReplicaSpec, ScaleAction, ScaleEvent, SloClass,
 };
 use exegpt_model::ModelConfig;
-use exegpt_profiler::{LayerProfile, ProfileCache, ProfileOptions};
+use exegpt_profiler::{LayerProfile, ProfileCache};
 use exegpt_runner::{RunOptions, RunReport, Runner};
 use exegpt_serve::{
     poisson_with_shift, DriftOptions, FaultOptions, ServeLoop, ServeOptions, ServeReport,
@@ -199,9 +199,8 @@ fn build_engine(
     cluster: &ClusterSpec,
     workload: Workload,
 ) -> Result<Engine, ScenarioError> {
-    let profile: Arc<LayerProfile> = cache()
-        .get_or_profile(model, cluster, &ProfileOptions::default())
-        .map_err(|e| lower_err("profile", e))?;
+    let profile: Arc<LayerProfile> =
+        cache().get_or_profile(model, cluster).map_err(|e| lower_err("profile", e))?;
     Engine::builder()
         .model(model.clone())
         .cluster(cluster.clone())

@@ -15,7 +15,7 @@ use exegpt_fleet::{
     SloClass,
 };
 use exegpt_model::ModelConfig;
-use exegpt_profiler::{ProfileCache, ProfileOptions};
+use exegpt_profiler::ProfileCache;
 use exegpt_scenario::{lower, run, toml, Lowered, Report, Scenario};
 use exegpt_serve::{poisson_with_shift, DriftOptions, ServeLoop, ServeOptions, SloTargets};
 use exegpt_sim::Workload;
@@ -35,9 +35,7 @@ fn engine_for(model: &ModelConfig, cluster: &ClusterSpec, workload: Workload) ->
     // An independent profile pass (not the scenario crate's cache):
     // profiling is deterministic, so the engines must still agree.
     let cache = ProfileCache::new();
-    let profile = cache
-        .get_or_profile(model, cluster, &ProfileOptions::default())
-        .expect("profiling succeeds");
+    let profile = cache.get_or_profile(model, cluster).expect("profiling succeeds");
     Engine::builder()
         .model(model.clone())
         .cluster(cluster.clone())

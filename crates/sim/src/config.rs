@@ -7,7 +7,7 @@
 
 use exegpt_dist::LengthDist;
 use exegpt_units::Tokens;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Partial tensor parallelism: a fixed degree applied to a subset of the
 /// pipeline's GPUs (paper §4.2, Figure 4d).
@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// total participate in such groups (so `gpus / degree` stages are fused and
 /// the remaining GPUs form single-GPU stages). The scheduler holds `degree`
 /// fixed and varies `gpus` to preserve monotonicity (§5.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct TpConfig {
     /// Tensor-parallel degree of each fused group (1 = no TP).
     pub degree: usize,
@@ -52,7 +52,7 @@ impl Default for TpConfig {
 ///
 /// The decoding batch size `B_D` is *derived* (not set): the simulator sizes
 /// it so that the expected completions per phase equal `B_E` (§6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct RraConfig {
     /// Encoder batch size `B_E`.
     pub b_e: usize,
@@ -72,7 +72,7 @@ impl RraConfig {
 
 /// Which workload estimate WAA uses to split GPUs between encoding and
 /// decoding (§4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum WaaVariant {
     /// Balance estimated *computation* time (`WAA-C`).
     Compute,
@@ -87,7 +87,7 @@ pub enum WaaVariant {
 ///
 /// The decoding batch size is derived as `B_D = B_E · S_D` where `S_D` is
 /// the mean output length (§4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct WaaConfig {
     /// Encoder batch size `B_E`.
     pub b_e: usize,
@@ -107,7 +107,7 @@ impl WaaConfig {
 }
 
 /// Either schedule family, for APIs that evaluate both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ScheduleConfig {
     /// A Round-Robin Allocation schedule.
     Rra(RraConfig),
@@ -139,7 +139,7 @@ impl ScheduleConfig {
 
 /// The sequence-length workload an NLP service presents: the distributions
 /// `P_E(S)` of input lengths and `P_D(S)` of output lengths (paper §6).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Workload {
     input: LengthDist,
     output: LengthDist,

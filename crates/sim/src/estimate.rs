@@ -2,7 +2,7 @@
 
 use exegpt_model::MemoryFootprint;
 use exegpt_units::Secs;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::error::SimError;
 
@@ -11,7 +11,7 @@ use crate::error::SimError;
 ///
 /// For WAA the encoder- and decoder-group GPUs differ; for RRA (and the
 /// baselines) the two entries are identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct MemoryReport {
     /// Footprint of one encoding-group GPU.
     pub encoder_gpu: MemoryFootprint,
@@ -30,7 +30,7 @@ impl MemoryReport {
 
 /// Timeline decomposition of an estimate, useful for debugging schedules
 /// and for the trade-off case study (Table 6).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Breakdown {
     /// Time of one encoding phase / encode-pipeline period.
     pub encode_time: Secs,
@@ -46,7 +46,7 @@ pub struct Breakdown {
 }
 
 /// The simulator's verdict on one schedule configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Estimate {
     /// Time to generate the 99th-percentile-length output, including the
     /// query's own encoding (the paper's constrained quantity, §7.1).

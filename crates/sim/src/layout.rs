@@ -5,13 +5,13 @@ use exegpt_dist::convert::{lossless_f64, trunc_usize};
 use exegpt_model::ModelConfig;
 use exegpt_profiler::{LayerProfile, ProfileError};
 use exegpt_units::{Bytes, Secs};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::config::TpConfig;
 use crate::error::SimError;
 
 /// One pipeline stage: a single GPU or a fused tensor-parallel group.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Stage {
     /// Tensor-parallel degree inside the stage (1 for a single GPU).
     pub tp: usize,
@@ -138,7 +138,7 @@ pub struct StageTimes {
 /// Layers are allocated to stages proportionally to measured stage speed so
 /// that stage times balance; [`PipelineLayout::allocate_layers`] performs
 /// the integer split.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PipelineLayout {
     stages: Vec<Stage>,
     gpus_per_node: usize,

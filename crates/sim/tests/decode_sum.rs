@@ -28,7 +28,6 @@ use exegpt_sim::rra::{decode_sum, decode_sum_scalar, evaluate_scalar};
 use exegpt_sim::{RraConfig, Simulator, TpConfig, Workload};
 use exegpt_units::Secs;
 use proptest::prelude::*;
-use serde::{Deserialize, Serialize, Value};
 
 /// The relative tolerance of the closed form.
 const TOL: f64 = 1e-12;
@@ -42,42 +41,6 @@ fn profile(model: ModelConfig, gpus: usize, opts: &ProfileOptions) -> LayerProfi
     Profiler::new(model, cluster).run(opts).expect("profiling succeeds")
 }
 
-/// `profile` with tables bent so that, beyond the knots, component lines
-/// reach zero at positive batch sizes: the first segments of the decode
-/// rest table and of the handoff tables climb steeply from near zero, and
-/// the last segment of the TP sync table falls slowly.
-fn bent(profile: &LayerProfile) -> LayerProfile {
-    fn field<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
-        match v {
-            Value::Object(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1,
-            _ => panic!("{key}: not an object"),
-        }
-    }
-    fn bend(grid: &mut Value, first: bool) {
-        let Value::Array(ys) = field(grid, "ys") else { panic!("a 1-D table") };
-        let y = |v: &Value| match *v {
-            Value::F64(y) => y,
-            Value::U64(y) => y as f64,
-            _ => panic!("a number"),
-        };
-        let n = ys.len();
-        if first {
-            ys[0] = Value::F64(y(&ys[1]) * 0.1);
-        } else {
-            ys[n - 1] = Value::F64(y(&ys[n - 2]) * (1.0 - 1e-4));
-        }
-    }
-    let mut v = profile.to_value();
-    let Value::Object(degrees) = field(&mut v, "per_tp") else { panic!("per-degree tables") };
-    for (_, tables) in degrees {
-        bend(field(tables, "dec_rest"), true);
-        bend(field(tables, "dec_sync"), false);
-    }
-    bend(field(&mut v, "handoff_intra"), true);
-    bend(field(&mut v, "handoff_inter"), true);
-    LayerProfile::from_value(&v).expect("deserializes")
-}
-
 /// OPT-13B on 4×A40, T5-11B on 8×A40, T5-11B profiled at one batch size
 /// only, and OPT-13B bent.
 fn profiles() -> &'static [LayerProfile; 4] {
@@ -86,7 +49,7 @@ fn profiles() -> &'static [LayerProfile; 4] {
         let one_batch = ProfileOptions { max_batch: 1, max_seq: 64, ..Default::default() };
         let opt = profile(ModelConfig::opt_13b(), 4, &ProfileOptions::default());
         [
-            bent(&opt),
+            opt.bent().expect("bent tables are valid"),
             opt,
             profile(ModelConfig::t5_11b(), 8, &ProfileOptions::default()),
             profile(ModelConfig::t5_11b(), 4, &one_batch),

@@ -109,19 +109,3 @@ fn empirical_workloads_are_first_class() {
     let est = sim.evaluate_rra(&RraConfig::new(16, 16, TpConfig::none())).expect("feasible");
     assert!(est.throughput > 0.0 && est.latency.is_finite());
 }
-
-/// Estimates serialize for result archival (the figures harness relies on
-/// this for its JSON output).
-#[test]
-fn estimates_round_trip_through_serde() {
-    let sim = sim_on(
-        ModelConfig::opt_13b(),
-        ClusterSpec::a40_cluster().subcluster(4).expect("fits"),
-        (128.0, 81.0, 256),
-        (128.0, 68.0, 320),
-    );
-    let est = sim.evaluate_rra(&RraConfig::new(16, 16, TpConfig::none())).expect("feasible");
-    let json = serde_json::to_string(&est).expect("serializes");
-    let back: exegpt_sim::Estimate = serde_json::from_str(&json).expect("deserializes");
-    assert_eq!(est, back);
-}

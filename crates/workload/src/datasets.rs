@@ -17,10 +17,10 @@ use exegpt_dist::{stats, DistError, LengthDist};
 use exegpt_sim::Workload;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A surrogate real-world dataset: paired (input, output) lengths.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Dataset {
     name: String,
     pairs: Vec<(usize, usize)>,

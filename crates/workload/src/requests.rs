@@ -3,14 +3,14 @@
 use exegpt_sim::Workload;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One inference request with its (enforced) sequence lengths.
 ///
 /// As in the paper's methodology (§7.1), output lengths are *enforced*: the
 /// runner decodes exactly `output_len` tokens for the query, mimicking the
 /// suppressed end-of-sequence token of the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Request {
     /// Unique id (assignment order).
     pub id: u64,

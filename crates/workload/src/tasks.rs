@@ -2,12 +2,12 @@
 
 use exegpt_dist::{DistError, LengthDist};
 use exegpt_sim::Workload;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One of the paper's evaluation tasks, with its Table 3 sequence-length
 /// statistics (truncated normal, the paper's best-fit family for public
 /// NLP datasets).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Task {
     /// Task S: summarization — long inputs, short outputs.
     Summarization,

@@ -7,7 +7,7 @@
 //! `syn`, no dependencies): comments and string literals are stripped and
 //! the token stream is matched against the rules.
 //!
-//! The rules (see DESIGN.md §6.2–§6.3 for rationale):
+//! The rules (DESIGN.md §6.2–§6.3 give the rationale, §6.1b the audit):
 //!
 //! | id | rule |
 //! |----|------|

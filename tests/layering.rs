@@ -4,6 +4,10 @@
 //! declared dependency; this test rejects a declared `[dependencies]` edge
 //! that points sideways or upward. `[dev-dependencies]` are exempt: test
 //! code may look upward.
+//!
+//! It also rejects a vendored shim that nothing uses: every
+//! `[workspace.dependencies]` entry with a `third_party/` path must be a
+//! dependency (of any kind) of at least one workspace crate.
 
 use std::path::Path;
 
@@ -56,6 +60,41 @@ fn workspace_deps(manifest: &str) -> Vec<&str> {
         }
     }
     deps
+}
+
+/// The keys of a manifest's dependency entries, in the tables whose header
+/// satisfies `table`.
+fn dependency_keys(manifest: &str, table: impl Fn(&str) -> bool) -> Vec<&str> {
+    let mut in_table = false;
+    let mut keys = Vec::new();
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_table = table(line);
+            continue;
+        }
+        let key = line.split(['=', '.', ' ']).next().unwrap_or("").trim_matches('"');
+        if in_table && line.contains('=') && !key.is_empty() {
+            keys.push(key);
+        }
+    }
+    keys
+}
+
+/// The vendored shims of the root manifest's `[workspace.dependencies]`
+/// that no manifest in `manifests` depends on.
+fn unused_shims<'a>(root: &'a str, manifests: &[&str]) -> Vec<&'a str> {
+    let shims =
+        dependency_keys(root, |t| t == "[workspace.dependencies]").into_iter().filter(|k| {
+            root.lines().any(|l| l.trim().starts_with(&format!("{k} = {{ path = \"third_party/")))
+        });
+    shims
+        .filter(|shim| {
+            !manifests.iter().any(|m| {
+                dependency_keys(m, |t| t.ends_with("dependencies]") && !t.starts_with("[workspace"))
+                    .contains(shim)
+            })
+        })
+        .collect()
 }
 
 /// Every layering violation in the manifest of the crate at `crates/<dir>`.
@@ -113,4 +152,31 @@ fn upward_same_layer_and_unknown_edges_are_rejected() {
     assert_eq!(unknown, ["`serve` depends on `exegpt-mystery`, which has no declared layer"]);
     let undeclared = violations("newcomer", "[package]\nname = \"exegpt-newcomer\"\n");
     assert_eq!(undeclared, ["crate `newcomer` has no declared layer"]);
+}
+
+#[test]
+fn every_vendored_shim_is_used() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |path: &Path| {
+        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    };
+    let root_manifest = read(&root.join("Cargo.toml"));
+    let mut manifests = vec![root_manifest.clone()];
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/ is readable") {
+        manifests.push(read(&entry.expect("directory entry").path().join("Cargo.toml")));
+    }
+    let manifests: Vec<&str> = manifests.iter().map(String::as_str).collect();
+    let unused = unused_shims(&root_manifest, &manifests);
+    assert!(unused.is_empty(), "vendored shims no workspace crate uses: {unused:?}");
+}
+
+#[test]
+fn an_unused_shim_is_reported() {
+    let root = "[workspace]\nmembers = [\"crates/*\"]\n\n[workspace.dependencies]\n\
+                rand = { path = \"third_party/rand\" }\n\
+                idle = { path = \"third_party/idle\" }\n\
+                exegpt-units = { path = \"crates/units\" }\n";
+    let user = "[package]\nname = \"exegpt-units\"\n\n[dev-dependencies]\nrand.workspace = true\n";
+    assert_eq!(unused_shims(root, &[user]), ["idle"]);
+    assert_eq!(unused_shims(root, &[root]), ["rand", "idle"], "the declaration is no use");
 }
