@@ -1,39 +1,28 @@
-//! Arbitrary-style generators for the property/fuzz harness.
+//! Generators for the property harness, deterministic from the caller's
+//! RNG.
 //!
-//! Two tiers, both fully deterministic from the caller's RNG:
-//!
-//! * [`arbitrary_scenario`] draws from the *whole* schema — every mode,
-//!   every distribution family, boundary floats (`5e-324`, `1e308`,
-//!   `1.0 / 3.0`, `inf` latency bounds) — and always satisfies
-//!   [`Scenario::validate`]. Round-trip and validation properties use it.
 //! * [`arbitrary_runnable`] draws from a narrow, cheap corner (OPT-13B on
 //!   a small A40 sub-cluster, modest request counts) so end-to-end
 //!   properties can actually execute every case while reusing one profile.
-//!
-//! [`mutate_invalid`] takes a valid scenario and breaks it in one of the
-//! documented ways (unknown tag, negative rate, empty GPU pool, unknown
-//! key, overlapping fault windows, wrong type), returning the corrupted
-//! value tree and the key path the error must name — the negative-parse
-//! property closes the loop.
+//! * [`arbitrary_fault_recovery`] draws a serve run whose faults all heal
+//!   during the backlog drain, for the exact-recovery property.
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Serialize, Value};
 
 use crate::schema::{
     ArrivalsConfig, ClassConfig, ClusterConfig, DriftConfig, E2eSpec, FaultEventConfig,
-    FaultKindConfig, FaultsConfig, FleetConfig, LengthDistConfig, Mode, ModelSpec, PoolConfig,
-    RateSpec, ReplayConfig, ReplicaConfig, Scenario, SchedulerConfig, ServeConfig, SloConfig,
-    TenantArrivals, TenantConfig, TimeSpec, WorkloadConfig, CLUSTER_PRESETS, DISPATCH_POLICIES,
-    MODEL_PRESETS, TASKS,
+    FaultKindConfig, FaultsConfig, FleetConfig, Mode, ModelSpec, PoolConfig, RateSpec,
+    ReplayConfig, ReplicaConfig, Scenario, SchedulerConfig, ServeConfig, SloConfig, TenantArrivals,
+    TenantConfig, TimeSpec, WorkloadConfig, CLUSTER_PRESETS, DISPATCH_POLICIES,
 };
 
 fn pick<'a, T>(rng: &mut StdRng, items: &'a [T]) -> &'a T {
     &items[rng.gen_range(0..items.len())]
 }
 
-/// Floats that historically break naive serializers: subnormals, huge
-/// magnitudes, and values with no short decimal form.
+/// Boundary floats: subnormals, huge magnitudes, and values with no short
+/// decimal form.
 fn boundary_float(rng: &mut StdRng) -> f64 {
     *pick(rng, &[5e-324, 1e308, 1.0 / 3.0, 0.1 + 0.2, 1.5, 123.456789012345e-7, 2.0_f64.powi(53)])
 }
@@ -41,49 +30,6 @@ fn boundary_float(rng: &mut StdRng) -> f64 {
 fn small_f64(rng: &mut StdRng, lo: f64, hi: f64) -> f64 {
     let t: f64 = rng.gen();
     lo + t * (hi - lo)
-}
-
-fn arbitrary_dist(rng: &mut StdRng) -> LengthDistConfig {
-    let max_len = rng.gen_range(64..1024_usize);
-    let mean = small_f64(rng, 1.0, max_len as f64 * 0.5);
-    let std = small_f64(rng, 0.5, mean);
-    match rng.gen_range(0..4_u32) {
-        0 => LengthDistConfig::TruncatedNormal { mean, std, max_len },
-        1 => {
-            LengthDistConfig::SkewNormal { mean, std, skewness: small_f64(rng, -8.0, 8.0), max_len }
-        }
-        2 => LengthDistConfig::LogNormal { mean, std, max_len },
-        _ => LengthDistConfig::PointMass { len: rng.gen_range(1..=max_len), max_len },
-    }
-}
-
-fn arbitrary_workload(rng: &mut StdRng) -> WorkloadConfig {
-    if rng.gen_bool(0.6) {
-        WorkloadConfig::Task {
-            task: pick(rng, TASKS).0.to_string(),
-            scale_mean: rng.gen_bool(0.3).then(|| small_f64(rng, 0.5, 2.0)),
-            scale_std: rng.gen_bool(0.2).then(|| small_f64(rng, 0.5, 2.0)),
-        }
-    } else {
-        WorkloadConfig::Custom { input: arbitrary_dist(rng), output: arbitrary_dist(rng) }
-    }
-}
-
-fn arbitrary_scheduler(rng: &mut StdRng) -> SchedulerConfig {
-    SchedulerConfig {
-        latency_bound_secs: if rng.gen_bool(0.2) {
-            f64::INFINITY
-        } else {
-            small_f64(rng, 5.0, 120.0)
-        },
-        eps_latency_frac: rng.gen_bool(0.3).then(|| small_f64(rng, 0.01, 0.5)),
-        eps_throughput_frac: rng.gen_bool(0.3).then(|| small_f64(rng, 0.01, 0.5)),
-        policies: rng.gen_bool(0.3).then(|| match rng.gen_range(0..3_u32) {
-            0 => vec!["rra".to_string()],
-            1 => vec!["rra".to_string(), "waa_compute".to_string()],
-            _ => vec!["rra".to_string(), "waa_compute".to_string(), "waa_memory".to_string()],
-        }),
-    }
 }
 
 fn arbitrary_rate(rng: &mut StdRng) -> RateSpec {
@@ -284,37 +230,6 @@ fn arbitrary_fleet(rng: &mut StdRng) -> FleetConfig {
     }
 }
 
-/// Draws a valid scenario from the whole schema (any mode, any model,
-/// boundary floats). Always passes [`Scenario::validate`]; not guaranteed
-/// cheap to *run*.
-pub fn arbitrary_scenario(rng: &mut StdRng) -> Scenario {
-    let mode = match rng.gen_range(0..3_u32) {
-        0 => Mode::Serve(arbitrary_serve(rng, 4)),
-        1 => Mode::Fleet(arbitrary_fleet(rng)),
-        _ => Mode::Replay(ReplayConfig {
-            num_queries: rng.gen_range(1..5000_usize),
-            scale_mean: rng.gen_bool(0.4).then(|| small_f64(rng, 0.5, 2.0)),
-            scale_std: rng.gen_bool(0.2).then(|| small_f64(rng, 0.5, 2.0)),
-        }),
-    };
-    let cluster = match mode {
-        Mode::Fleet(_) => None,
-        _ => Some(ClusterConfig {
-            preset: pick(rng, CLUSTER_PRESETS).0.to_string(),
-            gpus: rng.gen_bool(0.8).then(|| rng.gen_range(1..16_usize)),
-        }),
-    };
-    Scenario {
-        name: format!("arb-{}", rng.gen_range(0..1_000_000_u64)),
-        seed: rng.gen_range(0..1_000_000_u64),
-        model: ModelSpec { preset: pick(rng, MODEL_PRESETS).0.to_string() },
-        cluster,
-        workload: arbitrary_workload(rng),
-        scheduler: arbitrary_scheduler(rng),
-        mode,
-    }
-}
-
 /// Draws a scenario from the cheap runnable corner: OPT-13B on a 4-GPU A40
 /// sub-cluster (one shared profile), the translation task, bounded totals.
 /// Every case can execute end-to-end in test time.
@@ -445,115 +360,4 @@ pub fn arbitrary_fault_recovery(rng: &mut StdRng) -> Scenario {
             }),
         }),
     }
-}
-
-// --- invalid mutations ---------------------------------------------------
-
-/// Replaces the value at `path` (creating the leaf key if absent) inside
-/// an object tree.
-fn set_path(v: &mut Value, path: &[&str], new: Value) {
-    if path.is_empty() {
-        *v = new;
-        return;
-    }
-    if let Value::Object(fields) = v {
-        if let Some((_, child)) = fields.iter_mut().find(|(k, _)| k == path[0]) {
-            set_path(child, &path[1..], new);
-            return;
-        }
-        if path.len() == 1 {
-            fields.push((path[0].to_string(), new));
-        }
-    }
-}
-
-/// Breaks a valid scenario in one schema-violating way. Returns the
-/// corrupted value tree and the key path the resulting
-/// [`ScenarioError`](crate::ScenarioError) must name.
-pub fn mutate_invalid(rng: &mut StdRng, scenario: &Scenario) -> (Value, String) {
-    let mut v = scenario.to_value();
-    match rng.gen_range(0..6_u32) {
-        // Wrong type: seed becomes a string.
-        0 => {
-            set_path(&mut v, &["seed"], Value::Str("not-a-number".to_string()));
-            (v, "seed".to_string())
-        }
-        // Unknown enum tag on the workload.
-        1 => {
-            set_path(&mut v, &["workload", "kind"], Value::Str("mystery".to_string()));
-            (v, "workload.kind".to_string())
-        }
-        // Unknown model preset (structured validate error, not a panic).
-        2 => {
-            set_path(&mut v, &["model", "preset"], Value::Str("warp-9".to_string()));
-            (v, "model.preset".to_string())
-        }
-        // Unknown key injected into the scheduler table.
-        3 => {
-            set_path(&mut v, &["scheduler", "warp_speed"], Value::Bool(true));
-            (v, "scheduler.warp_speed".to_string())
-        }
-        // Negative / non-positive scheduler bound.
-        4 => {
-            set_path(&mut v, &["scheduler", "latency_bound_secs"], Value::F64(-30.0));
-            (v, "scheduler.latency_bound_secs".to_string())
-        }
-        // Empty GPU pool: serve/replay top-level cluster, or a fleet
-        // pool's cluster.
-        _ => match &scenario.mode {
-            Mode::Fleet(_) => {
-                // The first pool's cluster loses its GPUs.
-                if let Value::Object(fields) = &mut v {
-                    if let Some((_, Value::Object(ff))) =
-                        fields.iter_mut().find(|(k, _)| k == "fleet")
-                    {
-                        if let Some((_, Value::Array(items))) =
-                            ff.iter_mut().find(|(k, _)| k == "pools")
-                        {
-                            if let Some(first) = items.first_mut() {
-                                set_path(first, &["cluster", "gpus"], Value::U64(0));
-                            }
-                        }
-                    }
-                }
-                (v, "fleet.pools[0].cluster.gpus".to_string())
-            }
-            _ => {
-                set_path(&mut v, &["cluster", "gpus"], Value::U64(0));
-                (v, "cluster.gpus".to_string())
-            }
-        },
-    }
-}
-
-/// A scenario value tree whose fault events overlap (a second fail on a
-/// device with no recover in between) — must be rejected with the
-/// offending event's path.
-pub fn overlapping_faults_tree(scenario: &Scenario) -> Option<(Value, String)> {
-    if !matches!(scenario.mode, Mode::Serve(_)) {
-        return None;
-    }
-    let mut s = scenario.clone();
-    if let Mode::Serve(serve) = &mut s.mode {
-        let events = vec![
-            FaultEventConfig {
-                at: TimeSpec::HorizonFrac(0.2),
-                kind: FaultKindConfig::GpuFail { gpu: 1 },
-            },
-            FaultEventConfig {
-                at: TimeSpec::HorizonFrac(0.4),
-                kind: FaultKindConfig::GpuSlowdown { gpu: 1, factor: 2.0 },
-            },
-        ];
-        serve.faults = Some(FaultsConfig {
-            detection_delay_secs: None,
-            evict_slowdown: None,
-            max_retries: None,
-            backoff_base_secs: None,
-            straggler_rel_threshold: None,
-            straggler_consecutive: None,
-            events,
-        });
-    }
-    Some((s.to_value(), "serve.faults.events[1]".to_string()))
 }

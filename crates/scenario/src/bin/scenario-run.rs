@@ -1,7 +1,7 @@
 //! Runs a declarative scenario file deterministically.
 //!
 //! ```text
-//! scenario-run <scenario.{toml,json}> [--log <out.jsonl>] [--digest-only]
+//! scenario-run <scenario.toml> [--log <out.jsonl>] [--digest-only]
 //! ```
 //!
 //! Loads, validates, lowers, and executes the scenario, then prints the
@@ -15,6 +15,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use exegpt_scenario::{format_digest, run, Scenario};
+
+const USAGE: &str = "usage: scenario-run <scenario.toml> [--log <out.jsonl>] [--digest-only]";
 
 struct Args {
     scenario: PathBuf,
@@ -33,11 +35,7 @@ fn parse_args() -> Result<Args, String> {
                 log = Some(PathBuf::from(args.next().ok_or("--log needs a path".to_string())?));
             }
             "--digest-only" => digest_only = true,
-            "--help" | "-h" => {
-                return Err("usage: scenario-run <scenario.{toml,json}> \
-                            [--log <out.jsonl>] [--digest-only]"
-                    .to_string())
-            }
+            "--help" | "-h" => return Err(USAGE.to_string()),
             other if other.starts_with('-') => {
                 return Err(format!("unknown flag `{other}`"));
             }
@@ -48,10 +46,7 @@ fn parse_args() -> Result<Args, String> {
             }
         }
     }
-    let scenario = scenario.ok_or(
-        "usage: scenario-run <scenario.{toml,json}> \
-                                   [--log <out.jsonl>] [--digest-only]",
-    )?;
+    let scenario = scenario.ok_or(USAGE)?;
     Ok(Args { scenario, log, digest_only })
 }
 

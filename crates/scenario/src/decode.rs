@@ -67,8 +67,8 @@ impl<'v> Obj<'v> {
         &self.path
     }
 
-    /// Decodes field `key` as a `T`; when the key is absent (JSON `null`
-    /// counts as absent), `absent` gets the field's path instead.
+    /// Decodes field `key` as a `T`; when the key is absent, `absent`
+    /// gets the field's path instead.
     pub(crate) fn get<T: Node>(
         &mut self,
         key: &str,
@@ -79,10 +79,7 @@ impl<'v> Obj<'v> {
         match found {
             Some(i) => {
                 self.claimed[i] = true;
-                match &self.fields[i].1 {
-                    Value::Null => absent(&path),
-                    v => T::decode(v, &path),
-                }
+                T::decode(&self.fields[i].1, &path)
             }
             None => absent(&path),
         }

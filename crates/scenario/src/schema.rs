@@ -5,29 +5,24 @@
 //! distributions, scheduler constraints, arrival process, SLO targets,
 //! fault schedule, and the seed. Every type below the root is one field
 //! table (see the crate-private `table` module), which generates the
-//! type, its path-tracked decode from TOML or JSON (every error names the
-//! offending key), its canonical encode and its field checks. Checks that
-//! span fields — the fleet's cross-references, fault-window walks,
-//! per-mode rate restrictions — are the tables' hand-written `check`
-//! hooks. [`Scenario::validate`] runs all of them before lowering.
-//!
-//! Serialization ([`Serialize::to_value`]) is canonical: every concrete
-//! field is emitted, optional fields only when present, so
-//! `decode(to_value(s)) == s` exactly — the identity the round-trip
-//! property suite pins for both TOML and JSON.
+//! type, its path-tracked decode from the parsed TOML (every error names
+//! the offending key) and its field checks. Checks that span fields — the
+//! fleet's cross-references, fault-window walks, per-mode rate
+//! restrictions — are the tables' hand-written `check` hooks.
+//! [`Scenario::validate`] runs all of them before lowering.
 
 use exegpt::Policy;
 use exegpt_cluster::ClusterSpec;
 use exegpt_fleet::DispatchPolicy;
 use exegpt_model::ModelConfig;
 use exegpt_workload::Task;
-use serde::{Serialize, Value};
+use serde::Value;
 
 use crate::decode::{join, join_index, parse_err, validate_err, Obj};
 use crate::error::ScenarioError;
 use crate::table::{
     at_least_1, declares, finite, known, non_empty, non_neg, one_of, pos, pos_or_inf, table,
-    tagged, within, Body, Check, Fields, Node,
+    tagged, within, Body, Check, Node,
 };
 
 /// A closed name set: each name a scenario file may spell, paired with
@@ -103,24 +98,6 @@ pub enum Mode {
     Fleet(FleetConfig),
     /// An offline replay through the runner.
     Replay(ReplayConfig),
-}
-
-impl Serialize for Scenario {
-    fn to_value(&self) -> Value {
-        let mut out = Fields::new();
-        self.name.put("name", &mut out);
-        self.seed.put("seed", &mut out);
-        self.model.put("model", &mut out);
-        self.cluster.put("cluster", &mut out);
-        self.workload.put("workload", &mut out);
-        self.scheduler.put("scheduler", &mut out);
-        match &self.mode {
-            Mode::Serve(c) => c.put("serve", &mut out),
-            Mode::Fleet(c) => c.put("fleet", &mut out),
-            Mode::Replay(c) => c.put("replay", &mut out),
-        }
-        Value::Object(out)
-    }
 }
 
 impl Scenario {
@@ -369,13 +346,6 @@ impl Body for TimeSpec {
             (Some(_), Some(_)) => {
                 Err(parse_err(o.path(), "`t_secs` and `t_frac` are mutually exclusive"))
             }
-        }
-    }
-
-    fn write(&self, out: &mut Fields) {
-        match self {
-            TimeSpec::Secs(s) => s.put("t_secs", out),
-            TimeSpec::HorizonFrac(f) => f.put("t_frac", out),
         }
     }
 

@@ -4,10 +4,11 @@
 //! row carries everything about one field — doc comment, name, type, an
 //! optional default (`adaptive: bool = true`) and an optional field check
 //! (`qps: f64 => pos("arrival rate")`) — and the macro generates the type,
-//! its path-tracked decode (unknown keys and tags are errors), its
-//! canonical encode, the per-field checks and the recursion into child
-//! types. Checks that span fields are a hand-written `check = hook;`
-//! clause after the table; they run after every row.
+//! its path-tracked decode (unknown keys and tags are errors), the
+//! per-field checks and the recursion into child types. There is no
+//! encode: scenarios are only ever read. Checks that span fields are a
+//! hand-written `check = hook;` clause after the table; they run after
+//! every row.
 //!
 //! Both macros sit on [`Node`], implemented for the leaf types (`f64`,
 //! `u64`, `usize`, `u32`, `bool`, `String`), `Option<T>`, `Vec<T>` and
@@ -21,9 +22,6 @@ use crate::schema::Names;
 
 /// The result of a check.
 pub(crate) type Check = Result<(), ScenarioError>;
-
-/// The fields of one object, in canonical order.
-pub(crate) type Fields = Vec<(String, Value)>;
 
 /// Anything a row can hold.
 pub(crate) trait Node: Sized {
@@ -39,9 +37,6 @@ pub(crate) trait Node: Sized {
         Err(parse_err(path, "missing required key"))
     }
 
-    /// The canonical encoding; `None` leaves the key out.
-    fn encode(&self) -> Option<Value>;
-
     /// Runs the rows of a table type (leaves have none).
     fn validate(&self, _path: &str) -> Check {
         Ok(())
@@ -50,21 +45,9 @@ pub(crate) trait Node: Sized {
     /// The value a field check sees; `None` (an absent option) skips it.
     fn item(&self) -> Option<&Self::Item>;
 
-    /// Whether a defaulted row leaves this value out: only empty lists do.
-    fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Reads row `key` of `o`. Flat types read `o`'s own fields instead.
     fn take(o: &mut Obj<'_>, key: &str) -> Result<Self, ScenarioError> {
         o.get(key, Self::missing)
-    }
-
-    /// Writes row `key` into `out`.
-    fn put(&self, key: &str, out: &mut Fields) {
-        if let Some(v) = self.encode() {
-            out.push((key.to_string(), v));
-        }
     }
 
     /// Checks row `key` of the object at `parent`.
@@ -74,15 +57,11 @@ pub(crate) trait Node: Sized {
 }
 
 macro_rules! leaf {
-    ($($ty:ty, $item:ty: |$v:ident, $path:ident| $decode:expr, |$x:ident| $encode:expr;)*) => {$(
+    ($($ty:ty, $item:ty: |$v:ident, $path:ident| $decode:expr;)*) => {$(
         impl Node for $ty {
             type Item = $item;
             fn decode($v: &Value, $path: &str) -> Result<Self, ScenarioError> {
                 $decode
-            }
-            fn encode(&self) -> Option<Value> {
-                let $x = self;
-                Some($encode)
             }
             fn item(&self) -> Option<&$item> {
                 Some(self)
@@ -95,30 +74,26 @@ leaf! {
     bool, bool: |v, path| match v {
         Value::Bool(b) => Ok(*b),
         other => Err(expected(path, "a boolean", other)),
-    }, |x| Value::Bool(*x);
+    };
     String, str: |v, path| match v {
         Value::Str(s) => Ok(s.clone()),
         other => Err(expected(path, "a string", other)),
-    }, |x| Value::Str(x.clone());
-    // Numbers widen to `f64`. JSON has no literal for non-finite floats;
-    // they travel as the TOML spellings instead.
+    };
+    // Numbers widen to `f64`.
     f64, f64: |v, path| match v {
         Value::F64(x) => Ok(*x),
         Value::U64(n) => Ok(*n as f64),
         Value::I64(n) => Ok(*n as f64),
-        Value::Str(s) if s == "inf" || s == "+inf" => Ok(f64::INFINITY),
-        Value::Str(s) if s == "-inf" => Ok(f64::NEG_INFINITY),
-        Value::Str(s) if s == "nan" => Ok(f64::NAN),
         other => Err(expected(path, "a number", other)),
-    }, |x| Value::F64(*x);
+    };
     u64, u64: |v, path| match v {
         Value::U64(n) => Ok(*n),
         Value::I64(n) => u64::try_from(*n)
             .map_err(|_| parse_err(path, format!("expected a non-negative integer, found {n}"))),
         other => Err(expected(path, "an integer", other)),
-    }, |x| Value::U64(*x);
-    usize, usize: |v, path| narrow(u64::decode(v, path)?, path), |x| Value::U64(*x as u64);
-    u32, u32: |v, path| narrow(u64::decode(v, path)?, path), |x| Value::U64(u64::from(*x));
+    };
+    usize, usize: |v, path| narrow(u64::decode(v, path)?, path);
+    u32, u32: |v, path| narrow(u64::decode(v, path)?, path);
 }
 
 fn narrow<T: TryFrom<u64>>(n: u64, path: &str) -> Result<T, ScenarioError> {
@@ -134,10 +109,6 @@ impl<T: Node> Node for Option<T> {
 
     fn missing(_path: &str) -> Result<Self, ScenarioError> {
         Ok(None)
-    }
-
-    fn encode(&self) -> Option<Value> {
-        self.as_ref().and_then(Node::encode)
     }
 
     fn validate(&self, path: &str) -> Check {
@@ -161,20 +132,12 @@ impl<T: Node> Node for Vec<T> {
         }
     }
 
-    fn encode(&self) -> Option<Value> {
-        Some(Value::Array(self.iter().filter_map(Node::encode).collect()))
-    }
-
     fn validate(&self, path: &str) -> Check {
         self.iter().enumerate().try_for_each(|(i, x)| x.validate(&join_index(path, i)))
     }
 
     fn item(&self) -> Option<&[T]> {
         Some(self)
-    }
-
-    fn is_empty(&self) -> bool {
-        self.as_slice().is_empty()
     }
 }
 
@@ -187,9 +150,6 @@ pub(crate) trait Body: Sized {
 
     /// Reads the fields from `o` (the caller rejects unknown keys).
     fn read(o: &mut Obj<'_>) -> Result<Self, ScenarioError>;
-
-    /// Writes the fields in canonical order.
-    fn write(&self, out: &mut Fields);
 
     /// Runs every row's check and recursion, then the type's own hook, for
     /// the object at `path`.
@@ -204,14 +164,7 @@ pub(crate) fn decode_body<T: Body>(v: &Value, path: &str) -> Result<T, ScenarioE
     Ok(out)
 }
 
-/// Encodes a [`Body`] as an object.
-pub(crate) fn encode_body<T: Body>(x: &T) -> Value {
-    let mut out = Fields::new();
-    x.write(&mut out);
-    Value::Object(out)
-}
-
-/// The [`Node`] and `Serialize` impls of a [`Body`] type.
+/// The [`Node`] impl of a [`Body`] type.
 macro_rules! body_node {
     ($T:ty) => {
         impl $crate::table::Node for $T {
@@ -219,10 +172,6 @@ macro_rules! body_node {
 
             fn decode(v: &serde::Value, path: &str) -> Result<Self, $crate::ScenarioError> {
                 $crate::table::decode_body(v, path)
-            }
-
-            fn encode(&self) -> Option<serde::Value> {
-                Some($crate::table::encode_body(self))
             }
 
             fn validate(&self, path: &str) -> $crate::table::Check {
@@ -244,26 +193,12 @@ macro_rules! body_node {
                 }
             }
 
-            fn put(&self, key: &str, out: &mut $crate::table::Fields) {
-                if <Self as $crate::table::Body>::FLAT {
-                    $crate::table::Body::write(self, out);
-                } else {
-                    out.push((key.to_string(), $crate::table::encode_body(self)));
-                }
-            }
-
             fn check_at(&self, parent: &str, key: &str) -> $crate::table::Check {
                 if <Self as $crate::table::Body>::FLAT {
                     $crate::table::Body::check(self, parent)
                 } else {
                     $crate::table::Body::check(self, &$crate::decode::join(parent, key))
                 }
-            }
-        }
-
-        impl serde::Serialize for $T {
-            fn to_value(&self) -> serde::Value {
-                $crate::table::encode_body(self)
             }
         }
     };
@@ -276,18 +211,6 @@ macro_rules! read_row {
     };
     ($o:ident, $f:ident: $ty:ty = $default:expr) => {
         $o.get(stringify!($f), |_| Ok(<$ty>::from($default)))?
-    };
-}
-
-/// Writes one row; a defaulted row that is empty is left out.
-macro_rules! write_row {
-    ($x:expr, $f:ident, $out:ident) => {
-        $crate::table::Node::put($x, stringify!($f), $out)
-    };
-    ($x:expr, $f:ident, $out:ident, $default:expr) => {
-        if !$crate::table::Node::is_empty($x) {
-            $crate::table::Node::put($x, stringify!($f), $out)
-        }
     };
 }
 
@@ -322,10 +245,6 @@ macro_rules! table {
         impl $crate::table::Body for $T {
             fn read(o: &mut $crate::decode::Obj<'_>) -> Result<Self, $crate::ScenarioError> {
                 Ok($T { $($f: $crate::table::read_row!(o, $f: $ty $(= $default)?),)* })
-            }
-
-            fn write(&self, out: &mut $crate::table::Fields) {
-                $($crate::table::write_row!(&self.$f, $f, out $(, $default)?);)*
             }
 
             fn check(&self, path: &str) -> $crate::table::Check {
@@ -372,15 +291,6 @@ macro_rules! tagged {
                 ))
             }
 
-            fn write(&self, out: &mut $crate::table::Fields) {
-                match self {
-                    $($T::$V $({ $($f),* })? => {
-                        out.push(("kind".to_string(), serde::Value::Str($tag.to_string())));
-                        $($($crate::table::write_row!($f, $f, out $(, $default)?);)*)?
-                    })*
-                }
-            }
-
             fn check(&self, path: &str) -> $crate::table::Check {
                 match self {
                     $($T::$V $({ $($f),* })? => {
@@ -396,7 +306,7 @@ macro_rules! tagged {
     };
 }
 
-pub(crate) use {body_node, check_row, read_row, table, tagged, write_row};
+pub(crate) use {body_node, check_row, read_row, table, tagged};
 
 // --- field checks --------------------------------------------------------
 

@@ -1,20 +1,20 @@
-//! A deterministic TOML front-end over the vendored serde [`Value`] tree.
+//! A deterministic TOML reader into the vendored serde [`Value`] tree.
 //!
-//! Scenario files are TOML for humans and JSON for machines; both sides
-//! meet in the same [`Value`] tree, so the schema decoder
-//! ([`crate::schema`]) is format-agnostic. The subset implemented here is
-//! exactly what scenario files need — tables, arrays of tables, inline
-//! tables, arrays, basic and literal strings, integers, floats (including
-//! `inf`), booleans, comments — and the emitter is canonical: rendering a
-//! tree and re-parsing it reproduces the tree, with floats printed in
-//! Rust's shortest round-trip form so every finite `f64` survives
-//! bit-exactly (the TOML side of the `float_roundtrip` contract).
+//! Scenario files are TOML, and only ever read: the schema decoder
+//! ([`crate::schema`]) walks the [`Value`] tree parsed here. The subset
+//! implemented is exactly what scenario files need — tables, arrays of
+//! tables, inline tables, arrays, basic and literal strings, integers,
+//! floats (including `inf`), booleans, comments. Nesting is capped at
+//! [`MAX_DEPTH`] levels, so hostile input is a syntax error, not a stack
+//! overflow.
 
 use serde::Value;
 
 use crate::error::ScenarioError;
 
-// --- parsing -------------------------------------------------------------
+/// The deepest nesting of arrays and inline tables, and the most segments
+/// in one dotted key or table header. The schema nests about 3 deep.
+pub const MAX_DEPTH: usize = 16;
 
 /// Parses TOML text into a [`Value::Object`] tree.
 ///
@@ -23,7 +23,7 @@ use crate::error::ScenarioError;
 /// Returns [`ScenarioError::Syntax`] with the 1-based line number on
 /// malformed input, duplicate keys, or conflicting table headers.
 pub fn parse(text: &str) -> Result<Value, ScenarioError> {
-    let mut p = Parser { c: text.chars().collect(), i: 0, line: 1 };
+    let mut p = Parser { c: text.chars().collect(), i: 0, line: 1, depth: 0 };
     let mut root: Vec<(String, Value)> = Vec::new();
     // Canonical header paths already opened (array elements carry their
     // index, so `[[t]]` elements never collide but re-opening a `[t]` —
@@ -172,6 +172,8 @@ struct Parser {
     c: Vec<char>,
     i: usize,
     line: usize,
+    /// Arrays and inline tables open around the current position.
+    depth: usize,
 }
 
 impl Parser {
@@ -253,6 +255,9 @@ impl Parser {
         loop {
             self.skip_inline_ws();
             if self.peek() == Some('.') {
+                if parts.len() == MAX_DEPTH {
+                    return Err(self.err(format!("key deeper than {MAX_DEPTH} segments")));
+                }
                 self.bump();
                 parts.push(self.parse_key_part()?);
             } else {
@@ -288,11 +293,26 @@ impl Parser {
         match self.peek() {
             Some('"') => self.parse_basic_string().map(Value::Str),
             Some('\'') => self.parse_literal_string().map(Value::Str),
-            Some('[') => self.parse_array(),
-            Some('{') => self.parse_inline_table(),
+            Some('[') => self.nested(Self::parse_array),
+            Some('{') => self.nested(Self::parse_inline_table),
             Some(_) => self.parse_scalar_word(),
             None => Err(self.err("expected a value, found end of input".to_string())),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper; past [`MAX_DEPTH`] levels the
+    /// recursion would eventually overflow the stack, so it is an error.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ScenarioError>,
+    ) -> Result<Value, ScenarioError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_basic_string(&mut self) -> Result<String, ScenarioError> {
@@ -411,22 +431,16 @@ impl Parser {
             "-inf" => Ok(Value::F64(f64::NEG_INFINITY)),
             "nan" | "+nan" | "-nan" => Ok(Value::F64(f64::NAN)),
             _ => {
+                // Each `parse` accepts one leading sign and nothing else
+                // but digits, so a doubled sign (`--5`, `-+5`) is an error.
                 let digits: String = word.chars().filter(|&c| c != '_').collect();
+                let bad = |what| self.err(format!("bad {what} `{word}`"));
                 if digits.contains(['.', 'e', 'E']) {
-                    digits
-                        .parse::<f64>()
-                        .map(Value::F64)
-                        .map_err(|_| self.err(format!("bad float `{word}`")))
-                } else if let Some(rest) = digits.strip_prefix('-') {
-                    rest.parse::<i64>()
-                        .map(|n| Value::I64(-n))
-                        .map_err(|_| self.err(format!("bad integer `{word}`")))
+                    digits.parse().map(Value::F64).map_err(|_| bad("float"))
+                } else if digits.starts_with('-') {
+                    digits.parse().map(Value::I64).map_err(|_| bad("integer"))
                 } else {
-                    let unsigned = digits.strip_prefix('+').unwrap_or(&digits);
-                    unsigned
-                        .parse::<u64>()
-                        .map(Value::U64)
-                        .map_err(|_| self.err(format!("bad integer `{word}`")))
+                    digits.parse().map(Value::U64).map_err(|_| bad("integer"))
                 }
             }
         }
@@ -437,235 +451,16 @@ fn is_bare_key_char(ch: char) -> bool {
     ch.is_ascii_alphanumeric() || ch == '_' || ch == '-'
 }
 
-// --- rendering -----------------------------------------------------------
-
-/// Renders a [`Value::Object`] tree as canonical TOML.
-///
-/// Scalars and scalar arrays render as `key = value` lines; objects whose
-/// fields are all scalars render as inline tables; other nested objects
-/// become `[section]` headers and arrays of objects become `[[section]]`
-/// table arrays, in insertion order.
-///
-/// # Errors
-///
-/// Returns [`ScenarioError::Parse`] if the root is not an object or an
-/// array mixes objects with non-objects (no TOML rendering exists).
-pub fn render(v: &Value) -> Result<String, ScenarioError> {
-    let fields = match v {
-        Value::Object(fields) => fields,
-        other => {
-            return Err(ScenarioError::Parse {
-                path: String::new(),
-                why: format!("TOML documents are objects, found {}", other.type_name()),
-            })
-        }
-    };
-    let mut out = String::new();
-    render_table(&mut out, &mut Vec::new(), fields)?;
-    Ok(out)
-}
-
-/// True for values renderable on one `key = value` line.
-fn is_inline(v: &Value) -> bool {
-    match v {
-        Value::Null
-        | Value::Bool(_)
-        | Value::U64(_)
-        | Value::I64(_)
-        | Value::F64(_)
-        | Value::Str(_) => true,
-        Value::Array(items) => !items.iter().any(|i| matches!(i, Value::Object(_))),
-        Value::Object(fields) => fields.iter().all(|(_, f)| {
-            matches!(
-                f,
-                Value::Null
-                    | Value::Bool(_)
-                    | Value::U64(_)
-                    | Value::I64(_)
-                    | Value::F64(_)
-                    | Value::Str(_)
-            )
-        }),
-    }
-}
-
-fn render_table(
-    out: &mut String,
-    path: &mut Vec<String>,
-    fields: &[(String, Value)],
-) -> Result<(), ScenarioError> {
-    // Inline keys first (a section header would otherwise capture them).
-    for (k, v) in fields {
-        if is_inline(v) {
-            out.push_str(&render_key(k));
-            out.push_str(" = ");
-            render_inline(out, v, path, k)?;
-            out.push('\n');
-        }
-    }
-    for (k, v) in fields {
-        if is_inline(v) {
-            continue;
-        }
-        match v {
-            Value::Object(inner) => {
-                path.push(k.clone());
-                if !out.is_empty() {
-                    out.push('\n');
-                }
-                out.push('[');
-                out.push_str(&join_path(path));
-                out.push_str("]\n");
-                render_table(out, path, inner)?;
-                path.pop();
-            }
-            Value::Array(items) => {
-                path.push(k.clone());
-                for item in items {
-                    let inner = match item {
-                        Value::Object(inner) => inner,
-                        other => {
-                            let p = join_path(path);
-                            path.pop();
-                            return Err(ScenarioError::Parse {
-                                path: p,
-                                why: format!(
-                                    "array mixes tables with {}: no TOML rendering",
-                                    other.type_name()
-                                ),
-                            });
-                        }
-                    };
-                    if !out.is_empty() {
-                        out.push('\n');
-                    }
-                    out.push_str("[[");
-                    out.push_str(&join_path(path));
-                    out.push_str("]]\n");
-                    render_table(out, path, inner)?;
-                }
-                path.pop();
-            }
-            // `is_inline` covered every other shape.
-            _ => {}
-        }
-    }
-    Ok(())
-}
-
-fn render_inline(
-    out: &mut String,
-    v: &Value,
-    path: &[String],
-    key: &str,
-) -> Result<(), ScenarioError> {
-    match v {
-        Value::Null => Err(ScenarioError::Parse {
-            path: format!("{}{}{key}", join_path(path), if path.is_empty() { "" } else { "." }),
-            why: "TOML has no null; omit the key instead".to_string(),
-        }),
-        Value::Bool(b) => {
-            out.push_str(if *b { "true" } else { "false" });
-            Ok(())
-        }
-        Value::U64(n) => {
-            out.push_str(&n.to_string());
-            Ok(())
-        }
-        Value::I64(n) => {
-            out.push_str(&n.to_string());
-            Ok(())
-        }
-        Value::F64(x) => {
-            out.push_str(&render_float(*x));
-            Ok(())
-        }
-        Value::Str(s) => {
-            render_string(out, s);
-            Ok(())
-        }
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                render_inline(out, item, path, key)?;
-            }
-            out.push(']');
-            Ok(())
-        }
-        Value::Object(fields) => {
-            out.push('{');
-            for (i, (k, f)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push(' ');
-                out.push_str(&render_key(k));
-                out.push_str(" = ");
-                render_inline(out, f, path, k)?;
-            }
-            out.push_str(" }");
-            Ok(())
-        }
-    }
-}
-
-/// Shortest round-trip float rendering, with TOML's spellings for the
-/// non-finite values.
-fn render_float(x: f64) -> String {
-    if x.is_nan() {
-        "nan".to_string()
-    } else if x == f64::INFINITY {
-        "inf".to_string()
-    } else if x == f64::NEG_INFINITY {
-        "-inf".to_string()
-    } else {
-        // `{:?}` always includes a `.` or an exponent, so the value parses
-        // back as a float and reproduces the original bits.
-        format!("{x:?}")
-    }
-}
-
-fn render_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn render_key(k: &str) -> String {
-    if !k.is_empty() && k.chars().all(is_bare_key_char) {
-        k.to_string()
-    } else {
-        let mut quoted = String::new();
-        render_string(&mut quoted, k);
-        quoted
-    }
-}
-
-fn join_path(path: &[String]) -> String {
-    path.iter().map(|s| render_key(s)).collect::<Vec<_>>().join(".")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn obj(fields: Vec<(&str, Value)>) -> Value {
-        Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    /// The syntax error `parse` reports for `text`.
+    fn syntax_error(text: &str) -> (usize, String) {
+        match parse(text) {
+            Err(ScenarioError::Syntax { line, why }) => (line, why),
+            other => panic!("expected a syntax error for {text:?}, got {other:?}"),
+        }
     }
 
     #[test]
@@ -736,43 +531,51 @@ mod tests {
         assert_eq!(v.get("b"), Some(&Value::F64(1000.0)));
         assert_eq!(v.get("c"), Some(&Value::F64(-0.5)));
         assert_eq!(v.get("d"), Some(&Value::F64(f64::INFINITY)));
+        // Boundary floats: a subnormal, a huge magnitude, a value with no
+        // short decimal form, and 2^53. Each must come back bit for bit.
+        for (text, want) in [
+            ("5e-324", 5e-324),
+            ("1e308", 1e308),
+            ("0.30000000000000004", 0.1 + 0.2),
+            ("9007199254740992.0", 2.0_f64.powi(53)),
+        ] {
+            match parse(&format!("x = {text}\n")).expect("parses").get("x") {
+                Some(Value::F64(x)) => assert_eq!(x.to_bits(), want.to_bits(), "{text}"),
+                other => panic!("{text} should parse as a float, got {other:?}"),
+            }
+        }
     }
 
     #[test]
-    fn render_then_parse_is_identity() {
-        let tree = obj(vec![
-            ("name", Value::Str("x \"y\"\n".into())),
-            ("seed", Value::U64(7)),
-            ("neg", Value::I64(-4)),
-            ("bound", Value::F64(f64::INFINITY)),
-            ("tiny", Value::F64(5e-324)),
-            ("third", Value::F64(1.0 / 3.0)),
-            ("list", Value::Array(vec![Value::U64(1), Value::U64(2)])),
-            ("rate", obj(vec![("kind", Value::Str("qps".into())), ("qps", Value::F64(12.5))])),
-            (
-                "serve",
-                obj(vec![
-                    ("total", Value::U64(100)),
-                    ("drift", obj(vec![("window", Value::U64(64))])),
-                ]),
-            ),
-            (
-                "events",
-                Value::Array(vec![
-                    obj(vec![("t", Value::F64(1.5))]),
-                    obj(vec![("t", Value::F64(2.5))]),
-                ]),
-            ),
-        ]);
-        let text = render(&tree).expect("renders");
-        let back = parse(&text).expect("reparses");
-        assert_eq!(back, tree, "canonical text:\n{text}");
+    fn a_doubled_sign_is_rejected() {
+        for text in ["a = --5", "a = -+5", "a = +-5", "a = ++5", "a = --5.0", "a = 5-3"] {
+            let (line, why) = syntax_error(text);
+            assert_eq!(line, 1, "{text}");
+            assert!(why.starts_with("bad "), "{text}: {why}");
+        }
+        let v = parse("a = +5\nb = -9223372036854775808\n").expect("parses");
+        assert_eq!(v.get("a"), Some(&Value::U64(5)));
+        assert_eq!(v.get("b"), Some(&Value::I64(i64::MIN)));
     }
 
     #[test]
-    fn mixed_object_scalar_arrays_have_no_rendering() {
-        let tree =
-            obj(vec![("bad", Value::Array(vec![Value::U64(1), obj(vec![("x", Value::U64(2))])]))]);
-        assert!(render(&tree).is_err());
+    fn nesting_is_capped() {
+        let deep = |open: &str, close: &str, levels: usize| {
+            format!("a = {}1{}\n", open.repeat(levels), close.repeat(levels))
+        };
+        for (open, close) in [("[", "]"), ("{b = ", "}")] {
+            assert!(parse(&deep(open, close, MAX_DEPTH)).is_ok(), "{open}: at the cap");
+            let (line, why) = syntax_error(&deep(open, close, MAX_DEPTH + 1));
+            assert_eq!((line, why.as_str()), (1, "nesting deeper than 16 levels"), "{open}");
+            // Far past any stack: unclosed, on the second line.
+            let (line, why) = syntax_error(&format!("x = 1\na = {}", open.repeat(1_000_000)));
+            assert_eq!((line, why.as_str()), (2, "nesting deeper than 16 levels"), "{open}");
+        }
+        let key = |segments: usize| vec!["k"; segments].join(".");
+        assert!(parse(&format!("{} = 1\n", key(MAX_DEPTH))).is_ok());
+        for text in [format!("{} = 1\n", key(1_000_000)), format!("[{}]\n", key(MAX_DEPTH + 1))] {
+            let (line, why) = syntax_error(&text);
+            assert_eq!((line, why.as_str()), (1, "key deeper than 16 segments"));
+        }
     }
 }

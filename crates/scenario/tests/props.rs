@@ -1,8 +1,5 @@
 //! Property-based guarantees of the scenario layer.
 //!
-//! * Round-trips: any valid scenario survives `Scenario -> TOML ->
-//!   Scenario` and `Scenario -> JSON -> Scenario` unchanged, boundary
-//!   floats included.
 //! * Lowering: every runnable scenario lowers to plans that pass the full
 //!   runtime [`PlanInvariants`] check.
 //! * Conservation: executing a runnable scenario passes every run
@@ -15,45 +12,12 @@
 
 use exegpt::PlanInvariants;
 use exegpt_scenario::{
-    arbitrary::{arbitrary_fault_recovery, arbitrary_runnable, arbitrary_scenario},
+    arbitrary::{arbitrary_fault_recovery, arbitrary_runnable},
     broken_invariants, lower, run, Mode, ReplayConfig, Report, Scenario,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// `Scenario -> TOML -> Scenario` is the identity, for every mode and
-    /// boundary floats (subnormals, 1e308, values with no short decimal).
-    #[test]
-    fn toml_round_trip_is_identity(seed in 0u64..1u64 << 32) {
-        let scenario = arbitrary_scenario(&mut StdRng::seed_from_u64(seed));
-        let text = scenario.to_toml_string().expect("valid scenarios render to TOML");
-        let back = Scenario::from_toml_str(&text);
-        prop_assert!(back.is_ok(), "re-parse failed: {:?}\n{text}", back.err());
-        prop_assert_eq!(scenario, back.unwrap(), "TOML round trip must be lossless");
-    }
-
-    /// `Scenario -> JSON -> Scenario` is the identity on the same space.
-    #[test]
-    fn json_round_trip_is_identity(seed in 0u64..1u64 << 32) {
-        let scenario = arbitrary_scenario(&mut StdRng::seed_from_u64(seed));
-        let text = scenario.to_json_string();
-        let back = Scenario::from_json_str(&text);
-        prop_assert!(back.is_ok(), "re-parse failed: {:?}\n{text}", back.err());
-        prop_assert_eq!(scenario, back.unwrap(), "JSON round trip must be lossless");
-    }
-
-    /// Every generated scenario passes its own validation (the generator's
-    /// contract), and validation survives a render/parse cycle.
-    #[test]
-    fn generated_scenarios_validate(seed in 0u64..1u64 << 32) {
-        let scenario = arbitrary_scenario(&mut StdRng::seed_from_u64(seed));
-        prop_assert!(scenario.validate().is_ok(), "generator produced an invalid scenario: {:?}", scenario.validate().err());
-    }
-}
 
 proptest! {
     // Each case runs a schedule search; keep the count modest.

@@ -5,9 +5,12 @@
 //! that points sideways or upward. `[dev-dependencies]` are exempt: test
 //! code may look upward.
 //!
-//! It also rejects a vendored shim that nothing uses: every
+//! It also rejects a dependency that nothing uses: every
 //! `[workspace.dependencies]` entry with a `third_party/` path must be a
-//! dependency (of any kind) of at least one workspace crate.
+//! dependency (of any kind) of at least one workspace crate, and every
+//! `[dependencies]` entry of a crate must be named somewhere in that
+//! crate's `src/` (one that only tests use is a `[dev-dependencies]`
+//! entry).
 
 use std::path::Path;
 
@@ -45,23 +48,6 @@ fn dir_of_package(package: &str) -> Option<&str> {
     }
 }
 
-/// The `exegpt*` packages named in a manifest's `[dependencies]` table.
-fn workspace_deps(manifest: &str) -> Vec<&str> {
-    let mut in_dependencies = false;
-    let mut deps = Vec::new();
-    for line in manifest.lines().map(str::trim) {
-        if line.starts_with('[') {
-            in_dependencies = line == "[dependencies]";
-            continue;
-        }
-        let key = line.split(['=', '.', ' ']).next().unwrap_or("").trim_matches('"');
-        if in_dependencies && line.contains('=') && key.starts_with("exegpt") {
-            deps.push(key);
-        }
-    }
-    deps
-}
-
 /// The keys of a manifest's dependency entries, in the tables whose header
 /// satisfies `table`.
 fn dependency_keys(manifest: &str, table: impl Fn(&str) -> bool) -> Vec<&str> {
@@ -97,13 +83,46 @@ fn unused_shims<'a>(root: &'a str, manifests: &[&str]) -> Vec<&'a str> {
         .collect()
 }
 
+/// Whether `source` spells `name` as a whole identifier.
+fn names(source: &str, name: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    source
+        .match_indices(name)
+        .any(|(i, _)| !source[..i].ends_with(ident) && !source[i + name.len()..].starts_with(ident))
+}
+
+/// The `[dependencies]` entries of `manifest` whose crate name (the key
+/// with `-` spelled `_`) `source` never spells.
+fn unused_dependencies<'a>(manifest: &'a str, source: &str) -> Vec<&'a str> {
+    dependency_keys(manifest, |t| t == "[dependencies]")
+        .into_iter()
+        .filter(|dep| !names(source, &dep.replace('-', "_")))
+        .collect()
+}
+
+/// The text of every `.rs` file under `dir`, recursively.
+fn source_under(dir: &Path) -> String {
+    let mut source = String::new();
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            source.push_str(&source_under(&path));
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            source.push_str(&std::fs::read_to_string(&path).expect("readable source"));
+            source.push('\n');
+        }
+    }
+    source
+}
+
 /// Every layering violation in the manifest of the crate at `crates/<dir>`.
 fn violations(dir: &str, manifest: &str) -> Vec<String> {
     let Some(from) = layer(dir) else {
         return vec![format!("crate `{dir}` has no declared layer")];
     };
-    workspace_deps(manifest)
+    dependency_keys(manifest, |t| t == "[dependencies]")
         .into_iter()
+        .filter(|dep| dep.starts_with("exegpt"))
         .filter_map(|dep| match dir_of_package(dep).and_then(|to| Some((to, layer(to)?))) {
             None => Some(format!("`{dir}` depends on `{dep}`, which has no declared layer")),
             Some((to, l)) if l >= from => {
@@ -179,4 +198,30 @@ fn an_unused_shim_is_reported() {
     let user = "[package]\nname = \"exegpt-units\"\n\n[dev-dependencies]\nrand.workspace = true\n";
     assert_eq!(unused_shims(root, &[user]), ["idle"]);
     assert_eq!(unused_shims(root, &[root]), ["rand", "idle"], "the declaration is no use");
+}
+
+#[test]
+fn every_dependency_is_named_in_its_source() {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut found = Vec::new();
+    for (dir, _) in LAYERS {
+        let manifest = std::fs::read_to_string(crates.join(dir).join("Cargo.toml"))
+            .unwrap_or_else(|e| panic!("crates/{dir}/Cargo.toml: {e}"));
+        let source = source_under(&crates.join(dir).join("src"));
+        found.extend(
+            unused_dependencies(&manifest, &source).into_iter().map(|dep| format!("{dir}: {dep}")),
+        );
+    }
+    assert!(found.is_empty(), "[dependencies] entries no src/ file names:\n{}", found.join("\n"));
+}
+
+#[test]
+fn an_unused_dependency_is_reported() {
+    let manifest = "[package]\nname = \"exegpt-serve\"\n\n[dependencies]\n\
+                    exegpt.workspace = true\nexegpt-dist.workspace = true\n\
+                    serde_json = { workspace = true }\nrand.workspace = true\n\n\
+                    [dev-dependencies]\nproptest.workspace = true\n";
+    let source =
+        "use exegpt::Engine;\nlet s = serde_json::to_string(&x);\nlet exegpt_distance = 1;\n";
+    assert_eq!(unused_dependencies(manifest, source), ["exegpt-dist", "rand"]);
 }
