@@ -29,11 +29,13 @@
 //! never a wrong plan. A [`Scorer`](crate::Scorer) computes every point
 //! afresh over the warm completion and decode-grid layers.
 //!
-//! Pipeline plans are not memoized either. An RRA plan depends on
-//! `(B_E, B_D, TP)`, and few evaluations share one: on the benchmark's
-//! scheduling grid four in five evaluations missed a plan memo. A WAA plan
-//! depends on the whole configuration, as its estimate does. Instead each
-//! scorer rebuilds one plan per family in place, in `Vec`s that keep their
+//! Pipeline plans are not kept here but in each scorer, one per family,
+//! per layer split. An RRA plan depends on the TP setting and the TP
+//! speedup, which sizes only the split and is not measured where every
+//! stage is fused; a WAA plan also on the group split. So a scorer keeps
+//! its plan while those repeat (on the benchmark's scheduling grid, 69 %
+//! of RRA evaluations; it was 20 % when the speedup was measured at every
+//! point), and rebuilds it in place otherwise, in `Vec`s that keep their
 //! capacity, so a warm evaluation allocates nothing (DESIGN.md §4a).
 //!
 //! Cluster swaps are cheaper than workload swaps: the completion analyses

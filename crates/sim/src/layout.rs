@@ -131,6 +131,20 @@ pub struct StageTimes {
     pub bottleneck: Secs,
 }
 
+/// How [`PipelineLayout::allocate_layers`] dealt a layer count: each run's
+/// whole share, the full rounds and the extra layers of the leftover, and
+/// whether the fused run's remainder ranks first. The counts are a function
+/// of the layout and the split, so on one layout equal splits are equal
+/// allocations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LayerSplit {
+    fused_share: usize,
+    single_share: usize,
+    rounds: usize,
+    extra: usize,
+    fused_first: bool,
+}
+
 /// The pipeline structure induced by a GPU count and a partial-TP setting
 /// (paper Figure 4d): `tp.gpus / tp.degree` fused stages followed by
 /// `n_gpus − tp.gpus` single-GPU stages.
@@ -172,8 +186,8 @@ impl PipelineLayout {
     }
 
     /// [`build`](Self::build) into this layout's stage `Vec`, which keeps
-    /// its capacity: the estimators rebuild one layout per evaluation. On
-    /// an error the layout is left as it was.
+    /// its capacity: the estimators rebuild a layout whenever its split
+    /// changes. On an error the layout is left as it was.
     pub(crate) fn rebuild(
         &mut self,
         n_gpus: usize,
@@ -238,6 +252,15 @@ impl PipelineLayout {
         (n_gpus.saturating_sub(tp.gpus) + tp.gpus / tp.degree).max(1)
     }
 
+    /// Whether every stage [`build`](Self::build) lays out for `n_gpus`
+    /// GPUs under `tp` is fused: `tp` covers them all, in groups of its
+    /// degree. Every stage then runs at the TP speedup, so the layer split
+    /// is the even split whatever the speedup is, and the plan builders
+    /// do not measure it.
+    pub(crate) fn all_fused(n_gpus: usize, tp: TpConfig) -> bool {
+        !tp.is_none() && tp.gpus == n_gpus && tp.gpus.is_multiple_of(tp.degree)
+    }
+
     /// Number of pipeline stages.
     pub fn num_stages(&self) -> usize {
         self.stages.len()
@@ -300,12 +323,13 @@ impl PipelineLayout {
     }
 
     /// [`allocate_layers`](Self::allocate_layers) into `counts`, which
-    /// keeps its capacity. On an error `counts` is left as it was.
+    /// keeps its capacity, returning the split it dealt. On an error
+    /// `counts` is left as it was.
     pub(crate) fn allocate_layers_into(
         &self,
         total_layers: usize,
         counts: &mut Vec<usize>,
-    ) -> Result<(), SimError> {
+    ) -> Result<LayerSplit, SimError> {
         let n = self.stages.len();
         if total_layers < n {
             return Err(SimError::InvalidConfig {
@@ -332,6 +356,7 @@ impl PipelineLayout {
         let (rounds, extra) =
             (leftover.checked_div(n).unwrap_or(0), leftover.checked_rem(n).unwrap_or(0));
         let fused_first = fused_rem.total_cmp(&single_rem).is_ge();
+        let split = LayerSplit { fused_share, single_share, rounds, extra, fused_first };
         counts.clear();
         counts.extend((0..n).map(|i| {
             let (share, rank) = match (i < fused, fused_first) {
@@ -342,7 +367,7 @@ impl PipelineLayout {
             };
             share + rounds + usize::from(rank < extra) + 1
         }));
-        Ok(())
+        Ok(split)
     }
 
     /// The per-stage cost kernel: `alloc[i] · t_layer(tp_i) + handoff(i)`

@@ -18,10 +18,10 @@ use exegpt_profiler::DecodeStageGrid;
 use exegpt_units::Secs;
 
 use crate::cache::DecStageKey;
-use crate::config::RraConfig;
+use crate::config::{RraConfig, TpConfig};
 use crate::error::SimError;
 use crate::estimate::{Breakdown, Estimate, MemoryReport};
-use crate::layout::{LayerTimes, Pass, PipelineLayout};
+use crate::layout::{LayerSplit, LayerTimes, Pass, PipelineLayout};
 use crate::simulator::Simulator;
 
 /// Upper bound on decode stage classes: stages run at TP degree 1 or the
@@ -45,22 +45,51 @@ const MEMORY_CLASSES: usize = 8;
 /// What RRA estimates keep across the evaluations of one
 /// [`Scorer`](crate::Scorer): handles to the shared cache's completion
 /// analyses and decode stage grids, each fetched from it once, and the plan
-/// buffers every evaluation rebuilds in place.
+/// of the last layer split with its decode stage classes, rebuilt in place
+/// when the split changes.
 #[derive(Debug)]
 pub(crate) struct RraState {
     completions: Completions,
     grids: Grids,
     plan: RraPlan,
+    /// What `plan` holds; `None` while it is being rebuilt.
+    built: Option<Built>,
+    /// The decode stage classes of `plan`'s decode split, with their
+    /// grids' slots in `grids`.
+    classes: Option<DecodeClasses>,
 }
 
 impl RraState {
     pub(crate) fn new() -> Self {
         Self {
             completions: Completions(Vec::new()),
-            grids: Grids(BTreeMap::new()),
+            grids: Grids { slots: BTreeMap::new(), grids: Vec::new() },
             plan: RraPlan::empty(),
+            built: None,
+            classes: None,
         }
     }
+}
+
+/// What a plan was built for, and the decode split it dealt. On one
+/// simulator the layout is a function of the TP setting and the TP speedup,
+/// and the allocations of the layout, so a plan holds while both repeat.
+#[derive(Debug, Clone, Copy)]
+struct Built {
+    tp: TpConfig,
+    speedup: u64,
+    dec_split: LayerSplit,
+}
+
+/// The decode stage classes of one decode split (the TP setting lays out
+/// the stages and their links, the split their layer counts), by the slots
+/// of their grids in [`Grids`].
+#[derive(Debug, Clone, Copy)]
+struct DecodeClasses {
+    tp: TpConfig,
+    dec_split: LayerSplit,
+    slots: [usize; MAX_CLASSES],
+    len: usize,
 }
 
 /// Completion analyses, indexed by `N_D`.
@@ -83,31 +112,39 @@ impl Completions {
     }
 }
 
-/// Decode stage grids, or the error building one gave, by stage class.
+/// Decode stage grids, or the error building one gave, in the order they
+/// were fetched, with each stage class's slot.
 #[derive(Debug)]
-struct Grids(BTreeMap<DecStageKey, Result<Arc<DecodeStageGrid>, SimError>>);
+struct Grids {
+    slots: BTreeMap<DecStageKey, usize>,
+    grids: Vec<Result<Arc<DecodeStageGrid>, SimError>>,
+}
 
 impl Grids {
-    /// Makes the grid of `key` available to [`get`](Self::get), from the
-    /// shared cache on first use.
-    fn fetch(&mut self, sim: &Simulator, key: DecStageKey) -> Result<(), SimError> {
-        let grid = match self.0.entry(key) {
-            Entry::Occupied(entry) => entry.into_mut(),
+    /// The slot of the grid of `key`, fetched from the shared cache on
+    /// first use, or the error building it gave.
+    fn fetch(&mut self, sim: &Simulator, key: DecStageKey) -> Result<usize, SimError> {
+        let slot = match self.slots.entry(key) {
+            Entry::Occupied(entry) => *entry.get(),
             Entry::Vacant(entry) => {
                 let w = sim.workload();
                 let (ctx, s_e) = (w.mean_decode_context().as_f64(), w.input().mean());
                 let DecStageKey { tp, intra, alloc } = key;
-                entry.insert(sim.cache().dec_stage_grid(key, || {
+                self.grids.push(sim.cache().dec_stage_grid(key, || {
                     Ok(sim.profile().decode_stage_grid(ctx, s_e, tp, lossless_f64(alloc), intra)?)
-                }))
+                }));
+                *entry.insert(self.grids.len() - 1)
             }
         };
-        grid.as_ref().map(|_| ()).map_err(SimError::clone)
+        match self.grids.get(slot) {
+            Some(Err(e)) => Err(e.clone()),
+            _ => Ok(slot),
+        }
     }
 
-    /// A grid [`fetch`](Self::fetch) made available.
-    fn get(&self, key: DecStageKey) -> Option<&DecodeStageGrid> {
-        self.0.get(&key).and_then(|grid| grid.as_deref().ok())
+    /// The grid in a slot [`fetch`](Self::fetch) returned.
+    fn get(&self, slot: usize) -> Option<&DecodeStageGrid> {
+        self.grids.get(slot).and_then(|grid| grid.as_deref().ok())
     }
 }
 
@@ -150,7 +187,7 @@ fn evaluate_with(
     // refill exactly B_E slots (paper §6). The completion analysis depends
     // only on N_D: the scorer holds it, fetched once from the simulator's
     // evaluation cache.
-    let RraState { completions, grids: held, plan } = state;
+    let RraState { completions, grids: held, plan, built, classes } = state;
     let series = completions.get(sim, cfg.n_d)?;
     let b_d = CompletionDist::decode_batch(series.fraction, cfg.b_e).ok_or_else(|| {
         SimError::NoSteadyState {
@@ -168,10 +205,10 @@ fn evaluate_with(
     }
 
     // Pipeline structure under partial TP; layers allocated by stage speed.
-    // Rebuilt in place: few evaluations share a plan, and the buffers keep
-    // their capacity (DESIGN.md §4a).
+    // Kept while the TP setting and speedup repeat, otherwise rebuilt in
+    // place in buffers that keep their capacity (DESIGN.md §4a).
     let mut times = LayerTimes::default();
-    plan_into(sim, cfg, b_d, &mut times, plan)?;
+    let dec_split = plan_into(sim, cfg, b_d, &mut times, plan, built)?;
     let RraPlan { layout, enc_alloc, dec_alloc } = &*plan;
     let stages = layout.num_stages();
 
@@ -181,7 +218,8 @@ fn evaluate_with(
     // B_E is split into one micro-batch per stage to fill the pipeline.
     let m_e = stages.min(cfg.b_e).max(1);
     let enc_micro = lossless_f64(cfg.b_e) / lossless_f64(m_e);
-    // The TP speedup looked the encode layer times up at this micro-batch.
+    // The plan builder looked the encode layer times up at this micro-batch
+    // (the TP speedup's, or the fused degree's alone).
     let pass = Pass::Encode { batch: enc_micro, seq: s_e };
     let enc = layout.stage_times_by(profile, enc_alloc, pass, |tp| times.get(profile, pass, tp))?;
     let t_enc: Secs = enc.sum + enc.bottleneck * (lossless_f64(m_e) - 1.0);
@@ -204,46 +242,27 @@ fn evaluate_with(
     // with the expected active pool after earlier completions, from the
     // survival series precomputed with the completion analysis.
     let m_d = stages.min(b_d).max(1);
-    // Stages with the same TP degree and boundary link share their layer
-    // time and handoff at any micro-batch size, so within such a class only
-    // the largest layer allocation can be the bottleneck. The bottleneck is
-    // the largest of one term per class (at most 4: stages run at TP degree
-    // 1 or the configured degree, across an intra- or inter-node link).
-    let mut classes = [StageClass::default(); MAX_CLASSES];
-    let mut n_classes = 0;
-    for ((stage, intra), &alloc) in
-        layout.stages().iter().zip(layout.intra_node_links()).zip(dec_alloc)
-    {
-        match classes[..n_classes].iter_mut().find(|c| c.tp == stage.tp && c.intra == intra) {
-            Some(class) => class.alloc = class.alloc.max(alloc),
-            None if n_classes < MAX_CLASSES => {
-                classes[n_classes] = StageClass { tp: stage.tp, intra, alloc };
-                n_classes += 1;
-            }
-            None => {
-                return Err(SimError::InvalidConfig {
-                    what: "tp",
-                    why: format!("more than {MAX_CLASSES} decode stage classes"),
-                })
-            }
+    // The bottleneck is the largest of one term per decode stage class
+    // (`decode_classes`). The classes and their grids' slots are kept while
+    // the decode split repeats.
+    let known = match *classes {
+        Some(known) if known.tp == cfg.tp && known.dec_split == dec_split => known,
+        _ => {
+            *classes = None;
+            let known = decode_classes(sim, held, layout, dec_alloc, cfg.tp, dec_split)?;
+            *classes = Some(known);
+            known
         }
-    }
-    // Each class's term `alloc · t_layer(µ) + handoff(µ)` is a cached
-    // `DecodeStageGrid`, bit-identical to the stage-cost kernel's per-stage
-    // term outside the grid's knots.
-    let keys = classes.map(|StageClass { tp, intra, alloc }| DecStageKey { tp, intra, alloc });
-    let keys = &keys[..n_classes];
-    for &key in keys {
-        held.fetch(sim, key)?;
-    }
-    let Some(first) = keys.first().and_then(|&key| held.get(key)) else {
+    };
+    let slots = &known.slots[..known.len];
+    let Some(first) = slots.first().and_then(|&slot| held.get(slot)) else {
         return Err(SimError::InvalidConfig { what: "tp", why: "no decode stage".into() });
     };
     let mut grids = [first; MAX_CLASSES];
-    for (grid, &key) in grids.iter_mut().zip(keys) {
-        *grid = held.get(key).unwrap_or(first);
+    for (grid, &slot) in grids.iter_mut().zip(slots) {
+        *grid = held.get(slot).unwrap_or(first);
     }
-    let grids = &grids[..n_classes];
+    let grids = &grids[..known.len];
     // `t_dec = m_d · Σ_u F(µ_u) + fill`, with the sum in closed form
     // (`decode_sum`), which debug builds check against the per-iteration
     // sum, and the pipeline filling at the first iteration's bottleneck.
@@ -260,7 +279,7 @@ fn evaluate_with(
     let t_phase = t_enc + t_dec;
     let throughput = lossless_f64(cfg.b_e) / t_phase.as_secs();
     // A query of 99th-percentile length spans ceil(L99 / N_D) full phases.
-    let phases = lossless_f64(w.l99().div_ceil(cfg.n_d));
+    let phases = lossless_f64(sim.l99().div_ceil(cfg.n_d));
     let latency = t_phase * phases;
 
     Ok(Estimate {
@@ -275,6 +294,50 @@ fn evaluate_with(
             decode_batch: b_d,
         },
     })
+}
+
+/// The decode stage classes of `layout` under `dec_alloc`, whose decode
+/// split is `dec_split`, with their grids fetched into `held`.
+fn decode_classes(
+    sim: &Simulator,
+    held: &mut Grids,
+    layout: &PipelineLayout,
+    dec_alloc: &[usize],
+    tp: TpConfig,
+    dec_split: LayerSplit,
+) -> Result<DecodeClasses, SimError> {
+    // Stages with the same TP degree and boundary link share their layer
+    // time and handoff at any micro-batch size, so within such a class only
+    // the largest layer allocation can be the bottleneck. The bottleneck is
+    // the largest of one term per class (at most 4: stages run at TP degree
+    // 1 or the configured degree, across an intra- or inter-node link).
+    let mut classes = [StageClass::default(); MAX_CLASSES];
+    let mut len = 0;
+    for ((stage, intra), &alloc) in
+        layout.stages().iter().zip(layout.intra_node_links()).zip(dec_alloc)
+    {
+        match classes[..len].iter_mut().find(|c| c.tp == stage.tp && c.intra == intra) {
+            Some(class) => class.alloc = class.alloc.max(alloc),
+            None if len < MAX_CLASSES => {
+                classes[len] = StageClass { tp: stage.tp, intra, alloc };
+                len += 1;
+            }
+            None => {
+                return Err(SimError::InvalidConfig {
+                    what: "tp",
+                    why: format!("more than {MAX_CLASSES} decode stage classes"),
+                })
+            }
+        }
+    }
+    // Each class's term `alloc · t_layer(µ) + handoff(µ)` is a cached
+    // `DecodeStageGrid`, bit-identical to the stage-cost kernel's per-stage
+    // term outside the grid's knots.
+    let mut slots = [0; MAX_CLASSES];
+    for (slot, &StageClass { tp, intra, alloc }) in slots.iter_mut().zip(&classes[..len]) {
+        *slot = held.fetch(sim, DecStageKey { tp, intra, alloc })?;
+    }
+    Ok(DecodeClasses { tp, dec_split, slots, len })
 }
 
 /// `Σ_u F(µ_u)` over one decode phase, in closed form: `F(µ) = max_c
@@ -448,20 +511,20 @@ impl RraPlan {
     }
 
     /// [`allocate`](Self::allocate) over this plan's layout, into its
-    /// allocation `Vec`s.
-    fn reallocate(&mut self, sim: &Simulator) -> Result<(), SimError> {
+    /// allocation `Vec`s, returning the decode pass's split.
+    fn reallocate(&mut self, sim: &Simulator) -> Result<LayerSplit, SimError> {
         let Self { layout, enc_alloc, dec_alloc } = self;
         match sim.model().kind() {
             ModelKind::EncoderDecoder => {
                 layout.allocate_layers_into(sim.enc_layers_total(), enc_alloc)?;
-                layout.allocate_layers_into(sim.dec_layers_total(), dec_alloc)?;
+                layout.allocate_layers_into(sim.dec_layers_total(), dec_alloc)
             }
             ModelKind::DecoderOnly => {
-                layout.allocate_layers_into(sim.model().num_layers(), dec_alloc)?;
+                let split = layout.allocate_layers_into(sim.model().num_layers(), dec_alloc)?;
                 enc_alloc.clone_from(dec_alloc);
+                Ok(split)
             }
         }
-        Ok(())
     }
 }
 
@@ -469,29 +532,50 @@ impl RraPlan {
 /// pool size.
 pub(crate) fn plan(sim: &Simulator, cfg: &RraConfig, b_d: usize) -> Result<RraPlan, SimError> {
     let mut plan = RraPlan::empty();
-    plan_into(sim, cfg, b_d, &mut LayerTimes::default(), &mut plan)?;
+    plan_into(sim, cfg, b_d, &mut LayerTimes::default(), &mut plan, &mut None)?;
     Ok(plan)
 }
 
-/// [`plan`], rebuilt in `plan`'s buffers, keeping the layer times the TP
-/// speedup looks up in `times`.
+/// [`plan`] in `plan`'s buffers, keeping the layer times it looks up in
+/// `times`, and returning the decode pass's layer split. The plan is
+/// rebuilt unless `built` says it already holds the TP setting and speedup
+/// at hand; `built` then records the new one.
+///
+/// The TP speedup sizes only the layer split. Where every stage is fused
+/// ([`PipelineLayout::all_fused`]) the split is even at any speedup, so
+/// the speedup is not measured and the layout takes 1.0: the one plan this
+/// builds for the estimate, the runner and `PlanInvariants` alike.
 fn plan_into(
     sim: &Simulator,
     cfg: &RraConfig,
     b_d: usize,
     times: &mut LayerTimes,
     plan: &mut RraPlan,
-) -> Result<(), SimError> {
+    built: &mut Option<Built>,
+) -> Result<LayerSplit, SimError> {
     let n = sim.cluster().total_gpus();
     let stages_f = lossless_f64(PipelineLayout::stage_count(n, cfg.tp));
-    let speedup = sim.tp_speedup(
-        cfg.tp,
-        (lossless_f64(cfg.b_e) / stages_f).max(1.0),
-        lossless_f64(b_d) / stages_f.max(1.0),
-        times,
-    )?;
+    let enc_batch = (lossless_f64(cfg.b_e) / stages_f).max(1.0);
+    let speedup = if PipelineLayout::all_fused(n, cfg.tp) {
+        // The speedup's first lookup that can fail is the encode pass's at
+        // the TP degree: it stays, so an unprofiled degree fails here as
+        // before, and the encode pass reuses it.
+        let pass = Pass::Encode { batch: enc_batch, seq: sim.workload().input().mean() };
+        times.get(sim.profile(), pass, cfg.tp.degree)?;
+        1.0
+    } else {
+        sim.tp_speedup(cfg.tp, enc_batch, lossless_f64(b_d) / stages_f.max(1.0), times)?
+    };
+    if let Some(held) = *built {
+        if held.tp == cfg.tp && held.speedup == speedup.to_bits() {
+            return Ok(held.dec_split);
+        }
+    }
+    *built = None;
     plan.layout.rebuild(n, cfg.tp, speedup, sim.cluster().gpus_per_node())?;
-    plan.reallocate(sim)
+    let dec_split = plan.reallocate(sim)?;
+    *built = Some(Built { tp: cfg.tp, speedup: speedup.to_bits(), dec_split });
+    Ok(dec_split)
 }
 
 /// The worst stage's footprint: its parameter slice, its share of the

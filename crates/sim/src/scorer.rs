@@ -6,7 +6,7 @@ use crate::error::SimError;
 use crate::estimate::{Estimate, Perf};
 use crate::rra::RraState;
 use crate::simulator::Simulator;
-use crate::waa::WaaPlan;
+use crate::waa::WaaState;
 use crate::{rra, waa};
 
 /// Evaluates schedule configurations on one [`Simulator`], built by
@@ -16,13 +16,17 @@ use crate::{rra, waa};
 ///
 /// A scorer keeps handles to the completion analyses (by `N_D`) and the
 /// decode stage grids (by stage class) it has used, each fetched once from
-/// the simulator's shared evaluation cache, and one RRA and one WAA plan
-/// whose `Vec`s every evaluation rebuilds in place. So once its handles and
-/// buffers are warm, an evaluation takes no lock, clones no `Arc` and
-/// allocates nothing (an error's message aside). It memoizes no point:
-/// every evaluation computes its estimate afresh, and the estimate's bits
-/// do not depend on what the scorer evaluated before. A search keeps one
-/// scorer per worker thread (DESIGN.md §4a).
+/// the simulator's shared evaluation cache. It also keeps one RRA and one
+/// WAA plan with the layer split each was built for, and the RRA decode
+/// stage classes of that split: a plan holds while its TP setting and TP
+/// speedup repeat (on the benchmark's scheduling grid, 69 % of RRA
+/// evaluations), the classes while the decode split does (99 %), and a
+/// change rebuilds them in place, in `Vec`s that keep their capacity. So
+/// once its handles and buffers are warm, an evaluation takes no lock,
+/// clones no `Arc` and allocates nothing (an error's message aside). It
+/// memoizes no point: every evaluation computes its estimate afresh, and
+/// the estimate's bits do not depend on what the scorer evaluated before.
+/// A search keeps one scorer per worker thread (DESIGN.md §4a).
 ///
 /// # Example
 ///
@@ -52,12 +56,12 @@ use crate::{rra, waa};
 pub struct Scorer<'a> {
     sim: &'a Simulator,
     rra: RraState,
-    waa: WaaPlan,
+    waa: WaaState,
 }
 
 impl<'a> Scorer<'a> {
     pub(crate) fn new(sim: &'a Simulator) -> Self {
-        Self { sim, rra: RraState::new(), waa: WaaPlan::empty() }
+        Self { sim, rra: RraState::new(), waa: WaaState::new() }
     }
 
     /// Evaluates either schedule family.

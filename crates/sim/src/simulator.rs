@@ -46,6 +46,9 @@ pub struct Simulator {
     /// `cluster.fingerprint()`, precomputed: the cache key component that
     /// scopes cluster-dependent entries to this topology.
     cluster_key: u64,
+    /// `workload.l99()`, precomputed: a binary search of the output CDF
+    /// that every estimate's latency reads.
+    l99: usize,
 }
 
 impl Simulator {
@@ -57,7 +60,9 @@ impl Simulator {
         workload: Workload,
     ) -> Self {
         let cluster_key = cluster.fingerprint();
-        Self { model, cluster, profile, workload, cache: Arc::new(EvalCache::new()), cluster_key }
+        let l99 = workload.l99();
+        let cache = Arc::new(EvalCache::new());
+        Self { model, cluster, profile, workload, cache, cluster_key, l99 }
     }
 
     /// The simulated model.
@@ -85,7 +90,8 @@ impl Simulator {
     pub fn with_workload(&self, workload: Workload) -> Self {
         // A fresh cache, not the shared one: every cached value depends on
         // the workload's length distributions.
-        Self { workload, cache: Arc::new(EvalCache::new()), ..self.clone() }
+        let l99 = workload.l99();
+        Self { workload, cache: Arc::new(EvalCache::new()), l99, ..self.clone() }
     }
 
     /// Returns a simulator for the same model and workload on a different
@@ -109,6 +115,11 @@ impl Simulator {
     /// hits and misses, and distinct entries across all layers.
     pub fn cache_stats(&self) -> EvalCacheStats {
         self.cache.stats()
+    }
+
+    /// [`Workload::l99`] of this simulator's workload.
+    pub(crate) fn l99(&self) -> usize {
+        self.l99
     }
 
     /// The evaluation cache shared by everything this simulator (and its
@@ -188,9 +199,9 @@ impl Simulator {
     /// Resolves the pipeline plan (layout + per-stage layer allocations) of
     /// an RRA configuration whose decode pool size is `b_d` (as returned in
     /// [`Estimate`](crate::Estimate)`::breakdown.decode_batch`). The runner
-    /// uses the same plan the simulator timed: the evaluation rebuilds it in
-    /// its scorer's buffers with the same function. Plans are not memoized;
-    /// each call builds one.
+    /// uses the same plan the simulator timed: the evaluation builds it with
+    /// the same function, in its scorer's buffers, which keep it while the
+    /// layer split repeats. Each call builds one.
     ///
     /// # Errors
     ///
@@ -201,7 +212,7 @@ impl Simulator {
     }
 
     /// Resolves the group split and pipeline plans of a WAA configuration,
-    /// with the function the evaluation rebuilds it with in place. Each
+    /// with the function the evaluation builds it with in place. Each
     /// call builds the plan.
     ///
     /// # Errors

@@ -12,7 +12,7 @@ use exegpt_dist::convert::{
 };
 use exegpt_model::{MemoryFootprint, ModelKind};
 
-use crate::config::{WaaConfig, WaaVariant};
+use crate::config::{TpConfig, WaaConfig, WaaVariant};
 use crate::error::SimError;
 use crate::estimate::{Breakdown, Estimate, MemoryReport};
 use crate::layout::{LayerTimes, Pass, PipelineLayout, StageTimes};
@@ -53,7 +53,7 @@ pub struct WaaPlan {
 
 impl WaaPlan {
     /// A plan of no stages, for [`plan_into`] to fill.
-    pub(crate) fn empty() -> Self {
+    fn empty() -> Self {
         Self {
             n_enc: 0,
             enc_layout: PipelineLayout::empty(),
@@ -66,20 +66,54 @@ impl WaaPlan {
     }
 }
 
+/// What WAA estimates keep across the evaluations of one
+/// [`Scorer`](crate::Scorer): the plan of the last group and layer split,
+/// rebuilt in place when the split changes.
+#[derive(Debug)]
+pub(crate) struct WaaState {
+    plan: WaaPlan,
+    /// What `plan`'s pipelines hold, each `None` while it is being rebuilt.
+    built: Built,
+}
+
+impl WaaState {
+    pub(crate) fn new() -> Self {
+        Self { plan: WaaPlan::empty(), built: Built::default() }
+    }
+}
+
+/// What a plan's two pipelines were built for. On one simulator the
+/// encoding pipeline is a function of the encoding group's size `n_e`, and
+/// the decoding pipeline of `n_e`, the TP setting and the TP speedup.
+#[derive(Debug, Default)]
+struct Built {
+    enc: Option<usize>,
+    dec: Option<(usize, TpConfig, u64)>,
+}
+
 /// Validates a WAA configuration and resolves its group split and layouts.
 pub(crate) fn plan(sim: &Simulator, cfg: &WaaConfig) -> Result<WaaPlan, SimError> {
     let mut plan = WaaPlan::empty();
-    plan_into(sim, cfg, &mut LayerTimes::default(), &mut plan)?;
+    plan_into(sim, cfg, &mut LayerTimes::default(), &mut plan, &mut Built::default())?;
     Ok(plan)
 }
 
-/// [`plan`], rebuilt in `plan`'s buffers, keeping the layer times the group
-/// split and the TP speedup look up in `times`.
+/// [`plan`] in `plan`'s buffers, keeping the layer times the group split
+/// and the TP speedup look up in `times`. A pipeline is rebuilt unless
+/// `built` says it already holds the split at hand; `built` then records
+/// the new one.
+///
+/// The TP speedup sizes only the decoding pipeline's layer split. Where
+/// every decoding stage is fused ([`PipelineLayout::all_fused`]) the split
+/// is even at any speedup, so the speedup is not measured and the layout
+/// takes 1.0: the one plan this builds for the estimate, the runner and
+/// `PlanInvariants` alike.
 fn plan_into(
     sim: &Simulator,
     cfg: &WaaConfig,
     times: &mut LayerTimes,
     plan: &mut WaaPlan,
+    built: &mut Built,
 ) -> Result<(), SimError> {
     if cfg.b_e == 0 {
         return Err(SimError::InvalidConfig { what: "b_e", why: "must be at least 1".into() });
@@ -137,14 +171,13 @@ fn plan_into(
     let n_dec = n - n_e;
 
     let WaaPlan { enc_layout, enc_alloc, dec_layout, dec_alloc, .. } = plan;
-    let enc_stages = n_e.min(enc_layers);
-    enc_layout.rebuild(
-        enc_stages,
-        crate::config::TpConfig::none(),
-        1.0,
-        sim.cluster().gpus_per_node(),
-    )?;
-    enc_layout.allocate_layers_into(enc_layers, enc_alloc)?;
+    let gpus_per_node = sim.cluster().gpus_per_node();
+    if built.enc != Some(n_e) {
+        built.enc = None;
+        enc_layout.rebuild(n_e.min(enc_layers), TpConfig::none(), 1.0, gpus_per_node)?;
+        enc_layout.allocate_layers_into(enc_layers, enc_alloc)?;
+        built.enc = Some(n_e);
+    }
 
     if cfg.tp.gpus > n_dec {
         return Err(SimError::InvalidConfig {
@@ -153,9 +186,22 @@ fn plan_into(
         });
     }
     let micro = lossless_f64(b_d) / lossless_f64(cfg.b_m);
-    let speedup = sim.tp_speedup(cfg.tp, lossless_f64(cfg.b_e), micro, times)?;
-    dec_layout.rebuild(n_dec, cfg.tp, speedup, sim.cluster().gpus_per_node())?;
-    dec_layout.allocate_layers_into(dec_layers, dec_alloc)?;
+    let speedup = if PipelineLayout::all_fused(n_dec, cfg.tp) {
+        // The speedup's first lookup that can fail is at the TP degree: the
+        // decode pass's stays, so an unprofiled degree fails here as before,
+        // and the decode pass reuses it.
+        times.get(profile, Pass::Decode { batch: micro, ctx, input_len: s_e }, cfg.tp.degree)?;
+        1.0
+    } else {
+        sim.tp_speedup(cfg.tp, lossless_f64(cfg.b_e), micro, times)?
+    };
+    let dec_key = (n_e, cfg.tp, speedup.to_bits());
+    if built.dec != Some(dec_key) {
+        built.dec = None;
+        dec_layout.rebuild(n_dec, cfg.tp, speedup, gpus_per_node)?;
+        dec_layout.allocate_layers_into(dec_layers, dec_alloc)?;
+        built.dec = Some(dec_key);
+    }
 
     // Decoder-only models hand over the full prefill KV (all layers);
     // encoder-decoder models hand over the cross-attention KV.
@@ -167,16 +213,17 @@ fn plan_into(
     Ok(())
 }
 
-/// Estimates `cfg`, rebuilding its plan in `plan`'s buffers.
+/// Estimates `cfg` over the plan `state` keeps.
 pub(crate) fn evaluate(
     sim: &Simulator,
-    plan: &mut WaaPlan,
+    state: &mut WaaState,
     cfg: &WaaConfig,
 ) -> Result<Estimate, SimError> {
     // The group split and the TP speedup look up the encode pass's layer
     // time, and with TP the decode pass's at B_D / B_m: both are reused.
     let mut times = LayerTimes::default();
-    plan_into(sim, cfg, &mut times, plan)?;
+    let WaaState { plan, built } = state;
+    plan_into(sim, cfg, &mut times, plan, built)?;
     let (enc_layout, enc_alloc) = (&plan.enc_layout, &plan.enc_alloc);
     let (dec_layout, dec_alloc) = (&plan.dec_layout, &plan.dec_alloc);
     let (b_d, kv_layers) = (plan.b_d, plan.kv_layers);
@@ -209,7 +256,7 @@ pub(crate) fn evaluate(
     let period = p_enc.max(p_dec).max(t_kv * KV_TRANSFER_EXPOSED);
     let throughput = lossless_f64(cfg.b_e) / period.as_secs();
     let fill = t_dstage * lossless_f64(stages_d);
-    let latency = (enc_latency + t_kv + fill + period * (lossless_f64(w.l99()) - 1.0).max(0.0))
+    let latency = (enc_latency + t_kv + fill + period * (lossless_f64(sim.l99()) - 1.0).max(0.0))
         * ADJUSTMENT_BUFFER;
 
     let memory = memory_report(sim, cfg, enc_alloc, dec_layout, dec_alloc, b_d)?;

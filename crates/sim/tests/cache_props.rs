@@ -3,7 +3,9 @@
 //! schedule families, and infeasible exactly where the estimator errs;
 //! estimates over warm completion and decode-grid layers are bit-identical
 //! to cold ones; a `Scorer` reused across any sequence of configurations
-//! returns what a fresh one returns for each, errors included; and a
+//! returns what a fresh one returns for each, errors included, also where
+//! it keeps a task's plan across runs of points that share, change and
+//! return to a layer split; and a
 //! remembered search returns what the search returned when it ran,
 //! infeasible outcomes and counters included, for the cluster and workload
 //! it ran on only.
@@ -230,6 +232,123 @@ proptest! {
     ) {
         prop_assert_eq!(reuse_mismatch(t5_simulator(), &cfgs).err(), None);
     }
+}
+
+/// Runs of one task each: a TP setting of `sim` (all-fused, mixed, none or
+/// rejected) over one to eight points of one family, each point repeated
+/// once or twice, so a scorer keeps a split, changes it and comes back to
+/// it.
+fn task_runs(sim: &Simulator) -> impl Strategy<Value = Vec<ScheduleConfig>> {
+    let tps = every_tp_setting(sim);
+    let tp = (0..tps.len()).prop_map(move |i| tps[i]);
+    let variant = prop_oneof![Just(WaaVariant::Compute), Just(WaaVariant::Memory)];
+    let point = (0usize..=160, 0usize..=96, 0usize..=20, 1usize..=2);
+    let run = (tp, any::<bool>(), variant, prop::collection::vec(point, 1..=8)).prop_map(
+        |(tp, rra, variant, points)| {
+            let mut cfgs = Vec::new();
+            for (b_e, n_d, b_m, times) in points {
+                let cfg = if rra {
+                    ScheduleConfig::Rra(RraConfig::new(b_e, n_d, tp))
+                } else {
+                    ScheduleConfig::Waa(WaaConfig::new(b_e % 49, b_m, tp, variant))
+                };
+                cfgs.extend(std::iter::repeat_n(cfg, times));
+            }
+            cfgs
+        },
+    );
+    prop::collection::vec(run, 1..=8).prop_map(|runs| runs.concat())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+    #[test]
+    fn a_scorer_that_keeps_splits_matches_fresh_ones(
+        narrow in task_runs(simulator()),
+        wide in task_runs(opt_on_eight()),
+        t5 in task_runs(t5_simulator()),
+    ) {
+        prop_assert_eq!(reuse_mismatch(simulator(), &narrow).err(), None);
+        prop_assert_eq!(reuse_mismatch(opt_on_eight(), &wide).err(), None);
+        prop_assert_eq!(reuse_mismatch(t5_simulator(), &t5).err(), None);
+    }
+}
+
+/// Feasible RRA points of `tp` on `sim` grouped by decode split, in grid
+/// order, and its out-of-memory points.
+fn points_by_split(
+    sim: &Simulator,
+    tp: TpConfig,
+) -> (Vec<Vec<ScheduleConfig>>, Vec<ScheduleConfig>) {
+    let (mut splits, mut spills) = (Vec::<(Vec<usize>, Vec<ScheduleConfig>)>::new(), Vec::new());
+    for b_e in [1, 2, 4, 8, 16, 32, 48, 64, 96, 128, 160] {
+        for n_d in [1, 2, 4, 8, 16, 32, 64, 96] {
+            let c = RraConfig::new(b_e, n_d, tp);
+            let cfg = ScheduleConfig::Rra(c);
+            match sim.evaluate(&cfg) {
+                Ok(est) => {
+                    let split =
+                        sim.rra_plan(&c, est.breakdown.decode_batch).expect("planned").dec_alloc;
+                    match splits.iter_mut().find(|(s, _)| *s == split) {
+                        Some((_, points)) => points.push(cfg),
+                        None => splits.push((split, vec![cfg])),
+                    }
+                }
+                Err(SimError::OutOfMemory { .. }) => spills.push(cfg),
+                Err(_) => {}
+            }
+        }
+    }
+    (splits.into_iter().map(|(_, points)| points).collect(), spills)
+}
+
+#[test]
+fn a_kept_split_outlives_points_that_fail_elsewhere() {
+    let (mut fused, mut mixed, mut resplit) = (0, 0, 0);
+    for sim in [simulator(), opt_on_eight(), t5_simulator()] {
+        let name = format!("{} on {}", sim.model().name(), sim.cluster().total_gpus());
+        let n = sim.cluster().total_gpus();
+        let mut tps = every_tp_setting(sim);
+        tps.truncate(tps.len() - 3);
+        let grids: Vec<_> = tps.iter().map(|&tp| points_by_split(sim, tp)).collect();
+        let rra = |b_e, n_d, tp| ScheduleConfig::Rra(RraConfig::new(b_e, n_d, tp));
+        // The first point out of memory without TP, moved onto an
+        // unprofiled fused degree, a stage class with no table: the profile
+        // error comes first, as it did.
+        let Some(&ScheduleConfig::Rra(spill)) = grids[0].1.first() else {
+            panic!("{name}: no point out of memory without TP")
+        };
+        let unprofiled = rra(spill.b_e, spill.n_d, TpConfig { degree: 3, gpus: 3 });
+        assert!(matches!(sim.evaluate(&unprofiled), Err(SimError::Profile(_))), "{name}");
+        // Per setting: hold a split over two points, change it where the
+        // setting has another, come back; then interleave the other
+        // settings' out-of-memory and feasible points, the unprofiled point
+        // and an invalid one between returns to the held split.
+        let mut cfgs = Vec::new();
+        for (a, (splits, _)) in grids.iter().enumerate() {
+            let Some(held) = splits.first() else { panic!("{name} {:?}: nothing fits", tps[a]) };
+            let (p, q) = (held[0], *held.get(1).unwrap_or(&held[0]));
+            let other = splits.get(1).map_or(q, |points| points[0]);
+            cfgs.extend([p, q, other, p]);
+            for (_, (fits, spills)) in grids.iter().enumerate().filter(|&(b, _)| b != a) {
+                cfgs.extend(spills.first().copied());
+                cfgs.extend([other, unprofiled, p]);
+                cfgs.extend(fits.first().map(|points| points[0]));
+                cfgs.push(q);
+            }
+            cfgs.extend([rra(0, 8, tps[a]), p]);
+            let tp = tps[a];
+            fused += usize::from(!tp.is_none() && tp.gpus == n);
+            mixed += usize::from(!tp.is_none() && tp.gpus < n);
+            resplit += usize::from(splits.len() > 1);
+        }
+        let kinds = reuse_mismatch(sim, &cfgs).unwrap_or_else(|e| panic!("{name}: {e}"));
+        for kind in ["ok", "oom", "profile", "invalid"] {
+            assert!(kinds.contains(&kind), "{name}: no {kind} point");
+        }
+    }
+    assert!(fused >= 3 && mixed >= 3, "{fused} all-fused and {mixed} mixed settings");
+    assert!(resplit > 0, "no setting changes its decode split on the grid");
 }
 
 #[test]

@@ -2,9 +2,12 @@
 //! links against the formulas they replace: `allocate_layers` must deal
 //! layers exactly as a stable sort of the per-stage remainders did, and
 //! `intra_node_links` must agree with the GPU-id division of
-//! `boundary_intra_node`, on every layout of up to 64 GPUs.
+//! `boundary_intra_node`, on every layout of up to 64 GPUs. Also the
+//! invariant the plan builders rely on to skip measuring the TP speedup:
+//! where every stage is fused, the split does not depend on the speedup.
 
 use exegpt_dist::convert::{lossless_f64, trunc_usize};
+use exegpt_model::ModelConfig;
 use exegpt_sim::{PipelineLayout, TpConfig};
 use proptest::prelude::*;
 
@@ -91,6 +94,58 @@ fn closed_form_split_deals_layers_as_the_sorted_split() {
     assert!(wrapped > 0, "no leftover reached the stage count");
 }
 
+/// Every all-fused TP setting of `n` GPUs: each degree from 2 to `n` that
+/// divides `n`, covering all of them.
+fn all_fused_settings(n: usize) -> impl Iterator<Item = TpConfig> {
+    (2..=n).filter(move |&d| n.is_multiple_of(d)).map(move |degree| TpConfig { degree, gpus: n })
+}
+
+/// The layer counts the model presets split: every preset's encoder,
+/// decoder and total layer counts.
+fn preset_layer_counts() -> Vec<usize> {
+    let mut models = ModelConfig::paper_models();
+    models.push(ModelConfig::ul2_20b());
+    let mut counts: Vec<usize> = models
+        .iter()
+        .flat_map(|m| [m.num_layers(), m.num_encoder_layers(), m.num_decoder_layers()])
+        .filter(|&layers| layers > 0)
+        .collect();
+    counts.sort_unstable();
+    counts.dedup();
+    counts
+}
+
+/// Whether `layout` splits `total` layers as its speedup-1 twin does, or
+/// both reject the count.
+fn splits_as_at_unit_speed(layout: &PipelineLayout, n: usize, tp: TpConfig, total: usize) -> bool {
+    let even = PipelineLayout::build(n, tp, 1.0, 8).expect("valid");
+    layout.allocate_layers(total).ok() == even.allocate_layers(total).ok()
+}
+
+#[test]
+fn an_all_fused_split_does_not_depend_on_the_speedup() {
+    let counts = preset_layer_counts();
+    assert!(counts.len() >= 5, "{counts:?}");
+    let mut checked = 0;
+    for n in 2..=64 {
+        for tp in all_fused_settings(n) {
+            for speedup in [0.05, 0.1, 0.3, 0.7, 1.0, 1.3, 1.7, 1.9, 2.0, 3.0, 3.3, 4.0, 7.9, 64.0]
+            {
+                let layout = PipelineLayout::build(n, tp, speedup, 8).expect("valid");
+                assert!(layout.stages().iter().all(|s| s.tp == tp.degree));
+                for &total in &counts {
+                    assert!(
+                        splits_as_at_unit_speed(&layout, n, tp, total),
+                        "n={n} {tp:?} speedup={speedup} layers={total}"
+                    );
+                    checked += usize::from(total >= layout.num_stages());
+                }
+            }
+        }
+    }
+    assert!(checked > 5_000, "{checked} splits");
+}
+
 #[test]
 fn node_links_are_the_division_formula() {
     let mut crossings = 0;
@@ -140,5 +195,21 @@ proptest! {
         let total = layout.num_stages() + extra;
         let got = layout.allocate_layers(total).expect("enough layers");
         prop_assert_eq!(got, sorted_split(&layout, total).0, "n={} {:?} speedup={}", n, tp, speedup);
+    }
+
+    #[test]
+    fn an_all_fused_split_ignores_random_speedups(
+        n in 2usize..=64,
+        pick in 0usize..64,
+        speedup in prop_oneof![0.05f64..64.0, Just(0.05), Just(64.0)],
+        total in 1usize..=256,
+    ) {
+        let tps: Vec<TpConfig> = all_fused_settings(n).collect();
+        let tp = tps[pick % tps.len()];
+        let layout = PipelineLayout::build(n, tp, speedup, 8).expect("valid");
+        prop_assert!(
+            splits_as_at_unit_speed(&layout, n, tp, total),
+            "n={} {:?} speedup={} layers={}", n, tp, speedup, total
+        );
     }
 }

@@ -1,7 +1,9 @@
 //! A warm `Scorer` evaluates without allocating: once its handles into the
 //! evaluation cache and its plan buffers have seen a set of
 //! configurations, scoring them again makes no heap allocation, feasible
-//! and out-of-memory points alike (other errors allocate their message).
+//! and out-of-memory points alike (other errors allocate their message),
+//! task by task and alternating between tasks, so that it keeps and
+//! rebuilds its plans.
 //! Allocations are counted per thread by a wrapper around the system
 //! allocator.
 
@@ -93,6 +95,28 @@ fn configs(sim: &Simulator) -> Vec<ScheduleConfig> {
     cfgs
 }
 
+/// The TP setting of a configuration.
+fn tp_of(cfg: &ScheduleConfig) -> TpConfig {
+    match cfg {
+        ScheduleConfig::Rra(c) => c.tp,
+        ScheduleConfig::Waa(c) => c.tp,
+    }
+}
+
+/// `cfgs` dealt round the TP settings, one configuration of each in turn,
+/// so consecutive configurations switch layouts and layer splits.
+fn alternating(cfgs: &[ScheduleConfig]) -> Vec<ScheduleConfig> {
+    let mut tasks: Vec<Vec<ScheduleConfig>> = Vec::new();
+    for cfg in cfgs {
+        match tasks.iter_mut().find(|task| tp_of(&task[0]) == tp_of(cfg)) {
+            Some(task) => task.push(*cfg),
+            None => tasks.push(vec![*cfg]),
+        }
+    }
+    let longest = tasks.iter().map(Vec::len).max().unwrap_or(0);
+    (0..longest).flat_map(|i| tasks.iter().filter_map(move |task| task.get(i)).copied()).collect()
+}
+
 #[test]
 fn a_warm_scorer_allocates_nothing() {
     for sim in [setup(ModelConfig::opt_13b()), setup(ModelConfig::t5_11b())] {
@@ -103,19 +127,23 @@ fn a_warm_scorer_allocates_nothing() {
             .collect();
         let oom = cfgs.iter().filter(|cfg| scorer.evaluate(cfg).is_err()).count();
         assert!(oom > 0 && oom < cfgs.len(), "{oom} of {} out of memory", cfgs.len());
-        let before = allocations();
-        let mut throughput = 0.0;
-        for cfg in &cfgs {
-            throughput += scorer.score(cfg).throughput;
+        let switching = alternating(&cfgs);
+        assert_eq!(switching.len(), cfgs.len());
+        for (order, cfgs) in [("task by task", &cfgs), ("alternating", &switching)] {
+            let before = allocations();
+            let mut throughput = 0.0;
+            for cfg in cfgs {
+                throughput += scorer.score(cfg).throughput;
+            }
+            let made = allocations() - before;
+            assert!(throughput > 0.0);
+            assert_eq!(
+                made,
+                0,
+                "{}: {made} allocations over {} warm scores, {order}",
+                sim.model().name(),
+                cfgs.len()
+            );
         }
-        let made = allocations() - before;
-        assert!(throughput > 0.0);
-        assert_eq!(
-            made,
-            0,
-            "{}: {made} allocations over {} warm scores",
-            sim.model().name(),
-            cfgs.len()
-        );
     }
 }
