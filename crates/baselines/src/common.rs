@@ -1,6 +1,7 @@
 //! Shared machinery for the baseline systems.
 
-use exegpt_sim::{PipelineLayout, RraPlan, SimError, Simulator, TpConfig};
+use exegpt_sim::{Estimate, PipelineLayout, RraPlan, SimError, Simulator, TpConfig};
+use exegpt_units::Secs;
 
 /// The paper's baseline parallel configuration: maximize tensor parallelism
 /// within a node, pipeline across nodes (§7.1). Returns `(tp, pp)`.
@@ -59,6 +60,25 @@ pub(crate) fn param_bytes_per_gpu(sim: &Simulator, plan: &GridPlan) -> u64 {
 /// (§7.1, "minimum to maximum batch sizes in multiples of four").
 pub(crate) fn batch_sweep(max: usize) -> impl Iterator<Item = usize> {
     (1..).map(|i| i * 4).take_while(move |&b| b <= max)
+}
+
+/// The highest-throughput batch of [`batch_sweep`] whose estimated latency
+/// meets `bound` (the earliest on a tie). The sweep stops at the first
+/// batch `estimate` rejects: a larger one needs more memory still.
+pub(crate) fn best_batch(
+    max_batch: usize,
+    bound: Secs,
+    estimate: impl Fn(usize) -> Result<Estimate, SimError>,
+) -> Option<(usize, Estimate)> {
+    let mut best: Option<(usize, Estimate)> = None;
+    for b in batch_sweep(max_batch) {
+        let Ok(est) = estimate(b) else { break };
+        if est.latency <= bound && best.as_ref().is_none_or(|(_, e)| est.throughput > e.throughput)
+        {
+            best = Some((b, est));
+        }
+    }
+    best
 }
 
 #[cfg(test)]

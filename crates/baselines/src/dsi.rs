@@ -12,6 +12,7 @@ use exegpt_runner::{RunError, RunOptions, RunReport};
 use exegpt_sim::{Estimate, SimError, Simulator};
 use exegpt_units::Secs;
 
+use crate::common::best_batch;
 use crate::ft::FasterTransformer;
 
 /// Per-iteration engine overhead of DSI's runtime relative to FT
@@ -23,7 +24,6 @@ const HOST_OVERHEAD_S: f64 = 6e-4;
 #[derive(Debug, Clone)]
 pub struct DeepSpeedInference {
     inner: FasterTransformer,
-    mean_out: f64,
 }
 
 impl DeepSpeedInference {
@@ -53,8 +53,7 @@ impl DeepSpeedInference {
             })
             .max()
             .unwrap_or(1);
-        let mean_out = sim.workload().output().mean().max(1.0);
-        Ok(Self { inner: FasterTransformer::with_tensor_parallelism(sim, tp)?, mean_out })
+        Ok(Self { inner: FasterTransformer::with_tensor_parallelism(sim, tp)? })
     }
 
     /// The underlying simulator context.
@@ -81,20 +80,7 @@ impl DeepSpeedInference {
 
     /// Best static batch under a latency bound (multiples of four).
     pub fn plan(&self, bound: Secs) -> Option<(usize, Estimate)> {
-        let mut best: Option<(usize, Estimate)> = None;
-        let mut b = 4;
-        while let Ok(est) = self.estimate(b) {
-            if est.latency <= bound
-                && best.as_ref().is_none_or(|(_, e)| est.throughput > e.throughput)
-            {
-                best = Some((b, est));
-            }
-            b += 4;
-            if b > self.simulator().profile().max_batch() {
-                break;
-            }
-        }
-        best
+        best_batch(self.simulator().profile().max_batch(), bound, |b| self.estimate(b))
     }
 
     /// Executes static batches of size `batch`, adding the engine overhead
@@ -115,7 +101,6 @@ impl DeepSpeedInference {
         for l in &mut rep.latencies {
             *l *= stretch;
         }
-        let _ = self.mean_out;
         Ok(rep)
     }
 }

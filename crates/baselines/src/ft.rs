@@ -14,7 +14,9 @@ use exegpt_sim::{Breakdown, Estimate, MemoryReport, Pass, SimError, Simulator};
 use exegpt_units::Secs;
 use exegpt_workload::{Request, RequestStream};
 
-use crate::common::{batch_sweep, build_grid, paper_parallelism, param_bytes_per_gpu, GridPlan};
+use crate::common::{
+    batch_sweep, best_batch, build_grid, paper_parallelism, param_bytes_per_gpu, GridPlan,
+};
 
 /// NVIDIA FasterTransformer executing with static batches.
 #[derive(Debug, Clone)]
@@ -128,20 +130,7 @@ impl FasterTransformer {
     /// Sweeps batch sizes in multiples of four (§7.1) and returns the
     /// highest-throughput batch whose estimated latency meets `bound`.
     pub fn plan(&self, bound: Secs) -> Option<(usize, Estimate)> {
-        let mut best: Option<(usize, Estimate)> = None;
-        for b in batch_sweep(self.sim.profile().max_batch()) {
-            match self.estimate(b) {
-                Ok(est) if est.latency <= bound => {
-                    if best.as_ref().is_none_or(|(_, e)| est.throughput > e.throughput) {
-                        best = Some((b, est));
-                    }
-                }
-                Ok(_) => {}
-                Err(SimError::OutOfMemory { .. }) => break,
-                Err(_) => break,
-            }
-        }
-        best
+        best_batch(self.sim.profile().max_batch(), bound, |b| self.estimate(b))
     }
 
     /// The latency sweep the paper derives its four bounds from: estimated

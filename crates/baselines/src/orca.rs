@@ -16,7 +16,7 @@ use exegpt_sim::{Pass, SimError, Simulator};
 use exegpt_units::Secs;
 use exegpt_workload::{Request, RequestStream};
 
-use crate::common::{batch_sweep, build_grid, paper_parallelism, param_bytes_per_gpu, GridPlan};
+use crate::common::{best_batch, build_grid, paper_parallelism, param_bytes_per_gpu, GridPlan};
 
 /// Tunables distinguishing the iteration-level systems.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -190,19 +190,7 @@ impl Orca {
     /// Sweeps slot counts (multiples of four) for the best throughput under
     /// `bound`.
     pub fn plan(&self, bound: Secs) -> Option<(usize, exegpt_sim::Estimate)> {
-        let mut best: Option<(usize, exegpt_sim::Estimate)> = None;
-        for b in batch_sweep(self.sim.profile().max_batch()) {
-            match self.estimate(b) {
-                Ok(est) if est.latency <= bound => {
-                    if best.as_ref().is_none_or(|(_, e)| est.throughput > e.throughput) {
-                        best = Some((b, est));
-                    }
-                }
-                Ok(_) => {}
-                Err(_) => break,
-            }
-        }
-        best
+        best_batch(self.sim.profile().max_batch(), bound, |b| self.estimate(b))
     }
 
     /// Executes iteration-level serving with `batch` slots over sampled

@@ -1,7 +1,7 @@
 //! Model/cluster deployments of the paper's evaluation (Table 2) and the
 //! shared profiling cache.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use exegpt::Engine;
 use exegpt_cluster::ClusterSpec;
@@ -21,11 +21,6 @@ pub struct System {
     pub cluster: ClusterSpec,
 }
 
-fn cache() -> &'static ProfileCache {
-    static CACHE: OnceLock<ProfileCache> = OnceLock::new();
-    CACHE.get_or_init(ProfileCache::new)
-}
-
 impl System {
     /// Builds a system on the first `gpus` GPUs of `base`.
     ///
@@ -40,7 +35,9 @@ impl System {
 
     /// The cached layer profile for this deployment (profiled on first use).
     pub fn profile(&self) -> Arc<LayerProfile> {
-        cache().get_or_profile(&self.model, &self.cluster).expect("scenario profiling succeeds")
+        ProfileCache::global()
+            .get_or_profile(&self.model, &self.cluster)
+            .expect("scenario profiling succeeds")
     }
 
     /// A simulator for this deployment under `workload`.

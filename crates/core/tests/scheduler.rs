@@ -134,16 +134,19 @@ fn schedule_is_deterministic_across_pool_widths() {
     // The determinism contract: byte-for-byte identical results (including
     // the evals and cache_hits counters) for serial execution and for any
     // search-pool width. A fresh engine per run keeps the evaluation cache
-    // cold, so the counters are comparable too.
+    // cold, so the counters are comparable too, and so are the cache's own:
+    // racing workers may both build a missing entry, but only one stays.
     let bound = Secs::new(10.0);
     let run = |pool_threads: Option<usize>| {
-        engine_task_s()
+        let engine = engine_task_s();
+        let schedule = engine
             .schedule_with(&SchedulerOptions { pool_threads, ..SchedulerOptions::bounded(bound) })
-            .expect("feasible")
+            .expect("feasible");
+        (schedule, engine.simulator().cache_stats())
     };
     let reference = run(Some(1));
     assert_eq!(reference, run(None), "auto-width pool diverged from serial");
-    for width in [2, 3, 8] {
+    for width in [2, 3, 4, 8] {
         assert_eq!(reference, run(Some(width)), "pool width {width} diverged");
     }
 }

@@ -22,7 +22,7 @@
 //!   `clippy::as_conversions`, DESIGN.md §6) throughout the cost-model and
 //!   scheduler arithmetic.
 //! * [`fnv1a`] / [`FnvHasher`] — the one FNV-1a implementation behind run
-//!   digests, cluster fingerprints and evaluation-cache keys.
+//!   digests and cluster fingerprints.
 //!
 //! # Example
 //!
@@ -63,5 +63,5 @@ pub mod stats;
 
 pub use completion::{CompletionDist, CompletionSeries};
 pub use error::DistError;
-pub use fnv::{fnv1a, FnvBuildHasher, FnvHasher};
+pub use fnv::{fnv1a, FnvHasher};
 pub use length::LengthDist;

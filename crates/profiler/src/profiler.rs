@@ -1,13 +1,13 @@
 //! The profiling sweep (paper §3, XProfiler).
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 #[expect(
     clippy::disallowed_types,
     reason = "the profile cache is a leaf shared map guarded by one lock; no lock ordering, \
               no iteration-order dependence"
 )]
 use std::sync::Mutex;
+use std::sync::{Arc, OnceLock};
 
 use exegpt_cluster::{ClusterSpec, CostModel};
 use exegpt_model::{KernelCost, LayerKind, ModelConfig, ModelKind};
@@ -264,6 +264,13 @@ impl ProfileCache {
     /// Creates an empty cache.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The process-wide cache: every caller in a process that profiles the
+    /// same (model, cluster) pair shares one profiling pass.
+    pub fn global() -> &'static Self {
+        static CACHE: OnceLock<ProfileCache> = OnceLock::new();
+        CACHE.get_or_init(Self::new)
     }
 
     /// Returns the cached profile for `(model, cluster)`, running the sweep

@@ -9,7 +9,7 @@
 //! locks every shipped file's digest. Profiles are shared through a
 //! process-wide cache keyed on (model, cluster).
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use exegpt::{Engine, Schedule, SchedulerOptions};
 use exegpt_cluster::ClusterSpec;
@@ -47,13 +47,6 @@ fn lower_err(what: &'static str, why: impl std::fmt::Display) -> ScenarioError {
 
 fn run_err(what: &'static str, why: impl std::fmt::Display) -> ScenarioError {
     ScenarioError::Run { what, why: why.to_string() }
-}
-
-/// The process-wide profile cache: every scenario sharing a (model,
-/// cluster) pair reuses one profiling pass.
-fn cache() -> &'static ProfileCache {
-    static CACHE: OnceLock<ProfileCache> = OnceLock::new();
-    CACHE.get_or_init(ProfileCache::new)
 }
 
 // --- leaf lowerings ------------------------------------------------------
@@ -199,8 +192,9 @@ fn build_engine(
     cluster: &ClusterSpec,
     workload: Workload,
 ) -> Result<Engine, ScenarioError> {
-    let profile: Arc<LayerProfile> =
-        cache().get_or_profile(model, cluster).map_err(|e| lower_err("profile", e))?;
+    let profile: Arc<LayerProfile> = ProfileCache::global()
+        .get_or_profile(model, cluster)
+        .map_err(|e| lower_err("profile", e))?;
     Engine::builder()
         .model(model.clone())
         .cluster(cluster.clone())

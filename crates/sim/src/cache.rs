@@ -25,9 +25,9 @@
 //! [`Simulator::remembered_search`](crate::Simulator::remembered_search)
 //! keeps each search's [`SearchOutcome`], keyed by the cluster fingerprint
 //! and the caller's word-for-word encoding of the options that decide the
-//! result. Keys compare exactly, so a hash collision costs a bucket probe,
-//! never a wrong plan. A [`Scorer`](crate::Scorer) computes every point
-//! afresh over the warm completion and decode-grid layers.
+//! result. Keys compare exactly, so two option sets never share an entry.
+//! A [`Scorer`](crate::Scorer) computes every point afresh over the warm
+//! completion and decode-grid layers.
 //!
 //! Pipeline plans are not kept here but in each scorer, one per family,
 //! per layer split. An RRA plan depends on the TP setting and the TP
@@ -50,98 +50,37 @@
 //! bounded by the number of distinct topologies and options a serving run
 //! schedules for.
 //!
-//! Concurrency: maps are sharded `RwLock<HashMap>`s so the scheduler's
-//! search pool shares one cache without serializing on a single lock. On a
-//! racing miss both threads compute (computation is pure) and the first
-//! insert stays.
+//! Concurrency: one `Mutex` guards all three maps and the two search
+//! counters. Since each search worker's scorer keeps its own handles, the
+//! cache sees a few hundred lookups per schedule (about one per nine
+//! estimates on `sched-paper`), so one lock does not serialize the search
+//! pool. The lock is held for one lookup or one insert only: a missing
+//! completion analysis or decode stage grid is built, and a search run,
+//! with the lock released, since a search re-enters the cache. On a racing
+//! miss both threads compute (computation is pure) and the first insert
+//! stays.
 
+use std::collections::BTreeMap;
 #[expect(
     clippy::disallowed_types,
-    reason = "audited pool module: the shard maps are keyed lookup only, so their iteration \
-              order is never observed"
+    reason = "one lock around the cache's maps, held for one lookup or insert and never across \
+              a build or a search"
 )]
-use std::collections::HashMap;
-use std::hash::{BuildHasher, Hash};
-#[expect(
-    clippy::disallowed_types,
-    reason = "audited pool module: the `hits`/`misses` counters are the only atomics"
-)]
-use std::sync::atomic::AtomicUsize;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
-#[expect(
-    clippy::disallowed_types,
-    reason = "audited pool module: each shard has its own lock and no code path holds two"
-)]
-use std::sync::RwLock;
+use std::sync::Mutex;
+use std::sync::{Arc, MutexGuard, PoisonError};
 
-use exegpt_dist::convert::narrow_usize;
-use exegpt_dist::{CompletionSeries, FnvBuildHasher, LengthDist};
+use exegpt_dist::{CompletionSeries, LengthDist};
 use exegpt_profiler::DecodeStageGrid;
 
 use crate::config::ScheduleConfig;
 use crate::error::SimError;
 use crate::estimate::Estimate;
 
-/// Shards per map: enough to keep the search pool's workers from
-/// contending, small enough to stay cheap to allocate per workload.
-const SHARDS: usize = 8;
-
-/// A hash map split into independently locked shards. Keys hash with
-/// FNV-1a: they are small, program-generated config structs on the hot path
-/// of every simulator evaluation, where SipHash's per-call overhead is
-/// measurable and its flooding resistance buys nothing.
-#[expect(
-    clippy::disallowed_types,
-    reason = "audited pool module: one lock per shard around a keyed-lookup map"
-)]
-struct ShardedMap<K, V> {
-    shards: Vec<RwLock<HashMap<K, V, FnvBuildHasher>>>,
-}
-
-impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
-    fn new() -> Self {
-        #[expect(
-            clippy::disallowed_types,
-            reason = "audited pool module: one lock per shard around a keyed-lookup map"
-        )]
-        let shards = (0..SHARDS).map(|_| RwLock::new(HashMap::default())).collect();
-        Self { shards }
-    }
-
-    /// The shard comes from the middle bits of the key's hash: the map
-    /// inside indexes its buckets by the low bits, and FNV's low bits only
-    /// mix the low bits of each integer field, so a low-bit shard index
-    /// would leave every key of a shard sharing its bucket-index bits.
-    #[expect(
-        clippy::disallowed_types,
-        reason = "audited pool module: one lock per shard around a keyed-lookup map"
-    )]
-    fn shard(&self, key: &K) -> &RwLock<HashMap<K, V, FnvBuildHasher>> {
-        let idx = narrow_usize(FnvBuildHasher::default().hash_one(key) >> 32) % SHARDS;
-        &self.shards[idx]
-    }
-
-    fn get(&self, key: &K) -> Option<V> {
-        self.shard(key).read().unwrap_or_else(|e| e.into_inner()).get(key).cloned()
-    }
-
-    /// Inserts unless the key appeared meanwhile: the first value stays.
-    fn insert(&self, key: K, value: V) {
-        let mut shard = self.shard(&key).write().unwrap_or_else(|e| e.into_inner());
-        shard.entry(key).or_insert(value);
-    }
-
-    fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().unwrap_or_else(|e| e.into_inner()).len()).sum()
-    }
-}
-
 /// Key of the decode stage grids: one grid per (TP degree, boundary link,
 /// layer allocation) stage class. The workload's
 /// context/input lengths are fixed per cache, so they are not part of the
 /// key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct DecStageKey {
     pub tp: usize,
     pub intra: bool,
@@ -184,60 +123,58 @@ pub struct EvalCacheStats {
     pub entries: usize,
 }
 
+/// The cache's maps and search counters, behind [`EvalCache`]'s one lock.
+#[derive(Default)]
+struct Maps {
+    completion: BTreeMap<usize, Arc<CompletionSeries>>,
+    dec_stage: BTreeMap<DecStageKey, Result<Arc<DecodeStageGrid>, SimError>>,
+    searches: BTreeMap<SearchKey, SearchOutcome>,
+    hits: usize,
+    misses: usize,
+}
+
 /// The shared evaluation cache: completion analyses, decode stage grids
 /// and searches. One instance per (simulator, workload); see the module
 /// docs for the invalidation contract.
+#[derive(Default)]
 pub(crate) struct EvalCache {
-    completion: ShardedMap<usize, Arc<CompletionSeries>>,
-    dec_stage: ShardedMap<DecStageKey, Result<Arc<DecodeStageGrid>, SimError>>,
-    searches: ShardedMap<SearchKey, SearchOutcome>,
     #[expect(
         clippy::disallowed_types,
-        reason = "audited pool module: a counter, so `Ordering::Relaxed` suffices"
+        reason = "one lock around the cache's maps, held for one lookup or insert and never \
+                  across a build or a search"
     )]
-    hits: AtomicUsize,
-    #[expect(
-        clippy::disallowed_types,
-        reason = "audited pool module: a counter, so `Ordering::Relaxed` suffices"
-    )]
-    misses: AtomicUsize,
+    maps: Mutex<Maps>,
 }
 
 impl std::fmt::Debug for EvalCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let maps = self.maps();
         f.debug_struct("EvalCache")
-            .field("hits", &self.hits.load(Ordering::Relaxed))
-            .field("misses", &self.misses.load(Ordering::Relaxed))
+            .field("hits", &maps.hits)
+            .field("misses", &maps.misses)
             .finish_non_exhaustive()
     }
 }
 
 impl EvalCache {
-    pub(crate) fn new() -> Self {
-        #[expect(
-            clippy::disallowed_types,
-            reason = "audited pool module: the `hits`/`misses` counters start at zero"
-        )]
-        let (hits, misses) = (AtomicUsize::new(0), AtomicUsize::new(0));
-        Self {
-            completion: ShardedMap::new(),
-            dec_stage: ShardedMap::new(),
-            searches: ShardedMap::new(),
-            hits,
-            misses,
-        }
+    /// The maps. No code panics while holding the lock (it covers one
+    /// lookup or insert), and the maps only gain finished entries, so a
+    /// poisoned lock guards nothing broken.
+    fn maps(&self) -> MutexGuard<'_, Maps> {
+        self.maps.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     pub(crate) fn stats(&self) -> EvalCacheStats {
+        let maps = self.maps();
         EvalCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.completion.len() + self.dec_stage.len() + self.searches.len(),
+            hits: maps.hits,
+            misses: maps.misses,
+            entries: maps.completion.len() + maps.dec_stage.len() + maps.searches.len(),
         }
     }
 
-    /// Completion analysis for `n_d` over `output`, built at most once per
-    /// `n_d` for this cache's workload.
+    /// Completion analysis for `n_d` over `output`, kept once per `n_d` for
+    /// this cache's workload.
     ///
     /// # Errors
     ///
@@ -247,29 +184,26 @@ impl EvalCache {
         output: &LengthDist,
         n_d: usize,
     ) -> Result<Arc<CompletionSeries>, SimError> {
-        if let Some(series) = self.completion.get(&n_d) {
-            return Ok(series);
+        if let Some(series) = self.maps().completion.get(&n_d) {
+            return Ok(Arc::clone(series));
         }
         let series = CompletionSeries::new(output, n_d)
             .map_err(|e| SimError::InvalidConfig { what: "n_d", why: e.to_string() })?;
-        let series = Arc::new(series);
-        self.completion.insert(n_d, Arc::clone(&series));
-        Ok(series)
+        Ok(Arc::clone(self.maps().completion.entry(n_d).or_insert_with(|| Arc::new(series))))
     }
 
-    /// Decode stage grid for one stage class, built at most once per
-    /// (TP degree, link, allocation).
+    /// Decode stage grid for one stage class, kept once per (TP degree,
+    /// link, allocation).
     pub(crate) fn dec_stage_grid(
         &self,
         key: DecStageKey,
         build: impl FnOnce() -> Result<DecodeStageGrid, SimError>,
     ) -> Result<Arc<DecodeStageGrid>, SimError> {
-        if let Some(grid) = self.dec_stage.get(&key) {
-            return grid;
+        if let Some(grid) = self.maps().dec_stage.get(&key) {
+            return grid.clone();
         }
         let grid = build().map(Arc::new);
-        self.dec_stage.insert(key, grid.clone());
-        grid
+        self.maps().dec_stage.entry(key).or_insert(grid).clone()
     }
 
     /// Search memo, keyed by `(cluster, options)`: the remembered outcome
@@ -280,14 +214,17 @@ impl EvalCache {
         key: SearchKey,
         search: impl FnOnce() -> SearchOutcome,
     ) -> (SearchOutcome, bool) {
-        if let Some(outcome) = self.searches.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (outcome, true);
+        {
+            let mut maps = self.maps();
+            if let Some(outcome) = maps.searches.get(&key).cloned() {
+                maps.hits += 1;
+                return (outcome, true);
+            }
         }
         let outcome = search();
-        self.searches.insert(key, outcome.clone());
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        (outcome, false)
+        let mut maps = self.maps();
+        maps.misses += 1;
+        (maps.searches.entry(key).or_insert(outcome).clone(), false)
     }
 }
 
@@ -302,7 +239,7 @@ mod tests {
     #[test]
     fn search_memo_counts_hits_and_misses() {
         // An infeasible search (`best: None`) is remembered like any other.
-        let cache = EvalCache::new();
+        let cache = EvalCache::default();
         let mut runs = 0;
         for round in 0..3 {
             let (found, hit) = cache.search((7, vec![1, 2]), || {
@@ -319,7 +256,7 @@ mod tests {
 
     #[test]
     fn searches_are_keyed_per_cluster_and_options() {
-        let cache = EvalCache::new();
+        let cache = EvalCache::default();
         let (a, _) = cache.search((1, vec![5]), || outcome(10));
         // Another cluster fingerprint, or other options, search again...
         let (b, hit) = cache.search((2, vec![5]), || outcome(20));
@@ -336,8 +273,37 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_search_leaves_the_memo_usable() {
+        // No lock is held while `search()` runs, so its panic poisons
+        // nothing and remembers nothing.
+        let cache = EvalCache::default();
+        let caught = std::panic::catch_unwind(|| cache.search((1, vec![]), || panic!("search")));
+        assert!(caught.is_err());
+        assert!(!cache.maps.is_poisoned());
+        let (found, hit) = cache.search((1, vec![]), || outcome(5));
+        assert_eq!((found, hit), (outcome(5), false));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 1, 1));
+    }
+
+    #[test]
+    fn a_search_may_read_the_cache() {
+        // Searches score configurations, which fetch completion analyses:
+        // a lock held across `search()` would deadlock here, so the test
+        // first checks that the lock is free.
+        let cache = EvalCache::default();
+        let out = LengthDist::truncated_normal(16.0, 8.0, 64).expect("valid");
+        let (found, _) = cache.search((1, vec![]), || {
+            assert!(cache.maps.try_lock().is_ok(), "the lock is held across search()");
+            outcome(cache.completion(&out, 4).expect("ok").survival.len())
+        });
+        assert_eq!(found, outcome(4));
+        assert_eq!(cache.stats().entries, 2);
+    }
+
+    #[test]
     fn completion_series_is_shared_per_nd() {
-        let cache = EvalCache::new();
+        let cache = EvalCache::default();
         let out = LengthDist::truncated_normal(16.0, 8.0, 64).expect("valid");
         let a = cache.completion(&out, 8).expect("ok");
         let b = cache.completion(&out, 8).expect("ok");

@@ -61,7 +61,7 @@ impl Simulator {
     ) -> Self {
         let cluster_key = cluster.fingerprint();
         let l99 = workload.l99();
-        let cache = Arc::new(EvalCache::new());
+        let cache = Arc::new(EvalCache::default());
         Self { model, cluster, profile, workload, cache, cluster_key, l99 }
     }
 
@@ -91,7 +91,7 @@ impl Simulator {
         // A fresh cache, not the shared one: every cached value depends on
         // the workload's length distributions.
         let l99 = workload.l99();
-        Self { workload, cache: Arc::new(EvalCache::new()), l99, ..self.clone() }
+        Self { workload, cache: Arc::new(EvalCache::default()), l99, ..self.clone() }
     }
 
     /// Returns a simulator for the same model and workload on a different
