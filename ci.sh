@@ -76,8 +76,9 @@ cargo test --offline --release -q -p exegpt-runner --test kv_alloc
 # The benchmark times the serve step in release too: its KV-peak digest,
 # the check that the serve step and the offline replay, which share one
 # phase body, agree on the same closed-loop stream, and the fault layer
-# that serve-adapt's GPU failure runs through.
-cargo test --offline --release -q -p exegpt-serve --test kv_peak --test agreement --test faults
+# that serve-adapt's GPU failure runs through, with its replay properties
+# (the library's unit tests).
+cargo test --offline --release -q -p exegpt-serve --lib --test kv_peak --test agreement --test faults
 # And the fleet loop, with its metric handles and tenant table, in the
 # release code fleet-tenants times: single-replica equivalence,
 # determinism, conservation through a replica loss, and the rejection of a

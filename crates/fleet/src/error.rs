@@ -1,6 +1,5 @@
 //! Fleet-level errors.
 
-use exegpt_faults::FaultError;
 use exegpt_serve::ServeError;
 
 /// Errors raised by the fleet fabric.
@@ -9,8 +8,6 @@ pub enum FleetError {
     /// A replica's serving loop failed (stall, infeasible schedule,
     /// unsurvivable failover).
     Serve(ServeError),
-    /// The fleet-level fault schedule was invalid.
-    Fault(FaultError),
     /// A fleet configuration was invalid.
     InvalidConfig {
         /// Which configuration item.
@@ -24,7 +21,6 @@ impl std::fmt::Display for FleetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FleetError::Serve(e) => write!(f, "replica serving loop failed: {e}"),
-            FleetError::Fault(e) => write!(f, "invalid fleet fault schedule: {e}"),
             FleetError::InvalidConfig { what, why } => {
                 write!(f, "invalid fleet config `{what}`: {why}")
             }
@@ -36,7 +32,6 @@ impl std::error::Error for FleetError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             FleetError::Serve(e) => Some(e),
-            FleetError::Fault(e) => Some(e),
             FleetError::InvalidConfig { .. } => None,
         }
     }
@@ -45,12 +40,6 @@ impl std::error::Error for FleetError {
 impl From<ServeError> for FleetError {
     fn from(e: ServeError) -> Self {
         FleetError::Serve(e)
-    }
-}
-
-impl From<FaultError> for FleetError {
-    fn from(e: FaultError) -> Self {
-        FleetError::Fault(e)
     }
 }
 

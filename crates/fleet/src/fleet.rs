@@ -5,8 +5,9 @@
 //! trace through them as one discrete-event simulation. A global event
 //! heap keyed `(time, kind, replica, seq)` merges three event sources:
 //!
-//! * **controls** (fleet-level faults, scripted autoscaling, deploy
-//!   completions) — applied first at any instant,
+//! * **controls** (scripted lifecycle actions — replica loss, recovery
+//!   and autoscaling — and deploy completions) — applied first at any
+//!   instant,
 //! * **arrivals** from the (sorted) trace — routed by the
 //!   [`Router`](crate::Router) and injected into the chosen replica,
 //! * **wakes** — a replica is stepped (one phase boundary) whenever its
@@ -22,7 +23,6 @@
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
 
-use exegpt_faults::{FaultKind, FaultSchedule};
 use exegpt_serve::{Completion, HistogramId, Metrics, MetricsSnapshot, StepOutcome};
 use exegpt_units::Secs;
 use exegpt_workload::{TenantRequest, TimedRequest};
@@ -42,12 +42,10 @@ pub struct FleetOptions {
     pub policy: DispatchPolicy,
     /// SLO classes indexed by [`TenantRequest::class`].
     pub classes: Vec<SloClass>,
-    /// Fleet-level fault schedule. `GpuFail { gpu: r }` loses **replica**
-    /// `r` (its queued and in-flight work reroutes onto survivors);
-    /// `GpuRecover { gpu: r }` redeploys it. Device-level faults belong in
-    /// a replica's own [`exegpt_serve::ServeOptions::faults`].
-    pub faults: Option<FaultSchedule>,
-    /// Scripted autoscaling actions on the fleet clock.
+    /// Scripted lifecycle actions on the fleet clock: scale-ups and
+    /// drains, replica losses and recoveries. Actions at the same instant
+    /// on the same replica apply in list order. Device-level faults belong
+    /// in a replica's own [`exegpt_serve::ServeOptions::faults`].
     pub scale: Vec<ScaleEvent>,
 }
 
@@ -56,7 +54,6 @@ impl Default for FleetOptions {
         Self {
             policy: DispatchPolicy::RoundRobin,
             classes: vec![SloClass::batch("default")],
-            faults: None,
             scale: Vec::new(),
         }
     }
@@ -89,6 +86,18 @@ pub struct FleetReport {
     pub events: FleetEventLog,
 }
 
+impl FleetReport {
+    /// The whole run's log: the fabric's JSONL followed by every replica
+    /// session's JSONL, in fleet order.
+    pub fn log(&self) -> String {
+        let mut log = self.events.to_jsonl();
+        for session in self.replicas.iter().flat_map(|r| &r.reports) {
+            log.push_str(&session.events.to_jsonl());
+        }
+        log
+    }
+}
+
 /// A multi-replica serving fleet. See the [crate docs](crate).
 pub struct Fleet {
     specs: Vec<ReplicaSpec>,
@@ -101,9 +110,8 @@ impl Fleet {
     /// # Errors
     ///
     /// Returns [`FleetError::InvalidConfig`] when no replica starts
-    /// active, a class is malformed, a scale action targets an unknown
-    /// replica, or the fault schedule contains anything but whole-replica
-    /// loss/recovery of known replicas.
+    /// active, a class is malformed, or a scripted action targets an
+    /// unknown replica or a time that is not finite and non-negative.
     pub fn new(specs: Vec<ReplicaSpec>, opts: FleetOptions) -> Result<Self, FleetError> {
         if specs.is_empty() {
             return Err(FleetError::InvalidConfig {
@@ -129,31 +137,12 @@ impl Fleet {
                 why: format!("class `{}` has an empty name or invalid weight", bad.name),
             });
         }
-        if let Some(f) = &opts.faults {
-            for e in f.events() {
-                let ok = match e.kind {
-                    FaultKind::GpuFail { gpu } | FaultKind::GpuRecover { gpu } => gpu < specs.len(),
-                    _ => false,
-                };
-                if !ok {
-                    return Err(FleetError::InvalidConfig {
-                        what: "faults",
-                        why: format!(
-                            "fleet faults must be GpuFail/GpuRecover of a replica index \
-                             < {} (got {})",
-                            specs.len(),
-                            e.kind
-                        ),
-                    });
-                }
-            }
-        }
         for ev in &opts.scale {
             if ev.action.replica() >= specs.len() {
                 return Err(FleetError::InvalidConfig {
                     what: "scale",
                     why: format!(
-                        "scale action targets replica {} but the fleet has {}",
+                        "scripted action targets replica {} but the fleet has {}",
                         ev.action.replica(),
                         specs.len()
                     ),
@@ -162,7 +151,7 @@ impl Fleet {
             if !ev.t.is_finite() || ev.t < 0.0 {
                 return Err(FleetError::InvalidConfig {
                     what: "scale",
-                    why: format!("scale time must be finite and non-negative, got {}", ev.t),
+                    why: format!("action time must be finite and non-negative, got {}", ev.t),
                 });
             }
         }
@@ -229,27 +218,10 @@ impl Fleet {
                 state.schedule_wake(i, 0.0);
             }
         }
-        // Merge fleet faults and scripted scaling into the control track.
-        if let Some(f) = &self.opts.faults {
-            for e in f.events() {
-                match e.kind {
-                    FaultKind::GpuFail { gpu } => state.push_control(e.t, Control::Lose(gpu)),
-                    FaultKind::GpuRecover { gpu } => {
-                        state.push_control(e.t, Control::Deploy(gpu));
-                    }
-                    _ => {}
-                }
-            }
-        }
+        // The script joins the control track in list order, which breaks
+        // ties between actions on one replica at one instant.
         for ev in &self.opts.scale {
-            match ev.action {
-                ScaleAction::Up { replica } => {
-                    state.push_control(ev.t, Control::ScaleUp(replica));
-                }
-                ScaleAction::Down { replica } => {
-                    state.push_control(ev.t, Control::ScaleDown(replica));
-                }
-            }
+            state.push_control(ev.t, Control::Script(ev.action));
         }
 
         // ---- The global event loop --------------------------------------
@@ -415,14 +387,8 @@ impl Ord for Entry {
 /// A fleet-level control action.
 #[derive(Debug, Clone, Copy)]
 enum Control {
-    /// Lose a replica (fleet fault): reroute its work onto survivors.
-    Lose(usize),
-    /// Redeploy a lost replica (fleet fault recovery).
-    Deploy(usize),
-    /// Scripted scale-up of a standby/retired replica.
-    ScaleUp(usize),
-    /// Scripted drain-and-retire of an active replica.
-    ScaleDown(usize),
+    /// A scripted lifecycle action.
+    Script(ScaleAction),
     /// A deploying replica finished paying its deploy cost.
     Ready(usize),
 }
@@ -505,11 +471,8 @@ impl RunState {
     fn push_control(&mut self, t: f64, control: Control) {
         let seq = self.next_seq();
         let replica = match control {
-            Control::Lose(r)
-            | Control::Deploy(r)
-            | Control::ScaleUp(r)
-            | Control::ScaleDown(r)
-            | Control::Ready(r) => r,
+            Control::Script(action) => action.replica(),
+            Control::Ready(r) => r,
         };
         self.controls.insert(seq, control);
         self.heap.push(Entry { t, kind: K_CONTROL, replica, seq });
@@ -639,8 +602,13 @@ impl RunState {
 
     fn apply_control(&mut self, control: Control, t: f64) -> Result<(), FleetError> {
         match control {
-            Control::Lose(rep) => self.lose_replica(rep, t),
-            Control::Deploy(rep) | Control::ScaleUp(rep) => {
+            Control::Script(ScaleAction::Lose { replica: rep }) => {
+                self.lose_replica(rep, t);
+                Ok(())
+            }
+            Control::Script(
+                action @ (ScaleAction::Up { replica: rep } | ScaleAction::Recover { replica: rep }),
+            ) => {
                 let deployable = matches!(
                     self.handles[rep].state,
                     ReplicaState::Standby | ReplicaState::Lost { .. } | ReplicaState::Down
@@ -650,7 +618,7 @@ impl RunState {
                     let ready_at = t + self.handles[rep].spec.deploy_cost();
                     self.handles[rep].state = ReplicaState::Deploying { ready_at };
                     self.metrics.inc("deploys");
-                    if matches!(control, Control::ScaleUp(_)) {
+                    if matches!(action, ScaleAction::Up { .. }) {
                         self.metrics.inc("scale_ups");
                     }
                     self.events.push(FleetEvent::ReplicaDeploying { t, replica: rep, ready_at });
@@ -671,7 +639,7 @@ impl RunState {
                 }
                 Ok(())
             }
-            Control::ScaleDown(rep) => {
+            Control::Script(ScaleAction::Down { replica: rep }) => {
                 if matches!(self.handles[rep].state, ReplicaState::Active) {
                     self.handles[rep].state = ReplicaState::Draining;
                     self.events.push(FleetEvent::ReplicaDraining { t, replica: rep });
@@ -688,9 +656,9 @@ impl RunState {
     /// Loses a replica: its session is harvested (completions kept, report
     /// archived) and every queued or in-flight request reroutes onto the
     /// survivors with its original arrival stamp.
-    fn lose_replica(&mut self, rep: usize, t: f64) -> Result<(), FleetError> {
+    fn lose_replica(&mut self, rep: usize, t: f64) {
         self.cancel_wake(rep);
-        let Some(mut sess) = self.handles[rep].session.take() else { return Ok(()) };
+        let Some(mut sess) = self.handles[rep].session.take() else { return };
         let completions = sess.take_completions();
         self.handles[rep].completed += completions.len();
         self.account(rep, &completions);
@@ -706,7 +674,6 @@ impl RunState {
             }
         }
         self.events.push(FleetEvent::ReplicaLost { t, replica: rep, rerouted });
-        Ok(())
     }
 
     /// Re-dispatches one stranded request at the loss instant. Returns

@@ -18,10 +18,11 @@
 //!   ([`TenantReport`], weighted violation rate);
 //! * **elasticity** — scripted [`ScaleEvent`]s spin replicas up (charged
 //!   their DRAM deploy time before becoming routable) and drain them down;
-//! * **failure** — a fleet-level [`exegpt_faults::FaultSchedule`] loses
-//!   whole replicas mid-run; their queued and in-flight work reroutes onto
-//!   the survivors with original arrival stamps, so a loss costs latency
-//!   but never requests.
+//! * **failure** — the same script loses whole replicas mid-run
+//!   ([`ScaleAction::Lose`]) and redeploys them ([`ScaleAction::Recover`]);
+//!   a lost replica's queued and in-flight work reroutes onto the
+//!   survivors with original arrival stamps, so a loss costs latency but
+//!   never requests.
 //!
 //! Determinism: the fabric's event heap is keyed `(time, kind, replica,
 //! seq)` with total-order float comparison, so a fixed trace and

@@ -103,7 +103,8 @@ pub enum ReplicaState {
     Active,
     /// Finishing queued work after a scale-down; not routable.
     Draining,
-    /// Lost to a fleet-level fault at `at`; work was rerouted.
+    /// Lost at `at` to a scripted [`ScaleAction::Lose`](crate::ScaleAction::Lose);
+    /// work was rerouted.
     Lost {
         /// Loss time.
         at: f64,

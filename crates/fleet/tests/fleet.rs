@@ -10,14 +10,17 @@
 //!   replica is lost mid-run and its queued and in-flight work reroutes
 //!   onto survivors. Zero requests lost, per-tenant counts sum to the
 //!   trace length.
+//! * **The lifecycle script**: actions on unknown replicas or at times
+//!   that are not finite and non-negative are rejected, and actions on one
+//!   replica at one instant apply in script order.
 
 use std::sync::{Arc, OnceLock};
 
 use exegpt::Engine;
 use exegpt_cluster::ClusterSpec;
-use exegpt_faults::{FaultEvent, FaultKind, FaultSchedule};
 use exegpt_fleet::{
-    DispatchPolicy, Fleet, FleetError, FleetOptions, FleetReport, ReplicaSpec, SloClass,
+    DispatchPolicy, Fleet, FleetError, FleetOptions, ReplicaSpec, ReplicaState, ScaleAction,
+    ScaleEvent, SloClass,
 };
 use exegpt_model::ModelConfig;
 use exegpt_profiler::{LayerProfile, ProfileOptions, Profiler};
@@ -67,18 +70,6 @@ fn trace(rate: f64, total: usize) -> Vec<TenantRequest> {
 fn replica(name: &str, engine: &Engine, cfg: exegpt::ScheduleConfig) -> ReplicaSpec {
     let opts = ServeOptions { adaptive: false, ..ServeOptions::default() };
     ReplicaSpec::new(name, engine.clone(), cfg, opts).expect("valid replica")
-}
-
-/// Every event log a fleet run produced, concatenated: the fabric's own
-/// log plus each replica session's JSONL rendering.
-fn all_logs(report: &FleetReport) -> String {
-    let mut out = report.events.to_jsonl();
-    for r in &report.replicas {
-        for s in &r.reports {
-            out.push_str(&s.events.to_jsonl());
-        }
-    }
-    out
 }
 
 #[test]
@@ -133,7 +124,7 @@ fn fleet_runs_are_byte_deterministic_at_any_replica_count() {
         let a = build().run(trace(rate, 400)).expect("runs");
         let b = build().run(trace(rate, 400)).expect("runs");
         assert_eq!(a.completed, 400);
-        assert_eq!(all_logs(&a), all_logs(&b), "rerun with {n} replicas must be byte-identical");
+        assert_eq!(a.log(), b.log(), "rerun with {n} replicas must be byte-identical");
     }
 }
 
@@ -145,18 +136,14 @@ fn replica_loss_reroutes_everything_and_loses_nothing() {
     let rate = 0.8 * schedule.estimate.throughput;
     let stream = trace(rate, total);
     let horizon = stream.last().expect("non-empty").request.arrival;
-    let faults = FaultSchedule::new(vec![FaultEvent {
-        t: 0.5 * horizon,
-        kind: FaultKind::GpuFail { gpu: 1 },
-    }])
-    .expect("valid schedule");
+    let loss = ScaleEvent { t: 0.5 * horizon, action: ScaleAction::Lose { replica: 1 } };
 
     let build = || {
         Fleet::new(
             vec![replica("r0", &engine, schedule.config), replica("r1", &engine, schedule.config)],
             FleetOptions {
                 policy: DispatchPolicy::KvHeadroom,
-                faults: Some(faults.clone()),
+                scale: vec![loss],
                 ..FleetOptions::default()
             },
         )
@@ -173,11 +160,11 @@ fn replica_loss_reroutes_everything_and_loses_nothing() {
     assert_eq!(by_tenant, total, "per-tenant accounting conserves requests");
     // The lost replica archived its partial session; the survivor ran on.
     assert_eq!(report.replicas[1].reports.len(), 1);
-    assert!(matches!(report.replicas[1].state, exegpt_fleet::ReplicaState::Lost { .. }));
+    assert!(matches!(report.replicas[1].state, ReplicaState::Lost { .. }));
 
     // And the whole scenario — loss, reroute and all — is reproducible.
     let again = build().run(stream).expect("runs");
-    assert_eq!(all_logs(&report), all_logs(&again), "loss scenario must be deterministic");
+    assert_eq!(report.log(), again.log(), "loss scenario must be deterministic");
 }
 
 #[test]
@@ -235,4 +222,54 @@ fn a_repeated_request_id_is_rejected() {
     let completed: Vec<(u32, usize)> =
         report.tenants.iter().map(|t| (t.tenant, t.completed)).collect();
     assert_eq!(completed, vec![(0, 49), (1, 1)]);
+}
+
+#[test]
+fn scripted_actions_on_unknown_replicas_or_bad_times_are_rejected() {
+    let engine = engine();
+    let schedule = engine.schedule(Secs::INFINITY).expect("schedules");
+    let lose = |t: f64, replica: usize| ScaleEvent { t, action: ScaleAction::Lose { replica } };
+    let cases = [
+        (lose(1.0, 2), "targets replica 2 but the fleet has 2"),
+        (lose(f64::NAN, 1), "finite and non-negative, got NaN"),
+        (lose(-1.0, 1), "finite and non-negative, got -1"),
+    ];
+    for (event, message) in cases {
+        let specs =
+            vec![replica("r0", &engine, schedule.config), replica("r1", &engine, schedule.config)];
+        match Fleet::new(specs, FleetOptions { scale: vec![event], ..FleetOptions::default() }) {
+            Err(FleetError::InvalidConfig { what, why }) => {
+                assert_eq!(what, "scale");
+                assert!(why.contains(message), "{why}");
+            }
+            Err(e) => panic!("expected InvalidConfig for {event:?}, got {e}"),
+            Ok(_) => panic!("{event:?} must be rejected"),
+        }
+    }
+}
+
+#[test]
+fn actions_on_one_replica_at_one_instant_apply_in_script_order() {
+    let engine = engine();
+    let schedule = engine.schedule(Secs::INFINITY).expect("schedules");
+    let stream = trace(0.5 * schedule.estimate.throughput, 100);
+    let t = 0.5 * stream.last().expect("non-empty").request.arrival;
+    let run = |first: ScaleAction, second: ScaleAction| {
+        let specs =
+            vec![replica("r0", &engine, schedule.config), replica("r1", &engine, schedule.config)];
+        let scale = vec![ScaleEvent { t, action: first }, ScaleEvent { t, action: second }];
+        let fleet = Fleet::new(specs, FleetOptions { scale, ..FleetOptions::default() });
+        let report = fleet.expect("valid fleet").run(stream.clone()).expect("runs");
+        assert_eq!(report.completed, 100, "no order of the script loses a request");
+        report
+    };
+    let (lose, up) = (ScaleAction::Lose { replica: 1 }, ScaleAction::Up { replica: 1 });
+    // Lost, then redeployed: the replica ends active, with a second session.
+    let redeployed = run(lose, up);
+    assert_eq!(redeployed.replicas[1].state, ReplicaState::Active);
+    assert_eq!(redeployed.replicas[1].reports.len(), 2);
+    // An active replica ignores the scale-up, then is lost for good.
+    let lost = run(up, lose);
+    assert_eq!(lost.replicas[1].state, ReplicaState::Lost { at: t });
+    assert_eq!(lost.replicas[1].reports.len(), 1);
 }

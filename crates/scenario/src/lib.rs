@@ -64,8 +64,7 @@ pub use digest::{fnv1a, format_digest};
 pub use error::ScenarioError;
 pub use invariants::broken_invariants;
 pub use lower::{
-    lower, lower_cluster, lower_model, lower_scheduler, lower_workload, run, FleetLowered, Lowered,
-    Outcome, ReplayLowered, Report, ServeLowered,
+    lower, lower_workload, run, FleetLowered, Lowered, Outcome, ReplayLowered, Report, ServeLowered,
 };
 pub use schema::{
     ArrivalsConfig, ClassConfig, ClusterConfig, DriftConfig, E2eSpec, FaultEventConfig,

@@ -14,7 +14,6 @@ use std::sync::Arc;
 use exegpt::{Engine, Schedule, SchedulerOptions};
 use exegpt_cluster::ClusterSpec;
 use exegpt_dist::LengthDist;
-use exegpt_faults::{FaultEvent, FaultKind, FaultSchedule};
 use exegpt_fleet::{
     Fleet, FleetOptions, FleetReport, ReplicaSpec, ScaleAction, ScaleEvent, SloClass,
 };
@@ -22,8 +21,8 @@ use exegpt_model::ModelConfig;
 use exegpt_profiler::{LayerProfile, ProfileCache};
 use exegpt_runner::{RunOptions, RunReport, Runner};
 use exegpt_serve::{
-    poisson_with_shift, DriftOptions, FaultOptions, ServeLoop, ServeOptions, ServeReport,
-    SloTargets, StragglerOptions,
+    poisson_with_shift, DriftOptions, FaultEvent, FaultKind, FaultOptions, FaultSchedule,
+    ServeLoop, ServeOptions, ServeReport, SloTargets, StragglerOptions,
 };
 use exegpt_sim::Workload;
 use exegpt_units::Secs;
@@ -59,12 +58,12 @@ fn named<T: Copy>(names: Names<T>, what: &'static str, name: &str) -> Result<T, 
 }
 
 /// The model preset as a real config.
-pub fn lower_model(preset: &str) -> Result<ModelConfig, ScenarioError> {
+fn lower_model(preset: &str) -> Result<ModelConfig, ScenarioError> {
     Ok(named(MODEL_PRESETS, "model", preset)?())
 }
 
 /// The cluster config as a real (sub-)cluster.
-pub fn lower_cluster(cfg: &ClusterConfig) -> Result<ClusterSpec, ScenarioError> {
+fn lower_cluster(cfg: &ClusterConfig) -> Result<ClusterSpec, ScenarioError> {
     let base = named(CLUSTER_PRESETS, "cluster", &cfg.preset)?();
     match cfg.gpus {
         Some(gpus) => base.subcluster(gpus).map_err(|e| lower_err("cluster", e)),
@@ -119,10 +118,7 @@ pub fn lower_workload(cfg: &WorkloadConfig) -> Result<Workload, ScenarioError> {
 }
 
 /// The scheduler section as real options, anchored at `bound`.
-pub fn lower_scheduler(
-    cfg: &SchedulerConfig,
-    bound: Secs,
-) -> Result<SchedulerOptions, ScenarioError> {
+fn lower_scheduler(cfg: &SchedulerConfig, bound: Secs) -> Result<SchedulerOptions, ScenarioError> {
     let mut opts = SchedulerOptions::bounded(bound);
     if let Some(x) = cfg.eps_latency_frac {
         opts.eps_latency_frac = x;
@@ -469,33 +465,22 @@ fn lower_fleet(scenario: &Scenario, cfg: &FleetConfig) -> Result<FleetLowered, S
             .position(|r| r.name == name)
             .ok_or_else(|| lower_err("fleet", format!("unknown replica `{name}`")))
     };
-    let fault_events = cfg
-        .faults
-        .iter()
-        .map(|f| {
-            let replica = replica_index(&f.replica)?;
-            let kind = match f.action.as_str() {
-                "fail" => FaultKind::GpuFail { gpu: replica },
-                _ => FaultKind::GpuRecover { gpu: replica },
-            };
-            Ok(FaultEvent { t: resolve_time(&f.at, horizon), kind })
-        })
-        .collect::<Result<Vec<_>, ScenarioError>>()?;
-    let faults = if fault_events.is_empty() {
-        None
-    } else {
-        Some(FaultSchedule::new(fault_events).map_err(|e| lower_err("faults", e))?)
-    };
-    let scale = cfg
-        .scale
-        .iter()
-        .map(|s| {
-            let replica = replica_index(&s.replica)?;
-            let action = match s.action.as_str() {
+    // One script: the replica faults, then the scaling actions, each in
+    // declaration order. The fleet applies actions on one replica at one
+    // instant in script order.
+    let faults = cfg.faults.iter().map(|f| (&f.at, f.action.as_str(), &f.replica));
+    let scaling = cfg.scale.iter().map(|s| (&s.at, s.action.as_str(), &s.replica));
+    let scale = faults
+        .chain(scaling)
+        .map(|(at, action, replica)| {
+            let replica = replica_index(replica)?;
+            let action = match action {
+                "fail" => ScaleAction::Lose { replica },
+                "recover" => ScaleAction::Recover { replica },
                 "up" => ScaleAction::Up { replica },
                 _ => ScaleAction::Down { replica },
             };
-            Ok(ScaleEvent { t: resolve_time(&s.at, horizon), action })
+            Ok(ScaleEvent { t: resolve_time(at, horizon), action })
         })
         .collect::<Result<Vec<_>, ScenarioError>>()?;
 
@@ -516,12 +501,8 @@ fn lower_fleet(scenario: &Scenario, cfg: &FleetConfig) -> Result<FleetLowered, S
         })
         .collect::<Result<Vec<_>, ScenarioError>>()?;
 
-    let options = FleetOptions {
-        policy: named(DISPATCH_POLICIES, "fleet", &cfg.policy)?,
-        classes,
-        faults,
-        scale,
-    };
+    let options =
+        FleetOptions { policy: named(DISPATCH_POLICIES, "fleet", &cfg.policy)?, classes, scale };
     Ok(FleetLowered { pools, trace, specs, options })
 }
 
@@ -637,18 +618,6 @@ impl ReplayLowered {
     }
 }
 
-/// The fleet log: fabric events plus every replica session log, the same
-/// concatenation the golden digests cover.
-fn fleet_log(report: &FleetReport) -> String {
-    let mut all = report.events.to_jsonl();
-    for r in &report.replicas {
-        for s in &r.reports {
-            all.push_str(&s.events.to_jsonl());
-        }
-    }
-    all
-}
-
 /// A deterministic line log for replay runs (the offline runner keeps no
 /// event log, so the digest covers the report's stable facts).
 fn replay_log(r: &RunReport) -> String {
@@ -735,7 +704,7 @@ pub fn run(scenario: &Scenario) -> Result<Outcome, ScenarioError> {
         }
         Lowered::Fleet(f) => {
             let report = f.run()?;
-            let log = fleet_log(&report);
+            let log = report.log();
             let digest = fnv1a(&log);
             let summary = fleet_summary(&name, &report, digest);
             Ok(Outcome { name, log, summary, digest, report: Report::Fleet(report) })

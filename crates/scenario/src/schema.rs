@@ -574,7 +574,7 @@ table! {
 }
 
 tagged! {
-    /// The device-event alternatives (mirrors `exegpt_faults::FaultKind`),
+    /// The device-event alternatives (mirrors `exegpt_serve::FaultKind`),
     /// written flat in the event's own table.
     pub enum FaultKindConfig {
         /// The device dies until recovered.

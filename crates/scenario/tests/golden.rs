@@ -9,7 +9,6 @@ use std::path::{Path, PathBuf};
 use exegpt::Engine;
 use exegpt::SchedulerOptions;
 use exegpt_cluster::ClusterSpec;
-use exegpt_faults::{FaultEvent, FaultKind, FaultSchedule};
 use exegpt_fleet::{
     DispatchPolicy, Fleet, FleetOptions, FleetReport, ReplicaSpec, ScaleAction, ScaleEvent,
     SloClass,
@@ -155,12 +154,11 @@ fn fleet_loss_config_matches_code_construction() {
     let trace = multi_tenant_trace(&workload, &tenants, total, 7);
     let horizon = trace.last().map(|r| r.request.arrival).unwrap_or(0.0);
 
-    let faults = FaultSchedule::new(vec![
-        FaultEvent { t: 0.50 * horizon, kind: FaultKind::GpuFail { gpu: 1 } },
-        FaultEvent { t: 0.90 * horizon, kind: FaultKind::GpuRecover { gpu: 1 } },
-    ])
-    .expect("fault schedule is ordered");
-    let scale = vec![ScaleEvent { t: 0.55 * horizon, action: ScaleAction::Up { replica: 3 } }];
+    let scale = vec![
+        ScaleEvent { t: 0.50 * horizon, action: ScaleAction::Lose { replica: 1 } },
+        ScaleEvent { t: 0.90 * horizon, action: ScaleAction::Recover { replica: 1 } },
+        ScaleEvent { t: 0.55 * horizon, action: ScaleAction::Up { replica: 3 } },
+    ];
 
     let opts = ServeOptions { adaptive: false, ..ServeOptions::default() };
     let specs = vec![
@@ -174,28 +172,16 @@ fn fleet_loss_config_matches_code_construction() {
             .expect("replica spec")
             .standby(),
     ];
-    let options =
-        FleetOptions { policy: DispatchPolicy::SloAware, classes, faults: Some(faults), scale };
+    let options = FleetOptions { policy: DispatchPolicy::SloAware, classes, scale };
     let report =
         Fleet::new(specs, options).expect("fleet builds").run(trace).expect("fleet run completes");
 
-    assert_eq!(outcome.log, fleet_log(&report), "event logs must be byte-identical");
+    assert_eq!(outcome.log, report.log(), "event logs must be byte-identical");
     let Report::Fleet(from_config) = outcome.report else {
         panic!("fleet scenario must yield a fleet report");
     };
     assert_eq!(from_config.completed, report.completed);
     assert_eq!(from_config.lost, 0, "no request may be lost across the replica failure");
-}
-
-/// The same fabric + per-replica concatenation the scenario digest covers.
-fn fleet_log(report: &FleetReport) -> String {
-    let mut all = report.events.to_jsonl();
-    for r in &report.replicas {
-        for s in &r.reports {
-            all.push_str(&s.events.to_jsonl());
-        }
-    }
-    all
 }
 
 /// `scenarios/serve-faults.toml` exercises the whole fault path: all four

@@ -3,8 +3,9 @@
 use exegpt::ScheduleError;
 use exegpt_cluster::ClusterError;
 use exegpt_dist::DistError;
-use exegpt_faults::FaultError;
 use exegpt_runner::RunError;
+
+use crate::faults::FaultError;
 
 /// Errors raised by the serving loop.
 #[derive(Debug)]

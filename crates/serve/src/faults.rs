@@ -1,9 +1,15 @@
-//! Online fault handling: detection, dilation and degradation policy.
+//! Online fault handling: the fault vocabulary, its replay, and the
+//! detection, dilation and degradation policy built on it.
 //!
-//! The [`FaultLayer`] sits between a replayed
-//! [`exegpt_faults::FaultSchedule`] and the serving loop. It advances the
-//! fault state on the loop's *virtual* clock (never the wall clock), and
-//! answers the three questions the loop asks at every phase boundary:
+//! A [`FaultSchedule`] is a validated list of timed events —
+//! [`FaultKind::GpuFail`], [`FaultKind::GpuSlowdown`],
+//! [`FaultKind::LinkDegrade`], [`FaultKind::GpuRecover`] — replayed against
+//! the loop's *virtual* clock (never the wall clock), so a failure scenario
+//! is exactly reproducible: two runs with the same schedule produce
+//! byte-identical traces.
+//!
+//! The [`FaultLayer`] replays the schedule and answers the three questions
+//! the loop asks at every phase boundary:
 //!
 //! 1. **What just broke?** Fired events are logged; a `GpuFail` matures
 //!    into a *detection* only after [`FaultOptions::detection_delay`] of
@@ -27,13 +33,182 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use exegpt_faults::{FaultEvent, FaultKind, FaultSchedule, FaultState, GpuStatus};
 use exegpt_runner::{FaultFactors, PhaseRecord, ReplicaState};
 use exegpt_workload::TimedRequest;
 
 use crate::error::ServeError;
 use crate::events::{Event, EventLog};
 use crate::metrics::Metrics;
+
+/// What happens to the cluster at a fault event.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FaultKind {
+    /// The device dies: it rejects all work until it recovers.
+    GpuFail {
+        /// The failing device (dense index within the serving cluster).
+        gpu: usize,
+    },
+    /// The device straggles: every kernel on it runs `factor`× slower
+    /// (thermal throttling, a noisy neighbour, ECC retirement storms).
+    GpuSlowdown {
+        /// The straggling device.
+        gpu: usize,
+        /// Slowdown factor (≥ 1).
+        factor: f64,
+    },
+    /// Cluster-wide link degradation: bandwidth scales by `bw_factor`,
+    /// `latency_add` seconds join every transfer. A later `LinkDegrade`
+    /// replaces the current one; `bw_factor = 1, latency_add = 0` restores
+    /// healthy links.
+    LinkDegrade {
+        /// Bandwidth multiplier in `(0, 1]`.
+        bw_factor: f64,
+        /// Added latency in (virtual) seconds, ≥ 0.
+        latency_add: f64,
+    },
+    /// The device returns to service, clearing a failure or slowdown.
+    GpuRecover {
+        /// The recovering device.
+        gpu: usize,
+    },
+}
+
+impl std::fmt::Display for FaultKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FaultKind::GpuFail { gpu } => write!(f, "gpu{gpu} failed"),
+            FaultKind::GpuSlowdown { gpu, factor } => {
+                write!(f, "gpu{gpu} slowed x{factor:.2}")
+            }
+            FaultKind::LinkDegrade { bw_factor, latency_add } => {
+                write!(f, "links degraded bw x{bw_factor:.2} +{latency_add:.4}s")
+            }
+            FaultKind::GpuRecover { gpu } => write!(f, "gpu{gpu} recovered"),
+        }
+    }
+}
+
+impl FaultKind {
+    /// The device this event targets (`None` for link events).
+    pub fn gpu(&self) -> Option<usize> {
+        match self {
+            FaultKind::GpuFail { gpu }
+            | FaultKind::GpuSlowdown { gpu, .. }
+            | FaultKind::GpuRecover { gpu } => Some(*gpu),
+            FaultKind::LinkDegrade { .. } => None,
+        }
+    }
+
+    fn validate(&self) -> Result<(), &'static str> {
+        match *self {
+            FaultKind::GpuFail { .. } | FaultKind::GpuRecover { .. } => Ok(()),
+            FaultKind::GpuSlowdown { factor, .. } => {
+                if factor.is_finite() && factor >= 1.0 {
+                    Ok(())
+                } else {
+                    Err("slowdown factor must be finite and >= 1")
+                }
+            }
+            FaultKind::LinkDegrade { bw_factor, latency_add } => {
+                if !(bw_factor > 0.0 && bw_factor <= 1.0) {
+                    Err("link bw_factor must be in (0, 1]")
+                } else if !(latency_add.is_finite() && latency_add >= 0.0) {
+                    Err("link latency_add must be finite and >= 0")
+                } else {
+                    Ok(())
+                }
+            }
+        }
+    }
+}
+
+/// One timed fault event on the virtual clock.
+///
+/// `t` is *virtual* seconds — fault times come from the simulated clock the
+/// loop replays against, never from the wall clock (see clippy.toml), so a
+/// scenario replays byte-identically.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FaultEvent {
+    /// Virtual time at which the fault becomes active.
+    pub t: f64,
+    /// What happens.
+    pub kind: FaultKind,
+}
+
+/// A validated fault scenario: events sorted by activation time.
+///
+/// The schedule is plain data: the same schedule replays the same run.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct FaultSchedule {
+    events: Vec<FaultEvent>,
+}
+
+impl FaultSchedule {
+    /// Validates and time-sorts `events` into a schedule. Events at the
+    /// same time keep their order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FaultError::InvalidEvent`] for non-finite/negative times
+    /// or out-of-range fault parameters.
+    pub fn new(mut events: Vec<FaultEvent>) -> Result<Self, FaultError> {
+        for (index, e) in events.iter().enumerate() {
+            if !(e.t.is_finite() && e.t >= 0.0) {
+                return Err(FaultError::InvalidEvent {
+                    index,
+                    why: "activation time must be finite and >= 0",
+                });
+            }
+            e.kind.validate().map_err(|why| FaultError::InvalidEvent { index, why })?;
+        }
+        events.sort_by(|a, b| a.t.total_cmp(&b.t));
+        Ok(Self { events })
+    }
+
+    /// The empty schedule (a guaranteed no-op).
+    pub fn empty() -> Self {
+        Self::default()
+    }
+
+    /// The events, sorted by activation time.
+    pub fn events(&self) -> &[FaultEvent] {
+        &self.events
+    }
+}
+
+/// Errors raised while building or replaying a fault schedule.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FaultError {
+    /// An event failed validation.
+    InvalidEvent {
+        /// Index of the offending event in the schedule.
+        index: usize,
+        /// Why it was rejected.
+        why: &'static str,
+    },
+    /// An event targets a GPU outside the cluster.
+    GpuOutOfRange {
+        /// The targeted GPU index.
+        gpu: usize,
+        /// Devices in the cluster being replayed against.
+        total: usize,
+    },
+}
+
+impl std::fmt::Display for FaultError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FaultError::InvalidEvent { index, why } => {
+                write!(f, "invalid fault event #{index}: {why}")
+            }
+            FaultError::GpuOutOfRange { gpu, total } => {
+                write!(f, "fault targets gpu{gpu}, but the cluster has {total} devices")
+            }
+        }
+    }
+}
+
+impl std::error::Error for FaultError {}
 
 /// Configuration of the serving loop's fault handling.
 #[derive(Debug, Clone)]
@@ -166,12 +341,31 @@ impl StragglerDetector {
     }
 }
 
-/// The serving loop's fault layer: the replayed scenario, the detection and
-/// eviction bookkeeping, straggler confirmation, and the requests that
-/// failures aborted.
+/// Health of one device, as replayed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Health {
+    /// Full speed, accepting work.
+    Healthy,
+    /// Straggling by the contained factor (≥ 1); still accepting work.
+    Slowed(f64),
+    /// Dead: rejects all work until a `GpuRecover`.
+    Failed,
+}
+
+/// The serving loop's fault layer: the replayed scenario and what it has
+/// broken so far, the detection and eviction bookkeeping, straggler
+/// confirmation, and the requests that failures aborted.
 pub(crate) struct FaultLayer {
     opts: FaultOptions,
-    state: FaultState,
+    /// Index of the first schedule event not yet applied.
+    cursor: usize,
+    /// Each device's health under the events applied so far.
+    gpus: Vec<Health>,
+    /// Multiplier on bandwidth-bound transfer time: `1 / bw_factor` of the
+    /// last `LinkDegrade`, 1 while the links are healthy.
+    link_time: f64,
+    /// Latency the last `LinkDegrade` added to every transfer.
+    link_latency: f64,
     straggler: StragglerDetector,
     /// Failures that fired but have not yet matured through the heartbeat
     /// timeout: `(gpu, detection time)`, in firing order.
@@ -188,14 +382,20 @@ pub(crate) struct FaultLayer {
 
 impl FaultLayer {
     /// The fault layer for a cluster of `total_gpus` devices; fails with
-    /// [`ServeError::Fault`] when the schedule targets a device outside it.
+    /// [`FaultError::GpuOutOfRange`] when the schedule targets a device
+    /// outside it.
     pub(crate) fn new(opts: FaultOptions, total_gpus: usize) -> Result<Self, ServeError> {
-        let state =
-            FaultState::new(opts.schedule.clone(), total_gpus).map_err(ServeError::Fault)?;
+        let max_gpu = opts.schedule.events().iter().filter_map(|e| e.kind.gpu()).max();
+        if let Some(gpu) = max_gpu.filter(|&gpu| gpu >= total_gpus) {
+            return Err(ServeError::Fault(FaultError::GpuOutOfRange { gpu, total: total_gpus }));
+        }
         let straggler = StragglerDetector::new(opts.straggler);
         Ok(Self {
             opts,
-            state,
+            cursor: 0,
+            gpus: vec![Health::Healthy; total_gpus],
+            link_time: 1.0,
+            link_latency: 0.0,
             straggler,
             undetected: Vec::new(),
             removed: BTreeSet::new(),
@@ -231,26 +431,46 @@ impl FaultLayer {
         self.removed.len()
     }
 
-    /// Applies every fault event with activation time `<= t`, updating the
-    /// detection bookkeeping, and returns the fired events in order.
-    fn advance(&mut self, t: f64) -> Vec<FaultEvent> {
-        let fired = self.state.advance(t);
-        for e in &fired {
+    /// Applies every fault event with activation time `<= t` — device and
+    /// link health, detection bookkeeping — and returns the fired events
+    /// in order. Idempotent for a fixed `t`.
+    fn advance(&mut self, t: f64) -> &[FaultEvent] {
+        let start = self.cursor;
+        while let Some(e) = self.opts.schedule.events().get(self.cursor).copied() {
+            if e.t > t {
+                break;
+            }
+            self.cursor += 1;
             match e.kind {
                 FaultKind::GpuFail { gpu } => {
+                    if let Some(h) = self.gpus.get_mut(gpu) {
+                        *h = Health::Failed;
+                    }
                     self.undetected.push((gpu, e.t + self.opts.detection_delay));
                 }
+                FaultKind::GpuSlowdown { gpu, factor } => {
+                    // A slowdown does not resurrect a dead device.
+                    if let Some(h) = self.gpus.get_mut(gpu).filter(|h| **h != Health::Failed) {
+                        *h = Health::Slowed(factor);
+                    }
+                }
                 FaultKind::GpuRecover { gpu } => {
+                    if let Some(h) = self.gpus.get_mut(gpu) {
+                        *h = Health::Healthy;
+                    }
                     // A recovered device rejoins the topology: clear any
                     // pending detection (the flap healed before the
                     // heartbeat timed out) and any standing removal.
                     self.undetected.retain(|&(g, _)| g != gpu);
                     self.removed.remove(&gpu);
                 }
-                FaultKind::GpuSlowdown { .. } | FaultKind::LinkDegrade { .. } => {}
+                FaultKind::LinkDegrade { bw_factor, latency_add } => {
+                    self.link_time = 1.0 / bw_factor;
+                    self.link_latency = latency_add;
+                }
             }
         }
-        fired
+        &self.opts.schedule.events()[start..self.cursor]
     }
 
     /// Drains failures whose heartbeat timeout has matured by time `t`,
@@ -273,23 +493,19 @@ impl FaultLayer {
     }
 
     /// Current runtime multipliers. Removed devices do not dilate (they no
-    /// longer run work); link factors come straight from the fault state.
+    /// longer run work).
     pub(crate) fn factors(&self) -> FaultFactors {
         let dilation = self.worst_slowed_gpu().map_or(1.0, |(_, f)| f);
-        let link = self.state.link();
-        FaultFactors { dilation, link_time: link.time_factor(), link_latency: link.latency_add }
+        FaultFactors { dilation, link_time: self.link_time, link_latency: self.link_latency }
     }
 
     /// The most-slowed device still in the topology, if any. Ties break
     /// toward the lowest index.
     fn worst_slowed_gpu(&self) -> Option<(usize, f64)> {
         let mut worst: Option<(usize, f64)> = None;
-        for g in 0..self.state.total_gpus() {
-            if self.removed.contains(&g) {
-                continue;
-            }
-            if let GpuStatus::Slowed(f) = self.state.status(g) {
-                if worst.is_none_or(|(_, wf)| f > wf) {
+        for (g, h) in self.gpus.iter().enumerate() {
+            if let Health::Slowed(f) = *h {
+                if !self.removed.contains(&g) && worst.is_none_or(|(_, wf)| f > wf) {
                     worst = Some((g, f));
                 }
             }
@@ -302,8 +518,9 @@ impl FaultLayer {
     /// folds this into its wake-up target so failures are detected (and
     /// replans installed) even across idle gaps.
     pub(crate) fn next_wake(&self) -> Option<f64> {
+        let next_event = self.opts.schedule.events().get(self.cursor).map(|e| e.t);
         let next_detect = self.undetected.iter().map(|&(_, t_d)| t_d).reduce(f64::min);
-        match (self.state.next_event_time(), next_detect) {
+        match (next_event, next_detect) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
@@ -375,7 +592,7 @@ impl FaultLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exegpt_faults::{FaultEvent, FaultKind};
+    use proptest::prelude::*;
 
     /// A fault layer on 4 devices replaying `events` with a 0.5 s
     /// heartbeat timeout.
@@ -383,6 +600,117 @@ mod tests {
         let schedule = FaultSchedule::new(events).expect("valid");
         let opts = FaultOptions { schedule, detection_delay: 0.5, ..FaultOptions::default() };
         FaultLayer::new(opts, 4).expect("in range")
+    }
+
+    #[test]
+    fn new_sorts_and_validates() {
+        let s = FaultSchedule::new(vec![
+            FaultEvent { t: 5.0, kind: FaultKind::GpuRecover { gpu: 0 } },
+            FaultEvent { t: 1.0, kind: FaultKind::GpuFail { gpu: 0 } },
+        ])
+        .expect("valid events");
+        assert_eq!(s.events().len(), 2);
+        assert!(s.events()[0].t < s.events()[1].t, "sorted by time");
+    }
+
+    #[test]
+    fn rejects_bad_events() {
+        let bad_time = FaultEvent { t: f64::NAN, kind: FaultKind::GpuFail { gpu: 0 } };
+        assert!(matches!(
+            FaultSchedule::new(vec![bad_time]),
+            Err(FaultError::InvalidEvent { index: 0, .. })
+        ));
+        let speedup = FaultEvent { t: 0.0, kind: FaultKind::GpuSlowdown { gpu: 0, factor: 0.5 } };
+        assert!(FaultSchedule::new(vec![speedup]).is_err());
+        let widen = FaultEvent {
+            t: 0.0,
+            kind: FaultKind::LinkDegrade { bw_factor: 1.5, latency_add: 0.0 },
+        };
+        assert!(FaultSchedule::new(vec![widen]).is_err());
+        let neg = FaultEvent {
+            t: 0.0,
+            kind: FaultKind::LinkDegrade { bw_factor: 0.5, latency_add: -1.0 },
+        };
+        assert!(FaultSchedule::new(vec![neg]).is_err());
+    }
+
+    #[test]
+    fn display_names_the_device() {
+        let k = FaultKind::GpuSlowdown { gpu: 3, factor: 2.0 };
+        assert!(k.to_string().contains("gpu3"));
+        assert_eq!(k.gpu(), Some(3));
+        assert_eq!(FaultKind::LinkDegrade { bw_factor: 0.5, latency_add: 0.0 }.gpu(), None);
+    }
+
+    #[test]
+    fn fault_error_display_is_informative() {
+        let e = FaultError::InvalidEvent { index: 3, why: "time must be finite" };
+        assert!(e.to_string().contains("#3"));
+        let e = FaultError::GpuOutOfRange { gpu: 9, total: 4 };
+        assert!(e.to_string().contains("gpu9") && e.to_string().contains('4'));
+    }
+
+    #[test]
+    fn advance_applies_in_order_and_reports_fired() {
+        let mut l = layer(vec![
+            FaultEvent { t: 1.0, kind: FaultKind::GpuSlowdown { gpu: 1, factor: 2.0 } },
+            FaultEvent { t: 2.0, kind: FaultKind::GpuFail { gpu: 0 } },
+            FaultEvent { t: 9.0, kind: FaultKind::GpuRecover { gpu: 0 } },
+        ]);
+        assert!(l.advance(0.5).is_empty());
+        assert_eq!(l.next_wake(), Some(1.0));
+        assert_eq!(l.advance(2.0).len(), 2);
+        assert_eq!(l.gpus[0], Health::Failed);
+        assert_eq!(l.gpus[1], Health::Slowed(2.0));
+        assert_eq!(l.gpus[2], Health::Healthy);
+        // Idempotent at a fixed time.
+        assert!(l.advance(2.0).is_empty());
+        l.advance(10.0);
+        assert_eq!(l.gpus[0], Health::Healthy);
+        assert_eq!(l.next_wake(), None);
+    }
+
+    #[test]
+    fn slowdown_does_not_resurrect_failed_gpu() {
+        let mut l = layer(vec![
+            FaultEvent { t: 1.0, kind: FaultKind::GpuFail { gpu: 2 } },
+            FaultEvent { t: 2.0, kind: FaultKind::GpuSlowdown { gpu: 2, factor: 3.0 } },
+        ]);
+        l.advance(5.0);
+        assert_eq!(l.gpus[2], Health::Failed, "failed devices are not stragglers");
+    }
+
+    #[test]
+    fn out_of_range_gpu_is_rejected_at_construction() {
+        let schedule = FaultSchedule::new(vec![
+            FaultEvent { t: 0.0, kind: FaultKind::GpuFail { gpu: 7 } },
+            FaultEvent { t: 0.0, kind: FaultKind::GpuFail { gpu: 5 } },
+        ])
+        .expect("valid");
+        let opts = FaultOptions { schedule, ..FaultOptions::default() };
+        assert!(matches!(
+            FaultLayer::new(opts, 4).err(),
+            Some(ServeError::Fault(FaultError::GpuOutOfRange { gpu: 7, total: 4 }))
+        ));
+    }
+
+    #[test]
+    fn link_degrade_replaces_and_restores() {
+        let mut l = layer(vec![
+            FaultEvent {
+                t: 1.0,
+                kind: FaultKind::LinkDegrade { bw_factor: 0.5, latency_add: 0.001 },
+            },
+            FaultEvent {
+                t: 2.0,
+                kind: FaultKind::LinkDegrade { bw_factor: 1.0, latency_add: 0.0 },
+            },
+        ]);
+        l.advance(1.0);
+        assert_ne!(l.factors(), FaultFactors::nominal());
+        assert!(l.factors().link_time > 1.9);
+        l.advance(2.0);
+        assert_eq!(l.factors(), FaultFactors::nominal());
     }
 
     #[test]
@@ -480,5 +808,75 @@ mod tests {
         assert!(bad.validate().is_err());
         let bad = FaultOptions { detection_delay: f64::NAN, ..FaultOptions::default() };
         assert!(bad.validate().is_err());
+    }
+
+    const GPUS: usize = 4;
+    const HORIZON: f64 = 100.0;
+
+    /// One valid event of any kind on a `GPUS`-device cluster.
+    fn event() -> impl Strategy<Value = FaultEvent> {
+        let gpu = 0..GPUS;
+        let kind = prop_oneof![
+            gpu.clone().prop_map(|gpu| FaultKind::GpuFail { gpu }),
+            (gpu.clone(), 1.0..4.0f64)
+                .prop_map(|(gpu, factor)| FaultKind::GpuSlowdown { gpu, factor }),
+            (0.25..1.0f64, 0.0..0.01f64).prop_map(|(bw_factor, latency_add)| {
+                FaultKind::LinkDegrade { bw_factor, latency_add }
+            }),
+            gpu.prop_map(|gpu| FaultKind::GpuRecover { gpu }),
+        ];
+        (0.0..HORIZON, kind).prop_map(|(t, kind)| FaultEvent { t, kind })
+    }
+
+    fn schedule() -> impl Strategy<Value = FaultSchedule> {
+        prop::collection::vec(event(), 0..12)
+            .prop_map(|events| FaultSchedule::new(events).expect("drawn events are valid"))
+    }
+
+    /// A layer on `GPUS` devices replaying `schedule`.
+    fn replaying(schedule: FaultSchedule) -> FaultLayer {
+        let opts = FaultOptions { schedule, ..FaultOptions::default() };
+        FaultLayer::new(opts, GPUS).expect("in range")
+    }
+
+    /// Every device's health and the runtime multipliers: all the replay
+    /// decides.
+    fn snapshot(l: &FaultLayer) -> (Vec<Health>, FaultFactors) {
+        (l.gpus.clone(), l.factors())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Replaying any schedule and then healing every device and
+        /// restoring the links leaves nothing degraded.
+        #[test]
+        fn full_recovery_restores_every_device_and_the_links(schedule in schedule()) {
+            let t = 10.0 * HORIZON;
+            let mut events = schedule.events().to_vec();
+            events.extend((0..GPUS).map(|gpu| FaultEvent { t, kind: FaultKind::GpuRecover { gpu } }));
+            events.push(FaultEvent {
+                t,
+                kind: FaultKind::LinkDegrade { bw_factor: 1.0, latency_add: 0.0 },
+            });
+            let mut l = replaying(FaultSchedule::new(events).expect("valid"));
+            l.advance(20.0 * HORIZON);
+            let (gpus, factors) = snapshot(&l);
+            prop_assert!(gpus.iter().all(|h| *h == Health::Healthy), "not healed: {:?}", gpus);
+            prop_assert_eq!(factors, FaultFactors::nominal());
+            prop_assert_eq!(l.next_wake(), None);
+        }
+
+        /// `advance` is idempotent at a fixed time and monotone in what it
+        /// has applied: replaying the same prefix twice fires nothing new.
+        #[test]
+        fn advance_is_idempotent(schedule in schedule(), t in 0.0..1.5 * HORIZON) {
+            let mut l = replaying(schedule);
+            let fired = l.advance(t).len();
+            prop_assert_eq!(l.advance(t).len(), 0, "replaying t fires nothing (first pass: {})", fired);
+            let before = snapshot(&l);
+            l.advance(t);
+            prop_assert_eq!(snapshot(&l), before);
+        }
     }
 }

@@ -17,7 +17,7 @@
 //!    swaps the plan in at a phase boundary, charging a redeployment cost
 //!    when the GPU allocation changed (§7.7), and
 //! 5. optionally replays a deterministic fault scenario
-//!    ([`FaultOptions`] / [`exegpt_faults::FaultSchedule`]): stragglers
+//!    ([`FaultOptions`] / [`FaultSchedule`]): stragglers
 //!    dilate phase timings until confirmed and evicted, failed devices
 //!    abort in-flight work into a bounded-backoff retry queue, and the
 //!    loop replans onto the surviving topology — reinstalling the original
@@ -81,7 +81,9 @@ mod traffic;
 pub use drift::{DriftCheck, DriftDetector, DriftOptions};
 pub use error::ServeError;
 pub use events::{Event, EventLog};
-pub use faults::{FaultOptions, StragglerOptions};
+pub use faults::{
+    FaultError, FaultEvent, FaultKind, FaultOptions, FaultSchedule, StragglerOptions,
+};
 pub use metrics::{CounterId, GaugeId, HistogramId, Metrics, MetricsSnapshot};
 pub use server::{Completion, ReplicaSession, ServeLoop, ServeOptions, ServeReport, StepOutcome};
 pub use slo::{SloCheck, SloOutcome, SloTargets};

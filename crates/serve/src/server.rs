@@ -173,8 +173,8 @@ pub struct ServeReport {
 /// the run (including the serialized event log) is byte-deterministic.
 ///
 /// When the fault layer is enabled ([`ServeOptions::faults`]), the loop
-/// additionally replays a [`exegpt_faults::FaultSchedule`] on its virtual
-/// clock: stragglers dilate phase timings until the straggler detector
+/// additionally replays a [`FaultSchedule`](crate::FaultSchedule) on its
+/// virtual clock: stragglers dilate phase timings until the straggler detector
 /// ([`StragglerOptions`](crate::StragglerOptions)) confirms them (severe
 /// ones are evicted and the plan recomputed), device failures mature
 /// through a heartbeat timeout, abort in-flight work into a

@@ -18,11 +18,11 @@ use std::sync::{Arc, OnceLock};
 
 use exegpt::Engine;
 use exegpt_cluster::ClusterSpec;
-use exegpt_faults::{FaultEvent, FaultKind, FaultSchedule};
 use exegpt_model::ModelConfig;
 use exegpt_profiler::{LayerProfile, ProfileOptions, Profiler};
 use exegpt_serve::{
-    Event, FaultOptions, ServeLoop, ServeOptions, ServeReport, SloTargets, StragglerOptions,
+    Event, FaultEvent, FaultKind, FaultOptions, FaultSchedule, ServeLoop, ServeOptions,
+    ServeReport, SloTargets, StragglerOptions,
 };
 use exegpt_units::Secs;
 use exegpt_workload::{PoissonStream, Task, TimedRequest};

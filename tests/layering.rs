@@ -27,7 +27,6 @@ const LAYERS: &[(&str, u8)] = &[
     ("workload", 4),
     ("core", 5),
     ("runner", 6),
-    ("faults", 7),
     ("serve", 8),
     ("baselines", 8),
     ("fleet", 9),
@@ -161,7 +160,7 @@ fn upward_same_layer_and_unknown_edges_are_rejected() {
              serde.workspace = true\n\n[dev-dependencies]\nexegpt-scenario.workspace = true\n"
         )
     };
-    let ok = violations("serve", &manifest("exegpt.workspace = true\nexegpt-faults = \"0.1\""));
+    let ok = violations("serve", &manifest("exegpt.workspace = true\nexegpt-runner = \"0.1\""));
     assert!(ok.is_empty(), "downward edges and dev-dependencies pass: {ok:?}");
     let up = violations("serve", &manifest("exegpt-fleet.workspace = true"));
     assert_eq!(up, ["`serve` (layer 8) depends on `fleet` (layer 9)"]);
