@@ -61,8 +61,9 @@ cargo test --offline --release -q -p exegpt-bench --test schedule_digest -- --in
 # And every table `figures all` prints and writes, against the committed
 # results_all.txt and results/*.json.
 cargo test --offline --release -q -p exegpt-bench --test figures_cli -- --include-ignored
-# The baselines' planner and their estimate and phase timings: sched-paper's
-# setup times FasterTransformer's latency sweep in release code.
+# The baselines' planner, their estimate and phase timings and their replay
+# reports: sched-paper's setup times FasterTransformer's latency sweep in
+# release code.
 cargo test --offline --release -q -p exegpt-baselines --test timing_digest --test planning
 # The decode stage term's fixed segments and breakpoints, which the decode
 # sum relies on, and every runner report over the shared stage-cost kernel,

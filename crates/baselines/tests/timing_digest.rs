@@ -1,5 +1,5 @@
 //! Bit-for-bit lock on the runner's phase timings and the baselines'
-//! estimates.
+//! estimates and replays.
 //!
 //! Sweeps `PhaseExecutor::{encode_timing, decode_timing, handover_time}`
 //! (plus the bottleneck GPU's KV bytes per token) for RRA under every TP
@@ -12,6 +12,11 @@
 //! variant — is folded into one FNV-1a digest pinned below. A refactor of
 //! the stage-cost code must leave the digest unchanged; only a deliberate
 //! cost-model change may move it, and then with the reason in its commit.
+//!
+//! A second digest locks the baselines' replays on the same setups: each
+//! system's `run(batch, opts)` at a few batch sizes, closed loop, plus an
+//! ORCA replay on stale traffic whose outputs run far longer than planned,
+//! so its KV growth clamps. Every `RunReport` field is folded in.
 
 use std::hash::Hasher;
 use std::sync::Arc;
@@ -21,7 +26,7 @@ use exegpt_cluster::ClusterSpec;
 use exegpt_dist::{FnvHasher, LengthDist};
 use exegpt_model::ModelConfig;
 use exegpt_profiler::{ProfileOptions, Profiler};
-use exegpt_runner::{PhaseExecutor, RunError};
+use exegpt_runner::{PhaseExecutor, RunError, RunOptions, RunReport};
 use exegpt_sim::{
     Estimate, RraConfig, ScheduleConfig, SimError, Simulator, TpConfig, WaaConfig, WaaVariant,
     Workload,
@@ -47,6 +52,19 @@ const KV_PROBE_TOKENS: usize = 1_000_003;
 /// (so a sweep that silently turns into errors cannot pass).
 const DIGEST: u64 = 0x2dd3_0529_5276_6a4f;
 const OK: usize = 17491;
+
+/// Static batch sizes and slot counts each baseline is replayed at.
+const REPLAY_BATCHES: [usize; 3] = [4, 16, 48];
+const REPLAY_QUERIES: usize = 160;
+/// Output-mean factor of the stale traffic, and ORCA's slots and queries
+/// on it.
+const STALE_FACTOR: f64 = 4.0;
+const STALE_SLOTS: usize = 512;
+const STALE_QUERIES: usize = 1200;
+
+/// Pinned digest of every baseline replay, and how many of them succeed.
+const REPLAY_DIGEST: u64 = 0xad2a_7a7b_ec6d_8c5e;
+const REPLAY_OK: usize = 25;
 
 fn sim(
     model: ModelConfig,
@@ -144,6 +162,28 @@ impl Digest {
         }
     }
 
+    fn f64s(&mut self, xs: &[f64]) {
+        self.word(u64::try_from(xs.len()).expect("fits"));
+        for x in xs {
+            self.word(x.to_bits());
+        }
+    }
+
+    fn report(&mut self, r: &RunReport) {
+        self.word(u64::try_from(r.completed).expect("fits"));
+        self.word(r.tokens_generated);
+        self.secs(r.makespan);
+        self.word(r.throughput.to_bits());
+        self.f64s(&r.latencies);
+        self.f64s(&r.encoder_stage_times);
+        self.f64s(&r.decoder_stage_times);
+        self.word(r.peak_kv_bytes);
+        self.word(r.kv_clamped_tokens);
+        self.word(r.param_bytes);
+        self.word(u64::from(r.trace.is_some()));
+        self.f64s(&r.sojourn_times);
+    }
+
     fn estimate(&mut self, result: Result<Estimate, SimError>) {
         match result {
             Ok(est) => {
@@ -213,14 +253,32 @@ fn sweep_baselines(d: &mut Digest, sim: &Simulator) {
     }
 }
 
+fn replay_baselines(d: &mut Digest, sim: &Simulator) {
+    let ft = FasterTransformer::paper_default(sim.clone()).expect("grid");
+    let dsi = DeepSpeedInference::new(sim.clone()).expect("single node");
+    let orca = Orca::new(sim.clone(), IterationLevel::orca()).expect("grid");
+    let vllm = Vllm::new(sim.clone()).expect("grid");
+    for (i, &b) in REPLAY_BATCHES.iter().enumerate() {
+        let opts =
+            RunOptions { num_queries: REPLAY_QUERIES, seed: 3 + i as u64, ..RunOptions::default() };
+        d.run(ft.run(b, &opts), |d, r| d.report(&r));
+        d.run(dsi.run(b, &opts), |d, r| d.report(&r));
+        d.run(orca.run(b, &opts), |d, r| d.report(&r));
+        d.run(vllm.run(b, &opts), |d, r| d.report(&r));
+    }
+}
+
+/// OPT-13B on 4×A40 with task T, and T5-11B on 8×A40 with task S.
+fn setups() -> [Simulator; 2] {
+    [
+        sim(ModelConfig::opt_13b(), 4, (128.0, 81.0, 256), (128.0, 68.0, 320)),
+        sim(ModelConfig::t5_11b(), 8, (256.0, 252.0, 512), (32.0, 13.0, 80)),
+    ]
+}
+
 #[test]
 fn phase_timings_and_baseline_estimates_match_pinned_digest() {
-    let setups = [
-        // OPT-13B, 4×A40, task T (translation).
-        sim(ModelConfig::opt_13b(), 4, (128.0, 81.0, 256), (128.0, 68.0, 320)),
-        // T5-11B, 8×A40, task S (summarization).
-        sim(ModelConfig::t5_11b(), 8, (256.0, 252.0, 512), (32.0, 13.0, 80)),
-    ];
+    let setups = setups();
     let mut d = Digest { h: FnvHasher::default(), ok: 0 };
     for sim in &setups {
         for cfg in schedules(sim) {
@@ -230,4 +288,32 @@ fn phase_timings_and_baseline_estimates_match_pinned_digest() {
     }
     let digest = d.h.finish();
     assert_eq!((digest, d.ok), (DIGEST, OK), "digest {digest:#018x}, ok {}", d.ok);
+}
+
+#[test]
+fn baseline_replays_match_pinned_digest() {
+    let setups = setups();
+    let mut d = Digest { h: FnvHasher::default(), ok: 0 };
+    for sim in &setups {
+        replay_baselines(&mut d, sim);
+    }
+    // Stale traffic: outputs run to the planned distribution's maximum, the
+    // running batch outgrows the cache and ORCA's KV growth clamps.
+    let planned = setups[0].workload();
+    let stale = Workload::new(
+        planned.input().clone(),
+        planned.output().with_scaled_mean(STALE_FACTOR).expect("valid"),
+    );
+    let orca = Orca::new(setups[0].clone(), IterationLevel::orca()).expect("grid");
+    let opts = RunOptions {
+        num_queries: STALE_QUERIES,
+        seed: 5,
+        request_workload: Some(stale),
+        ..RunOptions::default()
+    };
+    let report = orca.run(STALE_SLOTS, &opts).expect("stale traffic runs");
+    assert!(report.kv_clamped_tokens > 0, "ORCA must clamp KV growth");
+    d.run(Ok(report), |d, r| d.report(&r));
+    let digest = d.h.finish();
+    assert_eq!((digest, d.ok), (REPLAY_DIGEST, REPLAY_OK), "digest {digest:#018x}, ok {}", d.ok);
 }
