@@ -4,26 +4,25 @@
 //!
 //! Each baseline reproduces the *scheduling policy* that differentiates it —
 //! which queries are batched when, what is early-terminated, how KV-cache
-//! space is reserved, and what host overheads apply — and executes it on the
-//! same profile/cost substrate as ExeGPT's runner, so throughput/latency
+//! space is reserved, and what host overheads apply — and executes it on one
+//! PP×TP grid (maximum TP per node, the paper's baseline configuration) over
+//! ExeGPT's profile/cost substrate and runner report, so throughput/latency
 //! comparisons isolate scheduling (exactly what the paper's evaluation
-//! compares):
+//! compares). Two types cover the four systems:
 //!
-//! * [`FasterTransformer`] — static batches on a PP×TP grid (maximum TP per
-//!   node, the paper's baseline configuration); no early termination: every
+//! * [`FasterTransformer`] — static batches; no early termination: every
 //!   query in a batch decodes until the batch's longest output finishes;
 //!   KV reserved up-front for the maximum output length.
-//! * [`DeepSpeedInference`] — FasterTransformer's regime plus hybrid
-//!   encode micro-batching and small-batch GeMM kernels, but public-version
-//!   tensor parallelism only (no pipeline parallelism, §7.2).
+//!   [`FasterTransformer::deepspeed`] is DeepSpeed-Inference: the same
+//!   regime on one node (public-version tensor parallelism only, §7.2) plus
+//!   a per-iteration engine overhead.
 //! * [`Orca`] — iteration-level scheduling: completed queries leave and new
 //!   queries join the running batch each iteration, with their (expensive)
 //!   prefill executed *inside* the decoding iteration — the pipeline-bubble
-//!   and latency-jitter source the paper highlights.
-//! * [`Vllm`] — ORCA's iteration-level mode (the paper's stand-in for
-//!   proprietary ORCA) plus paged KV management, at most one prefill
-//!   admission per iteration, and the un-maskable host overhead the paper
-//!   measures for its Python executor.
+//!   and latency-jitter source the paper highlights. With
+//!   [`IterationLevel::vllm`] it is vLLM (the paper's stand-in for
+//!   proprietary ORCA): paged KV, at most one prefill admission per
+//!   iteration, and the host overhead of its Python executor.
 //!
 //! # Example
 //!
@@ -64,13 +63,9 @@
     deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)
 )]
 
-mod common;
-mod dsi;
 mod ft;
+mod grid;
 mod orca;
-mod vllm;
 
-pub use dsi::DeepSpeedInference;
 pub use ft::FasterTransformer;
 pub use orca::{IterationLevel, Orca};
-pub use vllm::Vllm;

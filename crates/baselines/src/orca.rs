@@ -1,6 +1,6 @@
-//! Iteration-level scheduling: ORCA, and the engine it shares with vLLM
-//! (paper §2; §7.1 uses vLLM's iteration-level mode as the stand-in for
-//! proprietary ORCA).
+//! Iteration-level scheduling: ORCA, and vLLM as a setting of the same
+//! engine (paper §2; §7.1 uses vLLM's iteration-level mode as the stand-in
+//! for proprietary ORCA).
 //!
 //! Every iteration decodes the running batch *and* prefills whatever new
 //! queries were admitted into freed slots — the prefill work rides inside
@@ -9,14 +9,12 @@
 //! ongoing query's token cadence. That jitter is precisely why the paper
 //! finds iteration-level scheduling hard to bound (§2).
 
-use exegpt_runner::{
-    windowed_throughput, KvSlot, KvTracker, ReservePolicy, RunError, RunOptions, RunReport,
-};
-use exegpt_sim::{Pass, SimError, Simulator};
+use exegpt_runner::{CompletionLog, KvSlot, ReservePolicy, RunError, RunOptions, RunReport};
+use exegpt_sim::{Estimate, SimError, Simulator};
 use exegpt_units::Secs;
-use exegpt_workload::{Request, RequestStream};
+use exegpt_workload::Request;
 
-use crate::common::{best_batch, build_grid, paper_parallelism, param_bytes_per_gpu, GridPlan};
+use crate::grid::Grid;
 
 /// Tunables distinguishing the iteration-level systems.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,11 +62,11 @@ impl IterationLevel {
     }
 }
 
-/// An iteration-level serving system over the common PP×TP grid.
+/// An iteration-level serving system over the common PP×TP grid: ORCA, or
+/// vLLM with [`IterationLevel::vllm`].
 #[derive(Debug, Clone)]
 pub struct Orca {
-    sim: Simulator,
-    plan: GridPlan,
+    grid: Grid,
     settings: IterationLevel,
 }
 
@@ -80,19 +78,7 @@ impl Orca {
     ///
     /// Returns [`SimError::InvalidConfig`] if no valid grid exists.
     pub fn new(sim: Simulator, settings: IterationLevel) -> Result<Self, SimError> {
-        let (tp, _) = paper_parallelism(&sim);
-        let plan = build_grid(&sim, tp)?;
-        Ok(Self { sim, plan, settings })
-    }
-
-    /// The underlying simulator context.
-    pub fn simulator(&self) -> &Simulator {
-        &self.sim
-    }
-
-    /// The iteration-level settings in use.
-    pub fn settings(&self) -> IterationLevel {
-        self.settings
+        Ok(Self { grid: Grid::new(sim)?, settings })
     }
 
     /// Closed-form steady-state estimate for a slot count of `batch`.
@@ -104,93 +90,40 @@ impl Orca {
     /// # Errors
     ///
     /// Returns [`SimError`] for infeasible slot counts.
-    pub fn estimate(&self, batch: usize) -> Result<exegpt_sim::Estimate, SimError> {
-        if batch == 0 {
-            return Err(SimError::InvalidConfig { what: "batch", why: "must be >= 1".into() });
-        }
-        let w = self.sim.workload();
+    pub fn estimate(&self, batch: usize) -> Result<Estimate, SimError> {
+        let g = &self.grid;
+        // Memory feasibility with the configured KV policy.
+        let memory = g.reserve(batch, self.settings.kv_policy)?;
+        let w = g.sim().workload();
         let mean_in = w.input().mean();
         let mean_out = w.output().mean().max(1.0);
         let ctx = w.mean_decode_context().as_f64();
-        let (profile, plan) = (self.sim.profile(), &self.plan);
-        let stages = plan.layout.num_stages();
-
-        // Memory feasibility with the configured KV policy.
-        let kv_per_token =
-            plan.layout.kv_bytes_per_token(&plan.dec_alloc, self.sim.model()).as_f64();
-        let params = param_bytes_per_gpu(&self.sim, plan);
-        let per_query_tokens = match self.settings.kv_policy {
-            ReservePolicy::UpFront => mean_in + w.output().max_len() as f64,
-            ReservePolicy::Incremental => self.sim.kv_ctx_tokens().as_f64(),
-            ReservePolicy::Paged { page_tokens } => {
-                let held = self.sim.kv_ctx_tokens().as_f64();
-                (held / page_tokens as f64).ceil() * page_tokens as f64
-            }
-        };
-        let kv_needed = (batch as f64 * per_query_tokens * kv_per_token) as u64;
-        let capacity = self.sim.usable_capacity();
-        if params + kv_needed > capacity {
-            return Err(SimError::OutOfMemory {
-                role: "worker",
-                needed: params + kv_needed,
-                capacity,
-            });
-        }
 
         // Steady state: batch/mean_out queries complete (and are admitted)
-        // per iteration; their prefill executes inside the iteration.
+        // per iteration; their prefill executes inside the iteration. When
+        // admissions are capped below the completion rate (vLLM's
+        // one-per-iteration mode), they limit throughput.
         let admissions =
             (batch as f64 / mean_out).min(self.settings.max_admissions_per_iter as f64);
-        let m_d = stages.min(batch).max(1);
-        let dec = Pass::Decode { batch: batch as f64 / m_d as f64, ctx, input_len: mean_in };
-        let dec_stage = plan.layout.stage_times(profile, &plan.dec_alloc, dec)?.bottleneck;
-        let enc_stage = if admissions > 0.0 {
-            let enc = Pass::Encode { batch: admissions, seq: mean_in };
-            plan.layout.stage_times(profile, &plan.enc_alloc, enc)?.bottleneck
-        } else {
-            Secs::ZERO
-        };
+        let m_d = g.stages().min(batch).max(1);
+        let dec_stage = g.decode(batch as f64 / m_d as f64, ctx)?;
+        let enc_stage = if admissions > 0.0 { g.encode(admissions, mean_in)? } else { Secs::ZERO };
         let host = self.settings.base_overhead_s + self.settings.per_seq_overhead_s * batch as f64;
         let t_iter = dec_stage * m_d as f64 + enc_stage + Secs::new(host);
-
-        // Throughput is limited by admissions when they are capped below
-        // the completion rate (vLLM's one-per-iteration mode).
-        let completions_per_iter =
-            (batch as f64 / mean_out).min(if self.settings.max_admissions_per_iter == usize::MAX {
-                f64::INFINITY
-            } else {
-                self.settings.max_admissions_per_iter as f64
-            });
-        let throughput = completions_per_iter / t_iter.as_secs();
-        let latency = t_iter * w.l99() as f64;
-
-        let footprint = exegpt_model::MemoryFootprint {
-            param_bytes: params,
-            kv_bytes: kv_needed,
-            activation_bytes: 0,
-        };
-        Ok(exegpt_sim::Estimate {
+        let (latency, throughput) = (t_iter * w.l99() as f64, admissions / t_iter.as_secs());
+        Ok(g.estimate(
+            batch,
+            memory,
             latency,
             throughput,
-            memory: exegpt_sim::MemoryReport {
-                encoder_gpu: footprint,
-                decoder_gpu: footprint,
-                capacity,
-            },
-            breakdown: exegpt_sim::Breakdown {
-                encode_time: enc_stage,
-                decode_time: dec_stage * m_d as f64,
-                period: t_iter,
-                stages,
-                decode_batch: batch,
-            },
-        })
+            [enc_stage, dec_stage * m_d as f64, t_iter],
+        ))
     }
 
     /// Sweeps slot counts (multiples of four) for the best throughput under
     /// `bound`.
-    pub fn plan(&self, bound: Secs) -> Option<(usize, exegpt_sim::Estimate)> {
-        best_batch(self.sim.profile().max_batch(), bound, |b| self.estimate(b))
+    pub fn plan(&self, bound: Secs) -> Option<(usize, Estimate)> {
+        self.grid.best_batch(bound, |b| self.estimate(b))
     }
 
     /// Executes iteration-level serving with `batch` slots over sampled
@@ -198,23 +131,16 @@ impl Orca {
     ///
     /// # Errors
     ///
-    /// Returns [`RunError`] for infeasible configurations.
+    /// Returns [`RunError`] for infeasible configurations, and
+    /// [`RunError::InvalidOptions`] for options a closed-loop replay cannot
+    /// honour (see [`RunOptions`]).
     pub fn run(&self, batch: usize, opts: &RunOptions) -> Result<RunReport, RunError> {
+        let g = &self.grid;
+        let mut pending = g.pending(opts)?;
         self.estimate(batch)?;
-        let w = self.sim.workload();
-        let (profile, plan) = (self.sim.profile(), &self.plan);
-        let stages = plan.layout.num_stages();
-
-        let kv_per_token =
-            plan.layout.kv_bytes_per_token(&plan.dec_alloc, self.sim.model()).as_f64();
-        let params = param_bytes_per_gpu(&self.sim, plan);
-        let capacity = self.sim.usable_capacity().saturating_sub(params);
-        let mut kv = KvTracker::new(kv_per_token, capacity, self.settings.kv_policy);
-
-        let stream_workload = opts.request_workload.as_ref().unwrap_or(w);
-        let mut pending: Vec<Request> =
-            RequestStream::new(stream_workload, opts.seed).take(opts.num_queries).collect();
-        pending.reverse();
+        let stages = g.stages();
+        let max_out = g.sim().workload().output().max_len();
+        let mut kv = g.kv(self.settings.kv_policy);
 
         struct Slot {
             req: Request,
@@ -225,22 +151,16 @@ impl Orca {
         }
         let mut running: Vec<Slot> = Vec::new();
         let mut t = 0.0f64;
-        let mut latencies = Vec::with_capacity(opts.num_queries);
-        let mut completions = Vec::with_capacity(opts.num_queries);
-        let mut enc_stage_times = Vec::new();
-        let mut dec_stage_times = Vec::new();
+        let mut log = CompletionLog::new(opts);
         let mut tokens: u64 = 0;
 
-        while latencies.len() < opts.num_queries {
+        while log.completed() < opts.num_queries {
             // Admit into free slots (up to the per-iteration cap).
             let mut admitted = 0usize;
             let mut admitted_tokens = 0usize;
             while running.len() < batch && admitted < self.settings.max_admissions_per_iter {
                 let Some(req) = pending.last().copied() else { break };
-                let Some(kv_slot) = kv.try_admit(req.id, req.input_len, w.output().max_len())
-                else {
-                    break;
-                };
+                let Some(kv_slot) = kv.try_admit(req.id, req.input_len, max_out) else { break };
                 pending.pop();
                 admitted += 1;
                 admitted_tokens += req.input_len;
@@ -261,18 +181,15 @@ impl Orca {
                 running.iter().map(|s| (s.req.input_len + s.progress) as f64).sum::<f64>()
                     / active as f64;
             let m_d = stages.min(active).max(1);
-            let micro = active as f64 / m_d as f64;
-            let dec = Pass::Decode { batch: micro, ctx, input_len: w.input().mean() };
-            let dec_stage = plan.layout.stage_times(profile, &plan.dec_alloc, dec)?.bottleneck;
-            dec_stage_times.push(dec_stage.as_secs());
+            let dec_stage = g.decode(active as f64 / m_d as f64, ctx)?;
+            log.decoder_stage_times.push(dec_stage.as_secs());
             let host =
                 self.settings.base_overhead_s + self.settings.per_seq_overhead_s * active as f64;
             let mut t_iter = (dec_stage * m_d as f64).as_secs() + host;
             if admitted > 0 {
                 let mean_in = admitted_tokens as f64 / admitted as f64;
-                let enc = Pass::Encode { batch: admitted as f64, seq: mean_in };
-                let enc_stage = plan.layout.stage_times(profile, &plan.enc_alloc, enc)?.bottleneck;
-                enc_stage_times.push(enc_stage.as_secs());
+                let enc_stage = g.encode(admitted as f64, mean_in)?;
+                log.encoder_stage_times.push(enc_stage.as_secs());
                 t_iter += enc_stage.as_secs();
             }
             t += t_iter;
@@ -292,28 +209,13 @@ impl Orca {
                 if running[i].progress >= running[i].req.output_len {
                     let done = running.swap_remove(i);
                     kv.release(done.kv_slot);
-                    latencies.push(t - done.t_admitted);
-                    completions.push(t);
+                    log.complete(t, done.t_admitted, 0.0);
                 } else {
                     i += 1;
                 }
             }
         }
 
-        let (throughput, makespan) = windowed_throughput(&mut completions, opts.warmup_frac);
-        Ok(RunReport {
-            completed: latencies.len(),
-            tokens_generated: tokens,
-            makespan: Secs::new(makespan),
-            throughput,
-            latencies,
-            encoder_stage_times: enc_stage_times,
-            decoder_stage_times: dec_stage_times,
-            peak_kv_bytes: kv.peak_bytes(),
-            kv_clamped_tokens: kv.clamped_tokens(),
-            param_bytes: params,
-            trace: None,
-            sojourn_times: vec![],
-        })
+        Ok(log.into_report(tokens, kv.peak_bytes(), kv.clamped_tokens(), g.params()))
     }
 }

@@ -3,11 +3,11 @@
 
 use std::sync::Arc;
 
-use exegpt_baselines::{DeepSpeedInference, FasterTransformer, IterationLevel, Orca, Vllm};
+use exegpt_baselines::{FasterTransformer, IterationLevel, Orca};
 use exegpt_cluster::ClusterSpec;
 use exegpt_model::ModelConfig;
 use exegpt_profiler::{ProfileOptions, Profiler};
-use exegpt_runner::RunOptions;
+use exegpt_runner::{RunError, RunOptions};
 use exegpt_sim::Simulator;
 use exegpt_units::Secs;
 use exegpt_workload::Task;
@@ -31,7 +31,7 @@ fn every_system_completes_a_run() {
     let r = ft.run(16, &opts).expect("ft runs");
     assert_eq!(r.completed, 120);
 
-    let dsi = DeepSpeedInference::new(s.clone()).expect("single node");
+    let dsi = FasterTransformer::deepspeed(s.clone()).expect("single node");
     let r = dsi.run(16, &opts).expect("dsi runs");
     assert_eq!(r.completed, 120);
 
@@ -39,7 +39,7 @@ fn every_system_completes_a_run() {
     let r = orca.run(32, &opts).expect("orca runs");
     assert_eq!(r.completed, 120);
 
-    let vllm = Vllm::new(s).expect("grid");
+    let vllm = Orca::new(s, IterationLevel::vllm()).expect("grid");
     let r = vllm.run(32, &opts).expect("vllm runs");
     assert_eq!(r.completed, 120);
 }
@@ -50,7 +50,7 @@ fn ft_beats_vllm_on_the_paper_setup() {
     // which the paper attributes to vLLM's host overhead.
     let s = sim(Task::Translation);
     let ft = FasterTransformer::paper_default(s.clone()).expect("grid");
-    let vllm = Vllm::new(s).expect("grid");
+    let vllm = Orca::new(s, IterationLevel::vllm()).expect("grid");
     let ft_best = ft.plan(Secs::INFINITY).expect("feasible").1.throughput;
     let vllm_best = vllm.plan(Secs::INFINITY).expect("feasible").1.throughput;
     assert!(ft_best > vllm_best, "FT {ft_best:.2} q/s should beat vLLM {vllm_best:.2} q/s");
@@ -60,7 +60,7 @@ fn ft_beats_vllm_on_the_paper_setup() {
 fn ft_beats_dsi_on_the_paper_setup() {
     let s = sim(Task::Summarization);
     let ft = FasterTransformer::paper_default(s.clone()).expect("grid");
-    let dsi = DeepSpeedInference::new(s).expect("single node");
+    let dsi = FasterTransformer::deepspeed(s).expect("single node");
     let ft_best = ft.plan(Secs::INFINITY).expect("feasible").1.throughput;
     let dsi_best = dsi.plan(Secs::INFINITY).expect("feasible").1.throughput;
     assert!(ft_best > dsi_best, "FT {ft_best:.2} should beat DSI {dsi_best:.2}");
@@ -71,7 +71,7 @@ fn orca_admits_greedily_vllm_one_at_a_time() {
     let opts = RunOptions { num_queries: 150, ..Default::default() };
     let s = sim(Task::Summarization);
     let orca = Orca::new(s.clone(), IterationLevel::orca()).expect("grid");
-    let vllm = Vllm::new(s).expect("grid");
+    let vllm = Orca::new(s, IterationLevel::vllm()).expect("grid");
     let ro = orca.run(32, &opts).expect("runs");
     let rv = vllm.run(32, &opts).expect("runs");
     // ORCA refills all free slots per iteration: fewer, larger prefills.
@@ -112,7 +112,7 @@ fn dsi_rejects_multi_node_clusters() {
         Arc::new(profile),
         Task::Translation.workload().expect("valid"),
     );
-    assert!(DeepSpeedInference::new(s).is_err());
+    assert!(FasterTransformer::deepspeed(s).is_err());
 }
 
 #[test]
@@ -142,9 +142,34 @@ fn planning_respects_bounds_for_all_systems() {
         if let Some((_, est)) = ft.plan(*bound) {
             assert!(est.latency <= *bound);
         }
-        let vllm = Vllm::new(s.clone()).expect("grid");
+        let vllm = Orca::new(s.clone(), IterationLevel::vllm()).expect("grid");
         if let Some((_, est)) = vllm.plan(*bound) {
             assert!(est.latency <= *bound);
         }
     }
+}
+
+#[test]
+fn baselines_reject_options_they_cannot_honour() {
+    // The baselines replay closed loop without a trace: an open-loop or
+    // traced request is an error, not closed-loop numbers without them.
+    let s = sim(Task::Translation);
+    let ft = FasterTransformer::paper_default(s.clone()).expect("grid");
+    let orca = Orca::new(s, IterationLevel::orca()).expect("grid");
+    let base = RunOptions { num_queries: 40, ..Default::default() };
+    let bad = [
+        ("num_queries", RunOptions { num_queries: 0, ..base.clone() }),
+        ("warmup_frac", RunOptions { warmup_frac: 1.0, ..base.clone() }),
+        ("arrival_rate", RunOptions { arrival_rate: Some(1.0), ..base.clone() }),
+        ("record_trace", RunOptions { record_trace: true, ..base.clone() }),
+    ];
+    for (option, opts) in &bad {
+        for (system, result) in [("FT", ft.run(16, opts)), ("ORCA", orca.run(16, opts))] {
+            assert!(
+                matches!(&result, Err(RunError::InvalidOptions { what, .. }) if what == option),
+                "{system} must reject {option}: {result:?}"
+            );
+        }
+    }
+    assert!(ft.run(16, &base).is_ok() && orca.run(16, &base).is_ok());
 }

@@ -21,7 +21,7 @@
 use std::hash::Hasher;
 use std::sync::Arc;
 
-use exegpt_baselines::{DeepSpeedInference, FasterTransformer, IterationLevel, Orca, Vllm};
+use exegpt_baselines::{FasterTransformer, IterationLevel, Orca};
 use exegpt_cluster::ClusterSpec;
 use exegpt_dist::{FnvHasher, LengthDist};
 use exegpt_model::ModelConfig;
@@ -242,9 +242,9 @@ fn sweep_baselines(d: &mut Digest, sim: &Simulator) {
     let batches: Vec<usize> =
         (1..=8).chain((12..=sim.profile().max_batch() + 4).step_by(4)).collect();
     let ft = FasterTransformer::paper_default(sim.clone()).expect("grid");
-    let dsi = DeepSpeedInference::new(sim.clone()).expect("single node");
+    let dsi = FasterTransformer::deepspeed(sim.clone()).expect("single node");
     let orca = Orca::new(sim.clone(), IterationLevel::orca()).expect("grid");
-    let vllm = Vllm::new(sim.clone()).expect("grid");
+    let vllm = Orca::new(sim.clone(), IterationLevel::vllm()).expect("grid");
     for &b in &batches {
         d.estimate(ft.estimate(b));
         d.estimate(dsi.estimate(b));
@@ -255,9 +255,9 @@ fn sweep_baselines(d: &mut Digest, sim: &Simulator) {
 
 fn replay_baselines(d: &mut Digest, sim: &Simulator) {
     let ft = FasterTransformer::paper_default(sim.clone()).expect("grid");
-    let dsi = DeepSpeedInference::new(sim.clone()).expect("single node");
+    let dsi = FasterTransformer::deepspeed(sim.clone()).expect("single node");
     let orca = Orca::new(sim.clone(), IterationLevel::orca()).expect("grid");
-    let vllm = Vllm::new(sim.clone()).expect("grid");
+    let vllm = Orca::new(sim.clone(), IterationLevel::vllm()).expect("grid");
     for (i, &b) in REPLAY_BATCHES.iter().enumerate() {
         let opts =
             RunOptions { num_queries: REPLAY_QUERIES, seed: 3 + i as u64, ..RunOptions::default() };

@@ -1,7 +1,7 @@
 //! Figure 7: throughput comparison of the existing systems — FT, DSI, ORCA
 //! and vLLM — on OPT-13B over four A40 GPUs, all five tasks, four bounds.
 
-use exegpt_baselines::{DeepSpeedInference, FasterTransformer, IterationLevel, Orca, Vllm};
+use exegpt_baselines::{FasterTransformer, IterationLevel, Orca};
 use exegpt_runner::RunOptions;
 use exegpt_workload::Task;
 use serde::Serialize;
@@ -36,9 +36,9 @@ pub fn generate(num_queries: usize) -> Vec<Row> {
         let bounds = bounds_for(&system, &workload);
         let sim = system.simulator(workload.clone());
         let ft = FasterTransformer::paper_default(sim.clone()).expect("grid builds");
-        let dsi = DeepSpeedInference::new(sim.clone()).expect("single node");
+        let dsi = FasterTransformer::deepspeed(sim.clone()).expect("single node");
         let orca = Orca::new(sim.clone(), IterationLevel::orca()).expect("grid builds");
-        let vllm = Vllm::new(sim).expect("grid builds");
+        let vllm = Orca::new(sim, IterationLevel::vllm()).expect("grid builds");
         for bound in bounds {
             // Size each run to cover several batches of the planned size.
             let opts_for = |batch: usize| RunOptions {

@@ -75,6 +75,6 @@ pub use kv::{KvSlot, KvTracker, ReservePolicy};
 pub use pool::{DecodePool, Finished, GrowthOrder};
 pub use queue::AdmissionQueue;
 pub use replica::{Admission, FaultFactors, PhaseRecord, ReplicaState};
-pub use report::RunReport;
-pub use runner::{windowed_throughput, RunOptions, Runner};
+pub use report::{CompletionLog, RunReport};
+pub use runner::{RunOptions, Runner};
 pub use trace::{Span, SpanKind, Trace};

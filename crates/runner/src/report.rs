@@ -4,6 +4,7 @@ use exegpt_dist::stats;
 use exegpt_units::Secs;
 use serde::Serialize;
 
+use crate::runner::RunOptions;
 use crate::trace::Trace;
 
 /// Measurements collected by the runner over one run.
@@ -99,9 +100,115 @@ impl RunReport {
     }
 }
 
+/// What a replay records as it runs, turned into its [`RunReport`] at the
+/// end: every replay (the schedule runner and the baselines) builds its
+/// report here.
+#[derive(Debug)]
+pub struct CompletionLog {
+    warmup_frac: f64,
+    open_loop: bool,
+    latencies: Vec<f64>,
+    sojourns: Vec<f64>,
+    completion_times: Vec<f64>,
+    /// Bottleneck-stage execution time of each encoding phase.
+    pub encoder_stage_times: Vec<f64>,
+    /// Bottleneck-stage execution time of each decoding iteration.
+    pub decoder_stage_times: Vec<f64>,
+    /// The execution trace, when `opts` asked for one.
+    pub trace: Option<Trace>,
+}
+
+impl CompletionLog {
+    /// An empty log for a run under `opts`.
+    pub fn new(opts: &RunOptions) -> Self {
+        Self {
+            warmup_frac: opts.warmup_frac,
+            open_loop: opts.arrival_rate.is_some(),
+            latencies: Vec::with_capacity(opts.num_queries),
+            sojourns: Vec::new(),
+            completion_times: Vec::with_capacity(opts.num_queries),
+            encoder_stage_times: Vec::new(),
+            decoder_stage_times: Vec::new(),
+            trace: opts.record_trace.then(Trace::new),
+        }
+    }
+
+    /// Records a query that arrived at `arrival`, started at `started` and
+    /// completed at `t`. Only an open-loop run keeps its sojourn time.
+    pub fn complete(&mut self, t: f64, started: f64, arrival: f64) {
+        self.latencies.push(t - started);
+        if self.open_loop {
+            self.sojourns.push(t - arrival);
+        }
+        self.completion_times.push(t);
+    }
+
+    /// Queries completed so far.
+    pub fn completed(&self) -> usize {
+        self.latencies.len()
+    }
+
+    /// The run's report: throughput over the completions after the warm-up
+    /// fraction of them, the totals as given.
+    pub fn into_report(
+        mut self,
+        tokens_generated: u64,
+        peak_kv_bytes: u64,
+        kv_clamped_tokens: u64,
+        param_bytes: u64,
+    ) -> RunReport {
+        let (throughput, makespan) =
+            windowed_throughput(&mut self.completion_times, self.warmup_frac);
+        RunReport {
+            completed: self.latencies.len(),
+            tokens_generated,
+            makespan: Secs::new(makespan),
+            throughput,
+            latencies: self.latencies,
+            encoder_stage_times: self.encoder_stage_times,
+            decoder_stage_times: self.decoder_stage_times,
+            peak_kv_bytes,
+            kv_clamped_tokens,
+            param_bytes,
+            trace: self.trace,
+            sojourn_times: self.sojourns,
+        }
+    }
+}
+
+/// Computes the throughput window: completions after warm-up, over the time
+/// between the warm-up completion and the last completion. Returns the
+/// throughput and the last completion time. Sorts `times`.
+fn windowed_throughput(times: &mut [f64], warmup_frac: f64) -> (f64, f64) {
+    if times.is_empty() {
+        return (0.0, 0.0);
+    }
+    times.sort_by(f64::total_cmp);
+    let warm = ((times.len() as f64 * warmup_frac) as usize).min(times.len() - 1);
+    let t0 = if warm == 0 { 0.0 } else { times[warm - 1] };
+    let t1 = times.last().copied().unwrap_or(0.0);
+    let counted = (times.len() - warm) as f64;
+    if t1 <= t0 {
+        // Degenerate window (e.g. one static batch completing everything at
+        // once): fall back to the whole-run average.
+        return (times.len() as f64 / t1.max(f64::MIN_POSITIVE), t1);
+    }
+    (counted / (t1 - t0), t1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn windowed_throughput_handles_edges() {
+        assert_eq!(windowed_throughput(&mut [], 0.1), (0.0, 0.0));
+        // Ten completions one second apart, 10% warm-up: 9 over 9 seconds.
+        let mut times: Vec<f64> = (1..=10).map(|i| i as f64).collect();
+        let (thr, end) = windowed_throughput(&mut times, 0.1);
+        assert!((thr - 1.0).abs() < 1e-9);
+        assert_eq!(end, 10.0);
+    }
 
     fn report() -> RunReport {
         RunReport {

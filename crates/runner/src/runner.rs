@@ -6,14 +6,13 @@ use exegpt_cluster::ClusterSpec;
 use exegpt_model::ModelConfig;
 use exegpt_profiler::LayerProfile;
 use exegpt_sim::{ScheduleConfig, Simulator, Workload};
-use exegpt_units::Secs;
 use exegpt_workload::{PoissonStream, RequestStream, TimedRequest};
 
 use crate::error::RunError;
 use crate::exec::PhaseExecutor;
 use crate::queue::AdmissionQueue;
 use crate::replica::{Admission, FaultFactors, PhaseRecord, ReplicaState};
-use crate::report::RunReport;
+use crate::report::{CompletionLog, RunReport};
 use crate::trace::{SpanKind, Trace};
 
 /// Options for one execution run.
@@ -58,7 +57,12 @@ impl Default for RunOptions {
 }
 
 impl RunOptions {
-    fn validate(&self) -> Result<(), RunError> {
+    /// Checks that the options describe a run.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RunError::InvalidOptions`] naming the first bad option.
+    pub fn validate(&self) -> Result<(), RunError> {
         if self.num_queries == 0 {
             return Err(RunError::InvalidOptions {
                 what: "num_queries",
@@ -144,46 +148,28 @@ impl Runner {
                 .collect(),
         };
         let mut state = ReplicaState::new(exec, opts.adjust_threshold, queue);
-        let open_loop = opts.arrival_rate.is_some();
-        let mut latencies = Vec::with_capacity(opts.num_queries);
-        let mut sojourns = Vec::new();
-        let mut completion_times = Vec::with_capacity(opts.num_queries);
-        let (mut enc_stage_times, mut dec_stage_times) = (Vec::new(), Vec::new());
-        let mut trace = opts.record_trace.then(Trace::new);
-        while latencies.len() < opts.num_queries {
+        let mut log = CompletionLog::new(opts);
+        while log.completed() < opts.num_queries {
             match state.admit()? {
                 Admission::Run => {}
                 Admission::Idle => continue,
                 Admission::Drained => break,
             }
             let record = state.run_phase(FaultFactors::nominal(), |done, t| {
-                latencies.push(t - done.t_encoded);
-                if open_loop {
-                    sojourns.push(t - done.arrival);
-                }
-                completion_times.push(t);
+                log.complete(t, done.t_encoded, done.arrival);
             })?;
-            enc_stage_times.extend(record.encode_stage);
-            dec_stage_times.extend_from_slice(state.decode_stage_times());
-            if let Some(trace) = trace.as_mut() {
+            log.encoder_stage_times.extend(record.encode_stage);
+            log.decoder_stage_times.extend_from_slice(state.decode_stage_times());
+            if let Some(trace) = log.trace.as_mut() {
                 record_spans(trace, &record);
             }
         }
-        let (throughput, makespan) = windowed_throughput(&mut completion_times, opts.warmup_frac);
-        Ok(RunReport {
-            completed: latencies.len(),
-            tokens_generated: state.pool().tokens(),
-            makespan: Secs::new(makespan),
-            throughput,
-            latencies,
-            encoder_stage_times: enc_stage_times,
-            decoder_stage_times: dec_stage_times,
-            peak_kv_bytes: state.peak_kv_bytes(),
-            kv_clamped_tokens: state.kv().clamped_tokens(),
-            param_bytes: state.exec().param_bytes(),
-            trace,
-            sojourn_times: sojourns,
-        })
+        Ok(log.into_report(
+            state.pool().tokens(),
+            state.peak_kv_bytes(),
+            state.kv().clamped_tokens(),
+            state.exec().param_bytes(),
+        ))
     }
 }
 
@@ -201,39 +187,9 @@ fn record_spans(trace: &mut Trace, r: &PhaseRecord) {
     }
 }
 
-/// Computes the throughput window: completions after warm-up, over the time
-/// between the warm-up completion and the last completion. Returns the
-/// throughput and the last completion time. Sorts `times`.
-pub fn windowed_throughput(times: &mut [f64], warmup_frac: f64) -> (f64, f64) {
-    if times.is_empty() {
-        return (0.0, 0.0);
-    }
-    times.sort_by(f64::total_cmp);
-    let warm = ((times.len() as f64 * warmup_frac) as usize).min(times.len() - 1);
-    let t0 = if warm == 0 { 0.0 } else { times[warm - 1] };
-    let t1 = times.last().copied().unwrap_or(0.0);
-    let counted = (times.len() - warm) as f64;
-    if t1 <= t0 {
-        // Degenerate window (e.g. one static batch completing everything at
-        // once): fall back to the whole-run average.
-        return (times.len() as f64 / t1.max(f64::MIN_POSITIVE), t1);
-    }
-    (counted / (t1 - t0), t1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn windowed_throughput_handles_edges() {
-        assert_eq!(windowed_throughput(&mut [], 0.1), (0.0, 0.0));
-        // Ten completions one second apart, 10% warm-up: 9 over 9 seconds.
-        let mut times: Vec<f64> = (1..=10).map(|i| i as f64).collect();
-        let (thr, end) = windowed_throughput(&mut times, 0.1);
-        assert!((thr - 1.0).abs() < 1e-9);
-        assert_eq!(end, 10.0);
-    }
 
     #[test]
     fn options_validate() {

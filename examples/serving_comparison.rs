@@ -11,7 +11,7 @@
 //!
 //! Run with: `cargo run --release --example serving_comparison`
 
-use exegpt_baselines::{FasterTransformer, IterationLevel, Orca, Vllm};
+use exegpt_baselines::{FasterTransformer, IterationLevel, Orca};
 use exegpt_runner::Runner;
 use exegpt_scenario::{lower, Lowered, Scenario};
 use exegpt_units::Secs;
@@ -86,6 +86,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             None => println!("{name:<18} {:>10} (cannot satisfy the bound)", "NS"),
         }
     }
-    let _ = Vllm::new(sim)?; // the dedicated wrapper offers the same API
     Ok(())
 }

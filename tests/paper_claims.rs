@@ -2,7 +2,7 @@
 //! simulated substrate (the quantitative shapes live in `EXPERIMENTS.md`).
 
 use exegpt::{Engine, Policy, SchedulerOptions};
-use exegpt_baselines::{FasterTransformer, IterationLevel, Orca, Vllm};
+use exegpt_baselines::{FasterTransformer, IterationLevel, Orca};
 use exegpt_cluster::ClusterSpec;
 use exegpt_model::ModelConfig;
 use exegpt_runner::RunOptions;
@@ -27,7 +27,7 @@ fn ft_tops_the_existing_systems() {
     let ft = FasterTransformer::paper_default(s.clone()).expect("grid");
     let ft_best = ft.plan(Secs::INFINITY).expect("feasible").1.throughput;
     let orca = Orca::new(s.clone(), IterationLevel::orca()).expect("grid");
-    let vllm = Vllm::new(s).expect("grid");
+    let vllm = Orca::new(s, IterationLevel::vllm()).expect("grid");
     assert!(ft_best > orca.plan(Secs::INFINITY).expect("feasible").1.throughput);
     assert!(ft_best > vllm.plan(Secs::INFINITY).expect("feasible").1.throughput);
 }
@@ -40,7 +40,7 @@ fn iteration_level_misses_tight_bounds() {
     let ft = FasterTransformer::paper_default(s.clone()).expect("grid");
     let tight = exegpt_workload::latency_bounds(&ft.latency_sweep()).expect("non-empty")[0];
     assert!(ft.plan(tight).is_some(), "FT satisfies its own tight bound");
-    let vllm = Vllm::new(s).expect("grid");
+    let vllm = Orca::new(s, IterationLevel::vllm()).expect("grid");
     assert!(vllm.plan(tight).is_none(), "vLLM cannot satisfy the tight bound");
 }
 
@@ -102,7 +102,7 @@ fn bound_protocol_is_total() {
         let bounds = exegpt_workload::latency_bounds(&ft.latency_sweep()).expect("non-empty");
         for bound in bounds {
             let _ = ft.plan(bound);
-            let _ = Vllm::new(s.clone()).expect("grid").plan(bound);
+            let _ = Orca::new(s.clone(), IterationLevel::vllm()).expect("grid").plan(bound);
         }
     }
 }
