@@ -48,9 +48,10 @@ cargo test --offline --release -q -p exegpt-sim --test cache_props
 cargo test --offline --release -q -p exegpt-sim --test scorer_alloc
 # The one-pass completion analysis the RRA estimate reads, against the
 # completion distribution, and the replans and repeated schedules that the
-# search memo answers.
+# search memo answers. Branch-and-bound's properties and its digest run
+# there too: the benchmark times its point memo in release code.
 cargo test --offline --release -q -p exegpt-dist
-cargo test --offline --release -q -p exegpt --test replan --test scheduler
+cargo test --offline --release -q -p exegpt --test replan --test scheduler --test props --test bnb_digest
 # Likewise every metrics snapshot of the shipped serve and fleet scenarios:
 # the fleet-100k gate and the benchmark run the serve and fleet loops in
 # release.

@@ -13,12 +13,18 @@
 //! 3. Tolerances `ε_L`/`ε_T` keep the search robust when the functions are
 //!    only monotone within small violations (as measured in Table 5).
 //!
+//! Blocks share corners, so the search asks for many points more than
+//! once; a memo keyed by the point's offset in the box runs the caller's
+//! evaluation once per point. It is a flat open-addressing table over the
+//! points evaluated so far, never a table over the whole box.
+//!
 //! Axis orientation is the caller's job: map each raw control variable so
 //! that *increasing* the mapped coordinate increases both throughput and
 //! latency (e.g. RRA's `N_D` enters as the encoding frequency `F_E`).
 
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
+use exegpt_dist::convert::{narrow_usize, widen_u64};
 use exegpt_units::Secs;
 
 /// Evaluated performance of one configuration point: the simulator's score
@@ -94,7 +100,7 @@ impl Ord for Block {
 ///
 /// `eval` maps an oriented point to its performance; return
 /// [`Perf::INFEASIBLE`] for configurations that cannot run. Evaluations are
-/// memoized, so `eval` may be expensive.
+/// memoized, so `eval` may be expensive: it runs at most once per point.
 ///
 /// Returns `None` when no evaluated point satisfies the latency bound.
 ///
@@ -127,20 +133,21 @@ where
     assert!(range1.0 <= range1.1, "range1 must be non-empty");
     assert!(range2.0 <= range2.1, "range2 must be non-empty");
 
-    let mut memo: BTreeMap<(usize, usize), Perf> = BTreeMap::new();
+    let mut memo = Memo::new((range1.0, range2.0), range2.1 - range2.0);
     let mut evals = 0usize;
     let mut best: Option<((usize, usize), Perf)> = None;
 
     macro_rules! ev {
         ($p:expr) => {{
             let p = $p;
-            if let Some(hit) = memo.get(&p) {
-                *hit
-            } else {
-                evals += 1;
-                let perf = eval(p.0, p.1);
-                memo.insert(p, perf);
-                perf
+            match memo.get(p) {
+                Ok(hit) => hit,
+                Err(slot) => {
+                    evals += 1;
+                    let perf = eval(p.0, p.1);
+                    memo.insert(slot, p, perf);
+                    perf
+                }
             }
         }};
     }
@@ -255,6 +262,75 @@ where
     }
 
     best.map(|(point, perf)| BnbResult { point, perf, evals })
+}
+
+/// The search's memo: the evaluated points in evaluation order, under an
+/// open-addressing index (linear probing, load at most one half) that
+/// hashes each point's offset in the box. It grows with the points
+/// evaluated, not with the box: the largest search of the `sched-paper`
+/// benchmark holds 1,846 points of a 1,024 × 80 box, where a dense table
+/// of 4-byte slots would take 320 KiB before the first evaluation.
+/// Lookups compare whole points, so the offset is only a hash, and it may
+/// wrap on boxes whose area `usize` cannot count.
+struct Memo {
+    /// The box's minimal corner.
+    lo: (usize, usize),
+    /// Points per row of the box, `usize`-wrapping.
+    row: usize,
+    /// Every evaluated point with its performance.
+    points: Vec<((usize, usize), Perf)>,
+    /// `1 +` an index into `points`, or 0 for an empty slot; the length is
+    /// a power of two at least twice `points.len()`.
+    slots: Vec<usize>,
+}
+
+impl Memo {
+    const MIN_SLOTS: usize = 64;
+
+    /// An empty memo for a box with minimal corner `lo` whose second range
+    /// spans `span + 1` values.
+    fn new(lo: (usize, usize), span: usize) -> Self {
+        Self { lo, row: span.wrapping_add(1), points: Vec::new(), slots: vec![0; Self::MIN_SLOTS] }
+    }
+
+    /// The first slot to probe for `p`: Fibonacci hashing of its offset,
+    /// keeping the top `log2(slots.len())` bits.
+    fn home(&self, p: (usize, usize)) -> usize {
+        let offset = (p.0 - self.lo.0).wrapping_mul(self.row).wrapping_add(p.1 - self.lo.1);
+        let shift = 64 - self.slots.len().trailing_zeros();
+        narrow_usize(widen_u64(offset).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> shift)
+    }
+
+    /// The performance memoized for `p`, or the empty slot it goes in.
+    fn get(&self, p: (usize, usize)) -> Result<Perf, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(p);
+        loop {
+            match self.slots[i].checked_sub(1).map(|k| self.points[k]) {
+                None => return Err(i),
+                Some((q, perf)) if q == p => return Ok(perf),
+                Some(_) => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// Memoizes `perf` for `p` in `slot`, the empty slot [`Memo::get`]
+    /// returned for it.
+    fn insert(&mut self, slot: usize, p: (usize, usize), perf: Perf) {
+        self.points.push((p, perf));
+        if 2 * self.points.len() <= self.slots.len() {
+            self.slots[slot] = self.points.len();
+            return;
+        }
+        // Double the index and place every point again; the points are
+        // distinct, so each finds an empty slot.
+        self.slots = vec![0; 2 * self.slots.len()];
+        for k in 0..self.points.len() {
+            if let Err(i) = self.get(self.points[k].0) {
+                self.slots[i] = k + 1;
+            }
+        }
+    }
 }
 
 #[cfg(test)]

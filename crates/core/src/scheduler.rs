@@ -87,9 +87,11 @@ pub struct SchedulerOptions {
     /// Restrict the search to these partial-TP settings (default: all
     /// profiled degrees at every feasible GPU count).
     pub tp_configs: Option<Vec<TpConfig>>,
-    /// Worker threads of the search pool that runs the per-task probes
-    /// (default: the machine's available parallelism, capped at the task
-    /// count; `Some(1)` runs them serially, `Some(0)` is rejected).
+    /// Workers of the search pool that runs the per-task probes (default:
+    /// the machine's available parallelism, capped at the task count;
+    /// `Some(1)` runs them serially, `Some(0)` is rejected). The width
+    /// counts the calling thread, which runs one worker, so a width of `n`
+    /// spawns `n − 1` threads.
     /// [`Scheduler::schedule`] returns the same `Schedule` for every width,
     /// so this only trades wall-clock time for CPU.
     pub pool_threads: Option<usize>,
@@ -514,19 +516,22 @@ fn default_pool_width() -> usize {
     *WIDTH.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Maps `f` over `items` on a bounded work-stealing pool of at most
-/// `workers` threads and returns the results in item order. A fixed set of
-/// scoped workers pulls indices from a shared counter and writes per-item
-/// slots, so the results never depend on which worker ran what, as long as
-/// `f`'s result does not depend on the worker state (`init()`'s, one per
-/// worker) it is handed.
+/// Maps `f` over `items` on a bounded work-stealing pool of `workers`
+/// workers, capped at the item count, and returns the results in item
+/// order. The width counts the calling thread: it spawns `workers − 1`
+/// scoped threads and runs the same work loop itself, so a width of one
+/// spawns nothing. Each worker pulls indices from a shared counter and
+/// writes per-item slots, so the results never depend on which worker ran
+/// what, as long as `f`'s result does not depend on the worker state
+/// (`init()`'s, one per worker) it is handed.
 fn pool_map<T: Sync, S, R: Send + Sync>(
     items: &[T],
     workers: usize,
     init: impl Fn() -> S + Sync,
     f: impl Fn(&mut S, &T) -> R + Sync,
 ) -> Vec<R> {
-    if workers.min(items.len()) <= 1 {
+    let workers = workers.min(items.len());
+    if workers <= 1 {
         let mut state = init();
         return items.iter().map(|item| f(&mut state, item)).collect();
     }
@@ -537,25 +542,27 @@ fn pool_map<T: Sync, S, R: Send + Sync>(
     )]
     let next = AtomicUsize::new(0);
     let slots: Vec<OnceLock<R>> = items.iter().map(|_| OnceLock::new()).collect();
+    let work = || {
+        let mut state = init();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { break };
+            // The fetch_add hands each index to exactly one worker, so this
+            // slot is necessarily empty.
+            let set_res = slots[i].set(f(&mut state, item));
+            debug_assert!(set_res.is_ok(), "item index {i} claimed twice");
+        }
+    };
     #[expect(
         clippy::disallowed_methods,
         reason = "audited pool module: scoped workers write per-item slots that are read back \
                   in item order, so the join is deterministic"
     )]
     std::thread::scope(|s| {
-        for _ in 0..workers.min(items.len()) {
-            s.spawn(|| {
-                let mut state = init();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(i) else { break };
-                    // The fetch_add hands each index to exactly one worker,
-                    // so this slot is necessarily empty.
-                    let set_res = slots[i].set(f(&mut state, item));
-                    debug_assert!(set_res.is_ok(), "item index {i} claimed twice");
-                }
-            });
+        for _ in 1..workers {
+            s.spawn(work);
         }
+        work();
     });
     // Every index below `items.len()` was claimed, and a worker that
     // panicked re-raises at the end of the scope, so every slot is full.

@@ -232,9 +232,9 @@ fn search_matches_the_pinned_digest() {
     assert_eq!(run_family(), PINNED);
 }
 
-/// Boxes whose area does not fit in `u32` (the last one not even in
-/// `u128`'s range minus one) search normally on a cheap surface: the memo
-/// grows with the points evaluated, never with the box.
+/// Boxes whose area does not fit in `u32`, up to the whole `usize` plane,
+/// search normally on a cheap surface: the memo grows with the points
+/// evaluated, never with the box.
 #[test]
 fn huge_boxes_search_without_panicking() {
     let boxes = [
