@@ -286,6 +286,8 @@ impl Scheduler {
         opts: &SchedulerOptions,
     ) -> Result<(Schedule, SearchOutcome), ScheduleError> {
         validate(opts)?;
+        let profile = self.sim.profile();
+        validate_box(opts, profile.max_batch(), profile.max_seq())?;
         let (outcome, remembered) =
             self.sim.remembered_search(search_key(opts), || self.cold_sweep(opts));
         let Some((config, estimate)) = outcome.best.clone() else {
@@ -705,6 +707,29 @@ fn validate(opts: &SchedulerOptions) -> Result<(), ScheduleError> {
     ] {
         if !(0.0..1.0).contains(&frac) {
             return Err(ScheduleError::InvalidOptions { what, why: "must be in [0, 1)".into() });
+        }
+    }
+    Ok(())
+}
+
+/// Rejects a search box beyond the profiled sweep, before any search:
+/// `max_b_e` above its largest batch, `max_n_d` above its longest
+/// sequence. An unbounded `max_n_d` would overflow the encoding-frequency
+/// axis and size the survival series of the RRA estimate.
+fn validate_box(
+    opts: &SchedulerOptions,
+    max_batch: usize,
+    max_seq: usize,
+) -> Result<(), ScheduleError> {
+    for (what, limit, max, axis) in [
+        ("max_b_e", opts.max_b_e, max_batch, "batch"),
+        ("max_n_d", opts.max_n_d, max_seq, "sequence length"),
+    ] {
+        if limit.is_some_and(|v| v > max) {
+            return Err(ScheduleError::InvalidOptions {
+                what,
+                why: format!("must be at most {max}, the profile's largest {axis}"),
+            });
         }
     }
     Ok(())

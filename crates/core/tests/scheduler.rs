@@ -130,6 +130,28 @@ fn invalid_options_are_rejected() {
 }
 
 #[test]
+fn search_boxes_beyond_the_profile_are_rejected() {
+    let engine = engine_task_s();
+    let profile = engine.simulator().profile();
+    let bound = SchedulerOptions::bounded(Secs::INFINITY);
+    for (what, max) in [("max_b_e", profile.max_batch()), ("max_n_d", profile.max_seq())] {
+        let with = |v: usize| match what {
+            "max_b_e" => SchedulerOptions { max_b_e: Some(v), ..bound.clone() },
+            _ => SchedulerOptions { max_n_d: Some(v), ..bound.clone() },
+        };
+        for bad in [usize::MAX, max + 1] {
+            let err = engine.schedule_with(&with(bad));
+            assert!(
+                matches!(&err, Err(ScheduleError::InvalidOptions { what: w, .. }) if *w == what),
+                "{what} = {bad}: {err:?}"
+            );
+        }
+        let s = engine.schedule_with(&with(max));
+        assert!(s.is_ok(), "{what} = {max}, the profile maximum: {s:?}");
+    }
+}
+
+#[test]
 fn schedule_is_deterministic_across_pool_widths() {
     // The determinism contract: byte-for-byte identical results (including
     // the evals and cache_hits counters) for serial execution and for any
