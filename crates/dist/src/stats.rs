@@ -53,20 +53,35 @@ pub fn pearson(x: &[f64], y: &[f64]) -> Option<f64> {
 /// assert_eq!(exegpt_dist::stats::percentile(&xs, 0.5), Some(3.0));
 /// ```
 pub fn percentile(xs: &[f64], p: f64) -> Option<f64> {
-    nearest_rank(&sorted(xs), p)
+    nearest_rank(&sorted(xs), p).map(value)
 }
 
-/// A sorted copy of `xs`. Unstable sorting is exact here: `total_cmp`
-/// calls two values equal only when their bits are, so every order of
-/// equal values is the same array.
-fn sorted(xs: &[f64]) -> Vec<f64> {
-    let mut sorted = xs.to_vec();
-    sorted.sort_unstable_by(f64::total_cmp);
-    sorted
+/// The sort key of `x`: the `u64` whose unsigned order is
+/// [`f64::total_cmp`]'s order, the key that comparator is defined by.
+/// Every bit of a negative value flips; any other value gets the sign bit.
+fn key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    bits ^ ((bits >> 63).wrapping_neg() | 1 << 63)
+}
+
+/// The sample whose sort key is `key`, bit for bit.
+fn value(key: u64) -> f64 {
+    f64::from_bits(key ^ (((key >> 63) ^ 1).wrapping_neg() | 1 << 63))
+}
+
+/// The ascending sort keys of `xs`. Sorting the `u64` keys orders the
+/// samples as `sort_unstable_by(f64::total_cmp)` would, without calling a
+/// comparator: `total_cmp` calls two values equal only when their bits
+/// are, so the sorted sequence is unique and every sort of it is the same
+/// array.
+fn sorted(xs: &[f64]) -> Vec<u64> {
+    let mut keys: Vec<u64> = xs.iter().map(|&x| key(x)).collect();
+    keys.sort_unstable();
+    keys
 }
 
 /// The `p`-th percentile (nearest-rank) of an ascending sample.
-fn nearest_rank(sorted: &[f64], p: f64) -> Option<f64> {
+fn nearest_rank<T: Copy>(sorted: &[T], p: f64) -> Option<T> {
     let n = sorted.len();
     let rank = ((p.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n.max(1));
     sorted.get(rank - 1).copied()
@@ -118,6 +133,10 @@ pub struct Summary {
 
 /// Summarizes a sample into the shared [`Summary`] shape (`None` if empty).
 ///
+/// The samples are ordered by [`f64::total_cmp`] (through their sort
+/// keys); the percentiles are nearest-rank, and the mean sums the samples
+/// in ascending order.
+///
 /// # Example
 ///
 /// ```
@@ -129,19 +148,25 @@ pub struct Summary {
 /// assert_eq!(s.max, 100.0);
 /// ```
 pub fn summary(xs: &[f64]) -> Option<Summary> {
-    summary_in_place(&mut xs.to_vec())
+    summarize_sorted(&sorted(xs))
 }
 
-/// [`summary`] without the copy: sorts `xs` in place (ascending by
-/// `total_cmp`), then summarizes it. Same result, bit for bit.
-pub fn summary_in_place(xs: &mut [f64]) -> Option<Summary> {
-    xs.sort_unstable_by(f64::total_cmp);
-    let sorted = &*xs;
-    let max = *sorted.last()?;
-    let pick = |p| nearest_rank(sorted, p).unwrap_or(max);
+/// [`summary`] of a sample no longer needed: its buffer becomes the sort
+/// keys in place, so no sample is copied and nothing is allocated. Same
+/// result, bit for bit.
+pub fn summary_owned(xs: Vec<f64>) -> Option<Summary> {
+    let mut keys: Vec<u64> = xs.into_iter().map(key).collect();
+    keys.sort_unstable();
+    summarize_sorted(&keys)
+}
+
+/// The [`Summary`] of ascending sort keys.
+fn summarize_sorted(keys: &[u64]) -> Option<Summary> {
+    let max = value(*keys.last()?);
+    let pick = |p| nearest_rank(keys, p).map_or(max, value);
     Some(Summary {
-        count: sorted.len(),
-        mean: sorted.iter().sum::<f64>() / sorted.len() as f64,
+        count: keys.len(),
+        mean: keys.iter().map(|&k| value(k)).sum::<f64>() / keys.len() as f64,
         p50: pick(0.50),
         p95: pick(0.95),
         p99: pick(0.99),
@@ -155,8 +180,8 @@ pub fn summary_in_place(xs: &mut [f64]) -> Option<Summary> {
 /// Returns `None` for an empty sample.
 pub fn pctl99_half_range(xs: &[f64]) -> Option<f64> {
     let sorted = sorted(xs);
-    let hi = nearest_rank(&sorted, 0.99)?;
-    let lo = nearest_rank(&sorted, 0.01)?;
+    let hi = value(nearest_rank(&sorted, 0.99)?);
+    let lo = value(nearest_rank(&sorted, 0.01)?);
     Some((hi - lo) / 2.0)
 }
 
@@ -210,16 +235,38 @@ mod tests {
     }
 
     #[test]
-    fn summary_in_place_sorts_and_matches_summary() {
+    fn summary_owned_matches_summary() {
         let xs: Vec<f64> = (0..257).map(|i| ((i * 53) % 101) as f64 - 50.0).collect();
-        let mut ys = xs.clone();
-        let s = summary_in_place(&mut ys).expect("non-empty");
+        let s = summary_owned(xs.clone()).expect("non-empty");
         assert_eq!(Some(s), summary(&xs));
-        assert!(ys.windows(2).all(|w| w[0] <= w[1]), "sorted in place");
         for (got, p) in [(s.p50, 0.50), (s.p95, 0.95), (s.p99, 0.99)] {
             assert_eq!(got.to_bits(), stable_percentile(&xs, p).to_bits(), "p = {p}");
         }
-        assert_eq!(summary_in_place(&mut []), None);
+        assert_eq!(summary_owned(Vec::new()), None);
+    }
+
+    #[test]
+    fn keys_order_as_total_cmp_and_decode_exactly() {
+        let xs = [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE / 2.0,
+            -f64::MIN_POSITIVE / 2.0,
+            1.0,
+            -1.0,
+            f64::MAX,
+            f64::MIN,
+        ];
+        for a in xs {
+            assert_eq!(value(key(a)).to_bits(), a.to_bits(), "{a}");
+            for b in xs {
+                assert_eq!(key(a).cmp(&key(b)), a.total_cmp(&b), "{a} vs {b}");
+            }
+        }
     }
 
     /// The nearest-rank percentile over a stably sorted copy, as every

@@ -1,4 +1,5 @@
-//! The sample summaries, bit for bit, against a comparator reference.
+//! The sample summaries (`summary`, `summary_owned`, `percentile` and
+//! `pctl99_half_range`), bit for bit, against a comparator reference.
 //!
 //! The reference sorts a copy with `sort_unstable_by(f64::total_cmp)` and
 //! reads the nearest-rank percentiles, the largest sample and the mean
@@ -120,7 +121,9 @@ proptest! {
 
     #[test]
     fn summary_matches_the_comparator_sort(xs in arb_samples()) {
-        prop_assert_eq!(bits(stats::summary(&xs)), bits(reference_summary(&xs)));
+        let want = bits(reference_summary(&xs));
+        prop_assert_eq!(bits(stats::summary(&xs)), want);
+        prop_assert_eq!(bits(stats::summary_owned(xs)), want);
     }
 
     #[test]
@@ -142,6 +145,7 @@ proptest! {
 #[test]
 fn empty_samples_have_no_summary() {
     assert_eq!(stats::summary(&[]), None);
+    assert_eq!(stats::summary_owned(Vec::new()), None);
     assert_eq!(stats::percentile(&[], 0.5), None);
     assert_eq!(stats::pctl99_half_range(&[]), None);
 }
@@ -151,6 +155,7 @@ fn zeros_nans_and_infinities_take_their_total_order_places() {
     let xs = [f64::NAN, 0.0, -f64::NAN, -0.0, f64::INFINITY, f64::NEG_INFINITY, 1.0];
     let s = stats::summary(&xs).expect("non-empty");
     assert_eq!(bits(Some(s)), bits(reference_summary(&xs)));
+    assert_eq!(bits(stats::summary_owned(xs.to_vec())), bits(Some(s)));
     assert_eq!(stats::percentile(&xs, 0.0).map(f64::to_bits), Some((-f64::NAN).to_bits()));
     assert_eq!(stats::percentile(&xs, 0.2).map(f64::to_bits), Some(f64::NEG_INFINITY.to_bits()));
     assert_eq!(stats::percentile(&xs, 0.4).map(f64::to_bits), Some((-0.0f64).to_bits()));

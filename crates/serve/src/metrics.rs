@@ -13,8 +13,9 @@
 //! Summaries (mean/p50/p95/p99/max) go through the shared
 //! [`exegpt_dist::stats`] helpers — the same percentile code the offline
 //! runner reports use, so online and offline numbers agree by
-//! construction. [`Metrics::into_snapshot`] sorts each histogram once, in
-//! place.
+//! construction. [`Metrics::into_snapshot`] hands each histogram's buffer
+//! to [`stats::summary_owned`], which sorts it as integer keys in place:
+//! no sample is copied.
 
 use std::collections::BTreeMap;
 
@@ -194,7 +195,7 @@ impl Metrics {
     }
 
     /// [`snapshot`](Self::snapshot) of a registry no longer needed: each
-    /// histogram is sorted once, in place, with no copy.
+    /// histogram's buffer is summarized in place, with no copy.
     pub fn into_snapshot(self) -> MetricsSnapshot {
         let mut slots = self.slots;
         let counters = self
@@ -217,7 +218,9 @@ impl Metrics {
             .histograms
             .into_iter()
             .filter_map(|(name, i)| match slots.get_mut(i) {
-                Some(Slot::Histogram(v)) => stats::summary_in_place(v).map(|s| (name, s)),
+                Some(Slot::Histogram(v)) => {
+                    stats::summary_owned(std::mem::take(v)).map(|s| (name, s))
+                }
                 _ => None,
             })
             .collect();
