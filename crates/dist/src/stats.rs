@@ -81,8 +81,8 @@ fn sorted(xs: Vec<f64>) -> Vec<u64> {
     keys
 }
 
-/// The `p`-th percentile (nearest-rank) of an ascending sample.
-fn nearest_rank<T: Copy>(sorted: &[T], p: f64) -> Option<T> {
+/// The key of the `p`-th percentile (nearest-rank) of ascending keys.
+fn nearest_rank(sorted: &[u64], p: f64) -> Option<u64> {
     let n = sorted.len();
     let rank = ((p.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n.max(1));
     sorted.get(rank - 1).copied()
