@@ -68,12 +68,14 @@ cargo test --offline --release -q -p exegpt-bench --test figures_cli -- --includ
 cargo test --offline --release -q -p exegpt-baselines --test timing_digest --test planning
 # The decode stage term's fixed segments and breakpoints, which the decode
 # sum relies on, and every runner report over the shared stage-cost kernel,
-# in the release code the benchmark times.
+# in the release code the benchmark times; with the decode pool against
+# the per-token scan it replaced, its timing wheel growing included, where
+# the pool's debug assertions are off.
 cargo test --offline --release -q -p exegpt-profiler
-cargo test --offline --release -q -p exegpt-runner --test report_digest
+cargo test --offline --release -q -p exegpt-runner --test report_digest --test pool
 # The KV tracker is reached only through handles: a warm tracker's admit,
-# grow and release cycle must not allocate in the release code the
-# benchmark times.
+# grow and release cycle, and a warm decode pool's push and iteration
+# cycle, must not allocate in the release code the benchmark times.
 cargo test --offline --release -q -p exegpt-runner --test kv_alloc
 # The benchmark times the serve step in release too: its KV-peak digest,
 # the check that the serve step and the offline replay, which share one

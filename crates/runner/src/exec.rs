@@ -158,6 +158,11 @@ impl PhaseExecutor {
         }
     }
 
+    /// The longest output length the plan's workload can draw.
+    pub(crate) fn longest_output(&self) -> usize {
+        self.sim.workload().output().max_len()
+    }
+
     /// A fresh incremental-policy [`KvTracker`] sized for this plan's
     /// bottleneck GPU.
     pub fn kv_tracker(&self) -> KvTracker {

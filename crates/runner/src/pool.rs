@@ -2,18 +2,19 @@
 //! (DESIGN.md §4b.1).
 //!
 //! Output lengths are forced (paper §7.1), so a query's last decoding
-//! iteration is known when it joins the pool: members are keyed by it in
-//! a min-heap. An iteration in which nobody finishes is O(1) — token count
-//! and context sum grow by the pool size, the KV cache in closed form
-//! ([`KvTracker::grow_pooled`]) — and the `k` finishers cost O(k log k).
+//! iteration is known when it joins the pool: members are filed on a
+//! timing wheel by it, and each iteration takes one bucket, which lists
+//! exactly its finishers. An iteration in which nobody finishes is O(1) —
+//! token count and context sum grow by the pool size, the KV cache in
+//! closed form ([`KvTracker::grow_pooled`]) — and the `k` finishers cost
+//! O(k log k), for sorting their positions.
 //! The result is bit for bit that of the per-token scan it replaces, whose
 //! finished members left through `Vec::swap_remove`: members sit in that
 //! scan's order and only the finishers' moves are emulated. Where the
 //! closed form does not apply, each entry grows (or clamps) on its own in
 //! the replaced code's order.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use exegpt_workload::{Request, TimedRequest};
 
@@ -43,6 +44,20 @@ pub struct Finished {
     pub t_encoded: f64,
     /// When its first token was generated.
     pub t_first: f64,
+}
+
+/// Ends a bucket's list on the timing wheel.
+const NIL: u32 = u32::MAX;
+
+/// A member key's entry: the member's position and the next key in its
+/// bucket's list. Both fit `u32` because keys do (checked on entry), and a
+/// member's position is below the number of keys.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    /// Position in `members`.
+    pos: u32,
+    /// The next key in the bucket's list, [`NIL`] at the end.
+    next: u32,
 }
 
 /// A query in the pool, keyed by its KV arena index (`slot.index()`),
@@ -75,10 +90,14 @@ impl Member {
 pub struct DecodePool {
     /// Members in the replaced scan's order.
     members: Vec<Member>,
-    /// Member key → position in `members`.
-    pos: Vec<usize>,
-    /// (finishing iteration, key) of every member.
-    heap: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Member key → its position and list link.
+    links: Vec<Link>,
+    /// The timing wheel: bucket `f mod wheel.len()` heads the list of the
+    /// members finishing at iteration `f`. Its length is a power of two at
+    /// least every member's `finish - iter`, so no bucket holds two
+    /// finishing iterations (empty in a default pool until its first
+    /// push).
+    wheel: Vec<u32>,
     /// Members from this position on have not generated a token yet: they
     /// joined since the last iteration, and joining only appends.
     fresh: usize,
@@ -94,12 +113,13 @@ pub struct DecodePool {
 }
 
 impl DecodePool {
-    /// An empty pool with room for `members` queries before reallocating.
-    pub fn with_capacity(members: usize) -> Self {
+    /// An empty pool with room for `members` queries, and a timing wheel
+    /// for outputs of up to `longest_output` tokens, before reallocating.
+    pub fn with_capacity(members: usize, longest_output: usize) -> Self {
         Self {
             members: Vec::with_capacity(members),
-            pos: Vec::with_capacity(members),
-            heap: BinaryHeap::with_capacity(members),
+            links: Vec::with_capacity(members),
+            wheel: vec![NIL; longest_output.next_power_of_two()],
             due: VecDeque::with_capacity(members),
             ..Self::default()
         }
@@ -132,22 +152,47 @@ impl DecodePool {
     /// next [`advance`](Self::advance).
     pub fn push(&mut self, kv: &mut KvTracker, tr: TimedRequest, slot: KvSlot, t_encoded: f64) {
         kv.enroll(slot);
-        let finish = self.iter + output(&tr.request) as u64;
-        self.index(slot, finish, self.members.len());
+        let out = output(&tr.request);
+        let finish = self.iter + out as u64;
+        self.index(slot, self.members.len());
         self.ctx_sum += tr.request.input_len;
         let query = Finished { req: tr.request, arrival: tr.arrival, t_encoded, t_first: f64::NAN };
         self.members.push(Member { query, slot, finish });
+        if out > self.wheel.len() {
+            self.refile(out.next_power_of_two());
+        } else {
+            self.file(slot, finish);
+        }
     }
 
     /// Keys the member at position `p`, holding `slot`, by its KV arena
     /// index.
-    fn index(&mut self, slot: KvSlot, finish: u64, p: usize) {
+    fn index(&mut self, slot: KvSlot, p: usize) {
         let key = slot.index();
-        if self.pos.len() <= key {
-            self.pos.resize(key + 1, 0);
+        assert!(key < NIL as usize, "an arena index does not fit a wheel link");
+        if self.links.len() <= key {
+            self.links.resize(key + 1, Link { pos: 0, next: NIL });
         }
-        self.pos[key] = p;
-        self.heap.push(Reverse((finish, key)));
+        self.links[key].pos = p as u32;
+    }
+
+    /// Files the member holding `slot` in the bucket of its finishing
+    /// iteration.
+    fn file(&mut self, slot: KvSlot, finish: u64) {
+        debug_assert!(finish > self.iter, "a member filed at or after its last iteration");
+        let bucket = finish as usize & (self.wheel.len() - 1);
+        self.links[slot.index()].next = self.wheel[bucket];
+        self.wheel[bucket] = slot.index() as u32;
+    }
+
+    /// Files every member afresh on an empty wheel of `size` buckets.
+    fn refile(&mut self, size: usize) {
+        self.wheel.clear();
+        self.wheel.resize(size, NIL);
+        for p in 0..self.members.len() {
+            let m = self.members[p];
+            self.file(m.slot, m.finish);
+        }
     }
 
     /// One decoding iteration ending at `t`: every member generates a
@@ -178,13 +223,16 @@ impl DecodePool {
             }
         }
         self.due.clear();
-        while let Some(&Reverse((finish, key))) = self.heap.peek() {
-            debug_assert!(finish >= self.iter, "a member outlived its output length");
-            if finish > self.iter {
-                break;
+        if n > 0 {
+            let bucket = self.iter as usize & (self.wheel.len() - 1);
+            let mut key = std::mem::replace(&mut self.wheel[bucket], NIL);
+            while key != NIL {
+                let link = self.links[key as usize];
+                let p = link.pos as usize;
+                debug_assert_eq!(self.members[p].finish, self.iter, "a bucket mixed iterations");
+                self.due.push_back(p);
+                key = link.next;
             }
-            self.heap.pop();
-            self.due.push_back(self.pos[key]);
         }
         self.due.make_contiguous().sort_unstable();
         match (grown, order) {
@@ -254,7 +302,7 @@ impl DecodePool {
     fn retire(&mut self, kv: &mut KvTracker, i: usize) -> Finished {
         let m = self.members.swap_remove(i);
         if let Some(moved) = self.members.get(i) {
-            self.pos[moved.slot.index()] = i;
+            self.links[moved.slot.index()].pos = i as u32;
         }
         self.ctx_sum -= m.context(self.iter);
         kv.release(m.slot);
@@ -265,14 +313,15 @@ impl DecodePool {
     /// holding its input plus generated tokens, without a capacity check:
     /// a plan swap migrates live queries rather than evicting them.
     pub fn migrate(&mut self, kv: &mut KvTracker) {
-        self.heap.clear();
         for p in 0..self.members.len() {
             let m = self.members[p];
             let slot = kv.admit_unchecked(m.query.req.id, m.context(self.iter));
             kv.enroll(slot);
             self.members[p].slot = slot;
-            self.index(slot, m.finish, p);
+            self.index(slot, p);
         }
+        // Only now does every member hold its new key.
+        self.refile(self.wheel.len());
     }
 
     /// Empties the pool in pool order, releasing each member's KV entry
@@ -282,7 +331,7 @@ impl DecodePool {
             kv.release(m.slot);
             each(TimedRequest { request: m.query.req, arrival: m.query.arrival });
         }
-        self.heap.clear();
+        self.wheel.fill(NIL);
         self.fresh = 0;
         self.ctx_sum = 0;
     }

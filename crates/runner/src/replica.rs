@@ -13,7 +13,8 @@
 //! Per phase and per iteration this costs in proportion to the events, not
 //! to the generated tokens: admission to the admitted batch (see
 //! [`AdmissionQueue`]), and a decoding iteration O(1) plus O(k log k) for
-//! its `k` finishing queries, KV growth included (see [`DecodePool`]).
+//! its `k` finishing queries, which the pool's timing wheel lists and
+//! which are sorted by position, KV growth included (see [`DecodePool`]).
 
 use exegpt::DynamicAdjuster;
 use exegpt_workload::TimedRequest;
@@ -115,6 +116,9 @@ impl ReplicaState {
     /// admission at `adjust_threshold`.
     pub fn new(exec: PhaseExecutor, adjust_threshold: f64, queue: AdmissionQueue) -> Self {
         let scheduled_b_d = exec.scheduled_decode_batch();
+        // The plan sizes the pool at its decode batch, and the pool's
+        // timing wheel at its workload's longest output.
+        let pool = DecodePool::with_capacity(scheduled_b_d, exec.longest_output());
         Self {
             adjuster: exec.adjuster(adjust_threshold),
             adjust_threshold,
@@ -125,8 +129,7 @@ impl ReplicaState {
             queue,
             admitted: Vec::new(),
             lens: Vec::new(),
-            // The plan sizes the pool at its decode batch.
-            pool: DecodePool::with_capacity(scheduled_b_d),
+            pool,
             decode_stages: Vec::new(),
             t: 0.0,
         }

@@ -3,8 +3,11 @@
 //! cycle of admissions, per-entry growth (`grow_slot`), closed-form pooled
 //! growth (through a `DecodePool`) and releases makes no heap allocation.
 //! Entries are reached only through their handles, so no per-request index
-//! node is allocated either. Allocations are counted per thread by a
-//! wrapper around the system allocator.
+//! node is allocated either. Likewise a warm decode pool, whose timing
+//! wheel covers the longest output and whose key vectors cover the largest
+//! arena index, pushes and retires queries without allocating.
+//! Allocations are counted per thread by a wrapper around the system
+//! allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -90,7 +93,7 @@ fn cycle(
 #[test]
 fn a_warm_tracker_allocates_nothing() {
     let mut kv = KvTracker::new(2.0, 1 << 40, ReservePolicy::Incremental);
-    let mut pool = DecodePool::with_capacity(QUERIES as usize);
+    let mut pool = DecodePool::with_capacity(QUERIES as usize, 5);
     let mut slots = Vec::with_capacity(QUERIES as usize);
     // Warm-up: the arena, the pool's position table and its buffers reach
     // the high-water mark.
@@ -105,4 +108,50 @@ fn a_warm_tracker_allocates_nothing() {
     assert_eq!((kv.used_bytes(), kv.resident()), (0, 0), "every entry released");
     assert!(kv.peak_bytes() > 0);
     assert_eq!(made, 0, "{made} allocations over eight warm admit/grow/release cycles");
+}
+
+/// The longest output a pool cycle pushes: its wheel needs 1,024 buckets.
+const LONGEST: usize = 700;
+
+/// One steady-state pool cycle over ids `first..first + QUERIES`: each
+/// query is admitted and pushed, with outputs from zero to [`LONGEST`]
+/// tokens, and one iteration follows each push; then the pool drains.
+/// Outputs and orders depend on `id % QUERIES` only, so every cycle makes
+/// the same moves. Returns the completions the pool reported.
+fn pool_cycle(kv: &mut KvTracker, pool: &mut DecodePool, first: u64) -> usize {
+    let mut finished = 0;
+    let mut t = 0.0;
+    for id in first..first + QUERIES {
+        let k = (id % QUERIES) as usize;
+        let output_len = if k == 7 { LONGEST } else { k * 37 % 97 };
+        let slot = kv.try_admit(id, 9 + k % 5, 0).expect("fits");
+        let request = Request { id, input_len: 9 + k % 5, output_len };
+        pool.push(kv, TimedRequest { request, arrival: 0.0 }, slot, t);
+        t += 1.0;
+        let order = if k.is_multiple_of(2) { GrowthOrder::Arena } else { GrowthOrder::Pool };
+        pool.advance(kv, order, t, |_| finished += 1);
+    }
+    while !pool.is_empty() {
+        t += 1.0;
+        pool.advance(kv, GrowthOrder::Pool, t, |_| finished += 1);
+    }
+    finished
+}
+
+#[test]
+fn a_warm_pool_allocates_nothing() {
+    let mut kv = KvTracker::new(2.0, 1 << 40, ReservePolicy::Incremental);
+    let mut pool = DecodePool::default();
+    // Warm-up: the wheel grows to cover `LONGEST`, and the arena, the key
+    // vectors and the finishers' buffer reach the high-water mark.
+    assert_eq!(pool_cycle(&mut kv, &mut pool, 0) as u64, QUERIES);
+    let before = allocations();
+    let mut finished = 0;
+    for round in 1..=8 {
+        finished += pool_cycle(&mut kv, &mut pool, round * QUERIES);
+    }
+    let made = allocations() - before;
+    assert_eq!(finished as u64, 8 * QUERIES);
+    assert_eq!((kv.used_bytes(), kv.resident()), (0, 0), "every entry released");
+    assert_eq!(made, 0, "{made} allocations over eight warm push/advance cycles");
 }
