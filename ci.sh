@@ -47,9 +47,11 @@ cargo test --offline --release -q -p exegpt-sim --test cache_props
 # benchmark times, where the estimator's debug assertion is off.
 cargo test --offline --release -q -p exegpt-sim --test scorer_alloc
 # The one-pass completion analysis the RRA estimate reads, against the
-# completion distribution, and the replans and repeated schedules that the
-# search memo answers. Branch-and-bound's properties and its digest run
-# there too: the benchmark times its point memo in release code.
+# completion distribution, and the quantile digest, which pins every length
+# the shipped tasks' CDFs return where requests are sampled; then the
+# replans and repeated schedules that the search memo answers.
+# Branch-and-bound's properties and its digest run there too: the
+# benchmark times its point memo in release code.
 cargo test --offline --release -q -p exegpt-dist
 cargo test --offline --release -q -p exegpt --test replan --test scheduler --test props --test bnb_digest
 # Likewise every metrics snapshot of the shipped serve and fleet scenarios:
@@ -66,9 +68,10 @@ cargo test --offline --release -q -p exegpt-bench --test figures_cli -- --includ
 # reports: sched-paper's setup times FasterTransformer's latency sweep in
 # release code.
 cargo test --offline --release -q -p exegpt-baselines --test timing_digest --test planning
-# The decode stage term's fixed segments and breakpoints, which the decode
-# sum relies on, and every runner report over the shared stage-cost kernel,
-# in the release code the benchmark times; with the decode pool against
+# The profile's lookup digest (every lookup's bits at and around every
+# knot), the decode stage term's fixed segments and breakpoints, which the
+# decode sum relies on, and every runner report over the shared stage-cost
+# kernel, in the release code the benchmark times; with the decode pool against
 # the per-token scan it replaced, its timing wheel growing included, where
 # the pool's debug assertions are off.
 cargo test --offline --release -q -p exegpt-profiler
