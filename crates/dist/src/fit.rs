@@ -44,7 +44,7 @@ fn complexity(family: Family) -> f64 {
 }
 
 /// One family's fit to a sample.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fit {
     /// The family.
     pub family: Family,

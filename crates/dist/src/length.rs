@@ -1,16 +1,16 @@
 //! Discrete sequence-length distributions.
 
 use rand::Rng;
-use serde::Serialize;
 
 use crate::error::DistError;
 use crate::math;
 
 /// A discrete probability distribution over sequence lengths `1..=max_len`.
 ///
-/// All constructors normalize to a proper distribution; internally a PMF and
-/// CDF are materialized once so that lookups, quantiles and sampling are
-/// `O(1)`/`O(log n)`. The paper found truncated normal the best fit for
+/// All constructors normalize to a proper distribution; internally a PMF, a
+/// CDF and a bucket guide into the CDF are materialized once, so that
+/// lookups are `O(1)` and a quantile (hence a sample) starts its search at
+/// the CDF entry its bucket names, a step or two from the answer. The paper found truncated normal the best fit for
 /// public NLP datasets (§7.1) and uses skew normal for the shift study
 /// (Figure 11); empirical distributions back the real-dataset evaluation
 /// (Figure 10).
@@ -25,12 +25,16 @@ use crate::math;
 /// assert!((total - 1.0).abs() < 1e-9);
 /// # Ok::<(), exegpt_dist::DistError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LengthDist {
     /// `pmf[i]` is the probability of length `i + 1`.
     pmf: Vec<f64>,
     /// `cdf[i]` is the probability of length `<= i + 1`.
     cdf: Vec<f64>,
+    /// `guide[k]` counts the CDF entries below `k / n` in the total order,
+    /// for `n` lengths: where [`quantile`](Self::quantile) starts for a `p`
+    /// in `[k / n, (k + 1) / n)`.
+    guide: Vec<u32>,
     mean: f64,
     std: f64,
 }
@@ -73,7 +77,24 @@ impl LengthDist {
         let mean: f64 = pmf.iter().enumerate().map(|(i, p)| (i + 1) as f64 * p).sum();
         let var: f64 =
             pmf.iter().enumerate().map(|(i, p)| ((i + 1) as f64 - mean).powi(2) * p).sum();
-        Ok(Self { pmf, cdf, mean, std: var.sqrt() })
+        let n = cdf.len();
+        if u32::try_from(n).is_err() {
+            return Err(DistError::InvalidParameter {
+                what: "weights",
+                why: "must have fewer than 2^32 lengths",
+            });
+        }
+        let mut below = 0;
+        let guide = (0..n)
+            .map(|k| {
+                let edge = k as f64 / n as f64;
+                while below < n && cdf[below].total_cmp(&edge).is_lt() {
+                    below += 1;
+                }
+                below as u32
+            })
+            .collect();
+        Ok(Self { pmf, cdf, guide, mean, std: var.sqrt() })
     }
 
     /// Truncated normal over `1..=max_len` with the given (pre-truncation)
@@ -270,12 +291,22 @@ impl LengthDist {
     ///
     /// `quantile(0.99)` is the paper's 99th-percentile sequence length used
     /// for latency bounds (§7.1).
+    ///
+    /// The search starts at the guide's entry for `p`'s bucket and steps
+    /// back, then forward, in the total order, so it is exact however
+    /// `p · n` rounds. A NaN `p` sorts by its sign: a positive one above
+    /// every CDF value (giving `max_len`), a negative one below (giving 1).
     pub fn quantile(&self, p: f64) -> usize {
         let p = p.clamp(0.0, 1.0);
-        match self.cdf.binary_search_by(|c| c.total_cmp(&p)) {
-            Ok(i) => i + 1,
-            Err(i) => (i + 1).min(self.pmf.len()),
+        let n = self.cdf.len();
+        let mut i = self.guide[((p * n as f64) as usize).min(n - 1)] as usize;
+        while i > 0 && self.cdf[i - 1].total_cmp(&p).is_ge() {
+            i -= 1;
         }
+        while i < n && self.cdf[i].total_cmp(&p).is_lt() {
+            i += 1;
+        }
+        (i + 1).min(n)
     }
 
     /// Draws a length from the distribution.

@@ -114,4 +114,23 @@ proptest! {
             prop_assert!(s >= 1 && s <= max_len);
         }
     }
+
+    /// On a CDF with plateaus (zero-mass lengths repeat a CDF value), the
+    /// quantile is the smallest length whose CDF reaches `p`: at random
+    /// `p`, at every CDF value and its float neighbours, and at 0 and 1.
+    #[test]
+    fn quantile_is_the_first_length_reaching_p(
+        weights in prop::collection::vec(prop_oneof![Just(0.0), 0.0f64..10.0, 1e-300f64..1e-290], 1..200),
+        ps in prop::collection::vec(0.0f64..1.0, 16),
+    ) {
+        prop_assume!(weights.iter().sum::<f64>() > 0.0);
+        let n = weights.len();
+        let d = LengthDist::from_weights(weights).expect("valid weights");
+        let cdf: Vec<f64> = (1..=n).map(|l| d.cdf(l)).collect();
+        let probes = cdf.iter().flat_map(|&c| [c.next_down(), c, c.next_up()]);
+        for p in probes.chain(ps).chain([0.0, -0.0, 1.0]) {
+            let first = (1..=n).find(|&l| d.cdf(l) >= p.clamp(0.0, 1.0)).unwrap_or(n);
+            prop_assert_eq!(d.quantile(p), first, "p = {}", p);
+        }
+    }
 }

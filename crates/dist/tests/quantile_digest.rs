@@ -6,7 +6,8 @@
 //! float neighbours, and at 0, 1 and NaN. Every returned length is folded
 //! into one FNV-1a digest, pinned below. Sampling draws each request length
 //! through `quantile`, so a change to how it searches the CDF must leave
-//! the digest unchanged.
+//! the digest unchanged. Every one of these CDFs is strictly increasing,
+//! which is what makes the length of a search's answer unique.
 
 use std::hash::Hasher;
 
@@ -41,4 +42,13 @@ fn every_quantile_matches_its_pinned_length() {
         }
     }
     assert_eq!((h.finish(), n), (DIGEST, QUANTILES));
+}
+
+#[test]
+fn every_task_cdf_is_strictly_increasing() {
+    for d in task_dists() {
+        let cdf: Vec<f64> = (1..=d.max_len()).map(|l| d.cdf(l)).collect();
+        let flat = cdf.windows(2).position(|w| w[0] >= w[1]);
+        assert_eq!(flat, None, "CDF of {} lengths repeats a value", d.max_len());
+    }
 }

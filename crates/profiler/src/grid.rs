@@ -1,13 +1,275 @@
 //! Interpolation grids backing the profile tables.
+//!
+//! A profile sweeps three axes (batch, sequence, tokens) and many tables
+//! over them. Each axis is an [`Axis`], which resolves a query to its
+//! segment and interpolation weight once ([`Axis::coord`]), through a bucket
+//! guide rather than a binary search. A table holds only values, a
+//! [`Line`] over one axis or a [`Surface`] over two, and reads them at
+//! resolved coordinates, so tables on the same axis share one resolution.
+//! [`Grid1D`] and [`Grid2D`] pair a table with axes of its own.
 
 use crate::error::ProfileError;
+
+/// The guide bucket of `x`: the top 12 bits (sign and exponent) of its
+/// total-order key, so that buckets ascend with `x`, one per binade.
+#[inline]
+fn bucket(x: f64) -> usize {
+    let bits = x.to_bits();
+    let key = if bits >> 63 == 1 { !bits } else { bits | 1 << 63 };
+    (key >> 52) as usize
+}
+
+/// A swept axis: strictly increasing positions, and a guide from a query's
+/// bucket to the first position in that bucket or above.
+///
+/// A log2-spaced axis has about one position per bucket, so a lookup scans
+/// forward over at most one position.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Axis {
+    xs: Vec<f64>,
+    /// `guide[b - base]` counts the positions in buckets below `b`, for
+    /// every bucket `b` from the first position's to the last's.
+    guide: Vec<u32>,
+    /// The first position's bucket.
+    base: usize,
+}
+
+/// A query resolved on an [`Axis`]: its segment `i`, between positions `i`
+/// and `i + 1`, and its weight `t` there, 0 at the first and 1 at the
+/// second (below 0 or above 1 when extrapolated).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Coord {
+    i: usize,
+    t: f64,
+}
+
+impl Axis {
+    /// Builds an axis over `xs`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProfileError::InvalidAxis`] naming `what` if `xs` is empty
+    /// or not strictly increasing.
+    pub(crate) fn new(what: &'static str, xs: Vec<f64>) -> Result<Self, ProfileError> {
+        let (Some(&first), Some(&last)) = (xs.first(), xs.last()) else {
+            return Err(ProfileError::InvalidAxis { what, why: "must be non-empty" });
+        };
+        #[expect(clippy::neg_cmp_op_on_partial_ord, reason = "NaN axis values must fail")]
+        if xs.windows(2).any(|w| !(w[0] < w[1])) {
+            return Err(ProfileError::InvalidAxis { what, why: "must be strictly increasing" });
+        }
+        let base = bucket(first);
+        let mut below = 0;
+        let guide = (base..=bucket(last))
+            .map(|b| {
+                while bucket(xs[below]) < b {
+                    below += 1;
+                }
+                u32::try_from(below)
+            })
+            .collect::<Result<_, _>>()
+            .map_err(|_| ProfileError::InvalidAxis { what, why: "must have under 2^32 knots" })?;
+        Ok(Self { xs, guide, base })
+    }
+
+    /// The swept positions.
+    pub(crate) fn xs(&self) -> &[f64] {
+        &self.xs
+    }
+
+    /// How many positions are at most `x` (0 for NaN): the index of the
+    /// first position above `x`, or `n` if there is none.
+    ///
+    /// Every position in a bucket below `x`'s is at most `x`, so the scan
+    /// starts at the guide's count for `x`'s bucket and moves forward past
+    /// the positions at most `x`, within that bucket.
+    #[inline]
+    pub(crate) fn rank(&self, x: f64) -> usize {
+        let n = self.xs.len();
+        #[expect(clippy::neg_cmp_op_on_partial_ord, reason = "NaN ranks below every position")]
+        if !(x >= self.xs[0]) {
+            return 0;
+        }
+        if x >= self.xs[n - 1] {
+            return n;
+        }
+        // Here `x`'s bucket is at most the last position's. It may be one
+        // below the first's: `-0.0` sorts below `+0.0` but equals it.
+        let mut p = self.guide[bucket(x).saturating_sub(self.base)] as usize;
+        while self.xs[p] <= x {
+            p += 1;
+        }
+        p
+    }
+
+    /// The segment of `x`, the last `i` with `xs[i] <= x` clamped to
+    /// `[0, n - 2]`, and its weight there, extrapolating linearly past
+    /// either end; segment 0 and weight 0 on a single-position axis.
+    #[inline]
+    pub(crate) fn coord(&self, x: f64) -> Coord {
+        if self.xs.len() == 1 {
+            return Coord { i: 0, t: 0.0 };
+        }
+        let i = self.rank(x).saturating_sub(1).min(self.last_segment());
+        Coord { i, t: self.span(i).weight(x) }
+    }
+
+    /// Segment `i` as a [`Span`].
+    #[inline]
+    fn span(&self, i: usize) -> Span {
+        Span { x0: self.xs[i], dx: self.xs[i + 1] - self.xs[i] }
+    }
+
+    /// Index of the last segment: where every `x` above the last position
+    /// falls (0 on a single-position axis).
+    #[inline]
+    pub(crate) fn last_segment(&self) -> usize {
+        self.xs.len().saturating_sub(2)
+    }
+}
+
+/// A table's values over one [`Axis`], `ys[i]` at its `i`-th position,
+/// interpolated piecewise-linearly and extrapolated along the end
+/// segments, clamped at zero (a single value is returned as it is).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Line {
+    ys: Vec<f64>,
+}
+
+impl Line {
+    /// The values `ys` over `axis`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProfileError::InvalidAxis`] if `ys` and the axis differ in
+    /// length or a value is not finite.
+    pub(crate) fn new(axis: &Axis, ys: Vec<f64>) -> Result<Self, ProfileError> {
+        if ys.len() != axis.xs.len() {
+            return Err(ProfileError::InvalidAxis {
+                what: "xs/ys",
+                why: "must be non-empty and equal length",
+            });
+        }
+        if ys.iter().any(|v| !v.is_finite()) {
+            return Err(ProfileError::InvalidAxis { what: "xs/ys", why: "must be finite" });
+        }
+        Ok(Self { ys })
+    }
+
+    /// The value at a coordinate resolved on the line's axis.
+    #[inline]
+    pub(crate) fn at(&self, c: Coord) -> f64 {
+        match self.ys[..] {
+            [y] => y,
+            _ => {
+                let y0 = self.ys[c.i];
+                lerp(y0, self.ys[c.i + 1] - y0, c.t)
+            }
+        }
+    }
+
+    /// Segment `i` of the line over `axis` as a standalone [`Piece`]: the
+    /// body of [`at`](Self::at) there.
+    pub(crate) fn piece(&self, axis: &Axis, i: usize) -> Piece {
+        match self.ys[..] {
+            [y] => Piece::Constant(y),
+            _ => {
+                let y0 = self.ys[i];
+                Piece::Linear { span: axis.span(i), y0, dy: self.ys[i + 1] - y0 }
+            }
+        }
+    }
+
+    /// This line with its first value cut to a tenth of the second
+    /// (`first`), or its last a hair below the one before, so that the
+    /// fixed segment past that end reaches zero at a finite `x`. A
+    /// single-value line has no such segment and stays as it is.
+    pub(crate) fn bent(&self, axis: &Axis, first: bool) -> Result<Self, ProfileError> {
+        let mut ys = self.ys.clone();
+        let n = ys.len();
+        if n >= 2 {
+            if first {
+                ys[0] = ys[1] * 0.1;
+            } else {
+                ys[n - 1] = ys[n - 2] * (1.0 - 1e-4);
+            }
+        }
+        Self::new(axis, ys)
+    }
+}
+
+/// A table's values over two axes, row-major: `zs[i * ny + j]` at the first
+/// axis's `i`-th position and the second's `j`-th, interpolated bilinearly
+/// and clamped at zero (a single value is returned as it is).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Surface {
+    zs: Vec<f64>,
+    nx: usize,
+    ny: usize,
+}
+
+impl Surface {
+    /// The values `zs[i][j]` over `x × y`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProfileError::InvalidAxis`] if `zs` has the wrong shape or
+    /// a value is not finite.
+    pub(crate) fn new(x: &Axis, y: &Axis, zs: Vec<Vec<f64>>) -> Result<Self, ProfileError> {
+        let (nx, ny) = (x.xs.len(), y.xs.len());
+        if zs.len() != nx || zs.iter().any(|row| row.len() != ny) {
+            return Err(ProfileError::InvalidAxis {
+                what: "zs",
+                why: "must have shape xs.len() x ys.len()",
+            });
+        }
+        if zs.iter().flatten().any(|v| !v.is_finite()) {
+            return Err(ProfileError::InvalidAxis { what: "zs", why: "must be finite" });
+        }
+        Ok(Self { zs: zs.concat(), nx, ny })
+    }
+
+    /// The corners `z[i][j], z[i+1][j], z[i][j+1], z[i+1][j+1]`, indices
+    /// clamped to the axes.
+    #[inline]
+    fn corners(&self, i: usize, j: usize) -> [f64; 4] {
+        let at =
+            |ii: usize, jj: usize| self.zs[ii.min(self.nx - 1) * self.ny + jj.min(self.ny - 1)];
+        [at(i, j), at(i + 1, j), at(i, j + 1), at(i + 1, j + 1)]
+    }
+
+    /// The value at coordinates resolved on the surface's two axes.
+    #[inline]
+    pub(crate) fn at(&self, x: Coord, y: Coord) -> f64 {
+        match self.zs[..] {
+            [z] => z,
+            _ => blend(self.corners(x.i, y.i), y.t, x.t),
+        }
+    }
+
+    /// The cell over first-axis segment `i` of `x` at a fixed second
+    /// coordinate, as a standalone [`Cell`], which evaluates every first
+    /// coordinate with the float operations of [`at`](Self::at) on that
+    /// segment.
+    pub(crate) fn cell(&self, x: &Axis, i: usize, y: Coord) -> Cell {
+        match self.zs[..] {
+            [z] => Cell::Constant(z),
+            _ => Cell::Bilinear {
+                x: (self.nx > 1).then(|| x.span(i)),
+                z: self.corners(i, y.i),
+                ty: y.t,
+            },
+        }
+    }
+}
 
 /// A 1-D lookup table with piecewise-linear interpolation.
 ///
 /// Outside the swept range the nearest segment is extrapolated linearly —
 /// profiles are swept densely enough (log-spaced) that queries land inside,
 /// but batch-size rounding in the simulator may step slightly past an
-/// endpoint.
+/// endpoint. A lookup finds its segment through the axis's bucket guide
+/// (see [`Grid1D::rank`]), not a binary search.
 ///
 /// # Example
 ///
@@ -20,8 +282,8 @@ use crate::error::ProfileError;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Grid1D {
-    xs: Vec<f64>,
-    ys: Vec<f64>,
+    x: Axis,
+    y: Line,
 }
 
 impl Grid1D {
@@ -38,17 +300,12 @@ impl Grid1D {
                 why: "must be non-empty and equal length",
             });
         }
-        #[expect(clippy::neg_cmp_op_on_partial_ord, reason = "NaN axis values must fail")]
-        if xs.windows(2).any(|w| !(w[0] < w[1])) {
-            return Err(ProfileError::InvalidAxis {
-                what: "xs",
-                why: "must be strictly increasing",
-            });
-        }
-        if ys.iter().chain(xs.iter()).any(|v| !v.is_finite()) {
+        let x = Axis::new("xs", xs)?;
+        if x.xs.iter().any(|v| !v.is_finite()) {
             return Err(ProfileError::InvalidAxis { what: "xs/ys", why: "must be finite" });
         }
-        Ok(Self { xs, ys })
+        let y = Line::new(&x, ys)?;
+        Ok(Self { x, y })
     }
 
     /// Interpolated (or linearly extrapolated) value at `x`.
@@ -57,65 +314,28 @@ impl Grid1D {
     /// profiled quantities are times.
     #[inline]
     pub fn eval(&self, x: f64) -> f64 {
-        self.piece(self.segment(x)).eval(x)
-    }
-
-    /// Segment index of `x`: the last `i` with `xs[i] <= x`, clamped to
-    /// `[0, n-2]` (`0` for a single-knot grid).
-    #[inline]
-    fn segment(&self, x: f64) -> usize {
-        match self.xs.partition_point(|&v| v <= x) {
-            0 => 0,
-            p => (p - 1).min(self.last_segment()),
-        }
-    }
-
-    /// Index of the last segment: where every `x` above the last knot falls.
-    #[inline]
-    pub(crate) fn last_segment(&self) -> usize {
-        self.xs.len().saturating_sub(2)
-    }
-
-    /// Segment `i` as a standalone [`Piece`]: the interpolation body of
-    /// [`eval`](Self::eval).
-    #[inline]
-    pub(crate) fn piece(&self, i: usize) -> Piece {
-        if self.xs.len() == 1 {
-            return Piece::Constant(self.ys[0]);
-        }
-        let (x0, x1) = (self.xs[i], self.xs[i + 1]);
-        let (y0, y1) = (self.ys[i], self.ys[i + 1]);
-        Piece::Linear { span: Span { x0, dx: x1 - x0 }, y0, dy: y1 - y0 }
+        self.y.at(self.x.coord(x))
     }
 
     /// The swept sample positions.
     pub fn xs(&self) -> &[f64] {
-        &self.xs
+        self.x.xs()
     }
 
-    /// This grid with its first value cut to a tenth of the second
-    /// (`first`), or its last a hair below the one before, so that the
-    /// fixed segment past that end reaches zero at a finite `x`. A
-    /// single-knot grid has no such segment and stays as it is.
-    pub(crate) fn bent(&self, first: bool) -> Result<Self, ProfileError> {
-        let mut ys = self.ys.clone();
-        let n = ys.len();
-        if n >= 2 {
-            if first {
-                ys[0] = ys[1] * 0.1;
-            } else {
-                ys[n - 1] = ys[n - 2] * (1.0 - 1e-4);
-            }
-        }
-        Self::new(self.xs.clone(), ys)
+    /// How many sample positions are at most `x` (0 for NaN), found
+    /// through the bucket guide. A hook for the tests that check the guide
+    /// against a binary search.
+    #[doc(hidden)]
+    pub fn rank(&self, x: f64) -> usize {
+        self.x.rank(x)
     }
 }
 
-/// One segment of a [`Grid1D`]: the single knot's value, or the line
+/// One segment of a [`Line`]: the single knot's value, or the line
 /// through two neighbouring knots, extended past them and clamped at zero.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Piece {
-    /// A single-knot grid's value, unclamped.
+    /// A single-knot line's value, unclamped.
     Constant(f64),
     /// The line over `span` rising from `y0` by `dy`: a segment between
     /// two knots.
@@ -128,7 +348,7 @@ impl Piece {
     pub(crate) fn eval(self, x: f64) -> f64 {
         match self {
             Piece::Constant(y) => y,
-            Piece::Linear { span, y0, dy } => (y0 + span.weight(x) * dy).max(0.0),
+            Piece::Linear { span, y0, dy } => lerp(y0, dy, span.weight(x)),
         }
     }
 
@@ -158,7 +378,8 @@ impl Span {
 }
 
 /// A 2-D lookup table with bilinear interpolation, used for attention-kernel
-/// times over (batch size, sequence length).
+/// times over (batch size, sequence length). Each coordinate finds its
+/// segment through its axis's bucket guide.
 ///
 /// # Example
 ///
@@ -175,93 +396,45 @@ impl Span {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Grid2D {
-    xs: Vec<f64>,
-    ys: Vec<f64>,
-    /// `zs[i][j]` is the value at `(xs[i], ys[j])`.
-    zs: Vec<Vec<f64>>,
+    x: Axis,
+    y: Axis,
+    z: Surface,
 }
 
 impl Grid2D {
-    /// Builds a grid from sample points.
+    /// Builds a grid from sample points; `zs[i][j]` is the value at
+    /// `(xs[i], ys[j])`.
     ///
     /// # Errors
     ///
     /// Returns [`ProfileError::InvalidAxis`] if either axis is empty or not
     /// strictly increasing, or `zs` has the wrong shape.
     pub fn new(xs: Vec<f64>, ys: Vec<f64>, zs: Vec<Vec<f64>>) -> Result<Self, ProfileError> {
-        for (what, axis) in [("xs", &xs), ("ys", &ys)] {
-            if axis.is_empty() {
-                return Err(ProfileError::InvalidAxis { what, why: "must be non-empty" });
-            }
-            #[expect(clippy::neg_cmp_op_on_partial_ord, reason = "NaN axis values must fail")]
-            if axis.windows(2).any(|w| !(w[0] < w[1])) {
-                return Err(ProfileError::InvalidAxis { what, why: "must be strictly increasing" });
-            }
-        }
-        if zs.len() != xs.len() || zs.iter().any(|row| row.len() != ys.len()) {
-            return Err(ProfileError::InvalidAxis {
-                what: "zs",
-                why: "must have shape xs.len() x ys.len()",
-            });
-        }
-        if zs.iter().flatten().any(|v| !v.is_finite()) {
-            return Err(ProfileError::InvalidAxis { what: "zs", why: "must be finite" });
-        }
-        Ok(Self { xs, ys, zs })
-    }
-
-    /// Segment index of `v` on `axis`: the last `i` with `axis[i] <= v`,
-    /// clamped to `[0, n-2]` (`0` for a single-knot axis).
-    #[inline]
-    fn segment(axis: &[f64], v: f64) -> usize {
-        match axis.partition_point(|&a| a <= v) {
-            0 => 0,
-            p => (p - 1).min(axis.len().saturating_sub(2)),
-        }
+        let x = Axis::new("xs", xs)?;
+        let y = Axis::new("ys", ys)?;
+        let z = Surface::new(&x, &y, zs)?;
+        Ok(Self { x, y, z })
     }
 
     /// The swept sample positions along the first axis.
     pub fn xs(&self) -> &[f64] {
-        &self.xs
-    }
-
-    /// Index of the last segment of the first axis: where every `x` above
-    /// its last knot falls.
-    #[inline]
-    pub(crate) fn last_segment(&self) -> usize {
-        self.xs.len().saturating_sub(2)
+        self.x.xs()
     }
 
     /// Bilinearly interpolated (or extrapolated) value at `(x, y)`, clamped
     /// non-negative.
     #[inline]
     pub fn eval(&self, x: f64, y: f64) -> f64 {
-        self.cell(Self::segment(&self.xs, x), y).eval(x)
-    }
-
-    /// The cell over first-axis segment `i` at fixed `y`, as a standalone
-    /// [`Cell`], which evaluates every `x` with the float operations of
-    /// [`eval`](Self::eval) on that segment.
-    #[inline]
-    pub(crate) fn cell(&self, i: usize, y: f64) -> Cell {
-        let (nx, ny) = (self.xs.len(), self.ys.len());
-        if nx == 1 && ny == 1 {
-            return Cell::Constant(self.zs[0][0]);
-        }
-        let j = Self::segment(&self.ys, y);
-        let ty = if ny == 1 { 0.0 } else { (y - self.ys[j]) / (self.ys[j + 1] - self.ys[j]) };
-        let x = (nx > 1).then(|| Span { x0: self.xs[i], dx: self.xs[i + 1] - self.xs[i] });
-        let at = |ii: usize, jj: usize| -> f64 { self.zs[ii.min(nx - 1)][jj.min(ny - 1)] };
-        Cell::Bilinear { x, z: [at(i, j), at(i + 1, j), at(i, j + 1), at(i + 1, j + 1)], ty }
+        self.z.at(self.x.coord(x), self.y.coord(y))
     }
 }
 
-/// One cell of a [`Grid2D`] with the second coordinate fixed: the grid's
-/// value along one first-axis segment, extended past its knots and clamped
-/// at zero.
+/// One cell of a [`Surface`] with the second coordinate fixed: the
+/// surface's value along one first-axis segment, extended past its knots
+/// and clamped at zero.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Cell {
-    /// A single-knot grid's value, unclamped.
+    /// A single-knot surface's value, unclamped.
     Constant(f64),
     /// Corners `z[i][j], z[i+1][j], z[i][j+1], z[i+1][j+1]` (indices
     /// clamped to the axes), the fixed second-axis weight `ty`, and the
@@ -291,6 +464,12 @@ impl Cell {
             _ => None,
         }
     }
+}
+
+/// The segment from `y0` rising by `dy` at weight `t`, clamped at zero.
+#[inline]
+fn lerp(y0: f64, dy: f64, t: f64) -> f64 {
+    (y0 + t * dy).max(0.0)
 }
 
 /// Bilinear blend of the corners `z00, z10, z01, z11` at weights `(tx, ty)`,
@@ -362,9 +541,11 @@ mod tests {
     #[test]
     fn grid1d_single_knot_branches() {
         let g = Grid1D::new(vec![4.0], vec![7.0]).expect("valid");
-        assert_eq!((g.segment(-1.0), g.segment(4.0), g.segment(9.0)), (0, 0, 0));
-        assert_eq!(g.last_segment(), 0);
-        assert_eq!(g.piece(0), Piece::Constant(7.0));
+        assert_eq!((g.rank(-1.0), g.rank(4.0), g.rank(9.0)), (0, 1, 1));
+        let at = |x: f64| g.x.coord(x);
+        assert_eq!([at(-1.0), at(4.0), at(9.0)], [Coord { i: 0, t: 0.0 }; 3]);
+        assert_eq!(g.x.last_segment(), 0);
+        assert_eq!(g.y.piece(&g.x, 0), Piece::Constant(7.0));
         assert_eq!(g.eval(1e9), 7.0);
     }
 
@@ -377,7 +558,7 @@ mod tests {
             assert_eq!(g.eval(x, 30.0), 5.0, "extrapolates along the second axis");
             assert_eq!(g.eval(x, 0.0), 0.0, "clamped at zero");
         }
-        assert!(matches!(g.cell(0, 15.0), Cell::Bilinear { x: None, .. }));
+        assert!(matches!(g.z.cell(&g.x, 0, g.y.coord(15.0)), Cell::Bilinear { x: None, .. }));
     }
 
     #[test]
@@ -395,7 +576,7 @@ mod tests {
         let g = Grid2D::new(vec![3.0], vec![9.0], vec![vec![0.25]]).expect("valid");
         assert_eq!(g.eval(0.0, 0.0), 0.25);
         assert_eq!(g.eval(1e6, -4.0), 0.25);
-        assert_eq!(g.cell(0, 9.0), Cell::Constant(0.25));
+        assert_eq!(g.z.cell(&g.x, 0, g.y.coord(9.0)), Cell::Constant(0.25));
     }
 
     #[test]
@@ -407,9 +588,10 @@ mod tests {
             vec![vec![0.1, 0.7], vec![0.3, 1.1], vec![0.9, 2.9]],
         )
         .expect("valid");
-        let (first1, last1) = (g1.piece(0), g1.piece(g1.last_segment()));
+        let (first1, last1) = (g1.y.piece(&g1.x, 0), g1.y.piece(&g1.x, g1.x.last_segment()));
         for y in [2.0, 8.0, 30.5, 64.0, 100.0] {
-            let (first2, last2) = (g2.cell(0, y), g2.cell(g2.last_segment(), y));
+            let cell = |i: usize| g2.z.cell(&g2.x, i, g2.y.coord(y));
+            let (first2, last2) = (cell(0), cell(g2.x.last_segment()));
             for x in [-2.0, 0.0, 0.3, 0.999, f64::NAN] {
                 assert_eq!(first1.eval(x).to_bits(), g1.eval(x).to_bits(), "x={x}");
                 assert_eq!(first2.eval(x).to_bits(), g2.eval(x, y).to_bits(), "x={x} y={y}");

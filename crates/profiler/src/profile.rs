@@ -5,28 +5,29 @@ use std::collections::BTreeMap;
 use exegpt_units::Secs;
 
 use crate::error::ProfileError;
-use crate::grid::{Cell, Grid1D, Grid2D, Piece};
+use crate::grid::{Axis, Cell, Grid1D, Line, Piece, Surface};
 
-/// Per-tensor-parallel-degree sweep tables.
+/// Per-tensor-parallel-degree sweep tables: values only, over the
+/// profile's shared axes.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct TpTables {
     /// Encode attention kernel time over (batch, seq).
-    pub enc_attn: Grid2D,
+    pub enc_attn: Surface,
     /// Encode non-attention time over total tokens (batch × seq).
-    pub enc_rest: Grid1D,
+    pub enc_rest: Line,
     /// Encode-layer tensor-parallel sync time over total tokens
     /// (2 all-reduces per encoder layer, after Megatron).
-    pub enc_sync: Grid1D,
+    pub enc_sync: Line,
     /// Decode self-attention kernel time over (batch, context length).
-    pub dec_attn: Grid2D,
+    pub dec_attn: Surface,
     /// Decode cross-attention kernel time over (batch, input length);
     /// present only for encoder–decoder models.
-    pub dec_cross: Option<Grid2D>,
+    pub dec_cross: Option<Surface>,
     /// Decode non-attention time over batch size.
-    pub dec_rest: Grid1D,
+    pub dec_rest: Line,
     /// Decode-layer tensor-parallel sync time over batch size
     /// (3 all-reduces per decoder layer).
-    pub dec_sync: Grid1D,
+    pub dec_sync: Line,
 }
 
 /// Execution-time profile of a single encoder/decoder layer on a specific
@@ -35,17 +36,27 @@ pub(crate) struct TpTables {
 /// Built by [`Profiler::run`](crate::Profiler::run); queried by the
 /// simulator and runner. All returned times are typed [`Secs`] and refer to
 /// *one* layer; callers multiply by per-stage layer counts. The underlying
-/// interpolation grids store raw seconds (`f64`) — the typed boundary is the
-/// query methods.
+/// interpolation tables store raw seconds (`f64`) — the typed boundary is
+/// the query methods.
+///
+/// The three swept axes are stored once; every table holds only values
+/// over them. A lookup resolves each of its coordinates once on its axis
+/// and reads every table on that axis at the one resolved coordinate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerProfile {
     pub(crate) model_name: String,
     pub(crate) cluster_name: String,
+    /// The swept batch sizes.
+    pub(crate) batch: Axis,
+    /// The swept sequence (input and context) lengths.
+    pub(crate) seq: Axis,
+    /// The swept token counts (batch × sequence, and handoff sizes).
+    pub(crate) tokens: Axis,
     pub(crate) per_tp: BTreeMap<usize, TpTables>,
     /// Pipeline-stage handoff time over tokens transferred, intra-node.
-    pub(crate) handoff_intra: Grid1D,
+    pub(crate) handoff_intra: Line,
     /// Pipeline-stage handoff time over tokens transferred, inter-node.
-    pub(crate) handoff_inter: Grid1D,
+    pub(crate) handoff_inter: Line,
     /// Time to move one token's KV entry for one layer from an encoding
     /// GPU to a decoding GPU via CPU staging (WAA handover, §3).
     pub(crate) kv_transfer_per_token_layer: Secs,
@@ -101,9 +112,11 @@ impl LayerProfile {
     #[inline]
     pub fn encode_layer_time(&self, batch: f64, seq: f64, tp: usize) -> Result<Secs, ProfileError> {
         let t = self.tables(tp)?;
-        let tokens = batch * seq;
+        let tokens = self.tokens.coord(batch * seq);
         Ok(Secs::new(
-            t.enc_attn.eval(batch, seq) + t.enc_rest.eval(tokens) + t.enc_sync.eval(tokens),
+            t.enc_attn.at(self.batch.coord(batch), self.seq.coord(seq))
+                + t.enc_rest.at(tokens)
+                + t.enc_sync.at(tokens),
         ))
     }
 
@@ -124,9 +137,10 @@ impl LayerProfile {
         tp: usize,
     ) -> Result<Secs, ProfileError> {
         let t = self.tables(tp)?;
-        let cross = t.dec_cross.as_ref().map_or(0.0, |g| g.eval(batch, input_len));
+        let b = self.batch.coord(batch);
+        let cross = t.dec_cross.as_ref().map_or(0.0, |g| g.at(b, self.seq.coord(input_len)));
         Ok(Secs::new(
-            t.dec_attn.eval(batch, ctx) + cross + t.dec_rest.eval(batch) + t.dec_sync.eval(batch),
+            t.dec_attn.at(b, self.seq.coord(ctx)) + cross + t.dec_rest.at(b) + t.dec_sync.at(b),
         ))
     }
 
@@ -152,16 +166,8 @@ impl LayerProfile {
     ) -> Result<DecodeStageGrid, ProfileError> {
         let t = self.tables(tp)?;
         let handoff = if intra_node { &self.handoff_intra } else { &self.handoff_inter };
-        let mut knots: Vec<f64> = t
-            .dec_attn
-            .xs()
-            .iter()
-            .chain(t.dec_cross.as_ref().map_or(&[][..], |g| g.xs()))
-            .chain(t.dec_rest.xs())
-            .chain(t.dec_sync.xs())
-            .chain(handoff.xs())
-            .copied()
-            .collect();
+        // The decode tables lie over the batch axis, the handoff over tokens.
+        let mut knots: Vec<f64> = self.batch.xs().iter().chain(self.tokens.xs()).copied().collect();
         knots.sort_by(f64::total_cmp);
         knots.dedup();
         let ys = knots
@@ -174,14 +180,16 @@ impl LayerProfile {
             .collect::<Result<Vec<_>, ProfileError>>()?;
         // Below the lowest knot every component table is on its first
         // segment, above the highest on its last.
+        let (ctx, input_len) = (self.seq.coord(ctx), self.seq.coord(input_len));
         let edge = |last: bool| {
-            let seg = |last_segment: usize| if last { last_segment } else { 0 };
+            let seg = |axis: &Axis| if last { axis.last_segment() } else { 0 };
+            let b = seg(&self.batch);
             StageEdge {
-                attn: t.dec_attn.cell(seg(t.dec_attn.last_segment()), ctx),
-                cross: t.dec_cross.as_ref().map(|g| g.cell(seg(g.last_segment()), input_len)),
-                rest: t.dec_rest.piece(seg(t.dec_rest.last_segment())),
-                sync: t.dec_sync.piece(seg(t.dec_sync.last_segment())),
-                handoff: handoff.piece(seg(handoff.last_segment())),
+                attn: t.dec_attn.cell(&self.batch, b, ctx),
+                cross: t.dec_cross.as_ref().map(|g| g.cell(&self.batch, b, input_len)),
+                rest: t.dec_rest.piece(&self.batch, b),
+                sync: t.dec_sync.piece(&self.batch, b),
+                handoff: handoff.piece(&self.tokens, seg(&self.tokens)),
                 layers,
             }
         };
@@ -204,11 +212,8 @@ impl LayerProfile {
     /// `tokens` tokens (`intra_node` selects the link).
     #[inline]
     pub fn handoff_time(&self, tokens: f64, intra_node: bool) -> Secs {
-        Secs::new(if intra_node {
-            self.handoff_intra.eval(tokens)
-        } else {
-            self.handoff_inter.eval(tokens)
-        })
+        let link = if intra_node { &self.handoff_intra } else { &self.handoff_inter };
+        Secs::new(link.at(self.tokens.coord(tokens)))
     }
 
     /// This profile with tables bent so that, beyond the knots, component
@@ -225,11 +230,11 @@ impl LayerProfile {
     pub fn bent(&self) -> Result<LayerProfile, ProfileError> {
         let mut bent = self.clone();
         for tables in bent.per_tp.values_mut() {
-            tables.dec_rest = tables.dec_rest.bent(true)?;
-            tables.dec_sync = tables.dec_sync.bent(false)?;
+            tables.dec_rest = tables.dec_rest.bent(&self.batch, true)?;
+            tables.dec_sync = tables.dec_sync.bent(&self.batch, false)?;
         }
-        bent.handoff_intra = bent.handoff_intra.bent(true)?;
-        bent.handoff_inter = bent.handoff_inter.bent(true)?;
+        bent.handoff_intra = bent.handoff_intra.bent(&self.tokens, true)?;
+        bent.handoff_inter = bent.handoff_inter.bent(&self.tokens, true)?;
         Ok(bent)
     }
 
@@ -249,13 +254,14 @@ impl LayerProfile {
 /// Every addend is piecewise-linear in the batch size, so on the union of
 /// their knots the sum is too. Within the knots the term is one collapsed
 /// 1-D grid: the same function as the individual lookups, exactly at the
-/// knots and up to floating-point association in between. Outside them
-/// the collapsed grid would extrapolate the *sum*, while the individual
+/// knots and up to floating-point association in between, read with one
+/// guided segment search instead of one per axis. Outside them the
+/// collapsed grid would extrapolate the *sum*, while the individual
 /// lookups clamp each component at zero separately. There every component
 /// sits on a fixed segment, its first below the knots and its last above,
 /// so the term is evaluated from those segments, precomputed: the same
 /// float operations in the same order as the individual lookups, hence the
-/// same bits, without their binary searches.
+/// same bits, with no segment search at all.
 ///
 /// The term is therefore one line between neighbouring
 /// [`breakpoints`](Self::breakpoints): the knots, and the points beyond

@@ -14,7 +14,7 @@ use exegpt_model::{KernelCost, LayerKind, ModelConfig, ModelKind};
 use exegpt_units::{Bytes, BytesPerSec};
 
 use crate::error::ProfileError;
-use crate::grid::{Grid1D, Grid2D};
+use crate::grid::{Axis, Line, Surface};
 use crate::profile::{LayerProfile, TpTables};
 
 /// Sweep ranges for a profiling run.
@@ -65,7 +65,8 @@ impl Profiler {
     /// # Errors
     ///
     /// Returns [`ProfileError::InvalidAxis`] if the options produce a
-    /// degenerate sweep (e.g. `max_batch == 0`).
+    /// degenerate sweep (e.g. `max_batch == 0`), or name a `max_batch` or
+    /// `max_seq` above 2^24, the cap of the tokens axis.
     pub fn run(&self, opts: &ProfileOptions) -> Result<LayerProfile, ProfileError> {
         if opts.max_batch == 0 || opts.max_seq == 0 {
             return Err(ProfileError::InvalidAxis {
@@ -73,10 +74,18 @@ impl Profiler {
                 why: "max_batch and max_seq must be non-zero",
             });
         }
+        for (what, max) in [("max_batch", opts.max_batch), ("max_seq", opts.max_seq)] {
+            if max > MAX_SWEEP {
+                return Err(ProfileError::InvalidAxis { what, why: "must be at most 2^24" });
+            }
+        }
         let cost = CostModel::new(self.cluster.gpu().clone());
-        let batches = log2_axis(opts.max_batch);
-        let seqs = log2_axis(opts.max_seq);
-        let tokens = log2_axis(opts.max_batch.saturating_mul(opts.max_seq).min(1 << 24));
+        let batches = Axis::new("batch", log2_axis(opts.max_batch))?;
+        let seqs = Axis::new("seq", log2_axis(opts.max_seq))?;
+        let tokens = Axis::new(
+            "tokens",
+            log2_axis(opts.max_batch.saturating_mul(opts.max_seq).min(MAX_SWEEP)),
+        )?;
 
         let mut per_tp = BTreeMap::new();
         for tp in self.tp_degrees() {
@@ -84,10 +93,11 @@ impl Profiler {
         }
 
         let d = self.model.d_model() as f64 * self.model.dtype_bytes() as f64;
-        let handoff = |intra: bool| -> Result<Grid1D, ProfileError> {
+        let handoff = |intra: bool| -> Result<Line, ProfileError> {
             let link = if intra { self.cluster.intra() } else { self.cluster.inter() };
-            let ys = tokens.iter().map(|&t| link.p2p_time(Bytes::new(t * d)).as_secs()).collect();
-            Grid1D::new(tokens.clone(), ys)
+            let ys =
+                tokens.xs().iter().map(|&t| link.p2p_time(Bytes::new(t * d)).as_secs()).collect();
+            Line::new(&tokens, ys)
         };
 
         let kv_bytes = self.model.kv_bytes_per_token_per_layer() as f64;
@@ -97,9 +107,12 @@ impl Profiler {
         Ok(LayerProfile {
             model_name: self.model.name().to_string(),
             cluster_name: self.cluster.name().to_string(),
-            per_tp,
             handoff_intra: handoff(true)?,
             handoff_inter: handoff(false)?,
+            batch: batches,
+            seq: seqs,
+            tokens,
+            per_tp,
             kv_transfer_per_token_layer,
             max_batch: opts.max_batch,
             max_seq: opts.max_seq,
@@ -127,10 +140,11 @@ impl Profiler {
         &self,
         cost: &CostModel,
         tp: usize,
-        batches: &[f64],
-        seqs: &[f64],
-        tokens: &[f64],
+        batch_axis: &Axis,
+        seq_axis: &Axis,
+        tokens_axis: &Axis,
     ) -> Result<TpTables, ProfileError> {
+        let (batches, seqs, tokens) = (batch_axis.xs(), seq_axis.xs(), tokens_axis.xs());
         let m = &self.model;
         let inv = 1.0 / tp as f64;
         let link = self.cluster.intra();
@@ -145,9 +159,9 @@ impl Profiler {
 
         let measure = |c: KernelCost| cost.kernel_time(c.scaled(inv)).as_secs();
 
-        let enc_attn = Grid2D::new(
-            batches.to_vec(),
-            seqs.to_vec(),
+        let enc_attn = Surface::new(
+            batch_axis,
+            seq_axis,
             batches
                 .iter()
                 .map(|&b| {
@@ -157,21 +171,21 @@ impl Profiler {
                 })
                 .collect(),
         )?;
-        let enc_rest = Grid1D::new(
-            tokens.to_vec(),
+        let enc_rest = Line::new(
+            tokens_axis,
             tokens.iter().map(|&t| measure(m.encode_rest_cost(1, t as usize))).collect(),
         )?;
-        let enc_sync = Grid1D::new(
-            tokens.to_vec(),
+        let enc_sync = Line::new(
+            tokens_axis,
             tokens
                 .iter()
                 .map(|&t| (link.allreduce_time(Bytes::new(t * d_bytes), tp) * 2.0).as_secs())
                 .collect(),
         )?;
 
-        let dec_attn = Grid2D::new(
-            batches.to_vec(),
-            seqs.to_vec(),
+        let dec_attn = Surface::new(
+            batch_axis,
+            seq_axis,
             batches
                 .iter()
                 .map(|&b| {
@@ -191,9 +205,9 @@ impl Profiler {
         let dec_cross = if m.kind() == ModelKind::EncoderDecoder {
             let da = m.d_attn() as f64;
             let dt = m.dtype_bytes() as f64;
-            Some(Grid2D::new(
-                batches.to_vec(),
-                seqs.to_vec(),
+            Some(Surface::new(
+                batch_axis,
+                seq_axis,
                 batches
                     .iter()
                     .map(|&b| {
@@ -211,8 +225,8 @@ impl Profiler {
         } else {
             None
         };
-        let dec_rest = Grid1D::new(
-            batches.to_vec(),
+        let dec_rest = Line::new(
+            batch_axis,
             batches
                 .iter()
                 .map(|&b| {
@@ -222,8 +236,8 @@ impl Profiler {
                 })
                 .collect(),
         )?;
-        let dec_sync = Grid1D::new(
-            batches.to_vec(),
+        let dec_sync = Line::new(
+            batch_axis,
             batches
                 .iter()
                 .map(|&b| (link.allreduce_time(Bytes::new(b * d_bytes), tp) * 3.0).as_secs())
@@ -233,6 +247,11 @@ impl Profiler {
         Ok(TpTables { enc_attn, enc_rest, enc_sync, dec_attn, dec_cross, dec_rest, dec_sync })
     }
 }
+
+/// The largest `max_batch` or `max_seq` a sweep accepts, and the cap of the
+/// tokens axis: 2^24, far above any operating point, and low enough that
+/// [`log2_axis`] never doubles past `usize`.
+const MAX_SWEEP: usize = 1 << 24;
 
 /// Log2-spaced axis `1, 2, 4, …` up to and including (a point at) `max`.
 fn log2_axis(max: usize) -> Vec<f64> {
@@ -408,5 +427,24 @@ mod tests {
         let p = Profiler::new(ModelConfig::opt_13b(), ClusterSpec::a40_cluster());
         let bad = ProfileOptions { max_batch: 0, ..ProfileOptions::default() };
         assert!(p.run(&bad).is_err());
+    }
+
+    #[test]
+    fn huge_sweep_bounds_are_rejected() {
+        // A bound above 2^63 once doubled the axis past `usize`: an
+        // overflow panic in debug builds and an endless loop in release.
+        let p = Profiler::new(ModelConfig::opt_13b(), ClusterSpec::a40_cluster());
+        for (max_batch, max_seq, what) in [
+            ((1 << 24) + 1, 8192, "max_batch"),
+            (4096, (1 << 24) + 1, "max_seq"),
+            (usize::MAX, 8192, "max_batch"),
+            (4096, (1 << 63) + 1, "max_seq"),
+        ] {
+            let opts = ProfileOptions { max_batch, max_seq, ..ProfileOptions::default() };
+            let err = p.run(&opts).expect_err("bound above 2^24");
+            assert!(matches!(err, ProfileError::InvalidAxis { what: w, .. } if w == what), "{err}");
+        }
+        let at_cap = ProfileOptions { max_batch: 1 << 24, max_seq: 1, ..ProfileOptions::default() };
+        assert_eq!(p.run(&at_cap).expect("the cap is allowed").max_batch(), 1 << 24);
     }
 }

@@ -139,7 +139,7 @@ impl ScheduleConfig {
 
 /// The sequence-length workload an NLP service presents: the distributions
 /// `P_E(S)` of input lengths and `P_D(S)` of output lengths (paper §6).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     input: LengthDist,
     output: LengthDist,
