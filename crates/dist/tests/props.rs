@@ -116,21 +116,42 @@ proptest! {
     }
 
     /// On a CDF with plateaus (zero-mass lengths repeat a CDF value), the
-    /// quantile is the smallest length whose CDF reaches `p`: at random
-    /// `p`, at every CDF value and its float neighbours, and at 0 and 1.
+    /// quantile is the smallest length whose CDF reaches `p`. Equal weights
+    /// put CDF values next to the guide's bucket edges.
     #[test]
     fn quantile_is_the_first_length_reaching_p(
-        weights in prop::collection::vec(prop_oneof![Just(0.0), 0.0f64..10.0, 1e-300f64..1e-290], 1..200),
+        weights in prop::collection::vec(
+            prop_oneof![Just(0.0), Just(1.0), 0.0f64..10.0, 1e-300f64..1e-290],
+            1..200,
+        ),
         ps in prop::collection::vec(0.0f64..1.0, 16),
     ) {
         prop_assume!(weights.iter().sum::<f64>() > 0.0);
-        let n = weights.len();
-        let d = LengthDist::from_weights(weights).expect("valid weights");
-        let cdf: Vec<f64> = (1..=n).map(|l| d.cdf(l)).collect();
-        let probes = cdf.iter().flat_map(|&c| [c.next_down(), c, c.next_up()]);
-        for p in probes.chain(ps).chain([0.0, -0.0, 1.0]) {
-            let first = (1..=n).find(|&l| d.cdf(l) >= p.clamp(0.0, 1.0)).unwrap_or(n);
-            prop_assert_eq!(d.quantile(p), first, "p = {}", p);
-        }
+        check_quantile(&LengthDist::from_weights(weights).expect("valid weights"), &ps);
+    }
+}
+
+/// Checks `quantile` against the smallest length whose CDF reaches `p`, at
+/// every CDF value, every bucket edge `k / n` of the quantile's guide, the
+/// float neighbours of both, 0, 1 and `ps`.
+fn check_quantile(d: &LengthDist, ps: &[f64]) {
+    let n = d.max_len();
+    let cdf = (1..=n).map(|l| d.cdf(l));
+    let edges = (0..n).map(|k| k as f64 / n as f64);
+    let probes = cdf.chain(edges).flat_map(|c| [c.next_down(), c, c.next_up()]);
+    for p in probes.chain(ps.iter().copied()).chain([0.0, -0.0, 1.0]) {
+        let first = (1..=n).find(|&l| d.cdf(l) >= p.clamp(0.0, 1.0)).unwrap_or(n);
+        assert_eq!(d.quantile(p), first, "p = {p} over {n} lengths");
+    }
+}
+
+#[test]
+fn quantile_is_exact_where_cdf_values_meet_bucket_edges() {
+    // Equal weights accumulate to CDF values within rounding of the
+    // guide's edges `k / n`, on either side of them.
+    for n in 1..=300 {
+        check_quantile(&LengthDist::from_weights(vec![1.0; n]).expect("valid weights"), &[]);
+        let counts: Vec<usize> = (1..=n).flat_map(|l| [l, l, (l * 7) % n + 1]).collect();
+        check_quantile(&LengthDist::empirical(&counts).expect("valid samples"), &[]);
     }
 }

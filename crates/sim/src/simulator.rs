@@ -46,7 +46,7 @@ pub struct Simulator {
     /// `cluster.fingerprint()`, precomputed: the cache key component that
     /// scopes cluster-dependent entries to this topology.
     cluster_key: u64,
-    /// `workload.l99()`, precomputed: a binary search of the output CDF
+    /// `workload.l99()`, precomputed: a guided search of the output CDF
     /// that every estimate's latency reads.
     l99: usize,
 }
