@@ -3,15 +3,16 @@
 //! Replays RRA (without and with tensor parallelism), WAA-C and WAA-M plans
 //! on the two setups of `exegpt-sim`'s `estimate_digest.rs` (OPT-13B on
 //! 4×A40 with task T, T5-11B on 8×A40 with task S), closed loop (every
-//! query queued at time zero) and open loop (Poisson arrivals), plus stale
-//! plans whose traffic generates far longer outputs than planned, so the
-//! KV cache saturates and growth clamps. Every `RunReport` field is folded
-//! into one FNV-1a digest pinned below: the counts, the makespan and
-//! throughput, `latencies` and `sojourn_times` in completion order, both
-//! stage-time vectors, the trace spans and the peak KV bytes. A refactor
-//! of the replay loops must leave the digest unchanged. The clamped-token
-//! count stays out of the digest; the stale plans assert it is nonzero, so
-//! the exact per-entry KV path runs.
+//! query queued at time zero), plus stale plans whose traffic generates far
+//! longer outputs than planned, so the KV cache saturates and growth
+//! clamps. Every `RunReport` field is folded into one FNV-1a digest pinned
+//! below: the counts, the makespan and throughput, `latencies` in
+//! completion order, both stage-time vectors, the trace spans and the peak
+//! KV bytes; a closed-loop replay has no sojourn times. A second digest
+//! pins the same sweep under open-loop (Poisson) arrivals, with the
+//! sojourn times folded in. A refactor of the replay loops must leave both
+//! digests unchanged. The clamped-token count stays out of the digest; the
+//! stale plans assert it is nonzero, so the exact per-entry KV path runs.
 
 use std::hash::Hasher;
 use std::sync::Arc;
@@ -23,10 +24,13 @@ use exegpt_profiler::{ProfileOptions, Profiler};
 use exegpt_runner::{RunError, RunOptions, RunReport, Runner, SpanKind};
 use exegpt_sim::{RraConfig, ScheduleConfig, TpConfig, WaaConfig, WaaVariant, Workload};
 
-/// Pinned digest of every replay, and how many of them succeed (so a sweep
-/// that silently turns into errors cannot pass).
-const DIGEST: u64 = 0x3b8e_e296_48b0_6ab5;
-const OK: usize = 18;
+/// Pinned digest of every closed-loop replay, and how many of them succeed
+/// (so a sweep that silently turns into errors cannot pass).
+const DIGEST: u64 = 0x4b7e_da2a_c09d_3ce0;
+const OK: usize = 10;
+/// Pinned digest of the open-loop replays, and how many of them succeed.
+const OPEN_DIGEST: u64 = 0x3cde_9563_ab32_1f02;
+const OPEN_OK: usize = 8;
 
 /// Queries per replay of the sweep.
 const QUERIES: usize = 400;
@@ -73,6 +77,7 @@ fn saturating() -> [ScheduleConfig; 2] {
 struct Digest {
     h: FnvHasher,
     ok: usize,
+    open_loop: bool,
 }
 
 impl Digest {
@@ -123,30 +128,41 @@ impl Digest {
                 self.len(s.batch);
             }
         }
-        self.f64s(&r.sojourn_times);
+        if self.open_loop {
+            self.f64s(&r.sojourn_times);
+        } else {
+            assert!(r.sojourn_times.is_empty(), "a closed-loop replay has no sojourns");
+        }
+    }
+}
+
+/// The two setups and their GPU counts.
+fn setups() -> [(Runner, usize); 2] {
+    [
+        // OPT-13B, 4×A40, task T (translation).
+        (runner(ModelConfig::opt_13b(), 4, (128.0, 81.0, 256), (128.0, 68.0, 320)), 4),
+        // T5-11B, 8×A40, task S (summarization).
+        (runner(ModelConfig::t5_11b(), 8, (256.0, 252.0, 512), (32.0, 13.0, 80)), 8),
+    ]
+}
+
+/// The sweep's options for its `i`th schedule.
+fn sweep_options(i: usize) -> RunOptions {
+    RunOptions {
+        num_queries: QUERIES,
+        seed: 11 + i as u64,
+        record_trace: i.is_multiple_of(2),
+        ..RunOptions::default()
     }
 }
 
 #[test]
 fn replay_reports_match_pinned_digest() {
-    let setups = [
-        // OPT-13B, 4×A40, task T (translation).
-        (runner(ModelConfig::opt_13b(), 4, (128.0, 81.0, 256), (128.0, 68.0, 320)), 4),
-        // T5-11B, 8×A40, task S (summarization).
-        (runner(ModelConfig::t5_11b(), 8, (256.0, 252.0, 512), (32.0, 13.0, 80)), 8),
-    ];
-    let mut d = Digest { h: FnvHasher::default(), ok: 0 };
+    let setups = setups();
+    let mut d = Digest { h: FnvHasher::default(), ok: 0, open_loop: false };
     for (runner, gpus) in &setups {
         for (i, cfg) in schedules(*gpus).iter().enumerate() {
-            let closed = RunOptions {
-                num_queries: QUERIES,
-                seed: 11 + i as u64,
-                record_trace: i % 2 == 0,
-                ..RunOptions::default()
-            };
-            d.report(runner.run(cfg, &closed));
-            let open = RunOptions { arrival_rate: Some(3.0), ..closed };
-            d.report(runner.run(cfg, &open));
+            d.report(runner.run(cfg, &sweep_options(i)));
         }
     }
     // Stale plans: the traffic's outputs run to the planned distribution's
@@ -171,4 +187,17 @@ fn replay_reports_match_pinned_digest() {
     }
     let digest = d.h.finish();
     assert_eq!((digest, d.ok), (DIGEST, OK), "digest {digest:#018x}, ok {}", d.ok);
+}
+
+#[test]
+fn open_loop_reports_match_pinned_digest() {
+    let mut d = Digest { h: FnvHasher::default(), ok: 0, open_loop: true };
+    for (runner, gpus) in &setups() {
+        for (i, cfg) in schedules(*gpus).iter().enumerate() {
+            let open = RunOptions { arrival_rate: Some(3.0), ..sweep_options(i) };
+            d.report(runner.run(cfg, &open));
+        }
+    }
+    let digest = d.h.finish();
+    assert_eq!((digest, d.ok), (OPEN_DIGEST, OPEN_OK), "digest {digest:#018x}, ok {}", d.ok);
 }
