@@ -64,14 +64,14 @@ cargo test --offline --release -q -p exegpt-bench --test schedule_digest -- --in
 # And every table `figures all` prints and writes, against the committed
 # results_all.txt and results/*.json.
 cargo test --offline --release -q -p exegpt-bench --test figures_cli -- --include-ignored
-# The baselines' planner, their estimate and phase timings and their replay
-# reports: sched-paper's setup times FasterTransformer's latency sweep in
-# release code.
+# The baselines' planner, their estimate and phase timings and their
+# closed-loop replay reports: sched-paper's setup times FasterTransformer's
+# latency sweep in release code.
 cargo test --offline --release -q -p exegpt-baselines --test timing_digest --test planning
 # The profile's lookup digest (every lookup's bits at and around every
 # knot), the decode stage term's fixed segments and breakpoints, which the
-# decode sum relies on, and every runner report over the shared stage-cost
-# kernel, in the release code the benchmark times; with the decode pool against
+# decode sum relies on, and every closed-loop runner report over the shared
+# stage-cost kernel, in the release code the benchmark times; with the decode pool against
 # the per-token scan it replaced, its timing wheel growing included, where
 # the pool's debug assertions are off.
 cargo test --offline --release -q -p exegpt-profiler

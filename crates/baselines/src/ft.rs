@@ -179,7 +179,7 @@ impl FasterTransformer {
             for (req, slot) in batch_reqs {
                 tokens += req.output_len as u64;
                 kv.release(slot);
-                log.complete(t, t_start, 0.0);
+                log.complete(t, t_start);
             }
         }
 

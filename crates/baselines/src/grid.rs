@@ -146,15 +146,9 @@ impl Grid {
     /// # Errors
     ///
     /// Returns [`RunError::InvalidOptions`] for options the baselines cannot
-    /// honour: invalid ones, open-loop arrivals and trace recording.
+    /// honour: invalid ones and trace recording.
     pub(crate) fn pending(&self, opts: &RunOptions) -> Result<Vec<Request>, RunError> {
         opts.validate()?;
-        if opts.arrival_rate.is_some() {
-            return Err(RunError::InvalidOptions {
-                what: "arrival_rate",
-                why: "the baselines replay closed loop only".into(),
-            });
-        }
         if opts.record_trace {
             return Err(RunError::InvalidOptions {
                 what: "record_trace",

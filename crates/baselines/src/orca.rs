@@ -209,7 +209,7 @@ impl Orca {
                 if running[i].progress >= running[i].req.output_len {
                     let done = running.swap_remove(i);
                     kv.release(done.kv_slot);
-                    log.complete(t, done.t_admitted, 0.0);
+                    log.complete(t, done.t_admitted);
                 } else {
                     i += 1;
                 }

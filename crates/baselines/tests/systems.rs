@@ -151,8 +151,8 @@ fn planning_respects_bounds_for_all_systems() {
 
 #[test]
 fn baselines_reject_options_they_cannot_honour() {
-    // The baselines replay closed loop without a trace: an open-loop or
-    // traced request is an error, not closed-loop numbers without them.
+    // The baselines record no trace: an invalid or traced request is an
+    // error, not numbers without it.
     let s = sim(Task::Translation);
     let ft = FasterTransformer::paper_default(s.clone()).expect("grid");
     let orca = Orca::new(s, IterationLevel::orca()).expect("grid");
@@ -160,7 +160,6 @@ fn baselines_reject_options_they_cannot_honour() {
     let bad = [
         ("num_queries", RunOptions { num_queries: 0, ..base.clone() }),
         ("warmup_frac", RunOptions { warmup_frac: 1.0, ..base.clone() }),
-        ("arrival_rate", RunOptions { arrival_rate: Some(1.0), ..base.clone() }),
         ("record_trace", RunOptions { record_trace: true, ..base.clone() }),
     ];
     for (option, opts) in &bad {

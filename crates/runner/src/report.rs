@@ -2,7 +2,6 @@
 
 use exegpt_dist::stats;
 use exegpt_units::Secs;
-use serde::Serialize;
 
 use crate::runner::RunOptions;
 use crate::trace::Trace;
@@ -13,7 +12,7 @@ use crate::trace::Trace;
 /// completed query (from the start of the query's encoding to its final
 /// token); stage-time vectors feed the Table 7 variance analysis; peak KV
 /// bytes feed the Figure 9 memory comparison.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Queries completed over the whole run.
     pub completed: usize,
@@ -40,10 +39,6 @@ pub struct RunReport {
     /// Execution trace, when requested via
     /// [`RunOptions::record_trace`](crate::RunOptions).
     pub trace: Option<Trace>,
-    /// Per-query sojourn times (arrival → last token), populated only for
-    /// open-loop runs ([`RunOptions::arrival_rate`](crate::RunOptions)) —
-    /// the §7.6 SLA-(a) quantity.
-    pub sojourn_times: Vec<f64>,
 }
 
 impl RunReport {
@@ -52,12 +47,6 @@ impl RunReport {
     /// [`stats::Summary`] shape backs the serving loop's metrics.
     pub fn latency_summary(&self) -> Option<stats::Summary> {
         stats::summary(&self.latencies)
-    }
-
-    /// The shared summary of sojourn times (arrival → last token); `None`
-    /// when not an open-loop run.
-    fn sojourn_summary(&self) -> Option<stats::Summary> {
-        stats::summary(&self.sojourn_times)
     }
 
     /// Mean per-query latency (0 when nothing completed).
@@ -73,13 +62,6 @@ impl RunReport {
     /// Maximum per-query latency (0 when nothing completed).
     pub fn max_latency(&self) -> f64 {
         self.latency_summary().map_or(0.0, |s| s.max)
-    }
-
-    /// 99th-percentile sojourn time (0 when not an open-loop run) — the
-    /// SLA-(a) quantity of §7.6: the timeframe within which 99% of all
-    /// queries complete, including queueing.
-    pub fn p99_sojourn(&self) -> f64 {
-        self.sojourn_summary().map_or(0.0, |s| s.p99)
     }
 
     /// Mean and ±99th-percentile half-range of encoder stage times, the
@@ -106,9 +88,7 @@ impl RunReport {
 #[derive(Debug)]
 pub struct CompletionLog {
     warmup_frac: f64,
-    open_loop: bool,
     latencies: Vec<f64>,
-    sojourns: Vec<f64>,
     completion_times: Vec<f64>,
     /// Bottleneck-stage execution time of each encoding phase.
     pub encoder_stage_times: Vec<f64>,
@@ -123,9 +103,7 @@ impl CompletionLog {
     pub fn new(opts: &RunOptions) -> Self {
         Self {
             warmup_frac: opts.warmup_frac,
-            open_loop: opts.arrival_rate.is_some(),
             latencies: Vec::with_capacity(opts.num_queries),
-            sojourns: Vec::new(),
             completion_times: Vec::with_capacity(opts.num_queries),
             encoder_stage_times: Vec::new(),
             decoder_stage_times: Vec::new(),
@@ -133,13 +111,9 @@ impl CompletionLog {
         }
     }
 
-    /// Records a query that arrived at `arrival`, started at `started` and
-    /// completed at `t`. Only an open-loop run keeps its sojourn time.
-    pub fn complete(&mut self, t: f64, started: f64, arrival: f64) {
+    /// Records a query that started at `started` and completed at `t`.
+    pub fn complete(&mut self, t: f64, started: f64) {
         self.latencies.push(t - started);
-        if self.open_loop {
-            self.sojourns.push(t - arrival);
-        }
         self.completion_times.push(t);
     }
 
@@ -171,7 +145,6 @@ impl CompletionLog {
             kv_clamped_tokens,
             param_bytes,
             trace: self.trace,
-            sojourn_times: self.sojourns,
         }
     }
 }
@@ -223,7 +196,6 @@ mod tests {
             kv_clamped_tokens: 0,
             param_bytes: 200,
             trace: None,
-            sojourn_times: vec![2.0, 3.0, 10.0],
         }
     }
 
@@ -233,7 +205,6 @@ mod tests {
         assert!((r.mean_latency() - 4.0).abs() < 1e-12);
         assert_eq!(r.p99_latency(), 9.0);
         assert_eq!(r.max_latency(), 9.0);
-        assert_eq!(r.p99_sojourn(), 10.0);
         let s = r.latency_summary().expect("non-empty");
         assert_eq!(s.count, 3);
         assert_eq!(s.p50, 2.0);
@@ -263,7 +234,6 @@ mod tests {
             kv_clamped_tokens: 0,
             param_bytes: 0,
             trace: None,
-            sojourn_times: vec![],
         };
         assert_eq!(r.mean_latency(), 0.0);
         assert_eq!(r.p99_latency(), 0.0);

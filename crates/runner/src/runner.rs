@@ -6,7 +6,7 @@ use exegpt_cluster::ClusterSpec;
 use exegpt_model::ModelConfig;
 use exegpt_profiler::LayerProfile;
 use exegpt_sim::{ScheduleConfig, Simulator, Workload};
-use exegpt_workload::{PoissonStream, RequestStream, TimedRequest};
+use exegpt_workload::{RequestStream, TimedRequest};
 
 use crate::error::RunError;
 use crate::exec::PhaseExecutor;
@@ -36,10 +36,6 @@ pub struct RunOptions {
     /// Record an execution [`Trace`](crate::Trace) (per-phase spans) in the
     /// report.
     pub record_trace: bool,
-    /// Open-loop serving: queries arrive as a Poisson process of this rate
-    /// (queries/second) instead of all being queued at time zero. Enables
-    /// the SLA-(a) style sojourn-time statistics in the report (§7.6).
-    pub arrival_rate: Option<f64>,
 }
 
 impl Default for RunOptions {
@@ -51,7 +47,6 @@ impl Default for RunOptions {
             adjust_threshold: 0.15,
             request_workload: None,
             record_trace: false,
-            arrival_rate: None,
         }
     }
 }
@@ -81,15 +76,6 @@ impl RunOptions {
                 what: "adjust_threshold",
                 why: "must be non-negative".into(),
             });
-        }
-        if let Some(rate) = self.arrival_rate {
-            #[expect(clippy::neg_cmp_op_on_partial_ord, reason = "NaN must be rejected too")]
-            if !(rate > 0.0) {
-                return Err(RunError::InvalidOptions {
-                    what: "arrival_rate",
-                    why: "must be positive".into(),
-                });
-            }
         }
         Ok(())
     }
@@ -137,16 +123,11 @@ impl Runner {
         // as-is.
         let exec = PhaseExecutor::new(&self.sim, schedule)?;
         let stream_workload = opts.request_workload.as_ref().unwrap_or(self.sim.workload());
-        // FIFO queue (front = oldest), sorted by arrival time.
-        let queue: AdmissionQueue = match opts.arrival_rate {
-            Some(rate) => PoissonStream::new(stream_workload, rate, opts.seed)
-                .take(opts.num_queries)
-                .collect(),
-            None => RequestStream::new(stream_workload, opts.seed)
-                .take(opts.num_queries)
-                .map(|request| TimedRequest { request, arrival: 0.0 })
-                .collect(),
-        };
+        // FIFO queue (front = oldest), every query pending at time zero.
+        let queue: AdmissionQueue = RequestStream::new(stream_workload, opts.seed)
+            .take(opts.num_queries)
+            .map(|request| TimedRequest { request, arrival: 0.0 })
+            .collect();
         let mut state = ReplicaState::new(exec, opts.adjust_threshold, queue);
         let mut log = CompletionLog::new(opts);
         while log.completed() < opts.num_queries {
@@ -156,7 +137,7 @@ impl Runner {
                 Admission::Drained => break,
             }
             let record = state.run_phase(FaultFactors::nominal(), |done, t| {
-                log.complete(t, done.t_encoded, done.arrival);
+                log.complete(t, done.t_encoded);
             })?;
             log.encoder_stage_times.extend(record.encode_stage);
             log.decoder_stage_times.extend_from_slice(state.decode_stage_times());
@@ -196,7 +177,6 @@ mod tests {
         assert!(RunOptions { num_queries: 0, ..Default::default() }.validate().is_err());
         assert!(RunOptions { warmup_frac: 1.0, ..Default::default() }.validate().is_err());
         assert!(RunOptions { adjust_threshold: -1.0, ..Default::default() }.validate().is_err());
-        assert!(RunOptions { arrival_rate: Some(0.0), ..Default::default() }.validate().is_err());
         assert!(RunOptions::default().validate().is_ok());
     }
 }

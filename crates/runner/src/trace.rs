@@ -1,10 +1,8 @@
 //! Execution traces: what ran where, when — the data behind the paper's
 //! timeline figures (1, 3, 4), recorded from actual replays.
 
-use serde::Serialize;
-
 /// What a trace span represents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanKind {
     /// An encoding phase (prefill of admitted queries).
     Encode,
@@ -15,7 +13,7 @@ pub enum SpanKind {
 }
 
 /// One timed span on one GPU group.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Span {
     /// Which GPU group executed it (`workers`, `encoders`, `decoders`).
     pub group: String,
@@ -30,7 +28,7 @@ pub struct Span {
 }
 
 /// A recorded execution trace.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     spans: Vec<Span>,
 }

@@ -195,40 +195,3 @@ fn traces_are_recorded_on_request() {
     let plain = r.run(&rra(), &RunOptions { num_queries: 50, ..Default::default() }).expect("runs");
     assert!(plain.trace.is_none());
 }
-
-#[test]
-fn open_loop_serving_measures_sojourn_times() {
-    let r = runner(Task::Translation);
-    // A rate well under the schedule's capacity: queueing is light and the
-    // system keeps up with arrivals.
-    let opts = RunOptions { num_queries: 300, arrival_rate: Some(4.0), ..Default::default() };
-    let rep = r.run(&rra(), &opts).expect("runs");
-    assert_eq!(rep.completed, 300);
-    assert_eq!(rep.sojourn_times.len(), 300);
-    // Sojourn (arrival -> done) includes queueing on top of generation.
-    let mean_lat = rep.mean_latency();
-    let mean_soj = rep.sojourn_times.iter().sum::<f64>() / rep.sojourn_times.len() as f64;
-    assert!(mean_soj >= mean_lat, "sojourn {mean_soj} < latency {mean_lat}");
-    // Underloaded: completion rate tracks the arrival rate, not capacity.
-    assert!(
-        (2.5..5.0).contains(&rep.throughput),
-        "underloaded throughput should be ~4 q/s, got {}",
-        rep.throughput
-    );
-    // SLA-(a): the 99th-percentile sojourn is finite and reported.
-    assert!(rep.p99_sojourn() > 0.0 && rep.p99_sojourn().is_finite());
-
-    // Saturated runs do not report sojourns.
-    let sat = r.run(&rra(), &RunOptions { num_queries: 100, ..Default::default() }).expect("runs");
-    assert!(sat.sojourn_times.is_empty());
-    assert_eq!(sat.p99_sojourn(), 0.0);
-}
-
-#[test]
-fn waa_supports_open_loop_serving_too() {
-    let r = runner(Task::Summarization);
-    let opts = RunOptions { num_queries: 200, arrival_rate: Some(5.0), ..Default::default() };
-    let rep = r.run(&waa(), &opts).expect("runs");
-    assert_eq!(rep.completed, 200);
-    assert_eq!(rep.sojourn_times.len(), 200);
-}

@@ -8,11 +8,11 @@
 //! clamps. Every `RunReport` field is folded into one FNV-1a digest pinned
 //! below: the counts, the makespan and throughput, `latencies` in
 //! completion order, both stage-time vectors, the trace spans and the peak
-//! KV bytes; a closed-loop replay has no sojourn times. A second digest
-//! pins the same sweep under open-loop (Poisson) arrivals, with the
-//! sojourn times folded in. A refactor of the replay loops must leave both
-//! digests unchanged. The clamped-token count stays out of the digest; the
-//! stale plans assert it is nonzero, so the exact per-entry KV path runs.
+//! KV bytes. A refactor of the replay loops must leave the digest
+//! unchanged. The clamped-token count stays out of the digest; the stale
+//! plans assert it is nonzero, so the exact per-entry KV path runs.
+//! Open-loop (Poisson) traffic is served by `exegpt-serve`, whose
+//! `kv_peak.rs` and `agreement.rs` cover it.
 
 use std::hash::Hasher;
 use std::sync::Arc;
@@ -28,9 +28,6 @@ use exegpt_sim::{RraConfig, ScheduleConfig, TpConfig, WaaConfig, WaaVariant, Wor
 /// (so a sweep that silently turns into errors cannot pass).
 const DIGEST: u64 = 0x4b7e_da2a_c09d_3ce0;
 const OK: usize = 10;
-/// Pinned digest of the open-loop replays, and how many of them succeed.
-const OPEN_DIGEST: u64 = 0x3cde_9563_ab32_1f02;
-const OPEN_OK: usize = 8;
 
 /// Queries per replay of the sweep.
 const QUERIES: usize = 400;
@@ -77,7 +74,6 @@ fn saturating() -> [ScheduleConfig; 2] {
 struct Digest {
     h: FnvHasher,
     ok: usize,
-    open_loop: bool,
 }
 
 impl Digest {
@@ -128,41 +124,27 @@ impl Digest {
                 self.len(s.batch);
             }
         }
-        if self.open_loop {
-            self.f64s(&r.sojourn_times);
-        } else {
-            assert!(r.sojourn_times.is_empty(), "a closed-loop replay has no sojourns");
-        }
-    }
-}
-
-/// The two setups and their GPU counts.
-fn setups() -> [(Runner, usize); 2] {
-    [
-        // OPT-13B, 4×A40, task T (translation).
-        (runner(ModelConfig::opt_13b(), 4, (128.0, 81.0, 256), (128.0, 68.0, 320)), 4),
-        // T5-11B, 8×A40, task S (summarization).
-        (runner(ModelConfig::t5_11b(), 8, (256.0, 252.0, 512), (32.0, 13.0, 80)), 8),
-    ]
-}
-
-/// The sweep's options for its `i`th schedule.
-fn sweep_options(i: usize) -> RunOptions {
-    RunOptions {
-        num_queries: QUERIES,
-        seed: 11 + i as u64,
-        record_trace: i.is_multiple_of(2),
-        ..RunOptions::default()
     }
 }
 
 #[test]
 fn replay_reports_match_pinned_digest() {
-    let setups = setups();
-    let mut d = Digest { h: FnvHasher::default(), ok: 0, open_loop: false };
+    let setups = [
+        // OPT-13B, 4×A40, task T (translation).
+        (runner(ModelConfig::opt_13b(), 4, (128.0, 81.0, 256), (128.0, 68.0, 320)), 4),
+        // T5-11B, 8×A40, task S (summarization).
+        (runner(ModelConfig::t5_11b(), 8, (256.0, 252.0, 512), (32.0, 13.0, 80)), 8),
+    ];
+    let mut d = Digest { h: FnvHasher::default(), ok: 0 };
     for (runner, gpus) in &setups {
         for (i, cfg) in schedules(*gpus).iter().enumerate() {
-            d.report(runner.run(cfg, &sweep_options(i)));
+            let opts = RunOptions {
+                num_queries: QUERIES,
+                seed: 11 + i as u64,
+                record_trace: i.is_multiple_of(2),
+                ..RunOptions::default()
+            };
+            d.report(runner.run(cfg, &opts));
         }
     }
     // Stale plans: the traffic's outputs run to the planned distribution's
@@ -187,17 +169,4 @@ fn replay_reports_match_pinned_digest() {
     }
     let digest = d.h.finish();
     assert_eq!((digest, d.ok), (DIGEST, OK), "digest {digest:#018x}, ok {}", d.ok);
-}
-
-#[test]
-fn open_loop_reports_match_pinned_digest() {
-    let mut d = Digest { h: FnvHasher::default(), ok: 0, open_loop: true };
-    for (runner, gpus) in &setups() {
-        for (i, cfg) in schedules(*gpus).iter().enumerate() {
-            let open = RunOptions { arrival_rate: Some(3.0), ..sweep_options(i) };
-            d.report(runner.run(cfg, &open));
-        }
-    }
-    let digest = d.h.finish();
-    assert_eq!((digest, d.ok), (OPEN_DIGEST, OPEN_OK), "digest {digest:#018x}, ok {}", d.ok);
 }

@@ -70,13 +70,7 @@ impl DriftDetector {
         assert!(opts.check_every > 0, "check_every must be positive");
         assert!(opts.consecutive > 0, "consecutive must be positive");
         assert!(opts.min_samples <= opts.window, "min_samples cannot exceed window");
-        Self {
-            opts,
-            window: std::collections::VecDeque::with_capacity(opts.window),
-            since_check: 0,
-            hits: 0,
-            checks: 0,
-        }
+        Self { opts, window: std::collections::VecDeque::new(), since_check: 0, hits: 0, checks: 0 }
     }
 
     /// Feeds one completed output length; every `check_every` completions
@@ -169,6 +163,15 @@ mod tests {
             }
         }
         assert!(!drifted);
+        assert!(d.checks() > 0, "checks did fire");
+    }
+
+    #[test]
+    fn an_unbounded_window_observes_without_panicking() {
+        let mut d = DriftDetector::new(DriftOptions { window: usize::MAX, ..opts() });
+        for i in 0..200 {
+            let _ = d.observe(100 + (i % 5), 102.0);
+        }
         assert!(d.checks() > 0, "checks did fire");
     }
 

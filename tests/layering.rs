@@ -11,6 +11,9 @@
 //! `[dependencies]` entry of a crate must be named somewhere in that
 //! crate's `src/` (one that only tests use is a `[dev-dependencies]`
 //! entry).
+//!
+//! And it keeps README's examples table honest: every `examples/*.rs` has a
+//! row, and every row names an existing example.
 
 use std::path::Path;
 
@@ -223,4 +226,61 @@ fn an_unused_dependency_is_reported() {
     let source =
         "use exegpt::Engine;\nlet s = serde_json::to_string(&x);\nlet exegpt_distance = 1;\n";
     assert_eq!(unused_dependencies(manifest, source), ["exegpt-dist", "rand"]);
+}
+
+/// The names in the first column of README's examples table (the table
+/// under the `| Example | What it shows |` header), in order.
+fn example_rows(readme: &str) -> Vec<&str> {
+    readme
+        .lines()
+        .skip_while(|line| !line.starts_with("| Example |"))
+        .skip(2)
+        .take_while(|line| line.starts_with('|'))
+        .filter_map(|row| row.split('|').nth(1))
+        .map(|cell| cell.trim().trim_matches('`'))
+        .collect()
+}
+
+/// Examples without a README row, and rows without an example.
+fn example_table_mismatches(readme: &str, examples: &[&str]) -> Vec<String> {
+    let rows = example_rows(readme);
+    let missing = examples
+        .iter()
+        .filter(|name| !rows.contains(name))
+        .map(|name| format!("examples/{name}.rs has no README row"));
+    let stale = rows
+        .iter()
+        .filter(|row| !examples.contains(row))
+        .map(|row| format!("README row `{row}` names no example"));
+    missing.chain(stale).collect()
+}
+
+#[test]
+fn every_example_has_a_readme_row_and_every_row_an_example() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let readme = std::fs::read_to_string(root.join("README.md")).expect("README.md is readable");
+    let mut examples = Vec::new();
+    for entry in std::fs::read_dir(root.join("examples")).expect("examples/ is readable") {
+        let path = entry.expect("directory entry").path();
+        if path.extension().is_some_and(|ext| ext == "rs") {
+            let stem = path.file_stem().and_then(|s| s.to_str()).expect("UTF-8 file name");
+            examples.push(stem.to_owned());
+        }
+    }
+    let examples: Vec<&str> = examples.iter().map(String::as_str).collect();
+    assert!(!examples.is_empty(), "examples/ holds examples");
+    let found = example_table_mismatches(&readme, &examples);
+    assert!(found.is_empty(), "README's examples table is out of date:\n{}", found.join("\n"));
+}
+
+#[test]
+fn a_stale_or_missing_example_row_is_reported() {
+    let readme = "Intro.\n\n| Example | What it shows |\n|---|---|\n\
+                  | `quickstart` | a start |\n| `gone` | removed |\n\n| Other | table |\n\
+                  |---|---|\n| `unrelated` | row |\n";
+    assert_eq!(example_rows(readme), ["quickstart", "gone"]);
+    assert_eq!(
+        example_table_mismatches(readme, &["quickstart", "fresh"]),
+        ["examples/fresh.rs has no README row", "README row `gone` names no example"]
+    );
 }
