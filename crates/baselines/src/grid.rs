@@ -145,16 +145,9 @@ impl Grid {
     ///
     /// # Errors
     ///
-    /// Returns [`RunError::InvalidOptions`] for options the baselines cannot
-    /// honour: invalid ones and trace recording.
+    /// Returns [`RunError::InvalidOptions`] for invalid options.
     pub(crate) fn pending(&self, opts: &RunOptions) -> Result<Vec<Request>, RunError> {
         opts.validate()?;
-        if opts.record_trace {
-            return Err(RunError::InvalidOptions {
-                what: "record_trace",
-                why: "the baselines record no trace".into(),
-            });
-        }
         let workload = opts.request_workload.as_ref().unwrap_or(self.sim.workload());
         let mut pending: Vec<Request> =
             RequestStream::new(workload, opts.seed).take(opts.num_queries).collect();

@@ -151,8 +151,7 @@ fn planning_respects_bounds_for_all_systems() {
 
 #[test]
 fn baselines_reject_options_they_cannot_honour() {
-    // The baselines record no trace: an invalid or traced request is an
-    // error, not numbers without it.
+    // An invalid request is an error, not numbers.
     let s = sim(Task::Translation);
     let ft = FasterTransformer::paper_default(s.clone()).expect("grid");
     let orca = Orca::new(s, IterationLevel::orca()).expect("grid");
@@ -160,7 +159,6 @@ fn baselines_reject_options_they_cannot_honour() {
     let bad = [
         ("num_queries", RunOptions { num_queries: 0, ..base.clone() }),
         ("warmup_frac", RunOptions { warmup_frac: 1.0, ..base.clone() }),
-        ("record_trace", RunOptions { record_trace: true, ..base.clone() }),
     ];
     for (option, opts) in &bad {
         for (system, result) in [("FT", ft.run(16, opts)), ("ORCA", orca.run(16, opts))] {

@@ -313,8 +313,10 @@ impl ProfileCache {
         let profile = Arc::new(
             Profiler::new(model.clone(), cluster.clone()).run(&ProfileOptions::default())?,
         );
-        self.entries.lock().unwrap_or_else(|e| e.into_inner()).insert(key, Arc::clone(&profile));
-        Ok(profile)
+        // Two callers that missed together both profiled: the first insert
+        // wins, so every caller shares one profile.
+        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
+        Ok(Arc::clone(entries.entry(key).or_insert(profile)))
     }
 }
 

@@ -67,7 +67,6 @@ mod replica;
 mod report;
 mod runner;
 mod slab;
-mod trace;
 
 pub use error::RunError;
 pub use exec::{DecodeTiming, EncodeTiming, PhaseExecutor};
@@ -77,4 +76,3 @@ pub use queue::AdmissionQueue;
 pub use replica::{Admission, FaultFactors, PhaseRecord, ReplicaState};
 pub use report::{CompletionLog, RunReport};
 pub use runner::{RunOptions, Runner};
-pub use trace::{Span, SpanKind, Trace};

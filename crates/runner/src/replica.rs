@@ -6,9 +6,10 @@
 //! [`ReplicaState::run_phase`] is the only place a phase is composed: an
 //! RRA encode phase followed by up to `N_D` decoding iterations, or one WAA
 //! round of `max(p_enc, p_dec, t_kv)`. Both callers turn its
-//! [`PhaseRecord`] into their own output (trace spans and stage times, or
-//! events and metrics), so a schedule is timed identically whether it is
-//! replayed offline or served online.
+//! [`PhaseRecord`] into their own output (stage times and the records
+//! handed to [`Runner::run_observed`](crate::Runner::run_observed)'s
+//! observer, or events and metrics), so a schedule is timed identically
+//! whether it is replayed offline or served online.
 //!
 //! Per phase and per iteration this costs in proportion to the events, not
 //! to the generated tokens: admission to the admitted batch (see

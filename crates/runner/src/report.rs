@@ -4,7 +4,6 @@ use exegpt_dist::stats;
 use exegpt_units::Secs;
 
 use crate::runner::RunOptions;
-use crate::trace::Trace;
 
 /// Measurements collected by the runner over one run.
 ///
@@ -36,9 +35,6 @@ pub struct RunReport {
     pub kv_clamped_tokens: u64,
     /// Parameter bytes resident on the bottleneck GPU.
     pub param_bytes: u64,
-    /// Execution trace, when requested via
-    /// [`RunOptions::record_trace`](crate::RunOptions).
-    pub trace: Option<Trace>,
 }
 
 impl RunReport {
@@ -94,8 +90,6 @@ pub struct CompletionLog {
     pub encoder_stage_times: Vec<f64>,
     /// Bottleneck-stage execution time of each decoding iteration.
     pub decoder_stage_times: Vec<f64>,
-    /// The execution trace, when `opts` asked for one.
-    pub trace: Option<Trace>,
 }
 
 impl CompletionLog {
@@ -107,7 +101,6 @@ impl CompletionLog {
             completion_times: Vec::with_capacity(opts.num_queries),
             encoder_stage_times: Vec::new(),
             decoder_stage_times: Vec::new(),
-            trace: opts.record_trace.then(Trace::new),
         }
     }
 
@@ -144,7 +137,6 @@ impl CompletionLog {
             peak_kv_bytes,
             kv_clamped_tokens,
             param_bytes,
-            trace: self.trace,
         }
     }
 }
@@ -195,7 +187,6 @@ mod tests {
             peak_kv_bytes: 100,
             kv_clamped_tokens: 0,
             param_bytes: 200,
-            trace: None,
         }
     }
 
@@ -233,7 +224,6 @@ mod tests {
             peak_kv_bytes: 0,
             kv_clamped_tokens: 0,
             param_bytes: 0,
-            trace: None,
         };
         assert_eq!(r.mean_latency(), 0.0);
         assert_eq!(r.p99_latency(), 0.0);

@@ -13,7 +13,6 @@ use crate::exec::PhaseExecutor;
 use crate::queue::AdmissionQueue;
 use crate::replica::{Admission, FaultFactors, PhaseRecord, ReplicaState};
 use crate::report::{CompletionLog, RunReport};
-use crate::trace::{SpanKind, Trace};
 
 /// Options for one execution run.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,9 +32,6 @@ pub struct RunOptions {
     /// a *non-adjusted* schedule: plans stay sized for the old
     /// distribution while the traffic follows the new one.
     pub request_workload: Option<Workload>,
-    /// Record an execution [`Trace`](crate::Trace) (per-phase spans) in the
-    /// report.
-    pub record_trace: bool,
 }
 
 impl Default for RunOptions {
@@ -46,7 +42,6 @@ impl Default for RunOptions {
             warmup_frac: 0.1,
             adjust_threshold: 0.15,
             request_workload: None,
-            record_trace: false,
         }
     }
 }
@@ -118,6 +113,21 @@ impl Runner {
     /// infeasible, [`RunError::InvalidOptions`] for bad options, or
     /// [`RunError::Stalled`] when no progress is possible.
     pub fn run(&self, schedule: &ScheduleConfig, opts: &RunOptions) -> Result<RunReport, RunError> {
+        self.run_observed(schedule, opts, |_| {})
+    }
+
+    /// [`run`](Self::run), handing each phase's [`PhaseRecord`] to `observe`
+    /// as soon as it has run. The report is the one `run` returns.
+    ///
+    /// # Errors
+    ///
+    /// As [`run`](Self::run).
+    pub fn run_observed(
+        &self,
+        schedule: &ScheduleConfig,
+        opts: &RunOptions,
+        mut observe: impl FnMut(&PhaseRecord),
+    ) -> Result<RunReport, RunError> {
         opts.validate()?;
         // The simulator's feasibility checks and derived pool size apply
         // as-is.
@@ -139,11 +149,9 @@ impl Runner {
             let record = state.run_phase(FaultFactors::nominal(), |done, t| {
                 log.complete(t, done.t_encoded);
             })?;
+            observe(&record);
             log.encoder_stage_times.extend(record.encode_stage);
             log.decoder_stage_times.extend_from_slice(state.decode_stage_times());
-            if let Some(trace) = log.trace.as_mut() {
-                record_spans(trace, &record);
-            }
         }
         Ok(log.into_report(
             state.pool().tokens(),
@@ -151,20 +159,6 @@ impl Runner {
             state.kv().clamped_tokens(),
             state.exec().param_bytes(),
         ))
-    }
-}
-
-/// Records a phase's spans: RRA phases on the shared workers, WAA rounds on
-/// the encoder and decoder groups and the handover between them.
-fn record_spans(trace: &mut Trace, r: &PhaseRecord) {
-    let ([e0, e1], [d0, d1], [h0, h1]) = (r.encode, r.decode, r.handover);
-    if r.coupled {
-        trace.record("encoders", SpanKind::Encode, e0, e1, r.admitted);
-        trace.record("decoders", SpanKind::Decode, d0, d1, r.pool);
-        trace.record("handover", SpanKind::KvTransfer, h0, h1, r.admitted);
-    } else {
-        trace.record("workers", SpanKind::Encode, e0, e1, r.admitted);
-        trace.record("workers", SpanKind::Decode, d0, d1, r.pool);
     }
 }
 

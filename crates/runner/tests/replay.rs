@@ -173,25 +173,23 @@ fn t5_runs_both_schedules() {
 }
 
 #[test]
-fn traces_are_recorded_on_request() {
+fn observer_sees_every_phase_and_changes_nothing() {
     let r = runner(Task::Translation);
-    let opts = RunOptions { num_queries: 150, record_trace: true, ..Default::default() };
-    let rep = r.run(&rra(), &opts).expect("runs");
-    let trace = rep.trace.expect("trace recorded");
-    assert!(!trace.spans().is_empty());
-    // Spans are well-formed and within the makespan.
-    for s in trace.spans() {
-        assert!(s.t1 > s.t0 && s.t0 >= 0.0);
+    let opts = RunOptions { num_queries: 150, ..Default::default() };
+    for (cfg, coupled) in [(rra(), false), (waa(), true)] {
+        let mut records = Vec::new();
+        let observed = r.run_observed(&cfg, &opts, |p| records.push(*p)).expect("runs");
+        assert_eq!(observed, r.run(&cfg, &opts).expect("runs"), "observing changes nothing");
+        assert!(records.iter().all(|p| p.coupled == coupled));
+        // Phases tile the run from time zero to the makespan.
+        let mut t = 0.0;
+        for p in &records {
+            assert_eq!(p.span[0], t);
+            assert!(p.span[1] >= p.span[0]);
+            t = p.span[1];
+        }
+        assert_eq!(t, observed.makespan.as_secs());
+        let encodes = records.iter().filter(|p| p.encode_stage.is_some()).count();
+        assert_eq!(encodes, observed.encoder_stage_times.len());
     }
-    let gantt = trace.render_gantt(0.0, 60);
-    assert!(gantt.contains("workers"));
-    // WAA traces have dedicated lanes.
-    let wrep = r
-        .run(&waa(), &RunOptions { num_queries: 150, record_trace: true, ..Default::default() })
-        .expect("runs");
-    let wg = wrep.trace.expect("trace recorded").render_gantt(0.0, 60);
-    assert!(wg.contains("encoders") && wg.contains("decoders"));
-    // Off by default.
-    let plain = r.run(&rra(), &RunOptions { num_queries: 50, ..Default::default() }).expect("runs");
-    assert!(plain.trace.is_none());
 }

@@ -7,9 +7,11 @@
 //! longer outputs than planned, so the KV cache saturates and growth
 //! clamps. Every `RunReport` field is folded into one FNV-1a digest pinned
 //! below: the counts, the makespan and throughput, `latencies` in
-//! completion order, both stage-time vectors, the trace spans and the peak
-//! KV bytes. A refactor of the replay loops must leave the digest
-//! unchanged. The clamped-token count stays out of the digest; the stale
+//! completion order, both stage-time vectors and the peak KV bytes. Every
+//! other replay of the sweep runs through `Runner::run_observed`, and the
+//! non-empty spans of its phase records (GPU group, kind, start, end,
+//! queries) are folded after its report. A refactor of the replay loops
+//! must leave the digest unchanged. The clamped-token count stays out of the digest; the stale
 //! plans assert it is nonzero, so the exact per-entry KV path runs.
 //! Open-loop (Poisson) traffic is served by `exegpt-serve`, whose
 //! `kv_peak.rs` and `agreement.rs` cover it.
@@ -21,7 +23,7 @@ use exegpt_cluster::ClusterSpec;
 use exegpt_dist::{FnvHasher, LengthDist};
 use exegpt_model::ModelConfig;
 use exegpt_profiler::{ProfileOptions, Profiler};
-use exegpt_runner::{RunError, RunOptions, RunReport, Runner, SpanKind};
+use exegpt_runner::{PhaseRecord, RunError, RunOptions, RunReport, Runner};
 use exegpt_sim::{RraConfig, ScheduleConfig, TpConfig, WaaConfig, WaaVariant, Workload};
 
 /// Pinned digest of every closed-loop replay, and how many of them succeed
@@ -92,7 +94,9 @@ impl Digest {
         }
     }
 
-    fn report(&mut self, result: Result<RunReport, RunError>) {
+    /// Folds a report, then the spans of `spans` when the replay was
+    /// observed.
+    fn report(&mut self, result: Result<RunReport, RunError>, spans: Option<&[Span]>) {
         let r = match result {
             Ok(r) => r,
             Err(e) => {
@@ -110,19 +114,34 @@ impl Digest {
         self.f64s(&r.decoder_stage_times);
         self.word(r.peak_kv_bytes);
         self.word(r.param_bytes);
-        if let Some(trace) = &r.trace {
-            self.len(trace.spans().len());
-            for s in trace.spans() {
-                self.h.write(s.group.as_bytes());
-                self.word(match s.kind {
-                    SpanKind::Encode => 0,
-                    SpanKind::Decode => 1,
-                    SpanKind::KvTransfer => 2,
-                });
-                self.word(s.t0.to_bits());
-                self.word(s.t1.to_bits());
-                self.len(s.batch);
+        if let Some(spans) = spans {
+            self.len(spans.len());
+            for &(group, kind, t0, t1, batch) in spans {
+                self.h.write(group.as_bytes());
+                self.word(kind);
+                self.word(t0.to_bits());
+                self.word(t1.to_bits());
+                self.len(batch);
             }
+        }
+    }
+}
+
+/// One non-empty span of an observed phase: its GPU group, its kind
+/// (0 encode, 1 decode, 2 KV handover), start, end and queries.
+type Span = (&'static str, u64, f64, f64, usize);
+
+/// A phase's spans: RRA phases on the shared workers, WAA rounds on the
+/// encoder and decoder groups and the handover between them.
+fn push_spans(spans: &mut Vec<Span>, r: &PhaseRecord) {
+    let (enc, dec) = if r.coupled { ("encoders", "decoders") } else { ("workers", "workers") };
+    for (group, kind, [t0, t1], batch) in [
+        (enc, 0, r.encode, r.admitted),
+        (dec, 1, r.decode, r.pool),
+        ("handover", 2, r.handover, r.admitted),
+    ] {
+        if t1 > t0 {
+            spans.push((group, kind, t0, t1, batch));
         }
     }
 }
@@ -138,13 +157,15 @@ fn replay_reports_match_pinned_digest() {
     let mut d = Digest { h: FnvHasher::default(), ok: 0 };
     for (runner, gpus) in &setups {
         for (i, cfg) in schedules(*gpus).iter().enumerate() {
-            let opts = RunOptions {
-                num_queries: QUERIES,
-                seed: 11 + i as u64,
-                record_trace: i.is_multiple_of(2),
-                ..RunOptions::default()
-            };
-            d.report(runner.run(cfg, &opts));
+            let opts =
+                RunOptions { num_queries: QUERIES, seed: 11 + i as u64, ..RunOptions::default() };
+            if i.is_multiple_of(2) {
+                let mut spans = Vec::new();
+                let report = runner.run_observed(cfg, &opts, |r| push_spans(&mut spans, r));
+                d.report(report, Some(&spans));
+            } else {
+                d.report(runner.run(cfg, &opts), None);
+            }
         }
     }
     // Stale plans: the traffic's outputs run to the planned distribution's
@@ -165,7 +186,7 @@ fn replay_reports_match_pinned_digest() {
         let report = runner.run(&cfg, &opts).expect("stale plan runs");
         // Kept out of the digest: the parent code did not count every clamp.
         assert!(report.kv_clamped_tokens > 0, "{cfg:?} must clamp KV growth");
-        d.report(Ok(report));
+        d.report(Ok(report), None);
     }
     let digest = d.h.finish();
     assert_eq!((digest, d.ok), (DIGEST, OK), "digest {digest:#018x}, ok {}", d.ok);

@@ -50,7 +50,6 @@
     deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)
 )]
 
-pub mod arbitrary;
 mod decode;
 mod digest;
 mod error;

@@ -21,8 +21,8 @@ use serde::Value;
 use crate::decode::{join, join_index, parse_err, validate_err, Obj};
 use crate::error::ScenarioError;
 use crate::table::{
-    at_least_1, declares, finite, known, non_empty, non_neg, one_of, pos, pos_or_inf, table,
-    tagged, within, Body, Check, Node,
+    at_least_1, declares, finite, known, non_empty, non_neg, one_of, pos, pos_or_inf,
+    request_count, table, tagged, within, Body, Check, Node,
 };
 
 /// A closed name set: each name a scenario file may spell, paired with
@@ -365,7 +365,7 @@ table! {
     /// A single-replica online serving run.
     pub struct ServeConfig {
         /// Requests in the arrival stream.
-        total: usize => at_least_1,
+        total: usize => request_count,
         /// Live drift-triggered rescheduling on (`false` = static plan).
         adaptive: bool = true,
         /// §5.2 dynamic-adjustment threshold (default 0.15).
@@ -611,7 +611,7 @@ table! {
     /// A multi-replica fleet run behind a global router.
     pub struct FleetConfig {
         /// Requests in the multi-tenant trace.
-        total: usize => at_least_1,
+        total: usize => request_count,
         /// One of [`DISPATCH_POLICIES`].
         policy: String => known("policy", DISPATCH_POLICIES),
         /// GPU pools replicas deploy onto.
@@ -853,7 +853,7 @@ table! {
     /// `num_queries` sampled requests (optionally drifted) against the plan.
     pub struct ReplayConfig {
         /// Queries to replay.
-        num_queries: usize => at_least_1,
+        num_queries: usize => request_count,
         /// Scale the replayed traffic's output mean (drift studies).
         scale_mean: Option<f64> => pos("scale factor"),
         /// Scale the replayed traffic's output std.

@@ -374,6 +374,20 @@ pub(crate) fn at_least_1(n: &usize, path: &str) -> Check {
     }
 }
 
+/// The most requests a scenario may ask for: ten times the largest shipped
+/// file (`fleet-100k`). Runs size their buffers from the count up front.
+pub(crate) const MAX_REQUESTS: usize = 1_000_000;
+
+/// A request count in `1..=MAX_REQUESTS`.
+pub(crate) fn request_count(n: &usize, path: &str) -> Check {
+    at_least_1(n, path)?;
+    if *n > MAX_REQUESTS {
+        Err(validate_err(path, format!("must be at most {MAX_REQUESTS}")))
+    } else {
+        Ok(())
+    }
+}
+
 /// A non-empty name.
 pub(crate) fn non_empty(s: &str, path: &str) -> Check {
     if s.is_empty() {

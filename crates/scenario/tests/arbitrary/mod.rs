@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::schema::{
+use exegpt_scenario::schema::{
     ArrivalsConfig, ClassConfig, ClusterConfig, DriftConfig, E2eSpec, FaultEventConfig,
     FaultKindConfig, FaultsConfig, FleetConfig, Mode, ModelSpec, PoolConfig, RateSpec,
     ReplayConfig, ReplicaConfig, Scenario, SchedulerConfig, ServeConfig, SloConfig, TenantArrivals,
@@ -205,13 +205,13 @@ fn arbitrary_fleet(rng: &mut StdRng) -> FleetConfig {
     let mut scale = Vec::new();
     if n_replicas > 1 && rng.gen_bool(0.4) {
         let victim = replicas[rng.gen_range(0..n_replicas)].name.clone();
-        faults.push(crate::schema::FleetFaultConfig {
+        faults.push(exegpt_scenario::schema::FleetFaultConfig {
             at: TimeSpec::HorizonFrac(small_f64(rng, 0.3, 0.6)),
             action: "fail".to_string(),
             replica: victim,
         });
         if standby {
-            scale.push(crate::schema::ScaleConfig {
+            scale.push(exegpt_scenario::schema::ScaleConfig {
                 at: TimeSpec::HorizonFrac(small_f64(rng, 0.6, 0.8)),
                 action: "up".to_string(),
                 replica: "standby".to_string(),

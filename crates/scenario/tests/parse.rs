@@ -233,6 +233,19 @@ fn time_ordered_fleet_fault_windows_pass() {
 }
 
 #[test]
+fn a_request_count_past_the_cap_is_invalid_not_an_abort() {
+    // A buffer sized from this count overflows its capacity.
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/fleet-rr.toml");
+    let text = std::fs::read_to_string(path).expect("readable scenario");
+    assert!(text.contains("\ntotal = 6000\n"));
+    let err = error_of(&text.replace("\ntotal = 6000\n", "\ntotal = 18446744073709551615\n"));
+    let ScenarioError::Validate { path, why } = &err else {
+        panic!("expected a validation error, got {err}");
+    };
+    assert_eq!((path.as_str(), why.as_str()), ("fleet.total", "must be at most 1000000"));
+}
+
+#[test]
 fn toml_syntax_errors_carry_the_line() {
     let err = error_of("name = \"x\"\nmodel = [unterminated");
     let ScenarioError::Syntax { line, .. } = err else {

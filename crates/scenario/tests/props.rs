@@ -10,11 +10,11 @@
 //!   backlog drain restore the original plan verbatim, with zero lost
 //!   requests.
 
+mod arbitrary;
+
+use arbitrary::{arbitrary_fault_recovery, arbitrary_runnable};
 use exegpt::PlanInvariants;
-use exegpt_scenario::{
-    arbitrary::{arbitrary_fault_recovery, arbitrary_runnable},
-    broken_invariants, lower, run, Mode, ReplayConfig, Report, Scenario,
-};
+use exegpt_scenario::{broken_invariants, lower, run, Mode, ReplayConfig, Report, Scenario};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -13,7 +13,8 @@
 //! entry).
 //!
 //! And it keeps README's examples table honest: every `examples/*.rs` has a
-//! row, and every row names an existing example.
+//! row, and every row names an existing example. DESIGN.md's experiment
+//! table likewise names only modules and items that exist.
 
 use std::path::Path;
 
@@ -283,4 +284,109 @@ fn a_stale_or_missing_example_row_is_reported() {
         example_table_mismatches(readme, &["quickstart", "fresh"]),
         ["examples/fresh.rs has no README row", "README row `gone` names no example"]
     );
+}
+
+/// The `(crate, name)` pairs the "Modules" column of DESIGN.md's experiment
+/// table (under the `| Exp. | Paper content |` header) spells as
+/// `crate::name` or `crate::{a,b}`, parenthesised text ignored. Bare crate
+/// names are skipped.
+fn experiment_modules(design: &str) -> Vec<(String, String)> {
+    let mut rows = design.lines().skip_while(|line| !line.starts_with("| Exp. | Paper content |"));
+    let header: Vec<&str> =
+        rows.next().expect("DESIGN.md has the experiment table").split('|').collect();
+    let column = header.iter().position(|cell| cell.trim() == "Modules").expect("a Modules column");
+    let mut found = Vec::new();
+    for row in rows.skip(1).take_while(|line| line.starts_with('|')) {
+        let cell = row.split('|').nth(column).unwrap_or("");
+        // Drop parenthesised text, then split at the commas outside braces.
+        let (mut text, mut parens) = (String::new(), 0usize);
+        for c in cell.chars() {
+            match c {
+                '(' => parens += 1,
+                ')' => parens = parens.saturating_sub(1),
+                _ if parens == 0 => text.push(c),
+                _ => {}
+            }
+        }
+        let (mut entries, mut entry, mut braces) = (Vec::new(), String::new(), 0usize);
+        for c in text.chars().chain([',']) {
+            match c {
+                '{' => braces += 1,
+                '}' => braces = braces.saturating_sub(1),
+                ',' if braces == 0 => {
+                    entries.push(std::mem::take(&mut entry));
+                    continue;
+                }
+                _ => {}
+            }
+            entry.push(c);
+        }
+        for entry in &entries {
+            let Some((krate, path)) = entry.trim().split_once("::") else { continue };
+            let names: Vec<&str> = match path.strip_prefix('{') {
+                Some(list) => list.trim_end_matches('}').split(',').collect(),
+                None => path.split("::").take(1).collect(),
+            };
+            found.extend(names.iter().map(|name| (krate.to_owned(), name.trim().to_owned())));
+        }
+    }
+    found
+}
+
+/// The entries of `modules` that are neither a file
+/// `crates/<crate>/src/<name>.rs` nor a `pub` fn, struct, enum or trait in
+/// that crate's `src/`, as `crate::name`.
+fn missing_modules(crates: &Path, modules: &[(String, String)]) -> Vec<String> {
+    modules
+        .iter()
+        .filter(|(krate, name)| {
+            let src = crates.join(krate).join("src");
+            if !src.is_dir() {
+                return true;
+            }
+            if src.join(format!("{name}.rs")).is_file() {
+                return false;
+            }
+            let source = source_under(&src);
+            !["fn", "struct", "enum", "trait"]
+                .iter()
+                .any(|kind| names(&source, &format!("pub {kind} {name}")))
+        })
+        .map(|(krate, name)| format!("{krate}::{name}"))
+        .collect()
+}
+
+#[test]
+fn every_experiment_table_module_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md is readable");
+    let modules = experiment_modules(&design);
+    assert!(modules.len() > 10, "the Modules column names modules: {modules:?}");
+    let missing = missing_modules(&root.join("crates"), &modules);
+    assert!(
+        missing.is_empty(),
+        "DESIGN.md's experiment table names what does not exist: {missing:?}"
+    );
+}
+
+#[test]
+fn a_missing_experiment_module_is_reported() {
+    let design = "| Exp. | Paper content | Modules | By |\n|---|---|---|---|\n\
+                  | Fig. 1 | a | core::scheduler, sim (and runner::gone), runner::{kv,stats} | x |\n\
+                  | Fig. 2 | b | runner::Runner, dist::skew_normal, nocrate::x | y |\n\n| Other |\n";
+    let modules = experiment_modules(design);
+    let pairs: Vec<String> = modules.iter().map(|(k, n)| format!("{k}::{n}")).collect();
+    assert_eq!(
+        pairs,
+        [
+            "core::scheduler",
+            "runner::kv",
+            "runner::stats",
+            "runner::Runner",
+            "dist::skew_normal",
+            "nocrate::x"
+        ]
+    );
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    assert_eq!(missing_modules(&crates, &modules), ["runner::stats", "nocrate::x"]);
 }
