@@ -13,18 +13,22 @@
 //! * **The lifecycle script**: actions on unknown replicas or at times
 //!   that are not finite and non-negative are rejected, and actions on one
 //!   replica at one instant apply in script order.
+//! * **Rollups**: the fleet's `e2e`, `queue_wait` and `replica{r}_e2e`
+//!   summaries are those of the completions its replica sessions logged,
+//!   across a loss and a recovery.
 
 use std::sync::{Arc, OnceLock};
 
 use exegpt::Engine;
 use exegpt_cluster::ClusterSpec;
+use exegpt_dist::stats;
 use exegpt_fleet::{
     DispatchPolicy, Fleet, FleetError, FleetOptions, ReplicaSpec, ReplicaState, ScaleAction,
     ScaleEvent, SloClass,
 };
 use exegpt_model::ModelConfig;
 use exegpt_profiler::{LayerProfile, ProfileOptions, Profiler};
-use exegpt_serve::{ServeLoop, ServeOptions};
+use exegpt_serve::{Event, ServeLoop, ServeOptions, ServeReport};
 use exegpt_units::Secs;
 use exegpt_workload::{PoissonStream, Task, TenantRequest, TimedRequest};
 
@@ -272,4 +276,53 @@ fn actions_on_one_replica_at_one_instant_apply_in_script_order() {
     let lost = run(up, lose);
     assert_eq!(lost.replicas[1].state, ReplicaState::Lost { at: t });
     assert_eq!(lost.replicas[1].reports.len(), 1);
+}
+
+/// The `e2e` of every completion the sessions logged, in log order.
+fn logged_e2e<'a>(sessions: impl IntoIterator<Item = &'a ServeReport>) -> Vec<f64> {
+    sessions
+        .into_iter()
+        .flat_map(|s| s.events.events())
+        .filter_map(|e| match *e {
+            Event::Completion { e2e, .. } => Some(e2e),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn rollups_summarize_the_completions_the_sessions_logged() {
+    let engine = engine();
+    let schedule = engine.schedule(Secs::INFINITY).expect("schedules");
+    let total = 400;
+    let stream = trace(0.8 * schedule.estimate.throughput, total);
+    let horizon = stream.last().expect("non-empty").request.arrival;
+    let scale = vec![
+        ScaleEvent { t: 0.25 * horizon, action: ScaleAction::Lose { replica: 1 } },
+        ScaleEvent { t: 0.3 * horizon, action: ScaleAction::Recover { replica: 1 } },
+    ];
+    let specs =
+        vec![replica("r0", &engine, schedule.config), replica("r1", &engine, schedule.config)];
+    let opts =
+        FleetOptions { policy: DispatchPolicy::LeastOutstanding, scale, ..FleetOptions::default() };
+    let report = Fleet::new(specs, opts).expect("valid fleet").run(stream).expect("runs");
+
+    assert_eq!(report.completed, total);
+    let sessions = &report.replicas[1].reports;
+    assert_eq!(sessions.len(), 2, "the recovered replica runs a second session");
+    assert!(sessions.iter().all(|s| s.completed > 0), "both of its sessions complete requests");
+    let summaries = &report.metrics.summaries;
+    for (r, replica) in report.replicas.iter().enumerate() {
+        assert_eq!(
+            summaries.get(&format!("replica{r}_e2e")).copied(),
+            stats::summary(&logged_e2e(&replica.reports)),
+            "replica{r}_e2e"
+        );
+    }
+    let all = report.replicas.iter().flat_map(|r| &r.reports);
+    assert_eq!(summaries.get("e2e").copied(), stats::summary(&logged_e2e(all.clone())), "e2e");
+    let queue_wait = summaries.get("queue_wait").expect("recorded");
+    assert_eq!(queue_wait.count, report.completed);
+    let session_max = all.filter_map(|s| s.queue_wait).map(|q| q.max).fold(f64::MIN, f64::max);
+    assert_eq!(queue_wait.max, session_max, "queue_wait.max");
 }
