@@ -87,10 +87,12 @@ cargo test --offline --release -q -p exegpt-runner --test kv_alloc
 # (the library's unit tests), and the check that a metrics snapshot
 # summarizes every histogram in its own buffer, copying no samples.
 cargo test --offline --release -q -p exegpt-serve --lib --test kv_peak --test agreement --test faults --test snapshot_alloc
-# And the fleet loop, with its metric handles and tenant table, in the
-# release code fleet-tenants times: single-replica equivalence,
-# determinism, conservation through a replica loss, and the rejection of a
-# trace that repeats a request id.
+# And the fleet loop, with its rollup merge and indexed tenant lookup, in
+# the release code fleet-tenants times: single-replica equivalence,
+# determinism, conservation through a replica loss, the rejection of a
+# trace that repeats a request id, rollups equal to the summaries of the
+# completions the sessions logged across a loss and a recovery, and the
+# same per-tenant accounting for sparse request ids as for dense ones.
 cargo test --offline --release -q -p exegpt-fleet --test fleet
 
 echo "==> cargo doc --no-deps (warnings denied)"

@@ -4,7 +4,8 @@
 //! for each dataset (§7.1) and 99th-percentile execution-time ranges
 //! (Table 7); these helpers compute both. [`Summary`] is the shared
 //! latency-summary shape consumed by the runner's reports and the serving
-//! loop's metrics histograms.
+//! loop's metrics histograms, and [`SortedSample`] a sorted sample that
+//! summaries are read from and that merges with others without a sort.
 
 use serde::Serialize;
 
@@ -156,17 +157,94 @@ pub fn summary(xs: &[f64]) -> Option<Summary> {
 /// keys in place, so no sample is copied and nothing is allocated. Same
 /// result, bit for bit.
 pub fn summary_owned(xs: Vec<f64>) -> Option<Summary> {
-    let keys = sorted(xs);
-    let max = value(*keys.last()?);
-    let pick = |p| nearest_rank(&keys, p).map_or(max, value);
-    Some(Summary {
-        count: keys.len(),
-        mean: keys.iter().map(|&k| value(k)).sum::<f64>() / keys.len() as f64,
-        p50: pick(0.50),
-        p95: pick(0.95),
-        p99: pick(0.99),
-        max,
-    })
+    SortedSample::new(xs).summary()
+}
+
+/// A sample in ascending [`f64::total_cmp`] order, held as its sort keys.
+///
+/// It is sorted once and then summarized, or merged with other sorted
+/// samples in linear time: the ascending key sequence of a multiset is
+/// unique, so [`merge`](Self::merge) gives exactly the keys a sort of the
+/// union gives, and the same [`Summary`], bit for bit.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SortedSample {
+    keys: Vec<u64>,
+}
+
+impl SortedSample {
+    /// Sorts `xs` in its own buffer, as [`summary_owned`] does: no sample
+    /// is copied and nothing is allocated.
+    pub fn new(xs: Vec<f64>) -> Self {
+        Self { keys: sorted(xs) }
+    }
+
+    /// The number of samples.
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Whether the sample is empty.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// The samples in ascending order, bit for bit.
+    pub fn values(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
+        self.keys.iter().map(|&k| value(k))
+    }
+
+    /// The [`summary`] of the sample (`None` if empty): nearest-rank
+    /// percentiles, and the mean as the sum of the ascending samples.
+    pub fn summary(&self) -> Option<Summary> {
+        let keys = &self.keys;
+        let max = value(*keys.last()?);
+        let pick = |p| nearest_rank(keys, p).map_or(max, value);
+        Some(Summary {
+            count: keys.len(),
+            mean: self.values().sum::<f64>() / keys.len() as f64,
+            p50: pick(0.50),
+            p95: pick(0.95),
+            p99: pick(0.99),
+            max,
+        })
+    }
+
+    /// The union of `parts`, sorted without sorting again: each part is
+    /// merged in turn into one buffer, so every merge is one linear pass.
+    pub fn merge(parts: &[&SortedSample]) -> Self {
+        let mut keys = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
+        for part in parts {
+            merge_into(&mut keys, &part.keys);
+        }
+        Self { keys }
+    }
+}
+
+/// Merges the ascending keys `part` into the ascending keys `keys`,
+/// filling the grown buffer from the back.
+fn merge_into(keys: &mut Vec<u64>, mut part: &[u64]) {
+    // Parts that do not overlap (the first one, say) are appended.
+    if keys.last() <= part.first() {
+        keys.extend_from_slice(part);
+        return;
+    }
+    let mut head = keys.len();
+    keys.resize(head + part.len(), 0);
+    let mut out = keys.len();
+    // Once `part` is used up, `keys[..head]` is already in place.
+    while let Some((&last, rest)) = part.split_last() {
+        out -= 1;
+        match head.checked_sub(1) {
+            Some(h) if keys[h] > last => {
+                keys[out] = keys[h];
+                head = h;
+            }
+            _ => {
+                keys[out] = last;
+                part = rest;
+            }
+        }
+    }
 }
 
 /// The symmetric 99th-percentile half-range around the mean,

@@ -1,5 +1,6 @@
-//! The sample summaries (`summary`, `summary_owned`, `percentile` and
-//! `pctl99_half_range`), bit for bit, against a comparator reference.
+//! The sample summaries (`summary`, `summary_owned`, `percentile`,
+//! `pctl99_half_range` and the merged `SortedSample`), bit for bit,
+//! against a comparator reference.
 //!
 //! The reference sorts a copy with `sort_unstable_by(f64::total_cmp)` and
 //! reads the nearest-rank percentiles, the largest sample and the mean
@@ -10,7 +11,7 @@
 //! queue's outstanding count). Where a summed mean or a half-range is
 //! NaN, only its NaN-ness is compared (see [`arithmetic_bits`]).
 
-use exegpt_dist::stats::{self, Summary};
+use exegpt_dist::stats::{self, SortedSample, Summary};
 use proptest::prelude::*;
 
 /// A sorted copy of `xs` under the comparator.
@@ -141,6 +142,27 @@ proptest! {
         prop_assert_eq!(bits(stats::summary_owned(xs)), want);
     }
 
+    /// The sample split at up to four cut points, some of them equal (an
+    /// empty part) or at either end: merging the parts' sorted samples
+    /// gives the whole sample's keys and summary.
+    #[test]
+    fn merged_parts_match_the_comparator_sort(
+        xs in arb_samples(),
+        cuts in prop::collection::vec(0usize..1 << 20, 0..5),
+    ) {
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (xs.len() + 1)).collect();
+        cuts.sort_unstable();
+        let bounds = std::iter::once(0).chain(cuts).chain(std::iter::once(xs.len()));
+        let bounds: Vec<usize> = bounds.collect();
+        let parts: Vec<SortedSample> =
+            bounds.windows(2).map(|w| SortedSample::new(xs[w[0]..w[1]].to_vec())).collect();
+        let merged = SortedSample::merge(&parts.iter().collect::<Vec<_>>());
+        let want: Vec<u64> = reference_sorted(&xs).iter().map(|x| x.to_bits()).collect();
+        prop_assert_eq!(merged.values().map(f64::to_bits).collect::<Vec<_>>(), want);
+        prop_assert_eq!(&merged, &SortedSample::new(xs.clone()));
+        prop_assert_eq!(bits(merged.summary()), bits(reference_summary(&xs)));
+    }
+
     #[test]
     fn percentile_matches_the_comparator_sort(xs in arb_samples(), p in arb_p()) {
         let want = reference_rank(&reference_sorted(&xs), p);
@@ -161,6 +183,8 @@ proptest! {
 fn empty_samples_have_no_summary() {
     assert_eq!(stats::summary(&[]), None);
     assert_eq!(stats::summary_owned(Vec::new()), None);
+    assert_eq!(SortedSample::merge(&[]).summary(), None);
+    assert_eq!(SortedSample::merge(&[&SortedSample::default()]).summary(), None);
     assert_eq!(stats::percentile(&[], 0.5), None);
     assert_eq!(stats::pctl99_half_range(&[]), None);
 }

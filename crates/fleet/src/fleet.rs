@@ -23,6 +23,7 @@
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
 
+use exegpt_dist::stats::{SortedSample, Summary};
 use exegpt_serve::{Completion, HistogramId, Metrics, MetricsSnapshot, StepOutcome};
 use exegpt_units::Secs;
 use exegpt_workload::{TenantRequest, TimedRequest};
@@ -188,7 +189,7 @@ impl Fleet {
         let tenants = Tenants::new(&trace)?;
         let n = self.specs.len();
         let mut metrics = Metrics::new();
-        let ids = FleetMetrics::resolve(&mut metrics, n);
+        let ids = FleetMetrics::resolve(&mut metrics);
         let mut state = RunState {
             handles: self.specs.into_iter().map(ReplicaHandle::new).collect(),
             router: Router::new(self.opts.policy),
@@ -199,6 +200,7 @@ impl Fleet {
             wake_seq: vec![0; n],
             scheduled: vec![None; n],
             cands: Vec::with_capacity(n),
+            done: Vec::new(),
             tenants,
             metrics,
             ids,
@@ -262,10 +264,9 @@ impl Fleet {
         }
 
         // Everything is quiescent: retire the surviving sessions.
-        for i in 0..state.handles.len() {
-            if let Some(sess) = state.handles[i].session.take() {
-                let report = sess.finish();
-                state.handles[i].reports.push(report);
+        for h in &mut state.handles {
+            if let Some(sess) = h.session.take() {
+                h.archive(sess);
             }
         }
         Ok(state.into_report())
@@ -273,7 +274,7 @@ impl Fleet {
 }
 
 /// The tenant table of one run: every tenant of the trace and the tenant
-/// of every request, built once from the trace and binary-searched.
+/// of every request, built once from the trace.
 struct Tenants {
     /// Accounting per tenant, ascending tenant id.
     accs: Vec<TenantAcc>,
@@ -318,34 +319,35 @@ impl Tenants {
         self.accs.binary_search_by_key(&tenant, |acc| acc.tenant).ok()
     }
 
-    /// The index in `accs` of the tenant that sent request `id`.
+    /// The index in `accs` of the tenant that sent request `id`. Traces
+    /// number their requests densely from some first id, so `id`'s offset
+    /// from the first id is its place in `by_id`; only where it is not
+    /// does the lookup binary-search.
     fn origin(&self, id: u64) -> Option<usize> {
-        let at = self.by_id.binary_search_by_key(&id, |&(id, _)| id).ok()?;
-        self.by_id.get(at).map(|&(_, tenant)| tenant)
+        let offset = id.checked_sub(self.by_id.first()?.0);
+        let guess = offset.and_then(|d| usize::try_from(d).ok()).and_then(|i| self.by_id.get(i));
+        let entry = match guess {
+            Some(entry) if entry.0 == id => entry,
+            _ => self.by_id.get(self.by_id.binary_search_by_key(&id, |&(id, _)| id).ok()?)?,
+        };
+        Some(entry.1)
     }
 }
 
 /// Handles of the metrics the fleet updates per request, resolved once
-/// when the run starts.
+/// when the run starts. The latency rollups (`e2e`, `queue_wait`,
+/// `replica{r}_e2e`) are not recorded here: they are merged from the
+/// replica sessions' samples when the report is built.
 struct FleetMetrics {
-    e2e: HistogramId,
-    queue_wait: HistogramId,
     dispatch_headroom_bytes: HistogramId,
     dispatch_outstanding: HistogramId,
-    /// Each replica's `replica{r}_e2e`.
-    replica_e2e: Vec<HistogramId>,
 }
 
 impl FleetMetrics {
-    fn resolve(m: &mut Metrics, replicas: usize) -> Self {
+    fn resolve(m: &mut Metrics) -> Self {
         Self {
-            e2e: m.histogram_id("e2e"),
-            queue_wait: m.histogram_id("queue_wait"),
             dispatch_headroom_bytes: m.histogram_id("dispatch_headroom_bytes"),
             dispatch_outstanding: m.histogram_id("dispatch_outstanding"),
-            replica_e2e: (0..replicas)
-                .map(|r| m.histogram_id(&format!("replica{r}_e2e")))
-                .collect(),
         }
     }
 }
@@ -426,6 +428,9 @@ struct RunState {
     /// Routing candidates, refilled by [`RunState::fill_candidates`] at
     /// every dispatch and reroute.
     cands: Vec<Candidate>,
+    /// Completions drained from a session, emptied by
+    /// [`RunState::account`]: one buffer for the whole run.
+    done: Vec<Completion>,
     /// Per-tenant accounting, and the tenant of every request for
     /// completion and reroute accounting.
     tenants: Tenants,
@@ -545,16 +550,16 @@ impl RunState {
 
     /// Wakes replica `rep` to fleet time `t` and steps it once.
     fn step_replica(&mut self, rep: usize, t: f64) -> Result<(), FleetError> {
-        let (outcome, completions, now) = {
+        let (outcome, now) = {
             let h = &mut self.handles[rep];
             let Some(sess) = h.session.as_mut() else { return Ok(()) };
             sess.wake_to(t);
             let outcome = sess.step()?;
-            let completions = sess.take_completions();
-            h.completed += completions.len();
-            (outcome, completions, sess.now())
+            sess.drain_completions(&mut self.done);
+            h.completed += self.done.len();
+            (outcome, sess.now())
         };
-        self.account(rep, &completions);
+        self.account();
         match outcome {
             StepOutcome::Progressed => self.schedule_wake(rep, now),
             StepOutcome::Parked { until: Some(w) } => self.schedule_wake(rep, w.max(now)),
@@ -567,17 +572,12 @@ impl RunState {
         Ok(())
     }
 
-    /// Folds a batch of completions into tenant and fleet accounting.
-    fn account(&mut self, rep: usize, completions: &[Completion]) {
-        let ids = &self.ids;
-        for c in completions {
+    /// Folds the drained completions into tenant and fleet accounting,
+    /// emptying the buffer.
+    fn account(&mut self) {
+        for c in self.done.drain(..) {
             self.completed += 1;
             self.makespan = self.makespan.max(c.t);
-            self.metrics.observe_at(ids.e2e, c.e2e);
-            self.metrics.observe_at(ids.queue_wait, c.queue_wait);
-            if let Some(&replica_e2e) = ids.replica_e2e.get(rep) {
-                self.metrics.observe_at(replica_e2e, c.e2e);
-            }
             let Some(tenant) = self.tenants.origin(c.id) else { continue };
             let Some(acc) = self.tenants.accs.get_mut(tenant) else { continue };
             acc.completed += 1;
@@ -592,8 +592,7 @@ impl RunState {
     fn retire(&mut self, rep: usize, t: f64) {
         self.cancel_wake(rep);
         if let Some(sess) = self.handles[rep].session.take() {
-            let report = sess.finish();
-            self.handles[rep].reports.push(report);
+            self.handles[rep].archive(sess);
         }
         self.handles[rep].state = ReplicaState::Down;
         self.metrics.inc("scale_downs");
@@ -659,12 +658,11 @@ impl RunState {
     fn lose_replica(&mut self, rep: usize, t: f64) {
         self.cancel_wake(rep);
         let Some(mut sess) = self.handles[rep].session.take() else { return };
-        let completions = sess.take_completions();
-        self.handles[rep].completed += completions.len();
-        self.account(rep, &completions);
+        sess.drain_completions(&mut self.done);
+        self.handles[rep].completed += self.done.len();
+        self.account();
         let stranded = sess.extract_queued();
-        let report = sess.finish();
-        self.handles[rep].reports.push(report);
+        self.handles[rep].archive(sess);
         self.handles[rep].state = ReplicaState::Lost { at: t };
         self.metrics.inc("replicas_lost");
         let mut rerouted = 0usize;
@@ -705,6 +703,35 @@ impl RunState {
                 false
             }
         }
+    }
+
+    /// Writes the latency rollups into `summaries`: `replica{r}_e2e` is
+    /// the merge of replica r's session samples, `e2e` the merge of those,
+    /// and `queue_wait` the merge over every session. Each session has
+    /// logged exactly the completions the fleet accounted for it, so these
+    /// are the samples the fleet saw, sorted. Like a histogram slot, a
+    /// rollup appears only once it has a sample.
+    fn roll_up_latencies(&self, summaries: &mut BTreeMap<String, Summary>) {
+        let mut insert = |name: String, sample: &SortedSample| {
+            if let Some(s) = sample.summary() {
+                summaries.insert(name, s);
+            }
+        };
+        let sessions = self.handles.iter().flat_map(|h| &h.samples);
+        let queue_wait = sessions.map(|s| &s.queue_wait).collect::<Vec<_>>();
+        insert("queue_wait".to_owned(), &SortedSample::merge(&queue_wait));
+        let per_replica: Vec<SortedSample> = self
+            .handles
+            .iter()
+            .map(|h| SortedSample::merge(&h.samples.iter().map(|s| &s.e2e).collect::<Vec<_>>()))
+            .collect();
+        for (r, (h, e2e)) in self.handles.iter().zip(&per_replica).enumerate() {
+            debug_assert_eq!(e2e.len(), h.completed, "replica {r}: e2e samples vs completions");
+            insert(format!("replica{r}_e2e"), e2e);
+        }
+        let e2e = SortedSample::merge(&per_replica.iter().collect::<Vec<_>>());
+        debug_assert_eq!(e2e.len(), self.completed, "fleet e2e samples vs completions");
+        insert("e2e".to_owned(), &e2e);
     }
 
     /// Rolls the run state up into the final report.
@@ -753,6 +780,8 @@ impl RunState {
             count(&format!("replica{r}_dispatched"), h.dispatched);
             count(&format!("replica{r}_completed"), h.completed);
         }
+        let mut metrics = std::mem::take(&mut self.metrics).into_snapshot();
+        self.roll_up_latencies(&mut metrics.summaries);
         let replicas = self
             .handles
             .into_iter()
@@ -774,7 +803,7 @@ impl RunState {
             weighted_violation_rate,
             tenants,
             replicas,
-            metrics: self.metrics.into_snapshot(),
+            metrics,
             events: self.events,
         }
     }

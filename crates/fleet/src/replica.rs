@@ -2,7 +2,7 @@
 
 use exegpt::{Engine, ScheduleConfig};
 use exegpt_cluster::LoadSource;
-use exegpt_serve::{ReplicaSession, ServeLoop, ServeOptions, ServeReport};
+use exegpt_serve::{LatencySamples, ReplicaSession, ServeLoop, ServeOptions, ServeReport};
 use serde::Serialize;
 
 use crate::error::FleetError;
@@ -121,13 +121,16 @@ impl ReplicaState {
 }
 
 /// A replica at run time: its spec, lifecycle state, live session (when
-/// deployed), and the reports of every session it has run (a replica that
-/// is lost and later recovers contributes one report per life).
+/// deployed), and the reports and latency samples of every session it has
+/// run (a replica that is lost and later recovers contributes one of each
+/// per life).
 pub(crate) struct ReplicaHandle {
     pub(crate) spec: ReplicaSpec,
     pub(crate) state: ReplicaState,
     pub(crate) session: Option<ReplicaSession>,
     pub(crate) reports: Vec<ServeReport>,
+    /// The fleet's latency rollups are merged from these.
+    pub(crate) samples: Vec<LatencySamples>,
     pub(crate) dispatched: usize,
     pub(crate) completed: usize,
 }
@@ -135,7 +138,23 @@ pub(crate) struct ReplicaHandle {
 impl ReplicaHandle {
     pub(crate) fn new(spec: ReplicaSpec) -> Self {
         let state = if spec.standby { ReplicaState::Standby } else { ReplicaState::Active };
-        Self { spec, state, session: None, reports: Vec::new(), dispatched: 0, completed: 0 }
+        Self {
+            spec,
+            state,
+            session: None,
+            reports: Vec::new(),
+            samples: Vec::new(),
+            dispatched: 0,
+            completed: 0,
+        }
+    }
+
+    /// Finishes `session`, whose completions have been drained, and keeps
+    /// its report and latency samples.
+    pub(crate) fn archive(&mut self, session: ReplicaSession) {
+        let (report, samples) = session.finish_with_samples();
+        self.reports.push(report);
+        self.samples.push(samples);
     }
 }
 

@@ -326,3 +326,34 @@ fn rollups_summarize_the_completions_the_sessions_logged() {
     let session_max = all.filter_map(|s| s.queue_wait).map(|q| q.max).fold(f64::MIN, f64::max);
     assert_eq!(queue_wait.max, session_max, "queue_wait.max");
 }
+
+#[test]
+fn sparse_request_ids_give_the_dense_trace_accounting() {
+    let engine = engine();
+    let schedule = engine.schedule(Secs::INFINITY).expect("schedules");
+    let classes = vec![SloClass::interactive("chat", Secs::new(60.0)), SloClass::batch("bulk")];
+    let run = |id: fn(u64) -> u64| {
+        let mut requests = trace(0.8 * schedule.estimate.throughput, 300);
+        for (i, r) in (0u32..).zip(&mut requests) {
+            r.tenant = i % 3;
+            r.class = u32::from(r.tenant == 2);
+            r.request.request.id = id(r.request.request.id);
+        }
+        let specs =
+            vec![replica("r0", &engine, schedule.config), replica("r1", &engine, schedule.config)];
+        let opts = FleetOptions { classes: classes.clone(), ..FleetOptions::default() };
+        Fleet::new(specs, opts).expect("valid fleet").run(requests).expect("runs")
+    };
+    let dense = run(|id| id);
+    // Ids far from zero and seven apart: no request sits at its offset
+    // from the first id, so every completion's tenant is searched for.
+    let sparse = run(|id| 1_000 + 7 * id);
+    assert_eq!(dense.completed, 300);
+    assert_eq!(dense.tenants.len(), 3);
+    assert!(dense.tenants.iter().all(|t| t.completed > 0 && t.slo.checked == t.completed));
+    let accounting = |r: &exegpt_fleet::FleetReport| -> Vec<String> {
+        r.tenants.iter().map(|t| serde_json::to_string(t).expect("serializes")).collect()
+    };
+    assert_eq!(accounting(&sparse), accounting(&dense), "per-tenant accounting");
+    assert_eq!(sparse.metrics, dense.metrics, "fleet metrics");
+}

@@ -85,6 +85,8 @@ pub use faults::{
     FaultError, FaultEvent, FaultKind, FaultOptions, FaultSchedule, StragglerOptions,
 };
 pub use metrics::{CounterId, GaugeId, HistogramId, Metrics, MetricsSnapshot};
-pub use server::{Completion, ReplicaSession, ServeLoop, ServeOptions, ServeReport, StepOutcome};
+pub use server::{
+    Completion, LatencySamples, ReplicaSession, ServeLoop, ServeOptions, ServeReport, StepOutcome,
+};
 pub use slo::{SloCheck, SloOutcome, SloTargets};
 pub use traffic::poisson_with_shift;

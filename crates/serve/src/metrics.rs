@@ -13,13 +13,16 @@
 //! Summaries (mean/p50/p95/p99/max) go through the shared
 //! [`exegpt_dist::stats`] helpers — the same percentile code the offline
 //! runner reports use, so online and offline numbers agree by
-//! construction. [`Metrics::into_snapshot`] hands each histogram's buffer
-//! to [`stats::summary_owned`], which sorts it as integer keys in place:
-//! no sample is copied.
+//! construction. [`Metrics::into_snapshot`] turns each histogram's buffer
+//! into a [`SortedSample`], which sorts it as integer keys in place: no
+//! sample is copied. [`Metrics::into_snapshot_keeping`] also hands back
+//! the sorted samples of chosen histograms, so a caller that rolls
+//! registries up (the fleet, over its replica sessions) merges them in
+//! linear time instead of recording and sorting the samples again.
 
 use std::collections::BTreeMap;
 
-use exegpt_dist::stats::{self, Summary};
+use exegpt_dist::stats::{self, SortedSample, Summary};
 use serde::Serialize;
 
 /// Handle to a counter of the [`Metrics`] registry that issued it.
@@ -197,7 +200,19 @@ impl Metrics {
     /// [`snapshot`](Self::snapshot) of a registry no longer needed: each
     /// histogram's buffer is summarized in place, with no copy.
     pub fn into_snapshot(self) -> MetricsSnapshot {
+        self.into_snapshot_keeping([]).0
+    }
+
+    /// [`into_snapshot`](Self::into_snapshot) that also returns the sorted
+    /// samples of the histograms in `keep`, in `keep`'s order: the buffers
+    /// the summaries were read from, so nothing is copied. A histogram
+    /// never updated gives an empty sample.
+    pub fn into_snapshot_keeping<const N: usize>(
+        self,
+        keep: [HistogramId; N],
+    ) -> (MetricsSnapshot, [SortedSample; N]) {
         let mut slots = self.slots;
+        let mut kept = std::array::from_fn(|_| SortedSample::default());
         let counters = self
             .counters
             .into_iter()
@@ -217,14 +232,18 @@ impl Metrics {
         let summaries = self
             .histograms
             .into_iter()
-            .filter_map(|(name, i)| match slots.get_mut(i) {
-                Some(Slot::Histogram(v)) => {
-                    stats::summary_owned(std::mem::take(v)).map(|s| (name, s))
+            .filter_map(|(name, i)| {
+                let Some(Slot::Histogram(v)) = slots.get_mut(i) else { return None };
+                let sample = SortedSample::new(std::mem::take(v));
+                let summary = sample.summary()?;
+                let at = keep.iter().position(|id| id.0 == i);
+                if let Some(slot) = at.and_then(|at| kept.get_mut(at)) {
+                    *slot = sample;
                 }
-                _ => None,
+                Some((name, summary))
             })
             .collect();
-        MetricsSnapshot { counters, gauges, summaries }
+        (MetricsSnapshot { counters, gauges, summaries }, kept)
     }
 }
 
@@ -329,6 +348,17 @@ mod tests {
                 prop_assert_eq!(snap.counters.contains_key(*name), touched[0][i]);
                 prop_assert_eq!(snap.gauges.contains_key(*name), touched[1][i]);
                 prop_assert_eq!(snap.summaries.contains_key(*name), touched[2][i]);
+            }
+            // The keeping snapshot is the same snapshot, and each kept
+            // sample is its histogram's samples, sorted.
+            let (kept_snap, kept) = by_id.clone().into_snapshot_keeping([
+                histograms[3],
+                histograms[0],
+            ]);
+            prop_assert_eq!(&kept_snap, &snap);
+            for (sample, name) in kept.iter().zip(["ttft", "e2e"]) {
+                prop_assert_eq!(sample.summary(), by_id.summary(name));
+                prop_assert_eq!(sample, &stats::SortedSample::new(by_id.samples(name).to_vec()));
             }
             prop_assert_eq!(&by_name.into_snapshot(), &snap);
             prop_assert_eq!(by_id.into_snapshot(), snap);

@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 
 use exegpt::{Engine, ScheduleConfig, SchedulerOptions};
 use exegpt_cluster::{ClusterSpec, LoadSource};
-use exegpt_dist::stats::Summary;
+use exegpt_dist::stats::{SortedSample, Summary};
 use exegpt_runner::{
     Admission, AdmissionQueue, FaultFactors, Finished, PhaseExecutor, PhaseRecord, ReplicaState,
 };
@@ -252,8 +252,8 @@ impl ServeLoop {
     /// come from [`ReplicaSession::inject`] instead of an owned stream, and
     /// an external event loop drives [`ReplicaSession::step`], waking the
     /// session with [`ReplicaSession::wake_to`]. Completed requests are
-    /// exposed through [`ReplicaSession::take_completions`] for fleet-level
-    /// (per-tenant) SLO accounting.
+    /// exposed through [`ReplicaSession::drain_completions`] for
+    /// fleet-level (per-tenant) SLO accounting.
     ///
     /// # Errors
     ///
@@ -349,6 +349,17 @@ impl Completion {
             queue_wait: f.t_encoded - f.arrival,
         }
     }
+}
+
+/// The sorted latency samples of a finished session
+/// ([`ReplicaSession::finish_with_samples`]): one per completion, the
+/// samples its report's `e2e` and `queue_wait` summaries are read from.
+#[derive(Debug)]
+pub struct LatencySamples {
+    /// End-to-end latencies.
+    pub e2e: SortedSample,
+    /// Queueing delays.
+    pub queue_wait: SortedSample,
 }
 
 /// Run state of one serving replica, stepped one phase boundary at a time.
@@ -483,10 +494,12 @@ impl ReplicaSession {
         self.state.exec().estimate().latency.as_secs()
     }
 
-    /// Drains completions recorded since the last call (fleet mode; empty
-    /// unless the session was created by [`ServeLoop::into_replica`]).
-    pub fn take_completions(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut self.outbox)
+    /// Moves the completions recorded since the last call onto the end of
+    /// `out` (fleet mode; none unless the session was created by
+    /// [`ServeLoop::into_replica`]). Both buffers keep their capacity, so a
+    /// caller that reuses `out` allocates nothing per step.
+    pub fn drain_completions(&mut self, out: &mut Vec<Completion>) {
+        out.append(&mut self.outbox);
     }
 
     /// Drains every queued and in-flight request for rerouting: pending,
@@ -723,7 +736,14 @@ impl ReplicaSession {
     }
 
     /// Consumes the session into its final report.
-    pub fn finish(mut self) -> ServeReport {
+    pub fn finish(self) -> ServeReport {
+        self.finish_with_samples().0
+    }
+
+    /// [`finish`](Self::finish), also returning the session's sorted
+    /// `e2e` and `queue_wait` samples, the ones its report summarizes, so
+    /// a fleet rolls sessions up by merging instead of sorting again.
+    pub fn finish_with_samples(mut self) -> (ServeReport, LatencySamples) {
         let completed = self.slo_out.checked;
         let makespan = self.last_completion;
         let throughput = if makespan > 0.0 { completed as f64 / makespan } else { 0.0 };
@@ -731,10 +751,11 @@ impl ReplicaSession {
         self.metrics.gauge("kv_peak_bytes", self.state.peak_kv_bytes() as f64);
         // One snapshot, each histogram sorted once: the report's summaries
         // and counters are read from it.
-        let metrics = self.metrics.into_snapshot();
+        let (metrics, [e2e, queue_wait]) =
+            self.metrics.into_snapshot_keeping([self.ids.e2e, self.ids.queue_wait]);
         let summary = |name: &str| metrics.summaries.get(name).copied();
         let count = |name: &str| metrics.counters.get(name).map_or(0, |&n| n as usize);
-        ServeReport {
+        let report = ServeReport {
             completed,
             tokens_generated: self.state.pool().tokens(),
             makespan,
@@ -758,7 +779,8 @@ impl ReplicaSession {
             final_schedule: self.state.exec().schedule().describe(),
             metrics,
             events: self.events,
-        }
+        };
+        (report, LatencySamples { e2e, queue_wait })
     }
 
     /// Refits the output distribution to the drift window and re-runs the

@@ -69,7 +69,8 @@ fn runner_and_serve_agree_on_rra_and_waa_c() {
             session.inject(TimedRequest { request, arrival: 0.0 });
         }
         while let StepOutcome::Progressed = session.step().expect("serves") {}
-        let completions = session.take_completions();
+        let mut completions = Vec::new();
+        session.drain_completions(&mut completions);
         let served = session.finish();
 
         assert_eq!(replay.completed, QUERIES, "{name}: the replay completes");
