@@ -358,7 +358,7 @@ mod tests {
             prop_assert_eq!(&kept_snap, &snap);
             for (sample, name) in kept.iter().zip(["ttft", "e2e"]) {
                 prop_assert_eq!(sample.summary(), by_id.summary(name));
-                prop_assert_eq!(sample, &stats::SortedSample::new(by_id.samples(name).to_vec()));
+                prop_assert_eq!(sample, &SortedSample::new(by_id.samples(name).to_vec()));
             }
             prop_assert_eq!(&by_name.into_snapshot(), &snap);
             prop_assert_eq!(by_id.into_snapshot(), snap);
