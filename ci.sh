@@ -84,9 +84,11 @@ cargo test --offline --release -q -p exegpt-runner --test kv_alloc
 # the check that the serve step and the offline replay, which share one
 # phase body, agree on the same closed-loop stream, and the fault layer
 # that serve-adapt's GPU failure runs through, with its replay properties
-# (the library's unit tests), and the check that a metrics snapshot
-# summarizes every histogram in its own buffer, copying no samples.
-cargo test --offline --release -q -p exegpt-serve --lib --test kv_peak --test agreement --test faults --test snapshot_alloc
+# (the library's unit tests), the check that a metrics snapshot
+# summarizes every histogram in its own buffer, copying no samples, and
+# the event log's JSONL, which pins every event variant's rendering byte
+# for byte, thin text labels included.
+cargo test --offline --release -q -p exegpt-serve --lib --test kv_peak --test agreement --test faults --test snapshot_alloc --test event_jsonl
 # And the fleet loop, with its rollup merge and indexed tenant lookup, in
 # the release code fleet-tenants times: single-replica equivalence,
 # determinism, conservation through a replica loss, the rejection of a

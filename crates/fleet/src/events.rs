@@ -87,6 +87,13 @@ pub enum FleetEvent {
     },
 }
 
+// `Dispatch`, one per routed arrival, sets the slot size; the guard catches
+// a variant that widens every slot of the log.
+const _: () = assert!(
+    std::mem::size_of::<FleetEvent>() <= 48,
+    "FleetEvent must fit in 48 bytes, its size with Dispatch's fields"
+);
+
 /// Append-only fleet event log.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct FleetEventLog {

@@ -6,9 +6,61 @@
 //! (virtual time only, map-free payloads, stable float formatting), which
 //! is what the determinism acceptance test compares.
 
-use serde::Serialize;
+use std::fmt;
+
+use serde::{Serialize, Value};
+
+/// The text an event carries: a schedule description, a replan reason, a
+/// fault description or an error message. One thin pointer — 8 bytes,
+/// where a `String` takes 24 and a `Box<str>` 16 — so the variants with
+/// two text fields fit the 40-byte rule of [`Event`]. It renders, in JSON
+/// and `Debug` alike, as the string it holds.
+#[derive(Clone, PartialEq)]
+pub struct Label(Box<Box<str>>);
+
+impl Label {
+    /// The text.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl From<String> for Label {
+    fn from(s: String) -> Self {
+        Self(Box::new(s.into_boxed_str()))
+    }
+}
+
+impl From<&str> for Label {
+    fn from(s: &str) -> Self {
+        Self(Box::new(s.into()))
+    }
+}
+
+impl PartialEq<str> for Label {
+    fn eq(&self, other: &str) -> bool {
+        self.as_str() == other
+    }
+}
+
+impl fmt::Debug for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl Serialize for Label {
+    fn to_value(&self) -> Value {
+        self.as_str().to_value()
+    }
+}
 
 /// One serving-loop event, stamped with virtual time.
+///
+/// Every text field is a [`Label`], so no variant needs more than 32 bytes
+/// of payload and the whole event fits in 40 (see the assert below): the
+/// per-request variants that make up nearly all of a log are that size
+/// anyway, and a `String` in a rare variant would widen every slot.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum Event {
     /// A request entered the admission queue.
@@ -96,9 +148,9 @@ pub enum Event {
         /// Decision time.
         t: f64,
         /// Schedule being replaced.
-        from: String,
+        from: Label,
         /// Schedule chosen for the refitted workload.
-        to: String,
+        to: Label,
         /// Refitted output-distribution mean handed to the scheduler.
         refit_mean: f64,
     },
@@ -108,7 +160,7 @@ pub enum Event {
         /// Decision time.
         t: f64,
         /// Scheduler error.
-        why: String,
+        why: Label,
     },
     /// The new plan was installed at a phase boundary.
     PlanSwap {
@@ -125,7 +177,7 @@ pub enum Event {
         /// Scheduled activation time.
         t: f64,
         /// Human-readable description of the fault.
-        desc: String,
+        desc: Label,
     },
     /// A device failure matured through the heartbeat timeout; the failed
     /// device is removed from the topology and in-flight work is aborted
@@ -176,11 +228,11 @@ pub enum Event {
         /// Decision time.
         t: f64,
         /// Why: `failover` (devices lost) or `recovery` (devices back).
-        reason: String,
+        reason: Label,
         /// Devices in the new topology.
         gpus: usize,
         /// Schedule chosen for it.
-        to: String,
+        to: Label,
         /// Whether the pre-fault plan was reinstalled verbatim (full
         /// recovery with no interleaved workload refit).
         restored: bool,
@@ -190,9 +242,12 @@ pub enum Event {
         /// Decision time.
         t: f64,
         /// Scheduler error.
-        why: String,
+        why: Label,
     },
 }
+
+const _: () =
+    assert!(std::mem::size_of::<Event>() <= 40, "Event must fit in 40 bytes (the 40-byte rule)");
 
 /// Append-only event log.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
@@ -257,5 +312,40 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.lines().count(), 2);
         assert!(a.lines().next().unwrap().contains("Arrival"));
+    }
+
+    const TEXTS: [&str; 6] = [
+        "",
+        "RRA(B_E=12, N_D=3)",
+        "a \"quoted\" \\ path",
+        "détaché → ×2 «µ»",
+        "tab\tnew\nline\u{1}",
+        "failover",
+    ];
+
+    #[test]
+    fn a_label_renders_as_the_string_it_holds() {
+        for s in TEXTS {
+            let label = Label::from(s);
+            assert_eq!(
+                serde_json::to_string(&label).unwrap(),
+                serde_json::to_string(&s.to_string()).unwrap()
+            );
+            assert_eq!(format!("{label:?}"), format!("{:?}", s.to_string()));
+        }
+    }
+
+    #[test]
+    fn a_label_converts_and_compares_like_its_text() {
+        for s in TEXTS {
+            let owned = Label::from(s.to_string());
+            let borrowed = Label::from(s);
+            assert_eq!(owned, borrowed);
+            assert_eq!(owned.as_str(), s);
+            assert!(owned == *s);
+        }
+        let failover = Label::from("failover");
+        assert_ne!(failover, Label::from("recovery"));
+        assert!(failover != *"recovery");
     }
 }

@@ -416,7 +416,7 @@ impl FaultLayer {
     ) -> usize {
         for e in self.advance(state.t) {
             metrics.inc("faults_injected");
-            events.push(Event::Fault { t: e.t, desc: e.kind.to_string() });
+            events.push(Event::Fault { t: e.t, desc: e.kind.to_string().into() });
         }
         for (gpu, t_d) in self.mature_detections(state.t) {
             // Pay the rest of the heartbeat window if the phase boundary

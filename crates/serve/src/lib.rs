@@ -80,7 +80,7 @@ mod traffic;
 
 pub use drift::{DriftCheck, DriftDetector, DriftOptions};
 pub use error::ServeError;
-pub use events::{Event, EventLog};
+pub use events::{Event, EventLog, Label};
 pub use faults::{
     FaultError, FaultEvent, FaultKind, FaultOptions, FaultSchedule, StragglerOptions,
 };

@@ -806,8 +806,8 @@ impl ReplicaSession {
                 self.metrics.inc("reschedules");
                 self.events.push(Event::Reschedule {
                     t: self.state.t,
-                    from: self.state.exec().schedule().describe(),
-                    to: schedule.config.describe(),
+                    from: self.state.exec().schedule().describe().into(),
+                    to: schedule.config.describe().into(),
                     refit_mean: self.engine.simulator().workload().output().mean(),
                 });
                 // Install even an identical config: the executor must be
@@ -817,7 +817,8 @@ impl ReplicaSession {
             }
             Err(e) => {
                 self.metrics.inc("reschedule_failures");
-                self.events.push(Event::RescheduleFailed { t: self.state.t, why: e.to_string() });
+                self.events
+                    .push(Event::RescheduleFailed { t: self.state.t, why: e.to_string().into() });
                 None
             }
         }
@@ -856,14 +857,15 @@ impl ReplicaSession {
                     t: self.state.t,
                     reason: reason.into(),
                     gpus,
-                    to: cfg.describe(),
+                    to: cfg.describe().into(),
                     restored,
                 });
                 Ok(Some(PendingSwap { cfg, engine: Some(engine) }))
             }
             Err(e) => {
                 self.metrics.inc("replan_failures");
-                self.events.push(Event::ReplanFailed { t: self.state.t, why: e.to_string() });
+                self.events
+                    .push(Event::ReplanFailed { t: self.state.t, why: e.to_string().into() });
                 if failover {
                     Err(ServeError::Failover { survivors: gpus, why: e.to_string() })
                 } else {
